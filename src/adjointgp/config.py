@@ -78,6 +78,8 @@ _DEFAULTS = {
     ("seeds", "basis"): 1,
     ("seeds", "noise"): 2,
     ("inference", "method"): "bayes",
+    # ignored (predictive scores are exact), but kept: canonical_text writes
+    # it into every bundle's config.txt and hash, so old bundles keep loading
     ("inference", "samples"): 100,
     ("inference", "ridge"): 0.0,
     ("inference", "synth"): "forward",
@@ -86,7 +88,7 @@ _DEFAULTS = {
     ("mcmc", "batch_size"): 5,
     ("mcmc", "proposal_scale"): 0.0,  # 0 means tune automatically
     ("mcmc", "seed"): 0,
-    ("scan", "samples"): 100,
+    ("scan", "samples"): 100,  # ignored, kept for the same reason
 }
 
 # emission order for canonical text

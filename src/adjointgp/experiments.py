@@ -46,9 +46,10 @@ from .inference import (
     ObservationSet,
     PipelineResult,
     assemble_phi,
+    grid_scan,
     ml_estimate,
+    nll_score,
     posterior_forcing,
-    posterior_q,
     posterior_to_json,
     predictive_mse,
     predictive_nll,
@@ -575,14 +576,10 @@ def run_inference(data: SimulatedData, jobs: int | None = None) -> InferenceOutc
                 np.max(np.abs(ml_weights - data.qstar)))
     heldout = data.heldout_observations()
     if heldout is not None:
-        samples = config["inference"]["samples"]
-        pred_seed = derive_seed(data.seeds["noise"], "predictive")
-        metrics["heldout_mse"] = predictive_mse(
-            result.posterior, basis, data.system, heldout,
-            samples=samples, seed=pred_seed)
-        metrics["heldout_nll"] = predictive_nll(
-            result.posterior, basis, data.system, heldout,
-            samples=samples, seed=pred_seed)
+        phi_h = assemble_phi([data.system.adjoint(w) for w in heldout.windows],
+                             basis, jobs=jobs)
+        metrics["heldout_mse"] = predictive_mse(result.posterior, phi_h, heldout.z)
+        metrics["heldout_nll"] = predictive_nll(result.posterior, phi_h, heldout)
     return InferenceOutcome(basis, result, mean_field, var_field,
                             ml_weights, ml_cov, ml_forcing, metrics)
 
@@ -757,15 +754,38 @@ def _override(config: Config, updates: dict) -> Config:
 
 _SWEEP_HEADER = ["sensors", "features", "replicate", "heldout_mse",
                  "forcing_mse", "seed_data", "seed_basis", "seed_noise"]
+_SWEEP_TYPES = (int, int, int, float, float, int, int, int)
 
 
-def _existing_sweep_keys(path: Path) -> set:
+def _resume_sweep(path: Path) -> set:
+    """(sensors, features, replicate) keys of the rows in an existing
+    results.csv, after cutting the file back to its last complete row.
+
+    A kill partway through a write leaves a last line without its newline;
+    that torn tail is dropped, so its cell runs again and the next append
+    starts on a fresh line.  Every complete row must parse in full.
+    """
     if not path.is_file():
         return set()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        return {(int(r["sensors"]), int(r["features"]), int(r["replicate"]))
-                for r in reader}
+    raw = path.read_bytes()
+    complete = raw[:raw.rfind(b"\n") + 1]
+    lines = complete.split(b"\n")[:-1]
+    if lines and lines[0] != ",".join(_SWEEP_HEADER).encode():
+        raise ConfigError(f"{path} does not start with the sweep results header")
+    done = set()
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split(b",")
+        try:
+            if len(fields) != len(_SWEEP_TYPES):
+                raise ValueError(f"{len(fields)} fields")
+            row = [kind(value) for kind, value in zip(_SWEEP_TYPES, fields)]
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {number} is not a sweep row: {exc}") from None
+        done.add(tuple(row[:3]))
+    if len(complete) < len(raw):
+        with open(path, "r+b") as handle:
+            handle.truncate(len(complete))
+    return done
 
 
 def run_sweep(config: Config, out_dir, jobs: int | None = None,
@@ -776,7 +796,8 @@ def run_sweep(config: Config, out_dir, jobs: int | None = None,
     seed), and the observation noise (noise seed); the truth draw depends
     only on the replicate index so every lattice cell of the same replicate
     inverts the same ground truth.  Completed (sensors, features, replicate)
-    rows found in an existing results.csv are skipped.  Returns
+    rows found in an existing results.csv are skipped; a torn last row left
+    by a killed run is dropped and run again.  Returns
     (rows_run, rows_skipped, summary).
     """
     if "sweep" not in config:
@@ -787,13 +808,12 @@ def run_sweep(config: Config, out_dir, jobs: int | None = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.csv"
-    done = _existing_sweep_keys(results_path)
-    fresh = not results_path.is_file()
+    done = _resume_sweep(results_path)
 
     seeds = config["seeds"]
     ran = skipped = 0
     with open(results_path, "a", encoding="utf-8", newline="\n") as handle:
-        if fresh:
+        if handle.tell() == 0:
             handle.write(",".join(_SWEEP_HEADER) + "\n")
             handle.flush()
         for replicate in range(sweep["replicates"]):
@@ -857,7 +877,7 @@ def scan_hyper(data: SimulatedData, jobs: int | None = None):
 
     The adjoint bank is computed once; only the basis and the posterior
     depend on the kernel, so each lattice point costs one design-matrix
-    assembly and one posterior solve.
+    assembly and one posterior solve, and no forward solve.
     """
     config = data.config
     if "scan" not in config:
@@ -865,33 +885,12 @@ def scan_hyper(data: SimulatedData, jobs: int | None = None):
     scan = config["scan"]
     obs = data.observations()
     adjoints = [data.system.adjoint(w) for w in data.windows]
-    count = config["features"]["count"]
-    samples = scan["samples"]
-    pred_seed = derive_seed(data.seeds["noise"], "scan")
-
-    axes = {}
-    for key in ("lengthscale", "variance"):
-        lo, hi, steps = scan[key]
-        steps = int(steps)
-        axes[key] = (np.linspace(lo, hi, steps) if steps > 1
-                     else np.array([float(lo)]))
-
-    results = []
-    for ell in axes["lengthscale"]:
-        for var in axes["variance"]:
-            kernel = KernelParams(float(ell), float(var))
-            basis = FeatureBasis.sample(count, data.grid.ndim, kernel,
-                                        data.seeds["basis"])
-            phi = assemble_phi(adjoints, basis, jobs=jobs,
-                               solver_id=getattr(data.system, "name", ""))
-            post = posterior_q(phi, data.z, obs.sigma)
-            nll = predictive_nll(post, basis, data.system, obs,
-                                 samples=samples, seed=pred_seed)
-            results.append(({"lengthscale": float(ell), "variance": float(var)},
-                            float(nll)))
-    results.sort(key=lambda item: (item[1], item[0]["lengthscale"],
-                                   item[0]["variance"]))
-    return results
+    axes = ("lengthscale", "variance")
+    return grid_scan(
+        {key: scan[key][:2] for key in axes},
+        {key: int(scan[key][2]) for key in axes},
+        lambda theta: nll_score(theta, obs, adjoints, config["features"]["count"],
+                                data.seeds["basis"], jobs=jobs))
 
 
 def save_scan(results, out_dir) -> Path:

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import MisspecificationWarning, NumericalError
-from .features import FeatureBasis, _cell_blocks, forcing_from_weights
+from .features import FeatureBasis, KernelParams, _cell_blocks, forcing_from_weights
 from .fields import Field, Grid, GridMismatchError
 
 __all__ = [
@@ -385,47 +385,34 @@ def _posterior_weight_draws(post: PosteriorQ, count: int, seed: int) -> np.ndarr
     return post.mean + eta @ post.chol.T
 
 
-def window_matrix(windows) -> np.ndarray:
-    """Rows apply observation windows to a flat field by dot product."""
-    grid = windows[0].grid
-    rows = np.stack([w.values_flat for w in windows])
-    return rows * grid.cell_volume
+def _predictive_moments(post: PosteriorQ, phi, z) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean Phi mu and variance diag(Phi S Phi^T) of the noise-free
+    readings Phi q under the weight posterior."""
+    design = _phi_entries(phi)
+    if design.shape != (np.size(z), post.dim):
+        raise ValueError("design matrix does not match the readings and the posterior")
+    spread = design @ post.chol
+    return design @ post.mean, np.einsum("ij,ij->i", spread, spread)
 
 
-def _predictive_readings(post, basis, system, windows, samples, seed) -> np.ndarray:
-    """(samples, n) matrix of readings from posterior forcing draws pushed
-    through the forward model."""
-    wm = window_matrix(windows)
-    draws = _posterior_weight_draws(post, samples, seed)
-    out = np.empty((draws.shape[0], wm.shape[0]))
-    for s, w in enumerate(draws):
-        forcing = forcing_from_weights(basis, w, system.grid)
-        solution = system.forward(forcing)
-        out[s] = wm @ solution.values_flat
-    return out
+def predictive_mse(post: PosteriorQ, phi, z) -> float:
+    """Posterior predictive mean squared error against readings `z`, in
+    closed form: the expectation of (Phi q - z)^2 over the posterior,
+    averaged over readings.  Row i of `phi` is the design row of reading i."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    mean, var = _predictive_moments(post, phi, z)
+    return float(np.mean((mean - z) ** 2 + var))
 
 
-def predictive_mse(post: PosteriorQ, basis: FeatureBasis, system, heldout: ObservationSet,
-                   samples: int = 100, seed: int = 0) -> float:
-    """Monte Carlo posterior predictive mean squared error against readings."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    readings = _predictive_readings(post, basis, system, heldout.windows, samples, seed)
-    return float(np.mean((readings - heldout.z[None, :]) ** 2))
-
-
-def predictive_nll(post: PosteriorQ, basis: FeatureBasis, system, data: ObservationSet,
-                   samples: int = 100, seed: int = 0) -> float:
-    """Negative log likelihood of readings under the Gaussian fit to the
-    posterior predictive (Monte Carlo moments plus observation noise).
+def predictive_nll(post: PosteriorQ, phi, data: ObservationSet) -> float:
+    """Negative log likelihood of the readings in `data` under the exact
+    Gaussian posterior predictive, whose variance adds the observation noise.
+    Row i of `phi` is the design row of reading i.
 
     The noise floor SIGMA_MIN keeps the score finite as sigma -> 0.
     """
-    readings = _predictive_readings(post, basis, system, data.windows, samples, seed)
-    mean = readings.mean(axis=0)
-    spread = readings.var(axis=0, ddof=1) if readings.shape[0] > 1 else np.zeros_like(mean)
-    sigma = max(float(data.sigma), SIGMA_MIN)
-    var = spread + sigma**2
+    mean, var = _predictive_moments(post, phi, data.z)
+    var = var + max(float(data.sigma), SIGMA_MIN) ** 2
     return float(np.sum(0.5 * np.log(2.0 * np.pi * var) + (data.z - mean) ** 2 / (2.0 * var)))
 
 
@@ -433,20 +420,20 @@ def predictive_nll(post: PosteriorQ, basis: FeatureBasis, system, data: Observat
 # hyperparameter scoring
 
 
-def nll_score(theta: dict, data: ObservationSet, make_system, features: int,
-              basis_seed: int, samples: int = 100, seed: int = 0) -> float:
+def nll_score(theta: dict, data: ObservationSet, adjoints, features: int,
+              basis_seed: int, jobs: int | None = None) -> float:
     """Score hyperparameters `theta` (must contain `lengthscale` and
-    `variance`; extra keys go to `make_system`) by rebuilding the basis and
-    adjoint bank and evaluating the posterior predictive NLL on `data`."""
-    from .features import KernelParams
+    `variance`) by the posterior predictive NLL of the readings in `data`.
 
+    `adjoints` is the bank of adjoint solutions for `data.windows`; it does
+    not depend on the kernel, so only the basis, the design matrix and the
+    posterior are rebuilt per call.
+    """
     kernel = KernelParams(float(theta["lengthscale"]), float(theta["variance"]))
-    system = make_system(theta)
-    basis = FeatureBasis.sample(features, system.grid.ndim, kernel, basis_seed)
-    adjoints = [system.adjoint(w) for w in data.windows]
-    phi = assemble_phi(adjoints, basis, solver_id=getattr(system, "name", ""))
+    basis = FeatureBasis.sample(features, data.grid.ndim, kernel, basis_seed)
+    phi = assemble_phi(adjoints, basis, grid=data.grid, jobs=jobs)
     post = posterior_q(phi, data.z, max(data.sigma, SIGMA_MIN))
-    return predictive_nll(post, basis, system, data, samples=samples, seed=seed)
+    return predictive_nll(post, phi, data)
 
 
 def grid_scan(bounds: dict, steps, score) -> list:

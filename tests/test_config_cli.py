@@ -336,6 +336,42 @@ def test_sweep_command_is_resumable(tmp_path, capsys):
     assert "ran 0 replicates, skipped 2" in capsys.readouterr().out
 
 
+def test_sweep_resumes_over_a_torn_last_row(tmp_path, capsys):
+    """A kill partway through a row leaves a torn last line; resuming from
+    it must rebuild exactly the file of an uninterrupted run."""
+    text = ODE_TEXT + "\n[sweep]\nsensors = 10\nfeatures = 5\nreplicates = 2\n"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    whole = tmp_path / "whole"
+    assert main(["sweep", "--config", str(cfg), "--out", str(whole)]) == 0
+    expected = (whole / "results.csv").read_bytes()
+    last = expected.rindex(b"\n", 0, len(expected) - 1) + 1
+    heldout_mse = last + len(b",".join(expected[last:].split(b",")[:3])) + 4
+    cuts = {"header": 5, "key fields": last + 3, "heldout_mse": heldout_mse,
+            "before newline": len(expected) - 1}
+    for name, offset in cuts.items():
+        out = tmp_path / name.replace(" ", "_")
+        out.mkdir()
+        (out / "results.csv").write_bytes(expected[:offset])
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0, name
+        assert (out / "results.csv").read_bytes() == expected, name
+        assert ((out / "summary.json").read_bytes()
+                == (whole / "summary.json").read_bytes()), name
+    capsys.readouterr()
+
+
+def test_sweep_refuses_a_malformed_complete_row(tmp_path, capsys):
+    text = ODE_TEXT + "\n[sweep]\nsensors = 10\nfeatures = 5\nreplicates = 1\n"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "sweep_out"
+    out.mkdir()
+    header = "sensors,features,replicate,heldout_mse,forcing_mse,seed_data,seed_basis,seed_noise"
+    (out / "results.csv").write_text(header + "\n10,5,0,0.1\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_mcmc_command_writes_chain_outputs(tmp_path, capsys):
     text = (_edit(ODE_TEXT, heldout_count=None).replace("count = 8", "count = 5")
             + "\n[mcmc]\nsteps = 4000\nburn_in = 500\nseed = 1\n")

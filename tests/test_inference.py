@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from adjointgp import (
     ObservationSet,
     OdeParams,
     OdeSystem,
+    PdeParams,
+    PdeSystem,
     PIPELINE_STAGES,
     PosteriorQ,
     assemble_phi,
@@ -31,10 +34,10 @@ from adjointgp import (
     predictive_nll,
     run_pipeline,
     sample_posterior_forcing,
+    sensor_field,
     window_indicator,
 )
-from adjointgp.inference import window_matrix
-from oracles import random_smooth_field
+from oracles import forward_predictive_readings
 
 KERNEL = KernelParams(lengthscale=1.0, variance=4.0)
 PARAMS = OdeParams(p0=5.0, p1=1.0, p2=0.5, T=10.0)
@@ -261,11 +264,10 @@ def test_misspecification_warning_trigger():
         posterior_q(design, z, sigma=0.1)
     # same misfit with M >= n/2 stays silent: the basis size is not the issue
     design_wide = rng.standard_normal((n, 30))
-    with np.testing.suppress_warnings() as sup:
-        sup.record(MisspecificationWarning)
-        rec = sup.record(MisspecificationWarning)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
         posterior_q(design_wide, z, sigma=0.1)
-        assert len(rec) == 0
+    assert not any(issubclass(w.category, MisspecificationWarning) for w in rec)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +331,6 @@ def test_sample_posterior_forcing_mean_converges():
         assert abs(stack[:, g].mean() - mean_field.values_flat[g]) < 3 * se
 
 
-def test_window_matrix_applies_quadrature():
-    grid = _grid(100)
-    windows = _windows(grid, 4)
-    f = random_smooth_field(grid, seed=23)
-    wm = window_matrix(windows)
-    expected = [inner_product(w, f) for w in windows]
-    np.testing.assert_allclose(wm @ f.values_flat, expected, rtol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # predictive scores
 
@@ -347,18 +340,23 @@ def _delta_posterior(q):
     return PosteriorQ(q, 1e-20 * np.eye(m), np.zeros(m), np.eye(m))
 
 
+def _forward_readings(system, basis, q, windows):
+    u = system.forward(forcing_from_weights(basis, q, system.grid))
+    return np.array([inner_product(w, u) for w in windows])
+
+
+def _adjoint_phi(system, basis, windows):
+    return assemble_phi([system.adjoint(w) for w in windows], basis)
+
+
 def test_predictive_mse_on_exact_readings_is_zero():
     grid = _grid(200)
     system = OdeSystem(PARAMS, grid)
     basis = FeatureBasis.sample(4, 1, KERNEL, seed=24)
-    rng = np.random.default_rng(25)
-    qstar = rng.standard_normal(4)
+    qstar = np.random.default_rng(25).standard_normal(4)
     windows = _windows(grid, 6)
-    u = system.forward(forcing_from_weights(basis, qstar, grid))
-    z = np.array([inner_product(w, u) for w in windows])
-    heldout = ObservationSet(tuple(windows), z, 0.05)
-    mse = predictive_mse(_delta_posterior(qstar), basis, system, heldout,
-                         samples=20, seed=0)
+    z = _forward_readings(system, basis, qstar, windows)
+    mse = predictive_mse(_delta_posterior(qstar), _adjoint_phi(system, basis, windows), z)
     assert mse < 1e-12
 
 
@@ -366,31 +364,11 @@ def test_predictive_mse_sees_a_known_offset():
     grid = _grid(200)
     system = OdeSystem(PARAMS, grid)
     basis = FeatureBasis.sample(4, 1, KERNEL, seed=24)
-    rng = np.random.default_rng(26)
-    qstar = rng.standard_normal(4)
+    qstar = np.random.default_rng(26).standard_normal(4)
     windows = _windows(grid, 6)
-    u = system.forward(forcing_from_weights(basis, qstar, grid))
-    z = np.array([inner_product(w, u) for w in windows]) + 0.2
-    heldout = ObservationSet(tuple(windows), z, 0.05)
-    mse = predictive_mse(_delta_posterior(qstar), basis, system, heldout,
-                         samples=20, seed=0)
-    np.testing.assert_allclose(mse, 0.04, rtol=1e-6)
-
-
-def test_predictive_mse_seed_stability():
-    grid = _grid(150)
-    system = OdeSystem(PARAMS, grid)
-    basis = FeatureBasis.sample(5, 1, KERNEL, seed=27)
-    rng = np.random.default_rng(28)
-    design_windows = _windows(grid, 8)
-    u = system.forward(forcing_from_weights(basis, rng.standard_normal(5), grid))
-    z = np.array([inner_product(w, u) for w in design_windows])
-    heldout = ObservationSet(tuple(design_windows), z, 0.1)
-    post = PosteriorQ(np.zeros(5), 0.5 * np.eye(5), np.zeros(5), np.eye(5))
-    a = predictive_mse(post, basis, system, heldout, samples=500, seed=1)
-    b = predictive_mse(post, basis, system, heldout, samples=500, seed=2)
-    assert a == predictive_mse(post, basis, system, heldout, samples=500, seed=1)
-    np.testing.assert_allclose(a, b, rtol=0.10)
+    z = _forward_readings(system, basis, qstar, windows) + 0.2
+    mse = predictive_mse(_delta_posterior(qstar), _adjoint_phi(system, basis, windows), z)
+    np.testing.assert_allclose(mse, 0.04, rtol=1e-9)
 
 
 def test_predictive_nll_finite_at_tiny_sigma():
@@ -400,8 +378,77 @@ def test_predictive_nll_finite_at_tiny_sigma():
     windows = _windows(grid, 4)
     data = ObservationSet(tuple(windows), np.zeros(4), 1e-12)
     post = PosteriorQ(np.zeros(3), np.eye(3), np.zeros(3), np.eye(3))
-    nll = predictive_nll(post, basis, system, data, samples=30, seed=0)
+    nll = predictive_nll(post, _adjoint_phi(system, basis, windows), data)
     assert np.isfinite(nll)
+
+
+def test_predictive_scores_reject_mismatched_shapes():
+    post = PosteriorQ(np.zeros(3), np.eye(3), np.zeros(3), np.eye(3))
+    with pytest.raises(ValueError):
+        predictive_mse(post, np.ones((4, 3)), np.zeros(5))
+    with pytest.raises(ValueError):
+        predictive_mse(post, np.ones((4, 2)), np.zeros(4))
+
+
+def _ode_case():
+    grid = _grid(150)
+    windows = _windows(grid, 9)
+    return (OdeSystem(PARAMS, grid), FeatureBasis.sample(6, 1, KERNEL, seed=27),
+            windows[::3], windows[1::3])
+
+
+def _pde_case():
+    bounds = ((0.0, 10.0), (0.0, 10.0))
+    grid = Grid.regular(((0.0, 10.0),) + bounds, (12, 8, 8))
+    params = PdeParams(velocity=(0.4, 0.4), diffusivity=0.01, bounds=bounds, T=10.0)
+    boxes = [((1.0, 1.0), (4.0, 4.0)), ((6.0, 1.0), (9.0, 4.0)),
+             ((1.0, 6.0), (4.0, 9.0)), ((6.0, 6.0), (9.0, 9.0))]
+    windows = [sensor_field(grid, lo, hi, t_lo, t_lo + 5.0)
+               for lo, hi in boxes for t_lo in (0.0, 5.0)]
+    return (PdeSystem(params, grid), FeatureBasis.sample(8, 3, KERNEL, seed=28),
+            windows[::2], windows[1::2])
+
+
+ORACLE_SAMPLES = 400
+
+
+@pytest.mark.parametrize("case", [_ode_case, _pde_case], ids=["ode", "pde"])
+def test_exact_predictive_matches_forward_sampling_oracle(case):
+    """The closed-form scores, built from adjoint design rows, agree with
+    Monte Carlo over posterior forcing draws pushed through the forward
+    solver.  Tolerance: 4 standard errors of the Monte Carlo estimate; for
+    the NLL, first-order (delta-method) errors of the sample mean and
+    variance, summed over readings so no independence is assumed."""
+    system, basis, train, heldout_windows = case()
+    rng = np.random.default_rng(30)
+    truth = rng.standard_normal(basis.size)
+    sigma = 0.05
+    z_train = (_forward_readings(system, basis, truth, train)
+               + sigma * rng.standard_normal(len(train)))
+    post = posterior_q(_adjoint_phi(system, basis, train), z_train, sigma)
+    z = (_forward_readings(system, basis, truth, heldout_windows)
+         + sigma * rng.standard_normal(len(heldout_windows)))
+    heldout = ObservationSet(tuple(heldout_windows), z, sigma)
+    phi_h = _adjoint_phi(system, basis, heldout_windows)
+
+    s = ORACLE_SAMPLES
+    readings = forward_predictive_readings(post, basis, system, heldout_windows,
+                                           samples=s, seed=31)
+    per_draw = np.mean((readings - z) ** 2, axis=1)
+    mse_tol = 4.0 * per_draw.std(ddof=1) / np.sqrt(s)
+    assert abs(predictive_mse(post, phi_h, z) - per_draw.mean()) <= mse_tol
+
+    spread = readings.var(axis=0, ddof=1)
+    var = spread + sigma**2
+    resid = z - readings.mean(axis=0)
+    nll_mc = np.sum(0.5 * np.log(2.0 * np.pi * var) + resid**2 / (2.0 * var))
+    nll_tol = 4.0 * np.sum(np.abs(resid / var) * np.sqrt(spread / s)
+                           + np.abs(0.5 / var - resid**2 / (2.0 * var**2))
+                           * spread * np.sqrt(2.0 / (s - 1)))
+    assert abs(predictive_nll(post, phi_h, heldout) - nll_mc) <= nll_tol
+    # the posterior spread is not negligible next to the noise, so the
+    # variance term is under test, not only the mean
+    assert spread.max() > sigma**2
 
 
 @pytest.mark.filterwarnings("ignore::adjointgp.MisspecificationWarning")
@@ -410,22 +457,19 @@ def test_nll_prefers_the_generating_lengthscale():
     on most draws."""
     grid = _grid(300)
     windows = _windows(grid, 25)
+    system = OdeSystem(PARAMS, grid)
+    adjoints = [system.adjoint(w) for w in windows]
     wins = 0
     for s in range(10):
         basis_true = FeatureBasis.sample(12, 1, KERNEL, seed=400 + s)
         rng = np.random.default_rng(500 + s)
-        system = OdeSystem(PARAMS, grid)
-        u = system.forward(forcing_from_weights(basis_true,
-                                                rng.standard_normal(12), grid))
-        z = (np.array([inner_product(w, u) for w in windows])
+        z = (_forward_readings(system, basis_true, rng.standard_normal(12), windows)
              + 0.01 * rng.standard_normal(25))
         data = ObservationSet(tuple(windows), z, 0.01)
 
         def score(ell):
-            return nll_score(
-                {"lengthscale": ell, "variance": KERNEL.variance},
-                data, lambda theta: OdeSystem(PARAMS, grid),
-                features=12, basis_seed=400 + s, samples=60, seed=600 + s)
+            return nll_score({"lengthscale": ell, "variance": KERNEL.variance},
+                             data, adjoints, features=12, basis_seed=400 + s)
 
         if score(1.0) < score(8.0):
             wins += 1

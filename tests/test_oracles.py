@@ -1,9 +1,11 @@
 """The finite-difference oracles must be exact on low-order polynomials,
-otherwise every solver test built on them is meaningless."""
+otherwise every solver test built on them is meaningless; the window
+quadrature of the forward-sampling oracle must match the inner product."""
 
 import numpy as np
 
-from oracles import fd_d1, fd_d2
+from adjointgp import Grid, inner_product, window_indicator
+from oracles import fd_d1, fd_d2, random_smooth_field, window_matrix
 
 
 def test_fd_d1_exact_on_quadratics():
@@ -45,3 +47,12 @@ def test_fd_second_order_convergence():
         err = np.abs(fd_d1(np.sin(x), dx) - np.cos(x)).max()
         errs.append(err)
     assert errs[0] / errs[1] > 3.0
+
+
+def test_window_matrix_applies_quadrature():
+    grid = Grid.regular(((0.0, 10.0),), (100,))
+    windows = [window_indicator(grid, [2.5 * i], [2.5 * (i + 1)]) for i in range(4)]
+    f = random_smooth_field(grid, seed=23)
+    wm = window_matrix(windows)
+    expected = [inner_product(w, f) for w in windows]
+    np.testing.assert_allclose(wm @ f.values_flat, expected, rtol=1e-12)
