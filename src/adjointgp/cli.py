@@ -54,40 +54,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Infer unknown forcing functions of linear systems "
                     "from noisy observations via adjoint solves.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # kept so that existing scripts still parse; every command runs serially
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=None, metavar="K",
+                      help="accepted for compatibility and ignored")
 
     p_sim = sub.add_parser("simulate", help="build a data bundle from a config")
     p_sim.add_argument("--config", required=True, help="experiment config file")
     p_sim.add_argument("--out", required=True, help="bundle output directory")
 
-    p_inf = sub.add_parser("infer", help="adjoint inference pipeline on a bundle")
+    p_inf = sub.add_parser("infer", parents=[jobs],
+                           help="adjoint inference pipeline on a bundle")
     p_inf.add_argument("bundle", help="data bundle directory")
     p_inf.add_argument("--out", required=True, help="output directory")
-    p_inf.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for adjoint solves and projection")
     p_inf.add_argument("--slice", dest="slice_spec", default=None, metavar="t=VALUE",
                        help="also write a spatial slice of the forcing mean "
                             "at the given time (pde only)")
 
-    p_mc = sub.add_parser("mcmc", help="random-walk sampler baseline on a bundle")
+    p_mc = sub.add_parser("mcmc", parents=[jobs],
+                          help="random-walk sampler baseline on a bundle")
     p_mc.add_argument("bundle", help="data bundle directory")
     p_mc.add_argument("--out", required=True, help="output directory")
-    p_mc.add_argument("--jobs", type=int, default=None)
 
-    p_sw = sub.add_parser("sweep", help="sensors-by-features replicate sweep")
+    p_sw = sub.add_parser("sweep", parents=[jobs],
+                          help="sensors-by-features replicate sweep")
     p_sw.add_argument("--config", required=True, help="config with a [sweep] section")
     p_sw.add_argument("--out", required=True, help="output directory (resumable)")
-    p_sw.add_argument("--jobs", type=int, default=None)
 
-    p_sc = sub.add_parser("scan-hyper", help="kernel hyperparameter lattice scan")
+    p_sc = sub.add_parser("scan-hyper", parents=[jobs],
+                          help="kernel hyperparameter lattice scan")
     p_sc.add_argument("bundle", help="data bundle directory (config needs [scan])")
     p_sc.add_argument("--out", required=True, help="output directory")
-    p_sc.add_argument("--jobs", type=int, default=None)
 
-    p_demo = sub.add_parser("shift-demo", help="end-to-end shift-system demo")
+    p_demo = sub.add_parser("shift-demo", parents=[jobs],
+                            help="end-to-end shift-system demo")
     p_demo.add_argument("--out", default=None, help="optional output directory")
     p_demo.add_argument("--seed", type=int, default=None,
                         help="alternate seed for the built-in scenario")
-    p_demo.add_argument("--jobs", type=int, default=None)
 
     return parser
 
@@ -136,7 +139,7 @@ def cmd_simulate(args) -> int:
 def cmd_infer(args) -> int:
     slice_t = _parse_slice(args.slice_spec) if args.slice_spec else None
     data = load_bundle(args.bundle)
-    outcome = run_inference(data, jobs=args.jobs)
+    outcome = run_inference(data)
     out = save_inference(outcome, data, args.out)
     if slice_t is not None:
         _write_slice(outcome.forcing_mean, slice_t, out)
@@ -155,7 +158,7 @@ def cmd_mcmc(args) -> int:
         print(f"warning: sampling {features} weights by random walk is costly "
               "and may not converge; the adjoint route computes this "
               "posterior exactly", file=sys.stderr)
-    outcome = run_mcmc(data, jobs=args.jobs)
+    outcome = run_mcmc(data)
     out = save_mcmc(outcome, data, args.out)
     print(f"acceptance_rate = {outcome.acceptance_rate:.3f}")
     print(f"proposal_scale = {outcome.proposal_scale:.4g}")
@@ -170,7 +173,7 @@ def cmd_mcmc(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     ran, skipped, summary = run_sweep(
-        config, args.out, jobs=args.jobs,
+        config, args.out,
         progress=lambda key: print(f"done sensors={key[0]} features={key[1]} "
                                    f"replicate={key[2]}"))
     print(f"ran {ran} replicates, skipped {skipped} already complete")
@@ -184,7 +187,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_scan(args) -> int:
     data = load_bundle(args.bundle)
-    results = scan_hyper(data, jobs=args.jobs)
+    results = scan_hyper(data)
     out = save_scan(results, args.out)
     best_theta, best_nll = results[0]
     print(f"best lengthscale={best_theta['lengthscale']:.6g} "
@@ -194,7 +197,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_shift_demo(args) -> int:
-    report = run_shift_demo(out_dir=args.out, seed=args.seed, jobs=args.jobs)
+    report = run_shift_demo(out_dir=args.out, seed=args.seed)
     print(f"mse = {report['mse']:.6g} (target {report['target']})")
     print(f"passed = {report['passed']}")
     if args.out:

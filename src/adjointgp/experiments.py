@@ -538,7 +538,7 @@ def _forcing_mse(estimate: Field, truth: Field) -> float:
     return float(np.mean((estimate.values_flat - truth.values_flat) ** 2))
 
 
-def run_inference(data: SimulatedData, jobs: int | None = None) -> InferenceOutcome:
+def run_inference(data: SimulatedData) -> InferenceOutcome:
     """Adjoint pipeline (and optionally maximum likelihood) on simulated data."""
     config = data.config
     sigma_cfg = data.sigma
@@ -550,7 +550,7 @@ def run_inference(data: SimulatedData, jobs: int | None = None) -> InferenceOutc
     basis = FeatureBasis.sample(config["features"]["count"], data.grid.ndim,
                                 data.kernel, data.seeds["basis"])
     obs = data.observations()
-    result = run_pipeline(data.system, obs, basis, jobs=jobs)
+    result = run_pipeline(data.system, obs, basis)
     mean_field, var_field = posterior_forcing(result.posterior, basis, data.grid)
 
     method = config["inference"]["method"]
@@ -576,8 +576,7 @@ def run_inference(data: SimulatedData, jobs: int | None = None) -> InferenceOutc
                 np.max(np.abs(ml_weights - data.qstar)))
     heldout = data.heldout_observations()
     if heldout is not None:
-        phi_h = assemble_phi([data.system.adjoint(w) for w in heldout.windows],
-                             basis, jobs=jobs)
+        phi_h = assemble_phi([data.system.adjoint(w) for w in heldout.windows], basis)
         metrics["heldout_mse"] = predictive_mse(result.posterior, phi_h, heldout.z)
         metrics["heldout_nll"] = predictive_nll(result.posterior, phi_h, heldout)
     return InferenceOutcome(basis, result, mean_field, var_field,
@@ -662,7 +661,7 @@ def _mcmc_settings(config: Config) -> dict:
             "proposal_scale": 0.0, "seed": 0}
 
 
-def run_mcmc(data: SimulatedData, jobs: int | None = None) -> McmcOutcome:
+def run_mcmc(data: SimulatedData) -> McmcOutcome:
     """Random-walk sampler on the same posterior the conjugate route solves.
 
     The chain starts at the conjugate posterior mean, so the run measures
@@ -672,7 +671,7 @@ def run_mcmc(data: SimulatedData, jobs: int | None = None) -> McmcOutcome:
     basis = FeatureBasis.sample(config["features"]["count"], data.grid.ndim,
                                 data.kernel, data.seeds["basis"])
     obs = data.observations()
-    pipeline = run_pipeline(data.system, obs, basis, jobs=jobs)
+    pipeline = run_pipeline(data.system, obs, basis)
     log_target = gaussian_log_target(pipeline.phi, data.z, obs.sigma)
 
     settings = _mcmc_settings(config)
@@ -788,8 +787,7 @@ def _resume_sweep(path: Path) -> set:
     return done
 
 
-def run_sweep(config: Config, out_dir, jobs: int | None = None,
-              progress=None) -> tuple[int, int, dict]:
+def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
     """Sensors-by-features replicate sweep with incremental, resumable output.
 
     Each replicate redraws the truth (data seed), the feature basis (basis
@@ -835,7 +833,7 @@ def run_sweep(config: Config, out_dir, jobs: int | None = None,
                         ("seeds", "noise"): seed_noise,
                     })
                     data = simulate_data(cfg)
-                    outcome = run_inference(data, jobs=jobs)
+                    outcome = run_inference(data)
                     row = [n_sensors, n_features, replicate,
                            float(outcome.metrics["heldout_mse"]),
                            float(outcome.metrics["forcing_mse"]),
@@ -871,7 +869,7 @@ def sweep_summary(results_path) -> dict:
     return summary
 
 
-def scan_hyper(data: SimulatedData, jobs: int | None = None):
+def scan_hyper(data: SimulatedData):
     """Lattice scan of kernel hyperparameters scored by posterior predictive
     negative log likelihood on the training readings.
 
@@ -890,7 +888,7 @@ def scan_hyper(data: SimulatedData, jobs: int | None = None):
         {key: scan[key][:2] for key in axes},
         {key: int(scan[key][2]) for key in axes},
         lambda theta: nll_score(theta, obs, adjoints, config["features"]["count"],
-                                data.seeds["basis"], jobs=jobs))
+                                data.seeds["basis"]))
 
 
 def save_scan(results, out_dir) -> Path:
@@ -944,8 +942,7 @@ def shift_demo_config(seed: int | None = None) -> Config:
     return parse_config(text)
 
 
-def run_shift_demo(out_dir=None, seed: int | None = None,
-                   jobs: int | None = None) -> dict:
+def run_shift_demo(out_dir=None, seed: int | None = None) -> dict:
     """Simulate the shift scenario, run inference, and report the mean
     squared error between the noisy readings and the readings implied by
     the posterior mean forcing (its forward solution evaluated through the
@@ -953,7 +950,7 @@ def run_shift_demo(out_dir=None, seed: int | None = None,
     observations identify is reported alongside."""
     config = shift_demo_config(seed)
     data = simulate_data(config)
-    outcome = run_inference(data, jobs=jobs)
+    outcome = run_inference(data)
 
     u_mean = data.system.forward(outcome.forcing_mean)
     fitted = np.array([inner_product(w, u_mean) for w in data.windows])

@@ -27,7 +27,6 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -195,44 +194,13 @@ def _adjoint_rows(adjoints) -> tuple[np.ndarray, Grid]:
     return rows, grid
 
 
-def _fill_phi(entries, rows, basis, grid, jobs=None):
-    """Fill entries[:, block] per feature block; blocks are independent, so a
-    thread pool writes disjoint columns and the result is identical to the
-    serial fill."""
-    blocks = list(_cell_blocks_transposed(basis, grid))
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            list(pool.map(lambda sb: _phi_block(entries, rows, *sb), blocks))
-    else:
-        for sl, bm in blocks:
-            _phi_block(entries, rows, sl, bm)
-    entries *= grid.cell_volume
-
-
-def _cell_blocks_transposed(basis, grid, max_block_features: int = 256):
-    """Yield (feature slice, feature-block matrix over all cells)."""
-    centers = grid.centers()
-    m = basis.size
-    step = max(1, min(m, max_block_features))
-    from .features import _eval_at
-
-    for start in range(0, m, step):
-        stop = min(start + step, m)
-        sub = FeatureBasis(
-            basis.frequencies[start:stop], basis.phases[start:stop], basis.kernel
-        )
-        yield slice(start, stop), _eval_at(sub, centers)
-
-
-def _phi_block(entries, rows, sl, block_matrix):
-    entries[:, sl] = rows @ block_matrix.T
-
-
 def assemble_phi(adjoints, basis: FeatureBasis, *, grid: Grid | None = None,
-                 jobs: int | None = None, solver_id: str = "") -> PhiMatrix:
+                 solver_id: str = "") -> PhiMatrix:
     """Design matrix Phi[i, m] = <v_i, phi_m> over the adjoint bank's grid.
 
-    Passing `grid` asserts the bank lives on that grid; a mismatch raises
+    The basis is evaluated one block of cells at a time, so the full
+    (M, num_cells) feature matrix is never held at once.  Passing `grid`
+    asserts the bank lives on that grid; a mismatch raises
     GridMismatchError before any work is done.
     """
     rows, bank_grid = _adjoint_rows(adjoints)
@@ -240,8 +208,10 @@ def assemble_phi(adjoints, basis: FeatureBasis, *, grid: Grid | None = None,
         raise GridMismatchError("adjoint bank does not live on the expected grid")
     if basis.dim != bank_grid.ndim:
         raise GridMismatchError("basis dimension does not match the grid")
-    entries = np.empty((rows.shape[0], basis.size))
-    _fill_phi(entries, rows, basis, bank_grid, jobs=jobs)
+    entries = np.zeros((rows.shape[0], basis.size))
+    for sl, block in _cell_blocks(basis, bank_grid):
+        entries += rows[:, sl] @ block.T
+    entries *= bank_grid.cell_volume
     return PhiMatrix(entries, basis_seed=basis.seed, solver_id=solver_id)
 
 
@@ -316,13 +286,7 @@ def posterior_q(phi, z, sigma: float, prior=None) -> PosteriorQ:
         raise ValueError("reading count does not match design matrix")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive")
-    gram = design.T @ design
-    proj = design.T @ z
-    return _posterior_from_normal_eq(design, gram, proj, z, float(sigma), prior)
-
-
-def _posterior_from_normal_eq(design, gram, proj, z, sigma, prior) -> PosteriorQ:
-    m = gram.shape[0]
+    sigma = float(sigma)
     if prior is None:
         prior_mean, prior_cov = _default_prior(m)
         prior_prec = np.eye(m)
@@ -336,12 +300,11 @@ def _posterior_from_normal_eq(design, gram, proj, z, sigma, prior) -> PosteriorQ
         prior_prec = cho_solve(pf, np.eye(m))
         prec_mean = cho_solve(pf, prior_mean)
     noise_prec = 1.0 / sigma**2
-    precision = noise_prec * gram + prior_prec
+    precision = noise_prec * (design.T @ design) + prior_prec
     chol = _chol_with_jitter(0.5 * (precision + precision.T), what="posterior precision")
-    mean = cho_solve((chol, True), noise_prec * proj + prec_mean)
+    mean = cho_solve((chol, True), noise_prec * (design.T @ z) + prec_mean)
     cov = cho_solve((chol, True), np.eye(m))
     post = PosteriorQ(mean, 0.5 * (cov + cov.T), prior_mean, prior_cov)
-    n = design.shape[0]
     if m < n / 2:
         resid = z - design @ mean
         if np.linalg.norm(resid) / sigma > 3.0 * math.sqrt(n):
@@ -350,7 +313,7 @@ def _posterior_from_normal_eq(design, gram, proj, z, sigma, prior) -> PosteriorQ
                 f"exceeds 3*sqrt(n)={3 * math.sqrt(n):.1f} with M={m} < n/2: "
                 "the basis is too small for the data, increase the feature count",
                 MisspecificationWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
     return post
 
@@ -421,7 +384,7 @@ def predictive_nll(post: PosteriorQ, phi, data: ObservationSet) -> float:
 
 
 def nll_score(theta: dict, data: ObservationSet, adjoints, features: int,
-              basis_seed: int, jobs: int | None = None) -> float:
+              basis_seed: int) -> float:
     """Score hyperparameters `theta` (must contain `lengthscale` and
     `variance`) by the posterior predictive NLL of the readings in `data`.
 
@@ -431,7 +394,7 @@ def nll_score(theta: dict, data: ObservationSet, adjoints, features: int,
     """
     kernel = KernelParams(float(theta["lengthscale"]), float(theta["variance"]))
     basis = FeatureBasis.sample(features, data.grid.ndim, kernel, basis_seed)
-    phi = assemble_phi(adjoints, basis, grid=data.grid, jobs=jobs)
+    phi = assemble_phi(adjoints, basis, grid=data.grid)
     post = posterior_q(phi, data.z, max(data.sigma, SIGMA_MIN))
     return predictive_nll(post, phi, data)
 
@@ -465,13 +428,7 @@ def grid_scan(bounds: dict, steps, score) -> list:
 # ---------------------------------------------------------------------------
 # the full adjoint pipeline with stage timings
 
-PIPELINE_STAGES = (
-    "adjoint_solves",
-    "basis_eval",
-    "phi_assembly",
-    "gram",
-    "posterior_solve",
-)
+PIPELINE_STAGES = ("adjoint_solves", "phi_assembly", "posterior_solve")
 
 
 @dataclass
@@ -482,48 +439,17 @@ class PipelineResult:
 
 
 def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
-                 prior=None, jobs: int | None = None) -> PipelineResult:
-    """Adjoint solves, feature evaluation, projection, and the posterior
-    solve, with one wall-clock entry per stage (monotonic clock)."""
-    timings = {}
+                 prior=None) -> PipelineResult:
+    """One adjoint solve per observation, the design matrix, and the
+    posterior, with one wall-clock entry per stage (monotonic clock)."""
     t0 = time.perf_counter()
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            adjoints = list(pool.map(system.adjoint, observations.windows))
-    else:
-        adjoints = [system.adjoint(w) for w in observations.windows]
-    timings["adjoint_solves"] = time.perf_counter() - t0
-
-    rows, grid = _adjoint_rows(adjoints)
-    if basis.dim != grid.ndim:
-        raise GridMismatchError("basis dimension does not match the grid")
-    entries = np.empty((rows.shape[0], basis.size))
-    tb0 = time.perf_counter()
-    blocks = list(_cell_blocks_transposed(basis, grid))
-    timings["basis_eval"] = time.perf_counter() - tb0
-    tp0 = time.perf_counter()
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            list(pool.map(lambda sb: _phi_block(entries, rows, *sb), blocks))
-    else:
-        for sl, block in blocks:
-            _phi_block(entries, rows, sl, block)
-    entries *= grid.cell_volume
-    timings["phi_assembly"] = time.perf_counter() - tp0
-
-    tg0 = time.perf_counter()
-    gram = entries.T @ entries
-    timings["gram"] = time.perf_counter() - tg0
-
-    ts0 = time.perf_counter()
-    proj = entries.T @ observations.z
-    post = _posterior_from_normal_eq(
-        entries, gram, proj, observations.z, float(observations.sigma), prior
-    )
-    timings["posterior_solve"] = time.perf_counter() - ts0
-
-    phi = PhiMatrix(entries, basis_seed=basis.seed,
-                    solver_id=getattr(system, "name", ""))
+    adjoints = [system.adjoint(w) for w in observations.windows]
+    t1 = time.perf_counter()
+    phi = assemble_phi(adjoints, basis, solver_id=system.name)
+    t2 = time.perf_counter()
+    post = posterior_q(phi, observations.z, observations.sigma, prior)
+    t3 = time.perf_counter()
+    timings = dict(zip(PIPELINE_STAGES, (t1 - t0, t2 - t1, t3 - t2)))
     return PipelineResult(post, phi, timings)
 
 

@@ -149,9 +149,8 @@ def rw_mh(log_target, start, config: ChainConfig) -> ChainResult:
     return ChainResult(config, chain, log_targets, accepted_flags)
 
 
-def tune_proposal_scale(log_target, start, dim_or_batch: int | None = None, *,
-                        seed: int = 0, probe_steps: int = 400,
-                        max_rounds: int = 40,
+def tune_proposal_scale(log_target, start, *, seed: int = 0,
+                        probe_steps: int = 400, max_rounds: int = 40,
                         batch_size: int | None = None) -> float:
     """Multiplicative search for a proposal scale in the acceptance band.
 

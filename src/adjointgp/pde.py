@@ -143,12 +143,11 @@ def pde_forward(params: PdeParams, forcing: Field, grid: Grid, *, enforce_cfl: b
     return Field(grid, out)
 
 
-def pde_adjoint(params: PdeParams, functional: Field, grid: Grid, *, enforce_cfl: bool = True) -> Field:
+def pde_adjoint(params: PdeParams, functional: Field, grid: Grid) -> Field:
     _check_grid(params, grid)
     if functional.grid != grid:
         raise GridMismatchError("functional lives on a different grid")
-    if enforce_cfl:
-        _require_cfl(params, grid)
+    _require_cfl(params, grid)
     nt, ny, nx = grid.dims
     dt, dy, dx = grid.spacing
     vy, vx = params.velocity

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adjointgp import ConfigError, StabilityWarning, inner_product
-from adjointgp.cli import main
+from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
 from adjointgp.experiments import simulate_data
 
@@ -319,6 +319,15 @@ def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
 
     posterior_meta = json.loads((out / "posterior.json").read_text())
     assert posterior_meta["config_hash"] == config_hash(parse_config(text))
+
+    # --jobs still parses on every command that took it, and changes nothing
+    again = tmp_path / "inferred_jobs"
+    assert main(["infer", str(bundle), "--out", str(again), "--jobs", "3"]) == 0
+    assert (again / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
+    parser = _build_parser()
+    for argv in (["mcmc", "b", "--out", "o"], ["sweep", "--config", "c", "--out", "o"],
+                 ["scan-hyper", "b", "--out", "o"], ["shift-demo"]):
+        assert parser.parse_args(argv + ["--jobs", "3"]).jobs == 3
 
 
 def test_sweep_command_is_resumable(tmp_path, capsys):

@@ -124,6 +124,11 @@ def test_tuned_scale_lands_in_acceptance_band():
     assert 0.20 <= rate <= 0.45
 
 
+def test_tune_rejects_a_positional_batch_size():
+    with pytest.raises(TypeError):
+        tune_proposal_scale(_std_normal_target, np.zeros(3), 3)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 
