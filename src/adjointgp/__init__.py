@@ -19,6 +19,7 @@ from .errors import (
     StabilityWarning,
 )
 from .fields import (
+    AdjointBank,
     Field,
     Grid,
     dirac_window,
@@ -105,7 +106,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjointGPError", "ConfigError", "DomainError", "GridMismatchError",
     "MisspecificationWarning", "NumericalError", "SolverError", "StabilityWarning",
-    "Field", "Grid", "dirac_window", "field_from_binary", "field_from_csv",
+    "AdjointBank", "Field", "Grid", "dirac_window", "field_from_binary", "field_from_csv",
     "field_to_binary", "field_to_csv", "inner_product", "norm", "window_indicator",
     "FeatureBasis", "KernelParams", "basis_from_json", "basis_to_json",
     "eq_kernel", "eval_basis", "feature_vector", "forcing_from_weights",

@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import numpy as np
+
 
 class AdjointGPError(Exception):
     """Base class for all package-specific errors."""
@@ -24,6 +26,16 @@ class NumericalError(AdjointGPError):
 
 class SolverError(AdjointGPError):
     """A time-stepping solve produced non-finite values."""
+
+    @classmethod
+    def at_step(cls, label: str, step: int, state: np.ndarray) -> "SolverError":
+        """Error for a march whose state, one row per right-hand side, went
+        non-finite at `step`; a bank of several also names the first bad row."""
+        note = ""
+        if state.shape[0] > 1:
+            bad = ~np.isfinite(state.reshape(state.shape[0], -1)).all(axis=1)
+            note = f" (right-hand side {int(np.flatnonzero(bad)[0])})"
+        return cls(f"{label} solve produced non-finite values at step {step}{note}")
 
 
 class StabilityWarning(UserWarning):

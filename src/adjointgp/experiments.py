@@ -321,10 +321,10 @@ def simulate_data(config: Config) -> SimulatedData:
                                     kernel, seeds["basis"])
         rng = np.random.default_rng(derive_seed(seeds["data"], "qstar"))
         qstar = rng.standard_normal(basis.size)
-        phi = assemble_phi([system.adjoint(w) for w in windows], basis)
+        phi = assemble_phi(system.adjoint_bank(windows), basis)
         clean = phi.entries @ qstar
         if heldout_windows:
-            phi_h = assemble_phi([system.adjoint(w) for w in heldout_windows], basis)
+            phi_h = assemble_phi(system.adjoint_bank(heldout_windows), basis)
             heldout_clean = phi_h.entries @ qstar
         else:
             heldout_clean = np.zeros(0)
@@ -576,7 +576,7 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
                 np.max(np.abs(ml_weights - data.qstar)))
     heldout = data.heldout_observations()
     if heldout is not None:
-        phi_h = assemble_phi([data.system.adjoint(w) for w in heldout.windows], basis)
+        phi_h = assemble_phi(data.system.adjoint_bank(heldout.windows), basis)
         metrics["heldout_mse"] = predictive_mse(result.posterior, phi_h, heldout.z)
         metrics["heldout_nll"] = predictive_nll(result.posterior, phi_h, heldout)
     return InferenceOutcome(basis, result, mean_field, var_field,
@@ -882,12 +882,12 @@ def scan_hyper(data: SimulatedData):
         raise ConfigError("missing [scan] section for a hyperparameter scan")
     scan = config["scan"]
     obs = data.observations()
-    adjoints = [data.system.adjoint(w) for w in data.windows]
+    bank = data.system.adjoint_bank(data.windows)
     axes = ("lengthscale", "variance")
     return grid_scan(
         {key: scan[key][:2] for key in axes},
         {key: int(scan[key][2]) for key in axes},
-        lambda theta: nll_score(theta, obs, adjoints, config["features"]["count"],
+        lambda theta: nll_score(theta, obs, bank, config["features"]["count"],
                                 data.seeds["basis"]))
 
 

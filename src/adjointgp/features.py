@@ -165,26 +165,78 @@ def kernel_approx(basis: FeatureBasis, x, y) -> float:
     return float(np.dot(feature_vector(basis, x), feature_vector(basis, y)))
 
 
-def _cell_blocks(basis: FeatureBasis, grid: Grid, max_block_entries: int = 1 << 23):
-    """Yield (cell slice, feature matrix block) keeping blocks under a size cap."""
-    centers = grid.centers()
-    g = grid.num_cells
-    block = max(1, min(g, max_block_entries // max(1, basis.size)))
-    for start in range(0, g, block):
-        stop = min(start + block, g)
-        yield slice(start, stop), _eval_at(basis, centers[start:stop])
+_BLOCK_ENTRIES = 1 << 23
+
+
+def _axis_tables(basis: FeatureBasis, grid: Grid):
+    """Per-axis cosine and sine tables of the feature arguments on a grid
+    with time on axis 0 and at least one spatial axis.
+
+    The argument w_m . x / lengthscale + b_m splits into a time part
+    a[m, k] (with the phase) over the nt time centers and a space part
+    b[m, s] over the S = num_cells / nt spatial cell centers, so
+    phi_m = amplitude * (cos a cos b - sin a sin b) by angle addition.
+    Returns (amplitude * cos a, amplitude * sin a, cos b, sin b) with
+    shapes (M, nt) and (M, S).
+    """
+    scale = 1.0 / basis.kernel.lengthscale
+    time = np.outer(basis.frequencies[:, 0] * scale, grid.axis_centers(0))
+    time += basis.phases[:, None]
+    space_grid = Grid(grid.dims[1:], grid.spacing[1:], grid.origin[1:])
+    space = (basis.frequencies[:, 1:] * scale) @ space_grid.centers().T
+    amp = basis.amplitude
+    return amp * np.cos(time), amp * np.sin(time), np.cos(space), np.sin(space)
+
+
+def _cell_blocks(basis: FeatureBasis, grid: Grid):
+    """Yield (cell slice, feature matrix block) keeping blocks under a size cap.
+
+    On 1-D grids each block is evaluated directly from the cell centers.
+    With spatial axes each block is a slab of whole time cells built from
+    the per-axis tables of :func:`_axis_tables`, which needs products
+    instead of cosines for every entry.
+    """
+    if grid.ndim == 1:
+        centers = grid.centers()
+        g = grid.num_cells
+        block = max(1, min(g, _BLOCK_ENTRIES // max(1, basis.size)))
+        for start in range(0, g, block):
+            stop = min(start + block, g)
+            yield slice(start, stop), _eval_at(basis, centers[start:stop])
+        return
+    cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
+    nt, space = cos_a.shape[1], cos_b.shape[1]
+    slab = max(1, min(nt, _BLOCK_ENTRIES // max(1, basis.size * space)))
+    for start in range(0, nt, slab):
+        stop = min(start + slab, nt)
+        block = cos_a[:, start:stop, None] * cos_b[:, None, :]
+        # one time cell of sine products at a time, so the slab is the only
+        # array of its size
+        for k in range(start, stop):
+            block[:, k - start] -= sin_a[:, k, None] * sin_b
+        yield slice(start * space, stop * space), block.reshape(basis.size, -1)
 
 
 def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:
-    """Field  f(x) = sum_m weights[m] * phi_m(x)  over the grid."""
+    """Field  f(x) = sum_m weights[m] * phi_m(x)  over the grid.
+
+    With spatial axes the sum factors into two matrix products over the
+    per-axis tables, (q cos a)^T cos b - (q sin a)^T sin b, one row per
+    time cell.
+    """
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if weights.size != basis.size:
         raise ValueError(f"expected {basis.size} weights, got {weights.size}")
     if basis.dim != grid.ndim:
         raise ValueError("basis dim does not match grid")
-    vals = np.empty(grid.num_cells)
-    for sl, block in _cell_blocks(basis, grid):
-        vals[sl] = weights @ block
+    if grid.ndim == 1:
+        vals = np.empty(grid.num_cells)
+        for sl, block in _cell_blocks(basis, grid):
+            vals[sl] = weights @ block
+        return Field(grid, vals)
+    cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
+    vals = (weights[:, None] * cos_a).T @ cos_b
+    vals -= (weights[:, None] * sin_a).T @ sin_b
     return Field(grid, vals)
 
 

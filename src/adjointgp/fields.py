@@ -248,6 +248,41 @@ def window_indicator(grid: Grid, lo, hi) -> Field:
     return Field(grid, vals)
 
 
+@dataclass(frozen=True)
+class AdjointBank:
+    """Adjoint solutions of n functionals on one grid, as a solver's
+    `adjoint_bank` returns them: row i of the (n, num_cells) array `rows`
+    solves functional i, with masked cells holding 0.  The grid travels
+    with the rows, so they are never read on a grid of another shape."""
+
+    rows: np.ndarray
+    grid: Grid
+
+    def __post_init__(self):
+        if self.rows.ndim != 2 or self.rows.shape[1] != self.grid.num_cells:
+            raise GridMismatchError(
+                f"bank rows of shape {self.rows.shape} do not fit a grid of "
+                f"{self.grid.num_cells} cells")
+
+
+def bank_rows(fields, grid: Grid, what: str = "functional") -> np.ndarray:
+    """One preallocated (n, num_cells) array holding field i in row i.
+
+    Solvers march in place over this array: each step reads a cell's
+    right-hand sides and overwrites them with the solution there, so a bank
+    of solves needs no second copy of its inputs.  Masked cells hold 0.
+    """
+    fields = tuple(fields)
+    if not fields:
+        raise ValueError(f"need at least one {what}")
+    rows = np.empty((len(fields), grid.num_cells))
+    for i, f in enumerate(fields):
+        if f.grid != grid:
+            raise GridMismatchError(f"{what} lives on a different grid")
+        rows[i] = f.values_flat
+    return rows
+
+
 def dirac_window(grid: Grid, point) -> Field:
     """Point observation as a single-cell window containing `point`."""
     point = np.asarray(point, dtype=float).reshape(-1)

@@ -34,7 +34,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import MisspecificationWarning, NumericalError
 from .features import FeatureBasis, KernelParams, _cell_blocks, forcing_from_weights
-from .fields import Field, Grid, GridMismatchError
+from .fields import AdjointBank, Field, Grid, GridMismatchError
 
 __all__ = [
     "ObservationSet",
@@ -181,37 +181,25 @@ def _chol_with_jitter(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
 # design matrix
 
 
-def _adjoint_rows(adjoints) -> tuple[np.ndarray, Grid]:
-    adjoints = list(adjoints)
-    if not adjoints:
-        raise ValueError("need at least one adjoint solution")
-    grid = adjoints[0].grid
-    rows = np.empty((len(adjoints), grid.num_cells))
-    for i, v in enumerate(adjoints):
-        if v.grid != grid:
-            raise GridMismatchError("adjoint solutions live on different grids")
-        rows[i] = v.values_flat  # masked cells already hold 0
-    return rows, grid
-
-
-def assemble_phi(adjoints, basis: FeatureBasis, *, grid: Grid | None = None,
+def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = None,
                  solver_id: str = "") -> PhiMatrix:
     """Design matrix Phi[i, m] = <v_i, phi_m> over the adjoint bank's grid.
 
-    The basis is evaluated one block of cells at a time, so the full
-    (M, num_cells) feature matrix is never held at once.  Passing `grid`
-    asserts the bank lives on that grid; a mismatch raises
-    GridMismatchError before any work is done.
+    The bank's rows, adjoint solution i in row i as `adjoint_bank` returns
+    them, are read in place.  The basis is evaluated one block of cells at
+    a time, so the full (M, num_cells) feature matrix is never held at
+    once.  Passing `grid` asserts the bank lives on that grid; a mismatch
+    raises GridMismatchError before any work is done.
     """
-    rows, bank_grid = _adjoint_rows(adjoints)
-    if grid is not None and bank_grid != grid:
+    if grid is not None and bank.grid != grid:
         raise GridMismatchError("adjoint bank does not live on the expected grid")
-    if basis.dim != bank_grid.ndim:
+    if basis.dim != bank.grid.ndim:
         raise GridMismatchError("basis dimension does not match the grid")
+    rows = bank.rows
     entries = np.zeros((rows.shape[0], basis.size))
-    for sl, block in _cell_blocks(basis, bank_grid):
+    for sl, block in _cell_blocks(basis, bank.grid):
         entries += rows[:, sl] @ block.T
-    entries *= bank_grid.cell_volume
+    entries *= bank.grid.cell_volume
     return PhiMatrix(entries, basis_seed=basis.seed, solver_id=solver_id)
 
 
@@ -383,18 +371,18 @@ def predictive_nll(post: PosteriorQ, phi, data: ObservationSet) -> float:
 # hyperparameter scoring
 
 
-def nll_score(theta: dict, data: ObservationSet, adjoints, features: int,
+def nll_score(theta: dict, data: ObservationSet, bank: AdjointBank, features: int,
               basis_seed: int) -> float:
     """Score hyperparameters `theta` (must contain `lengthscale` and
     `variance`) by the posterior predictive NLL of the readings in `data`.
 
-    `adjoints` is the bank of adjoint solutions for `data.windows`; it does
-    not depend on the kernel, so only the basis, the design matrix and the
-    posterior are rebuilt per call.
+    `bank` is the adjoint bank of `data.windows`; it does not depend on the
+    kernel, so only the basis, the design matrix and the posterior are
+    rebuilt per call.
     """
     kernel = KernelParams(float(theta["lengthscale"]), float(theta["variance"]))
     basis = FeatureBasis.sample(features, data.grid.ndim, kernel, basis_seed)
-    phi = assemble_phi(adjoints, basis, grid=data.grid)
+    phi = assemble_phi(bank, basis, grid=data.grid)
     post = posterior_q(phi, data.z, max(data.sigma, SIGMA_MIN))
     return predictive_nll(post, phi, data)
 
@@ -440,12 +428,13 @@ class PipelineResult:
 
 def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
                  prior=None) -> PipelineResult:
-    """One adjoint solve per observation, the design matrix, and the
-    posterior, with one wall-clock entry per stage (monotonic clock)."""
+    """One adjoint solve per observation, marched together as one bank, the
+    design matrix, and the posterior, with one wall-clock entry per stage
+    (monotonic clock)."""
     t0 = time.perf_counter()
-    adjoints = [system.adjoint(w) for w in observations.windows]
+    bank = system.adjoint_bank(observations.windows)
     t1 = time.perf_counter()
-    phi = assemble_phi(adjoints, basis, solver_id=system.name)
+    phi = assemble_phi(bank, basis, solver_id=system.name)
     t2 = time.perf_counter()
     post = posterior_q(phi, observations.z, observations.sigma, prior)
     t3 = time.perf_counter()

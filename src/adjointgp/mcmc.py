@@ -247,13 +247,28 @@ def chain_diagnostics(result_or_draws, threshold: float = 1.05) -> ChainDiagnost
 
 def chain_to_csv(result: ChainResult, path) -> None:
     """Write the full trace: one row per step with every coordinate, the
-    log target, and whether that step's proposal was accepted."""
-    dim = result.chain.shape[1]
+    log target, and whether that step's proposal was accepted.
+
+    A step moves at most a batch of coordinates and a rejected step repeats
+    the row, so only coordinates whose bits changed since the previous step
+    are formatted again (bits, so that -0.0 and 0.0 stay distinct).
+    """
+    steps = result.config.steps
+    chain = np.ascontiguousarray(result.chain[:steps], dtype=np.float64)
+    dim = chain.shape[1]
+    bits = chain.view(np.int64)
     header = ["step"] + [f"q{j}" for j in range(dim)] + ["log_target", "accepted"]
+    # repr of builtin float round-trips exactly; numpy scalars do not
+    texts = [repr(v) for v in chain[0].tolist()]
+    coords = ",".join(texts)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for t in range(result.config.steps):
-            # repr of builtin float round-trips exactly; numpy scalars do not
-            coords = ",".join(repr(float(v)) for v in result.chain[t])
+        for t in range(steps):
+            if t:
+                cols = np.flatnonzero(bits[t] != bits[t - 1])
+                if cols.size:
+                    for j, v in zip(cols.tolist(), chain[t, cols].tolist()):
+                        texts[j] = repr(v)
+                    coords = ",".join(texts)
             fh.write(f"{t},{coords},{float(result.log_targets[t])!r},"
                      f"{int(result.accepted_flags[t])}\n")

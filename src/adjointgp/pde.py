@@ -20,7 +20,8 @@ wall condition imposed as zero total flux, the discrete form of the Robin
 condition (velocity . n) v + diffusivity * (v_ghost - v_in) / dx = 0 with
 the advective wall flux evaluated at the interior cell.  With constant
 coefficients this stepping is the exact transpose of the interior forward
-stencil, which keeps the two observation routes close.
+stencil, which keeps the two observation routes close.  The adjoint march
+steps a whole bank of right-hand sides at once on an (n, ny, nx) state.
 
 Grids are (time, y, x) with time on axis 0.  Forcing fields and solver
 output live at cell centers; time-cell values are the average of the two
@@ -35,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, SolverError
-from .fields import Field, Grid, window_indicator
+from .fields import AdjointBank, Field, Grid, bank_rows, window_indicator
 
-__all__ = ["PdeParams", "PdeSystem", "pde_forward", "pde_adjoint", "cfl_limit", "sensor_field"]
+__all__ = ["PdeParams", "PdeSystem", "pde_forward", "pde_adjoint", "pde_adjoint_bank", "cfl_limit",
+           "sensor_field"]
 
 _CFL_SAFETY = 0.9
 
@@ -137,42 +139,70 @@ def pde_forward(params: PdeParams, forcing: Field, grid: Grid, *, enforce_cfl: b
             grad_x = (padded[1:-1, 2:] - state) / dx
         nxt = state + dt * (-vy * grad_y - vx * grad_x + kappa * lap + f[k])
         if not np.isfinite(nxt).all():
-            raise SolverError(f"forward solve produced non-finite values at step {k}")
+            raise SolverError.at_step("forward", k, nxt[None])
         out[k] = 0.5 * (state + nxt)
         state = nxt
     return Field(grid, out)
 
 
-def pde_adjoint(params: PdeParams, functional: Field, grid: Grid) -> Field:
+def pde_adjoint_bank(params: PdeParams, functionals, grid: Grid) -> AdjointBank:
+    """Adjoint solves of every functional at once, marched together on an
+    (n, ny, nx) state; row i of the bank's (n, num_cells) rows solves
+    functional i.
+
+    The march runs in place over one (n, num_cells) array: reversed step k
+    reads the right-hand sides of time cell nt - 1 - k and overwrites them
+    with the solution there.  Every row takes the arithmetic of a single
+    solve, so a bank equals its rows solved one at a time bit for bit.
+    """
     _check_grid(params, grid)
-    if functional.grid != grid:
-        raise GridMismatchError("functional lives on a different grid")
     _require_cfl(params, grid)
+    rows = bank_rows(functionals, grid)
+    n = rows.shape[0]
     nt, ny, nx = grid.dims
     dt, dy, dx = grid.spacing
     vy, vx = params.velocity
     kappa = params.diffusivity
-    h = functional.values
-    state = np.zeros((ny, nx))
-    out_rev = np.empty((nt, ny, nx))
-    for k in range(nt):
-        src = h[nt - 1 - k]
-        # interior total fluxes; wall faces carry zero total flux
-        donor_y = state[1:, :] if vy >= 0.0 else state[:-1, :]
-        flux_y = vy * donor_y + kappa * (state[1:, :] - state[:-1, :]) / dy
-        donor_x = state[:, 1:] if vx >= 0.0 else state[:, :-1]
-        flux_x = vx * donor_x + kappa * (state[:, 1:] - state[:, :-1]) / dx
-        div = np.zeros_like(state)
-        div[:-1, :] += flux_y / dy
-        div[1:, :] -= flux_y / dy
-        div[:, :-1] += flux_x / dx
-        div[:, 1:] -= flux_x / dx
-        nxt = state + dt * (div + src)
-        if not np.isfinite(nxt).all():
-            raise SolverError(f"adjoint solve produced non-finite values at step {k}")
-        out_rev[k] = 0.5 * (state + nxt)
-        state = nxt
-    return Field(grid, out_rev[::-1].copy())
+    bank = rows.reshape(n, nt, ny, nx)
+    state = np.zeros((n, ny, nx))
+    div = np.empty_like(state)
+    flux_y = np.empty((n, ny - 1, nx))
+    flux_x = np.empty((n, ny, nx - 1))
+    # overflow is reported as SolverError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nt):
+            cell = bank[:, nt - 1 - k]
+            # interior total fluxes over dy or dx; wall faces carry zero total flux
+            np.subtract(state[:, 1:, :], state[:, :-1, :], out=flux_y)
+            flux_y *= kappa
+            flux_y /= dy
+            flux_y += vy * (state[:, 1:, :] if vy >= 0.0 else state[:, :-1, :])
+            flux_y /= dy
+            np.subtract(state[:, :, 1:], state[:, :, :-1], out=flux_x)
+            flux_x *= kappa
+            flux_x /= dx
+            flux_x += vx * (state[:, :, 1:] if vx >= 0.0 else state[:, :, :-1])
+            flux_x /= dx
+            div.fill(0.0)
+            div[:, :-1, :] += flux_y
+            div[:, 1:, :] -= flux_y
+            div[:, :, :-1] += flux_x
+            div[:, :, 1:] -= flux_x
+            # div becomes the next state, state + dt * (div + rhs)
+            div += cell
+            div *= dt
+            div += state
+            if not np.isfinite(div).all():
+                raise SolverError.at_step("adjoint", k, div)
+            np.add(state, div, out=cell)
+            cell *= 0.5
+            state, div = div, state
+    return AdjointBank(rows, grid)
+
+
+def pde_adjoint(params: PdeParams, functional: Field, grid: Grid) -> Field:
+    """Adjoint solve of one functional: the bank of one."""
+    return Field(grid, pde_adjoint_bank(params, [functional], grid).rows[0])
 
 
 def sensor_field(grid: Grid, region_lo, region_hi, t_lo: float, t_hi: float) -> Field:
@@ -206,3 +236,6 @@ class PdeSystem:
 
     def adjoint(self, functional: Field) -> Field:
         return pde_adjoint(self.params, functional, self._grid)
+
+    def adjoint_bank(self, functionals) -> AdjointBank:
+        return pde_adjoint_bank(self.params, functionals, self._grid)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .fields import Field, Grid
+from .fields import AdjointBank, Field, Grid, bank_rows
 
-__all__ = ["ShiftParams", "ShiftSystem", "shift_forward", "shift_adjoint"]
+__all__ = ["ShiftParams", "ShiftSystem", "shift_forward", "shift_adjoint", "shift_adjoint_bank"]
 
 
 @dataclass(frozen=True)
@@ -58,38 +58,47 @@ def _offset_cells(params: ShiftParams, grid: Grid) -> int:
     return int(k)
 
 
-def _shift_values(field: Field, cells: int) -> Field:
-    """Move values `cells` positions toward larger t, masking exposed cells."""
-    g = field.grid.num_cells
-    vals = np.zeros(g)
-    mask = np.zeros(g, dtype=bool)
-    src_mask = field.mask_flat if field.mask is not None else np.ones(g, dtype=bool)
+def _shift_rows(rows: np.ndarray, cells: int) -> np.ndarray:
+    """Move every row's entries `cells` positions toward larger t, in place,
+    zeroing the exposed cells."""
+    g = rows.shape[1]
+    k = min(abs(cells), g)
     if cells >= 0:
-        if cells < g:
-            vals[cells:] = field.values_flat[: g - cells]
-            mask[cells:] = src_mask[: g - cells]
+        rows[:, k:] = rows[:, : g - k]
+        rows[:, :k] = 0
     else:
-        k = -cells
-        if k < g:
-            vals[: g - k] = field.values_flat[k:]
-            mask[: g - k] = src_mask[k:]
-    return Field(field.grid, vals, mask=mask)
+        rows[:, : g - k] = rows[:, k:]
+        rows[:, g - k:] = 0
+    return rows
+
+
+def _shift_field(field: Field, grid: Grid, cells: int, what: str) -> Field:
+    """Shift a field's values and its mask; exposed cells become undefined."""
+    vals = _shift_rows(bank_rows([field], grid, what), cells)[0]
+    src_mask = field.mask_flat if field.mask is not None else np.ones(grid.num_cells, dtype=bool)
+    mask = _shift_rows(src_mask[None].copy(), cells)[0]
+    return Field(grid, vals, mask=mask)
 
 
 def shift_forward(params: ShiftParams, forcing: Field, grid: Grid) -> Field:
     """Solve L_a u = f, i.e. u(t) = f(t - a)."""
     _check_grid(params, grid)
-    if forcing.grid != grid:
-        raise GridMismatchError("forcing lives on a different grid")
-    return _shift_values(forcing, _offset_cells(params, grid))
+    return _shift_field(forcing, grid, _offset_cells(params, grid), "forcing")
+
+
+def shift_adjoint_bank(params: ShiftParams, functionals, grid: Grid) -> AdjointBank:
+    """Adjoint solves v_i(t) = h_i(t + a) of every functional at once, as
+    the rows of one (n, num_cells) array; cells shifted in from outside the
+    domain hold 0."""
+    _check_grid(params, grid)
+    rows = _shift_rows(bank_rows(functionals, grid), -_offset_cells(params, grid))
+    return AdjointBank(rows, grid)
 
 
 def shift_adjoint(params: ShiftParams, functional: Field, grid: Grid) -> Field:
     """Solve the adjoint system, i.e. v(t) = h(t + a)."""
     _check_grid(params, grid)
-    if functional.grid != grid:
-        raise GridMismatchError("functional lives on a different grid")
-    return _shift_values(functional, -_offset_cells(params, grid))
+    return _shift_field(functional, grid, -_offset_cells(params, grid), "functional")
 
 
 class ShiftSystem:
@@ -112,3 +121,6 @@ class ShiftSystem:
 
     def adjoint(self, functional: Field) -> Field:
         return shift_adjoint(self.params, functional, self._grid)
+
+    def adjoint_bank(self, functionals) -> AdjointBank:
+        return shift_adjoint_bank(self.params, functionals, self._grid)

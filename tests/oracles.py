@@ -10,6 +10,9 @@ The forward-sampling predictive pushes posterior forcing draws through the
 forward solver and reads them off the observation windows.  It never
 touches an adjoint solve, so it checks the closed-form predictive scores,
 which are built from adjoint design rows, end to end.
+
+The trace writer formats every coordinate of every step afresh; the
+package's writer reuses unchanged text and must match it byte for byte.
 """
 
 import numpy as np
@@ -119,3 +122,17 @@ def forward_predictive_readings(post, basis, system, windows, samples: int,
     wm = window_matrix(windows)
     draws = sample_posterior_forcing(post, basis, system.grid, samples, seed)
     return np.stack([wm @ system.forward(f).values_flat for f in draws])
+
+
+def chain_to_csv_every_value(result, path) -> None:
+    """MCMC trace with every value formatted on every row: one row per step
+    with every coordinate, the log target, and whether the step accepted."""
+    dim = result.chain.shape[1]
+    header = ["step"] + [f"q{j}" for j in range(dim)] + ["log_target", "accepted"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for t in range(result.config.steps):
+            # repr of builtin float round-trips exactly; numpy scalars do not
+            coords = ",".join(repr(float(v)) for v in result.chain[t])
+            fh.write(f"{t},{coords},{float(result.log_targets[t])!r},"
+                     f"{int(result.accepted_flags[t])}\n")

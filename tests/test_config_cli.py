@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from adjointgp import ConfigError, StabilityWarning, inner_product
 from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
-from adjointgp.experiments import simulate_data
+from adjointgp.experiments import make_grid, make_system, simulate_data
 
 # the deliberately tiny bases used here for speed trip the small-basis
 # warning; its trigger condition is pinned in test_inference.py
@@ -106,6 +108,19 @@ def test_canonical_text_round_trips():
     again = parse_config(text)
     assert canonical_text(again) == text
     assert config_hash(again) == config_hash(config)
+
+
+def test_readme_ode_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A complete ODE example:\n\n```\n(.*?)```", readme, re.S)
+    assert block is not None, "README lost its complete ODE example"
+    config = parse_config(block.group(1))
+    assert config.kind == "ode"
+    assert config["grid"]["cells"] == 2000
+    assert config["inference"]["synth"] == "forward"
+    system = make_system(config, make_grid(config))
+    assert system.name == "ode"
+    assert system.grid.num_cells == 2000
 
 
 def test_hash_ignores_cosmetic_differences():

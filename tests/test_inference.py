@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from adjointgp import (
+    AdjointBank,
     FeatureBasis,
-    Field,
     Grid,
     GridMismatchError,
     KernelParams,
@@ -84,7 +84,7 @@ def test_phi_single_entry_matches_inner_product():
     basis = FeatureBasis.sample(1, 1, KERNEL, seed=17)
     w = window_indicator(grid, [2.0], [2.5])
     v = system.adjoint(w)
-    phi = assemble_phi([v], basis)
+    phi = assemble_phi(AdjointBank(v.values_flat[None], grid), basis)
     feature_field = forcing_from_weights(basis, [1.0], grid)
     np.testing.assert_allclose(phi.entries[0, 0],
                                inner_product(v, feature_field), rtol=1e-12)
@@ -94,7 +94,7 @@ def test_phi_single_entry_matches_inner_product():
 def test_phi_zero_adjoint_gives_zero_row():
     grid = _grid(100)
     basis = FeatureBasis.sample(4, 1, KERNEL, seed=2)
-    phi = assemble_phi([Field.zeros(grid)], basis)
+    phi = assemble_phi(AdjointBank(np.zeros((1, grid.num_cells)), grid), basis)
     np.testing.assert_array_equal(phi.entries, np.zeros((1, 4)))
 
 
@@ -106,20 +106,81 @@ def test_phi_spanning_cell_blocks_matches_dense_projection():
     assert basis.size * grid.num_cells > 1 << 23
     rng = np.random.default_rng(4)
     rows = rng.standard_normal((3, grid.num_cells))
-    phi = assemble_phi([Field(grid, r) for r in rows], basis)
+    phi = assemble_phi(AdjointBank(rows, grid), basis)
     dense = rows @ eval_basis(basis, grid).T * grid.cell_volume
     np.testing.assert_allclose(phi.entries, dense, rtol=1e-12)
+
+
+def test_factored_tables_match_dense_basis_across_time_slabs():
+    # 300 features x 28800 cells is past the block cap, so the (t, y, x)
+    # grid is covered by two slabs of whole time cells built from the
+    # per-axis tables; each result is checked against the dense direct
+    # cosine.  Entries that cancel to near zero keep the rounding of their
+    # terms, so the bar is relative to the largest entry of each result.
+    grid = Grid.regular(((0.0, 6.0), (0.0, 10.0), (0.0, 8.0)), (24, 30, 40))
+    basis = FeatureBasis.sample(300, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=5)
+    assert basis.size * grid.num_cells > 1 << 23
+    dense = eval_basis(basis, grid)
+    rng = np.random.default_rng(6)
+
+    def close(actual, reference):
+        np.testing.assert_allclose(actual, reference, rtol=1e-12,
+                                   atol=1e-12 * np.abs(reference).max())
+
+    q = rng.standard_normal(basis.size)
+    close(forcing_from_weights(basis, q, grid).values_flat, q @ dense)
+    rows = rng.standard_normal((3, grid.num_cells))
+    close(assemble_phi(AdjointBank(rows, grid), basis).entries, rows @ dense.T * grid.cell_volume)
+    design = rng.standard_normal((20, basis.size))
+    post = posterior_q(design, rng.standard_normal(20), 0.5)
+    _, var = posterior_forcing(post, basis, grid)
+    spread = post.chol.T @ dense
+    close(var.values_flat, np.einsum("ij,ij->j", spread, spread))
+
+
+def test_one_dimensional_basis_keeps_the_direct_cosine():
+    # no spatial axis to factor: Phi and the forcing come from the dense
+    # direct cosine bit for bit, which keeps ODE outputs unchanged
+    grid = _grid(500)
+    basis = FeatureBasis.sample(40, 1, KERNEL, seed=8)
+    dense = eval_basis(basis, grid)
+    rng = np.random.default_rng(9)
+    q = rng.standard_normal(basis.size)
+    assert np.array_equal(forcing_from_weights(basis, q, grid).values_flat, q @ dense)
+    rows = rng.standard_normal((4, grid.num_cells))
+    assert np.array_equal(assemble_phi(AdjointBank(rows, grid), basis).entries,
+                          rows @ dense.T * grid.cell_volume)
 
 
 def test_phi_grid_assertion():
     grid = _grid(100)
     basis = FeatureBasis.sample(3, 1, KERNEL, seed=1)
-    v = Field.zeros(grid)
+    bank = AdjointBank(np.zeros((1, grid.num_cells)), grid)
     with pytest.raises(GridMismatchError):
-        assemble_phi([v], basis, grid=_grid(200))
+        AdjointBank(np.zeros((1, 200)), grid)
+    with pytest.raises(GridMismatchError):
+        assemble_phi(bank, basis, grid=_grid(200))
+    # same cell count, other spacing: the bank's own grid is compared
+    with pytest.raises(GridMismatchError):
+        assemble_phi(bank, basis, grid=Grid.regular(((0.0, 5.0),), (100,)))
     basis2d = FeatureBasis.sample(3, 2, KERNEL, seed=1)
     with pytest.raises(GridMismatchError):
-        assemble_phi([v], basis2d)
+        assemble_phi(bank, basis2d)
+
+
+def test_phi_grid_assertion_tells_apart_grids_of_one_cell_count():
+    # 50x30x40 cells, the same box split 50x60x20 and the spatial axes
+    # swapped all have 60000 cells; a bank solved on the first is refused
+    # on the other two
+    solved = Grid.regular(((0.0, 5.0), (0.0, 6.0), (0.0, 8.0)), (50, 30, 40))
+    basis = FeatureBasis.sample(3, 3, KERNEL, seed=1)
+    bank = AdjointBank(np.zeros((2, solved.num_cells)), solved)
+    for other in (Grid.regular(((0.0, 5.0), (0.0, 6.0), (0.0, 8.0)), (50, 60, 20)),
+                  Grid.regular(((0.0, 5.0), (0.0, 8.0), (0.0, 6.0)), (50, 40, 30))):
+        assert other.num_cells == solved.num_cells
+        with pytest.raises(GridMismatchError):
+            assemble_phi(bank, basis, grid=other)
+    assert assemble_phi(bank, basis, grid=solved).entries.shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +409,7 @@ def _forward_readings(system, basis, q, windows):
 
 
 def _adjoint_phi(system, basis, windows):
-    return assemble_phi([system.adjoint(w) for w in windows], basis)
+    return assemble_phi(system.adjoint_bank(windows), basis)
 
 
 def test_predictive_mse_on_exact_readings_is_zero():
@@ -460,7 +521,7 @@ def test_nll_prefers_the_generating_lengthscale():
     grid = _grid(300)
     windows = _windows(grid, 25)
     system = OdeSystem(PARAMS, grid)
-    adjoints = [system.adjoint(w) for w in windows]
+    bank = system.adjoint_bank(windows)
     wins = 0
     for s in range(10):
         basis_true = FeatureBasis.sample(12, 1, KERNEL, seed=400 + s)
@@ -471,7 +532,7 @@ def test_nll_prefers_the_generating_lengthscale():
 
         def score(ell):
             return nll_score({"lengthscale": ell, "variance": KERNEL.variance},
-                             data, adjoints, features=12, basis_seed=400 + s)
+                             data, bank, features=12, basis_seed=400 + s)
 
         if score(1.0) < score(8.0):
             wins += 1
@@ -514,8 +575,8 @@ def test_pipeline_matches_manual_route():
     rng = np.random.default_rng(32)
     obs = ObservationSet(tuple(windows), rng.standard_normal(10), 0.2)
     result = run_pipeline(system, obs, basis)
-    adjoints = [system.adjoint(w) for w in windows]
-    phi = assemble_phi(adjoints, basis)
+    bank = AdjointBank(np.array([system.adjoint(w).values_flat for w in windows]), grid)
+    phi = assemble_phi(bank, basis)
     post = posterior_q(phi, obs.z, obs.sigma)
     np.testing.assert_array_equal(result.phi.entries, phi.entries)
     np.testing.assert_array_equal(result.posterior.mean, post.mean)

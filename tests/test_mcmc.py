@@ -6,6 +6,7 @@ import pytest
 
 from adjointgp import (
     ChainConfig,
+    ChainResult,
     NumericalError,
     batch_means_ess,
     chain_diagnostics,
@@ -16,6 +17,7 @@ from adjointgp import (
     split_rhat,
     tune_proposal_scale,
 )
+from oracles import chain_to_csv_every_value
 
 
 def _std_normal_target(q):
@@ -220,3 +222,20 @@ def test_chain_to_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(body[:, 1:3], result.chain)
     np.testing.assert_array_equal(body[:, 3], result.log_targets)
     np.testing.assert_array_equal(body[:, 4], result.accepted_flags.astype(float))
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_chain_to_csv_matches_every_value_oracle(tmp_path, batch):
+    start = np.array([-0.0, 0.5, -1.25, 0.0, 2.0, 1e-300, -3.5, 7.0, 0.1, -0.2, 3.0, 1.0])
+    cfg = ChainConfig(steps=300, proposal_scale=1.2, seed=23, batch_size=batch)
+    result = rw_mh(_std_normal_target, start, cfg)
+    assert 0 < result.accepted < cfg.steps  # rejected steps repeat their row
+    chain = result.chain.copy()
+    # equal values with different bits must be written anew
+    chain[:6, 0] = [-0.0, -0.0, 0.0, 0.0, -0.0, 0.0]
+    result = ChainResult(cfg, chain, result.log_targets, result.accepted_flags)
+    chain_to_csv(result, tmp_path / "trace.csv")
+    chain_to_csv_every_value(result, tmp_path / "oracle.csv")
+    expected = (tmp_path / "oracle.csv").read_bytes()
+    assert b"\n1,-0.0," in expected and b"\n2,0.0," in expected
+    assert (tmp_path / "trace.csv").read_bytes() == expected

@@ -14,6 +14,7 @@ from adjointgp import (
     norm,
     ode_adjoint,
     ode_forward,
+    window_indicator,
 )
 from oracles import ode_apply, ode_apply_adjoint, random_smooth_field
 
@@ -159,3 +160,23 @@ def test_system_wraps_free_functions():
     assert (system.forward(f).values == ode_forward(PARAMS, f, grid).values).all()
     assert (system.adjoint(f).values == ode_adjoint(PARAMS, f, grid).values).all()
     assert system.name == "ode"
+
+
+def test_bank_equals_single_solves_and_keeps_the_identity():
+    # every row of a bank takes the arithmetic of a bank of one, and each
+    # row still pairs with the forward march to rounding
+    grid = _grid(2000)
+    system = OdeSystem(PARAMS, grid)
+    windows = ([random_smooth_field(grid, seed=610 + k) for k in range(3)]
+               + [window_indicator(grid, [1.0 + 2.0 * k], [2.5 + 2.0 * k]) for k in range(4)])
+    bank = system.adjoint_bank(windows)
+    assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
+    for w, row in zip(windows, bank.rows):
+        assert np.array_equal(row, system.adjoint_bank([w]).rows[0])
+        assert np.array_equal(row, system.adjoint(w).values_flat)
+    f = random_smooth_field(grid, seed=620)
+    u = system.forward(f)
+    for w, row in zip(windows, bank.rows):
+        lhs = inner_product(u, w)
+        rhs = float(f.values_flat @ row) * grid.cell_volume
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)

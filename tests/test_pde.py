@@ -6,6 +6,7 @@ from adjointgp import (
     Field,
     Grid,
     GridMismatchError,
+    SolverError,
     inner_product,
     norm,
 )
@@ -171,3 +172,32 @@ def test_system_wraps_free_functions():
     assert (system.forward(f).values == pde_forward(params, f, grid).values).all()
     assert (system.adjoint(f).values == pde_adjoint(params, f, grid).values).all()
     assert system.name == "pde"
+
+
+def test_bank_equals_single_solves_and_keeps_the_identity():
+    grid = _grid(20, 12, 12)
+    params = _params(vy=0.4, vx=-0.3)
+    system = PdeSystem(params, grid)
+    windows = ([random_smooth_field(grid, seed=820 + k) for k in range(2)]
+               + [sensor_field(grid, (2.0 + k, 3.0), (4.0 + k, 5.0), 2.0 * k, 2.0 * k + 3.0)
+                  for k in range(3)])
+    bank = system.adjoint_bank(windows)
+    assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
+    for w, row in zip(windows, bank.rows):
+        assert np.array_equal(row, system.adjoint_bank([w]).rows[0])
+        assert np.array_equal(row, system.adjoint(w).values_flat)
+    f = random_smooth_field(grid, seed=830)
+    u = system.forward(f)
+    for w, row in zip(windows, bank.rows):
+        lhs = inner_product(u, w)
+        rhs = float(f.values_flat @ row) * grid.cell_volume
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def test_bank_names_the_step_where_one_window_blows_up():
+    grid = _grid(20, 12, 12)
+    system = PdeSystem(_params(), grid)
+    calm = random_smooth_field(grid, seed=840)
+    huge = Field.full(grid, 1.7e308)
+    with pytest.raises(SolverError, match=r"adjoint solve .* at step \d+ \(right-hand side 1\)"):
+        system.adjoint_bank([calm, huge, calm])

@@ -116,3 +116,24 @@ def test_system_wraps_free_functions():
     assert (system.forward(f).values == shift_forward(params, f, grid).values).all()
     assert (system.adjoint(f).values == shift_adjoint(params, f, grid).values).all()
     assert system.name == "shift"
+
+
+@pytest.mark.parametrize("a", [1.2, -2.0])
+def test_bank_equals_single_solves_and_keeps_the_identity(a):
+    grid = _grid(250)
+    params = ShiftParams(a=a, T=10.0)
+    system = ShiftSystem(params, grid)
+    masked = random_smooth_field(grid, seed=970)
+    masked = Field(grid, masked.values, mask=grid.axis_centers(0) < 7.0)
+    windows = [random_smooth_field(grid, seed=960 + k) for k in range(3)] + [masked]
+    bank = system.adjoint_bank(windows)
+    assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
+    for w, row in zip(windows, bank.rows):
+        assert np.array_equal(row, system.adjoint_bank([w]).rows[0])
+        assert np.array_equal(row, system.adjoint(w).values_flat)
+    f = random_smooth_field(grid, seed=980)
+    u = system.forward(f)
+    for w, row in zip(windows, bank.rows):
+        lhs = inner_product(u, w)
+        rhs = float(f.values_flat @ row) * grid.cell_volume
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
