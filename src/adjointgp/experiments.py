@@ -873,9 +873,9 @@ def scan_hyper(data: SimulatedData):
     """Lattice scan of kernel hyperparameters scored by posterior predictive
     negative log likelihood on the training readings.
 
-    The adjoint bank is computed once; only the basis and the posterior
-    depend on the kernel, so each lattice point costs one design-matrix
-    assembly and one posterior solve, and no forward solve.
+    The adjoint bank and the feature draw are made once, so each lattice
+    point costs one design-matrix assembly and one posterior solve, and no
+    forward solve.
     """
     config = data.config
     if "scan" not in config:
@@ -883,12 +883,13 @@ def scan_hyper(data: SimulatedData):
     scan = config["scan"]
     obs = data.observations()
     bank = data.system.adjoint_bank(data.windows)
+    basis = FeatureBasis.sample(config["features"]["count"], data.grid.ndim,
+                                data.kernel, data.seeds["basis"])
     axes = ("lengthscale", "variance")
     return grid_scan(
         {key: scan[key][:2] for key in axes},
         {key: int(scan[key][2]) for key in axes},
-        lambda theta: nll_score(theta, obs, bank, config["features"]["count"],
-                                data.seeds["basis"]))
+        lambda theta: nll_score(theta, obs, bank, basis))
 
 
 def save_scan(results, out_dir) -> Path:

@@ -371,17 +371,17 @@ def predictive_nll(post: PosteriorQ, phi, data: ObservationSet) -> float:
 # hyperparameter scoring
 
 
-def nll_score(theta: dict, data: ObservationSet, bank: AdjointBank, features: int,
-              basis_seed: int) -> float:
+def nll_score(theta: dict, data: ObservationSet, bank: AdjointBank,
+              basis: FeatureBasis) -> float:
     """Score hyperparameters `theta` (must contain `lengthscale` and
     `variance`) by the posterior predictive NLL of the readings in `data`.
 
-    `bank` is the adjoint bank of `data.windows`; it does not depend on the
-    kernel, so only the basis, the design matrix and the posterior are
-    rebuilt per call.
+    Neither `bank`, the adjoint bank of `data.windows`, nor the frequencies
+    and phases of `basis` depend on the kernel; per call the basis takes the
+    kernel of `theta`, and the design matrix and posterior are rebuilt.
     """
     kernel = KernelParams(float(theta["lengthscale"]), float(theta["variance"]))
-    basis = FeatureBasis.sample(features, data.grid.ndim, kernel, basis_seed)
+    basis = FeatureBasis(basis.frequencies, basis.phases, kernel, seed=basis.seed)
     phi = assemble_phi(bank, basis, grid=data.grid)
     post = posterior_q(phi, data.z, max(data.sigma, SIGMA_MIN))
     return predictive_nll(post, phi, data)

@@ -12,16 +12,18 @@ Adjoint problem, terminal condition and Robin walls, integrated backward:
     v(x, T) = 0,    (velocity . n) v + diffusivity * grad(v) . n = 0.
 
 Discretization: explicit time stepping, first-order upwind advection,
-centered diffusion.  Forward walls use one ghost layer by reflection.  The
-adjoint marches in reversed time s = T - t, where it becomes conservative
-advection-diffusion with reversed velocity; it is stepped in flux form with
-donor-cell advective fluxes (upwind against the reversed velocity) and the
-wall condition imposed as zero total flux, the discrete form of the Robin
-condition (velocity . n) v + diffusivity * (v_ghost - v_in) / dx = 0 with
-the advective wall flux evaluated at the interior cell.  With constant
-coefficients this stepping is the exact transpose of the interior forward
-stencil, which keeps the two observation routes close.  The adjoint march
-steps a whole bank of right-hand sides at once on an (n, ny, nx) state.
+centered diffusion.  The adjoint marches in reversed time s = T - t, where
+it becomes conservative advection-diffusion with reversed velocity, in flux
+form: donor-cell advective fluxes (upwind against the reversed velocity),
+and the wall condition imposed as zero total flux, the discrete form of the
+Robin condition (velocity . n) v + diffusivity * (v_ghost - v_in) / dx = 0
+with the advective wall flux evaluated at the interior cell.  With constant
+coefficients one step is a fixed sparse matrix A over the S = ny * nx
+spatial cells, built once per solve.  The forward march applies its
+transpose A^T, which is the upwind, centered-diffusion step with walls
+reflected by one ghost layer; so the two observation routes are transposes
+of each other by construction.  The adjoint march steps a whole bank of
+right-hand sides at once on an (S, n) state.
 
 Grids are (time, y, x) with time on axis 0.  Forcing fields and solver
 output live at cell centers; time-cell values are the average of the two
@@ -108,95 +110,91 @@ def _require_cfl(params: PdeParams, grid: Grid):
         )
 
 
+def _step_operator(params: PdeParams, grid: Grid):
+    """(S, S) CSR matrix A of one adjoint step, S = ny * nx:
+    v <- A v + dt * h with A = I + dt * (kron(L_y, I_x) + kron(I_y, L_x)).
+    One forward step is u <- A^T u + dt * f."""
+    # imported here, not at package import, so ODE-only runs do not pay for it
+    import scipy.sparse as sp
+
+    def flux_form(n, h, vel):
+        # interior face fluxes kappa * (v[j+1] - v[j]) / h + vel * v_donor,
+        # donor cell upwind against the reversed velocity; the walls carry
+        # zero total flux; divided by h and differenced onto the cells
+        diff = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+        donor = sp.eye(n - 1, n, k=1 if vel >= 0.0 else 0)
+        return -diff.T @ (params.diffusivity / (h * h) * diff + vel / h * donor)
+
+    _, ny, nx = grid.dims
+    dt, dy, dx = grid.spacing
+    vy, vx = params.velocity
+    lap = (sp.kron(flux_form(ny, dy, vy), sp.identity(nx))
+           + sp.kron(sp.identity(ny), flux_form(nx, dx, vx)))
+    return (sp.identity(ny * nx) + dt * lap).tocsr()
+
+
 def pde_forward(params: PdeParams, forcing: Field, grid: Grid, *, enforce_cfl: bool = True) -> Field:
-    """March the forward problem; `enforce_cfl=False` is a diagnostics knob
-    so instability can be observed instead of rejected."""
+    """March the forward problem by A^T; `enforce_cfl=False` is a diagnostics
+    knob so instability can be observed instead of rejected."""
     _check_grid(params, grid)
     if forcing.grid != grid:
         raise GridMismatchError("forcing lives on a different grid")
     if enforce_cfl:
         _require_cfl(params, grid)
-    nt, ny, nx = grid.dims
-    dt, dy, dx = grid.spacing
-    vy, vx = params.velocity
-    kappa = params.diffusivity
-    f = forcing.values
-    state = np.zeros((ny, nx))
-    out = np.empty((nt, ny, nx))
-    for k in range(nt):
-        padded = np.pad(state, 1, mode="edge")
-        lap = (
-            (padded[2:, 1:-1] - 2.0 * state + padded[:-2, 1:-1]) / (dy * dy)
-            + (padded[1:-1, 2:] - 2.0 * state + padded[1:-1, :-2]) / (dx * dx)
-        )
-        if vy >= 0.0:
-            grad_y = (state - padded[:-2, 1:-1]) / dy
-        else:
-            grad_y = (padded[2:, 1:-1] - state) / dy
-        if vx >= 0.0:
-            grad_x = (state - padded[1:-1, :-2]) / dx
-        else:
-            grad_x = (padded[1:-1, 2:] - state) / dx
-        nxt = state + dt * (-vy * grad_y - vx * grad_x + kappa * lap + f[k])
-        if not np.isfinite(nxt).all():
-            raise SolverError.at_step("forward", k, nxt[None])
-        out[k] = 0.5 * (state + nxt)
-        state = nxt
-    return Field(grid, out)
+    nt = grid.dims[0]
+    dt = grid.spacing[0]
+    step = _step_operator(params, grid).T.tocsr()
+    f = forcing.values.reshape(nt, -1)
+    state = np.zeros(f.shape[1])
+    out = np.empty_like(f)
+    # overflow is reported as SolverError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nt):
+            nxt = step @ state
+            nxt += dt * f[k]
+            if not np.isfinite(nxt).all():
+                raise SolverError.at_step("forward", k, nxt[None])
+            np.add(state, nxt, out=out[k])
+            out[k] *= 0.5
+            state = nxt
+    return Field(grid, out.reshape(grid.shape))
 
 
 def pde_adjoint_bank(params: PdeParams, functionals, grid: Grid) -> AdjointBank:
     """Adjoint solves of every functional at once, marched together on an
-    (n, ny, nx) state; row i of the bank's (n, num_cells) rows solves
-    functional i.
+    (S, n) state, S = ny * nx, by one sparse step operator; row i of the
+    bank's (n, num_cells) rows solves functional i.
 
     The march runs in place over one (n, num_cells) array: reversed step k
     reads the right-hand sides of time cell nt - 1 - k and overwrites them
-    with the solution there.  Every row takes the arithmetic of a single
-    solve, so a bank equals its rows solved one at a time bit for bit.
+    with the solution there.  The sparse product does each column's
+    arithmetic independently of the others, so a bank equals its rows
+    solved one at a time bit for bit.
     """
     _check_grid(params, grid)
     _require_cfl(params, grid)
     rows = bank_rows(functionals, grid)
-    n = rows.shape[0]
-    nt, ny, nx = grid.dims
-    dt, dy, dx = grid.spacing
-    vy, vx = params.velocity
-    kappa = params.diffusivity
-    bank = rows.reshape(n, nt, ny, nx)
-    state = np.zeros((n, ny, nx))
-    div = np.empty_like(state)
-    flux_y = np.empty((n, ny - 1, nx))
-    flux_x = np.empty((n, ny, nx - 1))
+    nt = grid.dims[0]
+    dt = grid.spacing[0]
+    step = _step_operator(params, grid)
+    bank = rows.reshape(rows.shape[0], nt, -1)
+    state = np.zeros((bank.shape[2], len(rows)))
+    # ufuncs over transposed operands are slow; transposing copies are not
+    work = np.empty_like(state)
     # overflow is reported as SolverError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nt):
             cell = bank[:, nt - 1 - k]
-            # interior total fluxes over dy or dx; wall faces carry zero total flux
-            np.subtract(state[:, 1:, :], state[:, :-1, :], out=flux_y)
-            flux_y *= kappa
-            flux_y /= dy
-            flux_y += vy * (state[:, 1:, :] if vy >= 0.0 else state[:, :-1, :])
-            flux_y /= dy
-            np.subtract(state[:, :, 1:], state[:, :, :-1], out=flux_x)
-            flux_x *= kappa
-            flux_x /= dx
-            flux_x += vx * (state[:, :, 1:] if vx >= 0.0 else state[:, :, :-1])
-            flux_x /= dx
-            div.fill(0.0)
-            div[:, :-1, :] += flux_y
-            div[:, 1:, :] -= flux_y
-            div[:, :, :-1] += flux_x
-            div[:, :, 1:] -= flux_x
-            # div becomes the next state, state + dt * (div + rhs)
-            div += cell
-            div *= dt
-            div += state
-            if not np.isfinite(div).all():
-                raise SolverError.at_step("adjoint", k, div)
-            np.add(state, div, out=cell)
-            cell *= 0.5
-            state, div = div, state
+            np.copyto(work, cell.T)
+            work *= dt
+            nxt = step @ state
+            nxt += work
+            if not np.isfinite(nxt).all():
+                raise SolverError.at_step("adjoint", k, nxt.T)
+            np.add(state, nxt, out=work)
+            work *= 0.5
+            np.copyto(cell, work.T)
+            state = nxt
     return AdjointBank(rows, grid)
 
 

@@ -11,6 +11,12 @@ forward solver and reads them off the observation windows.  It never
 touches an adjoint solve, so it checks the closed-form predictive scores,
 which are built from adjoint design rows, end to end.
 
+The PDE reference marches step the advection-diffusion scheme by hand:
+the forward with a reflected ghost layer, the adjoint in flux form with
+donor-cell fluxes and zero total flux at the walls.  The package builds
+one sparse step operator from the same scheme; these stencils never see it,
+so a wrong axis or upwind side in that operator shows as a mismatch.
+
 The trace writer formats every coordinate of every step afresh; the
 package's writer reuses unchanged text and must match it byte for byte.
 """
@@ -136,3 +142,63 @@ def chain_to_csv_every_value(result, path) -> None:
             coords = ",".join(repr(float(v)) for v in result.chain[t])
             fh.write(f"{t},{coords},{float(result.log_targets[t])!r},"
                      f"{int(result.accepted_flags[t])}\n")
+
+
+def pde_forward_stencil(params, forcing: Field) -> Field:
+    """Forward march with upwind advection and centered diffusion, the walls
+    imposed by an edge-reflected ghost layer on every step."""
+    grid = forcing.grid
+    nt, ny, nx = grid.dims
+    dt, dy, dx = grid.spacing
+    vy, vx = params.velocity
+    kappa = params.diffusivity
+    f = forcing.values
+    state = np.zeros((ny, nx))
+    out = np.empty((nt, ny, nx))
+    for k in range(nt):
+        padded = np.pad(state, 1, mode="edge")
+        lap = (
+            (padded[2:, 1:-1] - 2.0 * state + padded[:-2, 1:-1]) / (dy * dy)
+            + (padded[1:-1, 2:] - 2.0 * state + padded[1:-1, :-2]) / (dx * dx)
+        )
+        if vy >= 0.0:
+            grad_y = (state - padded[:-2, 1:-1]) / dy
+        else:
+            grad_y = (padded[2:, 1:-1] - state) / dy
+        if vx >= 0.0:
+            grad_x = (state - padded[1:-1, :-2]) / dx
+        else:
+            grad_x = (padded[1:-1, 2:] - state) / dx
+        nxt = state + dt * (-vy * grad_y - vx * grad_x + kappa * lap + f[k])
+        out[k] = 0.5 * (state + nxt)
+        state = nxt
+    return Field(grid, out)
+
+
+def pde_adjoint_flux_bank(params, functionals) -> np.ndarray:
+    """(n, num_cells) adjoint solutions marched in reversed time in flux
+    form on an (n, ny, nx) state: donor-cell advective fluxes against the
+    reversed velocity, centered diffusive fluxes, zero total flux at the
+    walls."""
+    grid = functionals[0].grid
+    nt, ny, nx = grid.dims
+    dt, dy, dx = grid.spacing
+    vy, vx = params.velocity
+    kappa = params.diffusivity
+    rhs = np.stack([w.values for w in functionals])
+    out = np.empty_like(rhs)
+    state = np.zeros((len(functionals), ny, nx))
+    for k in range(nt):
+        flux_y = (kappa * (state[:, 1:, :] - state[:, :-1, :]) / dy
+                  + vy * (state[:, 1:, :] if vy >= 0.0 else state[:, :-1, :])) / dy
+        flux_x = (kappa * (state[:, :, 1:] - state[:, :, :-1]) / dx
+                  + vx * (state[:, :, 1:] if vx >= 0.0 else state[:, :, :-1])) / dx
+        div = np.zeros_like(state)
+        div[:, :-1, :] += flux_y
+        div[:, 1:, :] -= flux_y
+        div[:, :, :-1] += flux_x
+        div[:, :, 1:] -= flux_x
+        nxt = state + dt * (div + rhs[:, nt - 1 - k])
+        out[:, nt - 1 - k] = 0.5 * (state + nxt)
+        state = nxt
+    return out.reshape(len(functionals), -1)

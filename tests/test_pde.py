@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,22 @@ from adjointgp import (
     inner_product,
     norm,
 )
-from adjointgp.pde import PdeParams, PdeSystem, cfl_limit, pde_adjoint, pde_forward, sensor_field
-from oracles import pde_apply, pde_apply_adjoint, random_smooth_field
+from adjointgp.pde import (
+    PdeParams,
+    PdeSystem,
+    cfl_limit,
+    pde_adjoint,
+    pde_adjoint_bank,
+    pde_forward,
+    sensor_field,
+)
+from oracles import (
+    pde_adjoint_flux_bank,
+    pde_apply,
+    pde_apply_adjoint,
+    pde_forward_stencil,
+    random_smooth_field,
+)
 
 BOUNDS = ((0.0, 10.0), (0.0, 10.0))
 
@@ -201,3 +217,30 @@ def test_bank_names_the_step_where_one_window_blows_up():
     huge = Field.full(grid, 1.7e308)
     with pytest.raises(SolverError, match=r"adjoint solve .* at step \d+ \(right-hand side 1\)"):
         system.adjoint_bank([calm, huge, calm])
+
+
+@pytest.mark.parametrize("velocity", [(0.4, 0.3), (0.4, -0.3), (-0.4, 0.3), (0.0, 0.3)])
+def test_step_operator_matches_hand_written_stencils(velocity):
+    """The sparse step operator against the hand-written flux-form adjoint
+    and ghost-layer forward marches.  The grid is not square and every
+    axis length differs, so swapped axes do not cancel out."""
+    grid = Grid.regular(((0.0, 10.0), (0.0, 9.0), (0.0, 13.0)), (15, 9, 13))
+    params = PdeParams(velocity=velocity, diffusivity=0.05,
+                       bounds=((0.0, 9.0), (0.0, 13.0)), T=10.0)
+    f = random_smooth_field(grid, seed=850)
+    u = pde_forward(params, f, grid).values
+    ref = pde_forward_stencil(params, f).values
+    np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    windows = [random_smooth_field(grid, seed=860 + k) for k in range(2)]
+    windows.append(sensor_field(grid, (1.0, 2.0), (4.0, 7.0), 3.0, 6.0))
+    rows = pde_adjoint_bank(params, windows, grid).rows
+    ref = pde_adjoint_flux_bank(params, windows)
+    np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_forward_overflow_raises_without_a_warning():
+    grid = _grid(20, 12, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=r"forward solve .* at step \d+"):
+            pde_forward(_params(), Field.full(grid, 1.7e308), grid)
