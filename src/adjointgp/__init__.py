@@ -41,7 +41,6 @@ from .features import (
     feature_vector,
     forcing_from_weights,
     kernel_approx,
-    sample_basis,
     sample_prior_forcing,
 )
 from .ode import OdeParams, OdeSystem, euler_stability_limit, ode_adjoint, ode_forward
@@ -49,7 +48,6 @@ from .pde import PdeParams, PdeSystem, cfl_limit, pde_adjoint, pde_forward, sens
 from .shift import ShiftParams, ShiftSystem, shift_adjoint, shift_forward
 from .inference import (
     ObservationSet,
-    PhiMatrix,
     PipelineResult,
     PosteriorQ,
     PIPELINE_STAGES,
@@ -64,7 +62,6 @@ from .inference import (
     predictive_mse,
     predictive_nll,
     run_pipeline,
-    sample_posterior_forcing,
 )
 from .mcmc import (
     ChainConfig,
@@ -110,15 +107,14 @@ __all__ = [
     "field_to_binary", "field_to_csv", "inner_product", "norm", "window_indicator",
     "FeatureBasis", "KernelParams", "basis_from_json", "basis_to_json",
     "eq_kernel", "eval_basis", "feature_vector", "forcing_from_weights",
-    "kernel_approx", "sample_basis", "sample_prior_forcing",
+    "kernel_approx", "sample_prior_forcing",
     "OdeParams", "OdeSystem", "euler_stability_limit", "ode_adjoint", "ode_forward",
     "PdeParams", "PdeSystem", "cfl_limit", "pde_adjoint", "pde_forward", "sensor_field",
     "ShiftParams", "ShiftSystem", "shift_adjoint", "shift_forward",
-    "ObservationSet", "PhiMatrix", "PipelineResult", "PosteriorQ", "PIPELINE_STAGES",
+    "ObservationSet", "PipelineResult", "PosteriorQ", "PIPELINE_STAGES",
     "assemble_phi", "grid_scan", "ml_estimate", "nll_score", "posterior_forcing",
     "posterior_from_json", "posterior_q", "posterior_to_json",
     "predictive_mse", "predictive_nll", "run_pipeline",
-    "sample_posterior_forcing",
     "ChainConfig", "ChainDiagnostics", "ChainResult", "batch_means_ess",
     "chain_diagnostics", "chain_to_csv", "gaussian_log_target", "rw_mh",
     "split_rhat", "tune_proposal_scale",

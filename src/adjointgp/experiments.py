@@ -177,24 +177,17 @@ def _tile_windows(grid: Grid, count: int, t_start: float, t_end: float):
     return windows, specs
 
 
-def _span_windows(grid: Grid, count: int, t_start: float, t_end: float,
-                  stagger: bool = False):
+def _span_times(count: int, t_start: float, t_end: float, stagger: bool):
     if stagger:
         # offset lattice for held-out points so they avoid the training times
         gap = (t_end - t_start) / count
-        times = np.linspace(t_start + 0.5 * gap, t_end - 0.5 * gap, count)
-    elif count == 1:
-        times = np.array([0.5 * (t_start + t_end)])
-    else:
-        times = np.linspace(t_start, t_end, count)
-    windows, specs = [], []
-    for t in times:
-        windows.append(dirac_window(grid, (t,)))
-        specs.append(WindowSpec("point", (float(t),), (float(t),)))
-    return windows, specs
+        return np.linspace(t_start + 0.5 * gap, t_end - 0.5 * gap, count)
+    if count == 1:
+        return np.array([0.5 * (t_start + t_end)])
+    return np.linspace(t_start, t_end, count)
 
 
-def _list_windows(grid: Grid, times):
+def _point_windows(grid: Grid, times):
     windows, specs = [], []
     for t in times:
         windows.append(dirac_window(grid, (float(t),)))
@@ -242,9 +235,9 @@ def _build(config: Config, grid: Grid, count: int, stagger: bool):
     if rule == "tile":
         return _tile_windows(grid, count, t_start, t_end)
     if rule == "span":
-        return _span_windows(grid, count, t_start, t_end, stagger=stagger)
+        return _point_windows(grid, _span_times(count, t_start, t_end, stagger))
     if rule == "list":
-        return _list_windows(grid, sensors["times"])
+        return _point_windows(grid, sensors["times"])
     return _grid_windows(grid, count, sensors["time_windows"], sensors["size"],
                          t_start, t_end)
 
@@ -322,10 +315,10 @@ def simulate_data(config: Config) -> SimulatedData:
         rng = np.random.default_rng(derive_seed(seeds["data"], "qstar"))
         qstar = rng.standard_normal(basis.size)
         phi = assemble_phi(system.adjoint_bank(windows), basis)
-        clean = phi.entries @ qstar
+        clean = phi @ qstar
         if heldout_windows:
             phi_h = assemble_phi(system.adjoint_bank(heldout_windows), basis)
-            heldout_clean = phi_h.entries @ qstar
+            heldout_clean = phi_h @ qstar
         else:
             heldout_clean = np.zeros(0)
         truth_forcing = forcing_from_weights(basis, qstar, grid)
@@ -517,7 +510,6 @@ class InferenceOutcome:
     forcing_mean: Field
     forcing_var: Field
     ml_weights: np.ndarray | None
-    ml_cov: np.ndarray | None
     ml_forcing: Field | None
     metrics: dict
 
@@ -554,10 +546,10 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
     mean_field, var_field = posterior_forcing(result.posterior, basis, data.grid)
 
     method = config["inference"]["method"]
-    ml_weights = ml_cov = ml_forcing = None
+    ml_weights = ml_forcing = None
     if method in ("ml", "both"):
-        ml_weights, ml_cov = ml_estimate(result.phi, data.z, sigma=obs.sigma,
-                                         ridge=config["inference"]["ridge"])
+        ml_weights, _ = ml_estimate(result.phi, data.z, sigma=obs.sigma,
+                                    ridge=config["inference"]["ridge"])
         ml_forcing = forcing_from_weights(basis, ml_weights, data.grid)
 
     metrics = {
@@ -565,7 +557,7 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
         "features": int(basis.size),
         "sigma": float(obs.sigma),
         "train_rms_residual": float(np.sqrt(np.mean(
-            (data.z - result.phi.entries @ result.posterior.mean) ** 2))),
+            (data.z - result.phi @ result.posterior.mean) ** 2))),
         "forcing_mse": _forcing_mse(mean_field, data.truth_forcing),
     }
     if data.qstar is not None:
@@ -580,7 +572,7 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
         metrics["heldout_mse"] = predictive_mse(result.posterior, phi_h, heldout.z)
         metrics["heldout_nll"] = predictive_nll(result.posterior, phi_h, heldout)
     return InferenceOutcome(basis, result, mean_field, var_field,
-                            ml_weights, ml_cov, ml_forcing, metrics)
+                            ml_weights, ml_forcing, metrics)
 
 
 def _weights_rows(outcome: InferenceOutcome):
@@ -603,7 +595,7 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir) -> P
     _write_csv(out / "weights.csv", header, _weights_rows(outcome))
     _write_csv(out / "phi.csv",
                [f"m{j}" for j in range(outcome.phi.shape[1])],
-               [list(row) for row in outcome.phi.entries])
+               [list(row) for row in outcome.phi])
     (out / "posterior.json").write_text(
         posterior_to_json(outcome.posterior, basis_seed=outcome.basis.seed,
                           config_hash=config_hash(data.config)) + "\n",

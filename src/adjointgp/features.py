@@ -31,7 +31,6 @@ __all__ = [
     "KernelParams",
     "FeatureBasis",
     "eq_kernel",
-    "sample_basis",
     "eval_basis",
     "feature_vector",
     "kernel_approx",
@@ -129,11 +128,6 @@ class FeatureBasis:
     def amplitude(self) -> float:
         """Common feature amplitude sqrt(2 * variance / count)."""
         return float(np.sqrt(2.0 * self.kernel.variance / self.size))
-
-
-def sample_basis(count: int, dim: int, kernel: KernelParams, seed: int) -> FeatureBasis:
-    """Draw a feature basis; function-call form of FeatureBasis.sample."""
-    return FeatureBasis.sample(count, dim, kernel, seed)
 
 
 def _eval_at(basis: FeatureBasis, points: np.ndarray) -> np.ndarray:

@@ -7,17 +7,26 @@ expanded in M basis features the readings follow the linear model
 
     z = Phi q + eps,      Phi[i, m] = <v_i, phi_m>,   eps ~ N(0, sigma^2 I).
 
-Maximum likelihood:   q_hat = (Phi^T Phi)^{-1} Phi^T z,
-                      cov   = sigma^2 (Phi^T Phi)^{-1}.
+The design matrix is a plain read-only (n, M) array.
 
-Conjugate posterior with prior q ~ N(mu0, S0):
+Factorization policy.  A conjugate posterior with prior q ~ N(mu0, S0) takes
+one Cholesky factorization, of its precision P = sigma^{-2} Phi^T Phi + S0^{-1}
+= L L^T, retried with escalating diagonal jitter (1e-10 up to 1e-6 of the
+diagonal scale) before failing.  The mean is two triangular solves with L,
 
-    S_n  = (sigma^{-2} Phi^T Phi + S0^{-1})^{-1}
-    mu_n = S_n (sigma^{-2} Phi^T z + S0^{-1} mu0)
+    mu_n = P^{-1} (sigma^{-2} Phi^T z + S0^{-1} mu0),
 
-All solves go through Cholesky factorizations of the precision, never an
-explicit inverse; factorizations retry with escalating diagonal jitter
-(1e-10 up to 1e-6 of the diagonal scale) before failing.
+and the covariance is kept as the square-root factor R = L^{-T}, one more
+triangular solve, so that S_n = P^{-1} = R R^T.  Draws, pointwise variances
+and predictive moments all read R; the covariance is never factored again.
+
+Maximum likelihood and its ridge variant take one SVD Phi = U diag(s) V^T,
+with filter factors s / (s^2 + ridge):
+
+    q_hat = V ((U^T z) s / (s^2 + ridge)),
+    cov   = sigma^2 V diag(1 / (s^2 + ridge)) V^T.
+
+Without a ridge it needs n >= M and a squared condition number below 1e12.
 """
 
 from __future__ import annotations
@@ -27,10 +36,10 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import MisspecificationWarning, NumericalError
 from .features import FeatureBasis, KernelParams, _cell_blocks, forcing_from_weights
@@ -38,13 +47,11 @@ from .fields import AdjointBank, Field, Grid, GridMismatchError
 
 __all__ = [
     "ObservationSet",
-    "PhiMatrix",
     "PosteriorQ",
     "assemble_phi",
     "ml_estimate",
     "posterior_q",
     "posterior_forcing",
-    "sample_posterior_forcing",
     "predictive_mse",
     "predictive_nll",
     "nll_score",
@@ -96,59 +103,29 @@ class ObservationSet:
 
 
 @dataclass(frozen=True)
-class PhiMatrix:
-    """Design matrix of adjoint-feature projections plus provenance."""
-
-    entries: np.ndarray
-    basis_seed: int | None = None
-    solver_id: str = ""
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float, order="C")
-        if entries.ndim != 2:
-            raise ValueError("entries must be a 2-D (n, M) array")
-        if not np.isfinite(entries).all():
-            raise ValueError("design matrix entries must be finite")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-
-@dataclass(frozen=True)
 class PosteriorQ:
     """Gaussian posterior over basis weights.
 
-    `chol` is the lower Cholesky factor of the covariance, used for sampling
-    and pointwise variance evaluation.
+    `root` is a square-root factor of the covariance, cov = root @ root.T,
+    used for sampling and pointwise variance evaluation.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
+    root: np.ndarray
     prior_mean: np.ndarray
     prior_cov: np.ndarray
-    chol: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(-1)
-        cov = np.array(self.cov, dtype=float, order="C")
-        m = mean.size
-        if cov.shape != (m, m):
-            raise ValueError("covariance shape does not match mean")
-        scale = np.abs(cov).max()
-        if scale > 0 and np.abs(cov - cov.T).max() > 1e-10 * scale:
-            raise NumericalError("posterior covariance is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        chol = _chol_with_jitter(cov, what="posterior covariance")
+        root = np.array(self.root, dtype=float, order="C")
+        if root.shape != (mean.size, mean.size):
+            raise ValueError("covariance root shape does not match mean")
         prior_mean = np.array(self.prior_mean, dtype=float).reshape(-1)
         prior_cov = np.array(self.prior_cov, dtype=float, order="C")
-        for arr in (mean, cov, chol, prior_mean, prior_cov):
+        for arr in (mean, root, prior_mean, prior_cov):
             arr.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "chol", chol)
+        object.__setattr__(self, "root", root)
         object.__setattr__(self, "prior_mean", prior_mean)
         object.__setattr__(self, "prior_cov", prior_cov)
 
@@ -156,8 +133,12 @@ class PosteriorQ:
     def dim(self) -> int:
         return self.mean.size
 
+    @property
+    def cov(self) -> np.ndarray:
+        return self.root @ self.root.T
 
-def _chol_with_jitter(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
+
+def _chol_with_jitter(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, retrying with diagonal jitter scaled to the
     matrix before giving up."""
     scale = float(np.abs(np.diag(mat)).max())
@@ -172,8 +153,8 @@ def _chol_with_jitter(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     cond = float(eigs.max() / eigs.min()) if eigs.min() != 0 else math.inf
     raise NumericalError(
-        f"Cholesky factorization of the {what} failed even with jitter "
-        f"1e-6; eigenvalue-based condition estimate {cond:.3e}"
+        "Cholesky factorization of the posterior precision failed even with "
+        f"jitter 1e-6; eigenvalue-based condition estimate {cond:.3e}"
     )
 
 
@@ -181,15 +162,17 @@ def _chol_with_jitter(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
 # design matrix
 
 
-def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = None,
-                 solver_id: str = "") -> PhiMatrix:
-    """Design matrix Phi[i, m] = <v_i, phi_m> over the adjoint bank's grid.
+def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *,
+                 grid: Grid | None = None) -> np.ndarray:
+    """Read-only (n, M) design matrix Phi[i, m] = <v_i, phi_m> over the
+    adjoint bank's grid.
 
     The bank's rows, adjoint solution i in row i as `adjoint_bank` returns
     them, are read in place.  The basis is evaluated one block of cells at
     a time, so the full (M, num_cells) feature matrix is never held at
     once.  Passing `grid` asserts the bank lives on that grid; a mismatch
-    raises GridMismatchError before any work is done.
+    raises GridMismatchError before any work is done.  Non-finite entries
+    raise NumericalError.
     """
     if grid is not None and bank.grid != grid:
         raise GridMismatchError("adjoint bank does not live on the expected grid")
@@ -197,19 +180,16 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = 
         raise GridMismatchError("basis dimension does not match the grid")
     rows = bank.rows
     entries = np.zeros((rows.shape[0], basis.size))
-    for sl, block in _cell_blocks(basis, bank.grid):
-        entries += rows[:, sl] @ block.T
-    entries *= bank.grid.cell_volume
-    return PhiMatrix(entries, basis_seed=basis.seed, solver_id=solver_id)
-
-
-def _phi_entries(phi) -> np.ndarray:
-    if isinstance(phi, PhiMatrix):
-        return phi.entries
-    arr = np.asarray(phi, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("design matrix must be 2-D")
-    return arr
+    # an overflow is reported below as an error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sl, block in _cell_blocks(basis, bank.grid):
+            entries += rows[:, sl] @ block.T
+        entries *= bank.grid.cell_volume
+    if not np.isfinite(entries).all():
+        raise NumericalError("design matrix has non-finite entries; the adjoint "
+                             "bank or the basis overflowed")
+    entries.setflags(write=False)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +197,17 @@ def _phi_entries(phi) -> np.ndarray:
 
 
 def ml_estimate(phi, z, sigma: float | None = None, ridge: float = 0.0):
-    """Maximum-likelihood weights and their covariance.
+    """Maximum-likelihood weights and their covariance, from one SVD.
 
-    Requires at least as many observations as features and a squared
-    condition number below 1e12; otherwise raises NumericalError and points
-    at the Bayesian route.  `ridge` adds an optional Tikhonov term to the
-    normal equations (default 0, no regularization).  When `sigma` is not
-    given, the noise variance is estimated from the residuals (zero when
-    n == M leaves no degrees of freedom).
+    Requires at least as many observations as features; without a ridge it
+    also requires a squared condition number below 1e12.  Otherwise raises
+    NumericalError and points at the Bayesian route.  `ridge` adds an
+    optional Tikhonov term to the normal equations (default 0, no
+    regularization).  When `sigma` is not given, the noise variance is
+    estimated from the residuals (zero when n == M leaves no degrees of
+    freedom).
     """
-    design = _phi_entries(phi)
+    design = np.asarray(phi, dtype=float)
     z = np.asarray(z, dtype=float).reshape(-1)
     n, m = design.shape
     if z.size != n:
@@ -238,20 +219,15 @@ def ml_estimate(phi, z, sigma: float | None = None, ridge: float = 0.0):
         )
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    if ridge == 0.0:
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
-        if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 >= 1e12:
-            raise NumericalError(
-                "design matrix is rank deficient or too ill-conditioned for "
-                "maximum likelihood; use the Bayesian route (posterior_q)"
-            )
-        qhat = vt.T @ ((u.T @ z) / s)
-        inv_gram = (vt.T * s**-2.0) @ vt
-    else:
-        gram = design.T @ design + ridge * np.eye(m)
-        chol = _chol_with_jitter(gram, what="regularized normal equations")
-        qhat = cho_solve((chol, True), design.T @ z)
-        inv_gram = cho_solve((chol, True), np.eye(m))
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if ridge == 0.0 and (s[-1] == 0.0 or (s[0] / s[-1]) ** 2 >= 1e12):
+        raise NumericalError(
+            "design matrix is rank deficient or too ill-conditioned for "
+            "maximum likelihood; use the Bayesian route (posterior_q)"
+        )
+    shrunk = s**2 + ridge
+    qhat = vt.T @ ((u.T @ z) * s / shrunk)
+    inv_gram = (vt.T / shrunk) @ vt
     if sigma is None:
         resid = z - design @ qhat
         sigma2 = float(resid @ resid) / (n - m) if n > m else 0.0
@@ -267,7 +243,7 @@ def _default_prior(m: int):
 
 def posterior_q(phi, z, sigma: float, prior=None) -> PosteriorQ:
     """Exact conjugate posterior over weights; prior defaults to N(0, I)."""
-    design = _phi_entries(phi)
+    design = np.asarray(phi, dtype=float)
     z = np.asarray(z, dtype=float).reshape(-1)
     n, m = design.shape
     if z.size != n:
@@ -289,10 +265,11 @@ def posterior_q(phi, z, sigma: float, prior=None) -> PosteriorQ:
         prec_mean = cho_solve(pf, prior_mean)
     noise_prec = 1.0 / sigma**2
     precision = noise_prec * (design.T @ design) + prior_prec
-    chol = _chol_with_jitter(0.5 * (precision + precision.T), what="posterior precision")
+    chol = _chol_with_jitter(0.5 * (precision + precision.T))
     mean = cho_solve((chol, True), noise_prec * (design.T @ z) + prec_mean)
-    cov = cho_solve((chol, True), np.eye(m))
-    post = PosteriorQ(mean, 0.5 * (cov + cov.T), prior_mean, prior_cov)
+    # P^{-1} = L^{-T} L^{-1}: L^{-T} is a square root of the covariance
+    root = solve_triangular(chol, np.eye(m), lower=True).T
+    post = PosteriorQ(mean, root, prior_mean, prior_cov)
     if m < n / 2:
         resid = z - design @ mean
         if np.linalg.norm(resid) / sigma > 3.0 * math.sqrt(n):
@@ -317,32 +294,19 @@ def posterior_forcing(post: PosteriorQ, basis: FeatureBasis, grid: Grid):
     mean = forcing_from_weights(basis, post.mean, grid)
     var = np.empty(grid.num_cells)
     for sl, block in _cell_blocks(basis, grid):
-        # pointwise variance phi(x)^T S phi(x) = |chol^T phi(x)|^2
-        w = post.chol.T @ block
+        # pointwise variance phi(x)^T S phi(x) = |root^T phi(x)|^2
+        w = post.root.T @ block
         var[sl] = np.einsum("ij,ij->j", w, w)
     return mean, Field(grid, np.maximum(var, 0.0))
-
-
-def sample_posterior_forcing(post: PosteriorQ, basis: FeatureBasis, grid: Grid,
-                             count: int, seed: int):
-    """Deterministic (per seed) list of posterior forcing draws."""
-    weights = _posterior_weight_draws(post, count, seed)
-    return [forcing_from_weights(basis, w, grid) for w in weights]
-
-
-def _posterior_weight_draws(post: PosteriorQ, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(int(seed))
-    eta = rng.standard_normal((int(count), post.dim))
-    return post.mean + eta @ post.chol.T
 
 
 def _predictive_moments(post: PosteriorQ, phi, z) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean Phi mu and variance diag(Phi S Phi^T) of the noise-free
     readings Phi q under the weight posterior."""
-    design = _phi_entries(phi)
+    design = np.asarray(phi, dtype=float)
     if design.shape != (np.size(z), post.dim):
         raise ValueError("design matrix does not match the readings and the posterior")
-    spread = design @ post.chol
+    spread = design @ post.root
     return design @ post.mean, np.einsum("ij,ij->i", spread, spread)
 
 
@@ -422,7 +386,7 @@ PIPELINE_STAGES = ("adjoint_solves", "phi_assembly", "posterior_solve")
 @dataclass
 class PipelineResult:
     posterior: PosteriorQ
-    phi: PhiMatrix
+    phi: np.ndarray
     timings: dict
 
 
@@ -434,7 +398,7 @@ def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
     t0 = time.perf_counter()
     bank = system.adjoint_bank(observations.windows)
     t1 = time.perf_counter()
-    phi = assemble_phi(bank, basis, solver_id=system.name)
+    phi = assemble_phi(bank, basis)
     t2 = time.perf_counter()
     post = posterior_q(phi, observations.z, observations.sigma, prior)
     t3 = time.perf_counter()
@@ -444,11 +408,12 @@ def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
 
 def posterior_to_json(post: PosteriorQ, *, basis_seed=None,
                       config_hash: str = "") -> str:
-    """Serialize the weight posterior: mean, lower Cholesky factor of the
-    covariance, the prior, and provenance (basis seed and config hash)."""
+    """Serialize the weight posterior: mean, a square-root factor of the
+    covariance under "chol" (cov = chol @ chol.T), the prior, and
+    provenance (basis seed and config hash)."""
     payload = {
         "mean": post.mean.tolist(),
-        "chol": post.chol.tolist(),
+        "chol": post.root.tolist(),
         "prior_mean": post.prior_mean.tolist(),
         "prior_cov": post.prior_cov.tolist(),
         "basis_seed": basis_seed,
@@ -460,15 +425,15 @@ def posterior_to_json(post: PosteriorQ, *, basis_seed=None,
 def posterior_from_json(text: str) -> tuple[PosteriorQ, dict]:
     """Inverse of posterior_to_json.
 
-    The covariance is rebuilt as chol @ chol.T, so the stored factor is the
-    source of truth.  Returns the posterior plus the stored provenance
-    ("basis_seed", "config_hash").
+    "chol" is any square-root factor of the covariance, cov = chol @ chol.T,
+    and becomes the posterior's `root` as stored.  Files that hold the lower
+    Cholesky factor of the covariance load the same way.  Returns the
+    posterior plus the stored provenance ("basis_seed", "config_hash").
     """
     payload = json.loads(text)
-    chol = np.array(payload["chol"], dtype=float)
     post = PosteriorQ(
         mean=np.array(payload["mean"], dtype=float),
-        cov=chol @ chol.T,
+        root=np.array(payload["chol"], dtype=float),
         prior_mean=np.array(payload["prior_mean"], dtype=float),
         prior_cov=np.array(payload["prior_cov"], dtype=float),
     )

@@ -92,7 +92,7 @@ class ChainDiagnostics:
 
 def gaussian_log_target(phi, z, sigma: float):
     """Unnormalized log density of the standard-prior linear model."""
-    entries = phi.entries if hasattr(phi, "entries") else np.asarray(phi, dtype=float)
+    entries = np.asarray(phi, dtype=float)
     z = np.asarray(z, dtype=float).reshape(-1)
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive")

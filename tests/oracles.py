@@ -6,8 +6,9 @@ boundaries, independent of any solver under test.  Operator oracles apply
 the differential operators these stencils imply; the solvers never see
 them, so agreement between the two routes is evidence, not tautology.
 
-The forward-sampling predictive pushes posterior forcing draws through the
-forward solver and reads them off the observation windows.  It never
+The forward-sampling predictive pushes posterior forcing draws, the weight
+posterior's mean plus its covariance root times standard normals, through
+the forward solver and reads them off the observation windows.  It never
 touches an adjoint solve, so it checks the closed-form predictive scores,
 which are built from adjoint design rows, end to end.
 
@@ -23,7 +24,7 @@ package's writer reuses unchanged text and must match it byte for byte.
 
 import numpy as np
 
-from adjointgp import Field, Grid, sample_posterior_forcing
+from adjointgp import Field, Grid, forcing_from_weights
 
 
 def fd_d1(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -119,6 +120,18 @@ def window_matrix(windows) -> np.ndarray:
     grid = windows[0].grid
     rows = np.stack([w.values_flat for w in windows])
     return rows * grid.cell_volume
+
+
+def sample_posterior_forcing(post, basis, grid: Grid, count: int, seed: int):
+    """Deterministic (per seed) list of posterior forcing draws."""
+    weights = _posterior_weight_draws(post, count, seed)
+    return [forcing_from_weights(basis, w, grid) for w in weights]
+
+
+def _posterior_weight_draws(post, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(int(seed))
+    eta = rng.standard_normal((int(count), post.dim))
+    return post.mean + eta @ post.root.T
 
 
 def forward_predictive_readings(post, basis, system, windows, samples: int,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adjointgp import ConfigError, StabilityWarning, inner_product
+from adjointgp import AdjointBank, ConfigError, OdeSystem, StabilityWarning, inner_product
 from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
 from adjointgp.experiments import make_grid, make_system, simulate_data
@@ -497,6 +497,20 @@ def test_exit_code_numerical_error(tmp_path, capsys):
                        + "\n[inference]\nmethod = ml\n")
     assert main(["infer", str(bundle), "--out", str(tmp_path / "o")]) == 3
     assert "numerical error:" in capsys.readouterr().err
+
+
+def test_exit_code_overflowing_design_matrix(tmp_path, capsys, monkeypatch):
+    # adjoint rows of 1e308 overflow the design matrix to inf; infer reports
+    # a numerical error instead of a traceback
+    bundle = _simulate(tmp_path, ODE_TEXT)
+
+    def overflowing_bank(self, functionals):
+        rows = np.full((len(functionals), self.grid.num_cells), 1e308)
+        return AdjointBank(rows, self.grid)
+
+    monkeypatch.setattr(OdeSystem, "adjoint_bank", overflowing_bank)
+    assert main(["infer", str(bundle), "--out", str(tmp_path / "o")]) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_exit_code_solver_error(tmp_path, capsys):

@@ -14,7 +14,6 @@ from adjointgp import (
     forcing_from_weights,
     inner_product,
     kernel_approx,
-    sample_basis,
     sample_prior_forcing,
 )
 
@@ -60,12 +59,6 @@ def test_feature_draws_do_not_depend_on_count():
     large = FeatureBasis.sample(64, 3, KERNEL, seed=42)
     assert (large.frequencies[:4] == small.frequencies).all()
     assert (large.phases[:4] == small.phases).all()
-
-
-def test_sample_basis_function_form():
-    a = sample_basis(8, 1, KERNEL, seed=3)
-    b = FeatureBasis.sample(8, 1, KERNEL, seed=3)
-    assert (a.frequencies == b.frequencies).all()
 
 
 def test_single_feature_amplitude():

@@ -1,11 +1,20 @@
 """The finite-difference oracles must be exact on low-order polynomials,
 otherwise every solver test built on them is meaningless; the window
-quadrature of the forward-sampling oracle must match the inner product."""
+quadrature of the forward-sampling oracle must match the inner product,
+and its posterior draws must repeat per seed and average to the mean."""
 
 import numpy as np
 
-from adjointgp import Grid, inner_product, window_indicator
-from oracles import fd_d1, fd_d2, random_smooth_field, window_matrix
+from adjointgp import (FeatureBasis, Grid, KernelParams, inner_product, posterior_forcing,
+                       posterior_q, window_indicator)
+from oracles import (fd_d1, fd_d2, random_smooth_field, sample_posterior_forcing,
+                     window_matrix)
+
+KERNEL = KernelParams(lengthscale=1.0, variance=4.0)
+
+
+def _grid(cells):
+    return Grid.regular(((0.0, 10.0),), (cells,))
 
 
 def test_fd_d1_exact_on_quadratics():
@@ -56,3 +65,30 @@ def test_window_matrix_applies_quadrature():
     wm = window_matrix(windows)
     expected = [inner_product(w, f) for w in windows]
     np.testing.assert_allclose(wm @ f.values_flat, expected, rtol=1e-12)
+
+
+def test_sample_posterior_forcing_contract():
+    grid = _grid(40)
+    basis = FeatureBasis.sample(5, 1, KERNEL, seed=18)
+    rng = np.random.default_rng(19)
+    design = rng.standard_normal((8, 5))
+    post = posterior_q(design, rng.standard_normal(8), sigma=0.3)
+    assert sample_posterior_forcing(post, basis, grid, 0, seed=1) == []
+    a = sample_posterior_forcing(post, basis, grid, 3, seed=1)
+    b = sample_posterior_forcing(post, basis, grid, 3, seed=1)
+    for fa, fb in zip(a, b):
+        assert (fa.values == fb.values).all()
+
+
+def test_sample_posterior_forcing_mean_converges():
+    grid = _grid(30)
+    basis = FeatureBasis.sample(5, 1, KERNEL, seed=20)
+    rng = np.random.default_rng(21)
+    design = rng.standard_normal((8, 5))
+    post = posterior_q(design, rng.standard_normal(8), sigma=0.3)
+    mean_field, var_field = posterior_forcing(post, basis, grid)
+    draws = sample_posterior_forcing(post, basis, grid, 2000, seed=22)
+    stack = np.stack([d.values_flat for d in draws])
+    for g in (0, 15, 29):
+        se = stack[:, g].std(ddof=1) / np.sqrt(2000)
+        assert abs(stack[:, g].mean() - mean_field.values_flat[g]) < 3 * se
