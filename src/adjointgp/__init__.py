@@ -36,16 +36,13 @@ from .features import (
     KernelParams,
     basis_from_json,
     basis_to_json,
-    eq_kernel,
     eval_basis,
-    feature_vector,
     forcing_from_weights,
-    kernel_approx,
     sample_prior_forcing,
 )
-from .ode import OdeParams, OdeSystem, euler_stability_limit, ode_adjoint, ode_forward
-from .pde import PdeParams, PdeSystem, cfl_limit, pde_adjoint, pde_forward, sensor_field
-from .shift import ShiftParams, ShiftSystem, shift_adjoint, shift_forward
+from .ode import OdeParams, OdeSystem, euler_stability_limit
+from .pde import PdeParams, PdeSystem, cfl_limit, sensor_field
+from .shift import ShiftParams, ShiftSystem
 from .inference import (
     ObservationSet,
     PipelineResult,
@@ -106,11 +103,10 @@ __all__ = [
     "AdjointBank", "Field", "Grid", "dirac_window", "field_from_binary", "field_from_csv",
     "field_to_binary", "field_to_csv", "inner_product", "norm", "window_indicator",
     "FeatureBasis", "KernelParams", "basis_from_json", "basis_to_json",
-    "eq_kernel", "eval_basis", "feature_vector", "forcing_from_weights",
-    "kernel_approx", "sample_prior_forcing",
-    "OdeParams", "OdeSystem", "euler_stability_limit", "ode_adjoint", "ode_forward",
-    "PdeParams", "PdeSystem", "cfl_limit", "pde_adjoint", "pde_forward", "sensor_field",
-    "ShiftParams", "ShiftSystem", "shift_adjoint", "shift_forward",
+    "eval_basis", "forcing_from_weights", "sample_prior_forcing",
+    "OdeParams", "OdeSystem", "euler_stability_limit",
+    "PdeParams", "PdeSystem", "cfl_limit", "sensor_field",
+    "ShiftParams", "ShiftSystem",
     "ObservationSet", "PipelineResult", "PosteriorQ", "PIPELINE_STAGES",
     "assemble_phi", "grid_scan", "ml_estimate", "nll_score", "posterior_forcing",
     "posterior_from_json", "posterior_q", "posterior_to_json",

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, canonical_text, config_hash, load_config, parse_config
+from .config import _DEFAULTS, Config, canonical_text, config_hash, load_config, parse_config
 from .errors import ConfigError
 from .features import FeatureBasis, KernelParams, forcing_from_weights, sample_prior_forcing
 from .fields import (
@@ -256,6 +256,20 @@ def build_heldout(config: Config, grid: Grid):
     return _build(config, grid, count, stagger=True)
 
 
+def _setup(config: Config):
+    """Everything a config fixes before any draw: grid, system, kernel,
+    training windows and specs, held-out windows and specs."""
+    grid = make_grid(config)
+    return (grid, make_system(config, grid), make_kernel(config),
+            *build_windows(config, grid), *build_heldout(config, grid))
+
+
+def _inference_basis(config: Config, grid: Grid, kernel: KernelParams) -> FeatureBasis:
+    """The feature basis every inference on `config` draws (basis seed)."""
+    return FeatureBasis.sample(config["features"]["count"], grid.ndim, kernel,
+                               config["seeds"]["basis"])
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -301,17 +315,12 @@ def _read_windows(windows, solution: Field) -> np.ndarray:
 
 
 def simulate_data(config: Config) -> SimulatedData:
-    grid = make_grid(config)
-    system = make_system(config, grid)
-    kernel = make_kernel(config)
-    windows, specs = build_windows(config, grid)
-    heldout_windows, heldout_specs = build_heldout(config, grid)
+    grid, system, kernel, windows, specs, heldout_windows, heldout_specs = _setup(config)
     seeds = dict(config["seeds"])
     sigma = config["noise"]["sigma"]
 
     if config["inference"]["synth"] == "linear":
-        basis = FeatureBasis.sample(config["features"]["count"], grid.ndim,
-                                    kernel, seeds["basis"])
+        basis = _inference_basis(config, grid, kernel)
         rng = np.random.default_rng(derive_seed(seeds["data"], "qstar"))
         qstar = rng.standard_normal(basis.size)
         phi = assemble_phi(system.adjoint_bank(windows), basis)
@@ -402,6 +411,16 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_manifest(out: Path, names, **fields) -> None:
+    """manifest.json: `fields` plus the SHA-256 of each named file in `out`."""
+    files = {name: _sha256_file(out / name) for name in sorted(names)}
+    _write_json(out / "manifest.json", dict(fields, files=files))
+
+
 def save_bundle(data: SimulatedData, out_dir) -> Path:
     """Write the simulated dataset as a self-describing directory."""
     out = Path(out_dir)
@@ -423,18 +442,15 @@ def save_bundle(data: SimulatedData, out_dir) -> Path:
         names.append("truth_solution.fld")
     if data.heldout_windows:
         names.append("heldout.csv")
-    manifest = {
-        "kind": data.config.kind,
-        "config_sha256": config_hash(data.config),
-        "seeds": data.seeds,
-        "synth": data.config["inference"]["synth"],
-        "qstar": None if data.qstar is None else data.qstar.tolist(),
-        "truth_weights": (None if data.truth_weights is None
-                          else data.truth_weights.tolist()),
-        "files": {name: _sha256_file(out / name) for name in sorted(names)},
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_manifest(
+        out, names,
+        kind=data.config.kind,
+        config_sha256=config_hash(data.config),
+        seeds=data.seeds,
+        synth=data.config["inference"]["synth"],
+        qstar=None if data.qstar is None else data.qstar.tolist(),
+        truth_weights=None if data.truth_weights is None else data.truth_weights.tolist(),
+    )
     return out
 
 
@@ -464,11 +480,7 @@ def load_bundle(bundle_dir) -> SimulatedData:
     config = load_config(bundle / "config.txt")
     if config_hash(config) != manifest["config_sha256"]:
         raise ConfigError("bundle config does not match its manifest hash")
-    grid = make_grid(config)
-    system = make_system(config, grid)
-    kernel = make_kernel(config)
-    windows, specs = build_windows(config, grid)
-    heldout_windows, heldout_specs = build_heldout(config, grid)
+    grid, system, kernel, windows, specs, heldout_windows, heldout_specs = _setup(config)
 
     z = _read_z_column(bundle / "readings.csv")
     if z.size != len(windows):
@@ -539,8 +551,7 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
             f"noise level {sigma_cfg} is below the numerical floor; "
             f"inference uses sigma = {SIGMA_MIN}",
             UserWarning, stacklevel=2)
-    basis = FeatureBasis.sample(config["features"]["count"], data.grid.ndim,
-                                data.kernel, data.seeds["basis"])
+    basis = _inference_basis(config, data.grid, data.kernel)
     obs = data.observations()
     result = run_pipeline(data.system, obs, basis)
     mean_field, var_field = posterior_forcing(result.posterior, basis, data.grid)
@@ -604,10 +615,8 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir) -> P
     field_to_binary(outcome.forcing_var, out / "forcing_var.fld")
     if outcome.ml_forcing is not None:
         field_to_binary(outcome.ml_forcing, out / "forcing_ml.fld")
-    (out / "metrics.json").write_text(
-        json.dumps(outcome.metrics, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    (out / "timings.json").write_text(
-        json.dumps(outcome.timings, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "metrics.json", outcome.metrics)
+    _write_json(out / "timings.json", outcome.timings)
 
     # timings.json stays out of the manifest: wall clocks differ run to run,
     # and the manifest hashes only content a rerun must reproduce.
@@ -615,13 +624,8 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir) -> P
              "forcing_var.fld", "metrics.json"]
     if outcome.ml_forcing is not None:
         names.append("forcing_ml.fld")
-    manifest = {
-        "config_sha256": config_hash(data.config),
-        "basis_seed": outcome.basis.seed,
-        "files": {name: _sha256_file(out / name) for name in sorted(names)},
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_manifest(out, names, config_sha256=config_hash(data.config),
+                    basis_seed=outcome.basis.seed)
     return out
 
 
@@ -649,8 +653,7 @@ class McmcOutcome:
 def _mcmc_settings(config: Config) -> dict:
     if "mcmc" in config:
         return dict(config["mcmc"])
-    return {"steps": 20000, "burn_in": 4000, "batch_size": 5,
-            "proposal_scale": 0.0, "seed": 0}
+    return {key: value for (section, key), value in _DEFAULTS.items() if section == "mcmc"}
 
 
 def run_mcmc(data: SimulatedData) -> McmcOutcome:
@@ -660,8 +663,7 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     mixing cost rather than burn-in distance.
     """
     config = data.config
-    basis = FeatureBasis.sample(config["features"]["count"], data.grid.ndim,
-                                data.kernel, data.seeds["basis"])
+    basis = _inference_basis(config, data.grid, data.kernel)
     obs = data.observations()
     pipeline = run_pipeline(data.system, obs, basis)
     log_target = gaussian_log_target(pipeline.phi, data.z, obs.sigma)
@@ -720,15 +722,9 @@ def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
         "max_abs_mean_gap": float(np.max(np.abs(outcome.chain_mean - outcome.exact_mean))),
         "config_sha256": config_hash(data.config),
     }
-    (out / "diagnostics.json").write_text(
-        json.dumps(diagnostics, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    names = ["chain_summary.csv", "trace.csv", "diagnostics.json"]
-    manifest = {
-        "config_sha256": config_hash(data.config),
-        "files": {name: _sha256_file(out / name) for name in sorted(names)},
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "diagnostics.json", diagnostics)
+    _write_manifest(out, ["chain_summary.csv", "trace.csv", "diagnostics.json"],
+                    config_sha256=config_hash(data.config))
     return out
 
 
@@ -837,8 +833,7 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
                         progress(key)
 
     summary = sweep_summary(results_path)
-    (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "summary.json", summary)
     return ran, skipped, summary
 
 
@@ -875,8 +870,7 @@ def scan_hyper(data: SimulatedData):
     scan = config["scan"]
     obs = data.observations()
     bank = data.system.adjoint_bank(data.windows)
-    basis = FeatureBasis.sample(config["features"]["count"], data.grid.ndim,
-                                data.kernel, data.seeds["basis"])
+    basis = _inference_basis(config, data.grid, data.kernel)
     axes = ("lengthscale", "variance")
     return grid_scan(
         {key: scan[key][:2] for key in axes},
@@ -891,11 +885,8 @@ def save_scan(results, out_dir) -> Path:
             for theta, nll in results]
     _write_csv(out / "scan.csv", ["lengthscale", "variance", "nll"], rows)
     best_theta, best_nll = results[0]
-    (out / "best.json").write_text(
-        json.dumps({"lengthscale": best_theta["lengthscale"],
-                    "variance": best_theta["variance"],
-                    "nll": best_nll}, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
+    _write_json(out / "best.json", {"lengthscale": best_theta["lengthscale"],
+                                    "variance": best_theta["variance"], "nll": best_nll})
     return out
 
 
@@ -946,7 +937,7 @@ def run_shift_demo(out_dir=None, seed: int | None = None) -> dict:
     outcome = run_inference(data)
 
     u_mean = data.system.forward(outcome.forcing_mean)
-    fitted = np.array([inner_product(w, u_mean) for w in data.windows])
+    fitted = _read_windows(data.windows, u_mean)
     mse = float(np.mean((fitted - data.z) ** 2))
 
     a = config["system"]["a"]
@@ -970,6 +961,5 @@ def run_shift_demo(out_dir=None, seed: int | None = None) -> dict:
         out = Path(out_dir)
         save_bundle(data, out / "bundle")
         save_inference(outcome, data, out / "inference")
-        (out / "demo.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        _write_json(out / "demo.json", report)
     return report

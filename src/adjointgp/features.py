@@ -30,10 +30,7 @@ from .fields import Field, Grid
 __all__ = [
     "KernelParams",
     "FeatureBasis",
-    "eq_kernel",
     "eval_basis",
-    "feature_vector",
-    "kernel_approx",
     "forcing_from_weights",
     "sample_prior_forcing",
     "basis_to_json",
@@ -53,16 +50,6 @@ class KernelParams:
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
         if not (np.isfinite(self.variance) and self.variance > 0):
             raise ValueError(f"variance must be positive, got {self.variance}")
-
-
-def eq_kernel(x, y, kernel: KernelParams) -> float:
-    """Exact kernel value between two points of equal dimension."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size != y.size:
-        raise ValueError(f"point dimensions differ: {x.size} vs {y.size}")
-    d2 = float(np.dot(x - y, x - y))
-    return kernel.variance * np.exp(-d2 / (2.0 * kernel.lengthscale**2))
 
 
 class FeatureBasis:
@@ -144,19 +131,6 @@ def eval_basis(basis: FeatureBasis, grid: Grid) -> np.ndarray:
     if basis.dim != grid.ndim:
         raise ValueError(f"basis dim {basis.dim} does not match grid ndim {grid.ndim}")
     return _eval_at(basis, grid.centers())
-
-
-def feature_vector(basis: FeatureBasis, x) -> np.ndarray:
-    """All features evaluated at a single point."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    if x.shape[1] != basis.dim:
-        raise ValueError("point dimension does not match basis")
-    return _eval_at(basis, x)[:, 0]
-
-
-def kernel_approx(basis: FeatureBasis, x, y) -> float:
-    """Truncated kernel sum_m phi_m(x) phi_m(y)."""
-    return float(np.dot(feature_vector(basis, x), feature_vector(basis, y)))
 
 
 _BLOCK_ENTRIES = 1 << 23

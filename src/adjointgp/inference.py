@@ -9,12 +9,13 @@ expanded in M basis features the readings follow the linear model
 
 The design matrix is a plain read-only (n, M) array.
 
-Factorization policy.  A conjugate posterior with prior q ~ N(mu0, S0) takes
-one Cholesky factorization, of its precision P = sigma^{-2} Phi^T Phi + S0^{-1}
-= L L^T, retried with escalating diagonal jitter (1e-10 up to 1e-6 of the
-diagonal scale) before failing.  The mean is two triangular solves with L,
+Factorization policy.  The prior is q ~ N(0, I): the feature amplitude
+carries the kernel variance.  The conjugate posterior takes one Cholesky
+factorization, of its precision P = sigma^{-2} Phi^T Phi + I = L L^T,
+retried with escalating diagonal jitter (1e-10 up to 1e-6 of the diagonal
+scale) before failing.  The mean is two triangular solves with L,
 
-    mu_n = P^{-1} (sigma^{-2} Phi^T z + S0^{-1} mu0),
+    mu_n = P^{-1} sigma^{-2} Phi^T z,
 
 and the covariance is kept as the square-root factor R = L^{-T}, one more
 triangular solve, so that S_n = P^{-1} = R R^T.  Draws, pointwise variances
@@ -39,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import MisspecificationWarning, NumericalError
 from .features import FeatureBasis, KernelParams, _cell_blocks, forcing_from_weights
@@ -112,22 +113,16 @@ class PosteriorQ:
 
     mean: np.ndarray
     root: np.ndarray
-    prior_mean: np.ndarray
-    prior_cov: np.ndarray
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(-1)
         root = np.array(self.root, dtype=float, order="C")
         if root.shape != (mean.size, mean.size):
             raise ValueError("covariance root shape does not match mean")
-        prior_mean = np.array(self.prior_mean, dtype=float).reshape(-1)
-        prior_cov = np.array(self.prior_cov, dtype=float, order="C")
-        for arr in (mean, root, prior_mean, prior_cov):
+        for arr in (mean, root):
             arr.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "prior_mean", prior_mean)
-        object.__setattr__(self, "prior_cov", prior_cov)
 
     @property
     def dim(self) -> int:
@@ -237,12 +232,8 @@ def ml_estimate(phi, z, sigma: float | None = None, ridge: float = 0.0):
     return qhat, cov
 
 
-def _default_prior(m: int):
-    return np.zeros(m), np.eye(m)
-
-
-def posterior_q(phi, z, sigma: float, prior=None) -> PosteriorQ:
-    """Exact conjugate posterior over weights; prior defaults to N(0, I)."""
+def posterior_q(phi, z, sigma: float) -> PosteriorQ:
+    """Exact conjugate posterior over weights under the N(0, I) prior."""
     design = np.asarray(phi, dtype=float)
     z = np.asarray(z, dtype=float).reshape(-1)
     n, m = design.shape
@@ -250,26 +241,13 @@ def posterior_q(phi, z, sigma: float, prior=None) -> PosteriorQ:
         raise ValueError("reading count does not match design matrix")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive")
-    sigma = float(sigma)
-    if prior is None:
-        prior_mean, prior_cov = _default_prior(m)
-        prior_prec = np.eye(m)
-        prec_mean = np.zeros(m)
-    else:
-        prior_mean = np.asarray(prior[0], dtype=float).reshape(-1)
-        prior_cov = np.asarray(prior[1], dtype=float)
-        if prior_mean.size != m or prior_cov.shape != (m, m):
-            raise ValueError("prior shapes do not match the feature count")
-        pf = cho_factor(prior_cov, lower=True)
-        prior_prec = cho_solve(pf, np.eye(m))
-        prec_mean = cho_solve(pf, prior_mean)
-    noise_prec = 1.0 / sigma**2
-    precision = noise_prec * (design.T @ design) + prior_prec
+    noise_prec = 1.0 / float(sigma) ** 2
+    precision = noise_prec * (design.T @ design) + np.eye(m)
     chol = _chol_with_jitter(0.5 * (precision + precision.T))
-    mean = cho_solve((chol, True), noise_prec * (design.T @ z) + prec_mean)
+    mean = cho_solve((chol, True), noise_prec * (design.T @ z))
     # P^{-1} = L^{-T} L^{-1}: L^{-T} is a square root of the covariance
     root = solve_triangular(chol, np.eye(m), lower=True).T
-    post = PosteriorQ(mean, root, prior_mean, prior_cov)
+    post = PosteriorQ(mean, root)
     if m < n / 2:
         resid = z - design @ mean
         if np.linalg.norm(resid) / sigma > 3.0 * math.sqrt(n):
@@ -390,8 +368,7 @@ class PipelineResult:
     timings: dict
 
 
-def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
-                 prior=None) -> PipelineResult:
+def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis) -> PipelineResult:
     """One adjoint solve per observation, marched together as one bank, the
     design matrix, and the posterior, with one wall-clock entry per stage
     (monotonic clock)."""
@@ -400,7 +377,7 @@ def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
     t1 = time.perf_counter()
     phi = assemble_phi(bank, basis)
     t2 = time.perf_counter()
-    post = posterior_q(phi, observations.z, observations.sigma, prior)
+    post = posterior_q(phi, observations.z, observations.sigma)
     t3 = time.perf_counter()
     timings = dict(zip(PIPELINE_STAGES, (t1 - t0, t2 - t1, t3 - t2)))
     return PipelineResult(post, phi, timings)
@@ -409,13 +386,11 @@ def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
 def posterior_to_json(post: PosteriorQ, *, basis_seed=None,
                       config_hash: str = "") -> str:
     """Serialize the weight posterior: mean, a square-root factor of the
-    covariance under "chol" (cov = chol @ chol.T), the prior, and
-    provenance (basis seed and config hash)."""
+    covariance under "chol" (cov = chol @ chol.T), and provenance (basis
+    seed and config hash)."""
     payload = {
         "mean": post.mean.tolist(),
         "chol": post.root.tolist(),
-        "prior_mean": post.prior_mean.tolist(),
-        "prior_cov": post.prior_cov.tolist(),
         "basis_seed": basis_seed,
         "config_hash": config_hash,
     }
@@ -427,16 +402,14 @@ def posterior_from_json(text: str) -> tuple[PosteriorQ, dict]:
 
     "chol" is any square-root factor of the covariance, cov = chol @ chol.T,
     and becomes the posterior's `root` as stored.  Files that hold the lower
-    Cholesky factor of the covariance load the same way.  Returns the
-    posterior plus the stored provenance ("basis_seed", "config_hash").
+    Cholesky factor of the covariance load the same way, and the
+    "prior_mean" and "prior_cov" keys of older files, always N(0, I), are
+    ignored.  Returns the posterior plus the stored provenance
+    ("basis_seed", "config_hash").
     """
     payload = json.loads(text)
-    post = PosteriorQ(
-        mean=np.array(payload["mean"], dtype=float),
-        root=np.array(payload["chol"], dtype=float),
-        prior_mean=np.array(payload["prior_mean"], dtype=float),
-        prior_cov=np.array(payload["prior_cov"], dtype=float),
-    )
+    post = PosteriorQ(np.array(payload["mean"], dtype=float),
+                      np.array(payload["chol"], dtype=float))
     meta = {"basis_seed": payload.get("basis_seed"),
             "config_hash": payload.get("config_hash", "")}
     return post, meta

@@ -15,6 +15,9 @@ Both solves use explicit (forward Euler) stepping of the first-order
 system; node values are averaged in pairs so results line up with cell
 centers, where forcing fields and observation windows live.  The march
 steps a whole bank of right-hand sides at once, one state entry per row.
+
+`OdeSystem` is the solver: its constructor checks the grid once, and
+`forward(f)` and `adjoint_bank(windows)` are its two solves.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ import numpy as np
 from .errors import GridMismatchError, SolverError, StabilityWarning
 from .fields import AdjointBank, Field, Grid, bank_rows
 
-__all__ = ["OdeParams", "OdeSystem", "ode_forward", "ode_adjoint", "ode_adjoint_bank",
-           "euler_stability_limit"]
+__all__ = ["OdeParams", "OdeSystem", "euler_stability_limit"]
 
 
 @dataclass(frozen=True)
@@ -47,17 +49,6 @@ class OdeParams:
             raise ValueError("p2 must be nonzero (second-order system)")
         if self.T <= 0.0:
             raise ValueError("T must be positive")
-
-
-def _check_grid(params: OdeParams, grid: Grid):
-    if grid.ndim != 1:
-        raise GridMismatchError(f"expected a 1-D time grid, got {grid.ndim}-D")
-    lo, hi = grid.bounds(0)
-    tol = 1e-9 * max(1.0, params.T)
-    if abs(lo) > tol or abs(hi - params.T) > tol:
-        raise GridMismatchError(
-            f"grid covers [{lo}, {hi}], expected [0, {params.T}]"
-        )
 
 
 def euler_stability_limit(params: OdeParams) -> float:
@@ -81,86 +72,17 @@ def euler_stability_limit(params: OdeParams) -> float:
     return float(limit)
 
 
-def _euler_march(params: OdeParams, rows: np.ndarray, dt: float, label: str,
-                 reverse: bool = False) -> np.ndarray:
-    """Explicit Euler on (u, u'), forcing taken at cell centers, for every
-    row of `rows` at once and in place.
-
-    On entry row i holds right-hand side i; on return it holds the
-    cell-center solution, the average of adjacent node values.  With
-    `reverse` the march starts from the last cell, which is the adjoint
-    solve in reversed time; every row takes the arithmetic of a single
-    solve, so a bank equals its rows solved one at a time bit for bit.
-    """
-    limit = euler_stability_limit(params)
-    if dt > limit:
-        warnings.warn(
-            f"step size {dt:.3e} exceeds the explicit stability limit "
-            f"{limit:.3e}; the {label} solve may diverge",
-            StabilityWarning,
-            stacklevel=3,
-        )
-    p0, p1, p2 = params.p0, params.p1, params.p2
-    n, cells = rows.shape
-    if n == 1:
-        # one right-hand side steps Python floats: the same IEEE arithmetic
-        # as a 1-element array without numpy's per-call overhead, which
-        # dominates at n = 1 (a 2000-cell forward plus adjoint solve takes
-        # 1 ms this way against 39 ms on arrays, on a 2-vCPU VM)
-        src, out, u, finite = rows[0].tolist(), rows[0], 0.0, math.isfinite
-    else:
-        src, out, u, finite = rows.T, rows.T, np.zeros(n), _all_finite
-    w = u
-    order = range(cells - 1, -1, -1) if reverse else range(cells)
-    # overflow is reported as SolverError below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step, g in enumerate(order):
-            u_next = u + dt * w
-            w_next = w + dt * (src[g] - p1 * w - p0 * u) / p2
-            if not (finite(u_next) and finite(w_next)):
-                raise SolverError.at_step(label, step, np.column_stack([u_next, w_next]))
-            out[g] = 0.5 * (u + u_next)
-            u, w = u_next, w_next
-    return rows
-
-
-def _all_finite(values: np.ndarray) -> bool:
-    return bool(np.isfinite(values).all())
-
-
-def ode_forward(params: OdeParams, forcing: Field, grid: Grid) -> Field:
-    """Solve the forced system from rest; values reported at cell centers."""
-    _check_grid(params, grid)
-    rows = bank_rows([forcing], grid, "forcing")
-    return Field(grid, _euler_march(params, rows, grid.spacing[0], "forward")[0])
-
-
-def ode_adjoint_bank(params: OdeParams, functionals, grid: Grid) -> AdjointBank:
-    """Solve the adjoint system backward from rest at t = T for every
-    functional at once; row i of the bank's (n, num_cells) rows solves
-    functional i.
-
-    Implemented as the forward march run from the last cell to the first,
-    so the two solvers share every stepping detail.
-    """
-    _check_grid(params, grid)
-    rows = bank_rows(functionals, grid)
-    return AdjointBank(_euler_march(params, rows, grid.spacing[0], "adjoint", reverse=True),
-                       grid)
-
-
-def ode_adjoint(params: OdeParams, functional: Field, grid: Grid) -> Field:
-    """Adjoint solve of one functional: the bank of one."""
-    return Field(grid, ode_adjoint_bank(params, [functional], grid).rows[0])
-
-
 class OdeSystem:
-    """Forward/adjoint solver pair bound to fixed parameters and grid."""
-
-    name = "ode"
+    """Forward and adjoint solver bound to fixed parameters and a 1-D time
+    grid, which the constructor checks once."""
 
     def __init__(self, params: OdeParams, grid: Grid):
-        _check_grid(params, grid)
+        if grid.ndim != 1:
+            raise GridMismatchError(f"expected a 1-D time grid, got {grid.ndim}-D")
+        lo, hi = grid.bounds(0)
+        tol = 1e-9 * max(1.0, params.T)
+        if abs(lo) > tol or abs(hi - params.T) > tol:
+            raise GridMismatchError(f"grid covers [{lo}, {hi}], expected [0, {params.T}]")
         self.params = params
         self._grid = grid
 
@@ -169,10 +91,63 @@ class OdeSystem:
         return self._grid
 
     def forward(self, forcing: Field) -> Field:
-        return ode_forward(self.params, forcing, self._grid)
-
-    def adjoint(self, functional: Field) -> Field:
-        return ode_adjoint(self.params, functional, self._grid)
+        """Solve the forced system from rest; values reported at cell centers."""
+        rows = bank_rows([forcing], self._grid, "forcing")
+        return Field(self._grid, self._march(rows, "forward")[0])
 
     def adjoint_bank(self, functionals) -> AdjointBank:
-        return ode_adjoint_bank(self.params, functionals, self._grid)
+        """Solve the adjoint system backward from rest at t = T for every
+        functional at once; row i of the bank's (n, num_cells) rows solves
+        functional i.
+
+        Implemented as the forward march run from the last cell to the
+        first, so the two solves share every stepping detail.
+        """
+        rows = bank_rows(functionals, self._grid)
+        return AdjointBank(self._march(rows, "adjoint", reverse=True), self._grid)
+
+    def _march(self, rows: np.ndarray, label: str, reverse: bool = False) -> np.ndarray:
+        """Explicit Euler on (u, u'), forcing taken at cell centers, for every
+        row of `rows` at once and in place.
+
+        On entry row i holds right-hand side i; on return it holds the
+        cell-center solution, the average of adjacent node values.  With
+        `reverse` the march starts from the last cell, which is the adjoint
+        solve in reversed time; every row takes the arithmetic of a single
+        solve, so a bank equals its rows solved one at a time bit for bit.
+        """
+        dt = self._grid.spacing[0]
+        limit = euler_stability_limit(self.params)
+        if dt > limit:
+            warnings.warn(
+                f"step size {dt:.3e} exceeds the explicit stability limit "
+                f"{limit:.3e}; the {label} solve may diverge",
+                StabilityWarning,
+                stacklevel=3,
+            )
+        p0, p1, p2 = self.params.p0, self.params.p1, self.params.p2
+        n, cells = rows.shape
+        if n == 1:
+            # one right-hand side steps Python floats: the same IEEE arithmetic
+            # as a 1-element array without numpy's per-call overhead, which
+            # dominates at n = 1 (a 2000-cell forward plus adjoint solve takes
+            # 1 ms this way against 39 ms on arrays, on a 2-vCPU VM)
+            src, out, u, finite = rows[0].tolist(), rows[0], 0.0, math.isfinite
+        else:
+            src, out, u, finite = rows.T, rows.T, np.zeros(n), _all_finite
+        w = u
+        order = range(cells - 1, -1, -1) if reverse else range(cells)
+        # overflow is reported as SolverError below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, g in enumerate(order):
+                u_next = u + dt * w
+                w_next = w + dt * (src[g] - p1 * w - p0 * u) / p2
+                if not (finite(u_next) and finite(w_next)):
+                    raise SolverError.at_step(label, step, np.column_stack([u_next, w_next]))
+                out[g] = 0.5 * (u + u_next)
+                u, w = u_next, w_next
+        return rows
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    return bool(np.isfinite(values).all())

@@ -19,11 +19,15 @@ and the wall condition imposed as zero total flux, the discrete form of the
 Robin condition (velocity . n) v + diffusivity * (v_ghost - v_in) / dx = 0
 with the advective wall flux evaluated at the interior cell.  With constant
 coefficients one step is a fixed sparse matrix A over the S = ny * nx
-spatial cells, built once per solve.  The forward march applies its
-transpose A^T, which is the upwind, centered-diffusion step with walls
-reflected by one ghost layer; so the two observation routes are transposes
-of each other by construction.  The adjoint march steps a whole bank of
-right-hand sides at once on an (S, n) state.
+spatial cells.  The forward march applies its transpose A^T, which is the
+upwind, centered-diffusion step with walls reflected by one ghost layer;
+so the two observation routes are transposes of each other by
+construction.  The adjoint march steps a whole bank of right-hand sides at
+once on an (S, n) state.
+
+`PdeSystem` is the solver: its constructor checks the grid and the CFL
+bound and builds A once, and `forward(f)` and `adjoint_bank(windows)` are
+its two solves.
 
 Grids are (time, y, x) with time on axis 0.  Forcing fields and solver
 output live at cell centers; time-cell values are the average of the two
@@ -40,8 +44,7 @@ import numpy as np
 from .errors import ConfigError, GridMismatchError, SolverError
 from .fields import AdjointBank, Field, Grid, bank_rows, window_indicator
 
-__all__ = ["PdeParams", "PdeSystem", "pde_forward", "pde_adjoint", "pde_adjoint_bank", "cfl_limit",
-           "sensor_field"]
+__all__ = ["PdeParams", "PdeSystem", "cfl_limit", "sensor_field"]
 
 _CFL_SAFETY = 0.9
 
@@ -100,16 +103,6 @@ def cfl_limit(params: PdeParams, grid: Grid) -> float:
     return _CFL_SAFETY * min(candidates)
 
 
-def _require_cfl(params: PdeParams, grid: Grid):
-    dt = grid.spacing[0]
-    limit = cfl_limit(params, grid)
-    if dt > limit:
-        raise ConfigError(
-            f"time step {dt:.6g} violates the CFL bound; "
-            f"largest admissible step is {limit:.6g}"
-        )
-
-
 def _step_operator(params: PdeParams, grid: Grid):
     """(S, S) CSR matrix A of one adjoint step, S = ny * nx:
     v <- A v + dt * h with A = I + dt * (kron(L_y, I_x) + kron(I_y, L_x)).
@@ -133,76 +126,6 @@ def _step_operator(params: PdeParams, grid: Grid):
     return (sp.identity(ny * nx) + dt * lap).tocsr()
 
 
-def pde_forward(params: PdeParams, forcing: Field, grid: Grid, *, enforce_cfl: bool = True) -> Field:
-    """March the forward problem by A^T; `enforce_cfl=False` is a diagnostics
-    knob so instability can be observed instead of rejected."""
-    _check_grid(params, grid)
-    if forcing.grid != grid:
-        raise GridMismatchError("forcing lives on a different grid")
-    if enforce_cfl:
-        _require_cfl(params, grid)
-    nt = grid.dims[0]
-    dt = grid.spacing[0]
-    step = _step_operator(params, grid).T.tocsr()
-    f = forcing.values.reshape(nt, -1)
-    state = np.zeros(f.shape[1])
-    out = np.empty_like(f)
-    # overflow is reported as SolverError below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nt):
-            nxt = step @ state
-            nxt += dt * f[k]
-            if not np.isfinite(nxt).all():
-                raise SolverError.at_step("forward", k, nxt[None])
-            np.add(state, nxt, out=out[k])
-            out[k] *= 0.5
-            state = nxt
-    return Field(grid, out.reshape(grid.shape))
-
-
-def pde_adjoint_bank(params: PdeParams, functionals, grid: Grid) -> AdjointBank:
-    """Adjoint solves of every functional at once, marched together on an
-    (S, n) state, S = ny * nx, by one sparse step operator; row i of the
-    bank's (n, num_cells) rows solves functional i.
-
-    The march runs in place over one (n, num_cells) array: reversed step k
-    reads the right-hand sides of time cell nt - 1 - k and overwrites them
-    with the solution there.  The sparse product does each column's
-    arithmetic independently of the others, so a bank equals its rows
-    solved one at a time bit for bit.
-    """
-    _check_grid(params, grid)
-    _require_cfl(params, grid)
-    rows = bank_rows(functionals, grid)
-    nt = grid.dims[0]
-    dt = grid.spacing[0]
-    step = _step_operator(params, grid)
-    bank = rows.reshape(rows.shape[0], nt, -1)
-    state = np.zeros((bank.shape[2], len(rows)))
-    # ufuncs over transposed operands are slow; transposing copies are not
-    work = np.empty_like(state)
-    # overflow is reported as SolverError below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nt):
-            cell = bank[:, nt - 1 - k]
-            np.copyto(work, cell.T)
-            work *= dt
-            nxt = step @ state
-            nxt += work
-            if not np.isfinite(nxt).all():
-                raise SolverError.at_step("adjoint", k, nxt.T)
-            np.add(state, nxt, out=work)
-            work *= 0.5
-            np.copyto(cell, work.T)
-            state = nxt
-    return AdjointBank(rows, grid)
-
-
-def pde_adjoint(params: PdeParams, functional: Field, grid: Grid) -> Field:
-    """Adjoint solve of one functional: the bank of one."""
-    return Field(grid, pde_adjoint_bank(params, [functional], grid).rows[0])
-
-
 def sensor_field(grid: Grid, region_lo, region_hi, t_lo: float, t_hi: float) -> Field:
     """Observation window: spatial box (grid-axis order, y then x) crossed
     with a time interval, snapped to whole cells and normalized."""
@@ -216,24 +139,80 @@ def sensor_field(grid: Grid, region_lo, region_hi, t_lo: float, t_hi: float) -> 
 
 
 class PdeSystem:
-    """Forward/adjoint solver pair bound to fixed parameters and grid."""
-
-    name = "pde"
+    """Forward and adjoint solver bound to fixed coefficients and a
+    (time, y, x) grid.  The constructor checks the grid and the CFL bound
+    and builds the step operator A and its transpose, once per system."""
 
     def __init__(self, params: PdeParams, grid: Grid):
-        _check_grid(params, grid)
+        dt = grid.spacing[0]
+        limit = cfl_limit(params, grid)
+        if dt > limit:
+            raise ConfigError(
+                f"time step {dt:.6g} violates the CFL bound; "
+                f"largest admissible step is {limit:.6g}"
+            )
         self.params = params
         self._grid = grid
+        self._step = _step_operator(params, grid)
+        self._step_t = self._step.T.tocsr()
 
     @property
     def grid(self) -> Grid:
         return self._grid
 
     def forward(self, forcing: Field) -> Field:
-        return pde_forward(self.params, forcing, self._grid)
-
-    def adjoint(self, functional: Field) -> Field:
-        return pde_adjoint(self.params, functional, self._grid)
+        """March the forward problem from rest by u <- A^T u + dt f."""
+        grid = self._grid
+        if forcing.grid != grid:
+            raise GridMismatchError("forcing lives on a different grid")
+        nt = grid.dims[0]
+        dt = grid.spacing[0]
+        f = forcing.values.reshape(nt, -1)
+        state = np.zeros(f.shape[1])
+        out = np.empty_like(f)
+        # overflow is reported as SolverError below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(nt):
+                nxt = self._step_t @ state
+                nxt += dt * f[k]
+                if not np.isfinite(nxt).all():
+                    raise SolverError.at_step("forward", k, nxt[None])
+                np.add(state, nxt, out=out[k])
+                out[k] *= 0.5
+                state = nxt
+        return Field(grid, out.reshape(grid.shape))
 
     def adjoint_bank(self, functionals) -> AdjointBank:
-        return pde_adjoint_bank(self.params, functionals, self._grid)
+        """Adjoint solves of every functional at once, marched together on
+        an (S, n) state, S = ny * nx, by v <- A v + dt h; row i of the
+        bank's (n, num_cells) rows solves functional i.
+
+        The march runs in place over one (n, num_cells) array: reversed
+        step k reads the right-hand sides of time cell nt - 1 - k and
+        overwrites them with the solution there.  The sparse product does
+        each column's arithmetic independently of the others, so a bank
+        equals its rows solved one at a time bit for bit.
+        """
+        grid = self._grid
+        rows = bank_rows(functionals, grid)
+        nt = grid.dims[0]
+        dt = grid.spacing[0]
+        bank = rows.reshape(rows.shape[0], nt, -1)
+        state = np.zeros((bank.shape[2], len(rows)))
+        # ufuncs over transposed operands are slow; transposing copies are not
+        work = np.empty_like(state)
+        # overflow is reported as SolverError below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(nt):
+                cell = bank[:, nt - 1 - k]
+                np.copyto(work, cell.T)
+                work *= dt
+                nxt = self._step @ state
+                nxt += work
+                if not np.isfinite(nxt).all():
+                    raise SolverError.at_step("adjoint", k, nxt.T)
+                np.add(state, nxt, out=work)
+                work *= 0.5
+                np.copyto(cell, work.T)
+                state = nxt
+        return AdjointBank(rows, grid)

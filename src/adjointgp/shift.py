@@ -6,8 +6,11 @@ L_a^* v = h has solution v(t) = h(t + a).  On a uniform grid both solves
 are pure index shifts, with no discretization error, provided the offset
 `a` is an integer number of cells.
 
-Cells shifted in from outside the domain are undefined: outputs carry a
-mask and inner products downstream integrate only over the defined overlap.
+`ShiftSystem` is the solver: `forward(f)` and `adjoint_bank(windows)`.
+Cells shifted in from outside the domain are undefined.  The forward
+solution carries a mask, so inner products downstream integrate only over
+the defined overlap; the adjoint bank holds 0 there, which integrates the
+same.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, GridMismatchError
 from .fields import AdjointBank, Field, Grid, bank_rows
 
-__all__ = ["ShiftParams", "ShiftSystem", "shift_forward", "shift_adjoint", "shift_adjoint_bank"]
+__all__ = ["ShiftParams", "ShiftSystem"]
 
 
 @dataclass(frozen=True)
@@ -38,26 +41,6 @@ class ShiftParams:
             raise ValueError(f"|a| = {abs(self.a)} must be smaller than the domain length {self.T}")
 
 
-def _check_grid(params: ShiftParams, grid: Grid):
-    if grid.ndim != 1:
-        raise GridMismatchError(f"expected a 1-D time grid, got {grid.ndim}-D")
-    lo, hi = grid.bounds(0)
-    tol = 1e-9 * max(1.0, params.T)
-    if abs(lo) > tol or abs(hi - params.T) > tol:
-        raise GridMismatchError(f"grid covers [{lo}, {hi}], expected [0, {params.T}]")
-
-
-def _offset_cells(params: ShiftParams, grid: Grid) -> int:
-    dt = grid.spacing[0]
-    k = round(params.a / dt)
-    if abs(params.a - k * dt) > 1e-9 * max(dt, abs(params.a)):
-        raise ConfigError(
-            f"shift offset {params.a} is not an integer number of cells "
-            f"(cell width {dt})"
-        )
-    return int(k)
-
-
 def _shift_rows(rows: np.ndarray, cells: int) -> np.ndarray:
     """Move every row's entries `cells` positions toward larger t, in place,
     zeroing the exposed cells."""
@@ -72,55 +55,46 @@ def _shift_rows(rows: np.ndarray, cells: int) -> np.ndarray:
     return rows
 
 
-def _shift_field(field: Field, grid: Grid, cells: int, what: str) -> Field:
-    """Shift a field's values and its mask; exposed cells become undefined."""
-    vals = _shift_rows(bank_rows([field], grid, what), cells)[0]
-    src_mask = field.mask_flat if field.mask is not None else np.ones(grid.num_cells, dtype=bool)
-    mask = _shift_rows(src_mask[None].copy(), cells)[0]
-    return Field(grid, vals, mask=mask)
-
-
-def shift_forward(params: ShiftParams, forcing: Field, grid: Grid) -> Field:
-    """Solve L_a u = f, i.e. u(t) = f(t - a)."""
-    _check_grid(params, grid)
-    return _shift_field(forcing, grid, _offset_cells(params, grid), "forcing")
-
-
-def shift_adjoint_bank(params: ShiftParams, functionals, grid: Grid) -> AdjointBank:
-    """Adjoint solves v_i(t) = h_i(t + a) of every functional at once, as
-    the rows of one (n, num_cells) array; cells shifted in from outside the
-    domain hold 0."""
-    _check_grid(params, grid)
-    rows = _shift_rows(bank_rows(functionals, grid), -_offset_cells(params, grid))
-    return AdjointBank(rows, grid)
-
-
-def shift_adjoint(params: ShiftParams, functional: Field, grid: Grid) -> Field:
-    """Solve the adjoint system, i.e. v(t) = h(t + a)."""
-    _check_grid(params, grid)
-    return _shift_field(functional, grid, -_offset_cells(params, grid), "functional")
-
-
 class ShiftSystem:
-    """Forward/adjoint pair bound to a fixed offset and grid."""
-
-    name = "shift"
+    """Forward and adjoint solver bound to a fixed offset and a 1-D time
+    grid.  The constructor checks the grid and resolves the offset to a
+    whole number of cells, once per system."""
 
     def __init__(self, params: ShiftParams, grid: Grid):
-        _check_grid(params, grid)
-        _offset_cells(params, grid)
+        if grid.ndim != 1:
+            raise GridMismatchError(f"expected a 1-D time grid, got {grid.ndim}-D")
+        lo, hi = grid.bounds(0)
+        tol = 1e-9 * max(1.0, params.T)
+        if abs(lo) > tol or abs(hi - params.T) > tol:
+            raise GridMismatchError(f"grid covers [{lo}, {hi}], expected [0, {params.T}]")
+        dt = grid.spacing[0]
+        k = round(params.a / dt)
+        if abs(params.a - k * dt) > 1e-9 * max(dt, abs(params.a)):
+            raise ConfigError(
+                f"shift offset {params.a} is not an integer number of cells "
+                f"(cell width {dt})"
+            )
         self.params = params
         self._grid = grid
+        self._cells = int(k)
 
     @property
     def grid(self) -> Grid:
         return self._grid
 
     def forward(self, forcing: Field) -> Field:
-        return shift_forward(self.params, forcing, self._grid)
-
-    def adjoint(self, functional: Field) -> Field:
-        return shift_adjoint(self.params, functional, self._grid)
+        """Solve L_a u = f, i.e. u(t) = f(t - a); cells shifted in from
+        outside the domain are masked as undefined."""
+        grid = self._grid
+        vals = _shift_rows(bank_rows([forcing], grid, "forcing"), self._cells)[0]
+        defined = (forcing.mask_flat if forcing.mask is not None
+                   else np.ones(grid.num_cells, dtype=bool))
+        mask = _shift_rows(defined[None].copy(), self._cells)[0]
+        return Field(grid, vals, mask=mask)
 
     def adjoint_bank(self, functionals) -> AdjointBank:
-        return shift_adjoint_bank(self.params, functionals, self._grid)
+        """Adjoint solves v_i(t) = h_i(t + a) of every functional at once, as
+        the rows of one (n, num_cells) array; cells shifted in from outside
+        the domain hold 0."""
+        rows = _shift_rows(bank_rows(functionals, self._grid), -self._cells)
+        return AdjointBank(rows, self._grid)

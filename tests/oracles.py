@@ -20,11 +20,15 @@ so a wrong axis or upwind side in that operator shows as a mismatch.
 
 The trace writer formats every coordinate of every step afresh; the
 package's writer reuses unchanged text and must match it byte for byte.
+
+The exact kernel and the truncated feature sum at single points check the
+random Fourier feature expansion that the package evaluates on grids.
 """
 
 import numpy as np
 
-from adjointgp import Field, Grid, forcing_from_weights
+from adjointgp import FeatureBasis, Field, Grid, KernelParams, forcing_from_weights
+from adjointgp.features import _eval_at
 
 
 def fd_d1(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -215,3 +219,26 @@ def pde_adjoint_flux_bank(params, functionals) -> np.ndarray:
         out[:, nt - 1 - k] = 0.5 * (state + nxt)
         state = nxt
     return out.reshape(len(functionals), -1)
+
+
+def eq_kernel(x, y, kernel: KernelParams) -> float:
+    """Exact kernel value between two points of equal dimension."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.size != y.size:
+        raise ValueError(f"point dimensions differ: {x.size} vs {y.size}")
+    d2 = float(np.dot(x - y, x - y))
+    return kernel.variance * np.exp(-d2 / (2.0 * kernel.lengthscale**2))
+
+
+def feature_vector(basis: FeatureBasis, x) -> np.ndarray:
+    """All features evaluated at a single point."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    if x.shape[1] != basis.dim:
+        raise ValueError("point dimension does not match basis")
+    return _eval_at(basis, x)[:, 0]
+
+
+def kernel_approx(basis: FeatureBasis, x, y) -> float:
+    """Truncated kernel sum_m phi_m(x) phi_m(y)."""
+    return float(np.dot(feature_vector(basis, x), feature_vector(basis, y)))

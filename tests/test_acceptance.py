@@ -15,6 +15,7 @@ import pytest
 
 from adjointgp import (
     FeatureBasis,
+    Field,
     Grid,
     KernelParams,
     MisspecificationWarning,
@@ -22,9 +23,7 @@ from adjointgp import (
     OdeSystem,
     PdeParams,
     PdeSystem,
-    eq_kernel,
     inner_product,
-    kernel_approx,
     norm,
     sensor_field,
     window_indicator,
@@ -37,7 +36,7 @@ from adjointgp.experiments import (
     run_sweep,
     simulate_data,
 )
-from oracles import ode_apply, ode_apply_adjoint, random_smooth_field
+from oracles import eq_kernel, kernel_approx, ode_apply, ode_apply_adjoint, random_smooth_field
 
 
 def _line(num, label, ok, detail):
@@ -63,7 +62,7 @@ def test_operator_pairing_identity_and_refinement():
             f = random_smooth_field(grid, seed=1000 + k, band=(0.6, 1.4))
             h = random_smooth_field(grid, seed=2000 + k, band=(0.6, 1.4))
             u = system.forward(f)
-            v = system.adjoint(h)
+            v = Field(grid, system.adjoint_bank([h]).rows[0])
             lhs = inner_product(ode_apply(params, u), v)
             rhs = inner_product(u, ode_apply_adjoint(params, v))
             worst = max(worst, abs(lhs - rhs) / (norm(u) * norm(v)))
@@ -92,7 +91,7 @@ def test_observation_routes_agree():
     ode = OdeSystem(OdeParams(p0=5.0, p1=1.0, p2=0.5, T=10.0), ode_grid)
     windows = [window_indicator(ode_grid, [2.0 * i], [2.0 * i + 1.5])
                for i in range(5)]
-    bank = [ode.adjoint(w) for w in windows]
+    bank = [Field(ode_grid, ode.adjoint_bank([w]).rows[0]) for w in windows]
     worst_ode = 0.0
     for k in range(20):
         f = random_smooth_field(ode_grid, seed=100 + k)
@@ -112,7 +111,7 @@ def test_observation_routes_agree():
     pde_windows = [sensor_field(pde_grid, (y - 0.5, x - 0.5),
                                 (y + 0.5, x + 0.5), 4.0, 6.0)
                    for y, x in spots]
-    pde_bank = [pde.adjoint(w) for w in pde_windows]
+    pde_bank = [Field(pde_grid, pde.adjoint_bank([w]).rows[0]) for w in pde_windows]
     worst_pde = 0.0
     for k in range(20):
         f = random_smooth_field(pde_grid, seed=4000 + k)

@@ -119,7 +119,7 @@ def test_readme_ode_example_parses():
     assert config["grid"]["cells"] == 2000
     assert config["inference"]["synth"] == "forward"
     system = make_system(config, make_grid(config))
-    assert system.name == "ode"
+    assert isinstance(system, OdeSystem)
     assert system.grid.num_cells == 2000
 
 
@@ -489,6 +489,14 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["infer", str(tmp_path / "missing_bundle"), "--out",
                  str(tmp_path / "o2")]) == 2
+
+
+def test_exit_code_cfl_violation(tmp_path, capsys):
+    # the diffusive bound at diffusivity 2 is far below the 0.4 time step
+    cfg = tmp_path / "unstable.cfg"
+    cfg.write_text(_edit(PDE_TEXT, diffusivity="2.0"), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "largest admissible step" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):

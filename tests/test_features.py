@@ -8,14 +8,12 @@ from adjointgp import (
     KernelParams,
     basis_from_json,
     basis_to_json,
-    eq_kernel,
     eval_basis,
-    feature_vector,
     forcing_from_weights,
     inner_product,
-    kernel_approx,
     sample_prior_forcing,
 )
+from oracles import eq_kernel, feature_vector, kernel_approx
 
 KERNEL = KernelParams(lengthscale=1.0, variance=4.0)
 

@@ -7,6 +7,7 @@ import pytest
 from adjointgp import (
     AdjointBank,
     FeatureBasis,
+    Field,
     Grid,
     GridMismatchError,
     KernelParams,
@@ -37,7 +38,7 @@ from adjointgp import (
     sensor_field,
     window_indicator,
 )
-from oracles import forward_predictive_readings
+from oracles import forward_predictive_readings, kernel_approx
 
 KERNEL = KernelParams(lengthscale=1.0, variance=4.0)
 PARAMS = OdeParams(p0=5.0, p1=1.0, p2=0.5, T=10.0)
@@ -82,7 +83,7 @@ def test_phi_single_entry_matches_inner_product():
     system = OdeSystem(PARAMS, grid)
     basis = FeatureBasis.sample(1, 1, KERNEL, seed=17)
     w = window_indicator(grid, [2.0], [2.5])
-    v = system.adjoint(w)
+    v = Field(grid, system.adjoint_bank([w]).rows[0])
     phi = assemble_phi(AdjointBank(v.values_flat[None], grid), basis)
     feature_field = forcing_from_weights(basis, [1.0], grid)
     np.testing.assert_allclose(phi[0, 0],
@@ -272,15 +273,6 @@ def test_posterior_without_evidence_is_the_prior():
     np.testing.assert_allclose(post.cov, np.eye(3), atol=1e-12)
 
 
-def test_posterior_with_huge_noise_reverts_to_prior():
-    rng = np.random.default_rng(8)
-    design = rng.standard_normal((6, 3))
-    prior = (np.array([1.0, -2.0, 0.5]), np.diag([2.0, 1.0, 0.5]))
-    post = posterior_q(design, rng.standard_normal(6), sigma=1e8, prior=prior)
-    np.testing.assert_allclose(post.mean, prior[0], atol=1e-6)
-    np.testing.assert_allclose(post.cov, prior[1], atol=1e-6)
-
-
 def test_posterior_matches_brute_force_formula():
     rng = np.random.default_rng(9)
     design = rng.standard_normal((3, 2))
@@ -292,21 +284,6 @@ def test_posterior_matches_brute_force_formula():
     mean = cov @ (design.T @ z / sigma**2)
     np.testing.assert_allclose(post.cov, cov, rtol=1e-10)
     np.testing.assert_allclose(post.mean, mean, rtol=1e-10)
-
-
-def test_posterior_with_custom_prior_matches_brute_force():
-    rng = np.random.default_rng(10)
-    design = rng.standard_normal((5, 2))
-    z = rng.standard_normal(5)
-    sigma = 0.4
-    mu0 = np.array([0.3, -0.1])
-    s0 = np.array([[2.0, 0.3], [0.3, 1.0]])
-    post = posterior_q(design, z, sigma=sigma, prior=(mu0, s0))
-    prec = design.T @ design / sigma**2 + np.linalg.inv(s0)
-    cov = np.linalg.inv(prec)
-    mean = cov @ (design.T @ z / sigma**2 + np.linalg.inv(s0) @ mu0)
-    np.testing.assert_allclose(post.cov, cov, rtol=1e-9)
-    np.testing.assert_allclose(post.mean, mean, rtol=1e-9)
 
 
 def test_posterior_never_exceeds_prior_covariance():
@@ -340,7 +317,7 @@ def test_posterior_is_permutation_invariant():
 def test_posterior_rejects_root_of_wrong_shape():
     for root in (np.eye(3), np.ones((2, 3)), np.ones(2)):
         with pytest.raises(ValueError, match="root"):
-            PosteriorQ(np.zeros(2), root, np.zeros(2), np.eye(2))
+            PosteriorQ(np.zeros(2), root)
 
 
 def _count_cholesky(monkeypatch):
@@ -396,9 +373,8 @@ def test_misspecification_warning_trigger():
 def test_prior_only_variance_equals_truncated_kernel_diag():
     grid = _grid(60)
     basis = FeatureBasis.sample(20, 1, KERNEL, seed=15)
-    prior_post = PosteriorQ(np.zeros(20), np.eye(20), np.zeros(20), np.eye(20))
+    prior_post = PosteriorQ(np.zeros(20), np.eye(20))
     _, var = posterior_forcing(prior_post, basis, grid)
-    from adjointgp import kernel_approx
     for g in (0, 30, 59):
         x = grid.centers()[g]
         np.testing.assert_allclose(var.values_flat[g],
@@ -418,7 +394,7 @@ def test_posterior_variance_is_nonnegative():
 def test_posterior_forcing_dimension_check():
     grid = _grid(50)
     basis = FeatureBasis.sample(6, 1, KERNEL, seed=1)
-    post = PosteriorQ(np.zeros(4), np.eye(4), np.zeros(4), np.eye(4))
+    post = PosteriorQ(np.zeros(4), np.eye(4))
     with pytest.raises(ValueError):
         posterior_forcing(post, basis, grid)
 
@@ -429,7 +405,7 @@ def test_posterior_forcing_dimension_check():
 
 def _delta_posterior(q):
     m = q.size
-    return PosteriorQ(q, 1e-10 * np.eye(m), np.zeros(m), np.eye(m))
+    return PosteriorQ(q, 1e-10 * np.eye(m))
 
 
 def _forward_readings(system, basis, q, windows):
@@ -469,13 +445,13 @@ def test_predictive_nll_finite_at_tiny_sigma():
     basis = FeatureBasis.sample(3, 1, KERNEL, seed=29)
     windows = _windows(grid, 4)
     data = ObservationSet(tuple(windows), np.zeros(4), 1e-12)
-    post = PosteriorQ(np.zeros(3), np.eye(3), np.zeros(3), np.eye(3))
+    post = PosteriorQ(np.zeros(3), np.eye(3))
     nll = predictive_nll(post, _adjoint_phi(system, basis, windows), data)
     assert np.isfinite(nll)
 
 
 def test_predictive_scores_reject_mismatched_shapes():
-    post = PosteriorQ(np.zeros(3), np.eye(3), np.zeros(3), np.eye(3))
+    post = PosteriorQ(np.zeros(3), np.eye(3))
     with pytest.raises(ValueError):
         predictive_mse(post, np.ones((4, 3)), np.zeros(5))
     with pytest.raises(ValueError):
@@ -604,7 +580,7 @@ def test_pipeline_matches_manual_route():
     rng = np.random.default_rng(32)
     obs = ObservationSet(tuple(windows), rng.standard_normal(10), 0.2)
     result = run_pipeline(system, obs, basis)
-    bank = AdjointBank(np.array([system.adjoint(w).values_flat for w in windows]), grid)
+    bank = AdjointBank(np.array([system.adjoint_bank([w]).rows[0] for w in windows]), grid)
     phi = assemble_phi(bank, basis)
     post = posterior_q(phi, obs.z, obs.sigma)
     np.testing.assert_array_equal(result.phi, phi)
@@ -622,11 +598,9 @@ def test_posterior_json_round_trip():
     clone, meta = posterior_from_json(text)
     np.testing.assert_allclose(clone.mean, post.mean, rtol=0, atol=0)
     np.testing.assert_allclose(clone.cov, post.cov, rtol=1e-12)
-    np.testing.assert_allclose(clone.prior_cov, post.prior_cov, rtol=0)
     assert meta == {"basis_seed": 9, "config_hash": "abc123"}
     payload = json.loads(text)
-    assert set(payload) == {"mean", "chol", "prior_mean", "prior_cov",
-                            "basis_seed", "config_hash"}
+    assert set(payload) == {"mean", "chol", "basis_seed", "config_hash"}
     np.testing.assert_array_equal(clone.root, post.root)
 
 
@@ -644,3 +618,16 @@ def test_posterior_json_holding_a_cholesky_factor_of_the_covariance_loads():
                                atol=1e-14 * np.abs(post.cov).max())
     np.testing.assert_array_equal(clone.mean, post.mean)
     assert meta == {"basis_seed": 4, "config_hash": "f00"}
+
+
+def test_posterior_json_with_prior_keys_loads():
+    # files written while posterior.json still stored the N(0, I) prior
+    # load to the same posterior; the prior keys are ignored
+    rng = np.random.default_rng(37)
+    post = posterior_q(rng.standard_normal((6, 3)), rng.standard_normal(6), sigma=0.5)
+    payload = json.loads(posterior_to_json(post, basis_seed=5, config_hash="0ff"))
+    payload.update(prior_mean=[0.0] * 3, prior_cov=np.eye(3).tolist())
+    clone, meta = posterior_from_json(json.dumps(payload, indent=2, sort_keys=True))
+    np.testing.assert_array_equal(clone.mean, post.mean)
+    np.testing.assert_array_equal(clone.root, post.root)
+    assert meta == {"basis_seed": 5, "config_hash": "0ff"}

@@ -12,8 +12,6 @@ from adjointgp import (
     euler_stability_limit,
     inner_product,
     norm,
-    ode_adjoint,
-    ode_forward,
     window_indicator,
 )
 from oracles import ode_apply, ode_apply_adjoint, random_smooth_field
@@ -29,7 +27,7 @@ def test_step_response_reaches_static_gain():
     """Constant forcing f drives u toward f / p0; the transient envelope
     e^{-t} is negligible by t = 10."""
     grid = _grid(10_000)
-    u = ode_forward(PARAMS, Field.full(grid, 5.0), grid)
+    u = OdeSystem(PARAMS, grid).forward(Field.full(grid, 5.0))
     np.testing.assert_allclose(u.values_flat[-1], 1.0, rtol=0.02)
 
 
@@ -38,9 +36,10 @@ def test_forward_is_linear():
     f = random_smooth_field(grid, seed=10)
     g = random_smooth_field(grid, seed=11)
     combo = Field(grid, 2.0 * f.values_flat - 3.0 * g.values_flat)
-    lhs = ode_forward(PARAMS, combo, grid).values_flat
-    rhs = (2.0 * ode_forward(PARAMS, f, grid).values_flat
-           - 3.0 * ode_forward(PARAMS, g, grid).values_flat)
+    system = OdeSystem(PARAMS, grid)
+    lhs = system.forward(combo).values_flat
+    rhs = (2.0 * system.forward(f).values_flat
+           - 3.0 * system.forward(g).values_flat)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -51,11 +50,11 @@ def test_forward_first_order_convergence():
         t = grid.axis_centers(0)
         return Field(grid, np.sin(1.2 * t) + 0.5 * np.cos(0.4 * t + 1.0))
 
-    ref = ode_forward(PARAMS, forcing(grid_ref), grid_ref).values_flat
+    ref = OdeSystem(PARAMS, grid_ref).forward(forcing(grid_ref)).values_flat
     errs = []
     for cells in (1000, 2000):
         grid = _grid(cells)
-        u = ode_forward(PARAMS, forcing(grid), grid).values_flat
+        u = OdeSystem(PARAMS, grid).forward(forcing(grid)).values_flat
         stride = 100_000 // cells
         # coarse center falls midway between two fine centers
         base = np.arange(cells) * stride + stride // 2
@@ -68,11 +67,12 @@ def test_two_route_identity_is_exact():
     # the adjoint is the literal transpose of the forward march, so the two
     # quadrature routes agree to rounding
     grid = _grid(2000)
+    system = OdeSystem(PARAMS, grid)
     for seed in range(5):
         f = random_smooth_field(grid, seed=500 + seed)
         h = random_smooth_field(grid, seed=600 + seed)
-        lhs = inner_product(ode_forward(PARAMS, f, grid), h)
-        rhs = inner_product(f, ode_adjoint(PARAMS, h, grid))
+        lhs = inner_product(system.forward(f), h)
+        rhs = inner_product(f, Field(grid, system.adjoint_bank([h]).rows[0]))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -83,12 +83,13 @@ def test_bilinear_identity_against_fd_oracle():
     rels = {}
     for cells in (1000, 2000):
         grid = Grid.regular(((0.0, 4.0),), (cells,))
+        system = OdeSystem(params, grid)
         worst = 0.0
         for k in range(3):
             f = random_smooth_field(grid, seed=1000 + k, band=(0.6, 1.4))
             h = random_smooth_field(grid, seed=2000 + k, band=(0.6, 1.4))
-            u = ode_forward(params, f, grid)
-            v = ode_adjoint(params, h, grid)
+            u = system.forward(f)
+            v = Field(grid, system.adjoint_bank([h]).rows[0])
             lhs = inner_product(ode_apply(params, u), v)
             rhs = inner_product(u, ode_apply_adjoint(params, v))
             worst = max(worst, abs(lhs - rhs) / (norm(u) * norm(v)))
@@ -101,7 +102,7 @@ def test_adjoint_satisfies_adjoint_equation():
     # FD residual of p2 v'' - p1 v' + p0 v - h is first-order in the step
     grid = _grid(20_000)
     h = random_smooth_field(grid, seed=77, band=(0.4, 1.2))
-    v = ode_adjoint(PARAMS, h, grid)
+    v = Field(grid, OdeSystem(PARAMS, grid).adjoint_bank([h]).rows[0])
     resid = ode_apply_adjoint(PARAMS, v).values_flat - h.values_flat
     rel = norm(Field(grid, resid)) / norm(h)
     assert rel < 0.02
@@ -110,7 +111,7 @@ def test_adjoint_satisfies_adjoint_equation():
 def test_adjoint_ends_at_rest():
     grid = _grid(5000)
     h = random_smooth_field(grid, seed=4)
-    v = ode_adjoint(PARAMS, h, grid).values_flat
+    v = OdeSystem(PARAMS, grid).adjoint_bank([h]).rows[0]
     # v(T) = v'(T) = 0: the last cells are small compared to the interior
     assert abs(v[-1]) < 1e-3 * np.abs(v).max()
 
@@ -129,7 +130,7 @@ def test_stability_limit_anchors():
 def test_coarse_step_warns():
     grid = _grid(25)  # dt = 0.4 > 0.2
     with pytest.warns(StabilityWarning):
-        ode_forward(PARAMS, Field.full(grid, 1.0), grid)
+        OdeSystem(PARAMS, grid).forward(Field.full(grid, 1.0))
 
 
 def test_divergent_march_raises():
@@ -137,29 +138,20 @@ def test_divergent_march_raises():
     grid = _grid(1000)
     with pytest.warns(StabilityWarning):
         with pytest.raises(SolverError):
-            ode_forward(params, Field.full(grid, 1.0), grid)
+            OdeSystem(params, grid).forward(Field.full(grid, 1.0))
 
 
 def test_grid_validation():
     grid = Grid.regular(((0.0, 9.0),), (100,))  # wrong extent
     with pytest.raises(GridMismatchError):
-        ode_forward(PARAMS, Field.full(grid, 1.0), grid)
+        OdeSystem(PARAMS, grid)
     grid2d = Grid.regular(((0.0, 10.0), (0.0, 1.0)), (10, 10))
     with pytest.raises(GridMismatchError):
         OdeSystem(PARAMS, grid2d)
     good = _grid(100)
     other = _grid(200)
     with pytest.raises(GridMismatchError):
-        ode_forward(PARAMS, Field.full(other, 1.0), good)
-
-
-def test_system_wraps_free_functions():
-    grid = _grid(300)
-    system = OdeSystem(PARAMS, grid)
-    f = random_smooth_field(grid, seed=8)
-    assert (system.forward(f).values == ode_forward(PARAMS, f, grid).values).all()
-    assert (system.adjoint(f).values == ode_adjoint(PARAMS, f, grid).values).all()
-    assert system.name == "ode"
+        OdeSystem(PARAMS, good).forward(Field.full(other, 1.0))
 
 
 def test_bank_equals_single_solves_and_keeps_the_identity():
@@ -173,7 +165,7 @@ def test_bank_equals_single_solves_and_keeps_the_identity():
     assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
     for w, row in zip(windows, bank.rows):
         assert np.array_equal(row, system.adjoint_bank([w]).rows[0])
-        assert np.array_equal(row, system.adjoint(w).values_flat)
+        assert np.array_equal(row, OdeSystem(PARAMS, grid).adjoint_bank([w]).rows[0])
     f = random_smooth_field(grid, seed=620)
     u = system.forward(f)
     for w, row in zip(windows, bank.rows):

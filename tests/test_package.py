@@ -1,8 +1,12 @@
 """Every exported name resolves, so a stale `__all__` entry fails here
-rather than at a user's `from adjointgp import *`."""
+rather than at a user's `from adjointgp import *`; and importing the
+package for ODE work does not pull in `scipy.sparse`."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -28,3 +32,23 @@ def test_star_import():
     namespace = {}
     exec("from adjointgp import *", namespace)
     assert set(adjointgp.__all__) <= set(namespace)
+
+
+def test_ode_solves_leave_scipy_sparse_unimported():
+    # only PdeSystem builds a sparse step operator, and it imports
+    # scipy.sparse there; a fresh interpreter keeps ODE-only runs free of it
+    script = "\n".join([
+        "import sys",
+        "import adjointgp as ag",
+        "grid = ag.Grid.regular(((0.0, 10.0),), (200,))",
+        "system = ag.OdeSystem(ag.OdeParams(5.0, 1.0, 0.5, 10.0), grid)",
+        "system.forward(ag.Field.full(grid, 1.0))",
+        "system.adjoint_bank([ag.window_indicator(grid, [2.0], [3.0])] * 2)",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))",
+    ])
+    src = os.path.dirname(os.path.dirname(adjointgp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

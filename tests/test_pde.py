@@ -12,15 +12,8 @@ from adjointgp import (
     inner_product,
     norm,
 )
-from adjointgp.pde import (
-    PdeParams,
-    PdeSystem,
-    cfl_limit,
-    pde_adjoint,
-    pde_adjoint_bank,
-    pde_forward,
-    sensor_field,
-)
+from adjointgp import pde
+from adjointgp.pde import PdeParams, PdeSystem, cfl_limit, sensor_field
 from oracles import (
     pde_adjoint_flux_bank,
     pde_apply,
@@ -38,6 +31,15 @@ def _grid(nt, ny, nx, T=10.0):
 
 def _params(vy=0.4, vx=0.4, kappa=0.01):
     return PdeParams(velocity=(vy, vx), diffusivity=kappa, bounds=BOUNDS, T=10.0)
+
+
+def _forward(params, forcing):
+    return PdeSystem(params, forcing.grid).forward(forcing)
+
+
+def _adjoint(params, functional):
+    grid = functional.grid
+    return Field(grid, PdeSystem(params, grid).adjoint_bank([functional]).rows[0])
 
 
 def _impulse(grid, center=(3.0, 3.0), width=0.8):
@@ -69,10 +71,26 @@ def test_cfl_limit_formula():
 def test_cfl_violation_is_rejected_with_guidance():
     params = _params(kappa=2.0)  # diffusive limit far below dt
     grid = _grid(10, 16, 16)
-    with pytest.raises(ConfigError, match="largest admissible step"):
-        pde_forward(params, Field.zeros(grid), grid)
-    # the diagnostics knob lets the unstable march run anyway
-    pde_forward(params, Field.zeros(grid), grid, enforce_cfl=False)
+    limit = cfl_limit(params, grid)
+    with pytest.raises(ConfigError, match=f"largest admissible step is {limit:.6g}"):
+        PdeSystem(params, grid)
+
+
+def test_step_operator_is_built_once_per_system(monkeypatch):
+    calls = []
+    build = pde._step_operator
+
+    def counting(params, grid):
+        calls.append(grid)
+        return build(params, grid)
+
+    monkeypatch.setattr(pde, "_step_operator", counting)
+    grid = _grid(20, 12, 12)
+    system = PdeSystem(_params(), grid)
+    system.forward(random_smooth_field(grid, seed=45))
+    system.adjoint_bank([random_smooth_field(grid, seed=46)])
+    system.adjoint_bank([random_smooth_field(grid, seed=47), random_smooth_field(grid, seed=48)])
+    assert calls == [grid]
 
 
 def test_diffusion_conserves_mass():
@@ -80,7 +98,7 @@ def test_diffusion_conserves_mass():
     once the forcing has stopped."""
     grid = _grid(40, 16, 16)
     forcing, _, _ = _impulse(grid)
-    u = pde_forward(_params(0.0, 0.0, 0.01), forcing, grid)
+    u = _forward(_params(0.0, 0.0, 0.01), forcing)
     sums = u.values.sum(axis=(1, 2))
     np.testing.assert_allclose(sums[5:], sums[5], rtol=1e-10)
 
@@ -88,7 +106,7 @@ def test_diffusion_conserves_mass():
 def test_blob_advects_at_velocity():
     grid = _grid(40, 16, 16)
     forcing, yy, xx = _impulse(grid)
-    u = pde_forward(_params(0.4, 0.4, 0.01), forcing, grid)
+    u = _forward(_params(0.4, 0.4, 0.01), forcing)
     k = 20
     t = grid.axis_centers(0)[k]
     w = u.values[k]
@@ -102,7 +120,7 @@ def test_blob_advects_at_velocity():
 def test_no_new_extrema_after_impulse():
     grid = _grid(40, 16, 16)
     forcing, _, _ = _impulse(grid)
-    u = pde_forward(_params(), forcing, grid)
+    u = _forward(_params(), forcing)
     assert u.values.min() >= -1e-10
     assert u.values[1:].max() <= forcing.values[0].max()
 
@@ -113,9 +131,9 @@ def test_forward_is_linear():
     f = random_smooth_field(grid, seed=30)
     g = random_smooth_field(grid, seed=31)
     combo = Field(grid, 1.5 * f.values - 0.5 * g.values)
-    lhs = pde_forward(params, combo, grid).values
-    rhs = (1.5 * pde_forward(params, f, grid).values
-           - 0.5 * pde_forward(params, g, grid).values)
+    lhs = _forward(params, combo).values
+    rhs = (1.5 * _forward(params, f).values
+           - 0.5 * _forward(params, g).values)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -127,8 +145,8 @@ def test_two_route_identity_is_exact():
     for seed in range(4):
         f = random_smooth_field(grid, seed=700 + seed)
         h = random_smooth_field(grid, seed=800 + seed)
-        lhs = inner_product(pde_forward(params, f, grid), h)
-        rhs = inner_product(f, pde_adjoint(params, h, grid))
+        lhs = inner_product(_forward(params, f), h)
+        rhs = inner_product(f, _adjoint(params, h))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -148,8 +166,8 @@ def test_bilinear_identity_against_fd_oracle():
         for k in range(4):
             f = random_smooth_field(grid, seed=3000 + k, band=(0.5, 1.5))
             h = random_smooth_field(grid, seed=4000 + k, band=(0.5, 1.5))
-            u = pde_forward(params, f, grid)
-            v = pde_adjoint(params, h, grid)
+            u = _forward(params, f)
+            v = _adjoint(params, h)
             lhs = inner_product(pde_apply(params, u), v)
             rhs = inner_product(u, pde_apply_adjoint(params, v))
             rels.append(abs(lhs - rhs) / (norm(u) * norm(v)))
@@ -173,21 +191,10 @@ def test_sensor_field_normalization():
 def test_grid_validation():
     params = _params()
     with pytest.raises(GridMismatchError):
-        pde_forward(params, Field.zeros(Grid.regular(((0.0, 10.0),), (10,))),
-                    Grid.regular(((0.0, 10.0),), (10,)))
+        PdeSystem(params, Grid.regular(((0.0, 10.0),), (10,)))
     wrong_box = Grid.regular(((0.0, 10.0), (0.0, 5.0), (0.0, 10.0)), (20, 12, 12))
     with pytest.raises(GridMismatchError):
-        pde_forward(params, Field.zeros(wrong_box), wrong_box)
-
-
-def test_system_wraps_free_functions():
-    grid = _grid(20, 12, 12)
-    params = _params()
-    system = PdeSystem(params, grid)
-    f = random_smooth_field(grid, seed=40)
-    assert (system.forward(f).values == pde_forward(params, f, grid).values).all()
-    assert (system.adjoint(f).values == pde_adjoint(params, f, grid).values).all()
-    assert system.name == "pde"
+        PdeSystem(params, wrong_box)
 
 
 def test_bank_equals_single_solves_and_keeps_the_identity():
@@ -201,7 +208,7 @@ def test_bank_equals_single_solves_and_keeps_the_identity():
     assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
     for w, row in zip(windows, bank.rows):
         assert np.array_equal(row, system.adjoint_bank([w]).rows[0])
-        assert np.array_equal(row, system.adjoint(w).values_flat)
+        assert np.array_equal(row, PdeSystem(params, grid).adjoint_bank([w]).rows[0])
     f = random_smooth_field(grid, seed=830)
     u = system.forward(f)
     for w, row in zip(windows, bank.rows):
@@ -228,12 +235,13 @@ def test_step_operator_matches_hand_written_stencils(velocity):
     params = PdeParams(velocity=velocity, diffusivity=0.05,
                        bounds=((0.0, 9.0), (0.0, 13.0)), T=10.0)
     f = random_smooth_field(grid, seed=850)
-    u = pde_forward(params, f, grid).values
+    system = PdeSystem(params, grid)
+    u = system.forward(f).values
     ref = pde_forward_stencil(params, f).values
     np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     windows = [random_smooth_field(grid, seed=860 + k) for k in range(2)]
     windows.append(sensor_field(grid, (1.0, 2.0), (4.0, 7.0), 3.0, 6.0))
-    rows = pde_adjoint_bank(params, windows, grid).rows
+    rows = system.adjoint_bank(windows).rows
     ref = pde_adjoint_flux_bank(params, windows)
     np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
@@ -243,4 +251,4 @@ def test_forward_overflow_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match=r"forward solve .* at step \d+"):
-            pde_forward(_params(), Field.full(grid, 1.7e308), grid)
+            PdeSystem(_params(), grid).forward(Field.full(grid, 1.7e308))

@@ -9,7 +9,7 @@ from adjointgp import (
     KernelParams,
     inner_product,
 )
-from adjointgp.shift import ShiftParams, ShiftSystem, shift_adjoint, shift_forward
+from adjointgp.shift import ShiftParams, ShiftSystem
 from oracles import random_smooth_field
 
 
@@ -21,7 +21,7 @@ def test_zero_offset_is_identity():
     grid = _grid()
     params = ShiftParams(a=0.0, T=10.0)
     f = random_smooth_field(grid, seed=1)
-    u = shift_forward(params, f, grid)
+    u = ShiftSystem(params, grid).forward(f)
     np.testing.assert_array_equal(u.values_flat, f.values_flat)
     assert u.mask_flat.all()
 
@@ -31,7 +31,7 @@ def test_single_cell_offset():
     dt = grid.spacing[0]
     params = ShiftParams(a=dt, T=10.0)
     f = random_smooth_field(grid, seed=2)
-    u = shift_forward(params, f, grid)
+    u = ShiftSystem(params, grid).forward(f)
     np.testing.assert_array_equal(u.values_flat[1:], f.values_flat[:-1])
     # the exposed first cell is undefined, not zero-valued data
     assert not u.mask_flat[0]
@@ -42,10 +42,13 @@ def test_forward_adjoint_round_trip_on_overlap():
     grid = _grid(200)
     params = ShiftParams(a=2.0, T=10.0)
     f = random_smooth_field(grid, seed=3)
-    back = shift_adjoint(params, shift_forward(params, f, grid), grid)
-    keep = back.mask_flat
-    np.testing.assert_array_equal(back.values_flat[keep], f.values_flat[keep])
-    assert keep.sum() == 200 - 40  # 2.0 seconds = 40 cells masked
+    system = ShiftSystem(params, grid)
+    back = system.adjoint_bank([system.forward(f)]).rows[0]
+    # the last 2.0 seconds (40 cells) are shifted in from outside the
+    # domain, and the bank holds 0 there
+    keep = np.arange(200) < 200 - 40
+    np.testing.assert_array_equal(back[keep], f.values_flat[keep])
+    np.testing.assert_array_equal(back[~keep], 0.0)
 
 
 def test_adjoint_identity_is_exact():
@@ -53,11 +56,12 @@ def test_adjoint_identity_is_exact():
     # index shift makes the identity hold to rounding
     grid = _grid(250)
     params = ShiftParams(a=1.2, T=10.0)
+    system = ShiftSystem(params, grid)
     for seed in range(4):
         f = random_smooth_field(grid, seed=900 + seed)
         h = random_smooth_field(grid, seed=950 + seed)
-        lhs = inner_product(shift_forward(params, f, grid), h)
-        rhs = inner_product(f, shift_adjoint(params, h, grid))
+        lhs = inner_product(system.forward(f), h)
+        rhs = inner_product(f, Field(grid, system.adjoint_bank([h]).rows[0]))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -65,7 +69,7 @@ def test_negative_offset():
     grid = _grid(50)
     params = ShiftParams(a=-0.4, T=10.0)  # two cells leftward
     f = random_smooth_field(grid, seed=5)
-    u = shift_forward(params, f, grid)
+    u = ShiftSystem(params, grid).forward(f)
     np.testing.assert_array_equal(u.values_flat[:-2], f.values_flat[2:])
     assert not u.mask_flat[-1]
 
@@ -73,7 +77,7 @@ def test_negative_offset():
 def test_fractional_offset_is_rejected():
     grid = _grid(100)  # dt = 0.1
     with pytest.raises(ConfigError, match="integer number of cells"):
-        shift_forward(ShiftParams(a=0.15, T=10.0), Field.zeros(grid), grid)
+        ShiftSystem(ShiftParams(a=0.15, T=10.0), grid)
 
 
 def test_offset_must_fit_domain():
@@ -102,20 +106,10 @@ def test_displaced_source_invariant():
     moved_basis = FeatureBasis(basis.frequencies, shifted_phases, kernel)
     f_moved = forcing_from_weights(moved_basis, q, grid)
 
-    u = shift_forward(params, f, grid)
+    u = ShiftSystem(params, grid).forward(f)
     keep = u.mask_flat
     np.testing.assert_allclose(u.values_flat[keep], f_moved.values_flat[keep],
                                rtol=1e-10, atol=1e-12)
-
-
-def test_system_wraps_free_functions():
-    grid = _grid(80)
-    params = ShiftParams(a=0.5, T=10.0)
-    system = ShiftSystem(params, grid)
-    f = random_smooth_field(grid, seed=9)
-    assert (system.forward(f).values == shift_forward(params, f, grid).values).all()
-    assert (system.adjoint(f).values == shift_adjoint(params, f, grid).values).all()
-    assert system.name == "shift"
 
 
 @pytest.mark.parametrize("a", [1.2, -2.0])
@@ -130,7 +124,7 @@ def test_bank_equals_single_solves_and_keeps_the_identity(a):
     assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
     for w, row in zip(windows, bank.rows):
         assert np.array_equal(row, system.adjoint_bank([w]).rows[0])
-        assert np.array_equal(row, system.adjoint(w).values_flat)
+        assert np.array_equal(row, ShiftSystem(params, grid).adjoint_bank([w]).rows[0])
     f = random_smooth_field(grid, seed=980)
     u = system.forward(f)
     for w, row in zip(windows, bank.rows):
