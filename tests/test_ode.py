@@ -133,6 +133,18 @@ def test_coarse_step_warns():
         OdeSystem(PARAMS, grid).forward(Field.full(grid, 1.0))
 
 
+def test_stability_warning_points_at_the_caller():
+    # the warning is raised inside the private march; it names the line
+    # that called forward or adjoint_bank, not a line of ode.py
+    grid = _grid(25)
+    system = OdeSystem(PARAMS, grid)
+    for solve in (lambda: system.forward(Field.full(grid, 1.0)),
+                  lambda: system.adjoint_bank([Field.full(grid, 1.0)])):
+        with pytest.warns(StabilityWarning) as record:
+            solve()
+        assert [w.filename for w in record] == [__file__]
+
+
 def test_divergent_march_raises():
     params = OdeParams(p0=5.0e5, p1=1.0, p2=0.5, T=10.0)
     grid = _grid(1000)

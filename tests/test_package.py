@@ -1,5 +1,6 @@
 """Every exported name resolves, so a stale `__all__` entry fails here
-rather than at a user's `from adjointgp import *`; and importing the
+rather than at a user's `from adjointgp import *`; each solver module
+offers its solves through its system object only; and importing the
 package for ODE work does not pull in `scipy.sparse`."""
 
 import importlib
@@ -32,6 +33,20 @@ def test_star_import():
     namespace = {}
     exec("from adjointgp import *", namespace)
     assert set(adjointgp.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module, system", [("ode", "OdeSystem"), ("pde", "PdeSystem"),
+                                            ("shift", "ShiftSystem")])
+def test_solves_live_on_the_system_only(module, system):
+    # one solve path per system: no free forward/adjoint functions beside it,
+    # and forward and adjoint_bank are its only public solves
+    mod = importlib.import_module(f"adjointgp.{module}")
+    free = [name for name, obj in vars(mod).items() if callable(obj)
+            and name.endswith(("_forward", "_adjoint", "_adjoint_bank"))]
+    assert free == []
+    cls = getattr(mod, system)
+    public = {name for name in vars(cls) if not name.startswith("_")}
+    assert public == {"grid", "forward", "adjoint_bank"}
 
 
 def test_ode_solves_leave_scipy_sparse_unimported():
