@@ -64,6 +64,7 @@ from .mcmc import (
     ChainConfig,
     ChainDiagnostics,
     ChainResult,
+    GaussianTarget,
     batch_means_ess,
     chain_diagnostics,
     chain_to_csv,
@@ -111,9 +112,9 @@ __all__ = [
     "assemble_phi", "grid_scan", "ml_estimate", "nll_score", "posterior_forcing",
     "posterior_from_json", "posterior_q", "posterior_to_json",
     "predictive_mse", "predictive_nll", "run_pipeline",
-    "ChainConfig", "ChainDiagnostics", "ChainResult", "batch_means_ess",
-    "chain_diagnostics", "chain_to_csv", "gaussian_log_target", "rw_mh",
-    "split_rhat", "tune_proposal_scale",
+    "ChainConfig", "ChainDiagnostics", "ChainResult", "GaussianTarget",
+    "batch_means_ess", "chain_diagnostics", "chain_to_csv", "gaussian_log_target",
+    "rw_mh", "split_rhat", "tune_proposal_scale",
     "Config", "canonical_text", "config_hash", "load_config", "parse_config",
     "SimulatedData", "InferenceOutcome", "McmcOutcome", "build_heldout",
     "build_windows", "derive_seed", "load_bundle", "make_grid", "make_kernel",

@@ -16,7 +16,6 @@ failures, 4 solver failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

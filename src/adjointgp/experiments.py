@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -648,6 +649,7 @@ class McmcOutcome:
     steps: int
     burn_in: int
     feature_count_warning: bool
+    timings: dict
 
 
 def _mcmc_settings(config: Config) -> dict:
@@ -660,27 +662,35 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     """Random-walk sampler on the same posterior the conjugate route solves.
 
     The chain starts at the conjugate posterior mean, so the run measures
-    mixing cost rather than burn-in distance.
+    mixing cost rather than burn-in distance.  `timings` sets the exact
+    route's stage seconds beside the sampler's tune and chain seconds and
+    its minimum ESS per chain second.
     """
     config = data.config
     basis = _inference_basis(config, data.grid, data.kernel)
     obs = data.observations()
     pipeline = run_pipeline(data.system, obs, basis)
-    log_target = gaussian_log_target(pipeline.phi, data.z, obs.sigma)
+    target = gaussian_log_target(pipeline.phi, data.z, obs.sigma)
 
     settings = _mcmc_settings(config)
     start = pipeline.posterior.mean
     scale = settings["proposal_scale"]
+    t0 = time.perf_counter()
     if scale == 0.0:
-        scale = tune_proposal_scale(log_target, start,
+        scale = tune_proposal_scale(target, start,
                                     seed=derive_seed(settings["seed"], "tune"),
                                     batch_size=settings["batch_size"])
+    t1 = time.perf_counter()
     cfg = ChainConfig(steps=settings["steps"], burn_in=settings["burn_in"],
                       proposal_scale=scale, seed=settings["seed"],
                       batch_size=settings["batch_size"])
-    result = rw_mh(log_target, start, cfg)
+    result = rw_mh(target, start, cfg)
+    t2 = time.perf_counter()
     diag = chain_diagnostics(result)
     kept = result.kept
+    timings = dict(pipeline.timings, tune=t1 - t0, chain=t2 - t1,
+                   ess_per_second=float(diag.ess.min()) / (t2 - t1),
+                   max_c_drift=result.drift)
     return McmcOutcome(
         result=result,
         chain_mean=kept.mean(axis=0),
@@ -695,6 +705,7 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
         steps=cfg.steps,
         burn_in=cfg.burn_in,
         feature_count_warning=basis.size >= MCMC_FEATURE_WARN,
+        timings=timings,
     )
 
 
@@ -723,6 +734,8 @@ def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
         "config_sha256": config_hash(data.config),
     }
     _write_json(out / "diagnostics.json", diagnostics)
+    # timings.json stays out of the manifest, as infer's does
+    _write_json(out / "timings.json", outcome.timings)
     _write_manifest(out, ["chain_summary.csv", "trace.csv", "diagnostics.json"],
                     config_sha256=config_hash(data.config))
     return out

@@ -21,6 +21,11 @@ so a wrong axis or upwind side in that operator shows as a mismatch.
 The trace writer formats every coordinate of every step afresh; the
 package's writer reuses unchanged text and must match it byte for byte.
 
+The reference sampler takes the package's proposal draws but tests each
+step by evaluating the full target at the proposal and at the current
+point, where the package updates a gradient incrementally; on a given
+stream the two must accept the same steps and walk the same chain.
+
 The exact kernel and the truncated feature sum at single points check the
 random Fourier feature expansion that the package evaluates on grids.
 """
@@ -29,6 +34,7 @@ import numpy as np
 
 from adjointgp import FeatureBasis, Field, Grid, KernelParams, forcing_from_weights
 from adjointgp.features import _eval_at
+from adjointgp.mcmc import BLOCK_STEPS, _block_draws, _default_batch
 
 
 def fd_d1(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -159,6 +165,32 @@ def chain_to_csv_every_value(result, path) -> None:
             coords = ",".join(repr(float(v)) for v in result.chain[t])
             fh.write(f"{t},{coords},{float(result.log_targets[t])!r},"
                      f"{int(result.accepted_flags[t])}\n")
+
+
+def rw_mh_full_target(target, start, config):
+    """(chain, accepted flags) of the random walk on the package's block
+    draws, each step accepted when target(prop) - target(current) >= log u
+    and applied as q[i] += delta."""
+    q = np.array(start, dtype=float)
+    dim = q.size
+    batch = config.batch_size if config.batch_size is not None else _default_batch(dim)
+    batch = min(batch, dim)
+    rng = np.random.default_rng(config.seed)
+    chain = np.empty((config.steps, dim))
+    flags = np.zeros(config.steps, dtype=bool)
+    current_lp = target(q)
+    for lo in range(0, config.steps, BLOCK_STEPS):
+        size = min(BLOCK_STEPS, config.steps - lo)
+        idx, delta, log_u = _block_draws(rng, dim, batch, size, config.proposal_scale)
+        for t in range(size):
+            prop = q.copy()
+            prop[idx[t]] += delta[t]
+            prop_lp = target(prop)
+            if prop_lp - current_lp >= log_u[t]:
+                q, current_lp = prop, prop_lp
+                flags[lo + t] = True
+            chain[lo + t] = q
+    return chain, flags
 
 
 def pde_forward_stencil(params, forcing: Field) -> Field:

@@ -409,6 +409,15 @@ def test_mcmc_command_writes_chain_outputs(tmp_path, capsys):
         assert (out / name).exists(), name
     diag = json.loads((out / "diagnostics.json").read_text())
     assert {"acceptance_rate", "converged", "proposal_scale"} <= set(diag)
+    timings = json.loads((out / "timings.json").read_text())
+    assert {"adjoint_solves", "phi_assembly", "posterior_solve", "tune", "chain",
+            "ess_per_second", "max_c_drift"} <= set(timings)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "timings.json" not in manifest["files"]
+    again = tmp_path / "chain_again"
+    assert main(["mcmc", str(bundle), "--out", str(again)]) == 0
+    for name in ("trace.csv", "chain_summary.csv", "diagnostics.json", "manifest.json"):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_mcmc_command_warns_on_large_bases(tmp_path, capsys):

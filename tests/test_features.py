@@ -3,14 +3,12 @@ import pytest
 
 from adjointgp import (
     FeatureBasis,
-    Field,
     Grid,
     KernelParams,
     basis_from_json,
     basis_to_json,
     eval_basis,
     forcing_from_weights,
-    inner_product,
     sample_prior_forcing,
 )
 from oracles import eq_kernel, feature_vector, kernel_approx

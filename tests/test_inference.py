@@ -21,7 +21,6 @@ from adjointgp import (
     PIPELINE_STAGES,
     PosteriorQ,
     assemble_phi,
-    dirac_window,
     eval_basis,
     forcing_from_weights,
     grid_scan,

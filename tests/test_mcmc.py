@@ -17,11 +17,12 @@ from adjointgp import (
     split_rhat,
     tune_proposal_scale,
 )
-from oracles import chain_to_csv_every_value
+from adjointgp.mcmc import _draw_indices
+from oracles import chain_to_csv_every_value, rw_mh_full_target
 
 
-def _std_normal_target(q):
-    return -0.5 * float(q @ q)
+def _std_normal_target(dim):
+    return gaussian_log_target(np.zeros((0, dim)), np.zeros(0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ def test_chain_config_validation():
 
 def test_rw_mh_samples_standard_normal():
     cfg = ChainConfig(steps=50000, burn_in=2000, proposal_scale=2.4, seed=0)
-    result = rw_mh(_std_normal_target, np.zeros(1), cfg)
+    result = rw_mh(_std_normal_target(1), np.zeros(1), cfg)
     kept = result.kept[:, 0]
     ess, _ = batch_means_ess(kept)
     se = kept.std(ddof=1) / math.sqrt(ess[0])
@@ -74,33 +75,66 @@ def test_rw_mh_matches_conjugate_posterior():
 
 def test_rw_mh_is_reproducible():
     cfg = ChainConfig(steps=200, proposal_scale=1.0, seed=7)
-    a = rw_mh(_std_normal_target, np.zeros(2), cfg)
-    b = rw_mh(_std_normal_target, np.zeros(2), cfg)
+    a = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
+    b = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
     assert (a.chain == b.chain).all()
     assert (a.accepted_flags == b.accepted_flags).all()
 
 
 def test_tiny_proposal_accepts_almost_everything():
     cfg = ChainConfig(steps=2000, proposal_scale=1e-6, seed=3)
-    result = rw_mh(_std_normal_target, np.zeros(2), cfg)
+    result = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
     assert result.acceptance_rate > 0.99
 
 
 def test_rw_mh_aborts_when_nothing_is_accepted():
-    start = np.zeros(2)
-
-    def spike(q):
-        return 0.0 if (q == start).all() else -np.inf
-
-    cfg = ChainConfig(steps=5000, proposal_scale=1.0, seed=4)
+    # posterior sd about 1e-3 against proposals of 1e3
+    tight = gaussian_log_target(np.eye(2), np.zeros(2), 1e-3)
+    cfg = ChainConfig(steps=5000, proposal_scale=1e3, seed=4)
     with pytest.raises(NumericalError, match="no proposals accepted"):
-        rw_mh(spike, start, cfg)
+        rw_mh(tight, np.zeros(2), cfg)
 
 
 def test_rw_mh_rejects_bad_start():
     cfg = ChainConfig(steps=10, proposal_scale=1.0)
     with pytest.raises(ValueError, match="start"):
-        rw_mh(lambda q: -np.inf, np.zeros(2), cfg)
+        rw_mh(_std_normal_target(2), np.array([np.inf, 0.0]), cfg)
+    with pytest.raises(ValueError, match="start"):
+        rw_mh(_std_normal_target(2), np.zeros(3), cfg)
+
+
+def test_rw_mh_takes_only_gaussian_targets():
+    cfg = ChainConfig(steps=10, proposal_scale=1.0)
+    with pytest.raises(TypeError):
+        rw_mh(lambda q: -0.5 * float(q @ q), np.zeros(2), cfg)
+
+
+@pytest.mark.parametrize("steps", [2000, 9000])  # one block; three blocks
+def test_rw_mh_matches_full_target_reference(steps):
+    rng = np.random.default_rng(31)
+    design = rng.standard_normal((20, 12))
+    z = rng.standard_normal(20)
+    target = gaussian_log_target(design, z, 0.5)
+    start = np.full(12, -0.0)  # each coordinate stays -0.0 until it moves
+    cfg = ChainConfig(steps=steps, proposal_scale=0.05, seed=32)
+    result = rw_mh(target, start, cfg)
+    chain, flags = rw_mh_full_target(target, start, cfg)
+    assert 0.1 < result.acceptance_rate < 0.9
+    np.testing.assert_array_equal(result.accepted_flags, flags)
+    assert (result.chain.view(np.int64) == chain.view(np.int64)).all()
+    np.testing.assert_array_equal(result.log_targets, [target(q) for q in chain])
+    assert result.drift < 1e-9
+
+
+@pytest.mark.parametrize("dim,batch", [(12, 5), (12, 12), (7, 1)])
+def test_index_draws_are_distinct_and_uniform(dim, batch):
+    draws = 20000
+    idx = _draw_indices(np.random.default_rng(33), dim, batch, draws)
+    assert idx.shape == (draws, batch)
+    assert ((idx >= 0) & (idx < dim)).all()
+    assert (np.diff(np.sort(idx, axis=1), axis=1) > 0).all()
+    freq = np.bincount(idx.ravel(), minlength=dim) / draws
+    np.testing.assert_allclose(freq, batch / dim, atol=0.02)
 
 
 def test_gaussian_log_target_value_and_validation():
@@ -111,8 +145,13 @@ def test_gaussian_log_target_value_and_validation():
     resid = z - design @ q
     expected = -resid @ resid / (2 * 0.25) - 0.5 * q @ q
     np.testing.assert_allclose(target(q), expected, rtol=1e-14)
+    np.testing.assert_allclose(target.P, design.T @ design / 0.25 + np.eye(2), rtol=1e-14)
+    np.testing.assert_allclose(target(q) - target(np.zeros(2)),
+                               -0.5 * q @ target.P @ q + target.b @ q, rtol=1e-12)
     with pytest.raises(ValueError):
         gaussian_log_target(design, z, 0.0)
+    with pytest.raises(ValueError):
+        gaussian_log_target(design, z[:1], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +159,15 @@ def test_gaussian_log_target_value_and_validation():
 
 
 def test_tuned_scale_lands_in_acceptance_band():
-    scale = tune_proposal_scale(_std_normal_target, np.zeros(3), seed=5)
+    scale = tune_proposal_scale(_std_normal_target(3), np.zeros(3), seed=5)
     cfg = ChainConfig(steps=4000, proposal_scale=scale, seed=6)
-    rate = rw_mh(_std_normal_target, np.zeros(3), cfg).acceptance_rate
+    rate = rw_mh(_std_normal_target(3), np.zeros(3), cfg).acceptance_rate
     assert 0.20 <= rate <= 0.45
 
 
 def test_tune_rejects_a_positional_batch_size():
     with pytest.raises(TypeError):
-        tune_proposal_scale(_std_normal_target, np.zeros(3), 3)
+        tune_proposal_scale(_std_normal_target(3), np.zeros(3), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +234,7 @@ def test_split_rhat_multichain_shape():
 
 def test_chain_diagnostics_verdicts():
     cfg = ChainConfig(steps=20000, burn_in=1000, proposal_scale=2.4, seed=13)
-    result = rw_mh(_std_normal_target, np.zeros(2), cfg)
+    result = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
     diag = chain_diagnostics(result)
     assert diag.converged
     assert (diag.rhat <= 1.05).all()
@@ -211,7 +250,7 @@ def test_chain_diagnostics_verdicts():
 
 def test_chain_to_csv_round_trip(tmp_path):
     cfg = ChainConfig(steps=50, proposal_scale=1.0, seed=14)
-    result = rw_mh(_std_normal_target, np.zeros(2), cfg)
+    result = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
     path = tmp_path / "trace.csv"
     chain_to_csv(result, path)
     with open(path, newline="") as fh:
@@ -228,7 +267,7 @@ def test_chain_to_csv_round_trip(tmp_path):
 def test_chain_to_csv_matches_every_value_oracle(tmp_path, batch):
     start = np.array([-0.0, 0.5, -1.25, 0.0, 2.0, 1e-300, -3.5, 7.0, 0.1, -0.2, 3.0, 1.0])
     cfg = ChainConfig(steps=300, proposal_scale=1.2, seed=23, batch_size=batch)
-    result = rw_mh(_std_normal_target, start, cfg)
+    result = rw_mh(_std_normal_target(start.size), start, cfg)
     assert 0 < result.accepted < cfg.steps  # rejected steps repeat their row
     chain = result.chain.copy()
     # equal values with different bits must be written anew
