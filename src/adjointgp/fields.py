@@ -130,6 +130,18 @@ class Grid:
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def check_time_grid(grid: Grid, ndim: int, T: float) -> None:
+    """Check that `grid` has `ndim` axes and that its time axis, axis 0,
+    covers [0, T] to within 1e-9 * max(1, T)."""
+    if grid.ndim != ndim:
+        raise GridMismatchError(
+            f"expected a {ndim}-D grid with time on axis 0, got {grid.ndim}-D")
+    lo, hi = grid.bounds(0)
+    tol = 1e-9 * max(1.0, T)
+    if abs(lo) > tol or abs(hi - T) > tol:
+        raise GridMismatchError(f"time axis covers [{lo}, {hi}], expected [0, {T}]")
+
+
 class Field:
     """Real values at the cell centers of a :class:`Grid`.  Immutable.
 

@@ -313,9 +313,10 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
     half = n // 2
     if half < 2:
         raise ValueError("need at least 4 draws per chain to split")
-    halves = np.concatenate([draws[:, :half], draws[:, half:2 * half]], axis=0)
-    within = halves.var(axis=1, ddof=1).mean(axis=0)
-    between = half * halves.mean(axis=1).var(axis=0, ddof=1)
+    # the halves are read as views; only their per-half statistics are stacked
+    halves = (draws[:, :half], draws[:, half:2 * half])
+    within = np.concatenate([h.var(axis=1, ddof=1) for h in halves]).mean(axis=0)
+    between = half * np.concatenate([h.mean(axis=1) for h in halves]).var(axis=0, ddof=1)
     out = np.ones(dim)
     alive = within > 0.0
     out[alive] = np.sqrt(

@@ -14,7 +14,8 @@ adjoint solve is the forward march run from the last cell to the first.
 Both solves use explicit (forward Euler) stepping of the first-order
 system; node values are averaged in pairs so results line up with cell
 centers, where forcing fields and observation windows live.  The march
-steps a whole bank of right-hand sides at once, one state entry per row.
+steps a whole bank of right-hand sides at once, one state entry per row,
+and checks its output for non-finite values once, after the last step.
 
 `OdeSystem` is the solver: its constructor checks the grid once, and
 `forward(f)` and `adjoint_bank(windows)` are its two solves.
@@ -22,14 +23,13 @@ steps a whole bank of right-hand sides at once, one state entry per row.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, SolverError, StabilityWarning
-from .fields import AdjointBank, Field, Grid, bank_rows
+from .errors import StabilityWarning, check_march
+from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid
 
 __all__ = ["OdeParams", "OdeSystem", "euler_stability_limit"]
 
@@ -77,12 +77,7 @@ class OdeSystem:
     grid, which the constructor checks once."""
 
     def __init__(self, params: OdeParams, grid: Grid):
-        if grid.ndim != 1:
-            raise GridMismatchError(f"expected a 1-D time grid, got {grid.ndim}-D")
-        lo, hi = grid.bounds(0)
-        tol = 1e-9 * max(1.0, params.T)
-        if abs(lo) > tol or abs(hi - params.T) > tol:
-            raise GridMismatchError(f"grid covers [{lo}, {hi}], expected [0, {params.T}]")
+        check_time_grid(grid, 1, params.T)
         self.params = params
         self._grid = grid
 
@@ -115,6 +110,7 @@ class OdeSystem:
         `reverse` the march starts from the last cell, which is the adjoint
         solve in reversed time; every row takes the arithmetic of a single
         solve, so a bank equals its rows solved one at a time bit for bit.
+        A non-finite output raises SolverError naming the first bad step.
         """
         dt = self._grid.spacing[0]
         limit = euler_stability_limit(self.params)
@@ -131,23 +127,18 @@ class OdeSystem:
             # one right-hand side steps Python floats: the same IEEE arithmetic
             # as a 1-element array without numpy's per-call overhead, which
             # dominates at n = 1 (a 2000-cell forward plus adjoint solve takes
-            # 1 ms this way against 39 ms on arrays, on a 2-vCPU VM)
-            src, out, u, finite = rows[0].tolist(), rows[0], 0.0, math.isfinite
+            # 1.2-1.4 ms this way against 38-40 ms on arrays, median CPU time
+            # on a shared 2-vCPU x86_64 VM)
+            src, out, u = rows[0].tolist(), rows[0], 0.0
         else:
-            src, out, u, finite = rows.T, rows.T, np.zeros(n), _all_finite
+            src, out, u = rows.T, rows.T, np.zeros(n)
         w = u
-        order = range(cells - 1, -1, -1) if reverse else range(cells)
         # overflow is reported as SolverError below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for step, g in enumerate(order):
+            for g in (range(cells - 1, -1, -1) if reverse else range(cells)):
                 u_next = u + dt * w
                 w_next = w + dt * (src[g] - p1 * w - p0 * u) / p2
-                if not (finite(u_next) and finite(w_next)):
-                    raise SolverError.at_step(label, step, np.column_stack([u_next, w_next]))
                 out[g] = 0.5 * (u + u_next)
                 u, w = u_next, w_next
+        check_march(label, rows, reverse)
         return rows
-
-
-def _all_finite(values: np.ndarray) -> bool:
-    return bool(np.isfinite(values).all())

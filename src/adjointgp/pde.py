@@ -22,8 +22,10 @@ coefficients one step is a fixed sparse matrix A over the S = ny * nx
 spatial cells.  The forward march applies its transpose A^T, which is the
 upwind, centered-diffusion step with walls reflected by one ghost layer;
 so the two observation routes are transposes of each other by
-construction.  The adjoint march steps a whole bank of right-hand sides at
-once on an (S, n) state.
+construction.  Both solves run one march, x <- B x + dt * rhs, with B = A^T
+forward and B = A over reversed time for the adjoint; it steps a whole bank
+of right-hand sides at once on an (S, n) state and checks its output for
+non-finite values once, after the last step.
 
 `PdeSystem` is the solver: its constructor checks the grid and the CFL
 bound and builds A once, and `forward(f)` and `adjoint_bank(windows)` are
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, SolverError
-from .fields import AdjointBank, Field, Grid, bank_rows, window_indicator
+from .errors import ConfigError, GridMismatchError, check_march
+from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid, window_indicator
 
 __all__ = ["PdeParams", "PdeSystem", "cfl_limit", "sensor_field"]
 
@@ -75,12 +77,7 @@ class PdeParams:
 
 
 def _check_grid(params: PdeParams, grid: Grid):
-    if grid.ndim != 3:
-        raise GridMismatchError(f"expected a (time, y, x) grid, got {grid.ndim}-D")
-    lo, hi = grid.bounds(0)
-    tol = 1e-9 * max(1.0, params.T)
-    if abs(lo) > tol or abs(hi - params.T) > tol:
-        raise GridMismatchError(f"time axis covers [{lo}, {hi}], expected [0, {params.T}]")
+    check_time_grid(grid, 3, params.T)
     for axis, (blo, bhi) in zip((1, 2), params.bounds):
         glo, ghi = grid.bounds(axis)
         tol = 1e-9 * max(1.0, abs(bhi - blo))
@@ -162,57 +159,45 @@ class PdeSystem:
 
     def forward(self, forcing: Field) -> Field:
         """March the forward problem from rest by u <- A^T u + dt f."""
-        grid = self._grid
-        if forcing.grid != grid:
-            raise GridMismatchError("forcing lives on a different grid")
-        nt = grid.dims[0]
-        dt = grid.spacing[0]
-        f = forcing.values.reshape(nt, -1)
-        state = np.zeros(f.shape[1])
-        out = np.empty_like(f)
-        # overflow is reported as SolverError below, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(nt):
-                nxt = self._step_t @ state
-                nxt += dt * f[k]
-                if not np.isfinite(nxt).all():
-                    raise SolverError.at_step("forward", k, nxt[None])
-                np.add(state, nxt, out=out[k])
-                out[k] *= 0.5
-                state = nxt
-        return Field(grid, out.reshape(grid.shape))
+        rows = bank_rows([forcing], self._grid, "forcing")
+        return Field(self._grid, self._march(self._step_t, rows, "forward")[0])
 
     def adjoint_bank(self, functionals) -> AdjointBank:
-        """Adjoint solves of every functional at once, marched together on
-        an (S, n) state, S = ny * nx, by v <- A v + dt h; row i of the
-        bank's (n, num_cells) rows solves functional i.
+        """Adjoint solves of every functional at once by v <- A v + dt h,
+        marched in reversed time; row i of the bank's (n, num_cells) rows
+        solves functional i."""
+        rows = bank_rows(functionals, self._grid)
+        return AdjointBank(self._march(self._step, rows, "adjoint", reverse=True), self._grid)
 
-        The march runs in place over one (n, num_cells) array: reversed
-        step k reads the right-hand sides of time cell nt - 1 - k and
-        overwrites them with the solution there.  The sparse product does
-        each column's arithmetic independently of the others, so a bank
-        equals its rows solved one at a time bit for bit.
+    def _march(self, op, rows: np.ndarray, label: str, reverse: bool = False) -> np.ndarray:
+        """Step x <- op x + dt * rhs from rest for every row of `rows` at
+        once, on an (S, n) state, S = ny * nx, and in place.
+
+        On entry row i holds right-hand side i.  Each step reads the
+        right-hand sides of one time cell, from the first cell on (from the
+        last with `reverse`), and overwrites them with the solution there,
+        the average of the bracketing states.  The sparse product does each
+        column's arithmetic independently of the others, so a bank equals
+        its rows solved one at a time bit for bit.  A non-finite output
+        raises SolverError naming the first bad step.
         """
-        grid = self._grid
-        rows = bank_rows(functionals, grid)
-        nt = grid.dims[0]
-        dt = grid.spacing[0]
-        bank = rows.reshape(rows.shape[0], nt, -1)
+        nt = self._grid.dims[0]
+        dt = self._grid.spacing[0]
+        bank = rows.reshape(len(rows), nt, -1)
         state = np.zeros((bank.shape[2], len(rows)))
         # ufuncs over transposed operands are slow; transposing copies are not
         work = np.empty_like(state)
         # overflow is reported as SolverError below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(nt):
-                cell = bank[:, nt - 1 - k]
+            for k in (range(nt - 1, -1, -1) if reverse else range(nt)):
+                cell = bank[:, k]
                 np.copyto(work, cell.T)
                 work *= dt
-                nxt = self._step @ state
+                nxt = op @ state
                 nxt += work
-                if not np.isfinite(nxt).all():
-                    raise SolverError.at_step("adjoint", k, nxt.T)
                 np.add(state, nxt, out=work)
                 work *= 0.5
                 np.copyto(cell, work.T)
                 state = nxt
-        return AdjointBank(rows, grid)
+        check_march(label, bank, reverse)
+        return rows

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
-from .fields import AdjointBank, Field, Grid, bank_rows
+from .errors import ConfigError
+from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid
 
 __all__ = ["ShiftParams", "ShiftSystem"]
 
@@ -61,12 +61,7 @@ class ShiftSystem:
     whole number of cells, once per system."""
 
     def __init__(self, params: ShiftParams, grid: Grid):
-        if grid.ndim != 1:
-            raise GridMismatchError(f"expected a 1-D time grid, got {grid.ndim}-D")
-        lo, hi = grid.bounds(0)
-        tol = 1e-9 * max(1.0, params.T)
-        if abs(lo) > tol or abs(hi - params.T) > tol:
-            raise GridMismatchError(f"grid covers [{lo}, {hi}], expected [0, {params.T}]")
+        check_time_grid(grid, 1, params.T)
         dt = grid.spacing[0]
         k = round(params.a / dt)
         if abs(params.a - k * dt) > 1e-9 * max(dt, abs(params.a)):

@@ -153,6 +153,15 @@ def test_divergent_march_raises():
             OdeSystem(params, grid).forward(Field.full(grid, 1.0))
 
 
+def test_bank_names_the_right_hand_side_that_blows_up():
+    grid = _grid(1000)
+    system = OdeSystem(PARAMS, grid)
+    calm = random_smooth_field(grid, seed=50)
+    huge = Field.full(grid, 1.7e308)
+    with pytest.raises(SolverError, match=r"adjoint solve .* at step \d+ \(right-hand side 1\)"):
+        system.adjoint_bank([calm, huge, calm])
+
+
 def test_grid_validation():
     grid = Grid.regular(((0.0, 9.0),), (100,))  # wrong extent
     with pytest.raises(GridMismatchError):
