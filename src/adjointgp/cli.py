@@ -144,8 +144,8 @@ def cmd_infer(args) -> int:
         _write_slice(outcome.forcing_mean, slice_t, out)
     for key in sorted(outcome.metrics):
         print(f"{key} = {outcome.metrics[key]}")
-    for stage, seconds in outcome.timings.items():
-        print(f"time[{stage}] = {seconds:.4f}s")
+    for key, value in outcome.timings.items():
+        print(f"time[{key}] = {value:.4f}s" if isinstance(value, float) else f"{key} = {value}")
     print(f"outputs -> {out}")
     return 0
 

@@ -324,13 +324,10 @@ def simulate_data(config: Config) -> SimulatedData:
         basis = _inference_basis(config, grid, kernel)
         rng = np.random.default_rng(derive_seed(seeds["data"], "qstar"))
         qstar = rng.standard_normal(basis.size)
-        phi = assemble_phi(system.adjoint_bank(windows), basis)
-        clean = phi @ qstar
-        if heldout_windows:
-            phi_h = assemble_phi(system.adjoint_bank(heldout_windows), basis)
-            heldout_clean = phi_h @ qstar
-        else:
-            heldout_clean = np.zeros(0)
+        # training and held-out windows march as one bank
+        phi = assemble_phi(system.adjoint_bank(windows + heldout_windows), basis)
+        clean = phi[:len(windows)] @ qstar
+        heldout_clean = phi[len(windows):] @ qstar
         truth_forcing = forcing_from_weights(basis, qstar, grid)
         truth_solution = None
         truth_weights = None
@@ -525,6 +522,8 @@ class InferenceOutcome:
     ml_weights: np.ndarray | None
     ml_forcing: Field | None
     metrics: dict
+    # pipeline stage, push-back and held-out scoring seconds, bank row counts
+    timings: dict
 
     @property
     def posterior(self):
@@ -533,10 +532,6 @@ class InferenceOutcome:
     @property
     def phi(self):
         return self.pipeline.phi
-
-    @property
-    def timings(self) -> dict:
-        return self.pipeline.timings
 
 
 def _forcing_mse(estimate: Field, truth: Field) -> float:
@@ -554,8 +549,10 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
             UserWarning, stacklevel=2)
     basis = _inference_basis(config, data.grid, data.kernel)
     obs = data.observations()
-    result = run_pipeline(data.system, obs, basis)
+    result = run_pipeline(data.system, obs, basis, heldout=data.heldout_windows)
+    t0 = time.perf_counter()
     mean_field, var_field = posterior_forcing(result.posterior, basis, data.grid)
+    t1 = time.perf_counter()
 
     method = config["inference"]["method"]
     ml_weights = ml_forcing = None
@@ -579,12 +576,15 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
             metrics["qstar_max_abs_error_ml"] = float(
                 np.max(np.abs(ml_weights - data.qstar)))
     heldout = data.heldout_observations()
+    t2 = time.perf_counter()
     if heldout is not None:
-        phi_h = assemble_phi(data.system.adjoint_bank(heldout.windows), basis)
-        metrics["heldout_mse"] = predictive_mse(result.posterior, phi_h, heldout.z)
-        metrics["heldout_nll"] = predictive_nll(result.posterior, phi_h, heldout)
+        metrics["heldout_mse"] = predictive_mse(result.posterior, result.phi_heldout, heldout.z)
+        metrics["heldout_nll"] = predictive_nll(result.posterior, result.phi_heldout, heldout)
+    timings = dict(result.timings, posterior_forcing=t1 - t0,
+                   heldout_scoring=time.perf_counter() - t2,
+                   bank_rows_training=obs.n, bank_rows_heldout=len(data.heldout_windows))
     return InferenceOutcome(basis, result, mean_field, var_field,
-                            ml_weights, ml_forcing, metrics)
+                            ml_weights, ml_forcing, metrics, timings)
 
 
 def _weights_rows(outcome: InferenceOutcome):
@@ -618,9 +618,11 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir) -> P
         field_to_binary(outcome.ml_forcing, out / "forcing_ml.fld")
     _write_json(out / "metrics.json", outcome.metrics)
     _write_json(out / "timings.json", outcome.timings)
+    _write_json(out / "numerics.json", outcome.posterior.numerics)
 
-    # timings.json stays out of the manifest: wall clocks differ run to run,
-    # and the manifest hashes only content a rerun must reproduce.
+    # timings.json and numerics.json stay out of the manifest: they are
+    # diagnostics of the run (wall clocks differ run to run), and the
+    # manifest hashes only the results a rerun must reproduce.
     names = ["weights.csv", "phi.csv", "posterior.json", "forcing_mean.fld",
              "forcing_var.fld", "metrics.json"]
     if outcome.ml_forcing is not None:
@@ -669,7 +671,8 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     config = data.config
     basis = _inference_basis(config, data.grid, data.kernel)
     obs = data.observations()
-    pipeline = run_pipeline(data.system, obs, basis)
+    # infer's bank, held-out rows included: exact_mean equals its mean bit for bit
+    pipeline = run_pipeline(data.system, obs, basis, heldout=data.heldout_windows)
     target = gaussian_log_target(pipeline.phi, data.z, obs.sigma)
 
     settings = _mcmc_settings(config)

@@ -157,12 +157,15 @@ def _axis_tables(basis: FeatureBasis, grid: Grid):
 
 
 def _cell_blocks(basis: FeatureBasis, grid: Grid):
-    """Yield (cell slice, feature matrix block) keeping blocks under a size cap.
+    """Yield (cell slice, feature matrix block) in cell order.
 
-    On 1-D grids each block is evaluated directly from the cell centers.
-    With spatial axes each block is a slab of whole time cells built from
-    the per-axis tables of :func:`_axis_tables`, which needs products
-    instead of cosines for every entry.
+    On 1-D grids each block is evaluated directly from the cell centers,
+    under a cap of _BLOCK_ENTRIES entries.  With spatial axes each block is
+    the (M, S) feature matrix of one time cell, built from the per-axis
+    tables of :func:`_axis_tables`, which needs products instead of cosines
+    for every entry, into one buffer reused from cell to cell: a block is
+    valid until the next one is asked for, and no (M, num_cells) array is
+    ever held.
     """
     if grid.ndim == 1:
         centers = grid.centers()
@@ -173,16 +176,12 @@ def _cell_blocks(basis: FeatureBasis, grid: Grid):
             yield slice(start, stop), _eval_at(basis, centers[start:stop])
         return
     cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
-    nt, space = cos_a.shape[1], cos_b.shape[1]
-    slab = max(1, min(nt, _BLOCK_ENTRIES // max(1, basis.size * space)))
-    for start in range(0, nt, slab):
-        stop = min(start + slab, nt)
-        block = cos_a[:, start:stop, None] * cos_b[:, None, :]
-        # one time cell of sine products at a time, so the slab is the only
-        # array of its size
-        for k in range(start, stop):
-            block[:, k - start] -= sin_a[:, k, None] * sin_b
-        yield slice(start * space, stop * space), block.reshape(basis.size, -1)
+    space = cos_b.shape[1]
+    block, sines = np.empty_like(cos_b), np.empty_like(sin_b)
+    for k in range(cos_a.shape[1]):
+        np.multiply(cos_a[:, k, None], cos_b, out=block)
+        block -= np.multiply(sin_a[:, k, None], sin_b, out=sines)
+        yield slice(k * space, (k + 1) * space), block
 
 
 def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:

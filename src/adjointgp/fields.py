@@ -31,7 +31,7 @@ Binary serialization format (little-endian throughout):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -265,16 +265,21 @@ class AdjointBank:
     """Adjoint solutions of n functionals on one grid, as a solver's
     `adjoint_bank` returns them: row i of the (n, num_cells) array `rows`
     solves functional i, with masked cells holding 0.  The grid travels
-    with the rows, so they are never read on a grid of another shape."""
+    with the rows, so they are never read on a grid of another shape.
+    `live[i]`, found once from the rows, counts the time cells (axis 0) up
+    to row i's last non-zero one: the row is exactly zero from there on."""
 
     rows: np.ndarray
     grid: Grid
+    live: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows.ndim != 2 or self.rows.shape[1] != self.grid.num_cells:
             raise GridMismatchError(
                 f"bank rows of shape {self.rows.shape} do not fit a grid of "
                 f"{self.grid.num_cells} cells")
+        nonzero = (self.rows.reshape(len(self.rows), self.grid.dims[0], -1) != 0).any(axis=2)
+        object.__setattr__(self, "live", (nonzero * np.arange(1, nonzero.shape[1] + 1)).max(1))
 
 
 def bank_rows(fields, grid: Grid, what: str = "functional") -> np.ndarray:

@@ -7,7 +7,8 @@ expanded in M basis features the readings follow the linear model
 
     z = Phi q + eps,      Phi[i, m] = <v_i, phi_m>,   eps ~ N(0, sigma^2 I).
 
-The design matrix is a plain read-only (n, M) array.
+The design matrix is a plain read-only (n, M) array, projected one time
+cell at a time and from the bank rows still live there (`AdjointBank.live`).
 
 Factorization policy.  The prior is q ~ N(0, I): the feature amplitude
 carries the kernel variance.  The conjugate posterior takes one Cholesky
@@ -37,7 +38,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -108,11 +109,16 @@ class PosteriorQ:
     """Gaussian posterior over basis weights.
 
     `root` is a square-root factor of the covariance, cov = root @ root.T,
-    used for sampling and pointwise variance evaluation.
+    used for sampling and pointwise variance evaluation.  `numerics`, as
+    `posterior_q` fills it: "jitter", the value added to each diagonal
+    entry of the precision before it factored (0.0 when none);
+    "logdet_precision", 2 sum log diag L of the factored precision; and
+    "residual_norm", the standardized residual norm |z - Phi mean| / sigma.
     """
 
     mean: np.ndarray
     root: np.ndarray
+    numerics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(-1)
@@ -133,16 +139,16 @@ class PosteriorQ:
         return self.root @ self.root.T
 
 
-def _chol_with_jitter(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, retrying with diagonal jitter scaled to the
-    matrix before giving up."""
+def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor and the jitter added to the diagonal, retrying
+    with jitter scaled to the matrix before giving up."""
     scale = float(np.abs(np.diag(mat)).max())
     if scale == 0.0:
         scale = 1.0
     eye = np.eye(mat.shape[0])
     for jitter in (0.0, 1e-10, 1e-8, 1e-6):
         try:
-            return np.linalg.cholesky(mat + (jitter * scale) * eye)
+            return np.linalg.cholesky(mat + (jitter * scale) * eye), jitter * scale
         except np.linalg.LinAlgError:
             continue
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
@@ -164,21 +170,30 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *,
 
     The bank's rows, adjoint solution i in row i as `adjoint_bank` returns
     them, are read in place.  The basis is evaluated one block of cells at
-    a time, so the full (M, num_cells) feature matrix is never held at
-    once.  Passing `grid` asserts the bank lives on that grid; a mismatch
-    raises GridMismatchError before any work is done.  Non-finite entries
-    raise NumericalError.
+    a time, one time cell on (time, space) grids, so the full
+    (M, num_cells) feature matrix is never held at once.  Each block is
+    multiplied only with the rows still live there (`bank.live`), and the
+    cells after the last window ends are never evaluated.  Passing `grid`
+    asserts the bank lives on that grid; a mismatch raises
+    GridMismatchError before any work is done.  Non-finite entries raise
+    NumericalError.
     """
     if grid is not None and bank.grid != grid:
         raise GridMismatchError("adjoint bank does not live on the expected grid")
     if basis.dim != bank.grid.ndim:
         raise GridMismatchError("basis dimension does not match the grid")
-    rows = bank.rows
+    rows, live = bank.rows, bank.live
+    per_time_cell = bank.grid.num_cells // bank.grid.dims[0]
     entries = np.zeros((rows.shape[0], basis.size))
     # an overflow is reported below as an error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for sl, block in _cell_blocks(basis, bank.grid):
-            entries += rows[:, sl] @ block.T
+            # blocks come in time order: once no row is live, none will be
+            idx = np.flatnonzero(live > sl.start // per_time_cell)
+            if idx.size == 0:
+                break
+            idx = slice(None) if idx.size == live.size else idx
+            entries[idx] += rows[idx, sl] @ block.T
         entries *= bank.grid.cell_volume
     if not np.isfinite(entries).all():
         raise NumericalError("design matrix has non-finite entries; the adjoint "
@@ -233,7 +248,8 @@ def ml_estimate(phi, z, sigma: float | None = None, ridge: float = 0.0):
 
 
 def posterior_q(phi, z, sigma: float) -> PosteriorQ:
-    """Exact conjugate posterior over weights under the N(0, I) prior."""
+    """Exact conjugate posterior over weights under the N(0, I) prior, with
+    the jitter, log-determinant and residual norm of its `numerics`."""
     design = np.asarray(phi, dtype=float)
     z = np.asarray(z, dtype=float).reshape(-1)
     n, m = design.shape
@@ -243,21 +259,22 @@ def posterior_q(phi, z, sigma: float) -> PosteriorQ:
         raise ValueError("sigma must be positive")
     noise_prec = 1.0 / float(sigma) ** 2
     precision = noise_prec * (design.T @ design) + np.eye(m)
-    chol = _chol_with_jitter(0.5 * (precision + precision.T))
+    chol, jitter = _chol_with_jitter(0.5 * (precision + precision.T))
     mean = cho_solve((chol, True), noise_prec * (design.T @ z))
     # P^{-1} = L^{-T} L^{-1}: L^{-T} is a square root of the covariance
     root = solve_triangular(chol, np.eye(m), lower=True).T
-    post = PosteriorQ(mean, root)
-    if m < n / 2:
-        resid = z - design @ mean
-        if np.linalg.norm(resid) / sigma > 3.0 * math.sqrt(n):
-            warnings.warn(
-                f"standardized residual norm {np.linalg.norm(resid) / sigma:.1f} "
-                f"exceeds 3*sqrt(n)={3 * math.sqrt(n):.1f} with M={m} < n/2: "
-                "the basis is too small for the data, increase the feature count",
-                MisspecificationWarning,
-                stacklevel=2,
-            )
+    resid_norm = float(np.linalg.norm(z - design @ mean)) / sigma
+    post = PosteriorQ(mean, root, {
+        "jitter": jitter, "logdet_precision": 2.0 * float(np.log(np.diag(chol)).sum()),
+        "residual_norm": resid_norm})
+    if m < n / 2 and resid_norm > 3.0 * math.sqrt(n):
+        warnings.warn(
+            f"standardized residual norm {resid_norm:.1f} "
+            f"exceeds 3*sqrt(n)={3 * math.sqrt(n):.1f} with M={m} < n/2: "
+            "the basis is too small for the data, increase the feature count",
+            MisspecificationWarning,
+            stacklevel=2,
+        )
     return post
 
 
@@ -365,22 +382,26 @@ PIPELINE_STAGES = ("adjoint_solves", "phi_assembly", "posterior_solve")
 class PipelineResult:
     posterior: PosteriorQ
     phi: np.ndarray
+    phi_heldout: np.ndarray
     timings: dict
 
 
-def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis) -> PipelineResult:
-    """One adjoint solve per observation, marched together as one bank, the
-    design matrix, and the posterior, with one wall-clock entry per stage
+def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
+                 heldout=()) -> PipelineResult:
+    """One adjoint solve per observation and per `heldout` functional,
+    marched as one bank, the design matrix, split into `phi` and
+    `phi_heldout`, and the posterior, with one wall-clock entry per stage
     (monotonic clock)."""
+    n = observations.n
     t0 = time.perf_counter()
-    bank = system.adjoint_bank(observations.windows)
+    bank = system.adjoint_bank(observations.windows + tuple(heldout))
     t1 = time.perf_counter()
     phi = assemble_phi(bank, basis)
     t2 = time.perf_counter()
-    post = posterior_q(phi, observations.z, observations.sigma)
+    post = posterior_q(phi[:n], observations.z, observations.sigma)
     t3 = time.perf_counter()
     timings = dict(zip(PIPELINE_STAGES, (t1 - t0, t2 - t1, t3 - t2)))
-    return PipelineResult(post, phi, timings)
+    return PipelineResult(post, phi[:n], phi[n:], timings)
 
 
 def posterior_to_json(post: PosteriorQ, *, basis_seed=None,

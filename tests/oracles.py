@@ -28,6 +28,9 @@ stream the two must accept the same steps and walk the same chain.
 
 The exact kernel and the truncated feature sum at single points check the
 random Fourier feature expansion that the package evaluates on grids.
+
+The live-cell check reads an adjoint bank one row and one time cell at a
+time, where the bank finds every row's last non-zero time cell at once.
 """
 
 import numpy as np
@@ -274,3 +277,15 @@ def feature_vector(basis: FeatureBasis, x) -> np.ndarray:
 def kernel_approx(basis: FeatureBasis, x, y) -> float:
     """Truncated kernel sum_m phi_m(x) phi_m(y)."""
     return float(np.dot(feature_vector(basis, x), feature_vector(basis, y)))
+
+
+def assert_live_is_tight(bank) -> None:
+    """Each row of `bank` is zero on every time cell from `bank.live[i]`
+    on and non-zero in time cell `bank.live[i] - 1`."""
+    cells = bank.rows.reshape(len(bank.rows), bank.grid.dims[0], -1)
+    assert bank.live.shape == (len(bank.rows),)
+    assert np.issubdtype(bank.live.dtype, np.integer)
+    for row, live in zip(cells, bank.live):
+        assert 0 <= live <= len(row)
+        assert not row[live:].any()
+        assert live == 0 or row[live - 1].any()

@@ -6,10 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adjointgp import AdjointBank, ConfigError, OdeSystem, StabilityWarning, inner_product
+from adjointgp import (
+    PIPELINE_STAGES,
+    AdjointBank,
+    ConfigError,
+    OdeSystem,
+    PdeSystem,
+    StabilityWarning,
+    assemble_phi,
+    inner_product,
+    posterior_q,
+    predictive_mse,
+    predictive_nll,
+)
 from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
-from adjointgp.experiments import make_grid, make_system, simulate_data
+from adjointgp.experiments import make_grid, make_system, run_inference, simulate_data
 
 # the deliberately tiny bases used here for speed trip the small-basis
 # warning; its trigger condition is pinned in test_inference.py
@@ -343,6 +355,61 @@ def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
     for argv in (["mcmc", "b", "--out", "o"], ["sweep", "--config", "c", "--out", "o"],
                  ["scan-hyper", "b", "--out", "o"], ["shift-demo"]):
         assert parser.parse_args(argv + ["--jobs", "3"]).jobs == 3
+
+
+def test_infer_writes_numerics_and_stage_timings(tmp_path, capsys):
+    bundle = _simulate(tmp_path, PDE_TEXT)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["infer", str(bundle), "--out", str(out)]) == 0
+    assert "bank_rows_training = 18" in capsys.readouterr().out
+    numerics = json.loads((outs[0] / "numerics.json").read_text())
+    assert set(numerics) == {"jitter", "logdet_precision", "residual_norm"}
+    assert numerics["jitter"] == 0.0
+    assert (outs[0] / "numerics.json").read_bytes() == (outs[1] / "numerics.json").read_bytes()
+    timings = json.loads((outs[0] / "timings.json").read_text())
+    assert set(timings) == {*PIPELINE_STAGES, "posterior_forcing", "heldout_scoring",
+                            "bank_rows_training", "bank_rows_heldout"}
+    assert (timings["bank_rows_training"], timings["bank_rows_heldout"]) == (18, 8)
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert not {"numerics.json", "timings.json"} & set(manifest["files"])
+
+
+def test_infer_records_the_jitter_of_a_singular_design(tmp_path, monkeypatch):
+    # identical huge bank rows make Phi rank one at a huge scale, so the
+    # posterior precision factors only with jitter
+    bundle = _simulate(tmp_path, ODE_TEXT)
+
+    def flat_bank(self, functionals):
+        return AdjointBank(np.full((len(functionals), self.grid.num_cells), 1e8), self.grid)
+
+    monkeypatch.setattr(OdeSystem, "adjoint_bank", flat_bank)
+    out = tmp_path / "singular"
+    assert main(["infer", str(bundle), "--out", str(out)]) == 0
+    assert json.loads((out / "numerics.json").read_text())["jitter"] > 0.0
+
+
+def test_infer_marches_training_and_heldout_windows_as_one_bank(monkeypatch):
+    data = simulate_data(parse_config(PDE_TEXT))
+    march = PdeSystem.adjoint_bank
+    calls = []
+
+    def counting_bank(self, functionals):
+        calls.append(len(functionals))
+        return march(self, functionals)
+
+    monkeypatch.setattr(PdeSystem, "adjoint_bank", counting_bank)
+    outcome = run_inference(data)
+    assert calls == [len(data.windows) + len(data.heldout_windows)]
+    # the same scores as a training bank and a held-out bank marched apart
+    obs, heldout = data.observations(), data.heldout_observations()
+    phi = assemble_phi(march(data.system, obs.windows), outcome.basis)
+    post = posterior_q(phi, obs.z, obs.sigma)
+    phi_h = assemble_phi(march(data.system, heldout.windows), outcome.basis)
+    assert outcome.metrics["heldout_mse"] == pytest.approx(
+        predictive_mse(post, phi_h, heldout.z), rel=1e-12, abs=0)
+    assert outcome.metrics["heldout_nll"] == pytest.approx(
+        predictive_nll(post, phi_h, heldout), rel=1e-12, abs=0)
 
 
 def test_sweep_command_is_resumable(tmp_path, capsys):

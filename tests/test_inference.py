@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -130,10 +131,10 @@ def test_phi_spanning_cell_blocks_matches_dense_projection():
 
 
 def test_factored_tables_match_dense_basis_across_time_slabs():
-    # 300 features x 28800 cells is past the block cap, so the (t, y, x)
-    # grid is covered by two slabs of whole time cells built from the
-    # per-axis tables; each result is checked against the dense direct
-    # cosine.  Entries that cancel to near zero keep the rounding of their
+    # 300 features x 28800 cells is past the 2^23-entry cap of the 1-D
+    # blocks; the (t, y, x) grid is covered one time cell at a time from
+    # the per-axis tables, and each result is checked against the dense
+    # direct cosine.  Entries that cancel to near zero keep the rounding of their
     # terms, so the bar is relative to the largest entry of each result.
     grid = Grid.regular(((0.0, 6.0), (0.0, 10.0), (0.0, 8.0)), (24, 30, 40))
     basis = FeatureBasis.sample(300, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=5)
@@ -168,6 +169,48 @@ def test_one_dimensional_basis_keeps_the_direct_cosine():
     rows = rng.standard_normal((4, grid.num_cells))
     assert np.array_equal(assemble_phi(AdjointBank(rows, grid), basis),
                           rows @ dense.T * grid.cell_volume)
+
+
+def test_live_cells_project_like_the_dense_basis():
+    # windows ending at different time cells and one zero row: each time
+    # cell block multiplies only the rows still live there, and the cells
+    # after the last window ends are skipped
+    grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (20, 12, 12))
+    system = PdeSystem(PdeParams((0.4, 0.4), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), grid)
+    windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 3.0 + 2.0 * k)
+               for k in range(3)] + [Field.zeros(grid)]
+    bank = system.adjoint_bank(windows)
+    assert bank.live.tolist() == [6, 10, 14, 0]
+    basis = FeatureBasis.sample(30, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=11)
+    dense = eval_basis(basis, grid)
+    phi = assemble_phi(bank, basis)
+    reference = bank.rows @ dense.T * grid.cell_volume
+    assert np.abs(phi - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert not phi[-1].any()
+    post = posterior_q(phi, np.random.default_rng(12).standard_normal(len(windows)), 0.5)
+    _, var = posterior_forcing(post, basis, grid)
+    dense_var = np.einsum("mg,mk,kg->g", dense, post.cov, dense)
+    np.testing.assert_allclose(var.values_flat, dense_var, rtol=1e-12,
+                               atol=1e-12 * dense_var.max())
+
+
+def test_projection_and_push_back_hold_no_full_feature_matrix():
+    # 100 features x 45000 cells make a 36 MB feature matrix; on a
+    # (time, space) grid the projection and the pointwise variance build
+    # one time cell of it at a time
+    grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (50, 30, 30))
+    basis = FeatureBasis.sample(100, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=13)
+    rng = np.random.default_rng(14)
+    bank = AdjointBank(rng.standard_normal((10, grid.num_cells)), grid)
+    post = posterior_q(rng.standard_normal((10, basis.size)), rng.standard_normal(10), 0.5)
+    tracemalloc.start()
+    try:
+        assemble_phi(bank, basis)
+        posterior_forcing(post, basis, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.size * grid.num_cells * 8 / 4
 
 
 def test_phi_grid_assertion():
@@ -363,6 +406,23 @@ def test_misspecification_warning_trigger():
         warnings.simplefilter("always")
         posterior_q(design_wide, z, sigma=0.1)
     assert not any(issubclass(w.category, MisspecificationWarning) for w in rec)
+
+
+def test_posterior_records_its_numerics():
+    rng = np.random.default_rng(15)
+    design = rng.standard_normal((30, 5))
+    z = rng.standard_normal(30)
+    post = posterior_q(design, z, sigma=0.5)
+    precision = design.T @ design / 0.25 + np.eye(5)
+    assert post.numerics["jitter"] == 0.0
+    assert post.numerics["logdet_precision"] == pytest.approx(
+        np.linalg.slogdet(precision)[1], rel=1e-12)
+    assert post.numerics["residual_norm"] == pytest.approx(
+        np.linalg.norm(z - design @ post.mean) / 0.5, rel=1e-12)
+    # a rank-one design at a huge scale: the precision factors only with
+    # jitter, and the posterior says how much
+    flat = posterior_q(1e8 * np.ones((6, 3)), np.ones(6), sigma=1e-6)
+    assert flat.numerics["jitter"] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from adjointgp import (
     norm,
     window_indicator,
 )
-from oracles import ode_apply, ode_apply_adjoint, random_smooth_field
+from oracles import assert_live_is_tight, ode_apply, ode_apply_adjoint, random_smooth_field
 
 PARAMS = OdeParams(p0=5.0, p1=1.0, p2=0.5, T=10.0)
 
@@ -193,3 +193,14 @@ def test_bank_equals_single_solves_and_keeps_the_identity():
         lhs = inner_product(u, w)
         rhs = float(f.values_flat @ row) * grid.cell_volume
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def test_bank_live_cells_are_tight():
+    # an adjoint marched backward from rest is zero after its window ends;
+    # the all-zero functional has no live cell
+    grid = _grid(400)
+    windows = [window_indicator(grid, [1.0], [2.0 + 2.0 * k]) for k in range(4)]
+    bank = OdeSystem(PARAMS, grid).adjoint_bank(windows + [Field.zeros(grid)])
+    assert_live_is_tight(bank)
+    assert len(set(bank.live[:4].tolist())) == 4 and bank.live.max() < grid.dims[0]
+    assert bank.live[-1] == 0

@@ -15,6 +15,7 @@ from adjointgp import (
 from adjointgp import pde
 from adjointgp.pde import PdeParams, PdeSystem, cfl_limit, sensor_field
 from oracles import (
+    assert_live_is_tight,
     pde_adjoint_flux_bank,
     pde_apply,
     pde_apply_adjoint,
@@ -252,3 +253,12 @@ def test_forward_overflow_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match=r"forward solve .* at step \d+"):
             PdeSystem(_params(), grid).forward(Field.full(grid, 1.7e308))
+
+
+def test_bank_live_cells_are_tight():
+    grid = _grid(20, 12, 12)
+    windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 3.0 + 2.0 * k) for k in range(3)]
+    bank = PdeSystem(_params(), grid).adjoint_bank(windows + [Field.zeros(grid)])
+    assert_live_is_tight(bank)
+    # a window ending at t_hi covers time cells up to t_hi / dt
+    assert bank.live.tolist() == [6, 10, 14, 0]

@@ -8,9 +8,10 @@ from adjointgp import (
     Grid,
     KernelParams,
     inner_product,
+    window_indicator,
 )
 from adjointgp.shift import ShiftParams, ShiftSystem
-from oracles import random_smooth_field
+from oracles import assert_live_is_tight, random_smooth_field
 
 
 def _grid(cells=100, T=10.0):
@@ -131,3 +132,14 @@ def test_bank_equals_single_solves_and_keeps_the_identity(a):
         lhs = inner_product(u, w)
         rhs = float(f.values_flat @ row) * grid.cell_volume
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+@pytest.mark.parametrize("a", [1.2, -2.0])
+def test_bank_live_cells_are_tight(a):
+    grid = _grid(250)
+    windows = [window_indicator(grid, [3.0], [4.0 + k]) for k in range(3)]
+    bank = ShiftSystem(ShiftParams(a=a, T=10.0), grid).adjoint_bank(windows + [Field.zeros(grid)])
+    assert_live_is_tight(bank)
+    # v(t) = h(t + a) ends a before the window does
+    ends = np.array([4.0, 5.0, 6.0]) - a
+    assert bank.live.tolist() == [*np.round(ends / grid.spacing[0]).astype(int), 0]
