@@ -22,11 +22,10 @@ from .fields import (
     AdjointBank,
     Field,
     Grid,
+    Window,
     dirac_window,
     field_from_binary,
-    field_from_csv,
     field_to_binary,
-    field_to_csv,
     inner_product,
     norm,
     window_indicator,
@@ -34,8 +33,6 @@ from .fields import (
 from .features import (
     FeatureBasis,
     KernelParams,
-    basis_from_json,
-    basis_to_json,
     eval_basis,
     forcing_from_weights,
     sample_prior_forcing,
@@ -101,10 +98,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjointGPError", "ConfigError", "DomainError", "GridMismatchError",
     "MisspecificationWarning", "NumericalError", "SolverError", "StabilityWarning",
-    "AdjointBank", "Field", "Grid", "dirac_window", "field_from_binary", "field_from_csv",
-    "field_to_binary", "field_to_csv", "inner_product", "norm", "window_indicator",
-    "FeatureBasis", "KernelParams", "basis_from_json", "basis_to_json",
-    "eval_basis", "forcing_from_weights", "sample_prior_forcing",
+    "AdjointBank", "Field", "Grid", "Window", "dirac_window", "field_from_binary",
+    "field_to_binary", "inner_product", "norm", "window_indicator",
+    "FeatureBasis", "KernelParams", "eval_basis", "forcing_from_weights", "sample_prior_forcing",
     "OdeParams", "OdeSystem", "euler_stability_limit",
     "PdeParams", "PdeSystem", "cfl_limit", "sensor_field",
     "ShiftParams", "ShiftSystem",

@@ -53,40 +53,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Infer unknown forcing functions of linear systems "
                     "from noisy observations via adjoint solves.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # kept so that existing scripts still parse; every command runs serially
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=None, metavar="K",
-                      help="accepted for compatibility and ignored")
 
     p_sim = sub.add_parser("simulate", help="build a data bundle from a config")
     p_sim.add_argument("--config", required=True, help="experiment config file")
     p_sim.add_argument("--out", required=True, help="bundle output directory")
 
-    p_inf = sub.add_parser("infer", parents=[jobs],
-                           help="adjoint inference pipeline on a bundle")
+    p_inf = sub.add_parser("infer", help="adjoint inference pipeline on a bundle")
     p_inf.add_argument("bundle", help="data bundle directory")
     p_inf.add_argument("--out", required=True, help="output directory")
     p_inf.add_argument("--slice", dest="slice_spec", default=None, metavar="t=VALUE",
                        help="also write a spatial slice of the forcing mean "
                             "at the given time (pde only)")
 
-    p_mc = sub.add_parser("mcmc", parents=[jobs],
-                          help="random-walk sampler baseline on a bundle")
+    p_mc = sub.add_parser("mcmc", help="random-walk sampler baseline on a bundle")
     p_mc.add_argument("bundle", help="data bundle directory")
     p_mc.add_argument("--out", required=True, help="output directory")
 
-    p_sw = sub.add_parser("sweep", parents=[jobs],
-                          help="sensors-by-features replicate sweep")
+    p_sw = sub.add_parser("sweep", help="sensors-by-features replicate sweep")
     p_sw.add_argument("--config", required=True, help="config with a [sweep] section")
     p_sw.add_argument("--out", required=True, help="output directory (resumable)")
 
-    p_sc = sub.add_parser("scan-hyper", parents=[jobs],
-                          help="kernel hyperparameter lattice scan")
+    p_sc = sub.add_parser("scan-hyper", help="kernel hyperparameter lattice scan")
     p_sc.add_argument("bundle", help="data bundle directory (config needs [scan])")
     p_sc.add_argument("--out", required=True, help="output directory")
 
-    p_demo = sub.add_parser("shift-demo", parents=[jobs],
-                            help="end-to-end shift-system demo")
+    p_demo = sub.add_parser("shift-demo", help="end-to-end shift-system demo")
     p_demo.add_argument("--out", default=None, help="optional output directory")
     p_demo.add_argument("--seed", type=int, default=None,
                         help="alternate seed for the built-in scenario")

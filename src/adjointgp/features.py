@@ -14,13 +14,12 @@ Randomness policy: features are drawn from PCG64 streams.  A basis seeded
 with integer `seed` spawns one child stream per feature via
 ``numpy.random.SeedSequence(seed).spawn(M)``; feature m draws its frequency
 vector first, then its phase, from child m.  The draw for feature m is
-therefore independent of M and of every other feature, and a serialized
-basis can be reproduced bit-for-bit from (seed, count, dim, kernel).
+therefore independent of M and of every other feature, and a basis can
+be rebuilt bit-for-bit from (seed, count, dim, kernel).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "eval_basis",
     "forcing_from_weights",
     "sample_prior_forcing",
-    "basis_to_json",
-    "basis_from_json",
 ]
 
 
@@ -212,32 +209,3 @@ def sample_prior_forcing(basis: FeatureBasis, grid: Grid, seed: int):
     rng = np.random.default_rng(int(seed))
     weights = rng.standard_normal(basis.size)
     return weights, forcing_from_weights(basis, weights, grid)
-
-
-def basis_to_json(basis: FeatureBasis, include_arrays: bool = True) -> str:
-    """Serialize the basis.  With arrays included the JSON replays exactly;
-    without them a basis sampled from `seed` reconstructs bit-for-bit."""
-    obj = {
-        "seed": basis.seed,
-        "count": basis.size,
-        "dim": basis.dim,
-        "lengthscale": basis.kernel.lengthscale,
-        "variance": basis.kernel.variance,
-    }
-    if include_arrays:
-        obj["frequencies"] = basis.frequencies.tolist()
-        obj["phases"] = basis.phases.tolist()
-    return json.dumps(obj, sort_keys=True)
-
-
-def basis_from_json(text: str) -> FeatureBasis:
-    obj = json.loads(text)
-    kernel = KernelParams(obj["lengthscale"], obj["variance"])
-    if "frequencies" in obj:
-        basis = FeatureBasis(obj["frequencies"], obj["phases"], kernel, seed=obj.get("seed"))
-        if basis.size != obj["count"] or basis.dim != obj["dim"]:
-            raise ValueError("array shapes disagree with declared count/dim")
-        return basis
-    if obj.get("seed") is None:
-        raise ValueError("cannot rebuild basis: no arrays and no seed")
-    return FeatureBasis.sample(obj["count"], obj["dim"], kernel, obj["seed"])

@@ -1,4 +1,5 @@
-"""Uniform grids, cell-centered fields, and the quadrature inner product.
+"""Uniform grids, cell-centered fields, observation windows, and the
+quadrature inner product.
 
 A :class:`Grid` is a uniform rectangular lattice over an axis-aligned box.
 Values are attached to cell centers and stored in C (row-major) order with
@@ -14,6 +15,12 @@ feature projections downstream.  Fields may carry a boolean mask marking
 cells where the field is defined; masked inner products integrate only over
 cells where both operands are defined (undefined cells are excluded, not
 zero-filled).
+
+Every observation is a :class:`Window`: the normalized indicator of a box
+of whole cells, kept as one slice of cell indices per axis (the cells a
+half-open box covers on a uniform axis are one run) and never as a dense
+field.  A reading <w, u> is the mean of u over the box, and a bank of
+adjoint solves writes each box straight into its row.
 
 Binary serialization format (little-endian throughout):
 
@@ -196,20 +203,25 @@ class Field:
         return None if self.mask is None else self.mask.reshape(-1)
 
 
-def _check_same_grid(a: Field, b: Field):
+def _check_same_grid(a, b):
     if a.grid != b.grid:
         raise GridMismatchError(
             f"fields live on different grids: {a.grid.dims} vs {b.grid.dims}"
         )
 
 
-def inner_product(a: Field, b: Field) -> float:
+def inner_product(a: Field | Window, b: Field | Window) -> float:
     """Cell-center quadrature <a, b> = sum a*b*cell_volume.
 
     With masks present the sum runs only over cells where both operands are
-    defined.
+    defined.  Against a :class:`Window` the sum is the mean of the field
+    over the window's box; masked cells hold 0 there, which sums the same.
     """
     _check_same_grid(a, b)
+    if isinstance(a, Window):
+        a, b = b, a
+    if isinstance(b, Window):
+        return float(a.values[b.box].mean())
     av = a.values_flat
     bv = b.values_flat
     if a.mask is not None or b.mask is not None:
@@ -227,7 +239,25 @@ def norm(a: Field) -> float:
     return float(np.sqrt(inner_product(a, a)))
 
 
-def window_indicator(grid: Grid, lo, hi) -> Field:
+@dataclass(frozen=True)
+class Window:
+    """Normalized indicator of a box of whole cells: `value`, which is
+    1 / (covered measure), on the cells that `box`, one slice of cell
+    indices per axis, selects, and 0 elsewhere.  Immutable; it holds no
+    grid-sized array."""
+
+    grid: Grid
+    box: tuple[slice, ...]
+
+    @property
+    def value(self) -> float:
+        count = 1
+        for s in self.box:
+            count *= s.stop - s.start
+        return 1.0 / (count * self.grid.cell_volume)
+
+
+def window_indicator(grid: Grid, lo, hi) -> Window:
     """Normalized indicator of the box [lo, hi), snapped to whole cells.
 
     The window covers every cell whose center falls in the half-open box and
@@ -242,22 +272,16 @@ def window_indicator(grid: Grid, lo, hi) -> Field:
         )
     if not (lo < hi).all():
         raise ValueError(f"window must satisfy lo < hi componentwise, got {lo} / {hi}")
-    index_sets = []
+    box = []
     for k in range(grid.ndim):
-        c = grid.axis_centers(k)
-        idx = np.nonzero((c >= lo[k]) & (c < hi[k]))[0]
-        if idx.size == 0:
+        # the centers are increasing, so those in [lo, hi) are one run
+        start, stop = np.searchsorted(grid.axis_centers(k), (lo[k], hi[k])).tolist()
+        if start == stop:
             raise DomainError(
                 f"window [{lo[k]}, {hi[k]}) contains no cell centers on axis {k}"
             )
-        index_sets.append(idx)
-    count = 1
-    for idx in index_sets:
-        count *= idx.size
-    value = 1.0 / (count * grid.cell_volume)
-    vals = np.zeros(grid.shape)
-    vals[np.ix_(*index_sets)] = value
-    return Field(grid, vals)
+        box.append(slice(start, stop))
+    return Window(grid, tuple(box))
 
 
 @dataclass(frozen=True)
@@ -282,25 +306,29 @@ class AdjointBank:
         object.__setattr__(self, "live", (nonzero * np.arange(1, nonzero.shape[1] + 1)).max(1))
 
 
-def bank_rows(fields, grid: Grid, what: str = "functional") -> np.ndarray:
-    """One preallocated (n, num_cells) array holding field i in row i.
+def bank_rows(functionals, grid: Grid, what: str = "functional") -> np.ndarray:
+    """One preallocated (n, num_cells) array holding functional i in row i:
+    a field's values, or a window's box.
 
     Solvers march in place over this array: each step reads a cell's
     right-hand sides and overwrites them with the solution there, so a bank
     of solves needs no second copy of its inputs.  Masked cells hold 0.
     """
-    fields = tuple(fields)
-    if not fields:
+    functionals = tuple(functionals)
+    if not functionals:
         raise ValueError(f"need at least one {what}")
-    rows = np.empty((len(fields), grid.num_cells))
-    for i, f in enumerate(fields):
+    rows = np.zeros((len(functionals), grid.num_cells))
+    for row, f in zip(rows, functionals):
         if f.grid != grid:
             raise GridMismatchError(f"{what} lives on a different grid")
-        rows[i] = f.values_flat
+        if isinstance(f, Window):
+            row.reshape(grid.shape)[f.box] = f.value
+        else:
+            row[:] = f.values_flat
     return rows
 
 
-def dirac_window(grid: Grid, point) -> Field:
+def dirac_window(grid: Grid, point) -> Window:
     """Point observation as a single-cell window containing `point`."""
     point = np.asarray(point, dtype=float).reshape(-1)
     if point.size != grid.ndim:
@@ -321,49 +349,6 @@ def dirac_window(grid: Grid, point) -> Field:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def field_to_csv(field: Field, path):
-    """Write one row per cell: integer indices, center coordinates, value.
-
-    Masked fields gain a trailing ``defined`` column (0/1).
-    """
-    grid = field.grid
-    d = grid.ndim
-    header = (
-        [f"i{k}" for k in range(d)]
-        + [f"x{k}" for k in range(d)]
-        + ["value"]
-    )
-    masked = field.mask is not None
-    if masked:
-        header.append("defined")
-    axes = [grid.axis_centers(k) for k in range(d)]
-    idx = np.stack(
-        [m.reshape(-1) for m in np.meshgrid(*[np.arange(n) for n in grid.dims], indexing="ij")],
-        axis=1,
-    )
-    vals = field.values_flat
-    mask = field.mask_flat
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for g in range(grid.num_cells):
-            row = [str(int(idx[g, k])) for k in range(d)]
-            row += [repr(float(axes[k][idx[g, k]])) for k in range(d)]
-            row.append(repr(float(vals[g])))
-            if masked:
-                row.append(str(int(mask[g])))
-            fh.write(",".join(row) + "\n")
-
-
-def field_from_csv(grid: Grid, path) -> Field:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.size != grid.num_cells:
-        raise ValueError("row count does not match grid cell count")
-    vals = np.asarray(data["value"], dtype=float)
-    names = data.dtype.names
-    mask = np.asarray(data["defined"], dtype=bool) if "defined" in names else None
-    return Field(grid, vals, mask=mask)
-
 
 def field_to_binary(field: Field, path):
     """Dump per the documented little-endian layout (see module docstring)."""

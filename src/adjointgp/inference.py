@@ -45,7 +45,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import MisspecificationWarning, NumericalError
 from .features import FeatureBasis, KernelParams, _cell_blocks, forcing_from_weights
-from .fields import AdjointBank, Field, Grid, GridMismatchError
+from .fields import AdjointBank, Field, Grid, GridMismatchError, Window
 
 __all__ = [
     "ObservationSet",
@@ -72,7 +72,7 @@ SIGMA_MIN = 1e-6
 class ObservationSet:
     """Observation functionals, their noisy readings, and the noise level."""
 
-    windows: tuple[Field, ...]
+    windows: tuple[Window, ...]
     z: np.ndarray
     sigma: float
 

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, check_march
-from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid, window_indicator
+from .fields import (AdjointBank, Field, Grid, Window, bank_rows, check_time_grid,
+                     window_indicator)
 
 __all__ = ["PdeParams", "PdeSystem", "cfl_limit", "sensor_field"]
 
@@ -123,7 +124,7 @@ def _step_operator(params: PdeParams, grid: Grid):
     return (sp.identity(ny * nx) + dt * lap).tocsr()
 
 
-def sensor_field(grid: Grid, region_lo, region_hi, t_lo: float, t_hi: float) -> Field:
+def sensor_field(grid: Grid, region_lo, region_hi, t_lo: float, t_hi: float) -> Window:
     """Observation window: spatial box (grid-axis order, y then x) crossed
     with a time interval, snapped to whole cells and normalized."""
     region_lo = np.asarray(region_lo, dtype=float).reshape(-1)

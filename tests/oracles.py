@@ -31,11 +31,15 @@ random Fourier feature expansion that the package evaluates on grids.
 
 The live-cell check reads an adjoint bank one row and one time cell at a
 time, where the bank finds every row's last non-zero time cell at once.
+
+`dense_field` renders an observation window as the whole-grid field it
+stands for, the form the package never builds; every oracle that needs a
+window's cell values reads them from there.
 """
 
 import numpy as np
 
-from adjointgp import FeatureBasis, Field, Grid, KernelParams, forcing_from_weights
+from adjointgp import FeatureBasis, Field, Grid, KernelParams, Window, forcing_from_weights
 from adjointgp.features import _eval_at
 from adjointgp.mcmc import BLOCK_STEPS, _block_draws, _default_batch
 
@@ -128,10 +132,20 @@ def random_smooth_field(grid: Grid, seed, modes: int = 4,
     return Field(grid, vals)
 
 
+def dense_field(functional) -> Field:
+    """A window as the field holding its value on every cell of its box and
+    0 elsewhere; any other functional, a field already, as it is."""
+    if not isinstance(functional, Window):
+        return functional
+    vals = np.zeros(functional.grid.shape)
+    vals[functional.box] = functional.value
+    return Field(functional.grid, vals)
+
+
 def window_matrix(windows) -> np.ndarray:
     """Rows apply observation windows to a flat field by dot product."""
     grid = windows[0].grid
-    rows = np.stack([w.values_flat for w in windows])
+    rows = np.stack([dense_field(w).values_flat for w in windows])
     return rows * grid.cell_volume
 
 
@@ -237,7 +251,7 @@ def pde_adjoint_flux_bank(params, functionals) -> np.ndarray:
     dt, dy, dx = grid.spacing
     vy, vx = params.velocity
     kappa = params.diffusivity
-    rhs = np.stack([w.values for w in functionals])
+    rhs = np.stack([dense_field(w).values for w in functionals])
     out = np.empty_like(rhs)
     state = np.zeros((len(functionals), ny, nx))
     for k in range(nt):

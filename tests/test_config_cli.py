@@ -347,14 +347,16 @@ def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
     posterior_meta = json.loads((out / "posterior.json").read_text())
     assert posterior_meta["config_hash"] == config_hash(parse_config(text))
 
-    # --jobs still parses on every command that took it, and changes nothing
-    again = tmp_path / "inferred_jobs"
-    assert main(["infer", str(bundle), "--out", str(again), "--jobs", "3"]) == 0
-    assert (again / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
+    # --jobs is gone: every command that once took it now refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", str(bundle), "--out", str(tmp_path / "inferred_jobs"), "--jobs", "3"])
+    assert exc.value.code == 2
     parser = _build_parser()
     for argv in (["mcmc", "b", "--out", "o"], ["sweep", "--config", "c", "--out", "o"],
                  ["scan-hyper", "b", "--out", "o"], ["shift-demo"]):
-        assert parser.parse_args(argv + ["--jobs", "3"]).jobs == 3
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + ["--jobs", "3"])
+        assert exc.value.code == 2
 
 
 def test_infer_writes_numerics_and_stage_timings(tmp_path, capsys):

@@ -5,8 +5,6 @@ from adjointgp import (
     FeatureBasis,
     Grid,
     KernelParams,
-    basis_from_json,
-    basis_to_json,
     eval_basis,
     forcing_from_weights,
     sample_prior_forcing,
@@ -182,29 +180,6 @@ def test_prior_forcing_seed_reproducible():
     q2, f2 = sample_prior_forcing(basis, grid, seed=77)
     assert (q1 == q2).all()
     assert (f1.values == f2.values).all()
-
-
-def test_json_round_trip_with_arrays():
-    basis = FeatureBasis.sample(9, 2, KERNEL, seed=33)
-    clone = basis_from_json(basis_to_json(basis))
-    assert (clone.frequencies == basis.frequencies).all()
-    assert (clone.phases == basis.phases).all()
-    assert clone.kernel == basis.kernel
-    assert clone.seed == 33
-
-
-def test_json_round_trip_seed_only():
-    basis = FeatureBasis.sample(9, 2, KERNEL, seed=33)
-    clone = basis_from_json(basis_to_json(basis, include_arrays=False))
-    assert (clone.frequencies == basis.frequencies).all()
-    assert (clone.phases == basis.phases).all()
-
-
-def test_json_rejects_unreplayable_payload():
-    basis = FeatureBasis(np.zeros((2, 1)), np.zeros(2), KERNEL)
-    text = basis_to_json(basis, include_arrays=False)
-    with pytest.raises(ValueError):
-        basis_from_json(text)
 
 
 def test_basis_validation():

@@ -8,13 +8,12 @@ from adjointgp import (
     GridMismatchError,
     dirac_window,
     field_from_binary,
-    field_from_csv,
     field_to_binary,
-    field_to_csv,
     inner_product,
     norm,
     window_indicator,
 )
+from oracles import dense_field
 
 
 def test_grid_regular_layout():
@@ -81,16 +80,17 @@ def test_window_covers_expected_cells():
     """[0.25, 0.35) on a 100-cell unit grid is 10 cells at height 10."""
     grid = Grid.regular(((0.0, 1.0),), (100,))
     w = window_indicator(grid, [0.25], [0.35])
-    covered = np.nonzero(w.values_flat)[0]
+    values = dense_field(w).values_flat
+    covered = np.nonzero(values)[0]
     np.testing.assert_array_equal(covered, np.arange(25, 35))
-    np.testing.assert_allclose(w.values_flat[covered], 10.0, rtol=1e-12)
+    np.testing.assert_allclose(values[covered], 10.0, rtol=1e-12)
 
 
 def test_window_snaps_to_cell_centers():
     grid = Grid.regular(((0.0, 1.0),), (10,))
     # covers only the cell centered at 0.35
     w = window_indicator(grid, [0.32], [0.41])
-    assert np.count_nonzero(w.values_flat) == 1
+    assert np.count_nonzero(dense_field(w).values_flat) == 1
     with pytest.raises(DomainError):
         window_indicator(grid, [0.36], [0.39])
     with pytest.raises(ValueError):
@@ -144,42 +144,21 @@ def test_norm_matches_manual():
 def test_dirac_window_selects_single_cell():
     grid = Grid.regular(((0.0, 1.0),), (10,))
     w = dirac_window(grid, [0.23])
-    covered = np.nonzero(w.values_flat)[0]
+    values = dense_field(w).values_flat
+    covered = np.nonzero(values)[0]
     np.testing.assert_array_equal(covered, [2])
-    np.testing.assert_allclose(w.values_flat[2], 10.0, rtol=1e-12)
+    np.testing.assert_allclose(values[2], 10.0, rtol=1e-12)
 
 
 def test_dirac_window_closed_upper_edge():
     # the domain's top boundary belongs to the last cell
     grid = Grid.regular(((0.0, 1.0),), (10,))
     w = dirac_window(grid, [1.0])
-    assert np.nonzero(w.values_flat)[0].tolist() == [9]
+    assert np.nonzero(dense_field(w).values_flat)[0].tolist() == [9]
     with pytest.raises(DomainError):
         dirac_window(grid, [1.0000001])
     with pytest.raises(DomainError):
         dirac_window(grid, [-0.1])
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    grid = Grid.regular(((0.0, 1.0), (0.0, 2.0)), (6, 4))
-    f = Field(grid, rng.standard_normal(grid.shape))
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    g = field_from_csv(grid, path)
-    np.testing.assert_allclose(g.values, f.values, rtol=0, atol=0)
-    assert g.mask is None
-
-
-def test_csv_round_trip_with_mask(tmp_path):
-    grid = Grid.regular(((0.0, 1.0),), (5,))
-    mask = [True, False, True, True, False]
-    f = Field(grid, [1.0, 9.0, 3.0, 4.0, 9.0], mask=mask)
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    g = field_from_csv(grid, path)
-    np.testing.assert_array_equal(g.mask_flat, mask)
-    np.testing.assert_allclose(g.values_flat, [1.0, 0.0, 3.0, 4.0, 0.0])
 
 
 def test_binary_round_trip_bit_exact(tmp_path):

@@ -16,6 +16,7 @@ from adjointgp import pde
 from adjointgp.pde import PdeParams, PdeSystem, cfl_limit, sensor_field
 from oracles import (
     assert_live_is_tight,
+    dense_field,
     pde_adjoint_flux_bank,
     pde_apply,
     pde_apply_adjoint,
@@ -184,7 +185,7 @@ def test_sensor_field_normalization():
     np.testing.assert_allclose(inner_product(w, ones), 1.0, rtol=1e-12)
     # support stays inside the requested box
     tt = grid.axis_centers(0)
-    occupied = np.nonzero(w.values.sum(axis=(1, 2)))[0]
+    occupied = np.nonzero(dense_field(w).values.sum(axis=(1, 2)))[0]
     assert tt[occupied].min() >= 1.0 - grid.spacing[0]
     assert tt[occupied].max() <= 3.0 + grid.spacing[0]
 

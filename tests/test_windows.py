@@ -1,0 +1,143 @@
+"""Observation windows are boxes: banks and readings built from the boxes
+equal those of the same windows rendered as dense fields, and building a
+config's windows holds no grid-sized array."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from adjointgp import (
+    Field,
+    Grid,
+    OdeParams,
+    OdeSystem,
+    PdeParams,
+    PdeSystem,
+    ShiftParams,
+    ShiftSystem,
+    Window,
+    dirac_window,
+    inner_product,
+    sensor_field,
+    window_indicator,
+)
+from adjointgp.config import parse_config
+from adjointgp.experiments import build_heldout, build_windows, make_grid
+from oracles import dense_field, random_smooth_field
+
+PDE_BOUNDS = ((0.0, 10.0), (0.0, 10.0))
+
+
+def _ode():
+    grid = Grid.regular(((0.0, 10.0),), (400,))
+    return OdeSystem(OdeParams(p0=5.0, p1=1.0, p2=0.5, T=10.0), grid)
+
+
+def _pde():
+    grid = Grid.regular(((0.0, 10.0), *PDE_BOUNDS), (20, 12, 12))
+    params = PdeParams(velocity=(0.4, -0.3), diffusivity=0.01, bounds=PDE_BOUNDS, T=10.0)
+    return PdeSystem(params, grid)
+
+
+def _shift(a):
+    return lambda: ShiftSystem(ShiftParams(a=a, T=10.0), Grid.regular(((0.0, 10.0),), (400,)))
+
+
+SYSTEMS = {"ode": _ode, "pde": _pde, "shift+": _shift(1.2), "shift-": _shift(-2.0)}
+
+
+def _windows(grid):
+    """Boxes over the whole time axis, touching either end, and single cells."""
+    if grid.ndim == 3:
+        return [sensor_field(grid, (2.0 + k, 3.0), (4.0 + k, 5.0), 2.5 * k, 2.5 * k + 3.0)
+                for k in range(3)] + [
+            sensor_field(grid, (0.0, 0.0), (10.0, 10.0), 0.0, 10.0),
+            sensor_field(grid, (8.0, 0.0), (10.0, 2.0), 9.0, 10.0),
+            dirac_window(grid, (10.0, 0.0, 5.0)),
+        ]
+    return [window_indicator(grid, [lo], [hi])
+            for lo, hi in ((0.0, 2.0), (1.0, 3.5), (4.0, 10.0), (0.0, 10.0), (9.9, 10.0))] + [
+        dirac_window(grid, [0.0]), dirac_window(grid, [5.01])]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_bank_of_boxes_equals_bank_of_dense_windows(name):
+    system = SYSTEMS[name]()
+    windows = _windows(system.grid)
+    assert all(isinstance(w, Window) for w in windows)
+    boxes = system.adjoint_bank(windows)
+    dense = system.adjoint_bank([dense_field(w) for w in windows])
+    assert np.array_equal(boxes.rows, dense.rows)
+    assert np.array_equal(boxes.live, dense.live)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_box_reading_equals_dense_inner_product(name):
+    system = SYSTEMS[name]()
+    grid = system.grid
+    f = random_smooth_field(grid, seed=41)
+    solutions = [f, system.forward(f)]
+    if grid.ndim == 1:
+        solutions.append(Field(grid, f.values, mask=grid.axis_centers(0) < 7.0))
+    if name.startswith("shift"):
+        # masked cells hold 0, so the box mean counts them as the masked
+        # dense inner product does: in the window, not in the sum
+        assert not solutions[1].mask.all()
+    for u in solutions:
+        for w in _windows(grid):
+            expected = inner_product(dense_field(w), u)
+            for got in (inner_product(w, u), inner_product(u, w)):
+                assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+PDE_INFER = """
+[system]
+kind = pde
+velocity_x = 0.4
+velocity_y = 0.4
+diffusivity = 0.01
+x_min = 0.0
+x_max = 10.0
+y_min = 0.0
+y_max = 10.0
+T = 10.0
+
+[grid]
+cells_t = 50
+cells_y = 30
+cells_x = 30
+
+[kernel]
+lengthscale = 2.0
+variance = 2.0
+
+[features]
+count = 100
+
+[sensors]
+rule = grid
+count = 25
+time_windows = 4
+heldout_count = 9
+
+[noise]
+sigma = 0.05
+"""
+
+
+def test_windows_of_a_config_hold_no_grid_sized_array():
+    config = parse_config(PDE_INFER)
+    grid = make_grid(config)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        windows, _ = build_windows(config, grid)
+        heldout, _ = build_heldout(config, grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 100 and len(heldout) == 36
+    # one dense window of this grid alone is 0.36 MB
+    assert held - before < 5e6
+    assert peak - before < 5e6
