@@ -28,15 +28,18 @@ class SolverError(AdjointGPError):
     """A time-stepping solve produced non-finite values."""
 
 
-def check_march(label: str, rows: np.ndarray, reverse: bool = False) -> None:
-    """Raise SolverError unless a finished march wrote only finite values.
+def check_march(label: str, rows: np.ndarray, reverse: bool = False, order=None,
+                step: int = 0) -> None:
+    """Raise SolverError unless a march wrote only finite values.
 
-    `rows` holds one solution per right-hand side, time cells on axis 1.
-    Once a state is non-finite every later one is too, so one check after
-    the march finds every divergence.  The error names the first time cell
+    `rows` holds the solutions of the first len(rows) columns of a march,
+    time cells on axis 1, the first marched at `step`; column j solves the
+    caller's right-hand side `order[j]` (default j).  Once a state is
+    non-finite every later one is too, so one check after the march, or of
+    each slab, finds every divergence.  The error names the first time cell
     in march order (from the last cell with `reverse`) whose solution is
-    non-finite as its step and, in a bank of several, the first right-hand
-    side bad there.
+    non-finite as its step and, if there are several, the caller's first
+    right-hand side bad there.
     """
     # min and max see every nan and inf without a boolean copy of the rows,
     # which would add an eighth of a bank to the peak memory
@@ -45,11 +48,12 @@ def check_march(label: str, rows: np.ndarray, reverse: bool = False) -> None:
     bad = ~np.isfinite(rows).reshape(rows.shape[0], rows.shape[1], -1).all(axis=2)
     if reverse:
         bad = bad[:, ::-1]  # time cells in march order
-    step = int(np.flatnonzero(bad.any(axis=0))[0])
+    first = int(np.flatnonzero(bad.any(axis=0))[0])
+    order = np.arange(len(rows)) if order is None else np.asarray(order)
     note = ""
-    if len(rows) > 1:
-        note = f" (right-hand side {int(np.flatnonzero(bad[:, step])[0])})"
-    raise SolverError(f"{label} solve produced non-finite values at step {step}{note}")
+    if len(order) > 1:
+        note = f" (right-hand side {int(order[:len(rows)][bad[:, first]].min())})"
+    raise SolverError(f"{label} solve produced non-finite values at step {step + first}{note}")
 
 
 class StabilityWarning(UserWarning):

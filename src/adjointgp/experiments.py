@@ -324,8 +324,8 @@ def simulate_data(config: Config) -> SimulatedData:
         basis = _inference_basis(config, grid, kernel)
         rng = np.random.default_rng(derive_seed(seeds["data"], "qstar"))
         qstar = rng.standard_normal(basis.size)
-        # training and held-out windows march as one bank
-        phi = assemble_phi(system.adjoint_bank(windows + heldout_windows), basis)
+        # training and held-out windows march as one bank, projected as it marches
+        phi = assemble_phi(system.adjoint_march(windows + heldout_windows), basis)
         clean = phi[:len(windows)] @ qstar
         heldout_clean = phi[len(windows):] @ qstar
         truth_forcing = forcing_from_weights(basis, qstar, grid)
@@ -582,7 +582,8 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
         metrics["heldout_nll"] = predictive_nll(result.posterior, result.phi_heldout, heldout)
     timings = dict(result.timings, posterior_forcing=t1 - t0,
                    heldout_scoring=time.perf_counter() - t2,
-                   bank_rows_training=obs.n, bank_rows_heldout=len(data.heldout_windows))
+                   bank_rows_training=obs.n, bank_rows_heldout=len(data.heldout_windows),
+                   bank_cell_steps=result.cell_steps)
     return InferenceOutcome(basis, result, mean_field, var_field,
                             ml_weights, ml_forcing, metrics, timings)
 

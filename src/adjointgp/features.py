@@ -153,32 +153,34 @@ def _axis_tables(basis: FeatureBasis, grid: Grid):
     return amp * np.cos(time), amp * np.sin(time), np.cos(space), np.sin(space)
 
 
-def _cell_blocks(basis: FeatureBasis, grid: Grid):
-    """Yield (cell slice, feature matrix block) in cell order.
-
-    On 1-D grids each block is evaluated directly from the cell centers,
-    under a cap of _BLOCK_ENTRIES entries.  With spatial axes each block is
-    the (M, S) feature matrix of one time cell, built from the per-axis
-    tables of :func:`_axis_tables`, which needs products instead of cosines
-    for every entry, into one buffer reused from cell to cell: a block is
-    valid until the next one is asked for, and no (M, num_cells) array is
-    ever held.
+def _feature_blocks(basis: FeatureBasis, grid: Grid):
+    """Function of a slice of flat cell indices that yields (cell slice,
+    feature matrix block) over it in cell order: on 1-D grids the direct
+    cosine at the cell centers, in runs of at most _BLOCK_ENTRIES entries
+    from the slice's start; with spatial axes the (M, S) feature matrix of
+    one time cell, built from the per-axis tables of :func:`_axis_tables`
+    by products instead of cosines into one reused buffer, valid until the
+    next block is asked for, so no (M, num_cells) array is ever held.
     """
     if grid.ndim == 1:
         centers = grid.centers()
-        g = grid.num_cells
-        block = max(1, min(g, _BLOCK_ENTRIES // max(1, basis.size)))
-        for start in range(0, g, block):
-            stop = min(start + block, g)
-            yield slice(start, stop), _eval_at(basis, centers[start:stop])
-        return
+        step = max(1, _BLOCK_ENTRIES // basis.size)
+
+        def runs(cells):
+            for start in range(cells.start, cells.stop, step):
+                run = slice(start, min(start + step, cells.stop))
+                yield run, _eval_at(basis, centers[run])
+        return runs
     cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
     space = cos_b.shape[1]
     block, sines = np.empty_like(cos_b), np.empty_like(sin_b)
-    for k in range(cos_a.shape[1]):
-        np.multiply(cos_a[:, k, None], cos_b, out=block)
-        block -= np.multiply(sin_a[:, k, None], sin_b, out=sines)
-        yield slice(k * space, (k + 1) * space), block
+
+    def time_cells(cells):
+        for k in range(cells.start // space, cells.stop // space):
+            np.multiply(cos_a[:, k, None], cos_b, out=block)
+            np.subtract(block, np.multiply(sin_a[:, k, None], sin_b, out=sines), out=block)
+            yield slice(k * space, (k + 1) * space), block
+    return time_cells
 
 
 def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:
@@ -195,7 +197,7 @@ def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:
         raise ValueError("basis dim does not match grid")
     if grid.ndim == 1:
         vals = np.empty(grid.num_cells)
-        for sl, block in _cell_blocks(basis, grid):
+        for sl, block in _feature_blocks(basis, grid)(slice(0, grid.num_cells)):
             vals[sl] = weights @ block
         return Field(grid, vals)
     cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)

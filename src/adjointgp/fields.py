@@ -19,8 +19,9 @@ zero-filled).
 Every observation is a :class:`Window`: the normalized indicator of a box
 of whole cells, kept as one slice of cell indices per axis (the cells a
 half-open box covers on a uniform axis are one run) and never as a dense
-field.  A reading <w, u> is the mean of u over the box, and a bank of
-adjoint solves writes each box straight into its row.
+field.  A reading <w, u> is the mean of u over the box, and an adjoint
+march adds each box straight into its state.  An :class:`AdjointBank`
+yields a march's solutions slab by slab, never as one (n, G) array.
 
 Binary serialization format (little-endian throughout):
 
@@ -38,7 +39,8 @@ Binary serialization format (little-endian throughout):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,43 +286,87 @@ def window_indicator(grid: Grid, lo, hi) -> Window:
     return Window(grid, tuple(box))
 
 
-@dataclass(frozen=True)
 class AdjointBank:
-    """Adjoint solutions of n functionals on one grid, as a solver's
-    `adjoint_bank` returns them: row i of the (n, num_cells) array `rows`
-    solves functional i, with masked cells holding 0.  The grid travels
-    with the rows, so they are never read on a grid of another shape.
-    `live[i]`, found once from the rows, counts the time cells (axis 0) up
-    to row i's last non-zero one: the row is exactly zero from there on."""
+    """Adjoint solutions of n functionals on one grid, a slab at a time.
 
-    rows: np.ndarray
-    grid: Grid
-    live: np.ndarray = field(init=False, repr=False, compare=False)
+    `slabs()` yields (cells, v) in march order: `cells` is a slice of flat
+    cell indices, and column j of the (cells, w) array `v` solves
+    functional `order[j]` there; the other functionals are zero there.
+    `live[i]` counts the time cells (axis 0) up to functional i's last
+    non-zero one, as its march reports it, and `order` sorts by it, longest
+    first.  A solver's bank marches each time `slabs()` runs, adding the
+    seconds spent marching to `seconds` and the (column, time cell) slabs
+    to `cell_steps`; `kept()` marches once and keeps the slabs.  A bank
+    built from (n, num_cells) `rows` yields them as one slab, every row
+    live throughout.  `rows` collects the solutions, row i solving
+    functional i."""
 
-    def __post_init__(self):
-        if self.rows.ndim != 2 or self.rows.shape[1] != self.grid.num_cells:
-            raise GridMismatchError(
-                f"bank rows of shape {self.rows.shape} do not fit a grid of "
-                f"{self.grid.num_cells} cells")
-        nonzero = (self.rows.reshape(len(self.rows), self.grid.dims[0], -1) != 0).any(axis=2)
-        object.__setattr__(self, "live", (nonzero * np.arange(1, nonzero.shape[1] + 1)).max(1))
+    def __init__(self, rows, grid: Grid, live=None, march=None):
+        if march is None:
+            rows = np.asarray(rows)
+            if rows.ndim != 2 or rows.shape[1] != grid.num_cells:
+                raise GridMismatchError(
+                    f"bank rows of shape {rows.shape} do not fit a grid of "
+                    f"{grid.num_cells} cells")
+            live, march = np.full(len(rows), grid.dims[0]), lambda order: [
+                (slice(0, grid.num_cells), rows.T)]
+        self.grid, self.live, self._march = grid, np.asarray(live), march
+        self.order = np.argsort(-self.live, kind="stable")
+        self.seconds, self.cell_steps = 0.0, 0
+
+    @classmethod
+    def solved(cls, functionals, grid: Grid, live, solve) -> "AdjointBank":
+        """A bank of one slab over the whole grid: the rows of the live
+        functionals, longest first, that `solve(rows, order)` solves in place."""
+        def march(order):
+            if w := np.count_nonzero(live):
+                rows = bank_rows([functionals[i] for i in order[:w]], grid)
+                yield slice(0, grid.num_cells), solve(rows, order).T
+        return cls(None, grid, live, march)
+
+    def slabs(self):
+        start = time.perf_counter()
+        for cells, v in self._march(self.order):
+            self.seconds += time.perf_counter() - start
+            self.cell_steps += v.size * self.grid.dims[0] // self.grid.num_cells
+            yield cells, v
+            start = time.perf_counter()
+        self.seconds += time.perf_counter() - start
+
+    def kept(self) -> "AdjointBank":
+        slabs = list(self.slabs())
+        return AdjointBank(None, self.grid, self.live, lambda order: slabs)
+
+    @property
+    def rows(self) -> np.ndarray:
+        rows = np.zeros((len(self.live), self.grid.num_cells))
+        for cells, v in self.slabs():
+            rows[self.order[:v.shape[1]], cells] = v.T
+        return rows
 
 
-def bank_rows(functionals, grid: Grid, what: str = "functional") -> np.ndarray:
-    """One preallocated (n, num_cells) array holding functional i in row i:
-    a field's values, or a window's box.
-
-    Solvers march in place over this array: each step reads a cell's
-    right-hand sides and overwrites them with the solution there, so a bank
-    of solves needs no second copy of its inputs.  Masked cells hold 0.
-    """
-    functionals = tuple(functionals)
+def time_spans(functionals, grid: Grid, what: str = "functional") -> np.ndarray:
+    """(n, 2) array of the first time cell on which functional i is non-zero
+    and one past its last, (0, 0) when it is zero; a window's is its box."""
     if not functionals:
         raise ValueError(f"need at least one {what}")
-    rows = np.zeros((len(functionals), grid.num_cells))
-    for row, f in zip(rows, functionals):
+    spans = np.zeros((len(functionals), 2), dtype=int)
+    for span, f in zip(spans, functionals):
         if f.grid != grid:
             raise GridMismatchError(f"{what} lives on a different grid")
+        if isinstance(f, Window):
+            span[:] = f.box[0].start, f.box[0].stop
+        elif (cells := np.flatnonzero(f.values.reshape(grid.dims[0], -1).any(axis=1))).size:
+            span[:] = cells[0], cells[-1] + 1
+    return spans
+
+
+def bank_rows(functionals, grid: Grid) -> np.ndarray:
+    """One (n, num_cells) array holding functional i, checked by
+    :func:`time_spans`, in row i: a field's values, or a window's box.  The
+    ODE and shift solvers overwrite it in place with the solutions."""
+    rows = np.zeros((len(functionals), grid.num_cells))
+    for row, f in zip(rows, functionals):
         if isinstance(f, Window):
             row.reshape(grid.shape)[f.box] = f.value
         else:

@@ -7,8 +7,9 @@ expanded in M basis features the readings follow the linear model
 
     z = Phi q + eps,      Phi[i, m] = <v_i, phi_m>,   eps ~ N(0, sigma^2 I).
 
-The design matrix is a plain read-only (n, M) array, projected one time
-cell at a time and from the bank rows still live there (`AdjointBank.live`).
+The design matrix is a plain read-only (n, M) array, projected in the
+pass that marches the adjoint solutions: each time cell of them is added
+into Phi, for the observations live there, as the march yields it.
 
 Factorization policy.  The prior is q ~ N(0, I): the feature amplitude
 carries the kernel variance.  The conjugate posterior takes one Cholesky
@@ -44,7 +45,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import MisspecificationWarning, NumericalError
-from .features import FeatureBasis, KernelParams, _cell_blocks, forcing_from_weights
+from .features import FeatureBasis, KernelParams, _feature_blocks, forcing_from_weights
 from .fields import AdjointBank, Field, Grid, GridMismatchError, Window
 
 __all__ = [
@@ -168,13 +169,14 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *,
     """Read-only (n, M) design matrix Phi[i, m] = <v_i, phi_m> over the
     adjoint bank's grid.
 
-    The bank's rows, adjoint solution i in row i as `adjoint_bank` returns
-    them, are read in place.  The basis is evaluated one block of cells at
-    a time, one time cell on (time, space) grids, so the full
-    (M, num_cells) feature matrix is never held at once.  Each block is
-    multiplied only with the rows still live there (`bank.live`), and the
-    cells after the last window ends are never evaluated.  Passing `grid`
-    asserts the bank lives on that grid; a mismatch raises
+    Each slab (cells, V) the bank yields, one time cell on (time, space)
+    grids, adds (F V)^T dV to the rows of its w live functionals, F the
+    (M, cells) feature block there; a solver's bank yields them as it
+    marches, so no solution outlives its time cell.  The basis is
+    evaluated one block at a time on the cells of a slab, so the full
+    (M, num_cells) feature matrix is never held, and the time cells a PDE
+    march never reaches, after the last window ends, are never evaluated.
+    Passing `grid` asserts the bank lives on that grid; a mismatch raises
     GridMismatchError before any work is done.  Non-finite entries raise
     NumericalError.
     """
@@ -182,24 +184,22 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *,
         raise GridMismatchError("adjoint bank does not live on the expected grid")
     if basis.dim != bank.grid.ndim:
         raise GridMismatchError("basis dimension does not match the grid")
-    rows, live = bank.rows, bank.live
-    per_time_cell = bank.grid.num_cells // bank.grid.dims[0]
-    entries = np.zeros((rows.shape[0], basis.size))
+    entries = np.zeros((len(bank.live), basis.size))
+    blocks = _feature_blocks(basis, bank.grid)
     # an overflow is reported below as an error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for sl, block in _cell_blocks(basis, bank.grid):
-            # blocks come in time order: once no row is live, none will be
-            idx = np.flatnonzero(live > sl.start // per_time_cell)
-            if idx.size == 0:
-                break
-            idx = slice(None) if idx.size == live.size else idx
-            entries[idx] += rows[idx, sl] @ block.T
+        for cells, v in bank.slabs():
+            for sl, block in blocks(cells):
+                rel = slice(sl.start - cells.start, sl.stop - cells.start)
+                entries[:v.shape[1]] += v[rel].T @ block.T
         entries *= bank.grid.cell_volume
     if not np.isfinite(entries).all():
         raise NumericalError("design matrix has non-finite entries; the adjoint "
                              "bank or the basis overflowed")
-    entries.setflags(write=False)
-    return entries
+    phi = np.empty_like(entries)
+    phi[bank.order] = entries
+    phi.setflags(write=False)
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ def posterior_forcing(post: PosteriorQ, basis: FeatureBasis, grid: Grid):
         raise ValueError("posterior dimension does not match basis")
     mean = forcing_from_weights(basis, post.mean, grid)
     var = np.empty(grid.num_cells)
-    for sl, block in _cell_blocks(basis, grid):
+    for sl, block in _feature_blocks(basis, grid)(slice(0, grid.num_cells)):
         # pointwise variance phi(x)^T S phi(x) = |root^T phi(x)|^2
         w = post.root.T @ block
         var[sl] = np.einsum("ij,ij->j", w, w)
@@ -384,24 +384,28 @@ class PipelineResult:
     phi: np.ndarray
     phi_heldout: np.ndarray
     timings: dict
+    cell_steps: int
 
 
 def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
                  heldout=()) -> PipelineResult:
     """One adjoint solve per observation and per `heldout` functional,
-    marched as one bank, the design matrix, split into `phi` and
-    `phi_heldout`, and the posterior, with one wall-clock entry per stage
-    (monotonic clock)."""
+    marched together and projected as the march yields them, the design
+    matrix, split into `phi` and `phi_heldout`, and the posterior.  One
+    wall-clock entry per stage (monotonic clock), the march and the
+    projection timed apart inside their loop; `cell_steps` counts the
+    (column, time cell) slabs marched."""
     n = observations.n
     t0 = time.perf_counter()
-    bank = system.adjoint_bank(observations.windows + tuple(heldout))
+    bank = system.adjoint_march(observations.windows + tuple(heldout))
     t1 = time.perf_counter()
     phi = assemble_phi(bank, basis)
     t2 = time.perf_counter()
     post = posterior_q(phi[:n], observations.z, observations.sigma)
     t3 = time.perf_counter()
-    timings = dict(zip(PIPELINE_STAGES, (t1 - t0, t2 - t1, t3 - t2)))
-    return PipelineResult(post, phi[:n], phi[n:], timings)
+    timings = dict(zip(PIPELINE_STAGES, (t1 - t0 + bank.seconds, t2 - t1 - bank.seconds,
+                                         t3 - t2)))
+    return PipelineResult(post, phi[:n], phi[n:], timings, bank.cell_steps)
 
 
 def posterior_to_json(post: PosteriorQ, *, basis_seed=None,

@@ -17,8 +17,9 @@ centers, where forcing fields and observation windows live.  The march
 steps a whole bank of right-hand sides at once, one state entry per row,
 and checks its output for non-finite values once, after the last step.
 
-`OdeSystem` is the solver: its constructor checks the grid once, and
-`forward(f)` and `adjoint_bank(windows)` are its two solves.
+`OdeSystem` is the solver: its constructor checks the grid once, and its
+solves are `forward(f)`, `adjoint_march(windows)` and `adjoint_bank`, the
+march kept.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityWarning, check_march
-from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid
+from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid, time_spans
 
 __all__ = ["OdeParams", "OdeSystem", "euler_stability_limit"]
 
@@ -87,21 +88,38 @@ class OdeSystem:
 
     def forward(self, forcing: Field) -> Field:
         """Solve the forced system from rest; values reported at cell centers."""
-        rows = bank_rows([forcing], self._grid, "forcing")
-        return Field(self._grid, self._march(rows, "forward")[0])
+        self._check_step("forward")
+        time_spans([forcing], self._grid, "forcing")  # checks the forcing's grid
+        return Field(self._grid, self._march(bank_rows([forcing], self._grid), "forward")[0])
+
+    def adjoint_march(self, functionals) -> AdjointBank:
+        """Solve the adjoint system backward from rest at t = T for every
+        functional, each time the bank's one slab is asked for, by the
+        forward march run from the last cell to the first."""
+        self._check_step("adjoint")
+        return self._adjoint(tuple(functionals))
 
     def adjoint_bank(self, functionals) -> AdjointBank:
-        """Solve the adjoint system backward from rest at t = T for every
-        functional at once; row i of the bank's (n, num_cells) rows solves
-        functional i.
+        """The adjoint march, marched once and kept."""
+        self._check_step("adjoint")
+        return self._adjoint(tuple(functionals)).kept()
 
-        Implemented as the forward march run from the last cell to the
-        first, so the two solves share every stepping detail.
-        """
-        rows = bank_rows(functionals, self._grid)
-        return AdjointBank(self._march(rows, "adjoint", reverse=True), self._grid)
+    def _adjoint(self, functionals) -> AdjointBank:
+        # a solution ends a cell before its functional does
+        live = np.maximum(time_spans(functionals, self._grid)[:, 1] - 1, 0)
+        return AdjointBank.solved(functionals, self._grid, live,
+                                  lambda rows, order: self._march(rows, "adjoint", True, order))
 
-    def _march(self, rows: np.ndarray, label: str, reverse: bool = False) -> np.ndarray:
+    def _check_step(self, label: str) -> None:
+        # the warning names the line that called the solve
+        dt, limit = self._grid.spacing[0], euler_stability_limit(self.params)
+        if dt > limit:
+            warnings.warn(f"step size {dt:.3e} exceeds the explicit stability limit "
+                          f"{limit:.3e}; the {label} solve may diverge",
+                          StabilityWarning, stacklevel=3)
+
+    def _march(self, rows: np.ndarray, label: str, reverse: bool = False,
+               order=None) -> np.ndarray:
         """Explicit Euler on (u, u'), forcing taken at cell centers, for every
         row of `rows` at once and in place.
 
@@ -110,17 +128,9 @@ class OdeSystem:
         `reverse` the march starts from the last cell, which is the adjoint
         solve in reversed time; every row takes the arithmetic of a single
         solve, so a bank equals its rows solved one at a time bit for bit.
-        A non-finite output raises SolverError naming the first bad step.
-        """
+        A non-finite output raises SolverError naming the first bad step
+        and `order[i]`, the caller's index of row i."""
         dt = self._grid.spacing[0]
-        limit = euler_stability_limit(self.params)
-        if dt > limit:
-            warnings.warn(
-                f"step size {dt:.3e} exceeds the explicit stability limit "
-                f"{limit:.3e}; the {label} solve may diverge",
-                StabilityWarning,
-                stacklevel=3,
-            )
         p0, p1, p2 = self.params.p0, self.params.p1, self.params.p2
         n, cells = rows.shape
         if n == 1:
@@ -140,5 +150,5 @@ class OdeSystem:
                 w_next = w + dt * (src[g] - p1 * w - p0 * u) / p2
                 out[g] = 0.5 * (u + u_next)
                 u, w = u_next, w_next
-        check_march(label, rows, reverse)
+        check_march(label, rows, reverse, order)
         return rows

@@ -23,13 +23,17 @@ spatial cells.  The forward march applies its transpose A^T, which is the
 upwind, centered-diffusion step with walls reflected by one ghost layer;
 so the two observation routes are transposes of each other by
 construction.  Both solves run one march, x <- B x + dt * rhs, with B = A^T
-forward and B = A over reversed time for the adjoint; it steps a whole bank
-of right-hand sides at once on an (S, n) state and checks its output for
-non-finite values once, after the last step.
+forward and B = A over reversed time for the adjoint.  It steps every
+right-hand side at once on a cell-major (S, w) state: a column joins when
+its first right-hand side comes up in march order, so an adjoint column
+starts at its window's last time cell and the zero slabs before it are
+never marched.  The march yields each time cell's (S, w) solution as it
+goes and checks it for non-finite values.
 
 `PdeSystem` is the solver: its constructor checks the grid and the CFL
-bound and builds A once, and `forward(f)` and `adjoint_bank(windows)` are
-its two solves.
+bound and builds A once.  Its solves are `forward(f)`, `adjoint_march`,
+whose slabs `assemble_phi` projects as they are marched, and
+`adjoint_bank`, the march kept.
 
 Grids are (time, y, x) with time on axis 0.  Forcing fields and solver
 output live at cell centers; time-cell values are the average of the two
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, check_march
-from .fields import (AdjointBank, Field, Grid, Window, bank_rows, check_time_grid,
+from .fields import (AdjointBank, Field, Grid, Window, check_time_grid, time_spans,
                      window_indicator)
 
 __all__ = ["PdeParams", "PdeSystem", "cfl_limit", "sensor_field"]
@@ -160,45 +164,66 @@ class PdeSystem:
 
     def forward(self, forcing: Field) -> Field:
         """March the forward problem from rest by u <- A^T u + dt f."""
-        rows = bank_rows([forcing], self._grid, "forcing")
-        return Field(self._grid, self._march(self._step_t, rows, "forward")[0])
+        values = np.zeros(self._grid.num_cells)
+        spans = time_spans([forcing], self._grid, "forcing")
+        for cells, v in self._march(self._step_t, [forcing], spans):
+            values[cells] = v[:, 0]
+        return Field(self._grid, values)
+
+    def adjoint_march(self, functionals) -> AdjointBank:
+        """Adjoint solves of every functional at once by v <- A v + dt h,
+        marched in reversed time each time the bank's slabs are asked for:
+        one (S, w) slab per time cell, from the last on."""
+        functionals = tuple(functionals)
+        spans = time_spans(functionals, self._grid)
+        return AdjointBank(None, self._grid, spans[:, 1], lambda order: self._march(
+            self._step, [functionals[i] for i in order], spans[order], order))
 
     def adjoint_bank(self, functionals) -> AdjointBank:
-        """Adjoint solves of every functional at once by v <- A v + dt h,
-        marched in reversed time; row i of the bank's (n, num_cells) rows
-        solves functional i."""
-        rows = bank_rows(functionals, self._grid)
-        return AdjointBank(self._march(self._step, rows, "adjoint", reverse=True), self._grid)
+        """The adjoint march, marched once and kept."""
+        return self.adjoint_march(functionals).kept()
 
-    def _march(self, op, rows: np.ndarray, label: str, reverse: bool = False) -> np.ndarray:
-        """Step x <- op x + dt * rhs from rest for every row of `rows` at
-        once, on an (S, n) state, S = ny * nx, and in place.
-
-        On entry row i holds right-hand side i.  Each step reads the
-        right-hand sides of one time cell, from the first cell on (from the
-        last with `reverse`), and overwrites them with the solution there,
-        the average of the bracketing states.  The sparse product does each
-        column's arithmetic independently of the others, so a bank equals
-        its rows solved one at a time bit for bit.  A non-finite output
-        raises SolverError naming the first bad step.
-        """
-        nt = self._grid.dims[0]
+    def _march(self, op, functionals, spans, order=None):
+        """Step x <- op x + dt * rhs from rest and yield (cells, x), x the
+        (S, w) solution on a time cell, from the first cell on, or from the
+        last when `order`, the caller's index of each column, makes it an
+        adjoint march.  Columns come sorted by the step they join at, their
+        first right-hand side.  A non-finite slab raises SolverError."""
+        reverse = order is not None
+        nt, ny, nx = self._grid.dims
         dt = self._grid.spacing[0]
-        bank = rows.reshape(len(rows), nt, -1)
-        state = np.zeros((bank.shape[2], len(rows)))
-        # ufuncs over transposed operands are slow; transposing copies are not
-        work = np.empty_like(state)
-        # overflow is reported as SolverError below, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in (range(nt - 1, -1, -1) if reverse else range(nt)):
-                cell = bank[:, k]
-                np.copyto(work, cell.T)
-                work *= dt
+        # an all-zero adjoint column never joins; a forward march has one column
+        joins = nt - spans[:, 1] if reverse else spans[:, 0]
+        flat = np.arange(ny * nx).reshape(ny, nx)
+        boxes = {j: (flat[f.box[1:]].ravel(), dt * f.value)
+                 for j, f in enumerate(functionals) if isinstance(f, Window)}
+        adds = {}
+        state = np.zeros((ny * nx, 0))
+        for step, k in enumerate(range(nt - 1, -1, -1) if reverse else range(nt)):
+            w = int(np.searchsorted(joins, step, side="right"))
+            if w == 0:
+                continue
+            if w > state.shape[1]:
+                state = np.concatenate((state, np.zeros((ny * nx, w - state.shape[1]))), axis=1)
+            # the columns with a right-hand side here; the flat state entries
+            # their windows add to are found once per run of such cells
+            on = np.flatnonzero((spans[:w, 0] <= k) & (k < spans[:w, 1]))
+            if (key := (w, on.tobytes())) not in adds:
+                wins = [j for j in on if j in boxes]
+                adds[key] = (np.concatenate([on[:0]] + [boxes[j][0] * w + j for j in wins]),
+                             np.concatenate([np.zeros(0)] + [np.full(boxes[j][0].size, boxes[j][1])
+                                                             for j in wins]))
+            # overflow is reported as SolverError below, not as a numpy warning
+            with np.errstate(over="ignore", invalid="ignore"):
                 nxt = op @ state
-                nxt += work
-                np.add(state, nxt, out=work)
-                work *= 0.5
-                np.copyto(cell, work.T)
-                state = nxt
-        check_march(label, bank, reverse)
-        return rows
+                idx, values = adds[key]
+                nxt.reshape(-1)[idx] += values
+                for j in on:
+                    if j not in boxes:
+                        nxt[:, j] += dt * functionals[j].values[k].reshape(-1)
+                out = state + nxt
+                out *= 0.5
+            check_march("adjoint" if reverse else "forward", out.T[:, None], order=order,
+                        step=step)
+            yield slice(k * ny * nx, (k + 1) * ny * nx), out
+            state = nxt

@@ -21,7 +21,8 @@ from adjointgp import (
 )
 from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
-from adjointgp.experiments import make_grid, make_system, run_inference, simulate_data
+from adjointgp.experiments import (make_grid, make_system, run_inference, run_mcmc,
+                                   simulate_data)
 
 # the deliberately tiny bases used here for speed trip the small-basis
 # warning; its trigger condition is pinned in test_inference.py
@@ -371,7 +372,7 @@ def test_infer_writes_numerics_and_stage_timings(tmp_path, capsys):
     assert (outs[0] / "numerics.json").read_bytes() == (outs[1] / "numerics.json").read_bytes()
     timings = json.loads((outs[0] / "timings.json").read_text())
     assert set(timings) == {*PIPELINE_STAGES, "posterior_forcing", "heldout_scoring",
-                            "bank_rows_training", "bank_rows_heldout"}
+                            "bank_rows_training", "bank_rows_heldout", "bank_cell_steps"}
     assert (timings["bank_rows_training"], timings["bank_rows_heldout"]) == (18, 8)
     manifest = json.loads((outs[0] / "manifest.json").read_text())
     assert not {"numerics.json", "timings.json"} & set(manifest["files"])
@@ -385,7 +386,7 @@ def test_infer_records_the_jitter_of_a_singular_design(tmp_path, monkeypatch):
     def flat_bank(self, functionals):
         return AdjointBank(np.full((len(functionals), self.grid.num_cells), 1e8), self.grid)
 
-    monkeypatch.setattr(OdeSystem, "adjoint_bank", flat_bank)
+    monkeypatch.setattr(OdeSystem, "adjoint_march", flat_bank)
     out = tmp_path / "singular"
     assert main(["infer", str(bundle), "--out", str(out)]) == 0
     assert json.loads((out / "numerics.json").read_text())["jitter"] > 0.0
@@ -393,14 +394,14 @@ def test_infer_records_the_jitter_of_a_singular_design(tmp_path, monkeypatch):
 
 def test_infer_marches_training_and_heldout_windows_as_one_bank(monkeypatch):
     data = simulate_data(parse_config(PDE_TEXT))
-    march = PdeSystem.adjoint_bank
+    march = PdeSystem.adjoint_march
     calls = []
 
     def counting_bank(self, functionals):
         calls.append(len(functionals))
         return march(self, functionals)
 
-    monkeypatch.setattr(PdeSystem, "adjoint_bank", counting_bank)
+    monkeypatch.setattr(PdeSystem, "adjoint_march", counting_bank)
     outcome = run_inference(data)
     assert calls == [len(data.windows) + len(data.heldout_windows)]
     # the same scores as a training bank and a held-out bank marched apart
@@ -412,6 +413,14 @@ def test_infer_marches_training_and_heldout_windows_as_one_bank(monkeypatch):
         predictive_mse(post, phi_h, heldout.z), rel=1e-12, abs=0)
     assert outcome.metrics["heldout_nll"] == pytest.approx(
         predictive_nll(post, phi_h, heldout), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("text", [ODE_TEXT, PDE_TEXT], ids=["ode", "pde"])
+def test_mcmc_exact_mean_is_the_infer_posterior_mean_bit_for_bit(text):
+    # both march infer's bank, held-out windows included, and project it the
+    # same way; chain_summary.csv and weights.csv then print the same means
+    data = simulate_data(parse_config(text + "\n[mcmc]\nsteps = 300\nburn_in = 100\n"))
+    assert np.array_equal(run_mcmc(data).exact_mean, run_inference(data).posterior.mean)
 
 
 def test_sweep_command_is_resumable(tmp_path, capsys):
@@ -594,7 +603,7 @@ def test_exit_code_overflowing_design_matrix(tmp_path, capsys, monkeypatch):
         rows = np.full((len(functionals), self.grid.num_cells), 1e308)
         return AdjointBank(rows, self.grid)
 
-    monkeypatch.setattr(OdeSystem, "adjoint_bank", overflowing_bank)
+    monkeypatch.setattr(OdeSystem, "adjoint_march", overflowing_bank)
     assert main(["infer", str(bundle), "--out", str(tmp_path / "o")]) == 3
     assert "non-finite" in capsys.readouterr().err
 

@@ -38,7 +38,44 @@ from adjointgp import (
     sensor_field,
     window_indicator,
 )
-from oracles import forward_predictive_readings, kernel_approx
+from adjointgp.config import parse_config
+from adjointgp.experiments import build_heldout, build_windows, make_grid, make_kernel, make_system
+from adjointgp.shift import ShiftParams, ShiftSystem
+from oracles import forward_predictive_readings, kernel_approx, random_smooth_field
+
+PDE_INFER_TEXT = """
+[system]
+kind = pde
+velocity_x = 0.4
+velocity_y = 0.4
+diffusivity = 0.01
+x_min = 0.0
+x_max = 10.0
+y_min = 0.0
+y_max = 10.0
+T = 10.0
+
+[grid]
+cells_t = 50
+cells_y = 30
+cells_x = 30
+
+[kernel]
+lengthscale = 2.0
+variance = 2.0
+
+[features]
+count = 100
+
+[sensors]
+rule = grid
+count = 25
+time_windows = 4
+heldout_count = 9
+
+[noise]
+sigma = 0.05
+"""
 
 KERNEL = KernelParams(lengthscale=1.0, variance=4.0)
 PARAMS = OdeParams(p0=5.0, p1=1.0, p2=0.5, T=10.0)
@@ -192,6 +229,66 @@ def test_live_cells_project_like_the_dense_basis():
     dense_var = np.einsum("mg,mk,kg->g", dense, post.cov, dense)
     np.testing.assert_allclose(var.values_flat, dense_var, rtol=1e-12,
                                atol=1e-12 * dense_var.max())
+
+
+def _march_systems():
+    """PDE functionals ending at four time cells, the last one included, with
+    fields mixed in; ODE and shift windows and fields (one window shifted
+    out of the domain)."""
+    pde_grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (20, 12, 12))
+    pde = PdeSystem(PdeParams((0.4, -0.3), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), pde_grid)
+    early = random_smooth_field(pde_grid, seed=20).values.copy()
+    early[9:] = 0.0
+    pde_functionals = [sensor_field(pde_grid, (2.0 + k, 3.0), (4.0 + k, 5.0), 1.0, t_hi)
+                       for k, t_hi in enumerate((3.0, 5.5, 8.0, 10.0))]
+    pde_functionals[1:1] = [random_smooth_field(pde_grid, seed=21), Field(pde_grid, early)]
+    line = _grid(300)
+    windows = [window_indicator(line, [lo], [hi]) for lo, hi in
+               ((0.5, 2.0), (1.0, 6.0), (4.0, 10.0), (8.0, 9.0), (0.0, 0.5))]
+    functionals = windows + [random_smooth_field(line, seed=22)]
+    return [(pde, pde_functionals, 3), (OdeSystem(PARAMS, line), functionals, 1),
+            (ShiftSystem(ShiftParams(a=-2.0, T=10.0), line), functionals, 1),
+            (ShiftSystem(ShiftParams(a=1.2, T=10.0), line), functionals, 1)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["pde", "ode", "shift-2", "shift+1.2"])
+def test_march_and_project_matches_single_solves_on_the_dense_basis(case):
+    # one pass that projects each slab as the march yields it against every
+    # functional solved alone, kept, and projected on the dense basis
+    system, functionals, dim = _march_systems()[case]
+    grid = system.grid
+    basis = FeatureBasis.sample(30, dim, KernelParams(lengthscale=2.0, variance=2.0), seed=23)
+    bank = system.adjoint_march(functionals)
+    phi = assemble_phi(bank, basis)
+    singles = np.array([system.adjoint_bank([f]).rows[0] for f in functionals])
+    reference = singles @ eval_basis(basis, grid).T * grid.cell_volume
+    assert np.abs(phi - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert np.array_equal(system.adjoint_bank(functionals).rows, singles)
+    if dim == 3:
+        # a column is marched from its functional's last time cell down
+        assert sorted(bank.live.tolist()) == [6, 9, 11, 16, 20, 20]
+        assert bank.cell_steps == bank.live.sum() < len(functionals) * grid.dims[0]
+
+
+def test_pipeline_on_the_pde_infer_grid_holds_no_bank():
+    # 50x30x30 cells with 100 training and 36 held-out windows: a stored
+    # bank alone takes 49 MB, the pass about one time cell of the march
+    config = parse_config(PDE_INFER_TEXT)
+    grid = make_grid(config)
+    system = make_system(config, grid)
+    windows, _ = build_windows(config, grid)
+    heldout, _ = build_heldout(config, grid)
+    assert (len(windows), len(heldout)) == (100, 36)
+    basis = FeatureBasis.sample(100, 3, make_kernel(config), seed=24)
+    obs = ObservationSet(tuple(windows), np.random.default_rng(25).standard_normal(100), 0.05)
+    tracemalloc.start()
+    try:
+        result = run_pipeline(system, obs, basis, heldout=heldout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
+    assert result.phi_heldout.shape == (36, 100)
 
 
 def test_projection_and_push_back_hold_no_full_feature_matrix():

@@ -162,6 +162,19 @@ def test_bank_names_the_right_hand_side_that_blows_up():
         system.adjoint_bank([calm, huge, calm])
 
 
+def test_bank_names_the_caller_of_a_blow_up_marched_second():
+    # the huge field ends before the calm window does, so the bank holds it
+    # in its second row; the error names its caller's index
+    grid = _grid(1000)
+    system = OdeSystem(PARAMS, grid)
+    values = np.zeros(grid.num_cells)
+    values[:600] = 1.7e308
+    functionals = [Field(grid, values), window_indicator(grid, [1.0], [10.0])]
+    assert system.adjoint_march(functionals).order.tolist() == [1, 0]
+    with pytest.raises(SolverError, match=r"adjoint solve .* at step \d+ \(right-hand side 0\)$"):
+        system.adjoint_bank(functionals)
+
+
 def test_grid_validation():
     grid = Grid.regular(((0.0, 9.0),), (100,))  # wrong extent
     with pytest.raises(GridMismatchError):

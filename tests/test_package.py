@@ -39,14 +39,15 @@ def test_star_import():
                                             ("shift", "ShiftSystem")])
 def test_solves_live_on_the_system_only(module, system):
     # one solve path per system: no free forward/adjoint functions beside it,
-    # and forward and adjoint_bank are its only public solves
+    # and forward, adjoint_march and adjoint_bank (the march kept) are its
+    # only public solves
     mod = importlib.import_module(f"adjointgp.{module}")
     free = [name for name, obj in vars(mod).items() if callable(obj)
             and name.endswith(("_forward", "_adjoint", "_adjoint_bank"))]
     assert free == []
     cls = getattr(mod, system)
     public = {name for name in vars(cls) if not name.startswith("_")}
-    assert public == {"grid", "forward", "adjoint_bank"}
+    assert public == {"grid", "forward", "adjoint_march", "adjoint_bank"}
 
 
 def test_ode_solves_leave_scipy_sparse_unimported():

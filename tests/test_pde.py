@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 
 from adjointgp import (
     ConfigError,
+    FeatureBasis,
     Field,
     Grid,
     GridMismatchError,
+    KernelParams,
     SolverError,
+    assemble_phi,
     inner_product,
     norm,
 )
@@ -226,6 +230,31 @@ def test_bank_names_the_step_where_one_window_blows_up():
     huge = Field.full(grid, 1.7e308)
     with pytest.raises(SolverError, match=r"adjoint solve .* at step \d+ \(right-hand side 1\)"):
         system.adjoint_bank([calm, huge, calm])
+
+
+def test_bank_names_the_caller_of_a_blow_up_that_joins_the_march_late():
+    # the huge field ends at time cell 8, so the reversed march takes it as
+    # its second column, after the calm window that ends on the last cell;
+    # the error still names the first step it is bad at and its caller's
+    # index, whether the march is kept or projected as it goes
+    grid = _grid(20, 12, 12)
+    system = PdeSystem(_params(), grid)
+    values = np.zeros(grid.shape)
+    values[:8] = 1.7e308
+    functionals = [Field(grid, values), sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 10.0)]
+    assert system.adjoint_march(functionals).order.tolist() == [1, 0]
+    message = r"adjoint solve .* at step \d+ \(right-hand side 0\)$"
+    with pytest.raises(SolverError, match=message) as kept:
+        system.adjoint_bank(functionals)
+    basis = FeatureBasis.sample(5, 3, KernelParams(lengthscale=2.0, variance=1.0), seed=3)
+    with pytest.raises(SolverError) as streamed:
+        assemble_phi(system.adjoint_march(functionals), basis)
+    assert str(streamed.value) == str(kept.value)
+    # a bank of the huge field alone goes bad at the same step of its march
+    with pytest.raises(SolverError) as alone:
+        system.adjoint_bank(functionals[:1])
+    step = int(re.search(r"step (\d+)", str(alone.value)).group(1))
+    assert f"at step {step} " in str(kept.value)
 
 
 @pytest.mark.parametrize("velocity", [(0.4, 0.3), (0.4, -0.3), (-0.4, 0.3), (0.0, 0.3)])
