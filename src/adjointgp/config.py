@@ -337,10 +337,10 @@ def _validate(sections: dict) -> dict:
     if "scan" in sections:
         for key in ("lengthscale", "variance"):
             triple = _require(sections, "scan", key, "for a hyperparameter scan")
-            if len(triple) != 3 or triple[0] <= 0 or triple[1] < triple[0] or int(triple[2]) < 1:
-                raise ConfigError(
-                    f"'{key}' in [scan] must be 'lo,hi,steps' with 0 < lo <= hi and steps >= 1"
-                )
+            if len(triple) != 3 or triple[0] <= 0 or triple[1] < triple[0] or not (
+                    triple[2] >= 1 and triple[2] % 1 == 0):
+                raise ConfigError(f"'{key}' in [scan] must be 'lo,hi,steps' with "
+                                  "0 < lo <= hi and steps a whole number >= 1")
         if sections["scan"].get("samples", 100) < 1:
             raise ConfigError("'samples' in [scan] must be positive")
 
@@ -355,6 +355,8 @@ def _validate(sections: dict) -> dict:
         steps = filled["mcmc"]["steps"]
         if filled["mcmc"]["burn_in"] >= steps:
             filled["mcmc"]["burn_in"] = steps // 5
+        if steps - filled["mcmc"]["burn_in"] < 4:  # batch means and split R-hat need 4
+            raise ConfigError("[mcmc] must keep at least 4 draws: steps - burn_in >= 4")
     return filled
 
 

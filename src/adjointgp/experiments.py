@@ -324,7 +324,7 @@ def simulate_data(config: Config) -> SimulatedData:
         basis = _inference_basis(config, grid, kernel)
         rng = np.random.default_rng(derive_seed(seeds["data"], "qstar"))
         qstar = rng.standard_normal(basis.size)
-        # training and held-out windows march as one bank, projected as it marches
+        # training and held-out windows are solved as one bank and projected together
         phi = assemble_phi(system.adjoint_march(windows + heldout_windows), basis)
         clean = phi[:len(windows)] @ qstar
         heldout_clean = phi[len(windows):] @ qstar
@@ -886,7 +886,7 @@ def scan_hyper(data: SimulatedData):
         raise ConfigError("missing [scan] section for a hyperparameter scan")
     scan = config["scan"]
     obs = data.observations()
-    bank = data.system.adjoint_bank(data.windows)
+    bank = data.system.adjoint_march(data.windows).kept()
     basis = _inference_basis(config, data.grid, data.kernel)
     axes = ("lengthscale", "variance")
     return grid_scan(

@@ -21,7 +21,8 @@ of whole cells, kept as one slice of cell indices per axis (the cells a
 half-open box covers on a uniform axis are one run) and never as a dense
 field.  A reading <w, u> is the mean of u over the box, and an adjoint
 march adds each box straight into its state.  An :class:`AdjointBank`
-yields a march's solutions slab by slab, never as one (n, G) array.
+holds the solutions of a 1-D solve as (n, G) rows, and yields those of a
+PDE march slab by slab, never as one (n, G) array.
 
 Binary serialization format (little-endian throughout):
 
@@ -294,12 +295,12 @@ class AdjointBank:
     functional `order[j]` there; the other functionals are zero there.
     `live[i]` counts the time cells (axis 0) up to functional i's last
     non-zero one, as its march reports it, and `order` sorts by it, longest
-    first.  A solver's bank marches each time `slabs()` runs, adding the
-    seconds spent marching to `seconds` and the (column, time cell) slabs
-    to `cell_steps`; `kept()` marches once and keeps the slabs.  A bank
-    built from (n, num_cells) `rows` yields them as one slab, every row
-    live throughout.  `rows` collects the solutions, row i solving
-    functional i."""
+    first.  A bank built from (n, num_cells) `rows`, as the ODE and shift
+    solvers return, yields them as one slab, every row live throughout.  A
+    PDE bank marches each time `slabs()` runs, adding the seconds spent
+    marching to `seconds` and the (column, time cell) slabs to
+    `cell_steps`; `kept()` marches once and keeps the slabs.  `rows`
+    collects the solutions, row i solving functional i."""
 
     def __init__(self, rows, grid: Grid, live=None, march=None):
         if march is None:
@@ -313,16 +314,6 @@ class AdjointBank:
         self.grid, self.live, self._march = grid, np.asarray(live), march
         self.order = np.argsort(-self.live, kind="stable")
         self.seconds, self.cell_steps = 0.0, 0
-
-    @classmethod
-    def solved(cls, functionals, grid: Grid, live, solve) -> "AdjointBank":
-        """A bank of one slab over the whole grid: the rows of the live
-        functionals, longest first, that `solve(rows, order)` solves in place."""
-        def march(order):
-            if w := np.count_nonzero(live):
-                rows = bank_rows([functionals[i] for i in order[:w]], grid)
-                yield slice(0, grid.num_cells), solve(rows, order).T
-        return cls(None, grid, live, march)
 
     def slabs(self):
         start = time.perf_counter()
@@ -362,11 +353,16 @@ def time_spans(functionals, grid: Grid, what: str = "functional") -> np.ndarray:
 
 
 def bank_rows(functionals, grid: Grid) -> np.ndarray:
-    """One (n, num_cells) array holding functional i, checked by
-    :func:`time_spans`, in row i: a field's values, or a window's box.  The
-    ODE and shift solvers overwrite it in place with the solutions."""
+    """One (n, num_cells) array holding functional i in row i: a field's
+    values, or a window's box.  A functional on another grid raises
+    GridMismatchError naming its index.  The ODE and shift solvers
+    overwrite the array in place with the solutions."""
+    if not functionals:
+        raise ValueError("need at least one right-hand side")
     rows = np.zeros((len(functionals), grid.num_cells))
-    for row, f in zip(rows, functionals):
+    for i, (row, f) in enumerate(zip(rows, functionals)):
+        if f.grid != grid:
+            raise GridMismatchError(f"right-hand side {i} lives on a different grid")
         if isinstance(f, Window):
             row.reshape(grid.shape)[f.box] = f.value
         else:

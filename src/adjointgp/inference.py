@@ -7,9 +7,10 @@ expanded in M basis features the readings follow the linear model
 
     z = Phi q + eps,      Phi[i, m] = <v_i, phi_m>,   eps ~ N(0, sigma^2 I).
 
-The design matrix is a plain read-only (n, M) array, projected in the
-pass that marches the adjoint solutions: each time cell of them is added
-into Phi, for the observations live there, as the march yields it.
+The design matrix is a plain read-only (n, M) array.  A 1-D bank is
+projected from its solved rows; a PDE bank in the pass that marches it:
+each time cell is added into Phi, for the observations live there, as
+the march yields it.
 
 Factorization policy.  The prior is q ~ N(0, I): the feature amplitude
 carries the kernel variance.  The conjugate posterior takes one Cholesky
@@ -171,8 +172,8 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *,
 
     Each slab (cells, V) the bank yields, one time cell on (time, space)
     grids, adds (F V)^T dV to the rows of its w live functionals, F the
-    (M, cells) feature block there; a solver's bank yields them as it
-    marches, so no solution outlives its time cell.  The basis is
+    (M, cells) feature block there; a PDE bank yields them as it marches,
+    so no solution outlives its time cell.  The basis is
     evaluated one block at a time on the cells of a slab, so the full
     (M, num_cells) feature matrix is never held, and the time cells a PDE
     march never reaches, after the last window ends, are never evaluated.

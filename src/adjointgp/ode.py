@@ -18,8 +18,8 @@ steps a whole bank of right-hand sides at once, one state entry per row,
 and checks its output for non-finite values once, after the last step.
 
 `OdeSystem` is the solver: its constructor checks the grid once, and its
-solves are `forward(f)`, `adjoint_march(windows)` and `adjoint_bank`, the
-march kept.
+solves are `forward(f)` and `adjoint_march(windows)`, which marches at the
+call and returns the solutions as the rows of an `AdjointBank`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityWarning, check_march
-from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid, time_spans
+from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid
 
 __all__ = ["OdeParams", "OdeSystem", "euler_stability_limit"]
 
@@ -89,26 +89,15 @@ class OdeSystem:
     def forward(self, forcing: Field) -> Field:
         """Solve the forced system from rest; values reported at cell centers."""
         self._check_step("forward")
-        time_spans([forcing], self._grid, "forcing")  # checks the forcing's grid
         return Field(self._grid, self._march(bank_rows([forcing], self._grid), "forward")[0])
 
     def adjoint_march(self, functionals) -> AdjointBank:
         """Solve the adjoint system backward from rest at t = T for every
-        functional, each time the bank's one slab is asked for, by the
-        forward march run from the last cell to the first."""
+        functional at once, by the forward march run from the last cell to
+        the first; row i of the bank solves functional i."""
         self._check_step("adjoint")
-        return self._adjoint(tuple(functionals))
-
-    def adjoint_bank(self, functionals) -> AdjointBank:
-        """The adjoint march, marched once and kept."""
-        self._check_step("adjoint")
-        return self._adjoint(tuple(functionals)).kept()
-
-    def _adjoint(self, functionals) -> AdjointBank:
-        # a solution ends a cell before its functional does
-        live = np.maximum(time_spans(functionals, self._grid)[:, 1] - 1, 0)
-        return AdjointBank.solved(functionals, self._grid, live,
-                                  lambda rows, order: self._march(rows, "adjoint", True, order))
+        rows = bank_rows(functionals, self._grid)
+        return AdjointBank(self._march(rows, "adjoint", True), self._grid)
 
     def _check_step(self, label: str) -> None:
         # the warning names the line that called the solve
@@ -118,8 +107,7 @@ class OdeSystem:
                           f"{limit:.3e}; the {label} solve may diverge",
                           StabilityWarning, stacklevel=3)
 
-    def _march(self, rows: np.ndarray, label: str, reverse: bool = False,
-               order=None) -> np.ndarray:
+    def _march(self, rows: np.ndarray, label: str, reverse: bool = False) -> np.ndarray:
         """Explicit Euler on (u, u'), forcing taken at cell centers, for every
         row of `rows` at once and in place.
 
@@ -129,7 +117,7 @@ class OdeSystem:
         solve in reversed time; every row takes the arithmetic of a single
         solve, so a bank equals its rows solved one at a time bit for bit.
         A non-finite output raises SolverError naming the first bad step
-        and `order[i]`, the caller's index of row i."""
+        and, in a bank of several, the first bad row."""
         dt = self._grid.spacing[0]
         p0, p1, p2 = self.params.p0, self.params.p1, self.params.p2
         n, cells = rows.shape
@@ -150,5 +138,5 @@ class OdeSystem:
                 w_next = w + dt * (src[g] - p1 * w - p0 * u) / p2
                 out[g] = 0.5 * (u + u_next)
                 u, w = u_next, w_next
-        check_march(label, rows, reverse, order)
+        check_march(label, rows, reverse)
         return rows

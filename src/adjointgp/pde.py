@@ -31,9 +31,9 @@ never marched.  The march yields each time cell's (S, w) solution as it
 goes and checks it for non-finite values.
 
 `PdeSystem` is the solver: its constructor checks the grid and the CFL
-bound and builds A once.  Its solves are `forward(f)`, `adjoint_march`,
-whose slabs `assemble_phi` projects as they are marched, and
-`adjoint_bank`, the march kept.
+bound and builds A once.  Its solves are `forward(f)` and
+`adjoint_march`, whose slabs `assemble_phi` projects as they are marched;
+the bank's `kept()` marches once and keeps them.
 
 Grids are (time, y, x) with time on axis 0.  Forcing fields and solver
 output live at cell centers; time-cell values are the average of the two
@@ -178,10 +178,6 @@ class PdeSystem:
         spans = time_spans(functionals, self._grid)
         return AdjointBank(None, self._grid, spans[:, 1], lambda order: self._march(
             self._step, [functionals[i] for i in order], spans[order], order))
-
-    def adjoint_bank(self, functionals) -> AdjointBank:
-        """The adjoint march, marched once and kept."""
-        return self.adjoint_march(functionals).kept()
 
     def _march(self, op, functionals, spans, order=None):
         """Step x <- op x + dt * rhs from rest and yield (cells, x), x the

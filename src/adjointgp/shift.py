@@ -6,8 +6,9 @@ L_a^* v = h has solution v(t) = h(t + a).  On a uniform grid both solves
 are pure index shifts, with no discretization error, provided the offset
 `a` is an integer number of cells.
 
-`ShiftSystem` is the solver: `forward(f)`, `adjoint_march(windows)` and
-`adjoint_bank`, the march kept.
+`ShiftSystem` is the solver: `forward(f)` and `adjoint_march(windows)`,
+which shifts at the call and returns the solutions as the rows of an
+`AdjointBank`.
 Cells shifted in from outside the domain are undefined.  The forward
 solution carries a mask, so inner products downstream integrate only over
 the defined overlap; the adjoint bank holds 0 there, which integrates the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid, time_spans
+from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid
 
 __all__ = ["ShiftParams", "ShiftSystem"]
 
@@ -82,7 +83,6 @@ class ShiftSystem:
         """Solve L_a u = f, i.e. u(t) = f(t - a); cells shifted in from
         outside the domain are masked as undefined."""
         grid = self._grid
-        time_spans([forcing], grid, "forcing")  # checks the forcing's grid
         vals = _shift_rows(bank_rows([forcing], grid), self._cells)[0]
         defined = (forcing.mask_flat if forcing.mask is not None
                    else np.ones(grid.num_cells, dtype=bool))
@@ -91,16 +91,7 @@ class ShiftSystem:
 
     def adjoint_march(self, functionals) -> AdjointBank:
         """Adjoint solves v_i(t) = h_i(t + a) of every functional at once,
-        each time the bank's slab is asked for: one slab over the whole
-        grid; cells shifted in from outside the domain hold 0."""
-        functionals = tuple(functionals)
-        # a solution spans its functional's cells moved by the shift
-        spans = np.clip(time_spans(functionals, self._grid) - self._cells, 0,
-                        self._grid.num_cells)
-        live = np.where(spans[:, 0] < spans[:, 1], spans[:, 1], 0)
-        return AdjointBank.solved(functionals, self._grid, live,
-                                  lambda rows, order: _shift_rows(rows, -self._cells))
-
-    def adjoint_bank(self, functionals) -> AdjointBank:
-        """The adjoint march, marched once and kept."""
-        return self.adjoint_march(functionals).kept()
+        row i of the bank solving functional i; cells shifted in from
+        outside the domain hold 0."""
+        rows = bank_rows(functionals, self._grid)
+        return AdjointBank(_shift_rows(rows, -self._cells), self._grid)

@@ -62,7 +62,7 @@ def test_operator_pairing_identity_and_refinement():
             f = random_smooth_field(grid, seed=1000 + k, band=(0.6, 1.4))
             h = random_smooth_field(grid, seed=2000 + k, band=(0.6, 1.4))
             u = system.forward(f)
-            v = Field(grid, system.adjoint_bank([h]).rows[0])
+            v = Field(grid, system.adjoint_march([h]).rows[0])
             lhs = inner_product(ode_apply(params, u), v)
             rhs = inner_product(u, ode_apply_adjoint(params, v))
             worst = max(worst, abs(lhs - rhs) / (norm(u) * norm(v)))
@@ -91,7 +91,7 @@ def test_observation_routes_agree():
     ode = OdeSystem(OdeParams(p0=5.0, p1=1.0, p2=0.5, T=10.0), ode_grid)
     windows = [window_indicator(ode_grid, [2.0 * i], [2.0 * i + 1.5])
                for i in range(5)]
-    bank = [Field(ode_grid, ode.adjoint_bank([w]).rows[0]) for w in windows]
+    bank = [Field(ode_grid, ode.adjoint_march([w]).rows[0]) for w in windows]
     worst_ode = 0.0
     for k in range(20):
         f = random_smooth_field(ode_grid, seed=100 + k)
@@ -111,7 +111,7 @@ def test_observation_routes_agree():
     pde_windows = [sensor_field(pde_grid, (y - 0.5, x - 0.5),
                                 (y + 0.5, x + 0.5), 4.0, 6.0)
                    for y, x in spots]
-    pde_bank = [Field(pde_grid, pde.adjoint_bank([w]).rows[0]) for w in pde_windows]
+    pde_bank = [Field(pde_grid, pde.adjoint_march([w]).rows[0]) for w in pde_windows]
     worst_pde = 0.0
     for k in range(20):
         f = random_smooth_field(pde_grid, seed=4000 + k)

@@ -22,7 +22,7 @@ from adjointgp import (
 from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
 from adjointgp.experiments import (make_grid, make_system, run_inference, run_mcmc,
-                                   simulate_data)
+                                   scan_hyper, simulate_data)
 
 # the deliberately tiny bases used here for speed trip the small-basis
 # warning; its trigger condition is pinned in test_inference.py
@@ -181,6 +181,8 @@ def test_bare_mcmc_header_pulls_defaults():
                               "proposal_scale": 0.0, "seed": 0}
     short = parse_config(ODE_TEXT + "\n[mcmc]\nsteps = 100\n")
     assert short["mcmc"]["burn_in"] == 20
+    # four kept draws, the fewest batch means and split R-hat take
+    assert parse_config(ODE_TEXT + "\n[mcmc]\nsteps = 4\n")["mcmc"]["burn_in"] == 0
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -264,6 +266,8 @@ def test_sensor_rules(text, needle):
     (ODE_TEXT + "\n[inference]\nsamples = 0\n", "must be positive"),
     (ODE_TEXT + "\n[mcmc]\nsteps = 100\nburn_in = 100\n", "burn_in"),
     (ODE_TEXT + "\n[mcmc]\nproposal_scale = -0.5\n", "must be nonnegative"),
+    (ODE_TEXT + "\n[mcmc]\nsteps = 10\nburn_in = 8\n", "at least 4 draws"),
+    (ODE_TEXT + "\n[mcmc]\nsteps = 3\n", "at least 4 draws"),
     (ODE_TEXT + "\n[sweep]\nsensors = 10\nfeatures = 5\n",
      "missing required key 'replicates'"),
     (ODE_TEXT + "\n[sweep]\nsensors = 0,10\nfeatures = 5\nreplicates = 2\n",
@@ -274,6 +278,10 @@ def test_sensor_rules(text, needle):
      "lo,hi,steps"),
     (ODE_TEXT + "\n[scan]\nlengthscale = 2.0,1.0,3\nvariance = 1.0,2.0,2\n",
      "lo,hi,steps"),
+    (ODE_TEXT + "\n[scan]\nlengthscale = 0.5,2.0,2.5\nvariance = 1.0,2.0,2\n",
+     "steps a whole number"),
+    (ODE_TEXT + "\n[scan]\nlengthscale = 0.5,2.0,inf\nvariance = 1.0,2.0,2\n",
+     "steps a whole number"),
     (ODE_TEXT + "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 1.0,2.0,2\n"
      "samples = 0\n", "must be positive"),
 ])
@@ -522,6 +530,24 @@ def test_scan_command_ranks_lattice(tmp_path, capsys):
     assert best["nll"] == nlls[0]
 
 
+@pytest.mark.parametrize("text, system", [(ODE_TEXT, OdeSystem), (PDE_TEXT, PdeSystem)],
+                         ids=["ode", "pde"])
+def test_scan_marches_the_adjoint_once(text, system, monkeypatch):
+    # the four points of a 2x2 lattice project one kept bank; a PDE bank
+    # that is not kept marches again for every projection
+    data = simulate_data(parse_config(
+        text + "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 1.0,2.0,2\n"))
+    march, calls = system._march, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return march(self, *args, **kwargs)
+
+    monkeypatch.setattr(system, "_march", counting)
+    assert len(scan_hyper(data)) == 4
+    assert len(calls) == 1
+
+
 def test_shift_demo_command(tmp_path, capsys):
     out = tmp_path / "demo"
     assert main(["shift-demo", "--out", str(out)]) == 0
@@ -576,6 +602,21 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["infer", str(tmp_path / "missing_bundle"), "--out",
                  str(tmp_path / "o2")]) == 2
+
+
+@pytest.mark.parametrize("section", ["[mcmc]\nsteps = 10\nburn_in = 8",
+                                     "[mcmc]\nsteps = 3",
+                                     "[scan]\nlengthscale = 0.5,2.0,2.5\nvariance = 1.0,2.0,2"],
+                         ids=["burn-in", "short-chain", "fractional-scan"])
+def test_exit_code_run_length_refused(tmp_path, capsys, section):
+    # fewer than 4 kept draws, or a fractional lattice step count, is refused
+    # when the config is read, not by a traceback (mcmc) or a silent
+    # truncation (scan-hyper) later
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(ODE_TEXT + "\n" + section + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_cfl_violation(tmp_path, capsys):

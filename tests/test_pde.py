@@ -45,7 +45,7 @@ def _forward(params, forcing):
 
 def _adjoint(params, functional):
     grid = functional.grid
-    return Field(grid, PdeSystem(params, grid).adjoint_bank([functional]).rows[0])
+    return Field(grid, PdeSystem(params, grid).adjoint_march([functional]).rows[0])
 
 
 def _impulse(grid, center=(3.0, 3.0), width=0.8):
@@ -94,8 +94,8 @@ def test_step_operator_is_built_once_per_system(monkeypatch):
     grid = _grid(20, 12, 12)
     system = PdeSystem(_params(), grid)
     system.forward(random_smooth_field(grid, seed=45))
-    system.adjoint_bank([random_smooth_field(grid, seed=46)])
-    system.adjoint_bank([random_smooth_field(grid, seed=47), random_smooth_field(grid, seed=48)])
+    system.adjoint_march([random_smooth_field(grid, seed=46)]).kept()
+    system.adjoint_march([random_smooth_field(grid, seed=47), random_smooth_field(grid, seed=48)]).kept()
     assert calls == [grid]
 
 
@@ -210,11 +210,11 @@ def test_bank_equals_single_solves_and_keeps_the_identity():
     windows = ([random_smooth_field(grid, seed=820 + k) for k in range(2)]
                + [sensor_field(grid, (2.0 + k, 3.0), (4.0 + k, 5.0), 2.0 * k, 2.0 * k + 3.0)
                   for k in range(3)])
-    bank = system.adjoint_bank(windows)
+    bank = system.adjoint_march(windows).kept()
     assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
     for w, row in zip(windows, bank.rows):
-        assert np.array_equal(row, system.adjoint_bank([w]).rows[0])
-        assert np.array_equal(row, PdeSystem(params, grid).adjoint_bank([w]).rows[0])
+        assert np.array_equal(row, system.adjoint_march([w]).rows[0])
+        assert np.array_equal(row, PdeSystem(params, grid).adjoint_march([w]).rows[0])
     f = random_smooth_field(grid, seed=830)
     u = system.forward(f)
     for w, row in zip(windows, bank.rows):
@@ -229,7 +229,7 @@ def test_bank_names_the_step_where_one_window_blows_up():
     calm = random_smooth_field(grid, seed=840)
     huge = Field.full(grid, 1.7e308)
     with pytest.raises(SolverError, match=r"adjoint solve .* at step \d+ \(right-hand side 1\)"):
-        system.adjoint_bank([calm, huge, calm])
+        system.adjoint_march([calm, huge, calm]).kept()
 
 
 def test_bank_names_the_caller_of_a_blow_up_that_joins_the_march_late():
@@ -245,14 +245,14 @@ def test_bank_names_the_caller_of_a_blow_up_that_joins_the_march_late():
     assert system.adjoint_march(functionals).order.tolist() == [1, 0]
     message = r"adjoint solve .* at step \d+ \(right-hand side 0\)$"
     with pytest.raises(SolverError, match=message) as kept:
-        system.adjoint_bank(functionals)
+        system.adjoint_march(functionals).kept()
     basis = FeatureBasis.sample(5, 3, KernelParams(lengthscale=2.0, variance=1.0), seed=3)
     with pytest.raises(SolverError) as streamed:
         assemble_phi(system.adjoint_march(functionals), basis)
     assert str(streamed.value) == str(kept.value)
     # a bank of the huge field alone goes bad at the same step of its march
     with pytest.raises(SolverError) as alone:
-        system.adjoint_bank(functionals[:1])
+        system.adjoint_march(functionals[:1]).kept()
     step = int(re.search(r"step (\d+)", str(alone.value)).group(1))
     assert f"at step {step} " in str(kept.value)
 
@@ -272,7 +272,7 @@ def test_step_operator_matches_hand_written_stencils(velocity):
     np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     windows = [random_smooth_field(grid, seed=860 + k) for k in range(2)]
     windows.append(sensor_field(grid, (1.0, 2.0), (4.0, 7.0), 3.0, 6.0))
-    rows = system.adjoint_bank(windows).rows
+    rows = system.adjoint_march(windows).rows
     ref = pde_adjoint_flux_bank(params, windows)
     np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
@@ -288,7 +288,7 @@ def test_forward_overflow_raises_without_a_warning():
 def test_bank_live_cells_are_tight():
     grid = _grid(20, 12, 12)
     windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 3.0 + 2.0 * k) for k in range(3)]
-    bank = PdeSystem(_params(), grid).adjoint_bank(windows + [Field.zeros(grid)])
+    bank = PdeSystem(_params(), grid).adjoint_march(windows + [Field.zeros(grid)]).kept()
     assert_live_is_tight(bank)
     # a window ending at t_hi covers time cells up to t_hi / dt
     assert bank.live.tolist() == [6, 10, 14, 0]

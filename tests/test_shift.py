@@ -8,10 +8,9 @@ from adjointgp import (
     Grid,
     KernelParams,
     inner_product,
-    window_indicator,
 )
 from adjointgp.shift import ShiftParams, ShiftSystem
-from oracles import assert_live_is_tight, random_smooth_field
+from oracles import random_smooth_field
 
 
 def _grid(cells=100, T=10.0):
@@ -44,7 +43,7 @@ def test_forward_adjoint_round_trip_on_overlap():
     params = ShiftParams(a=2.0, T=10.0)
     f = random_smooth_field(grid, seed=3)
     system = ShiftSystem(params, grid)
-    back = system.adjoint_bank([system.forward(f)]).rows[0]
+    back = system.adjoint_march([system.forward(f)]).rows[0]
     # the last 2.0 seconds (40 cells) are shifted in from outside the
     # domain, and the bank holds 0 there
     keep = np.arange(200) < 200 - 40
@@ -62,7 +61,7 @@ def test_adjoint_identity_is_exact():
         f = random_smooth_field(grid, seed=900 + seed)
         h = random_smooth_field(grid, seed=950 + seed)
         lhs = inner_product(system.forward(f), h)
-        rhs = inner_product(f, Field(grid, system.adjoint_bank([h]).rows[0]))
+        rhs = inner_product(f, Field(grid, system.adjoint_march([h]).rows[0]))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -121,25 +120,14 @@ def test_bank_equals_single_solves_and_keeps_the_identity(a):
     masked = random_smooth_field(grid, seed=970)
     masked = Field(grid, masked.values, mask=grid.axis_centers(0) < 7.0)
     windows = [random_smooth_field(grid, seed=960 + k) for k in range(3)] + [masked]
-    bank = system.adjoint_bank(windows)
+    bank = system.adjoint_march(windows)
     assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
     for w, row in zip(windows, bank.rows):
-        assert np.array_equal(row, system.adjoint_bank([w]).rows[0])
-        assert np.array_equal(row, ShiftSystem(params, grid).adjoint_bank([w]).rows[0])
+        assert np.array_equal(row, system.adjoint_march([w]).rows[0])
+        assert np.array_equal(row, ShiftSystem(params, grid).adjoint_march([w]).rows[0])
     f = random_smooth_field(grid, seed=980)
     u = system.forward(f)
     for w, row in zip(windows, bank.rows):
         lhs = inner_product(u, w)
         rhs = float(f.values_flat @ row) * grid.cell_volume
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-
-@pytest.mark.parametrize("a", [1.2, -2.0])
-def test_bank_live_cells_are_tight(a):
-    grid = _grid(250)
-    windows = [window_indicator(grid, [3.0], [4.0 + k]) for k in range(3)]
-    bank = ShiftSystem(ShiftParams(a=a, T=10.0), grid).adjoint_bank(windows + [Field.zeros(grid)])
-    assert_live_is_tight(bank)
-    # v(t) = h(t + a) ends a before the window does
-    ends = np.array([4.0, 5.0, 6.0]) - a
-    assert bank.live.tolist() == [*np.round(ends / grid.spacing[0]).astype(int), 0]

@@ -10,6 +10,7 @@ import pytest
 from adjointgp import (
     Field,
     Grid,
+    GridMismatchError,
     OdeParams,
     OdeSystem,
     PdeParams,
@@ -66,10 +67,22 @@ def test_bank_of_boxes_equals_bank_of_dense_windows(name):
     system = SYSTEMS[name]()
     windows = _windows(system.grid)
     assert all(isinstance(w, Window) for w in windows)
-    boxes = system.adjoint_bank(windows)
-    dense = system.adjoint_bank([dense_field(w) for w in windows])
+    boxes = system.adjoint_march(windows).kept()
+    dense = system.adjoint_march([dense_field(w) for w in windows]).kept()
     assert np.array_equal(boxes.rows, dense.rows)
     assert np.array_equal(boxes.live, dense.live)
+
+
+@pytest.mark.parametrize("name", ["ode", "shift+", "shift-"])
+def test_one_dimensional_march_raises_at_the_call_naming_the_row(name):
+    # a 1-D bank is solved inside adjoint_march, so a functional on another
+    # grid is refused there, named by the caller's index
+    system = SYSTEMS[name]()
+    other = Grid.regular(((0.0, 10.0),), (system.grid.dims[0] // 2,))
+    windows = _windows(system.grid)
+    windows[2:2] = [window_indicator(other, [1.0], [2.0])]
+    with pytest.raises(GridMismatchError, match=r"^right-hand side 2 lives on a different grid$"):
+        system.adjoint_march(windows)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
