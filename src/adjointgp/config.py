@@ -341,6 +341,8 @@ def _validate(sections: dict) -> dict:
                     triple[2] >= 1 and triple[2] % 1 == 0):
                 raise ConfigError(f"'{key}' in [scan] must be 'lo,hi,steps' with "
                                   "0 < lo <= hi and steps a whole number >= 1")
+            if triple[0] == triple[1] and triple[2] > 1:
+                raise ConfigError(f"'{key}' in [scan] has lo == hi, so steps must be 1")
         if sections["scan"].get("samples", 100) < 1:
             raise ConfigError("'samples' in [scan] must be positive")
 

@@ -60,6 +60,7 @@ from .mcmc import (
     ChainConfig,
     ChainResult,
     chain_diagnostics,
+    chain_moments,
     chain_to_csv,
     gaussian_log_target,
     rw_mh,
@@ -691,14 +692,14 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     result = rw_mh(target, start, cfg)
     t2 = time.perf_counter()
     diag = chain_diagnostics(result)
-    kept = result.kept
+    chain_mean, chain_sd = chain_moments(result.kept)
     timings = dict(pipeline.timings, tune=t1 - t0, chain=t2 - t1,
                    ess_per_second=float(diag.ess.min()) / (t2 - t1),
                    max_c_drift=result.drift)
     return McmcOutcome(
         result=result,
-        chain_mean=kept.mean(axis=0),
-        chain_sd=kept.std(axis=0, ddof=1),
+        chain_mean=chain_mean,
+        chain_sd=chain_sd,
         exact_mean=pipeline.posterior.mean,
         exact_sd=np.sqrt(np.diag(pipeline.posterior.cov)),
         acceptance_rate=result.acceptance_rate,
@@ -877,9 +878,9 @@ def scan_hyper(data: SimulatedData):
     """Lattice scan of kernel hyperparameters scored by posterior predictive
     negative log likelihood on the training readings.
 
-    The adjoint bank and the feature draw are made once, so each lattice
-    point costs one design-matrix assembly and one posterior solve, and no
-    forward solve.
+    The adjoint bank and the feature draw are made once, and the bank is
+    projected once per lattice lengthscale (the variance only scales Phi);
+    each lattice point then costs one posterior solve, and no forward solve.
     """
     config = data.config
     if "scan" not in config:
@@ -889,10 +890,11 @@ def scan_hyper(data: SimulatedData):
     bank = data.system.adjoint_march(data.windows).kept()
     basis = _inference_basis(config, data.grid, data.kernel)
     axes = ("lengthscale", "variance")
+    projections = {}
     return grid_scan(
         {key: scan[key][:2] for key in axes},
         {key: int(scan[key][2]) for key in axes},
-        lambda theta: nll_score(theta, obs, bank, basis))
+        lambda theta: nll_score(theta, obs, bank, basis, projections))
 
 
 def save_scan(results, out_dir) -> Path:

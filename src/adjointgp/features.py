@@ -16,10 +16,20 @@ with integer `seed` spawns one child stream per feature via
 vector first, then its phase, from child m.  The draw for feature m is
 therefore independent of M and of every other feature, and a basis can
 be rebuilt bit-for-bit from (seed, count, dim, kernel).
+
+Evaluation on a grid takes cosines of per-axis arguments only.  The cells
+are split into outer rows of `inner` cells, a time cell on grids with
+spatial axes and a run of ceil(sqrt(G)) cells on 1-D grids, and the
+argument of cell o * inner + i splits into a[o] + b[i], so that by angle
+addition phi_m = amplitude * (cos a cos b - sin a sin b).  The tables carry
+no amplitude: a forcing is two matrix products, Phi and the posterior
+fields read one (inner, M) block per outer row, and the amplitude scales
+the result last.  `eval_basis` keeps the direct cosine as the reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,80 +140,69 @@ def eval_basis(basis: FeatureBasis, grid: Grid) -> np.ndarray:
     return _eval_at(basis, grid.centers())
 
 
-_BLOCK_ENTRIES = 1 << 23
-
-
 def _axis_tables(basis: FeatureBasis, grid: Grid):
-    """Per-axis cosine and sine tables of the feature arguments on a grid
-    with time on axis 0 and at least one spatial axis.
-
-    The argument w_m . x / lengthscale + b_m splits into a time part
-    a[m, k] (with the phase) over the nt time centers and a space part
-    b[m, s] over the S = num_cells / nt spatial cell centers, so
-    phi_m = amplitude * (cos a cos b - sin a sin b) by angle addition.
-    Returns (amplitude * cos a, amplitude * sin a, cos b, sin b) with
-    shapes (M, nt) and (M, S).
+    """Unit-amplitude cosine and sine tables (cos a, sin a) of shape
+    (outer, M) and (cos b, sin b) of shape (inner, M).  a holds the phase
+    and the time argument, or on 1-D grids the argument at a run's first
+    center; b sums the spatial arguments, or the offsets i * dx, joined
+    axis by axis one row at a time into its two result buffers, so no
+    third table of their size is held.
     """
-    scale = 1.0 / basis.kernel.lengthscale
-    time = np.outer(basis.frequencies[:, 0] * scale, grid.axis_centers(0))
-    time += basis.phases[:, None]
-    space_grid = Grid(grid.dims[1:], grid.spacing[1:], grid.origin[1:])
-    space = (basis.frequencies[:, 1:] * scale) @ space_grid.centers().T
-    amp = basis.amplitude
-    return amp * np.cos(time), amp * np.sin(time), np.cos(space), np.sin(space)
+    scaled = basis.frequencies.T / basis.kernel.lengthscale
+    if grid.ndim == 1:
+        inner = math.isqrt(grid.num_cells - 1) + 1
+        outer, axes = grid.axis_centers(0)[::inner], [(np.arange(inner) * grid.spacing[0], 0)]
+    else:
+        outer, axes = grid.axis_centers(0), [(grid.axis_centers(k), k) for k in range(1, grid.ndim)]
+    time = np.outer(outer, scaled[0]) + basis.phases
+    cos_b, sin_b = np.ones((1, basis.size)), np.zeros((1, basis.size))
+    for centers, k in axes:
+        arg = np.outer(centers, scaled[k])
+        cos, sin, tmp = np.cos(arg), np.sin(arg), np.empty_like(arg)
+        joined = np.empty((2, len(cos_b), len(cos), basis.size))
+        for j, (c, s) in enumerate(zip(cos_b, sin_b)):
+            np.multiply(cos, c, out=joined[0, j])
+            joined[0, j] -= np.multiply(sin, s, out=tmp)
+            np.multiply(cos, s, out=joined[1, j])
+            joined[1, j] += np.multiply(sin, c, out=tmp)
+        cos_b, sin_b = joined.reshape(2, -1, basis.size)
+    return np.cos(time), np.sin(time), cos_b, sin_b
 
 
 def _feature_blocks(basis: FeatureBasis, grid: Grid):
     """Function of a slice of flat cell indices that yields (cell slice,
-    feature matrix block) over it in cell order: on 1-D grids the direct
-    cosine at the cell centers, in runs of at most _BLOCK_ENTRIES entries
-    from the slice's start; with spatial axes the (M, S) feature matrix of
-    one time cell, built from the per-axis tables of :func:`_axis_tables`
-    by products instead of cosines into one reused buffer, valid until the
-    next block is asked for, so no (M, num_cells) array is ever held.
+    unit-amplitude (cells, M) feature block) in cell order, one block per
+    outer row, built from the tables by products into one reused buffer
+    that is valid until the next block is asked for.
     """
-    if grid.ndim == 1:
-        centers = grid.centers()
-        step = max(1, _BLOCK_ENTRIES // basis.size)
-
-        def runs(cells):
-            for start in range(cells.start, cells.stop, step):
-                run = slice(start, min(start + step, cells.stop))
-                yield run, _eval_at(basis, centers[run])
-        return runs
     cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
-    space = cos_b.shape[1]
+    inner = len(cos_b)
     block, sines = np.empty_like(cos_b), np.empty_like(sin_b)
 
-    def time_cells(cells):
-        for k in range(cells.start // space, cells.stop // space):
-            np.multiply(cos_a[:, k, None], cos_b, out=block)
-            np.subtract(block, np.multiply(sin_a[:, k, None], sin_b, out=sines), out=block)
-            yield slice(k * space, (k + 1) * space), block
-    return time_cells
+    def rows(cells):
+        for o in range(cells.start // inner, -(-cells.stop // inner)):
+            lo, hi = max(cells.start, o * inner), min(cells.stop, (o + 1) * inner)
+            part, out = slice(lo - o * inner, hi - o * inner), block[:hi - lo]
+            np.multiply(cos_b[part], cos_a[o], out=out)
+            out -= np.multiply(sin_b[part], sin_a[o], out=sines[:hi - lo])
+            yield slice(lo, hi), out
+    return rows
 
 
 def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:
-    """Field  f(x) = sum_m weights[m] * phi_m(x)  over the grid.
-
-    With spatial axes the sum factors into two matrix products over the
-    per-axis tables, (q cos a)^T cos b - (q sin a)^T sin b, one row per
-    time cell.
-    """
+    """Field  f(x) = sum_m weights[m] * phi_m(x)  over the grid: with
+    c = amplitude * weights, (c cos a) cos b^T - (c sin a) sin b^T holds one
+    outer row of cells per row."""
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if weights.size != basis.size:
         raise ValueError(f"expected {basis.size} weights, got {weights.size}")
     if basis.dim != grid.ndim:
         raise ValueError("basis dim does not match grid")
-    if grid.ndim == 1:
-        vals = np.empty(grid.num_cells)
-        for sl, block in _feature_blocks(basis, grid)(slice(0, grid.num_cells)):
-            vals[sl] = weights @ block
-        return Field(grid, vals)
     cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
-    vals = (weights[:, None] * cos_a).T @ cos_b
-    vals -= (weights[:, None] * sin_a).T @ sin_b
-    return Field(grid, vals)
+    coef = basis.amplitude * weights
+    vals = (cos_a * coef) @ cos_b.T
+    vals -= (sin_a * coef) @ sin_b.T
+    return Field(grid, vals.reshape(-1)[:grid.num_cells])
 
 
 def sample_prior_forcing(basis: FeatureBasis, grid: Grid, seed: int):

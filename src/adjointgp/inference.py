@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import MisspecificationWarning, NumericalError
-from .features import FeatureBasis, KernelParams, _feature_blocks, forcing_from_weights
+from .features import FeatureBasis, KernelParams, _feature_blocks
 from .fields import AdjointBank, Field, Grid, GridMismatchError, Window
 
 __all__ = [
@@ -165,18 +165,22 @@ def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
 # design matrix
 
 
-def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *,
-                 grid: Grid | None = None) -> np.ndarray:
+def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = None,
+                 projections: dict | None = None) -> np.ndarray:
     """Read-only (n, M) design matrix Phi[i, m] = <v_i, phi_m> over the
     adjoint bank's grid.
 
     Each slab (cells, V) the bank yields, one time cell on (time, space)
-    grids, adds (F V)^T dV to the rows of its w live functionals, F the
-    (M, cells) feature block there; a PDE bank yields them as it marches,
-    so no solution outlives its time cell.  The basis is
-    evaluated one block at a time on the cells of a slab, so the full
-    (M, num_cells) feature matrix is never held, and the time cells a PDE
+    grids, adds F^T V to the rows of its w live functionals, F the
+    (cells, M) unit-amplitude feature block there; a PDE bank yields them
+    as it marches, so no solution outlives its time cell.  The basis is
+    evaluated one block at a time on the cells of a slab, so no
+    (num_cells, M) feature matrix is ever held, and the time cells a PDE
     march never reaches, after the last window ends, are never evaluated.
+    The amplitude scales Phi as the last step, so the variance never needs
+    a new projection: `projections`, a dict the caller keeps across calls
+    on one bank and one frequency draw, holds the unit-amplitude
+    projection per lengthscale, bit for bit what a call without it makes.
     Passing `grid` asserts the bank lives on that grid; a mismatch raises
     GridMismatchError before any work is done.  Non-finite entries raise
     NumericalError.
@@ -185,20 +189,22 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *,
         raise GridMismatchError("adjoint bank does not live on the expected grid")
     if basis.dim != bank.grid.ndim:
         raise GridMismatchError("basis dimension does not match the grid")
-    entries = np.zeros((len(bank.live), basis.size))
-    blocks = _feature_blocks(basis, bank.grid)
+    projections = {} if projections is None else projections
     # an overflow is reported below as an error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for cells, v in bank.slabs():
-            for sl, block in blocks(cells):
-                rel = slice(sl.start - cells.start, sl.stop - cells.start)
-                entries[:v.shape[1]] += v[rel].T @ block.T
-        entries *= bank.grid.cell_volume
-    if not np.isfinite(entries).all():
+        if basis.kernel.lengthscale not in projections:
+            entries = np.zeros((len(bank.live), basis.size))
+            blocks = _feature_blocks(basis, bank.grid)
+            for cells, v in bank.slabs():
+                for sl, block in blocks(cells):
+                    rel = slice(sl.start - cells.start, sl.stop - cells.start)
+                    entries[:v.shape[1]] += v[rel].T @ block
+            unit = projections[basis.kernel.lengthscale] = np.empty_like(entries)
+            unit[bank.order] = entries * bank.grid.cell_volume
+        phi = projections[basis.kernel.lengthscale] * basis.amplitude
+    if not np.isfinite(phi).all():
         raise NumericalError("design matrix has non-finite entries; the adjoint "
                              "bank or the basis overflowed")
-    phi = np.empty_like(entries)
-    phi[bank.order] = entries
     phi.setflags(write=False)
     return phi
 
@@ -284,16 +290,18 @@ def posterior_q(phi, z, sigma: float) -> PosteriorQ:
 
 
 def posterior_forcing(post: PosteriorQ, basis: FeatureBasis, grid: Grid):
-    """Posterior mean field and pointwise variance field of the forcing."""
+    """Posterior mean field and pointwise variance field of the forcing,
+    both from one pass over the feature blocks."""
     if basis.size != post.dim:
         raise ValueError("posterior dimension does not match basis")
-    mean = forcing_from_weights(basis, post.mean, grid)
-    var = np.empty(grid.num_cells)
+    coef, root = basis.amplitude * post.mean, basis.amplitude * post.root
+    mean, var = np.empty(grid.num_cells), np.empty(grid.num_cells)
     for sl, block in _feature_blocks(basis, grid)(slice(0, grid.num_cells)):
+        mean[sl] = block @ coef
         # pointwise variance phi(x)^T S phi(x) = |root^T phi(x)|^2
-        w = post.root.T @ block
-        var[sl] = np.einsum("ij,ij->j", w, w)
-    return mean, Field(grid, np.maximum(var, 0.0))
+        w = block @ root
+        var[sl] = np.einsum("ij,ij->i", w, w)
+    return Field(grid, mean), Field(grid, np.maximum(var, 0.0))
 
 
 def _predictive_moments(post: PosteriorQ, phi, z) -> tuple[np.ndarray, np.ndarray]:
@@ -332,17 +340,19 @@ def predictive_nll(post: PosteriorQ, phi, data: ObservationSet) -> float:
 
 
 def nll_score(theta: dict, data: ObservationSet, bank: AdjointBank,
-              basis: FeatureBasis) -> float:
+              basis: FeatureBasis, projections: dict | None = None) -> float:
     """Score hyperparameters `theta` (must contain `lengthscale` and
     `variance`) by the posterior predictive NLL of the readings in `data`.
 
     Neither `bank`, the adjoint bank of `data.windows`, nor the frequencies
     and phases of `basis` depend on the kernel; per call the basis takes the
     kernel of `theta`, and the design matrix and posterior are rebuilt.
+    `projections` is passed to `assemble_phi`, so a lattice scan that keeps
+    one dict projects once per lengthscale.
     """
     kernel = KernelParams(float(theta["lengthscale"]), float(theta["variance"]))
     basis = FeatureBasis(basis.frequencies, basis.phases, kernel, seed=basis.seed)
-    phi = assemble_phi(bank, basis, grid=data.grid)
+    phi = assemble_phi(bank, basis, grid=data.grid, projections=projections)
     post = posterior_q(phi, data.z, max(data.sigma, SIGMA_MIN))
     return predictive_nll(post, phi, data)
 

@@ -48,6 +48,7 @@ __all__ = [
     "tune_proposal_scale",
     "batch_means_ess",
     "split_rhat",
+    "chain_moments",
     "chain_diagnostics",
     "chain_to_csv",
 ]
@@ -56,6 +57,7 @@ ACCEPT_LO = 0.25
 ACCEPT_HI = 0.40
 BLOCK_STEPS = 4096  # steps whose proposals are drawn together
 CSV_CHUNK_ROWS = 256  # trace rows formatted and written together
+MOMENT_CHUNK_ROWS = 1024  # draws read together for the chain mean and sd
 
 
 @dataclass(frozen=True)
@@ -323,6 +325,15 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
         ((half - 1) / half * within[alive] + between[alive] / half) / within[alive]
     )
     return out
+
+
+def chain_moments(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate mean and sd (ddof 1) of N >= 2 draws (N, dim), in two
+    passes of MOMENT_CHUNK_ROWS rows, so no chain-sized temporary is made."""
+    chunks = [draws[lo:lo + MOMENT_CHUNK_ROWS] for lo in range(0, len(draws), MOMENT_CHUNK_ROWS)]
+    mean = sum(chunk.sum(axis=0) for chunk in chunks) / len(draws)
+    squares = sum(((chunk - mean) ** 2).sum(axis=0) for chunk in chunks)
+    return mean, np.sqrt(squares / (len(draws) - 1))
 
 
 def chain_diagnostics(result_or_draws, threshold: float = 1.05) -> ChainDiagnostics:

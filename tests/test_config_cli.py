@@ -10,19 +10,23 @@ from adjointgp import (
     PIPELINE_STAGES,
     AdjointBank,
     ConfigError,
+    FeatureBasis,
+    KernelParams,
     OdeSystem,
     PdeSystem,
     StabilityWarning,
     assemble_phi,
     inner_product,
+    nll_score,
     posterior_q,
     predictive_mse,
     predictive_nll,
 )
 from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
+from adjointgp import experiments, inference
 from adjointgp.experiments import (make_grid, make_system, run_inference, run_mcmc,
-                                   scan_hyper, simulate_data)
+                                   save_scan, scan_hyper, simulate_data)
 
 # the deliberately tiny bases used here for speed trip the small-basis
 # warning; its trigger condition is pinned in test_inference.py
@@ -282,6 +286,10 @@ def test_sensor_rules(text, needle):
      "steps a whole number"),
     (ODE_TEXT + "\n[scan]\nlengthscale = 0.5,2.0,inf\nvariance = 1.0,2.0,2\n",
      "steps a whole number"),
+    (ODE_TEXT + "\n[scan]\nlengthscale = 1.0,1.0,3\nvariance = 1.0,2.0,2\n",
+     "'lengthscale' in \\[scan\\] has lo == hi"),
+    (ODE_TEXT + "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 2.0,2.0,2\n",
+     "'variance' in \\[scan\\] has lo == hi"),
     (ODE_TEXT + "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 1.0,2.0,2\n"
      "samples = 0\n", "must be positive"),
 ])
@@ -548,6 +556,54 @@ def test_scan_marches_the_adjoint_once(text, system, monkeypatch):
     assert len(calls) == 1
 
 
+SCAN_2X3 = "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 1.0,3.0,3\n"
+
+
+@pytest.mark.parametrize("text", [ODE_TEXT, PDE_TEXT], ids=["ode", "pde"])
+def test_scan_projects_once_per_lengthscale(text, monkeypatch):
+    # the variance only scales Phi, so a 2x3 lattice builds the feature
+    # tables of two projections, not six
+    data = simulate_data(parse_config(text + SCAN_2X3))
+    blocks, calls = inference._feature_blocks, []
+
+    def counting(*args):
+        calls.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(inference, "_feature_blocks", counting)
+    assert len(scan_hyper(data)) == 6
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text", [ODE_TEXT, PDE_TEXT], ids=["ode", "pde"])
+def test_scan_scores_like_stand_alone_projections(text, tmp_path, monkeypatch):
+    # reusing a lengthscale's projection changes no bit: the Phi of each
+    # lattice point is assemble_phi's at that theta, and each scan.csv NLL
+    # is a stand-alone nll_score's there
+    data = simulate_data(parse_config(text + SCAN_2X3))
+    solve, designs = inference.posterior_q, []
+
+    def recording(phi, *args):
+        designs.append(phi)
+        return solve(phi, *args)
+
+    monkeypatch.setattr(inference, "posterior_q", recording)
+    save_scan(scan_hyper(data), tmp_path)
+    monkeypatch.undo()
+    obs, bank = data.observations(), data.system.adjoint_march(data.windows).kept()
+    basis = experiments._inference_basis(data.config, data.grid, data.kernel)
+    lattice = [(ell, var) for ell in (1.0, 2.0) for var in (1.0, 2.0, 3.0)]
+    for (ell, var), phi in zip(lattice, designs, strict=True):
+        theta_basis = FeatureBasis(basis.frequencies, basis.phases, KernelParams(ell, var))
+        assert np.array_equal(phi, assemble_phi(bank, theta_basis))
+    with open(tmp_path / "scan.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted((float(r["lengthscale"]), float(r["variance"])) for r in rows) == lattice
+    for row in rows:
+        theta = {"lengthscale": float(row["lengthscale"]), "variance": float(row["variance"])}
+        assert float(row["nll"]) == nll_score(theta, obs, bank, basis)
+
+
 def test_shift_demo_command(tmp_path, capsys):
     out = tmp_path / "demo"
     assert main(["shift-demo", "--out", str(out)]) == 0
@@ -606,12 +662,13 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("section", ["[mcmc]\nsteps = 10\nburn_in = 8",
                                      "[mcmc]\nsteps = 3",
-                                     "[scan]\nlengthscale = 0.5,2.0,2.5\nvariance = 1.0,2.0,2"],
-                         ids=["burn-in", "short-chain", "fractional-scan"])
+                                     "[scan]\nlengthscale = 0.5,2.0,2.5\nvariance = 1.0,2.0,2",
+                                     "[scan]\nlengthscale = 1.0,1.0,3\nvariance = 2.0,2.0,2"],
+                         ids=["burn-in", "short-chain", "fractional-scan", "repeated-scan"])
 def test_exit_code_run_length_refused(tmp_path, capsys, section):
-    # fewer than 4 kept draws, or a fractional lattice step count, is refused
-    # when the config is read, not by a traceback (mcmc) or a silent
-    # truncation (scan-hyper) later
+    # fewer than 4 kept draws, a fractional lattice step count, or several
+    # steps over one point is refused when the config is read, not by a
+    # traceback (mcmc), a silent truncation or repeated rows (scan-hyper) later
     cfg = tmp_path / "short.cfg"
     cfg.write_text(ODE_TEXT + "\n" + section + "\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

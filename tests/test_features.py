@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,21 @@ def test_forcing_from_weights_matches_double_loop():
                 basis.frequencies[m, 0] * centers[g, 0] / KERNEL.lengthscale
                 + basis.phases[m])
         np.testing.assert_allclose(f.values_flat[g], acc, rtol=1e-12)
+
+
+def test_forcing_from_weights_holds_no_feature_by_cell_array():
+    # 1000 features on 2000 cells: a dense (M, G) feature matrix takes 16 MB,
+    # the per-axis tables of 45-cell runs well under a quarter of it
+    grid = Grid.regular(((0.0, 10.0),), (2000,))
+    basis = FeatureBasis.sample(1000, 1, KERNEL, seed=4)
+    q = np.random.default_rng(5).standard_normal(basis.size)
+    tracemalloc.start()
+    try:
+        forcing_from_weights(basis, q, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.size * grid.num_cells * 8 / 4
 
 
 def test_forcing_from_weights_validates_length():

@@ -155,27 +155,25 @@ def test_phi_refuses_overflowing_bank():
 
 
 def test_phi_spanning_cell_blocks_matches_dense_projection():
-    # 300 features x 30000 cells is past the 2^23-entry block cap, so the
-    # basis is evaluated in two cell blocks and their projections summed
+    # 30000 cells are 173 runs of 174 cells, the last cut short at 72: Phi
+    # sums one block per run and matches the dense projection to rounding
     grid = _grid(30000)
     basis = FeatureBasis.sample(300, 1, KERNEL, seed=3)
-    assert basis.size * grid.num_cells > 1 << 23
     rng = np.random.default_rng(4)
     rows = rng.standard_normal((3, grid.num_cells))
     phi = assemble_phi(AdjointBank(rows, grid), basis)
     dense = rows @ eval_basis(basis, grid).T * grid.cell_volume
-    np.testing.assert_allclose(phi, dense, rtol=1e-12)
+    np.testing.assert_allclose(phi, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
 def test_factored_tables_match_dense_basis_across_time_slabs():
-    # 300 features x 28800 cells is past the 2^23-entry cap of the 1-D
-    # blocks; the (t, y, x) grid is covered one time cell at a time from
-    # the per-axis tables, and each result is checked against the dense
-    # direct cosine.  Entries that cancel to near zero keep the rounding of their
-    # terms, so the bar is relative to the largest entry of each result.
+    # 300 features x 28800 cells: the (t, y, x) grid is covered one time
+    # cell at a time from the per-axis tables, and each result is checked
+    # against the dense direct cosine.  Entries that cancel to near zero
+    # keep the rounding of their terms, so the bar is relative to the
+    # largest entry of each result.
     grid = Grid.regular(((0.0, 6.0), (0.0, 10.0), (0.0, 8.0)), (24, 30, 40))
     basis = FeatureBasis.sample(300, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=5)
-    assert basis.size * grid.num_cells > 1 << 23
     dense = eval_basis(basis, grid)
     rng = np.random.default_rng(6)
 
@@ -194,18 +192,31 @@ def test_factored_tables_match_dense_basis_across_time_slabs():
     close(var.values_flat, np.einsum("ij,ij->j", spread, spread))
 
 
-def test_one_dimensional_basis_keeps_the_direct_cosine():
-    # no spatial axis to factor: Phi and the forcing come from the dense
-    # direct cosine bit for bit, which keeps ODE outputs unchanged
-    grid = _grid(500)
+@pytest.mark.parametrize("grid", [_grid(500), Grid.regular(((-3.7, 6.3),), (2003,))],
+                         ids=["500-cells", "2003-cells-shifted-origin"])
+def test_one_dimensional_basis_matches_the_dense_cosine(grid):
+    # a 1-D grid is split into runs of ceil(sqrt(G)) cells, a prime count
+    # cuts the last run short and the origin moves every argument; Phi, the
+    # forcing and both posterior fields agree with the direct cosine of
+    # eval_basis to rounding, relative to the largest entry of each result
     basis = FeatureBasis.sample(40, 1, KERNEL, seed=8)
     dense = eval_basis(basis, grid)
     rng = np.random.default_rng(9)
+
+    def close(actual, reference):
+        np.testing.assert_allclose(actual, reference, rtol=1e-12,
+                                   atol=1e-12 * np.abs(reference).max())
+
     q = rng.standard_normal(basis.size)
-    assert np.array_equal(forcing_from_weights(basis, q, grid).values_flat, q @ dense)
+    close(forcing_from_weights(basis, q, grid).values_flat, q @ dense)
     rows = rng.standard_normal((4, grid.num_cells))
-    assert np.array_equal(assemble_phi(AdjointBank(rows, grid), basis),
-                          rows @ dense.T * grid.cell_volume)
+    close(assemble_phi(AdjointBank(rows, grid), basis), rows @ dense.T * grid.cell_volume)
+    design = rng.standard_normal((20, basis.size))
+    post = posterior_q(design, rng.standard_normal(20), 0.5)
+    mean, var = posterior_forcing(post, basis, grid)
+    close(mean.values_flat, post.mean @ dense)
+    spread = post.root.T @ dense
+    close(var.values_flat, np.einsum("ij,ij->j", spread, spread))
 
 
 def test_live_cells_project_like_the_dense_basis():

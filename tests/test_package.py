@@ -37,21 +37,34 @@ def test_star_import():
     assert set(adjointgp.__all__) <= set(namespace)
 
 
+def _unused_imports(path, exported=()):
+    """Module-level imports of a source file that it never reads by name and
+    does not list in `exported`."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(exported)
+    unused = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)) and (
+                getattr(stmt, "module", None) != "__future__"):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+            unused += [f"{os.path.basename(path)}: {b}" for b in bound if b not in read]
+    return unused
+
+
 def test_module_imports_are_used():
     # an import a deletion left behind fails here: every module-level import
-    # of the package is read by name or re-exported through `__all__`
+    # of the package is read by name or re-exported through `__all__`, and
+    # every module-level import of a test file is read by name
     unused = []
     for name in ["__init__", *SUBMODULES]:
-        with open(os.path.join(adjointgp.__path__[0], f"{name}.py"), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
         module = importlib.import_module("adjointgp" + ("" if name == "__init__" else f".{name}"))
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        read |= set(getattr(module, "__all__", ()))
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and (
-                    getattr(stmt, "module", None) != "__future__"):
-                bound = [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
-                unused += [f"{name}.py: {b}" for b in bound if b not in read]
+        unused += _unused_imports(os.path.join(adjointgp.__path__[0], f"{name}.py"),
+                                  getattr(module, "__all__", ()))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(tests)):
+        if name.endswith(".py"):
+            unused += _unused_imports(os.path.join(tests, name))
     assert unused == []
 
 
