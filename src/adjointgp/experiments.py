@@ -523,7 +523,7 @@ class InferenceOutcome:
     ml_weights: np.ndarray | None
     ml_forcing: Field | None
     metrics: dict
-    # pipeline stage, push-back and held-out scoring seconds, bank row counts
+    # pipeline stage, push-back and held-out scoring seconds, bank counts
     timings: dict
 
     @property
@@ -584,7 +584,7 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
     timings = dict(result.timings, posterior_forcing=t1 - t0,
                    heldout_scoring=time.perf_counter() - t2,
                    bank_rows_training=obs.n, bank_rows_heldout=len(data.heldout_windows),
-                   bank_cell_steps=result.cell_steps)
+                   bank_solves=result.solves, bank_cell_steps=result.cell_steps)
     return InferenceOutcome(basis, result, mean_field, var_field,
                             ml_weights, ml_forcing, metrics, timings)
 
@@ -620,7 +620,10 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir) -> P
         field_to_binary(outcome.ml_forcing, out / "forcing_ml.fld")
     _write_json(out / "metrics.json", outcome.metrics)
     _write_json(out / "timings.json", outcome.timings)
-    _write_json(out / "numerics.json", outcome.posterior.numerics)
+    numerics = dict(outcome.posterior.numerics)
+    if hasattr(data.system, "step_margin"):  # a shift has no step limit
+        numerics["step_margin"] = data.system.step_margin
+    _write_json(out / "numerics.json", numerics)
 
     # timings.json and numerics.json stay out of the manifest: they are
     # diagnostics of the run (wall clocks differ run to run), and the

@@ -296,37 +296,44 @@ class AdjointBank:
     `live[i]` counts the time cells (axis 0) up to functional i's last
     non-zero one, as its march reports it, and `order` sorts by it, longest
     first.  A bank built from (n, num_cells) `rows`, as the ODE and shift
-    solvers return, yields them as one slab, every row live throughout.  A
-    PDE bank marches each time `slabs()` runs, adding the seconds spent
-    marching to `seconds` and the (column, time cell) slabs to
-    `cell_steps`; `kept()` marches once and keeps the slabs.  `rows`
-    collects the solutions, row i solving functional i."""
+    solvers return, yields them as one slab, every row live throughout, and
+    `counts` are the (solves, cell_steps) its solver took at the call
+    (none for a shift).  A PDE bank marches each time `slabs()` runs,
+    adding the seconds spent marching to `seconds`, the columns that join
+    to `solves` and the (column, time cell) slabs to `cell_steps`; `kept()`
+    marches once and keeps the slabs and counts.  `rows` collects the
+    solutions, row i solving functional i."""
 
-    def __init__(self, rows, grid: Grid, live=None, march=None):
+    def __init__(self, rows, grid: Grid, live=None, march=None, counts=None):
         if march is None:
             rows = np.asarray(rows)
             if rows.ndim != 2 or rows.shape[1] != grid.num_cells:
                 raise GridMismatchError(
                     f"bank rows of shape {rows.shape} do not fit a grid of "
                     f"{grid.num_cells} cells")
-            live, march = np.full(len(rows), grid.dims[0]), lambda order: [
-                (slice(0, grid.num_cells), rows.T)]
+            live, march, counts = np.full(len(rows), grid.dims[0]), lambda order: [
+                (slice(0, grid.num_cells), rows.T)], counts or (0, 0)
         self.grid, self.live, self._march = grid, np.asarray(live), march
         self.order = np.argsort(-self.live, kind="stable")
-        self.seconds, self.cell_steps = 0.0, 0
+        # counts given here were taken once; otherwise each slabs() run counts
+        self._counted, self.seconds = counts is not None, 0.0
+        self.solves, self.cell_steps = counts or (0, 0)
 
     def slabs(self):
-        start = time.perf_counter()
+        start, width = time.perf_counter(), 0
         for cells, v in self._march(self.order):
             self.seconds += time.perf_counter() - start
-            self.cell_steps += v.size * self.grid.dims[0] // self.grid.num_cells
+            if not self._counted:  # the march's state only widens
+                self.solves += v.shape[1] - width
+                self.cell_steps += (width := v.shape[1])
             yield cells, v
             start = time.perf_counter()
         self.seconds += time.perf_counter() - start
 
     def kept(self) -> "AdjointBank":
         slabs = list(self.slabs())
-        return AdjointBank(None, self.grid, self.live, lambda order: slabs)
+        return AdjointBank(None, self.grid, self.live, lambda order: slabs,
+                           (self.solves, self.cell_steps))
 
     @property
     def rows(self) -> np.ndarray:

@@ -395,6 +395,7 @@ class PipelineResult:
     phi: np.ndarray
     phi_heldout: np.ndarray
     timings: dict
+    solves: int
     cell_steps: int
 
 
@@ -404,8 +405,8 @@ def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
     marched together and projected as the march yields them, the design
     matrix, split into `phi` and `phi_heldout`, and the posterior.  One
     wall-clock entry per stage (monotonic clock), the march and the
-    projection timed apart inside their loop; `cell_steps` counts the
-    (column, time cell) slabs marched."""
+    projection timed apart inside their loop; `solves` and `cell_steps`
+    count the right-hand sides the bank marched and the cells they stepped."""
     n = observations.n
     t0 = time.perf_counter()
     bank = system.adjoint_march(observations.windows + tuple(heldout))
@@ -416,7 +417,7 @@ def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
     t3 = time.perf_counter()
     timings = dict(zip(PIPELINE_STAGES, (t1 - t0 + bank.seconds, t2 - t1 - bank.seconds,
                                          t3 - t2)))
-    return PipelineResult(post, phi[:n], phi[n:], timings, bank.cell_steps)
+    return PipelineResult(post, phi[:n], phi[n:], timings, bank.solves, bank.cell_steps)
 
 
 def posterior_to_json(post: PosteriorQ, *, basis_seed=None,

@@ -49,6 +49,7 @@ __all__ = [
     "batch_means_ess",
     "split_rhat",
     "chain_moments",
+    "column_var",
     "chain_diagnostics",
     "chain_to_csv",
 ]
@@ -291,7 +292,7 @@ def batch_means_ess(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     used = b * batch_len
     trimmed = draws[:used]
     means = trimmed.reshape(b, batch_len, -1).mean(axis=1)
-    var_all = trimmed.var(axis=0, ddof=1)
+    var_all = column_var(trimmed)
     var_means = means.var(axis=0, ddof=1)
     degenerate = var_all <= 0.0
     ess = np.zeros(draws.shape[1])
@@ -317,7 +318,7 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
         raise ValueError("need at least 4 draws per chain to split")
     # the halves are read as views; only their per-half statistics are stacked
     halves = (draws[:, :half], draws[:, half:2 * half])
-    within = np.concatenate([h.var(axis=1, ddof=1) for h in halves]).mean(axis=0)
+    within = np.array([column_var(chain) for h in halves for chain in h]).mean(axis=0)
     between = half * np.concatenate([h.mean(axis=1) for h in halves]).var(axis=0, ddof=1)
     out = np.ones(dim)
     alive = within > 0.0
@@ -325,6 +326,25 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
         ((half - 1) / half * within[alive] + between[alive] / half) / within[alive]
     )
     return out
+
+
+def column_var(draws: np.ndarray) -> np.ndarray:
+    """`draws.var(axis=0, ddof=1)` of a C-ordered (N, dim) array, bit for
+    bit, in MOMENT_CHUNK_ROWS row chunks and no (N, dim) temporary: each
+    chunk's axis-0 reduce starts from the running sum, so rows are added in
+    numpy's order.  numpy sums one column pairwise, so that takes np.var."""
+    if draws.shape[1] == 1:
+        return draws.var(axis=0, ddof=1)
+
+    def total(chunks):
+        acc = next(chunks).sum(axis=0)
+        for chunk in chunks:
+            acc = np.vstack((acc, chunk)).sum(axis=0)
+        return acc
+
+    starts = range(0, len(draws), MOMENT_CHUNK_ROWS)
+    mean = total(draws[lo:lo + MOMENT_CHUNK_ROWS] for lo in starts) / len(draws)
+    return total((draws[lo:lo + MOMENT_CHUNK_ROWS] - mean) ** 2 for lo in starts) / (len(draws) - 1)
 
 
 def chain_moments(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,12 @@ same coefficients acting on the time-reversed right-hand side, so the
 adjoint solve is the forward march run from the last cell to the first.
 Both solves use explicit (forward Euler) stepping of the first-order
 system; node values are averaged in pairs so results line up with cell
-centers, where forcing fields and observation windows live.  The march
-steps a whole bank of right-hand sides at once, one state entry per row,
-and checks its output for non-finite values once, after the last step.
+centers, where forcing fields and observation windows live.  The
+coefficients are constant, so from rest a time-shifted right-hand side has
+the same solution shifted, bit for bit: a bank marches one scalar solve per
+distinct right-hand-side shape, copies the shifted rows, and checks its
+output once.  The PDE does not share solves: its windows differ in space
+too, so most are distinct shapes, and reuse would need its streamed slabs.
 
 `OdeSystem` is the solver: its constructor checks the grid once, and its
 solves are `forward(f)` and `adjoint_march(windows)`, which marches at the
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityWarning, check_march
-from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid
+from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid, time_spans
 
 __all__ = ["OdeParams", "OdeSystem", "euler_stability_limit"]
 
@@ -81,6 +84,9 @@ class OdeSystem:
         check_time_grid(grid, 1, params.T)
         self.params = params
         self._grid = grid
+        self._limit = euler_stability_limit(params)
+        # dt / limit: above 1 the march may diverge; infinite if no step is stable
+        self.step_margin = grid.spacing[0] / self._limit if self._limit > 0.0 else np.inf
 
     @property
     def grid(self) -> Grid:
@@ -89,54 +95,57 @@ class OdeSystem:
     def forward(self, forcing: Field) -> Field:
         """Solve the forced system from rest; values reported at cell centers."""
         self._check_step("forward")
-        return Field(self._grid, self._march(bank_rows([forcing], self._grid), "forward")[0])
+        return Field(self._grid, self._march([forcing], "forward")[0][0])
 
     def adjoint_march(self, functionals) -> AdjointBank:
         """Solve the adjoint system backward from rest at t = T for every
         functional at once, by the forward march run from the last cell to
         the first; row i of the bank solves functional i."""
         self._check_step("adjoint")
-        rows = bank_rows(functionals, self._grid)
-        return AdjointBank(self._march(rows, "adjoint", True), self._grid)
+        rows, counts = self._march(functionals, "adjoint", True)
+        return AdjointBank(rows, self._grid, counts=counts)
 
     def _check_step(self, label: str) -> None:
         # the warning names the line that called the solve
-        dt, limit = self._grid.spacing[0], euler_stability_limit(self.params)
+        dt, limit = self._grid.spacing[0], self._limit
         if dt > limit:
             warnings.warn(f"step size {dt:.3e} exceeds the explicit stability limit "
                           f"{limit:.3e}; the {label} solve may diverge",
                           StabilityWarning, stacklevel=3)
 
-    def _march(self, rows: np.ndarray, label: str, reverse: bool = False) -> np.ndarray:
-        """Explicit Euler on (u, u'), forcing taken at cell centers, for every
-        row of `rows` at once and in place.
-
-        On entry row i holds right-hand side i; on return it holds the
-        cell-center solution, the average of adjacent node values.  With
-        `reverse` the march starts from the last cell, which is the adjoint
-        solve in reversed time; every row takes the arithmetic of a single
-        solve, so a bank equals its rows solved one at a time bit for bit.
-        A non-finite output raises SolverError naming the first bad step
-        and, in a bank of several, the first bad row."""
-        dt = self._grid.spacing[0]
-        p0, p1, p2 = self.params.p0, self.params.p1, self.params.p2
-        n, cells = rows.shape
-        if n == 1:
-            # one right-hand side steps Python floats: the same IEEE arithmetic
-            # as a 1-element array without numpy's per-call overhead, which
-            # dominates at n = 1 (a 2000-cell forward plus adjoint solve takes
-            # 1.2-1.4 ms this way against 38-40 ms on arrays, median CPU time
-            # on a shared 2-vCPU x86_64 VM)
-            src, out, u = rows[0].tolist(), rows[0], 0.0
-        else:
-            src, out, u = rows.T, rows.T, np.zeros(n)
-        w = u
-        # overflow is reported as SolverError below, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for g in (range(cells - 1, -1, -1) if reverse else range(cells)):
+    def _march(self, functionals, label: str, reverse: bool = False):
+        """Explicit Euler on (u, u'), forcing at cell centers, from the last
+        cell with `reverse` (the adjoint in reversed time); returns the
+        (n, cells) cell-center solutions and (solves, cell_steps).  A row
+        steps alone in Python floats (numpy's IEEE arithmetic without its
+        per-call overhead) from its first non-zero cell in march order, and
+        the cells before it stay +0.0.  Rows whose non-zero segments have the
+        same bytes are marched once, from the one starting first, and the
+        others copy a slice.  A non-finite output raises SolverError naming
+        the first bad step and right-hand side."""
+        rows, spans = bank_rows(functionals, self._grid), time_spans(functionals, self._grid)
+        dt, p0, p1, p2 = self._grid.spacing[0], self.params.p0, self.params.p1, self.params.p2
+        cells = rows.shape[1]
+        # rows and their first non-zero cells in march order
+        view = rows[:, ::-1] if reverse else rows
+        starts = cells - spans[:, 1] if reverse else spans[:, 0]
+        shapes, steps = {}, 0
+        for i in np.argsort(starts, kind="stable"):
+            a, b = spans[i]
+            shapes.setdefault(rows[i, a:b].tobytes(), []).append(i)
+        rows[shapes.pop(b"", [])] = 0.0  # all-zero rows, whose zeros may be -0.0
+        for group in shapes.values():
+            u = w = 0.0
+            solution = []
+            for f in view[group[0], starts[group[0]]:].tolist():
                 u_next = u + dt * w
-                w_next = w + dt * (src[g] - p1 * w - p0 * u) / p2
-                out[g] = 0.5 * (u + u_next)
+                w_next = w + dt * (f - p1 * w - p0 * u) / p2
+                solution.append(0.5 * (u + u_next))
                 u, w = u_next, w_next
+            steps += len(solution)
+            solution = np.array(solution)
+            for i in group:
+                view[i, :starts[i]] = 0.0
+                view[i, starts[i]:] = solution[:cells - starts[i]]
         check_march(label, rows, reverse)
-        return rows
+        return rows, (len(shapes), steps)

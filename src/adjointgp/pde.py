@@ -142,8 +142,9 @@ def sensor_field(grid: Grid, region_lo, region_hi, t_lo: float, t_hi: float) -> 
 
 class PdeSystem:
     """Forward and adjoint solver bound to fixed coefficients and a
-    (time, y, x) grid.  The constructor checks the grid and the CFL bound
-    and builds the step operator A and its transpose, once per system."""
+    (time, y, x) grid.  The constructor checks the grid and the CFL bound,
+    keeping `step_margin` = dt / cfl_limit, and builds the step operator A
+    and its transpose, once per system."""
 
     def __init__(self, params: PdeParams, grid: Grid):
         dt = grid.spacing[0]
@@ -155,6 +156,7 @@ class PdeSystem:
             )
         self.params = params
         self._grid = grid
+        self.step_margin = dt / limit
         self._step = _step_operator(params, grid)
         self._step_t = self._step.T.tocsr()
 

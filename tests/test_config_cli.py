@@ -16,6 +16,8 @@ from adjointgp import (
     PdeSystem,
     StabilityWarning,
     assemble_phi,
+    cfl_limit,
+    euler_stability_limit,
     inner_product,
     nll_score,
     posterior_q,
@@ -26,7 +28,7 @@ from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
 from adjointgp import experiments, inference
 from adjointgp.experiments import (make_grid, make_system, run_inference, run_mcmc,
-                                   save_scan, scan_hyper, simulate_data)
+                                   run_shift_demo, save_scan, scan_hyper, simulate_data)
 
 # the deliberately tiny bases used here for speed trip the small-basis
 # warning; its trigger condition is pinned in test_inference.py
@@ -383,15 +385,46 @@ def test_infer_writes_numerics_and_stage_timings(tmp_path, capsys):
         assert main(["infer", str(bundle), "--out", str(out)]) == 0
     assert "bank_rows_training = 18" in capsys.readouterr().out
     numerics = json.loads((outs[0] / "numerics.json").read_text())
-    assert set(numerics) == {"jitter", "logdet_precision", "residual_norm"}
+    assert set(numerics) == {"jitter", "logdet_precision", "residual_norm", "step_margin"}
     assert numerics["jitter"] == 0.0
     assert (outs[0] / "numerics.json").read_bytes() == (outs[1] / "numerics.json").read_bytes()
     timings = json.loads((outs[0] / "timings.json").read_text())
     assert set(timings) == {*PIPELINE_STAGES, "posterior_forcing", "heldout_scoring",
-                            "bank_rows_training", "bank_rows_heldout", "bank_cell_steps"}
+                            "bank_rows_training", "bank_rows_heldout", "bank_solves",
+                            "bank_cell_steps"}
     assert (timings["bank_rows_training"], timings["bank_rows_heldout"]) == (18, 8)
+    # every PDE window is marched as its own column
+    assert timings["bank_solves"] == 26
     manifest = json.loads((outs[0] / "manifest.json").read_text())
     assert not {"numerics.json", "timings.json"} & set(manifest["files"])
+
+
+def test_infer_records_the_step_margin_of_its_solver(tmp_path):
+    # dt over the explicit limit, in numerics.json; a shift has no limit
+    for name, text in (("ode", ODE_TEXT), ("pde", PDE_TEXT)):
+        config = parse_config(text)
+        grid = make_grid(config)
+        system = make_system(config, grid)
+        limit = (euler_stability_limit(system.params) if name == "ode"
+                 else cfl_limit(system.params, grid))
+        out = tmp_path / f"{name}_inferred"
+        assert main(["infer", str(_simulate(tmp_path, text, name)), "--out", str(out)]) == 0
+        numerics = json.loads((out / "numerics.json").read_text())
+        assert numerics["step_margin"] == grid.spacing[0] / limit < 1.0
+    run_shift_demo(tmp_path / "shift")
+    assert "step_margin" not in json.loads(
+        (tmp_path / "shift" / "inference" / "numerics.json").read_text())
+
+
+def test_ode_infer_counts_the_solves_its_bank_marched(tmp_path):
+    # 20 training tiles of 20 cells and 5 held-out tiles of 80 cells are two
+    # shapes; each is marched once over all 400 cells, from the last tile
+    bundle = _simulate(tmp_path, ODE_TEXT)
+    out = tmp_path / "inferred"
+    assert main(["infer", str(bundle), "--out", str(out)]) == 0
+    timings = json.loads((out / "timings.json").read_text())
+    assert (timings["bank_rows_training"], timings["bank_rows_heldout"]) == (20, 5)
+    assert (timings["bank_solves"], timings["bank_cell_steps"]) == (2, 800)
 
 
 def test_infer_records_the_jitter_of_a_singular_design(tmp_path, monkeypatch):

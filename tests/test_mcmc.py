@@ -18,7 +18,7 @@ from adjointgp import (
     split_rhat,
     tune_proposal_scale,
 )
-from adjointgp.mcmc import _draw_indices, chain_moments
+from adjointgp.mcmc import MOMENT_CHUNK_ROWS, _draw_indices, chain_moments, column_var
 from oracles import chain_to_csv_every_value, rw_mh_full_target
 
 
@@ -247,6 +247,25 @@ def test_chain_moments_match_numpy_without_copying_the_chain():
     assert peak < draws.nbytes / 4
     np.testing.assert_allclose(mean, draws.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(sd, draws.std(axis=0, ddof=1), rtol=1e-12)
+
+
+def test_column_var_equals_numpy_bit_for_bit_without_copying_the_chain():
+    # chain lengths below, at and off a multiple of the chunk, one column
+    # (which numpy sums pairwise) included
+    rng = np.random.default_rng(12)
+    c = MOMENT_CHUNK_ROWS
+    for n in (4, c - 1, c, c + 1, 3 * c, 5 * c + 17, 16000):
+        for dim in (1, 2, 7, 100):
+            draws = rng.standard_normal((n, dim)) * 3.0 + rng.standard_normal(dim) * 1e3
+            assert np.array_equal(column_var(draws), draws.var(axis=0, ddof=1)), (n, dim)
+    draws = rng.standard_normal((16000, 100))
+    tracemalloc.start()
+    try:
+        column_var(draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < draws.nbytes / 4
 
 
 def test_chain_diagnostics_verdicts():

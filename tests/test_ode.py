@@ -9,11 +9,14 @@ from adjointgp import (
     OdeSystem,
     SolverError,
     StabilityWarning,
+    dirac_window,
     euler_stability_limit,
     inner_product,
     norm,
     window_indicator,
 )
+from adjointgp.errors import check_march
+from adjointgp.fields import bank_rows
 from oracles import ode_apply, ode_apply_adjoint, random_smooth_field
 
 PARAMS = OdeParams(p0=5.0, p1=1.0, p2=0.5, T=10.0)
@@ -193,3 +196,109 @@ def test_bank_equals_single_solves_and_keeps_the_identity():
         lhs = inner_product(u, w)
         rhs = float(f.values_flat @ row) * grid.cell_volume
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def _plain_march(grid, functionals, reverse):
+    """Every right-hand side stepped alone over every cell from rest, in
+    Python floats: the march with no row skipped and no row shared."""
+    dt, p0, p1, p2 = grid.spacing[0], PARAMS.p0, PARAMS.p1, PARAMS.p2
+    rows = bank_rows(functionals, grid)
+    for row in rows:
+        src, u, w = row.tolist(), 0.0, 0.0
+        for g in (range(len(src) - 1, -1, -1) if reverse else range(len(src))):
+            u_next = u + dt * w
+            w_next = w + dt * (src[g] - p1 * w - p0 * u) / p2
+            row[g] = 0.5 * (u + u_next)
+            u, w = u_next, w_next
+    return rows
+
+
+def _shifted_banks(grid):
+    # tiles of two widths, as the tile rule lays out training and held-out
+    # windows; point windows at span and list times; windows on the first
+    # and last cells; an all-zero field and dense fields among windows
+    dt = grid.spacing[0]
+    # zeros of either sign solve to +0.0
+    partial = Field(grid, np.where(np.arange(grid.num_cells) < 150,
+                                   random_smooth_field(grid, seed=630).values_flat, -0.0))
+    return {
+        "tiles": ([window_indicator(grid, [k * 20 * dt], [(k + 1) * 20 * dt]) for k in range(20)]
+                  + [window_indicator(grid, [k * 80 * dt], [(k + 1) * 80 * dt])
+                     for k in range(5)]),
+        "points": ([dirac_window(grid, [t]) for t in np.linspace(1.0, 9.0, 12)]
+                   + [dirac_window(grid, [t]) for t in (0.0, 0.7, 2.5, 7.25, 9.99, 10.0)]),
+        "edges": [window_indicator(grid, [0.0], [3 * dt]), window_indicator(grid, [0.0], [dt]),
+                  window_indicator(grid, [10.0 - 3 * dt], [10.0]),
+                  window_indicator(grid, [10.0 - dt], [10.0]),
+                  window_indicator(grid, [4 * dt], [7 * dt])],
+        "mixed": [window_indicator(grid, [1.0], [2.0]), Field.zeros(grid),
+                  random_smooth_field(grid, seed=631), window_indicator(grid, [3.0], [4.0]),
+                  partial, Field(grid, np.full(grid.num_cells, -0.0)), partial],
+    }
+
+
+@pytest.mark.parametrize("kind", ["tiles", "points", "edges", "mixed"])
+def test_bank_of_shifted_windows_equals_its_rows_solved_alone(kind):
+    # the march is time-invariant: each shape is marched once and the rows
+    # that are its shifts are copies, equal bit for bit to plain marches
+    grid = _grid(400)
+    system = OdeSystem(PARAMS, grid)
+    functionals = _shifted_banks(grid)[kind]
+    bank = system.adjoint_march(functionals)
+    plain = _plain_march(grid, functionals, reverse=True)
+    assert bank.rows.tobytes() == plain.tobytes()
+    assert np.array_equal(bank.rows, [system.adjoint_march([f]).rows[0] for f in functionals])
+    for f in functionals:
+        assert (system.forward(f).values.tobytes()
+                == _plain_march(grid, [f], reverse=False)[0].tobytes())
+    # the discrete adjoint identity still holds row by row
+    f = random_smooth_field(grid, seed=632)
+    u = system.forward(f)
+    for h, row in zip(functionals, bank.rows):
+        if np.any(row):
+            rhs = float(f.values_flat @ row) * grid.cell_volume
+            np.testing.assert_allclose(inner_product(u, h), rhs, rtol=1e-12)
+
+
+def test_bank_counts_one_solve_per_shape():
+    # 20 tiles of 20 cells and 5 of 80 are two shapes, each marched from
+    # the tile that ends on the last cell
+    grid = _grid(400)
+    bank = OdeSystem(PARAMS, grid).adjoint_march(_shifted_banks(grid)["tiles"])
+    assert (bank.solves, bank.cell_steps) == (2, 800)
+    assert bank.rows.shape == (25, 400)  # reading the solved rows marches nothing more
+    assert (bank.solves, bank.cell_steps) == (2, 800)
+    # zero rows are not marched; the two unit-wide windows are one shape,
+    # as are the two copies of `partial`
+    mixed = OdeSystem(PARAMS, grid).adjoint_march(_shifted_banks(grid)["mixed"])
+    assert mixed.solves == 3
+
+
+def test_forward_of_a_delayed_forcing_is_the_delayed_forward():
+    grid = _grid(500)
+    system = OdeSystem(PARAMS, grid)
+    f = random_smooth_field(grid, seed=640).values_flat
+    u = system.forward(Field(grid, f)).values_flat
+    for k in (1, 37, 250, 499):
+        delayed = system.forward(Field(grid, np.concatenate((np.zeros(k), f[:-k])))).values_flat
+        assert np.array_equal(delayed[k:], u[:-k])
+        assert np.array_equal(delayed[:k], np.zeros(k)) and not np.signbit(delayed[:k]).any()
+
+
+def test_divergent_shifted_copy_names_the_same_step_and_right_hand_side():
+    # the copies of a divergent shape carry its non-finite cells shifted, so
+    # the error names the step and right-hand side a plain march would
+    grid = _grid(1000)
+    system = OdeSystem(PARAMS, grid)
+    calm = random_smooth_field(grid, seed=50)
+
+    def huge(lo):
+        return Field(grid, np.where((np.arange(1000) >= lo) & (np.arange(1000) < lo + 50),
+                                    1.7e308, 0.0))
+
+    for bank in ([calm, huge(100), calm, huge(600)], [calm, huge(100)], [huge(400), huge(400)]):
+        with pytest.raises(SolverError) as expected:
+            check_march("adjoint", _plain_march(grid, bank, reverse=True), True)
+        with pytest.raises(SolverError) as raised:
+            system.adjoint_march(bank)
+        assert str(raised.value) == str(expected.value)
