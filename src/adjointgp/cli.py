@@ -31,6 +31,7 @@ from .errors import (
 )
 from .experiments import (
     MCMC_FEATURE_WARN,
+    _write_csv,
     load_bundle,
     run_inference,
     run_mcmc,
@@ -95,26 +96,21 @@ def _parse_slice(spec: str) -> float:
         raise ConfigError(f"--slice value must be a number (got {raw!r})") from None
 
 
-def _write_slice(field, t_value: float, out_dir: Path) -> Path:
-    grid = field.grid
+def _slice_index(grid, t_value: float) -> int:
+    """Time cell of a --slice request on `grid`, refused before any output
+    is written unless the grid is a PDE's and covers `t_value`."""
     if grid.ndim != 3:
         raise ConfigError("--slice applies only to the pde kind")
-    t_centers = grid.axis_centers(0)
     t_lo, t_hi = grid.bounds(0)
     if not t_lo <= t_value <= t_hi:
         raise DomainError(f"slice time {t_value} lies outside [{t_lo}, {t_hi}]")
-    k = int(np.argmin(np.abs(t_centers - t_value)))
-    plane = field.values[k]
-    ys = grid.axis_centers(1)
-    xs = grid.axis_centers(2)
-    path = out_dir / f"slice_t{t_value:g}.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("iy,ix,y,x,value\n")
-        for iy in range(plane.shape[0]):
-            for ix in range(plane.shape[1]):
-                handle.write(f"{iy},{ix},{float(ys[iy])!r},{float(xs[ix])!r},"
-                             f"{float(plane[iy, ix])!r}\n")
-    return path
+    return int(np.argmin(np.abs(grid.axis_centers(0) - t_value)))
+
+
+def _write_slice(field, k: int, path: Path) -> None:
+    ys, xs = field.grid.axis_centers(1), field.grid.axis_centers(2)
+    _write_csv(path, ["iy", "ix", "y", "x", "value"],
+               ([iy, ix, ys[iy], xs[ix], v] for (iy, ix), v in np.ndenumerate(field.values[k])))
 
 
 def cmd_simulate(args) -> int:
@@ -129,10 +125,11 @@ def cmd_simulate(args) -> int:
 def cmd_infer(args) -> int:
     slice_t = _parse_slice(args.slice_spec) if args.slice_spec else None
     data = load_bundle(args.bundle)
+    k = None if slice_t is None else _slice_index(data.grid, slice_t)
     outcome = run_inference(data)
     out = save_inference(outcome, data, args.out)
-    if slice_t is not None:
-        _write_slice(outcome.forcing_mean, slice_t, out)
+    if k is not None:
+        _write_slice(outcome.forcing_mean, k, out / f"slice_t{slice_t:g}.csv")
     for key in sorted(outcome.metrics):
         print(f"{key} = {outcome.metrics[key]}")
     for key, value in outcome.timings.items():
@@ -150,12 +147,9 @@ def cmd_mcmc(args) -> int:
               "posterior exactly", file=sys.stderr)
     outcome = run_mcmc(data)
     out = save_mcmc(outcome, data, args.out)
-    print(f"acceptance_rate = {outcome.acceptance_rate:.3f}")
-    print(f"proposal_scale = {outcome.proposal_scale:.4g}")
-    print(f"min_ess = {outcome.ess.min():.1f}")
-    print(f"max_rhat = {outcome.rhat.max():.4f}")
-    print(f"converged = {outcome.converged}")
-    print(f"max_abs_mean_gap = {np.max(np.abs(outcome.chain_mean - outcome.exact_mean)):.4g}")
+    for key, spec in (("acceptance_rate", ".3f"), ("proposal_scale", ".4g"), ("min_ess", ".1f"),
+                      ("max_rhat", ".4f"), ("converged", ""), ("max_abs_mean_gap", ".4g")):
+        print(f"{key} = {outcome.diagnostics[key]:{spec}}")
     print(f"outputs -> {out}")
     return 0
 

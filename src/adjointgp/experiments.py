@@ -41,6 +41,7 @@ from .fields import (
     field_to_binary,
     inner_product,
     window_indicator,
+    write_hashed,
 )
 from .inference import (
     SIGMA_MIN,
@@ -376,11 +377,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+def _csv_line(row) -> str:
+    return ",".join(_fmt(v) for v in row) + "\n"
+
+
+def _write_csv(path: Path, header, rows) -> str:
+    return write_hashed(path, map(_csv_line, [header, *rows]))
 
 
 def _readings_rows(specs, z):
@@ -410,13 +412,13 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _write_json(path: Path, payload) -> str:
+    return write_hashed(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
-def _write_manifest(out: Path, names, **fields) -> None:
-    """manifest.json: `fields` plus the SHA-256 of each named file in `out`."""
-    files = {name: _sha256_file(out / name) for name in sorted(names)}
+def _write_manifest(out: Path, files: dict, **fields) -> None:
+    """manifest.json: `fields` plus `files`, the {name: SHA-256} of the
+    results in `out` as their writers returned them."""
     _write_json(out / "manifest.json", dict(fields, files=files))
 
 
@@ -424,25 +426,22 @@ def save_bundle(data: SimulatedData, out_dir) -> Path:
     """Write the simulated dataset as a self-describing directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ndim = data.grid.ndim
+    header = _readings_header(data.grid.ndim)
 
-    (out / "config.txt").write_text(canonical_text(data.config), encoding="utf-8")
-    field_to_binary(data.truth_forcing, out / "truth_forcing.fld")
+    files = {
+        "config.txt": write_hashed(out / "config.txt", [canonical_text(data.config)]),
+        "truth_forcing.fld": field_to_binary(data.truth_forcing, out / "truth_forcing.fld"),
+        "readings.csv": _write_csv(out / "readings.csv", header,
+                                   _readings_rows(data.window_specs, data.z)),
+    }
     if data.truth_solution is not None:
-        field_to_binary(data.truth_solution, out / "truth_solution.fld")
-    _write_csv(out / "readings.csv", _readings_header(ndim),
-               _readings_rows(data.window_specs, data.z))
+        files["truth_solution.fld"] = field_to_binary(data.truth_solution,
+                                                      out / "truth_solution.fld")
     if data.heldout_windows:
-        _write_csv(out / "heldout.csv", _readings_header(ndim),
-                   _readings_rows(data.heldout_specs, data.heldout_z))
-
-    names = ["config.txt", "truth_forcing.fld", "readings.csv"]
-    if data.truth_solution is not None:
-        names.append("truth_solution.fld")
-    if data.heldout_windows:
-        names.append("heldout.csv")
+        files["heldout.csv"] = _write_csv(out / "heldout.csv", header,
+                                          _readings_rows(data.heldout_specs, data.heldout_z))
     _write_manifest(
-        out, names,
+        out, files,
         kind=data.config.kind,
         config_sha256=config_hash(data.config),
         seeds=data.seeds,
@@ -606,33 +605,28 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir) -> P
     out.mkdir(parents=True, exist_ok=True)
 
     header = ["index", "mean", "sd"] + (["ml"] if outcome.ml_weights is not None else [])
-    _write_csv(out / "weights.csv", header, _weights_rows(outcome))
-    _write_csv(out / "phi.csv",
-               [f"m{j}" for j in range(outcome.phi.shape[1])],
-               [list(row) for row in outcome.phi])
-    (out / "posterior.json").write_text(
-        posterior_to_json(outcome.posterior, basis_seed=outcome.basis.seed,
-                          config_hash=config_hash(data.config)) + "\n",
-        encoding="utf-8")
-    field_to_binary(outcome.forcing_mean, out / "forcing_mean.fld")
-    field_to_binary(outcome.forcing_var, out / "forcing_var.fld")
+    posterior = posterior_to_json(outcome.posterior, basis_seed=outcome.basis.seed,
+                                  config_hash=config_hash(data.config))
+    files = {
+        "weights.csv": _write_csv(out / "weights.csv", header, _weights_rows(outcome)),
+        "phi.csv": _write_csv(out / "phi.csv", [f"m{j}" for j in range(outcome.phi.shape[1])],
+                              outcome.phi),
+        "posterior.json": write_hashed(out / "posterior.json", [posterior, "\n"]),
+        "forcing_mean.fld": field_to_binary(outcome.forcing_mean, out / "forcing_mean.fld"),
+        "forcing_var.fld": field_to_binary(outcome.forcing_var, out / "forcing_var.fld"),
+        "metrics.json": _write_json(out / "metrics.json", outcome.metrics),
+    }
     if outcome.ml_forcing is not None:
-        field_to_binary(outcome.ml_forcing, out / "forcing_ml.fld")
-    _write_json(out / "metrics.json", outcome.metrics)
+        files["forcing_ml.fld"] = field_to_binary(outcome.ml_forcing, out / "forcing_ml.fld")
+    # timings.json and numerics.json stay out of the manifest: they are
+    # diagnostics of the run (wall clocks differ run to run), and the
+    # manifest hashes only the results a rerun must reproduce.
     _write_json(out / "timings.json", outcome.timings)
     numerics = dict(outcome.posterior.numerics)
     if hasattr(data.system, "step_margin"):  # a shift has no step limit
         numerics["step_margin"] = data.system.step_margin
     _write_json(out / "numerics.json", numerics)
-
-    # timings.json and numerics.json stay out of the manifest: they are
-    # diagnostics of the run (wall clocks differ run to run), and the
-    # manifest hashes only the results a rerun must reproduce.
-    names = ["weights.csv", "phi.csv", "posterior.json", "forcing_mean.fld",
-             "forcing_var.fld", "metrics.json"]
-    if outcome.ml_forcing is not None:
-        names.append("forcing_ml.fld")
-    _write_manifest(out, names, config_sha256=config_hash(data.config),
+    _write_manifest(out, files, config_sha256=config_hash(data.config),
                     basis_seed=outcome.basis.seed)
     return out
 
@@ -648,14 +642,10 @@ class McmcOutcome:
     chain_sd: np.ndarray
     exact_mean: np.ndarray
     exact_sd: np.ndarray
-    acceptance_rate: float
-    proposal_scale: float
     ess: np.ndarray
     rhat: np.ndarray
-    converged: bool
-    steps: int
-    burn_in: int
-    feature_count_warning: bool
+    # the run's summary, written as diagnostics.json
+    diagnostics: dict
     timings: dict
 
 
@@ -696,25 +686,25 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     t2 = time.perf_counter()
     diag = chain_diagnostics(result)
     chain_mean, chain_sd = chain_moments(result.kept)
+    diagnostics = {
+        "acceptance_rate": result.acceptance_rate,
+        "proposal_scale": scale,
+        "steps": cfg.steps,
+        "burn_in": cfg.burn_in,
+        "min_ess": float(diag.ess.min()),
+        "max_rhat": float(diag.rhat.max()),
+        "converged": diag.converged,
+        "feature_count_warning": basis.size >= MCMC_FEATURE_WARN,
+        "max_abs_mean_gap": float(np.max(np.abs(chain_mean - pipeline.posterior.mean))),
+        "config_sha256": config_hash(config),
+    }
     timings = dict(pipeline.timings, tune=t1 - t0, chain=t2 - t1,
-                   ess_per_second=float(diag.ess.min()) / (t2 - t1),
+                   ess_per_second=diagnostics["min_ess"] / (t2 - t1),
                    max_c_drift=result.drift)
-    return McmcOutcome(
-        result=result,
-        chain_mean=chain_mean,
-        chain_sd=chain_sd,
-        exact_mean=pipeline.posterior.mean,
-        exact_sd=np.sqrt(np.diag(pipeline.posterior.cov)),
-        acceptance_rate=result.acceptance_rate,
-        proposal_scale=scale,
-        ess=diag.ess,
-        rhat=diag.rhat,
-        converged=diag.converged,
-        steps=cfg.steps,
-        burn_in=cfg.burn_in,
-        feature_count_warning=basis.size >= MCMC_FEATURE_WARN,
-        timings=timings,
-    )
+    return McmcOutcome(result=result, chain_mean=chain_mean, chain_sd=chain_sd,
+                       exact_mean=pipeline.posterior.mean,
+                       exact_sd=np.sqrt(np.diag(pipeline.posterior.cov)),
+                       ess=diag.ess, rhat=diag.rhat, diagnostics=diagnostics, timings=timings)
 
 
 def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
@@ -725,27 +715,16 @@ def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
         rows.append([m, float(outcome.chain_mean[m]), float(outcome.chain_sd[m]),
                      float(outcome.exact_mean[m]), float(outcome.exact_sd[m]),
                      float(outcome.ess[m]), float(outcome.rhat[m])])
-    _write_csv(out / "chain_summary.csv",
-               ["index", "mcmc_mean", "mcmc_sd", "exact_mean", "exact_sd",
-                "ess", "rhat"], rows)
-    chain_to_csv(outcome.result, out / "trace.csv")
-    diagnostics = {
-        "acceptance_rate": outcome.acceptance_rate,
-        "proposal_scale": outcome.proposal_scale,
-        "steps": outcome.steps,
-        "burn_in": outcome.burn_in,
-        "min_ess": float(outcome.ess.min()),
-        "max_rhat": float(outcome.rhat.max()),
-        "converged": outcome.converged,
-        "feature_count_warning": outcome.feature_count_warning,
-        "max_abs_mean_gap": float(np.max(np.abs(outcome.chain_mean - outcome.exact_mean))),
-        "config_sha256": config_hash(data.config),
+    files = {
+        "chain_summary.csv": _write_csv(out / "chain_summary.csv",
+                                        ["index", "mcmc_mean", "mcmc_sd", "exact_mean",
+                                         "exact_sd", "ess", "rhat"], rows),
+        "trace.csv": chain_to_csv(outcome.result, out / "trace.csv"),
+        "diagnostics.json": _write_json(out / "diagnostics.json", outcome.diagnostics),
     }
-    _write_json(out / "diagnostics.json", diagnostics)
     # timings.json stays out of the manifest, as infer's does
     _write_json(out / "timings.json", outcome.timings)
-    _write_manifest(out, ["chain_summary.csv", "trace.csv", "diagnostics.json"],
-                    config_sha256=config_hash(data.config))
+    _write_manifest(out, files, config_sha256=config_hash(data.config))
     return out
 
 
@@ -821,7 +800,7 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
     ran = skipped = 0
     with open(results_path, "a", encoding="utf-8", newline="\n") as handle:
         if handle.tell() == 0:
-            handle.write(",".join(_SWEEP_HEADER) + "\n")
+            handle.write(_csv_line(_SWEEP_HEADER))
             handle.flush()
         for replicate in range(sweep["replicates"]):
             seed_data = derive_seed(seeds["data"], "sweep-truth", replicate)
@@ -847,7 +826,7 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
                            float(outcome.metrics["heldout_mse"]),
                            float(outcome.metrics["forcing_mse"]),
                            seed_data, seed_basis, seed_noise]
-                    handle.write(",".join(_fmt(v) for v in row) + "\n")
+                    handle.write(_csv_line(row))
                     handle.flush()
                     ran += 1
                     if progress is not None:

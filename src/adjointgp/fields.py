@@ -39,6 +39,7 @@ Binary serialization format (little-endian throughout):
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import time
 from dataclasses import dataclass
@@ -399,19 +400,30 @@ def dirac_window(grid: Grid, point) -> Window:
 # ---------------------------------------------------------------------------
 # serialization
 
-def field_to_binary(field: Field, path):
-    """Dump per the documented little-endian layout (see module docstring)."""
-    grid = field.grid
-    has_mask = field.mask is not None
+def write_hashed(path, chunks) -> str:
+    """Write `chunks`, bytes or text (as UTF-8), to `path` in binary mode,
+    hashing each as it is written; returns the SHA-256 hex digest.  Every
+    file the package writes whole goes through here, so no writer reads its
+    output back to hash it and no line end depends on the platform."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IB3x", grid.ndim, int(has_mask)))
-        fh.write(np.asarray(grid.dims, dtype="<u8").tobytes())
-        fh.write(np.asarray(grid.spacing, dtype="<f8").tobytes())
-        fh.write(np.asarray(grid.origin, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-        if has_mask:
-            fh.write(np.ascontiguousarray(field.mask, dtype="u1").tobytes())
+        for chunk in chunks:
+            chunk = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.hexdigest()
+
+
+def field_to_binary(field: Field, path) -> str:
+    """Dump per the documented little-endian layout (see module docstring);
+    returns the SHA-256 of the bytes written."""
+    grid, mask = field.grid, field.mask
+    chunks = [_MAGIC, struct.pack("<IB3x", grid.ndim, int(mask is not None)),
+              np.asarray(grid.dims, dtype="<u8"), np.asarray(grid.spacing, dtype="<f8"),
+              np.asarray(grid.origin, dtype="<f8"), np.ascontiguousarray(field.values, dtype="<f8")]
+    if mask is not None:
+        chunks.append(np.ascontiguousarray(mask, dtype="u1"))
+    return write_hashed(path, chunks)
 
 
 def field_from_binary(path) -> Field:

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .fields import write_hashed
 
 __all__ = [
     "ChainConfig",
@@ -368,16 +369,22 @@ def chain_diagnostics(result_or_draws, threshold: float = 1.05) -> ChainDiagnost
     return ChainDiagnostics(ess, rhat, degenerate, converged)
 
 
-def chain_to_csv(result: ChainResult, path) -> None:
+def chain_to_csv(result: ChainResult, path) -> str:
     """Write the full trace: one row per step with every coordinate, the
-    log target, and whether that step's proposal was accepted.
+    log target, and whether that step's proposal was accepted.  Returns the
+    SHA-256 of the bytes written.
 
     A step moves at most a batch of coordinates and a rejected step repeats
     the row, so only coordinates whose bits changed since the previous step
     are formatted again (bits, so that -0.0 and 0.0 stay distinct).  One
     compare finds the changes of a chunk of rows, and the chunk is written
-    with one call.
+    with one call; the trace is never held whole.
     """
+    return write_hashed(path, _trace_chunks(result))
+
+
+def _trace_chunks(result: ChainResult):
+    """The text of chain_to_csv: the header, then CSV_CHUNK_ROWS rows at a time."""
     steps = result.config.steps
     chain = np.ascontiguousarray(result.chain[:steps], dtype=np.float64)
     dim = chain.shape[1]
@@ -386,22 +393,21 @@ def chain_to_csv(result: ChainResult, path) -> None:
     # repr of builtin float round-trips exactly; numpy scalars do not
     texts = [repr(v) for v in chain[0].tolist()]
     coords = ",".join(texts)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, steps, CSV_CHUNK_ROWS):
-            hi = min(lo + CSV_CHUNK_ROWS, steps)
-            first = max(lo, 1)
-            rows, cols = np.nonzero(bits[first:hi] != bits[first - 1:hi - 1])
-            rows += first
-            changed = {}
-            for t, j, v in zip(rows.tolist(), cols.tolist(), chain[rows, cols].tolist()):
-                changed.setdefault(t, []).append((j, v))
-            parts = []
-            for t, lp, acc in zip(range(lo, hi), result.log_targets[lo:hi].tolist(),
-                                  result.accepted_flags[lo:hi].tolist()):
-                if t in changed:
-                    for j, v in changed[t]:
-                        texts[j] = repr(v)
-                    coords = ",".join(texts)
-                parts += (f"{t},", coords, f",{lp!r},{int(acc)}\n")
-            fh.write("".join(parts))
+    yield ",".join(header) + "\n"
+    for lo in range(0, steps, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, steps)
+        first = max(lo, 1)
+        rows, cols = np.nonzero(bits[first:hi] != bits[first - 1:hi - 1])
+        rows += first
+        changed = {}
+        for t, j, v in zip(rows.tolist(), cols.tolist(), chain[rows, cols].tolist()):
+            changed.setdefault(t, []).append((j, v))
+        parts = []
+        for t, lp, acc in zip(range(lo, hi), result.log_targets[lo:hi].tolist(),
+                              result.accepted_flags[lo:hi].tolist()):
+            if t in changed:
+                for j, v in changed[t]:
+                    texts[j] = repr(v)
+                coords = ",".join(texts)
+            parts += (f"{t},", coords, f",{lp!r},{int(acc)}\n")
+        yield "".join(parts)

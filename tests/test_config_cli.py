@@ -1,4 +1,7 @@
+import builtins
 import csv
+import hashlib
+import io
 import json
 import re
 from pathlib import Path
@@ -649,6 +652,63 @@ def test_shift_demo_command(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# output files
+
+
+MCMC_SECTION = "\n[mcmc]\nsteps = 1500\nburn_in = 100\nseed = 1\n"
+LINEAR_BOTH = "\n[inference]\nmethod = both\nsynth = linear\n"
+
+
+@pytest.mark.parametrize("extra, command, present, absent", [
+    ("", None, {"heldout.csv", "truth_solution.fld"}, set()),
+    (LINEAR_BOTH, None, {"heldout.csv"}, {"truth_solution.fld"}),
+    (LINEAR_BOTH, "infer", {"forcing_ml.fld"}, {"numerics.json", "timings.json"}),
+    (MCMC_SECTION, "mcmc", {"trace.csv", "diagnostics.json"}, {"timings.json"}),
+], ids=["forward-bundle", "linear-bundle", "infer-both", "mcmc"])
+def test_manifest_hashes_the_bytes_on_disk(tmp_path, extra, command, present, absent):
+    # the manifest lists the digests its writers returned: they are those of
+    # the bytes on disk, for every file but the manifest and the diagnostics
+    out = bundle = _simulate(tmp_path, ODE_TEXT + extra)
+    if command is not None:
+        out = tmp_path / command
+        assert main([command, str(bundle), "--out", str(out)]) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+                     if p.name not in ("manifest.json", "timings.json", "numerics.json")}
+    assert present <= set(files) and not absent & set(files)
+
+
+def test_saves_read_back_nothing_they_wrote(tmp_path, monkeypatch):
+    # each writer hashes its bytes as it writes them, so no save_* opens a
+    # file under its output directory for reading
+    config = parse_config(ODE_TEXT + MCMC_SECTION + "\n[scan]\nlengthscale = 0.5,1.0,2\n"
+                          "variance = 4.0,4.0,1\nsamples = 10\n")
+    data = simulate_data(config)
+    inferred, chain, scanned = run_inference(data), run_mcmc(data), scan_hyper(data)
+    out = tmp_path / "out"
+    reads = []
+
+    def recording(opener):
+        def wrapper(file, mode="r", *args, **kwargs):
+            if (isinstance(file, (str, Path)) and str(file).startswith(str(out))
+                    and not set(mode) & set("wax+")):
+                reads.append((str(file), mode))
+            return opener(file, mode, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(builtins, "open", recording(builtins.open))
+    monkeypatch.setattr(io, "open", recording(io.open))
+    experiments.save_bundle(data, out / "bundle")
+    experiments.save_inference(inferred, data, out / "infer")
+    experiments.save_mcmc(chain, data, out / "mcmc")
+    save_scan(scanned, out / "scan")
+    monkeypatch.undo()
+    assert reads == []
+    assert {p.parent.name for p in out.glob("*/manifest.json")} == {"bundle", "infer", "mcmc"}
+    assert (out / "scan" / "scan.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
 # slice export
 
 
@@ -666,17 +726,22 @@ def test_infer_slice_writes_plane(tmp_path):
 
 
 def test_slice_argument_errors(tmp_path, capsys):
+    # a refused slice is refused before inference runs: nothing is written
     bundle = _simulate(tmp_path, ODE_TEXT)
     out = tmp_path / "bad_slice"
     assert main(["infer", str(bundle), "--out", str(out),
                  "--slice", "x=3"]) == 2
     assert "t=VALUE" in capsys.readouterr().err
+    assert not out.exists()
     assert main(["infer", str(bundle), "--out", str(out),
                  "--slice", "t=5"]) == 2  # ode forcing has no spatial plane
+    assert "pde kind" in capsys.readouterr().err
+    assert not out.exists()
     pde_bundle = _simulate(tmp_path, PDE_TEXT, name="pde")
     assert main(["infer", str(pde_bundle), "--out", str(tmp_path / "o2"),
                  "--slice", "t=99"]) == 2
     assert "outside" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,33 @@ def test_solves_live_on_the_system_only(module, system):
     assert public == {"grid", "forward", "adjoint_march"}
 
 
+def test_files_are_written_as_bytes():
+    # every file goes through fields.write_hashed, in binary mode; the one
+    # text-mode writer left, the sweep's flushed append, fixes its line end.
+    # No write_text and no text-mode "w"/"a" open without newline="\n", so
+    # no output's bytes depend on the platform's newline translation
+    found = []
+    for name in ["__init__", *SUBMODULES]:
+        path = os.path.join(adjointgp.__path__[0], f"{name}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, where = node.func, f"{name}.py:{node.lineno}"
+            if isinstance(func, ast.Attribute) and func.attr == "write_text":
+                found.append(f"{where}: write_text")
+            elif isinstance(func, ast.Name) and func.id == "open":
+                keywords = {k.arg: k.value for k in node.keywords}
+                mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+                # a mode that is not a literal counts as a text-mode write
+                mode = "r" if mode is None else getattr(mode, "value", "w")
+                newline = getattr(keywords.get("newline"), "value", None)
+                if set(mode) & set("wa") and "b" not in mode and newline != "\n":
+                    found.append(f"{where}: open(..., {mode!r}) without newline='\\n'")
+    assert found == []
+
+
 def test_ode_solves_leave_scipy_sparse_unimported():
     # only PdeSystem builds a sparse step operator, and it imports
     # scipy.sparse there; a fresh interpreter keeps ODE-only runs free of it
