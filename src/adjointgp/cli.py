@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .config import load_config
 from .errors import (
@@ -31,7 +28,7 @@ from .errors import (
 )
 from .experiments import (
     MCMC_FEATURE_WARN,
-    _write_csv,
+    _slice_index,
     load_bundle,
     run_inference,
     run_mcmc,
@@ -96,23 +93,6 @@ def _parse_slice(spec: str) -> float:
         raise ConfigError(f"--slice value must be a number (got {raw!r})") from None
 
 
-def _slice_index(grid, t_value: float) -> int:
-    """Time cell of a --slice request on `grid`, refused before any output
-    is written unless the grid is a PDE's and covers `t_value`."""
-    if grid.ndim != 3:
-        raise ConfigError("--slice applies only to the pde kind")
-    t_lo, t_hi = grid.bounds(0)
-    if not t_lo <= t_value <= t_hi:
-        raise DomainError(f"slice time {t_value} lies outside [{t_lo}, {t_hi}]")
-    return int(np.argmin(np.abs(grid.axis_centers(0) - t_value)))
-
-
-def _write_slice(field, k: int, path: Path) -> None:
-    ys, xs = field.grid.axis_centers(1), field.grid.axis_centers(2)
-    _write_csv(path, ["iy", "ix", "y", "x", "value"],
-               ([iy, ix, ys[iy], xs[ix], v] for (iy, ix), v in np.ndenumerate(field.values[k])))
-
-
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     data = simulate_data(config)
@@ -125,11 +105,10 @@ def cmd_simulate(args) -> int:
 def cmd_infer(args) -> int:
     slice_t = _parse_slice(args.slice_spec) if args.slice_spec else None
     data = load_bundle(args.bundle)
-    k = None if slice_t is None else _slice_index(data.grid, slice_t)
+    if slice_t is not None:
+        _slice_index(data.grid, slice_t)  # refused before any output is written
     outcome = run_inference(data)
-    out = save_inference(outcome, data, args.out)
-    if k is not None:
-        _write_slice(outcome.forcing_mean, k, out / f"slice_t{slice_t:g}.csv")
+    out = save_inference(outcome, data, args.out, slice_t)
     for key in sorted(outcome.metrics):
         print(f"{key} = {outcome.metrics[key]}")
     for key, value in outcome.timings.items():

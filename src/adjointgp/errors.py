@@ -38,8 +38,8 @@ def check_march(label: str, rows: np.ndarray, reverse: bool = False, order=None,
     non-finite every later one is too, so one check after the march, or of
     each slab, finds every divergence.  The error names the first time cell
     in march order (from the last cell with `reverse`) whose solution is
-    non-finite as its step and, if there are several, the caller's first
-    right-hand side bad there.
+    non-finite as its step and, if there are several or `order` names
+    them, the caller's first right-hand side bad there.
     """
     # min and max see every nan and inf without a boolean copy of the rows,
     # which would add an eighth of a bank to the peak memory
@@ -49,9 +49,9 @@ def check_march(label: str, rows: np.ndarray, reverse: bool = False, order=None,
     if reverse:
         bad = bad[:, ::-1]  # time cells in march order
     first = int(np.flatnonzero(bad.any(axis=0))[0])
-    order = np.arange(len(rows)) if order is None else np.asarray(order)
     note = ""
-    if len(order) > 1:
+    if order is not None or len(rows) > 1:
+        order = np.arange(len(rows)) if order is None else np.asarray(order)
         note = f" (right-hand side {int(order[:len(rows)][bad[:, first]].min())})"
     raise SolverError(f"{label} solve produced non-finite values at step {step + first}{note}")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import time
@@ -30,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _DEFAULTS, Config, canonical_text, config_hash, load_config, parse_config
-from .errors import ConfigError
+from .config import _DEFAULTS, Config, canonical_text, config_hash, parse_config
+from .errors import ConfigError, DomainError
 from .features import FeatureBasis, KernelParams, forcing_from_weights, sample_prior_forcing
 from .fields import (
     Field,
@@ -404,14 +405,6 @@ def _readings_header(ndim: int):
             + [f"hi_{n}" for n in names] + ["z"])
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_json(path: Path, payload) -> str:
     return write_hashed(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
@@ -452,48 +445,55 @@ def save_bundle(data: SimulatedData, out_dir) -> Path:
     return out
 
 
-def _read_z_column(path: Path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        return np.array([float(row["z"]) for row in reader])
+def _read_z_column(raw: bytes) -> np.ndarray:
+    reader = csv.DictReader(io.StringIO(raw.decode("utf-8"), newline=""))
+    return np.array([float(row["z"]) for row in reader])
 
 
 def load_bundle(bundle_dir) -> SimulatedData:
-    """Rebuild a SimulatedData from a bundle directory, verifying hashes."""
+    """Rebuild a SimulatedData from a bundle directory, parsing the bytes of
+    each file read once and checked against its manifest hash."""
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.is_file():
         raise ConfigError(f"{bundle} is not a data bundle (no manifest.json)")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    raw = {}
     for name, expected in manifest["files"].items():
         target = bundle / name
         if not target.is_file():
             raise ConfigError(f"bundle file {name} is missing")
-        actual = _sha256_file(target)
+        raw[name] = target.read_bytes()
+        actual = hashlib.sha256(raw[name]).hexdigest()
         if actual != expected:
             raise ConfigError(
                 f"bundle file {name} does not match its manifest hash "
                 f"(expected {expected[:12]}..., got {actual[:12]}...)")
+    for name in ("config.txt", "readings.csv", "truth_forcing.fld"):
+        if name not in raw:
+            raise ConfigError(f"bundle manifest does not list {name}")
 
-    config = load_config(bundle / "config.txt")
+    config = parse_config(raw["config.txt"].decode("utf-8"))
     if config_hash(config) != manifest["config_sha256"]:
         raise ConfigError("bundle config does not match its manifest hash")
     grid, system, kernel, windows, specs, heldout_windows, heldout_specs = _setup(config)
 
-    z = _read_z_column(bundle / "readings.csv")
+    z = _read_z_column(raw["readings.csv"])
     if z.size != len(windows):
         raise ConfigError(
             f"readings.csv has {z.size} rows but the config builds {len(windows)} windows")
     if heldout_windows:
-        heldout_z = _read_z_column(bundle / "heldout.csv")
+        if "heldout.csv" not in raw:
+            raise ConfigError("bundle manifest does not list heldout.csv")
+        heldout_z = _read_z_column(raw["heldout.csv"])
         if heldout_z.size != len(heldout_windows):
             raise ConfigError("heldout.csv row count does not match the config")
     else:
         heldout_z = np.zeros(0)
 
-    truth_forcing = field_from_binary(bundle / "truth_forcing.fld")
-    solution_path = bundle / "truth_solution.fld"
-    truth_solution = field_from_binary(solution_path) if solution_path.is_file() else None
+    truth_forcing = field_from_binary(raw["truth_forcing.fld"])
+    truth_solution = raw.get("truth_solution.fld")
+    truth_solution = None if truth_solution is None else field_from_binary(truth_solution)
 
     qstar = manifest.get("qstar")
     truth_weights = manifest.get("truth_weights")
@@ -600,7 +600,21 @@ def _weights_rows(outcome: InferenceOutcome):
     return rows
 
 
-def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir) -> Path:
+def _slice_index(grid, t_value: float) -> int:
+    """Time cell of a forcing slice at `t_value` on `grid`, refused unless
+    the grid is a PDE's and covers `t_value`."""
+    if grid.ndim != 3:
+        raise ConfigError("--slice applies only to the pde kind")
+    t_lo, t_hi = grid.bounds(0)
+    if not t_lo <= t_value <= t_hi:
+        raise DomainError(f"slice time {t_value} lies outside [{t_lo}, {t_hi}]")
+    return int(np.argmin(np.abs(grid.axis_centers(0) - t_value)))
+
+
+def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir,
+                   slice_t: float | None = None) -> Path:
+    """Write the inference results and their manifest; with `slice_t`, also
+    the spatial slice of the forcing mean at that time, `slice_t<V>.csv`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -618,6 +632,12 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir) -> P
     }
     if outcome.ml_forcing is not None:
         files["forcing_ml.fld"] = field_to_binary(outcome.ml_forcing, out / "forcing_ml.fld")
+    if slice_t is not None:
+        name, k = f"slice_t{slice_t:g}.csv", _slice_index(data.grid, slice_t)
+        ys, xs = data.grid.axis_centers(1), data.grid.axis_centers(2)
+        files[name] = _write_csv(out / name, ["iy", "ix", "y", "x", "value"], (
+            [iy, ix, ys[iy], xs[ix], v]
+            for (iy, ix), v in np.ndenumerate(outcome.forcing_mean.values[k])))
     # timings.json and numerics.json stay out of the manifest: they are
     # diagnostics of the run (wall clocks differ run to run), and the
     # manifest hashes only the results a rerun must reproduce.

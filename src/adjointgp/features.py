@@ -22,9 +22,10 @@ are split into outer rows of `inner` cells, a time cell on grids with
 spatial axes and a run of ceil(sqrt(G)) cells on 1-D grids, and the
 argument of cell o * inner + i splits into a[o] + b[i], so that by angle
 addition phi_m = amplitude * (cos a cos b - sin a sin b).  The tables carry
-no amplitude: a forcing is two matrix products, Phi and the posterior
-fields read one (inner, M) block per outer row, and the amplitude scales
-the result last.  `eval_basis` keeps the direct cosine as the reference.
+no amplitude: a forcing is two matrix products, Phi projects on cos b and
+sin b directly, the posterior fields read one (inner, M) block per outer
+row, and the amplitude scales the result last.  `eval_basis` keeps the
+direct cosine as the reference.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class FeatureBasis:
         for m, child in enumerate(children):
             rng = np.random.Generator(np.random.PCG64(child))
             freq[m] = rng.standard_normal(dim)
-            ph[m] = rng.uniform(0.0, 2.0 * np.pi)
+            ph[m] = 2.0 * np.pi * rng.random()  # uniform(0, 2 pi)'s bits, minus its checks
         return cls(freq, ph, kernel, seed=seed)
 
     @property
@@ -170,23 +171,18 @@ def _axis_tables(basis: FeatureBasis, grid: Grid):
 
 
 def _feature_blocks(basis: FeatureBasis, grid: Grid):
-    """Function of a slice of flat cell indices that yields (cell slice,
-    unit-amplitude (cells, M) feature block) in cell order, one block per
-    outer row, built from the tables by products into one reused buffer
-    that is valid until the next block is asked for.
+    """Yield (cell slice, unit-amplitude (cells, M) feature block) in cell
+    order, one block per outer row, built from the tables by products into
+    one reused buffer that is valid until the next block is asked for.
     """
     cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
     inner = len(cos_b)
     block, sines = np.empty_like(cos_b), np.empty_like(sin_b)
-
-    def rows(cells):
-        for o in range(cells.start // inner, -(-cells.stop // inner)):
-            lo, hi = max(cells.start, o * inner), min(cells.stop, (o + 1) * inner)
-            part, out = slice(lo - o * inner, hi - o * inner), block[:hi - lo]
-            np.multiply(cos_b[part], cos_a[o], out=out)
-            out -= np.multiply(sin_b[part], sin_a[o], out=sines[:hi - lo])
-            yield slice(lo, hi), out
-    return rows
+    for o, lo in enumerate(range(0, grid.num_cells, inner)):
+        n = min(inner, grid.num_cells - lo)
+        np.multiply(cos_b[:n], cos_a[o], out=block[:n])
+        block[:n] -= np.multiply(sin_b[:n], sin_a[o], out=sines[:n])
+        yield slice(lo, lo + n), block[:n]
 
 
 def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:

@@ -20,9 +20,10 @@ Every observation is a :class:`Window`: the normalized indicator of a box
 of whole cells, kept as one slice of cell indices per axis (the cells a
 half-open box covers on a uniform axis are one run) and never as a dense
 field.  A reading <w, u> is the mean of u over the box, and an adjoint
-march adds each box straight into its state.  An :class:`AdjointBank`
-holds the solutions of a 1-D solve as (n, G) rows, and yields those of a
-PDE march slab by slab, never as one (n, G) array.
+march adds each box straight into its state.  `shift_groups` sorts them
+into shapes, a base and its time-shifted copies, and an
+:class:`AdjointBank` holds the base solutions of a 1-D solve as rows, and
+yields those of a PDE march slab by slab, never as one (n, G) array.
 
 Binary serialization format (little-endian throughout):
 
@@ -43,6 +44,7 @@ import hashlib
 import struct
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -291,31 +293,38 @@ def window_indicator(grid: Grid, lo, hi) -> Window:
 class AdjointBank:
     """Adjoint solutions of n functionals on one grid, a slab at a time.
 
-    `slabs()` yields (cells, v) in march order: `cells` is a slice of flat
-    cell indices, and column j of the (cells, w) array `v` solves
-    functional `order[j]` there; the other functionals are zero there.
-    `live[i]` counts the time cells (axis 0) up to functional i's last
-    non-zero one, as its march reports it, and `order` sorts by it, longest
-    first.  A bank built from (n, num_cells) `rows`, as the ODE and shift
-    solvers return, yields them as one slab, every row live throughout, and
+    Functional i is `base[i]` ended `shift[i]` time cells earlier
+    (`shift_groups`), and only the bases are solved.  `slabs()` yields
+    (cells, v) in march order: `cells` is a slice of flat cell indices, and
+    column j of the (cells, w) array `v` solves base `order[j]` there; the
+    other bases are zero there.  `live[i]` counts the time cells (axis 0)
+    up to functional i's last non-zero one, as its march reports it, and
+    `order` sorts the bases by it, longest first.  A bank built from
+    `rows`, one per base in index order, as the ODE and shift solvers
+    return, yields them as one slab, every base live throughout, and
     `counts` are the (solves, cell_steps) its solver took at the call
     (none for a shift).  A PDE bank marches each time `slabs()` runs,
     adding the seconds spent marching to `seconds`, the columns that join
     to `solves` and the (column, time cell) slabs to `cell_steps`; `kept()`
     marches once and keeps the slabs and counts.  `rows` collects the
-    solutions, row i solving functional i."""
+    solutions, row i solving functional i: a copy's is its base's shifted."""
 
-    def __init__(self, rows, grid: Grid, live=None, march=None, counts=None):
+    def __init__(self, rows, grid: Grid, live=None, march=None, counts=None, groups=None):
+        if groups is None:
+            n = len(rows) if live is None else len(live)
+            groups = np.arange(n), np.zeros(n, dtype=int)
+        self.base, self.shift = groups
+        bases = np.flatnonzero(self.base == np.arange(len(self.base)))
         if march is None:
             rows = np.asarray(rows)
-            if rows.ndim != 2 or rows.shape[1] != grid.num_cells:
+            if rows.shape != (len(bases), grid.num_cells):
                 raise GridMismatchError(
                     f"bank rows of shape {rows.shape} do not fit a grid of "
                     f"{grid.num_cells} cells")
-            live, march, counts = np.full(len(rows), grid.dims[0]), lambda order: [
+            live, march, counts = grid.dims[0] - self.shift, lambda order: [
                 (slice(0, grid.num_cells), rows.T)], counts or (0, 0)
         self.grid, self.live, self._march = grid, np.asarray(live), march
-        self.order = np.argsort(-self.live, kind="stable")
+        self.order = bases[np.argsort(-self.live[bases], kind="stable")]
         # counts given here were taken once; otherwise each slabs() run counts
         self._counted, self.seconds = counts is not None, 0.0
         self.solves, self.cell_steps = counts or (0, 0)
@@ -334,30 +343,49 @@ class AdjointBank:
     def kept(self) -> "AdjointBank":
         slabs = list(self.slabs())
         return AdjointBank(None, self.grid, self.live, lambda order: slabs,
-                           (self.solves, self.cell_steps))
+                           (self.solves, self.cell_steps), (self.base, self.shift))
 
     @property
     def rows(self) -> np.ndarray:
         rows = np.zeros((len(self.live), self.grid.num_cells))
         for cells, v in self.slabs():
             rows[self.order[:v.shape[1]], cells] = v.T
+        per_time = self.grid.num_cells // self.grid.dims[0]
+        for i in np.flatnonzero(self.base != np.arange(len(self.base))):
+            d = self.shift[i] * per_time
+            rows[i, :rows.shape[1] - d] = rows[self.base[i], d:]
         return rows
 
 
-def time_spans(functionals, grid: Grid, what: str = "functional") -> np.ndarray:
+def time_spans(functionals, grid: Grid) -> np.ndarray:
     """(n, 2) array of the first time cell on which functional i is non-zero
-    and one past its last, (0, 0) when it is zero; a window's is its box."""
+    and one past its last, (0, 0) when it is zero; a window's is its box.
+    A functional on another grid raises GridMismatchError naming its index."""
     if not functionals:
-        raise ValueError(f"need at least one {what}")
+        raise ValueError("need at least one right-hand side")
     spans = np.zeros((len(functionals), 2), dtype=int)
-    for span, f in zip(spans, functionals):
+    for i, (span, f) in enumerate(zip(spans, functionals)):
         if f.grid != grid:
-            raise GridMismatchError(f"{what} lives on a different grid")
+            raise GridMismatchError(f"right-hand side {i} lives on a different grid")
         if isinstance(f, Window):
             span[:] = f.box[0].start, f.box[0].stop
         elif (cells := np.flatnonzero(f.values.reshape(grid.dims[0], -1).any(axis=1))).size:
             span[:] = cells[0], cells[-1] + 1
     return spans
+
+
+def shift_groups(functionals, spans) -> tuple[np.ndarray, np.ndarray]:
+    """(base, shift): functional i is base[i] ended shift[i] time cells
+    earlier.  Windows group by spatial box, time width and value, fields by
+    the bytes of their non-zero time segment; a base is the first to end last."""
+    base, shift, keys = np.arange(len(spans)), np.zeros(len(spans), dtype=int), {}
+    for i in np.argsort(-spans[:, 1], kind="stable").tolist():
+        (a, b), f = spans[i].tolist(), functionals[i]
+        key = ((tuple((s.start, s.stop) for s in f.box[1:]), b - a, f.value)
+               if isinstance(f, Window) else f.values[a:b].tobytes())
+        base[i] = keys.setdefault(key, i)
+        shift[i] = spans[base[i], 1] - b
+    return base, shift
 
 
 def bank_rows(functionals, grid: Grid) -> np.ndarray:
@@ -426,18 +454,19 @@ def field_to_binary(field: Field, path) -> str:
     return write_hashed(path, chunks)
 
 
-def field_from_binary(path) -> Field:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}, not a field dump")
-        ndim, has_mask = struct.unpack("<IB3x", fh.read(8))
-        dims = np.frombuffer(fh.read(8 * ndim), dtype="<u8").astype(int)
-        spacing = np.frombuffer(fh.read(8 * ndim), dtype="<f8")
-        origin = np.frombuffer(fh.read(8 * ndim), dtype="<f8")
-        grid = Grid(tuple(dims), tuple(spacing), tuple(origin))
-        vals = np.frombuffer(fh.read(8 * grid.num_cells), dtype="<f8")
-        mask = None
-        if has_mask:
-            mask = np.frombuffer(fh.read(grid.num_cells), dtype="u1").astype(bool)
-    return Field(grid, vals.copy(), mask=mask)
+def field_from_binary(source) -> Field:
+    """Parse a field dump (see module docstring) from `source`, its path or
+    its bytes."""
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+    if raw[:8] != _MAGIC:
+        raise ValueError(f"bad magic {raw[:8]!r}, not a field dump")
+    ndim, has_mask = struct.unpack_from("<IB3x", raw, 8)
+    dims, spacing, origin = (np.frombuffer(raw, dtype, ndim, 16 + 8 * ndim * k)
+                             for k, dtype in enumerate(("<u8", "<f8", "<f8")))
+    grid = Grid(tuple(dims.astype(int)), tuple(spacing), tuple(origin))
+    start = 16 + 24 * ndim
+    vals = np.frombuffer(raw, "<f8", grid.num_cells, start)
+    mask = None
+    if has_mask:
+        mask = np.frombuffer(raw, "u1", grid.num_cells, start + 8 * grid.num_cells).astype(bool)
+    return Field(grid, vals, mask=mask)

@@ -9,8 +9,11 @@ expanded in M basis features the readings follow the linear model
 
 The design matrix is a plain read-only (n, M) array.  A 1-D bank is
 projected from its solved rows; a PDE bank in the pass that marches it:
-each time cell is added into Phi, for the observations live there, as
-the march yields it.
+each time cell is projected, for the bases live there, as the march yields
+it.  One base per window shape is solved: a copy ending d time cells
+before its base has its solution shifted by d, so its row is
+cos(w d dt) C + sin(w d dt) S, C and S the base's cosine and sine
+projections over time cells >= d and w the features' time frequencies.
 
 Factorization policy.  The prior is q ~ N(0, I): the feature amplitude
 carries the kernel variance.  The conjugate posterior takes one Cholesky
@@ -46,7 +49,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import MisspecificationWarning, NumericalError
-from .features import FeatureBasis, KernelParams, _feature_blocks
+from .features import FeatureBasis, KernelParams, _axis_tables, _feature_blocks
 from .fields import AdjointBank, Field, Grid, GridMismatchError, Window
 
 __all__ = [
@@ -171,19 +174,20 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = 
     adjoint bank's grid.
 
     Each slab (cells, V) the bank yields, one time cell on (time, space)
-    grids, adds F^T V to the rows of its w live functionals, F the
-    (cells, M) unit-amplitude feature block there; a PDE bank yields them
-    as it marches, so no solution outlives its time cell.  The basis is
-    evaluated one block at a time on the cells of a slab, so no
-    (num_cells, M) feature matrix is ever held, and the time cells a PDE
-    march never reaches, after the last window ends, are never evaluated.
-    The amplitude scales Phi as the last step, so the variance never needs
-    a new projection: `projections`, a dict the caller keeps across calls
-    on one bank and one frequency draw, holds the unit-amplitude
-    projection per lengthscale, bit for bit what a call without it makes.
-    Passing `grid` asserts the bank lives on that grid; a mismatch raises
-    GridMismatchError before any work is done.  Non-finite entries raise
-    NumericalError.
+    grids, is projected once onto the per-axis tables, V^T [cos b | sin b],
+    and added with cos a and sin a of its outer row into running cosine and
+    sine sums C and S of its w base columns; a PDE bank yields them as it
+    marches, so no solution outlives its time cell, and the time cells after
+    the last window ends are never evaluated.  Functional i, its base shifted
+    d = shift[i] cells earlier, reads cos(w d dt) C + sin(w d dt) S, w the
+    time frequencies, once the march has passed cell d; 1-D outer runs are
+    cut at those cells.  The amplitude scales Phi as the last step, so the
+    variance never needs a new projection: `projections`, a dict the caller
+    keeps across calls on one bank and one frequency draw, holds the
+    unit-amplitude projection per lengthscale, bit for bit what a call
+    without it makes.  Passing `grid` asserts the bank lives on that grid; a
+    mismatch raises GridMismatchError before any work is done.  Non-finite
+    entries raise NumericalError.
     """
     if grid is not None and bank.grid != grid:
         raise GridMismatchError("adjoint bank does not live on the expected grid")
@@ -193,20 +197,53 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = 
     # an overflow is reported below as an error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if basis.kernel.lengthscale not in projections:
-            entries = np.zeros((len(bank.live), basis.size))
-            blocks = _feature_blocks(basis, bank.grid)
-            for cells, v in bank.slabs():
-                for sl, block in blocks(cells):
-                    rel = slice(sl.start - cells.start, sl.stop - cells.start)
-                    entries[:v.shape[1]] += v[rel].T @ block
-            unit = projections[basis.kernel.lengthscale] = np.empty_like(entries)
-            unit[bank.order] = entries * bank.grid.cell_volume
+            projections[basis.kernel.lengthscale] = _project(bank, basis)
         phi = projections[basis.kernel.lengthscale] * basis.amplitude
     if not np.isfinite(phi).all():
         raise NumericalError("design matrix has non-finite entries; the adjoint "
                              "bank or the basis overflowed")
     phi.setflags(write=False)
     return phi
+
+
+def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
+    """Unit-amplitude (n, M) projections, as `assemble_phi` describes; C and
+    S are the real and imaginary parts of one complex sum."""
+    grid = bank.grid
+    cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
+    # exp(i a), and exp(i b) as interleaved (cos, sin) columns of one product
+    turn_a, tables, inner = cos_a + 1j * sin_a, (cos_b + 1j * sin_b).view(float), len(cos_b)
+    # pieces: the outer runs, cut at the cells where functionals read
+    reads = bank.shift * (grid.num_cells // grid.dims[0])
+    edges = np.union1d(np.arange(0, grid.num_cells, inner), reads)
+    bounds = np.append(edges, grid.num_cells).tolist()
+    column = np.empty(len(bank.live), dtype=int)
+    column[bank.order] = np.arange(len(bank.order))
+    piece, column = np.searchsorted(edges, reads), column[bank.base]
+    back = np.exp(-1j * np.outer(bank.shift, basis.frequencies[:, 0] / basis.kernel.lengthscale
+                                 * grid.spacing[0]))
+    sums = np.zeros((len(bank.order), basis.size), dtype=complex)
+    unit = np.zeros((len(bank.live), basis.size))
+    for cells, v in bank.slabs():
+        w = v.shape[1]
+        first, stop = np.searchsorted(edges, (cells.start, cells.stop)).tolist()
+        batch = max(1, 2**20 // (2 * basis.size * w))  # pieces summed at once: 8 MB
+        for top in range(stop, first, -batch):
+            low = max(first, top - batch)
+            pieces = range(top - 1, low - 1, -1)  # the last first
+            outer = edges[pieces] // inner
+            part = np.array([(v[bounds[k] - cells.start:bounds[k + 1] - cells.start].T
+                              @ tables[bounds[k] - o * inner:bounds[k + 1] - o * inner])
+                             .view(complex) for k, o in zip(pieces, outer.tolist())])
+            part *= turn_a[outer, None]
+            part[0] += sums[:w]
+            for k in range(1, len(part)):  # running sums at each piece's start
+                part[k] += part[k - 1]
+            sums[:w] = part[-1]
+            # functionals that read at the start of one of these pieces
+            read = np.flatnonzero((piece >= low) & (piece < top) & (column < w))
+            unit[read] = (part[top - 1 - piece[read], column[read]] * back[read]).real
+    return unit * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +333,7 @@ def posterior_forcing(post: PosteriorQ, basis: FeatureBasis, grid: Grid):
         raise ValueError("posterior dimension does not match basis")
     coef, root = basis.amplitude * post.mean, basis.amplitude * post.root
     mean, var = np.empty(grid.num_cells), np.empty(grid.num_cells)
-    for sl, block in _feature_blocks(basis, grid)(slice(0, grid.num_cells)):
+    for sl, block in _feature_blocks(basis, grid):
         mean[sl] = block @ coef
         # pointwise variance phi(x)^T S phi(x) = |root^T phi(x)|^2
         w = block @ root
@@ -424,14 +461,23 @@ def posterior_to_json(post: PosteriorQ, *, basis_seed=None,
                       config_hash: str = "") -> str:
     """Serialize the weight posterior: mean, a square-root factor of the
     covariance under "chol" (cov = chol @ chol.T), and provenance (basis
-    seed and config hash)."""
-    payload = {
-        "mean": post.mean.tolist(),
-        "chol": post.root.tolist(),
-        "basis_seed": basis_seed,
-        "config_hash": config_hash,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    seed and config hash), as json.dumps(payload, indent=2, sort_keys=True)
+    lays it out, from C-encoded rows: with an indent, json formats in Python."""
+    payload = {"basis_seed": basis_seed, "chol": post.root.tolist(),
+               "config_hash": config_hash, "mean": post.mean.tolist()}
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {_indented(value, '  ')}"
+                               for key, value in sorted(payload.items())) + "\n}"
+
+
+def _indented(value, pad: str) -> str:
+    """json.dumps(value, indent=2) of a scalar or a (nested) list of floats,
+    its lines after the first indented by `pad`."""
+    if not isinstance(value, list) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    items = ([_indented(row, inner) for row in value] if isinstance(value[0], list)
+             else json.dumps(value)[1:-1].split(", "))
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
 def posterior_from_json(text: str) -> tuple[PosteriorQ, dict]:

@@ -16,13 +16,14 @@ system; node values are averaged in pairs so results line up with cell
 centers, where forcing fields and observation windows live.  The
 coefficients are constant, so from rest a time-shifted right-hand side has
 the same solution shifted, bit for bit: a bank marches one scalar solve per
-distinct right-hand-side shape, copies the shifted rows, and checks its
-output once.  The PDE does not share solves: its windows differ in space
-too, so most are distinct shapes, and reuse would need its streamed slabs.
+right-hand-side shape (`fields.shift_groups`, shared with the PDE), the
+base that ends last, checks its output once and holds the base rows only;
+the bank shifts a copy's row when its rows are read, and `assemble_phi`
+rotates its base's projections.
 
 `OdeSystem` is the solver: its constructor checks the grid once, and its
 solves are `forward(f)` and `adjoint_march(windows)`, which marches at the
-call and returns the solutions as the rows of an `AdjointBank`.
+call and returns the base solutions as the rows of an `AdjointBank`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityWarning, check_march
-from .fields import AdjointBank, Field, Grid, bank_rows, check_time_grid, time_spans
+from .fields import (AdjointBank, Field, Grid, bank_rows, check_time_grid, shift_groups,
+                     time_spans)
 
 __all__ = ["OdeParams", "OdeSystem", "euler_stability_limit"]
 
@@ -95,15 +97,18 @@ class OdeSystem:
     def forward(self, forcing: Field) -> Field:
         """Solve the forced system from rest; values reported at cell centers."""
         self._check_step("forward")
-        return Field(self._grid, self._march([forcing], "forward")[0][0])
+        return Field(self._grid, self._march([forcing])[0][0])
 
     def adjoint_march(self, functionals) -> AdjointBank:
-        """Solve the adjoint system backward from rest at t = T for every
-        functional at once, by the forward march run from the last cell to
-        the first; row i of the bank solves functional i."""
+        """Solve the adjoint system backward from rest at t = T for the base
+        of every window shape, by the forward march run from the last cell
+        to the first; a time-shifted copy's row is its base's shifted."""
         self._check_step("adjoint")
-        rows, counts = self._march(functionals, "adjoint", True)
-        return AdjointBank(rows, self._grid, counts=counts)
+        functionals = tuple(functionals)
+        base, shift = shift_groups(functionals, time_spans(functionals, self._grid))
+        bases = np.flatnonzero(base == np.arange(len(base)))
+        rows, counts = self._march([functionals[i] for i in bases], bases)
+        return AdjointBank(rows, self._grid, counts=counts, groups=(base, shift))
 
     def _check_step(self, label: str) -> None:
         # the warning names the line that called the solve
@@ -113,39 +118,36 @@ class OdeSystem:
                           f"{limit:.3e}; the {label} solve may diverge",
                           StabilityWarning, stacklevel=3)
 
-    def _march(self, functionals, label: str, reverse: bool = False):
+    def _march(self, functionals, order=None):
         """Explicit Euler on (u, u'), forcing at cell centers, from the last
-        cell with `reverse` (the adjoint in reversed time); returns the
-        (n, cells) cell-center solutions and (solves, cell_steps).  A row
-        steps alone in Python floats (numpy's IEEE arithmetic without its
-        per-call overhead) from its first non-zero cell in march order, and
-        the cells before it stay +0.0.  Rows whose non-zero segments have the
-        same bytes are marched once, from the one starting first, and the
-        others copy a slice.  A non-finite output raises SolverError naming
-        the first bad step and right-hand side."""
+        cell when `order`, the caller's index of each row, makes it an
+        adjoint march (in reversed time); returns the (n, cells)
+        cell-center solutions and (solves, cell_steps).  A row steps alone
+        in Python floats (numpy's IEEE arithmetic without its per-call
+        overhead) from its first non-zero cell in march order, and the
+        cells before it stay +0.0, as do all-zero rows, which are not
+        marched.  A non-finite output raises SolverError naming the first
+        bad step and right-hand side."""
+        reverse = order is not None
         rows, spans = bank_rows(functionals, self._grid), time_spans(functionals, self._grid)
         dt, p0, p1, p2 = self._grid.spacing[0], self.params.p0, self.params.p1, self.params.p2
         cells = rows.shape[1]
         # rows and their first non-zero cells in march order
         view = rows[:, ::-1] if reverse else rows
         starts = cells - spans[:, 1] if reverse else spans[:, 0]
-        shapes, steps = {}, 0
-        for i in np.argsort(starts, kind="stable"):
-            a, b = spans[i]
-            shapes.setdefault(rows[i, a:b].tobytes(), []).append(i)
-        rows[shapes.pop(b"", [])] = 0.0  # all-zero rows, whose zeros may be -0.0
-        for group in shapes.values():
+        solves = steps = 0
+        for row, start, (a, b) in zip(view, starts.tolist(), spans.tolist()):
+            row[:start if a < b else cells] = 0.0  # zeros that may be -0.0
+            if a == b:
+                continue
             u = w = 0.0
             solution = []
-            for f in view[group[0], starts[group[0]]:].tolist():
+            for f in row[start:].tolist():
                 u_next = u + dt * w
                 w_next = w + dt * (f - p1 * w - p0 * u) / p2
                 solution.append(0.5 * (u + u_next))
                 u, w = u_next, w_next
-            steps += len(solution)
-            solution = np.array(solution)
-            for i in group:
-                view[i, :starts[i]] = 0.0
-                view[i, starts[i]:] = solution[:cells - starts[i]]
-        check_march(label, rows, reverse)
-        return rows, (len(shapes), steps)
+            row[start:] = solution
+            solves, steps = solves + 1, steps + len(solution)
+        check_march("adjoint" if reverse else "forward", rows, reverse, order)
+        return rows, (solves, steps)

@@ -28,7 +28,9 @@ right-hand side at once on a cell-major (S, w) state: a column joins when
 its first right-hand side comes up in march order, so an adjoint column
 starts at its window's last time cell and the zero slabs before it are
 never marched.  The march yields each time cell's (S, w) solution as it
-goes and checks it for non-finite values.
+goes and checks it for non-finite values.  A is constant, so the adjoint
+marches one column per window shape (`fields.shift_groups`), its base: a
+copy's solution is the base's shifted, and its Phi row a rotation.
 
 `PdeSystem` is the solver: its constructor checks the grid and the CFL
 bound and builds A once.  Its solves are `forward(f)` and
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, check_march
-from .fields import (AdjointBank, Field, Grid, Window, check_time_grid, time_spans,
-                     window_indicator)
+from .fields import (AdjointBank, Field, Grid, Window, check_time_grid, shift_groups,
+                     time_spans, window_indicator)
 
 __all__ = ["PdeParams", "PdeSystem", "cfl_limit", "sensor_field"]
 
@@ -167,19 +169,20 @@ class PdeSystem:
     def forward(self, forcing: Field) -> Field:
         """March the forward problem from rest by u <- A^T u + dt f."""
         values = np.zeros(self._grid.num_cells)
-        spans = time_spans([forcing], self._grid, "forcing")
+        spans = time_spans([forcing], self._grid)
         for cells, v in self._march(self._step_t, [forcing], spans):
             values[cells] = v[:, 0]
         return Field(self._grid, values)
 
     def adjoint_march(self, functionals) -> AdjointBank:
-        """Adjoint solves of every functional at once by v <- A v + dt h,
-        marched in reversed time each time the bank's slabs are asked for:
-        one (S, w) slab per time cell, from the last on."""
+        """Adjoint solves of every window shape's base at once by v <- A v +
+        dt h, marched in reversed time each time the bank's slabs are asked
+        for: one (S, w) slab per time cell, from the last on."""
         functionals = tuple(functionals)
         spans = time_spans(functionals, self._grid)
         return AdjointBank(None, self._grid, spans[:, 1], lambda order: self._march(
-            self._step, [functionals[i] for i in order], spans[order], order))
+            self._step, [functionals[i] for i in order], spans[order], order),
+            groups=shift_groups(functionals, spans))
 
     def _march(self, op, functionals, spans, order=None):
         """Step x <- op x + dt * rhs from rest and yield (cells, x), x the

@@ -574,11 +574,13 @@ def test_scan_command_ranks_lattice(tmp_path, capsys):
     assert best["nll"] == nlls[0]
 
 
-@pytest.mark.parametrize("text, system", [(ODE_TEXT, OdeSystem), (PDE_TEXT, PdeSystem)],
-                         ids=["ode", "pde"])
+@pytest.mark.parametrize("text, system", [
+    (ODE_TEXT, OdeSystem), (PDE_TEXT.replace("time_windows = 2", "time_windows = 4"), PdeSystem)],
+    ids=["ode", "pde"])
 def test_scan_marches_the_adjoint_once(text, system, monkeypatch):
     # the four points of a 2x2 lattice project one kept bank; a PDE bank
-    # that is not kept marches again for every projection
+    # that is not kept marches again for every projection, and the kept
+    # bank holds one column per window shape: 18 of 36 windows
     data = simulate_data(parse_config(
         text + "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 1.0,2.0,2\n"))
     march, calls = system._march, []
@@ -590,6 +592,10 @@ def test_scan_marches_the_adjoint_once(text, system, monkeypatch):
     monkeypatch.setattr(system, "_march", counting)
     assert len(scan_hyper(data)) == 4
     assert len(calls) == 1
+    if system is PdeSystem:
+        shapes = {tuple((b.start, b.stop) for b in w.box[1:]) + (w.box[0].stop - w.box[0].start,)
+                  for w in data.windows}
+        assert len(calls[0][1]) == len(shapes) == len(data.windows) // 2
 
 
 SCAN_2X3 = "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 1.0,3.0,3\n"
@@ -600,13 +606,13 @@ def test_scan_projects_once_per_lengthscale(text, monkeypatch):
     # the variance only scales Phi, so a 2x3 lattice builds the feature
     # tables of two projections, not six
     data = simulate_data(parse_config(text + SCAN_2X3))
-    blocks, calls = inference._feature_blocks, []
+    tables, calls = inference._axis_tables, []
 
     def counting(*args):
         calls.append(args)
-        return blocks(*args)
+        return tables(*args)
 
-    monkeypatch.setattr(inference, "_feature_blocks", counting)
+    monkeypatch.setattr(inference, "_axis_tables", counting)
     assert len(scan_hyper(data)) == 6
     assert len(calls) == 2
 
@@ -659,19 +665,21 @@ MCMC_SECTION = "\n[mcmc]\nsteps = 1500\nburn_in = 100\nseed = 1\n"
 LINEAR_BOTH = "\n[inference]\nmethod = both\nsynth = linear\n"
 
 
-@pytest.mark.parametrize("extra, command, present, absent", [
-    ("", None, {"heldout.csv", "truth_solution.fld"}, set()),
-    (LINEAR_BOTH, None, {"heldout.csv"}, {"truth_solution.fld"}),
-    (LINEAR_BOTH, "infer", {"forcing_ml.fld"}, {"numerics.json", "timings.json"}),
-    (MCMC_SECTION, "mcmc", {"trace.csv", "diagnostics.json"}, {"timings.json"}),
-], ids=["forward-bundle", "linear-bundle", "infer-both", "mcmc"])
-def test_manifest_hashes_the_bytes_on_disk(tmp_path, extra, command, present, absent):
+@pytest.mark.parametrize("text, command, present, absent", [
+    (ODE_TEXT, None, {"heldout.csv", "truth_solution.fld"}, set()),
+    (ODE_TEXT + LINEAR_BOTH, None, {"heldout.csv"}, {"truth_solution.fld"}),
+    (ODE_TEXT + LINEAR_BOTH, ["infer"], {"forcing_ml.fld"}, {"numerics.json", "timings.json"}),
+    (ODE_TEXT + MCMC_SECTION, ["mcmc"], {"trace.csv", "diagnostics.json"}, {"timings.json"}),
+    (PDE_TEXT, ["infer", "--slice", "t=5"], {"slice_t5.csv", "forcing_mean.fld"},
+     {"timings.json"}),
+], ids=["forward-bundle", "linear-bundle", "infer-both", "mcmc", "infer-slice"])
+def test_manifest_hashes_the_bytes_on_disk(tmp_path, text, command, present, absent):
     # the manifest lists the digests its writers returned: they are those of
     # the bytes on disk, for every file but the manifest and the diagnostics
-    out = bundle = _simulate(tmp_path, ODE_TEXT + extra)
+    out = bundle = _simulate(tmp_path, text)
     if command is not None:
-        out = tmp_path / command
-        assert main([command, str(bundle), "--out", str(out)]) == 0
+        out = tmp_path / command[0]
+        assert main([command[0], str(bundle), "--out", str(out), *command[1:]]) == 0
     files = json.loads((out / "manifest.json").read_text())["files"]
     assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
                      if p.name not in ("manifest.json", "timings.json", "numerics.json")}
@@ -706,6 +714,27 @@ def test_saves_read_back_nothing_they_wrote(tmp_path, monkeypatch):
     assert reads == []
     assert {p.parent.name for p in out.glob("*/manifest.json")} == {"bundle", "infer", "mcmc"}
     assert (out / "scan" / "scan.csv").is_file()
+
+
+def test_load_bundle_reads_each_file_once(tmp_path, monkeypatch):
+    # the bytes checked against the manifest are the bytes parsed: each
+    # bundle file is opened once, the manifest included
+    bundle = _simulate(tmp_path, ODE_TEXT)
+    opened = []
+
+    def recording(opener):
+        def wrapper(file, *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file).parent == bundle:
+                opened.append(Path(file).name)
+            return opener(file, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(builtins, "open", recording(builtins.open))
+    monkeypatch.setattr(io, "open", recording(io.open))
+    data = experiments.load_bundle(bundle)
+    monkeypatch.undo()
+    assert sorted(opened) == sorted(p.name for p in bundle.iterdir())
+    assert data.truth_solution is not None and data.heldout_z.size == 5
 
 
 # ---------------------------------------------------------------------------

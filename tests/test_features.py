@@ -57,6 +57,17 @@ def test_feature_draws_do_not_depend_on_count():
     assert (large.phases[:4] == small.phases).all()
 
 
+@pytest.mark.parametrize("seed, dim", [(0, 1), (31, 3), (2**31 - 1, 2)])
+def test_sample_draws_the_uniform_phase_bit_for_bit(seed, dim):
+    # the documented draw: per spawned child stream, standard_normal(dim)
+    # then uniform(0, 2 pi); the basis holds exactly those bits
+    basis = FeatureBasis.sample(500, dim, KERNEL, seed=seed)
+    for m, child in enumerate(np.random.SeedSequence(seed).spawn(500)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        assert basis.frequencies[m].tobytes() == rng.standard_normal(dim).tobytes()
+        assert basis.phases[m].tobytes() == np.float64(rng.uniform(0.0, 2.0 * np.pi)).tobytes()
+
+
 def test_single_feature_amplitude():
     basis = FeatureBasis.sample(1, 1, KERNEL, seed=0)
     assert basis.amplitude == np.sqrt(2.0 * 4.0 / 1.0)

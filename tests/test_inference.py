@@ -219,6 +219,21 @@ def test_one_dimensional_basis_matches_the_dense_cosine(grid):
     close(var.values_flat, np.einsum("ij,ij->j", spread, spread))
 
 
+def test_wide_bank_is_projected_in_batches_of_pieces():
+    # 600 shift windows, every one its own base, against 1000 features: the
+    # running sums of one piece already pass 8 MB, so each of the 20 outer
+    # runs is its own batch, and the sums carry from batch to batch
+    grid = _grid(400)
+    system = ShiftSystem(ShiftParams(a=-1.0, T=10.0), grid)
+    windows = [window_indicator(grid, [lo], [lo + 0.5]) for lo in np.linspace(0.0, 9.0, 600)]
+    basis = FeatureBasis.sample(1000, 1, KERNEL, seed=13)
+    bank = system.adjoint_march(windows)
+    reference = bank.rows @ eval_basis(basis, grid).T * grid.cell_volume
+    phi = assemble_phi(bank, basis)
+    assert len(bank.order) == 600 and 2 * basis.size * 600 > 2**20
+    assert np.abs(phi - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
 def test_live_cells_project_like_the_dense_basis():
     # windows ending at different time cells and one zero row: each time
     # cell block multiplies only the rows still live there, and the cells
@@ -242,10 +257,47 @@ def test_live_cells_project_like_the_dense_basis():
                                atol=1e-12 * dense_var.max())
 
 
+ODE_RULE_TEXT = """
+[system]
+kind = ode
+p0 = 5.0
+p1 = 1.0
+p2 = 0.5
+T = 10.0
+
+[grid]
+cells = 300
+
+[kernel]
+lengthscale = 1.0
+variance = 4.0
+
+[features]
+count = 30
+
+[noise]
+sigma = 0.1
+
+[sensors]
+"""
+
+
+def _rule_windows(sensors):
+    """Training windows, then held-out ones, of an ODE [sensors] rule on a
+    300-cell grid, whose outer runs of 18 cells its shifts fall inside."""
+    config = parse_config(ODE_RULE_TEXT + sensors)
+    grid = make_grid(config)
+    windows, heldout = build_windows(config, grid)[0], build_heldout(config, grid)[0]
+    return OdeSystem(PARAMS, grid), windows + heldout, 1, len(windows)
+
+
 def _march_systems():
-    """PDE functionals ending at four time cells, the last one included, with
-    fields mixed in; ODE and shift windows and fields (one window shifted
-    out of the domain)."""
+    """(system, functionals, dim, training count): PDE functionals ending at
+    four time cells, the last one included, with fields mixed in; ODE and
+    shift windows and fields (one window shifted out of the domain); PDE
+    windows of two spatial boxes and two widths, each shape with copies
+    ending at several cells, the last one included, some held out; ODE
+    tile, span and list windows, held-out ones after the training ones."""
     pde_grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (20, 12, 12))
     pde = PdeSystem(PdeParams((0.4, -0.3), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), pde_grid)
     early = random_smooth_field(pde_grid, seed=20).values.copy()
@@ -253,20 +305,45 @@ def _march_systems():
     pde_functionals = [sensor_field(pde_grid, (2.0 + k, 3.0), (4.0 + k, 5.0), 1.0, t_hi)
                        for k, t_hi in enumerate((3.0, 5.5, 8.0, 10.0))]
     pde_functionals[1:1] = [random_smooth_field(pde_grid, seed=21), Field(pde_grid, early)]
+    boxes = [((2.0, 3.0), (4.0, 5.0)), ((6.0, 1.0), (8.0, 2.5))]
+    copies = [sensor_field(pde_grid, lo, hi, t_hi - width, t_hi)
+              for width, ends in ((2.0, (3.0, 10.0, 5.5)), (7.0, (7.0, 10.0, 9.5)))
+              for t_hi in ends for lo, hi in boxes]
+    copies += [sensor_field(pde_grid, *boxes[1], 6.0, 8.0), sensor_field(pde_grid, *boxes[0], 1.0, 3.0)]
     line = _grid(300)
     windows = [window_indicator(line, [lo], [hi]) for lo, hi in
                ((0.5, 2.0), (1.0, 6.0), (4.0, 10.0), (8.0, 9.0), (0.0, 0.5))]
     functionals = windows + [random_smooth_field(line, seed=22)]
-    return [(pde, pde_functionals, 3), (OdeSystem(PARAMS, line), functionals, 1),
-            (ShiftSystem(ShiftParams(a=-2.0, T=10.0), line), functionals, 1),
-            (ShiftSystem(ShiftParams(a=1.2, T=10.0), line), functionals, 1)]
+    return [(pde, pde_functionals, 3, 6), (OdeSystem(PARAMS, line), functionals, 1, 6),
+            (ShiftSystem(ShiftParams(a=-2.0, T=10.0), line), functionals, 1, 6),
+            (ShiftSystem(ShiftParams(a=1.2, T=10.0), line), functionals, 1, 6),
+            (pde, copies, 3, 8), _rule_windows("rule = tile\ncount = 12\nheldout_count = 5\n"),
+            _rule_windows("rule = span\ncount = 9\nheldout_count = 4\n"),
+            _rule_windows("rule = list\ntimes = 0.2, 1.7, 3.33, 5.0, 9.95, 10.0\n")]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["pde", "ode", "shift-2", "shift+1.2"])
+def _shape_count(rows, grid):
+    """Non-zero solutions that are no longer-lived solution's last time
+    cells: one that ends d cells earlier and equals another's last cells
+    is a time-shifted copy of it."""
+    cells = rows.reshape(len(rows), grid.dims[0], -1)
+    live = [np.flatnonzero(c.any(axis=1))[-1] + 1 if c.any() else 0 for c in cells]
+    bases = []
+    for i in np.argsort(live, kind="stable")[::-1]:
+        if live[i] and not any(np.array_equal(cells[b, live[b] - live[i]:live[b]],
+                                              cells[i, :live[i]]) for b in bases):
+            bases.append(i)
+    return len(bases)
+
+
+@pytest.mark.parametrize("case", range(8), ids=["pde", "ode", "shift-2", "shift+1.2",
+                                                "pde-copies", "ode-tile", "ode-span", "ode-list"])
 def test_march_and_project_matches_single_solves_on_the_dense_basis(case):
-    # one pass that projects each slab as the march yields it against every
-    # functional solved alone and projected on the dense basis
-    system, functionals, dim = _march_systems()[case]
+    # one pass that projects each slab as the march yields it, each shifted
+    # copy read from its base's sums, against every functional solved alone
+    # and projected on the dense basis; the training and held-out rows of the
+    # pipeline are those rows, and a march solves each shape once
+    system, functionals, dim, n = _march_systems()[case]
     grid = system.grid
     basis = FeatureBasis.sample(30, dim, KernelParams(lengthscale=2.0, variance=2.0), seed=23)
     bank = system.adjoint_march(functionals)
@@ -275,10 +352,18 @@ def test_march_and_project_matches_single_solves_on_the_dense_basis(case):
     reference = singles @ eval_basis(basis, grid).T * grid.cell_volume
     assert np.abs(phi - reference).max() <= 1e-13 * np.abs(reference).max()
     assert np.array_equal(system.adjoint_march(functionals).rows, singles)
+    result = run_pipeline(system, ObservationSet(tuple(functionals[:n]), np.zeros(n), 1.0), basis,
+                          heldout=functionals[n:])
+    assert np.array_equal(np.vstack((result.phi, result.phi_heldout)), phi)
+    if not isinstance(system, ShiftSystem):  # a shift solves every row alone
+        assert bank.solves == result.solves == _shape_count(singles, grid)
+        assert bank.solves < len(functionals) or case < 2
     if dim == 3:
-        # a column is marched from its functional's last time cell down
+        # a column is marched from its base's last time cell down
+        assert bank.cell_steps == bank.live[bank.order].sum() < len(functionals) * grid.dims[0]
+    if case == 0:
         assert sorted(bank.live.tolist()) == [6, 9, 11, 16, 20, 20]
-        assert bank.cell_steps == bank.live.sum() < len(functionals) * grid.dims[0]
+        assert bank.cell_steps == bank.live.sum()
 
 
 def test_pipeline_on_the_pde_infer_grid_holds_no_bank():
@@ -747,7 +832,9 @@ def test_pipeline_matches_manual_route():
     rng = np.random.default_rng(32)
     obs = ObservationSet(tuple(windows), rng.standard_normal(10), 0.2)
     result = run_pipeline(system, obs, basis)
-    bank = AdjointBank(np.array([system.adjoint_march([w]).rows[0] for w in windows]), grid)
+    # the bank reads shifted copies from their bases; its rows are single solves
+    bank = system.adjoint_march(windows)
+    assert np.array_equal(bank.rows, [system.adjoint_march([w]).rows[0] for w in windows])
     phi = assemble_phi(bank, basis)
     post = posterior_q(phi, obs.z, obs.sigma)
     np.testing.assert_array_equal(result.phi, phi)
@@ -755,6 +842,23 @@ def test_pipeline_matches_manual_route():
     assert PIPELINE_STAGES == ("adjoint_solves", "phi_assembly", "posterior_solve")
     assert tuple(result.timings) == PIPELINE_STAGES
     assert all(t >= 0.0 for t in result.timings.values())
+
+
+@pytest.mark.parametrize("m, seed, bad", [(1, None, False), (3, 9, True), (100, 31, False)],
+                         ids=["one-feature", "non-finite", "100-features"])
+def test_posterior_json_is_the_indented_json_dumps(m, seed, bad):
+    # the direct layout gives json.dumps(indent=2, sort_keys=True)'s bytes,
+    # with NaN and the infinities spelled as json spells them
+    rng = np.random.default_rng(36)
+    mean, root = rng.standard_normal(m), rng.standard_normal((m, m))
+    if bad:
+        root[0, 1], root[2, 0], mean[1] = np.nan, np.inf, -np.inf
+    post = PosteriorQ(mean, root)
+    payload = {"mean": mean.tolist(), "chol": root.tolist(), "basis_seed": seed,
+               "config_hash": 'c\u00e9"\\'}
+    text = posterior_to_json(post, basis_seed=seed, config_hash=payload["config_hash"])
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
+    assert ("NaN" in text and "-Infinity" in text) == bad
 
 
 def test_posterior_json_round_trip():
