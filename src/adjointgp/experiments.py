@@ -415,6 +415,11 @@ def _write_manifest(out: Path, files: dict, **fields) -> None:
     _write_json(out / "manifest.json", dict(fields, files=files))
 
 
+def _solver_numerics(system) -> dict:
+    """The system's step margin, dt over its stability limit; a shift has none."""
+    return {"step_margin": system.step_margin} if hasattr(system, "step_margin") else {}
+
+
 def save_bundle(data: SimulatedData, out_dir) -> Path:
     """Write the simulated dataset as a self-describing directory."""
     out = Path(out_dir)
@@ -433,6 +438,7 @@ def save_bundle(data: SimulatedData, out_dir) -> Path:
     if data.heldout_windows:
         files["heldout.csv"] = _write_csv(out / "heldout.csv", header,
                                           _readings_rows(data.heldout_specs, data.heldout_z))
+    _write_json(out / "numerics.json", _solver_numerics(data.system))  # outside the manifest
     _write_manifest(
         out, files,
         kind=data.config.kind,
@@ -642,10 +648,8 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir,
     # diagnostics of the run (wall clocks differ run to run), and the
     # manifest hashes only the results a rerun must reproduce.
     _write_json(out / "timings.json", outcome.timings)
-    numerics = dict(outcome.posterior.numerics)
-    if hasattr(data.system, "step_margin"):  # a shift has no step limit
-        numerics["step_margin"] = data.system.step_margin
-    _write_json(out / "numerics.json", numerics)
+    _write_json(out / "numerics.json",
+                dict(outcome.posterior.numerics, **_solver_numerics(data.system)))
     _write_manifest(out, files, config_sha256=config_hash(data.config),
                     basis_seed=outcome.basis.seed)
     return out

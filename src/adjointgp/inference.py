@@ -19,13 +19,13 @@ Factorization policy.  The prior is q ~ N(0, I): the feature amplitude
 carries the kernel variance.  The conjugate posterior takes one Cholesky
 factorization, of its precision P = sigma^{-2} Phi^T Phi + I = L L^T,
 retried with escalating diagonal jitter (1e-10 up to 1e-6 of the diagonal
-scale) before failing.  The mean is two triangular solves with L,
+scale) before failing.  The covariance is kept as the square-root factor
+R = L^{-T}, the inverse of the triangular L^T taken by halves in numpy
+alone, S_n = P^{-1} = R R^T, and the mean reads R twice,
 
-    mu_n = P^{-1} sigma^{-2} Phi^T z,
+    mu_n = P^{-1} sigma^{-2} Phi^T z = R (R^T sigma^{-2} Phi^T z).
 
-and the covariance is kept as the square-root factor R = L^{-T}, one more
-triangular solve, so that S_n = P^{-1} = R R^T.  Draws, pointwise variances
-and predictive moments all read R; the covariance is never factored again.
+Draws, pointwise variances and predictive moments read R; nothing is factored again.
 
 Maximum likelihood and its ridge variant take one SVD Phi = U diag(s) V^T,
 with filter factors s / (s^2 + ridge):
@@ -46,7 +46,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import MisspecificationWarning, NumericalError
 from .features import FeatureBasis, KernelParams, _axis_tables, _feature_blocks
@@ -117,8 +116,11 @@ class PosteriorQ:
     used for sampling and pointwise variance evaluation.  `numerics`, as
     `posterior_q` fills it: "jitter", the value added to each diagonal
     entry of the precision before it factored (0.0 when none);
-    "logdet_precision", 2 sum log diag L of the factored precision; and
-    "residual_norm", the standardized residual norm |z - Phi mean| / sigma.
+    "logdet_precision", 2 sum log diag L of the factored precision;
+    "residual_norm", the standardized residual norm |z - Phi mean| / sigma;
+    and "condition_bounds", [lower, upper] on the condition number of the
+    factored precision L L^T in O(M^2): (max diag L / min diag L)^2 (diag L
+    are L's eigenvalues) and |L|_F^2 |R|_F^2 (Frobenius norms bound 2-norms).
     """
 
     mean: np.ndarray
@@ -162,6 +164,17 @@ def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
         "Cholesky factorization of the posterior precision failed even with "
         f"jitter 1e-6; eigenvalue-based condition estimate {cond:.3e}"
     )
+
+
+def _upper_inverse(up: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular matrix by halves, [[A, B], [0, D]]^-1 = [[A^-1,
+    -A^-1 B D^-1], [0, D^-1]]; LU on <= 32 rows never pivots, so zeros stay exact."""
+    if len(up) <= 32:
+        return np.linalg.inv(up)
+    h, out = len(up) // 2, np.zeros(up.shape)
+    out[:h, :h], out[h:, h:] = _upper_inverse(up[:h, :h]), _upper_inverse(up[h:, h:])
+    out[:h, h:] = -out[:h, :h] @ (up[:h, h:] @ out[h:, h:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +317,16 @@ def posterior_q(phi, z, sigma: float) -> PosteriorQ:
     noise_prec = 1.0 / float(sigma) ** 2
     precision = noise_prec * (design.T @ design) + np.eye(m)
     chol, jitter = _chol_with_jitter(0.5 * (precision + precision.T))
-    mean = cho_solve((chol, True), noise_prec * (design.T @ z))
     # P^{-1} = L^{-T} L^{-1}: L^{-T} is a square root of the covariance
-    root = solve_triangular(chol, np.eye(m), lower=True).T
+    root = _upper_inverse(chol.T)
+    mean = root @ (root.T @ (noise_prec * (design.T @ z)))
     resid_norm = float(np.linalg.norm(z - design @ mean)) / sigma
+    diag = np.diag(chol)
     post = PosteriorQ(mean, root, {
-        "jitter": jitter, "logdet_precision": 2.0 * float(np.log(np.diag(chol)).sum()),
-        "residual_norm": resid_norm})
+        "jitter": jitter, "logdet_precision": 2.0 * float(np.log(diag).sum()),
+        "residual_norm": resid_norm, "condition_bounds": [
+            float(diag.max() / diag.min()) ** 2,
+            float(np.linalg.norm(chol) * np.linalg.norm(root)) ** 2]})
     if m < n / 2 and resid_norm > 3.0 * math.sqrt(n):
         warnings.warn(
             f"standardized residual norm {resid_norm:.1f} "

@@ -330,7 +330,7 @@ def test_simulate_is_deterministic(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
     names = sorted(p.name for p in a.iterdir())
-    assert names == ["config.txt", "heldout.csv", "manifest.json",
+    assert names == ["config.txt", "heldout.csv", "manifest.json", "numerics.json",
                      "readings.csv", "truth_forcing.fld", "truth_solution.fld"]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
@@ -388,7 +388,8 @@ def test_infer_writes_numerics_and_stage_timings(tmp_path, capsys):
         assert main(["infer", str(bundle), "--out", str(out)]) == 0
     assert "bank_rows_training = 18" in capsys.readouterr().out
     numerics = json.loads((outs[0] / "numerics.json").read_text())
-    assert set(numerics) == {"jitter", "logdet_precision", "residual_norm", "step_margin"}
+    assert set(numerics) == {"jitter", "logdet_precision", "residual_norm", "step_margin",
+                             "condition_bounds"}
     assert numerics["jitter"] == 0.0
     assert (outs[0] / "numerics.json").read_bytes() == (outs[1] / "numerics.json").read_bytes()
     timings = json.loads((outs[0] / "timings.json").read_text())
@@ -417,6 +418,23 @@ def test_infer_records_the_step_margin_of_its_solver(tmp_path):
     run_shift_demo(tmp_path / "shift")
     assert "step_margin" not in json.loads(
         (tmp_path / "shift" / "inference" / "numerics.json").read_text())
+
+
+def test_simulate_records_the_step_margin_of_its_solver(tmp_path):
+    # dt over the explicit limit, in the bundle's numerics.json and outside
+    # its manifest; a shift has no limit, so its bundle omits the key
+    for name, text in (("ode", ODE_TEXT), ("pde", PDE_TEXT)):
+        config = parse_config(text)
+        grid = make_grid(config)
+        system = make_system(config, grid)
+        limit = (euler_stability_limit(system.params) if name == "ode"
+                 else cfl_limit(system.params, grid))
+        bundle = _simulate(tmp_path, text, name)
+        numerics = json.loads((bundle / "numerics.json").read_text())
+        assert numerics == {"step_margin": grid.spacing[0] / limit}
+        assert "numerics.json" not in json.loads((bundle / "manifest.json").read_text())["files"]
+    run_shift_demo(tmp_path / "shift")
+    assert json.loads((tmp_path / "shift" / "bundle" / "numerics.json").read_text()) == {}
 
 
 def test_ode_infer_counts_the_solves_its_bank_marched(tmp_path):
@@ -718,7 +736,8 @@ def test_saves_read_back_nothing_they_wrote(tmp_path, monkeypatch):
 
 def test_load_bundle_reads_each_file_once(tmp_path, monkeypatch):
     # the bytes checked against the manifest are the bytes parsed: each
-    # bundle file is opened once, the manifest included
+    # file the manifest lists is opened once, the manifest included, and the
+    # diagnostics outside it (numerics.json) are not read
     bundle = _simulate(tmp_path, ODE_TEXT)
     opened = []
 
@@ -733,7 +752,10 @@ def test_load_bundle_reads_each_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "open", recording(io.open))
     data = experiments.load_bundle(bundle)
     monkeypatch.undo()
-    assert sorted(opened) == sorted(p.name for p in bundle.iterdir())
+    listed = json.loads((bundle / "manifest.json").read_text())["files"]
+    assert sorted(opened) == sorted([*listed, "manifest.json"])
+    assert sorted(p.name for p in bundle.iterdir()) == sorted([*listed, "manifest.json",
+                                                               "numerics.json"])
     assert data.truth_solution is not None and data.heldout_z.size == 5
 
 

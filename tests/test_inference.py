@@ -618,6 +618,44 @@ def test_posterior_records_its_numerics():
     assert flat.numerics["jitter"] > 0.0
 
 
+def test_posterior_is_accurate_on_an_ill_conditioned_precision():
+    # columns scaled over four decades and a small sigma: the precision's
+    # condition number is about 1e8, yet the mean is the solve of the normal
+    # equations and root an exact square root of their inverse.  M = 75 is
+    # inverted by halves of 37 and 38 rows, then 18 and 19
+    rng = np.random.default_rng(31)
+    n, m, sigma = 150, 75, 1e-4
+    design = rng.standard_normal((n, m)) * np.logspace(0, -4, m)
+    z = design @ rng.standard_normal(m) + sigma * rng.standard_normal(n)
+    precision = design.T @ design / sigma**2 + np.eye(m)
+    assert 1e7 < np.linalg.cond(precision) < 1e9
+    post = posterior_q(design, z, sigma)
+    np.testing.assert_allclose(post.mean, np.linalg.solve(precision, design.T @ z / sigma**2),
+                               rtol=1e-9)
+    assert np.abs(post.root.T @ precision @ post.root - np.eye(m)).max() < 1e-10
+    cov = np.linalg.inv(precision)
+    np.testing.assert_allclose(post.root @ post.root.T, cov, rtol=0.0,
+                               atol=1e-12 * np.abs(cov).max())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_condition_bounds_bracket_the_condition_number(seed):
+    # (max diag L / min diag L)^2 <= cond(P) <= |L|_F^2 |L^-1|_F^2, for random
+    # designs of every shape and for a rank-one design that needs jitter
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(1, 80, size=2)
+    design = rng.standard_normal((n, m)) * np.logspace(0, -rng.uniform(0, 4), m)
+    sigma = 10.0 ** rng.uniform(-4, 0)
+    cases = [(design, design @ rng.standard_normal(m), sigma),
+             (1e8 * np.ones((6, 3)), np.ones(6), 1e-6)]
+    for phi, z, s in cases:
+        post = posterior_q(phi, z, s)
+        factored = phi.T @ phi / s**2 + (1.0 + post.numerics["jitter"]) * np.eye(phi.shape[1])
+        lower, upper = post.numerics["condition_bounds"]
+        cond = np.linalg.cond(factored)
+        assert 1.0 <= lower <= cond * (1 + 1e-9) and cond <= upper * (1 + 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # function-space views
 

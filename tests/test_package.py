@@ -1,8 +1,10 @@
 """Every exported name resolves, so a stale `__all__` entry fails here
 rather than at a user's `from adjointgp import *`; every module-level
 import is used; each solver module offers its solves through its system
-object only; and importing the package for ODE work does not pull in
-`scipy.sparse`."""
+object only; and the import graph is pinned: no module imports scipy at
+package import, a whole ODE run (simulate, infer, scan, mcmc) loads no
+scipy module, and the PDE loads `scipy.sparse`, from its step operator
+only, but never `scipy.linalg`."""
 
 import ast
 import importlib
@@ -109,21 +111,79 @@ def test_files_are_written_as_bytes():
     assert found == []
 
 
-def test_ode_solves_leave_scipy_sparse_unimported():
-    # only PdeSystem builds a sparse step operator, and it imports
-    # scipy.sparse there; a fresh interpreter keeps ODE-only runs free of it
-    script = "\n".join([
-        "import sys",
-        "import adjointgp as ag",
-        "grid = ag.Grid.regular(((0.0, 10.0),), (200,))",
-        "system = ag.OdeSystem(ag.OdeParams(5.0, 1.0, 0.5, 10.0), grid)",
-        "system.forward(ag.Field.full(grid, 1.0))",
-        "system.adjoint_march([ag.window_indicator(grid, [2.0], [3.0])] * 2)",
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))",
-    ])
+def _fresh_modules(*lines):
+    """The sorted `scipy` modules a fresh interpreter has loaded after
+    running `lines`, with the package importable."""
+    script = "\n".join(["import sys", "import adjointgp as ag", *lines,
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
     src = os.path.dirname(os.path.dirname(adjointgp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip())
+
+
+def test_ode_solves_leave_scipy_sparse_unimported():
+    # only PdeSystem builds a sparse step operator, and it imports
+    # scipy.sparse there; a fresh interpreter keeps ODE-only runs free of it
+    loaded = _fresh_modules(
+        "grid = ag.Grid.regular(((0.0, 10.0),), (200,))",
+        "system = ag.OdeSystem(ag.OdeParams(5.0, 1.0, 0.5, 10.0), grid)",
+        "system.forward(ag.Field.full(grid, 1.0))",
+        "system.adjoint_march([ag.window_indicator(grid, [2.0], [3.0])] * 2)")
+    assert [m for m in loaded if m.startswith("scipy.sparse")] == []
+
+
+TINY_ODE = ("[system]\nkind = ode\np0 = 5.0\np1 = 1.0\np2 = 0.5\nT = 10.0\n"
+            "[grid]\ncells = 100\n[kernel]\nlengthscale = 0.7\nvariance = 4.0\n"
+            "[features]\ncount = 6\n[sensors]\nrule = tile\ncount = 10\n"
+            "heldout_count = 2\n[noise]\nsigma = 0.05\n"
+            "[mcmc]\nsteps = 60\nburn_in = 10\nseed = 1\n"
+            "[scan]\nlengthscale = 0.5,1.0,2\nvariance = 4.0,4.0,1\nsamples = 4\n")
+
+TINY_PDE = ("[system]\nkind = pde\nvelocity_x = 0.4\nvelocity_y = 0.4\n"
+            "diffusivity = 0.01\nx_min = 0.0\nx_max = 10.0\ny_min = 0.0\ny_max = 10.0\n"
+            "T = 10.0\n[grid]\ncells_t = 10\ncells_y = 6\ncells_x = 6\n"
+            "[kernel]\nlengthscale = 2.0\nvariance = 2.0\n[features]\ncount = 6\n"
+            "[sensors]\nrule = grid\ncount = 4\ntime_windows = 2\nheldout_count = 1\n"
+            "[noise]\nsigma = 0.05\n")
+
+
+def test_ode_run_loads_no_scipy():
+    # the posterior is numpy alone: simulate, infer, scan and mcmc on an ODE
+    # config leave every scipy module unloaded
+    assert _fresh_modules(
+        f"data = ag.simulate_data(ag.parse_config({TINY_ODE!r}))",
+        "ag.run_inference(data), ag.scan_hyper(data), ag.run_mcmc(data)") == []
+
+
+def test_pde_run_loads_scipy_sparse_but_not_scipy_linalg():
+    loaded = _fresh_modules(
+        f"data = ag.simulate_data(ag.parse_config({TINY_PDE!r}))",
+        "ag.run_inference(data)")
+    assert "scipy.sparse" in loaded
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == []
+
+
+def test_the_only_scipy_import_is_the_pde_step_operator():
+    # no scipy import outside a function anywhere in the package (so importing
+    # it costs no scipy), and one inside a function: scipy.sparse, in
+    # pde._step_operator, which only the PDE runs
+    found = []
+    for name in ["__init__", *SUBMODULES]:
+        with open(os.path.join(adjointgp.__path__[0], f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        owner = {}  # node -> name of its innermost enclosing function
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [(name, owner.get(id(node)), m) for m in mods if m.split(".")[0] == "scipy"]
+    assert found == [("pde", "_step_operator", "scipy.sparse")]
