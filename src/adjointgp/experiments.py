@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import math
+import resource
 import time
 import warnings
 from dataclasses import dataclass
@@ -383,7 +384,9 @@ def _csv_line(row) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> str:
-    return write_hashed(path, map(_csv_line, [header, *rows]))
+    lines = ((",".join(map(repr, row)) + "\n" for row in rows.tolist())  # floats: no checks
+             if isinstance(rows, np.ndarray) else map(_csv_line, rows))
+    return write_hashed(path, [_csv_line(header), *lines])
 
 
 def _readings_rows(specs, z):
@@ -647,7 +650,8 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir,
     # timings.json and numerics.json stay out of the manifest: they are
     # diagnostics of the run (wall clocks differ run to run), and the
     # manifest hashes only the results a rerun must reproduce.
-    _write_json(out / "timings.json", outcome.timings)
+    _write_json(out / "timings.json", dict(outcome.timings, peak_rss_mb=resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024))  # ru_maxrss counts KiB
     _write_json(out / "numerics.json",
                 dict(outcome.posterior.numerics, **_solver_numerics(data.system)))
     _write_manifest(out, files, config_sha256=config_hash(data.config),
@@ -747,7 +751,8 @@ def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
         "diagnostics.json": _write_json(out / "diagnostics.json", outcome.diagnostics),
     }
     # timings.json stays out of the manifest, as infer's does
-    _write_json(out / "timings.json", outcome.timings)
+    _write_json(out / "timings.json", dict(outcome.timings, peak_rss_mb=resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024))
     _write_manifest(out, files, config_sha256=config_hash(data.config))
     return out
 

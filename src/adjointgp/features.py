@@ -22,10 +22,10 @@ are split into outer rows of `inner` cells, a time cell on grids with
 spatial axes and a run of ceil(sqrt(G)) cells on 1-D grids, and the
 argument of cell o * inner + i splits into a[o] + b[i], so that by angle
 addition phi_m = amplitude * (cos a cos b - sin a sin b).  The tables carry
-no amplitude: a forcing is two matrix products, Phi projects on cos b and
-sin b directly, the posterior fields read one (inner, M) block per outer
-row, and the amplitude scales the result last.  `eval_basis` keeps the
-direct cosine as the reference.
+no amplitude: a forcing is two products per block of b's rows joined within
+a fixed byte budget, Phi projects on cos b and sin b directly, the posterior
+fields read one (inner, M) block per outer row, and the amplitude scales the
+result last.  `eval_basis` keeps the direct cosine as the reference.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ __all__ = [
     "forcing_from_weights",
     "sample_prior_forcing",
 ]
+
+_JOIN_BYTES = 2**21  # joined spatial rows a synthesis block holds: 2 MiB
 
 
 @dataclass(frozen=True)
@@ -141,14 +143,13 @@ def eval_basis(basis: FeatureBasis, grid: Grid) -> np.ndarray:
     return _eval_at(basis, grid.centers())
 
 
-def _axis_tables(basis: FeatureBasis, grid: Grid):
-    """Unit-amplitude cosine and sine tables (cos a, sin a) of shape
-    (outer, M) and (cos b, sin b) of shape (inner, M).  a holds the phase
-    and the time argument, or on 1-D grids the argument at a run's first
-    center; b sums the spatial arguments, or the offsets i * dx, joined
-    axis by axis one row at a time into its two result buffers, so no
-    third table of their size is held.
-    """
+def _axis_tables(basis: FeatureBasis, grid: Grid, budget: int | None = None):
+    """Unit-amplitude tables (cos a, sin a) of shape (outer, M), and (cos b,
+    sin b) of shape (inner, M) in blocks of rows.  a holds the phase and the
+    time argument, or on 1-D grids the argument at a run's first center; b
+    sums the spatial arguments, or the offsets i * dx, joined axis by axis one
+    row at a time.  A block spans the most cells of the first spatial axis
+    that fit `budget` bytes, at least one; all of b without one or on 1-D grids."""
     scaled = basis.frequencies.T / basis.kernel.lengthscale
     if grid.ndim == 1:
         inner = math.isqrt(grid.num_cells - 1) + 1
@@ -156,18 +157,25 @@ def _axis_tables(basis: FeatureBasis, grid: Grid):
     else:
         outer, axes = grid.axis_centers(0), [(grid.axis_centers(k), k) for k in range(1, grid.ndim)]
     time = np.outer(outer, scaled[0]) + basis.phases
-    cos_b, sin_b = np.ones((1, basis.size)), np.zeros((1, basis.size))
-    for centers, k in axes:
-        arg = np.outer(centers, scaled[k])
-        cos, sin, tmp = np.cos(arg), np.sin(arg), np.empty_like(arg)
-        joined = np.empty((2, len(cos_b), len(cos), basis.size))
-        for j, (c, s) in enumerate(zip(cos_b, sin_b)):
-            np.multiply(cos, c, out=joined[0, j])
-            joined[0, j] -= np.multiply(sin, s, out=tmp)
-            np.multiply(cos, s, out=joined[1, j])
-            joined[1, j] += np.multiply(sin, c, out=tmp)
-        cos_b, sin_b = joined.reshape(2, -1, basis.size)
-    return np.cos(time), np.sin(time), cos_b, sin_b
+    (first, k0), axes = axes[0], axes[1:]
+    trig = [(np.cos(arg), np.sin(arg)) for arg in (np.outer(c, scaled[k]) for c, k in axes)]
+    rows = len(first) if budget is None or grid.ndim == 1 else max(
+        1, budget // (16 * basis.size * math.prod(len(c) for c, _ in axes)))
+
+    def join(lo):
+        arg = np.outer(first[lo:lo + rows], scaled[k0])
+        cos_b, sin_b = np.cos(arg), np.sin(arg)
+        for cos, sin in trig:
+            tmp = np.empty_like(cos)
+            joined = np.empty((2, len(cos_b), len(cos), basis.size))
+            for j, (c, s) in enumerate(zip(cos_b, sin_b)):
+                np.multiply(cos, c, out=joined[0, j])
+                joined[0, j] -= np.multiply(sin, s, out=tmp)
+                np.multiply(cos, s, out=joined[1, j])
+                joined[1, j] += np.multiply(sin, c, out=tmp)
+            cos_b, sin_b = joined.reshape(2, -1, basis.size)
+        return cos_b, sin_b
+    return np.cos(time), np.sin(time), map(join, range(0, len(first), rows))
 
 
 def _feature_blocks(basis: FeatureBasis, grid: Grid):
@@ -175,7 +183,7 @@ def _feature_blocks(basis: FeatureBasis, grid: Grid):
     order, one block per outer row, built from the tables by products into
     one reused buffer that is valid until the next block is asked for.
     """
-    cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
+    cos_a, sin_a, [(cos_b, sin_b)] = _axis_tables(basis, grid)
     inner = len(cos_b)
     block, sines = np.empty_like(cos_b), np.empty_like(sin_b)
     for o, lo in enumerate(range(0, grid.num_cells, inner)):
@@ -187,17 +195,19 @@ def _feature_blocks(basis: FeatureBasis, grid: Grid):
 
 def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:
     """Field  f(x) = sum_m weights[m] * phi_m(x)  over the grid: with
-    c = amplitude * weights, (c cos a) cos b^T - (c sin a) sin b^T holds one
-    outer row of cells per row."""
+    c = amplitude * weights, (c cos a) cos b^T - (c sin a) sin b^T holds an
+    outer row of cells per row, built from _JOIN_BYTES blocks of b's rows."""
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if weights.size != basis.size:
         raise ValueError(f"expected {basis.size} weights, got {weights.size}")
     if basis.dim != grid.ndim:
         raise ValueError("basis dim does not match grid")
-    cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
+    cos_a, sin_a, blocks = _axis_tables(basis, grid, _JOIN_BYTES)
     coef = basis.amplitude * weights
-    vals = (cos_a * coef) @ cos_b.T
-    vals -= (sin_a * coef) @ sin_b.T
+    cos_a *= coef
+    sin_a *= coef
+    # map lets go of each block before the next is joined, so one is held
+    vals = np.hstack(list(map(lambda b: cos_a @ b[0].T - sin_a @ b[1].T, blocks)))
     return Field(grid, vals.reshape(-1)[:grid.num_cells])
 
 

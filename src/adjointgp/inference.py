@@ -223,7 +223,7 @@ def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
     """Unit-amplitude (n, M) projections, as `assemble_phi` describes; C and
     S are the real and imaginary parts of one complex sum."""
     grid = bank.grid
-    cos_a, sin_a, cos_b, sin_b = _axis_tables(basis, grid)
+    cos_a, sin_a, [(cos_b, sin_b)] = _axis_tables(basis, grid)
     # exp(i a), and exp(i b) as interleaved (cos, sin) columns of one product
     turn_a, tables, inner = cos_a + 1j * sin_a, (cos_b + 1j * sin_b).view(float), len(cos_b)
     # pieces: the outer runs, cut at the cells where functionals read

@@ -348,6 +348,18 @@ def _simulate(tmp_path, text, name="exp"):
     return bundle
 
 
+def test_array_rows_are_written_as_the_per_value_formatter_writes_them(tmp_path):
+    # phi.csv's fast path: repr over tolist, byte for byte what _fmt gives
+    rng = np.random.default_rng(3)
+    phi = np.vstack([rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5)),
+                     [0.0, -0.0, 1.0, np.inf, 5e-324]])
+    header = [f"m{j}" for j in range(5)]
+    digest = experiments._write_csv(tmp_path / "phi.csv", header, phi)
+    expected = "".join(map(experiments._csv_line, [header, *phi])).encode()
+    assert (tmp_path / "phi.csv").read_bytes() == expected
+    assert digest == hashlib.sha256(expected).hexdigest()
+
+
 def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
     text = _edit(ODE_TEXT, sigma="1e-6") + "\n[inference]\nmethod = both\nsynth = linear\n"
     bundle = _simulate(tmp_path, text)
@@ -395,7 +407,8 @@ def test_infer_writes_numerics_and_stage_timings(tmp_path, capsys):
     timings = json.loads((outs[0] / "timings.json").read_text())
     assert set(timings) == {*PIPELINE_STAGES, "posterior_forcing", "heldout_scoring",
                             "bank_rows_training", "bank_rows_heldout", "bank_solves",
-                            "bank_cell_steps"}
+                            "bank_cell_steps", "peak_rss_mb"}
+    assert timings["peak_rss_mb"] > 0
     assert (timings["bank_rows_training"], timings["bank_rows_heldout"]) == (18, 8)
     # every PDE window is marched as its own column
     assert timings["bank_solves"] == 26
@@ -559,7 +572,7 @@ def test_mcmc_command_writes_chain_outputs(tmp_path, capsys):
     assert {"acceptance_rate", "converged", "proposal_scale"} <= set(diag)
     timings = json.loads((out / "timings.json").read_text())
     assert {"adjoint_solves", "phi_assembly", "posterior_solve", "tune", "chain",
-            "ess_per_second", "max_c_drift"} <= set(timings)
+            "ess_per_second", "max_c_drift", "peak_rss_mb"} <= set(timings)
     manifest = json.loads((out / "manifest.json").read_text())
     assert "timings.json" not in manifest["files"]
     again = tmp_path / "chain_again"

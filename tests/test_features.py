@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from adjointgp import features
 from adjointgp import (
     FeatureBasis,
     Grid,
@@ -160,6 +161,45 @@ def test_forcing_from_weights_holds_no_feature_by_cell_array():
     finally:
         tracemalloc.stop()
     assert peak < basis.size * grid.num_cells * 8 / 4
+
+
+def test_forcing_from_weights_holds_no_spatial_table_on_a_pde_grid():
+    # 1000 features on a 50x30x30 grid: the (900, M) cos b and sin b tables
+    # alone take 14.4 MB; the synthesis joins a few rows of y at a time
+    grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (50, 30, 30))
+    basis = FeatureBasis.sample(1000, 3, KernelParams(2.0, 2.0), seed=4)
+    q = np.random.default_rng(5).standard_normal(basis.size)
+    tracemalloc.start()
+    try:
+        forcing_from_weights(basis, q, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_blockwise_forcing_matches_the_dense_basis():
+    # 10 rows of y at 4 per block: two full blocks and a short one
+    grid = Grid.regular(((0.0, 2.0), (0.0, 3.0), (-1.0, 1.0)), (6, 10, 30))
+    basis = FeatureBasis.sample(1000, 3, KERNEL, seed=21)
+    rows = features._JOIN_BYTES // (16 * basis.size * grid.dims[2])
+    assert rows < grid.dims[1] and grid.dims[1] % rows
+    q = np.random.default_rng(22).standard_normal(basis.size)
+    expected = q @ eval_basis(basis, grid)
+    np.testing.assert_allclose(forcing_from_weights(basis, q, grid).values_flat, expected,
+                               rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_forcing_on_a_line_is_the_whole_table_product_bit_for_bit():
+    # a 1-D grid's tables are one block: the synthesis is the single product
+    grid = Grid.regular(((0.0, 10.0),), (2000,))
+    basis = FeatureBasis.sample(1000, 1, KERNEL, seed=4)
+    q = np.random.default_rng(5).standard_normal(basis.size)
+    cos_a, sin_a, [(cos_b, sin_b)] = features._axis_tables(basis, grid)
+    whole = (cos_a * (basis.amplitude * q)) @ cos_b.T
+    whole -= (sin_a * (basis.amplitude * q)) @ sin_b.T
+    f = forcing_from_weights(basis, q, grid).values_flat
+    assert np.array_equal(f, whole.reshape(-1)[:grid.num_cells])
 
 
 def test_forcing_from_weights_validates_length():
