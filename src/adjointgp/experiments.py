@@ -390,16 +390,8 @@ def _write_csv(path: Path, header, rows) -> str:
 
 
 def _readings_rows(specs, z):
-    rows = []
-    for i, (spec, value) in enumerate(zip(specs, z)):
-        row = [i, spec.label]
-        for lo in spec.lo:
-            row.append(lo)
-        for hi in spec.hi:
-            row.append(hi)
-        row.append(float(value))
-        rows.append(row)
-    return rows
+    return [[i, spec.label, *spec.lo, *spec.hi, float(value)]
+            for i, (spec, value) in enumerate(zip(specs, z))]
 
 
 def _readings_header(ndim: int):
@@ -738,21 +730,23 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
 def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for m in range(outcome.chain_mean.size):
-        rows.append([m, float(outcome.chain_mean[m]), float(outcome.chain_sd[m]),
-                     float(outcome.exact_mean[m]), float(outcome.exact_sd[m]),
-                     float(outcome.ess[m]), float(outcome.rhat[m])])
+    columns = (outcome.chain_mean, outcome.chain_sd, outcome.exact_mean, outcome.exact_sd,
+               outcome.ess, outcome.rhat)
+    rows = [[m, *values] for m, values in enumerate(zip(*(c.tolist() for c in columns)))]
+    t0 = time.perf_counter()
+    trace = chain_to_csv(outcome.result, out / "trace.csv")
+    trace_write = time.perf_counter() - t0
     files = {
         "chain_summary.csv": _write_csv(out / "chain_summary.csv",
                                         ["index", "mcmc_mean", "mcmc_sd", "exact_mean",
                                          "exact_sd", "ess", "rhat"], rows),
-        "trace.csv": chain_to_csv(outcome.result, out / "trace.csv"),
+        "trace.csv": trace,
         "diagnostics.json": _write_json(out / "diagnostics.json", outcome.diagnostics),
     }
     # timings.json stays out of the manifest, as infer's does
-    _write_json(out / "timings.json", dict(outcome.timings, peak_rss_mb=resource.getrusage(
-        resource.RUSAGE_SELF).ru_maxrss / 1024))
+    _write_json(out / "timings.json", dict(
+        outcome.timings, trace_write=trace_write, trace_bytes=(out / "trace.csv").stat().st_size,
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
     _write_manifest(out, files, config_sha256=config_hash(data.config))
     return out
 

@@ -27,6 +27,8 @@ row that moved.
 
 Diagnostics: effective sample size via the batch-means estimator and
 split-chain R-hat (two halves of each chain treated as separate chains).
+The trace CSV writes a value only where its bits differ from the row above,
+so a rejected step is a line of commas; a reader fills the blanks forward.
 """
 
 from __future__ import annotations
@@ -370,13 +372,14 @@ def chain_diagnostics(result_or_draws, threshold: float = 1.05) -> ChainDiagnost
 
 
 def chain_to_csv(result: ChainResult, path) -> str:
-    """Write the full trace: one row per step with every coordinate, the
-    log target, and whether that step's proposal was accepted.  Returns the
-    SHA-256 of the bytes written.
+    """Write the trace: a header, then one row per step with its
+    coordinates, its log target, and whether its proposal was accepted.
+    Returns the SHA-256 of the bytes written.
 
-    A step moves at most a batch of coordinates and a rejected step repeats
-    the row, so only coordinates whose bits changed since the previous step
-    are formatted again (bits, so that -0.0 and 0.0 stay distinct).  One
+    After row 0 a coordinate or log target field is left empty when its bits
+    equal the row above's (bits, so -0.0 and 0.0 differ); filled forward it
+    gives the chain back exactly.  So a rejected step is `t,,...,,0`, and an
+    accepted one writes the coordinates it moved and its log target.  One
     compare finds the changes of a chunk of rows, and the chunk is written
     with one call; the trace is never held whole.
     """
@@ -384,30 +387,32 @@ def chain_to_csv(result: ChainResult, path) -> str:
 
 
 def _trace_chunks(result: ChainResult):
-    """The text of chain_to_csv: the header, then CSV_CHUNK_ROWS rows at a time."""
-    steps = result.config.steps
-    chain = np.ascontiguousarray(result.chain[:steps], dtype=np.float64)
+    """The text of chain_to_csv: the header and row 0, then CSV_CHUNK_ROWS
+    rows at a time."""
+    chain, log_targets, steps = result.chain, result.log_targets, result.config.steps
     dim = chain.shape[1]
-    bits = chain.view(np.int64)
-    header = ["step"] + [f"q{j}" for j in range(dim)] + ["log_target", "accepted"]
+    flags = result.accepted_flags.astype(int).tolist()
+    header = ",".join(["step"] + [f"q{j}" for j in range(dim)] + ["log_target", "accepted"])
     # repr of builtin float round-trips exactly; numpy scalars do not
-    texts = [repr(v) for v in chain[0].tolist()]
-    coords = ",".join(texts)
-    yield ",".join(header) + "\n"
-    for lo in range(0, steps, CSV_CHUNK_ROWS):
+    first = ",".join(map(repr, chain[0].tolist() + [float(log_targets[0])]))
+    yield f"{header}\n0,{first},{flags[0]}\n"
+    commas = ["," * k for k in range(dim + 2)]
+    for lo in range(1, steps, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, steps)
-        first = max(lo, 1)
-        rows, cols = np.nonzero(bits[first:hi] != bits[first - 1:hi - 1])
-        rows += first
-        changed = {}
-        for t, j, v in zip(rows.tolist(), cols.tolist(), chain[rows, cols].tolist()):
-            changed.setdefault(t, []).append((j, v))
+        # the row above the chunk, then the chunk; log target last, compared as bits
+        block = np.empty((hi - lo + 1, dim + 1))
+        block[:, :dim], block[:, dim] = chain[lo - 1:hi], log_targets[lo - 1:hi]
+        bits = block.view(np.int64)
+        rows, cols = np.nonzero(bits[1:] != bits[:-1])
+        bounds = np.searchsorted(rows, np.arange(hi - lo + 1)).tolist()
+        texts = [repr(v) for v in block[rows + 1, cols].tolist()]
+        cols = cols.tolist()
         parts = []
-        for t, lp, acc in zip(range(lo, hi), result.log_targets[lo:hi].tolist(),
-                              result.accepted_flags[lo:hi].tolist()):
-            if t in changed:
-                for j, v in changed[t]:
-                    texts[j] = repr(v)
-                coords = ",".join(texts)
-            parts += (f"{t},", coords, f",{lp!r},{int(acc)}\n")
+        for t, a, b, acc in zip(range(lo, hi), bounds, bounds[1:], flags[lo:hi]):
+            parts.append(str(t))
+            last = -1  # the step; field j follows j - last commas from the last written
+            for j, text in zip(cols[a:b], texts[a:b]):
+                parts += (commas[j - last], text)
+                last = j
+            parts.append(f"{commas[dim - last]},{acc}\n")
         yield "".join(parts)

@@ -19,7 +19,9 @@ one sparse step operator from the same scheme; these stencils never see it,
 so a wrong axis or upwind side in that operator shows as a mismatch.
 
 The trace writer formats every coordinate of every step afresh; the
-package's writer reuses unchanged text and must match it byte for byte.
+package's writer leaves a field empty where its bits repeat the row above,
+and filled forward its text must match the every-value trace byte for byte.
+`read_trace` reads the package's trace back by that forward fill.
 
 The reference sampler takes the package's proposal draws but tests each
 step by evaluating the full target at the proposal and at the current
@@ -182,6 +184,33 @@ def chain_to_csv_every_value(result, path) -> None:
             coords = ",".join(repr(float(v)) for v in result.chain[t])
             fh.write(f"{t},{coords},{float(result.log_targets[t])!r},"
                      f"{int(result.accepted_flags[t])}\n")
+
+
+def filled_trace_text(path) -> str:
+    """The text of a trace written by `chain_to_csv` with each empty field
+    filled from the same field of the row above.  Line ends are kept: the
+    last field, the accepted flag, is never empty."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = [fh.readline()]
+        above = None
+        for line in fh:
+            fields = line.split(",")
+            if above is not None:
+                assert len(fields) == len(above), line
+                fields = [field or prev for field, prev in zip(fields, above)]
+            lines.append(",".join(fields))
+            above = fields
+    return "".join(lines)
+
+
+def read_trace(path):
+    """(chain, log_targets, accepted) of a trace written by `chain_to_csv`,
+    read back by forward fill."""
+    header, *lines = filled_trace_text(path).splitlines()
+    body = np.array([[float(v) for v in line.split(",")] for line in lines]).reshape(
+        len(lines), len(header.split(",")))
+    np.testing.assert_array_equal(body[:, 0], np.arange(len(lines)))
+    return body[:, 1:-2], body[:, -2], body[:, -1].astype(bool)
 
 
 def rw_mh_full_target(target, start, config):

@@ -1,4 +1,3 @@
-import csv
 import math
 import tracemalloc
 
@@ -18,8 +17,14 @@ from adjointgp import (
     split_rhat,
     tune_proposal_scale,
 )
-from adjointgp.mcmc import MOMENT_CHUNK_ROWS, _draw_indices, chain_moments, column_var
-from oracles import chain_to_csv_every_value, rw_mh_full_target
+from adjointgp.mcmc import (
+    CSV_CHUNK_ROWS,
+    MOMENT_CHUNK_ROWS,
+    _draw_indices,
+    chain_moments,
+    column_var,
+)
+from oracles import chain_to_csv_every_value, filled_trace_text, read_trace, rw_mh_full_target
 
 
 def _std_normal_target(dim):
@@ -289,14 +294,36 @@ def test_chain_to_csv_round_trip(tmp_path):
     result = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
     path = tmp_path / "trace.csv"
     chain_to_csv(result, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["step", "q0", "q1", "log_target", "accepted"]
-    assert len(rows) == 51
-    body = np.array([[float(c) for c in row] for row in rows[1:]])
-    np.testing.assert_array_equal(body[:, 1:3], result.chain)
-    np.testing.assert_array_equal(body[:, 3], result.log_targets)
-    np.testing.assert_array_equal(body[:, 4], result.accepted_flags.astype(float))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,q0,q1,log_target,accepted"
+    assert len(lines) == 51
+    chain, log_targets, accepted = read_trace(path)
+    np.testing.assert_array_equal(chain, result.chain)
+    np.testing.assert_array_equal(log_targets, result.log_targets)
+    np.testing.assert_array_equal(accepted, result.accepted_flags)
+
+
+def _check_compact_trace(result, path, oracle_path, edited_rows=0):
+    """The trace filled forward is the every-value oracle byte for byte, and
+    a value field is empty exactly where its bits repeat the row above.  A
+    rejected step repeats the row above, so it is a line of commas wherever
+    neither row was changed by hand: from row `edited_rows` on."""
+    chain_to_csv(result, path)
+    chain_to_csv_every_value(result, oracle_path)
+    assert filled_trace_text(path).encode() == oracle_path.read_bytes()
+    steps, dim = result.chain.shape
+    values = np.column_stack([result.chain, result.log_targets]).view(np.int64)
+    lines = path.read_text().splitlines(keepends=True)[1:]
+    assert len(lines) == steps
+    assert "" not in lines[0].split(",")
+    for t in range(1, steps):
+        fields = lines[t].split(",")
+        assert fields[0] == str(t) and fields[-1] == f"{int(result.accepted_flags[t])}\n"
+        empty = [field == "" for field in fields[1:-1]]
+        assert empty == (values[t] == values[t - 1]).tolist(), t
+        if t >= edited_rows and not result.accepted_flags[t]:
+            assert lines[t] == f"{t}," + "," * dim + ",0\n"
+    return lines
 
 
 @pytest.mark.parametrize("batch", [1, 5])
@@ -309,8 +336,55 @@ def test_chain_to_csv_matches_every_value_oracle(tmp_path, batch):
     # equal values with different bits must be written anew
     chain[:6, 0] = [-0.0, -0.0, 0.0, 0.0, -0.0, 0.0]
     result = ChainResult(cfg, chain, result.log_targets, result.accepted_flags)
-    chain_to_csv(result, tmp_path / "trace.csv")
-    chain_to_csv_every_value(result, tmp_path / "oracle.csv")
+    lines = _check_compact_trace(result, tmp_path / "trace.csv", tmp_path / "oracle.csv",
+                                 edited_rows=7)
     expected = (tmp_path / "oracle.csv").read_bytes()
     assert b"\n1,-0.0," in expected and b"\n2,0.0," in expected
-    assert (tmp_path / "trace.csv").read_bytes() == expected
+    assert lines[1].startswith("1,,") and lines[2].startswith("2,0.0,")
+    assert lines[3].startswith("3,,") and lines[4].startswith("4,-0.0,")
+
+
+@pytest.mark.parametrize("steps", [1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                                   CSV_CHUNK_ROWS + 2, 3 * CSV_CHUNK_ROWS + 5])
+def test_chain_to_csv_on_chunk_edges(tmp_path, steps):
+    cfg = ChainConfig(steps=steps, proposal_scale=1.0, seed=31)
+    result = rw_mh(_std_normal_target(3), np.array([0.25, -0.0, 1.5]), cfg)
+    lines = _check_compact_trace(result, tmp_path / "trace.csv", tmp_path / "oracle.csv")
+    assert lines[-1].startswith(f"{steps - 1},")
+
+
+def test_chain_to_csv_moves_every_coordinate_at_full_batch(tmp_path):
+    dim = 4
+    cfg = ChainConfig(steps=400, proposal_scale=0.8, seed=5, batch_size=dim)
+    result = rw_mh(_std_normal_target(dim), np.zeros(dim), cfg)
+    assert 0 < result.accepted < cfg.steps
+    lines = _check_compact_trace(result, tmp_path / "trace.csv", tmp_path / "oracle.csv")
+    for t in np.flatnonzero(result.accepted_flags[1:]) + 1:
+        assert "" not in lines[t].split(","), t
+
+
+def test_chain_to_csv_leaves_an_unchanged_log_target_empty_on_an_accept(tmp_path):
+    cfg = ChainConfig(steps=60, proposal_scale=1.0, seed=14)
+    result = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
+    t, after = np.flatnonzero(result.accepted_flags[1:])[:2] + 1
+    # the accept at t lands on the log target of the row above, up to the next accept
+    log_targets = result.log_targets.copy()
+    log_targets[t:after] = log_targets[t - 1]
+    result = ChainResult(cfg, result.chain, log_targets, result.accepted_flags)
+    lines = _check_compact_trace(result, tmp_path / "trace.csv", tmp_path / "oracle.csv")
+    assert lines[t].endswith(",,1\n") and lines[t] != f"{t},,,,1\n"
+    np.testing.assert_array_equal(read_trace(tmp_path / "trace.csv")[1], log_targets)
+
+
+def test_chain_to_csv_holds_no_chain_sized_copy(tmp_path):
+    # the ode-bundle chain's shape: 20000 steps of 100 coordinates, batch 5;
+    # the peak stays well under the 16 MB of one chain-sized temporary
+    cfg = ChainConfig(steps=20000, proposal_scale=0.5, seed=9)
+    result = rw_mh(_std_normal_target(100), np.zeros(100), cfg)
+    tracemalloc.start()
+    try:
+        chain_to_csv(result, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < result.chain.nbytes / 4
