@@ -309,9 +309,8 @@ def _validate(sections: dict) -> dict:
     if "mcmc" in sections:
         mc = sections["mcmc"]
         steps = mc.get("steps", _DEFAULTS[("mcmc", "steps")])
-        burn = mc.get("burn_in", min(_DEFAULTS[("mcmc", "burn_in")], steps // 5))
         _positive(steps, "mcmc", "steps")
-        if not 0 <= burn < steps:
+        if not 0 <= mc.get("burn_in", 0) < steps:  # a missing one is filled below
             raise ConfigError("'burn_in' in [mcmc] must lie in [0, steps)")
         if "batch_size" in mc:
             _positive(mc["batch_size"], "mcmc", "batch_size")

@@ -705,7 +705,7 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     result = rw_mh(target, start, cfg)
     t2 = time.perf_counter()
     diag = chain_diagnostics(result)
-    chain_mean, chain_sd = chain_moments(result.kept)
+    chain_mean, chain_var = chain_moments(result.kept)
     diagnostics = {
         "acceptance_rate": result.acceptance_rate,
         "proposal_scale": scale,
@@ -721,7 +721,7 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     timings = dict(pipeline.timings, tune=t1 - t0, chain=t2 - t1,
                    ess_per_second=diagnostics["min_ess"] / (t2 - t1),
                    max_c_drift=result.drift)
-    return McmcOutcome(result=result, chain_mean=chain_mean, chain_sd=chain_sd,
+    return McmcOutcome(result=result, chain_mean=chain_mean, chain_sd=np.sqrt(chain_var),
                        exact_mean=pipeline.posterior.mean,
                        exact_sd=np.sqrt(np.diag(pipeline.posterior.cov)),
                        ess=diag.ess, rhat=diag.rhat, diagnostics=diagnostics, timings=timings)
@@ -767,35 +767,34 @@ _SWEEP_HEADER = ["sensors", "features", "replicate", "heldout_mse",
 _SWEEP_TYPES = (int, int, int, float, float, int, int, int)
 
 
-def _resume_sweep(path: Path) -> set:
-    """(sensors, features, replicate) keys of the rows in an existing
-    results.csv, after cutting the file back to its last complete row.
+def _resume_sweep(path: Path) -> list:
+    """The rows of an existing results.csv, parsed by _SWEEP_TYPES, after
+    cutting the file back to its last complete row.
 
     A kill partway through a write leaves a last line without its newline;
     that torn tail is dropped, so its cell runs again and the next append
     starts on a fresh line.  Every complete row must parse in full.
     """
     if not path.is_file():
-        return set()
+        return []
     raw = path.read_bytes()
     complete = raw[:raw.rfind(b"\n") + 1]
     lines = complete.split(b"\n")[:-1]
     if lines and lines[0] != ",".join(_SWEEP_HEADER).encode():
         raise ConfigError(f"{path} does not start with the sweep results header")
-    done = set()
+    rows = []
     for number, line in enumerate(lines[1:], start=2):
         fields = line.split(b",")
         try:
             if len(fields) != len(_SWEEP_TYPES):
                 raise ValueError(f"{len(fields)} fields")
-            row = [kind(value) for kind, value in zip(_SWEEP_TYPES, fields)]
+            rows.append([kind(value) for kind, value in zip(_SWEEP_TYPES, fields)])
         except ValueError as exc:
             raise ConfigError(f"{path} line {number} is not a sweep row: {exc}") from None
-        done.add(tuple(row[:3]))
     if len(complete) < len(raw):
         with open(path, "r+b") as handle:
             handle.truncate(len(complete))
-    return done
+    return rows
 
 
 def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
@@ -817,7 +816,8 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.csv"
-    done = _resume_sweep(results_path)
+    rows = _resume_sweep(results_path)
+    done = {tuple(row[:3]) for row in rows}
 
     seeds = config["seeds"]
     ran = skipped = 0
@@ -851,22 +851,22 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
                            seed_data, seed_basis, seed_noise]
                     handle.write(_csv_line(row))
                     handle.flush()
+                    rows.append(row)
                     ran += 1
                     if progress is not None:
                         progress(key)
 
-    summary = sweep_summary(results_path)
+    summary = sweep_summary(rows)
     _write_json(out / "summary.json", summary)
     return ran, skipped, summary
 
 
-def sweep_summary(results_path) -> dict:
-    """Median and central 95% band of held-out MSE per lattice cell."""
+def sweep_summary(rows) -> dict:
+    """Median and central 95% band of held-out MSE per lattice cell, from
+    the results.csv rows, as lists in _SWEEP_HEADER order."""
     cells: dict[tuple[int, int], list[float]] = {}
-    with open(results_path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            key = (int(row["sensors"]), int(row["features"]))
-            cells.setdefault(key, []).append(float(row["heldout_mse"]))
+    for sensors, features, _, heldout_mse, *_ in rows:
+        cells.setdefault((sensors, features), []).append(heldout_mse)
     summary = {}
     for (s, m), values in sorted(cells.items()):
         arr = np.array(values)

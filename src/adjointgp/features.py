@@ -22,10 +22,10 @@ are split into outer rows of `inner` cells, a time cell on grids with
 spatial axes and a run of ceil(sqrt(G)) cells on 1-D grids, and the
 argument of cell o * inner + i splits into a[o] + b[i], so that by angle
 addition phi_m = amplitude * (cos a cos b - sin a sin b).  The tables carry
-no amplitude: a forcing is two products per block of b's rows joined within
-a fixed byte budget, Phi projects on cos b and sin b directly, the posterior
-fields read one (inner, M) block per outer row, and the amplitude scales the
-result last.  `eval_basis` keeps the direct cosine as the reference.
+no amplitude, and b's rows come in blocks joined within a fixed byte budget:
+a forcing is two products per block, Phi projects on the blocks stacked, the
+posterior fields read one (rows, M) feature block per block and outer row,
+and the amplitude scales the result last.  `eval_basis` is the reference.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
     "sample_prior_forcing",
 ]
 
-_JOIN_BYTES = 2**21  # joined spatial rows a synthesis block holds: 2 MiB
+_JOIN_BYTES = 2**21  # joined rows of b one table block holds: 2 MiB
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,13 @@ def eval_basis(basis: FeatureBasis, grid: Grid) -> np.ndarray:
     return _eval_at(basis, grid.centers())
 
 
-def _axis_tables(basis: FeatureBasis, grid: Grid, budget: int | None = None):
+def _axis_tables(basis: FeatureBasis, grid: Grid):
     """Unit-amplitude tables (cos a, sin a) of shape (outer, M), and (cos b,
     sin b) of shape (inner, M) in blocks of rows.  a holds the phase and the
     time argument, or on 1-D grids the argument at a run's first center; b
     sums the spatial arguments, or the offsets i * dx, joined axis by axis one
     row at a time.  A block spans the most cells of the first spatial axis
-    that fit `budget` bytes, at least one; all of b without one or on 1-D grids."""
+    that fit _JOIN_BYTES, at least one; a 1-D grid's b is one block."""
     scaled = basis.frequencies.T / basis.kernel.lengthscale
     if grid.ndim == 1:
         inner = math.isqrt(grid.num_cells - 1) + 1
@@ -159,8 +159,8 @@ def _axis_tables(basis: FeatureBasis, grid: Grid, budget: int | None = None):
     time = np.outer(outer, scaled[0]) + basis.phases
     (first, k0), axes = axes[0], axes[1:]
     trig = [(np.cos(arg), np.sin(arg)) for arg in (np.outer(c, scaled[k]) for c, k in axes)]
-    rows = len(first) if budget is None or grid.ndim == 1 else max(
-        1, budget // (16 * basis.size * math.prod(len(c) for c, _ in axes)))
+    rows = len(first) if grid.ndim == 1 else max(
+        1, _JOIN_BYTES // (16 * basis.size * math.prod(len(c) for c, _ in axes)))
 
     def join(lo):
         arg = np.outer(first[lo:lo + rows], scaled[k0])
@@ -178,21 +178,6 @@ def _axis_tables(basis: FeatureBasis, grid: Grid, budget: int | None = None):
     return np.cos(time), np.sin(time), map(join, range(0, len(first), rows))
 
 
-def _feature_blocks(basis: FeatureBasis, grid: Grid):
-    """Yield (cell slice, unit-amplitude (cells, M) feature block) in cell
-    order, one block per outer row, built from the tables by products into
-    one reused buffer that is valid until the next block is asked for.
-    """
-    cos_a, sin_a, [(cos_b, sin_b)] = _axis_tables(basis, grid)
-    inner = len(cos_b)
-    block, sines = np.empty_like(cos_b), np.empty_like(sin_b)
-    for o, lo in enumerate(range(0, grid.num_cells, inner)):
-        n = min(inner, grid.num_cells - lo)
-        np.multiply(cos_b[:n], cos_a[o], out=block[:n])
-        block[:n] -= np.multiply(sin_b[:n], sin_a[o], out=sines[:n])
-        yield slice(lo, lo + n), block[:n]
-
-
 def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:
     """Field  f(x) = sum_m weights[m] * phi_m(x)  over the grid: with
     c = amplitude * weights, (c cos a) cos b^T - (c sin a) sin b^T holds an
@@ -202,7 +187,7 @@ def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:
         raise ValueError(f"expected {basis.size} weights, got {weights.size}")
     if basis.dim != grid.ndim:
         raise ValueError("basis dim does not match grid")
-    cos_a, sin_a, blocks = _axis_tables(basis, grid, _JOIN_BYTES)
+    cos_a, sin_a, blocks = _axis_tables(basis, grid)
     coef = basis.amplitude * weights
     cos_a *= coef
     sin_a *= coef

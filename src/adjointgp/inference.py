@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MisspecificationWarning, NumericalError
-from .features import FeatureBasis, KernelParams, _axis_tables, _feature_blocks
+from .features import FeatureBasis, KernelParams, _axis_tables
 from .fields import AdjointBank, Field, Grid, GridMismatchError, Window
 
 __all__ = [
@@ -223,9 +223,10 @@ def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
     """Unit-amplitude (n, M) projections, as `assemble_phi` describes; C and
     S are the real and imaginary parts of one complex sum."""
     grid = bank.grid
-    cos_a, sin_a, [(cos_b, sin_b)] = _axis_tables(basis, grid)
-    # exp(i a), and exp(i b) as interleaved (cos, sin) columns of one product
-    turn_a, tables, inner = cos_a + 1j * sin_a, (cos_b + 1j * sin_b).view(float), len(cos_b)
+    cos_a, sin_a, blocks = _axis_tables(basis, grid)
+    # exp(i a), and exp(i b), its blocks stacked, as interleaved (cos, sin) columns of one product
+    tables = np.concatenate([cos_b + 1j * sin_b for cos_b, sin_b in blocks]).view(float)
+    turn_a, inner = cos_a + 1j * sin_a, len(tables)
     # pieces: the outer runs, cut at the cells where functionals read
     reads = bank.shift * (grid.num_cells // grid.dims[0])
     edges = np.union1d(np.arange(0, grid.num_cells, inner), reads)
@@ -343,18 +344,28 @@ def posterior_q(phi, z, sigma: float) -> PosteriorQ:
 
 
 def posterior_forcing(post: PosteriorQ, basis: FeatureBasis, grid: Grid):
-    """Posterior mean field and pointwise variance field of the forcing,
-    both from one pass over the feature blocks."""
+    """Posterior mean field and pointwise variance field of the forcing, both
+    from one pass over the tables: each block of b's rows and each outer row
+    make one unit-amplitude feature block, cos b cos a - sin b sin a."""
     if basis.size != post.dim:
         raise ValueError("posterior dimension does not match basis")
     coef, root = basis.amplitude * post.mean, basis.amplitude * post.root
     mean, var = np.empty(grid.num_cells), np.empty(grid.num_cells)
-    for sl, block in _feature_blocks(basis, grid):
-        mean[sl] = block @ coef
-        # pointwise variance phi(x)^T S phi(x) = |root^T phi(x)|^2
-        w = block @ root
-        var[sl] = np.einsum("ij,ij->i", w, w)
-    return Field(grid, mean), Field(grid, np.maximum(var, 0.0))
+    cos_a, sin_a, blocks = _axis_tables(basis, grid)
+    inner, lo = -(-grid.num_cells // len(cos_a)), 0  # cells per outer row; a last 1-D run is short
+    for cos_b, sin_b in blocks:
+        block, spread = np.empty_like(cos_b), np.empty_like(cos_b)
+        for o, start in enumerate(range(lo, grid.num_cells, inner)):
+            n = min(len(cos_b), grid.num_cells - start)
+            np.multiply(cos_b[:n], cos_a[o], out=block[:n])
+            block[:n] -= np.multiply(sin_b[:n], sin_a[o], out=spread[:n])
+            mean[start:start + n] = block[:n] @ coef
+            # pointwise variance phi(x)^T S phi(x) = |root^T phi(x)|^2
+            w = np.matmul(block[:n], root, out=spread[:n])
+            var[start:start + n] = np.einsum("ij,ij->i", w, w)
+        lo += len(cos_b)
+    del cos_b, sin_b, block, spread, w  # freed before the fields copy mean and var
+    return Field(grid, mean), Field(grid, np.maximum(var, 0.0, out=var))
 
 
 def _predictive_moments(post: PosteriorQ, phi, z) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,8 @@ of the accepted increments, and the log target is evaluated in full on every
 row that moved.
 
 Diagnostics: effective sample size via the batch-means estimator and
-split-chain R-hat (two halves of each chain treated as separate chains).
+split-chain R-hat (two halves of each chain treated as separate chains);
+both, like the chain summary, read the chunked moments of `chain_moments`.
 The trace CSV writes a value only where its bits differ from the row above,
 so a rejected step is a line of commas; a reader fills the blanks forward.
 """
@@ -52,7 +53,6 @@ __all__ = [
     "batch_means_ess",
     "split_rhat",
     "chain_moments",
-    "column_var",
     "chain_diagnostics",
     "chain_to_csv",
 ]
@@ -61,7 +61,7 @@ ACCEPT_LO = 0.25
 ACCEPT_HI = 0.40
 BLOCK_STEPS = 4096  # steps whose proposals are drawn together
 CSV_CHUNK_ROWS = 256  # trace rows formatted and written together
-MOMENT_CHUNK_ROWS = 1024  # draws read together for the chain mean and sd
+MOMENT_CHUNK_ROWS = 1024  # draws read together for the chain mean and variance
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ def batch_means_ess(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     used = b * batch_len
     trimmed = draws[:used]
     means = trimmed.reshape(b, batch_len, -1).mean(axis=1)
-    var_all = column_var(trimmed)
+    var_all = chain_moments(trimmed)[1]
     var_means = means.var(axis=0, ddof=1)
     degenerate = var_all <= 0.0
     ess = np.zeros(draws.shape[1])
@@ -321,7 +321,7 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
         raise ValueError("need at least 4 draws per chain to split")
     # the halves are read as views; only their per-half statistics are stacked
     halves = (draws[:, :half], draws[:, half:2 * half])
-    within = np.array([column_var(chain) for h in halves for chain in h]).mean(axis=0)
+    within = np.array([chain_moments(chain)[1] for h in halves for chain in h]).mean(axis=0)
     between = half * np.concatenate([h.mean(axis=1) for h in halves]).var(axis=0, ddof=1)
     out = np.ones(dim)
     alive = within > 0.0
@@ -331,32 +331,13 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
     return out
 
 
-def column_var(draws: np.ndarray) -> np.ndarray:
-    """`draws.var(axis=0, ddof=1)` of a C-ordered (N, dim) array, bit for
-    bit, in MOMENT_CHUNK_ROWS row chunks and no (N, dim) temporary: each
-    chunk's axis-0 reduce starts from the running sum, so rows are added in
-    numpy's order.  numpy sums one column pairwise, so that takes np.var."""
-    if draws.shape[1] == 1:
-        return draws.var(axis=0, ddof=1)
-
-    def total(chunks):
-        acc = next(chunks).sum(axis=0)
-        for chunk in chunks:
-            acc = np.vstack((acc, chunk)).sum(axis=0)
-        return acc
-
-    starts = range(0, len(draws), MOMENT_CHUNK_ROWS)
-    mean = total(draws[lo:lo + MOMENT_CHUNK_ROWS] for lo in starts) / len(draws)
-    return total((draws[lo:lo + MOMENT_CHUNK_ROWS] - mean) ** 2 for lo in starts) / (len(draws) - 1)
-
-
 def chain_moments(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate mean and sd (ddof 1) of N >= 2 draws (N, dim), in two
-    passes of MOMENT_CHUNK_ROWS rows, so no chain-sized temporary is made."""
+    """Per-coordinate mean and variance (ddof 1) of N >= 2 draws (N, dim) in
+    two passes of MOMENT_CHUNK_ROWS rows, so no chain-sized temporary is made."""
     chunks = [draws[lo:lo + MOMENT_CHUNK_ROWS] for lo in range(0, len(draws), MOMENT_CHUNK_ROWS)]
     mean = sum(chunk.sum(axis=0) for chunk in chunks) / len(draws)
     squares = sum(((chunk - mean) ** 2).sum(axis=0) for chunk in chunks)
-    return mean, np.sqrt(squares / (len(draws) - 1))
+    return mean, squares / (len(draws) - 1)
 
 
 def chain_diagnostics(result_or_draws, threshold: float = 1.05) -> ChainDiagnostics:

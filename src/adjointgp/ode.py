@@ -97,7 +97,8 @@ class OdeSystem:
     def forward(self, forcing: Field) -> Field:
         """Solve the forced system from rest; values reported at cell centers."""
         self._check_step("forward")
-        return Field(self._grid, self._march([forcing])[0][0])
+        spans = time_spans([forcing], self._grid)
+        return Field(self._grid, self._march([forcing], spans)[0][0])
 
     def adjoint_march(self, functionals) -> AdjointBank:
         """Solve the adjoint system backward from rest at t = T for the base
@@ -105,9 +106,10 @@ class OdeSystem:
         to the first; a time-shifted copy's row is its base's shifted."""
         self._check_step("adjoint")
         functionals = tuple(functionals)
-        base, shift = shift_groups(functionals, time_spans(functionals, self._grid))
+        spans = time_spans(functionals, self._grid)
+        base, shift = shift_groups(functionals, spans)
         bases = np.flatnonzero(base == np.arange(len(base)))
-        rows, counts = self._march([functionals[i] for i in bases], bases)
+        rows, counts = self._march([functionals[i] for i in bases], spans[bases], bases)
         return AdjointBank(rows, self._grid, counts=counts, groups=(base, shift))
 
     def _check_step(self, label: str) -> None:
@@ -118,7 +120,7 @@ class OdeSystem:
                           f"{limit:.3e}; the {label} solve may diverge",
                           StabilityWarning, stacklevel=3)
 
-    def _march(self, functionals, order=None):
+    def _march(self, functionals, spans, order=None):
         """Explicit Euler on (u, u'), forcing at cell centers, from the last
         cell when `order`, the caller's index of each row, makes it an
         adjoint march (in reversed time); returns the (n, cells)
@@ -127,9 +129,9 @@ class OdeSystem:
         overhead) from its first non-zero cell in march order, and the
         cells before it stay +0.0, as do all-zero rows, which are not
         marched.  A non-finite output raises SolverError naming the first
-        bad step and right-hand side."""
+        bad step and right-hand side.  `spans` are the rows' time_spans."""
         reverse = order is not None
-        rows, spans = bank_rows(functionals, self._grid), time_spans(functionals, self._grid)
+        rows = bank_rows(functionals, self._grid)
         dt, p0, p1, p2 = self._grid.spacing[0], self.params.p0, self.params.p1, self.params.p2
         cells = rows.shape[1]
         # rows and their first non-zero cells in march order

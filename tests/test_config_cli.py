@@ -194,6 +194,17 @@ def test_bare_mcmc_header_pulls_defaults():
     assert parse_config(ODE_TEXT + "\n[mcmc]\nsteps = 4\n")["mcmc"]["burn_in"] == 0
 
 
+@pytest.mark.parametrize("steps, burn_in", [(20000, 4000), (5000, 4000), (4000, 800), (3, None)])
+def test_missing_burn_in_takes_the_one_filled_default(steps, burn_in):
+    # the default 4000 below steps, else steps // 5; steps 3 keeps too few draws
+    text = ODE_TEXT + f"\n[mcmc]\nsteps = {steps}\n"
+    if burn_in is None:
+        with pytest.raises(ConfigError, match="at least 4 draws"):
+            parse_config(text)
+    else:
+        assert parse_config(text)["mcmc"]["burn_in"] == burn_in
+
+
 @pytest.mark.parametrize("text,needle", [
     ("[nosuch]\nx = 1\n", "unknown section"),
     (ODE_TEXT.replace("sigma = 0.05", "sigma = 0.05\nwobble = 1"), "unknown key"),

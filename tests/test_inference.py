@@ -40,6 +40,7 @@ from adjointgp import (
 )
 from adjointgp.config import parse_config
 from adjointgp.experiments import build_heldout, build_windows, make_grid, make_kernel, make_system
+from adjointgp.features import _JOIN_BYTES
 from adjointgp.shift import ShiftParams, ShiftSystem
 from oracles import forward_predictive_readings, kernel_approx, random_smooth_field
 
@@ -404,6 +405,41 @@ def test_projection_and_push_back_hold_no_full_feature_matrix():
     finally:
         tracemalloc.stop()
     assert peak < basis.size * grid.num_cells * 8 / 4
+
+
+def test_posterior_fields_over_uneven_table_blocks_match_the_dense_basis():
+    # 10 rows of y at 4 per block: two full blocks and a short one, each
+    # read against every outer row
+    grid = Grid.regular(((0.0, 2.0), (0.0, 3.0), (-1.0, 1.0)), (6, 10, 30))
+    basis = FeatureBasis.sample(1000, 3, KERNEL, seed=21)
+    rows = _JOIN_BYTES // (16 * basis.size * grid.dims[2])
+    assert rows == 4 and grid.dims[1] % rows == 2
+    rng = np.random.default_rng(23)
+    post = posterior_q(rng.standard_normal((20, basis.size)), rng.standard_normal(20), 0.5)
+    dense = eval_basis(basis, grid)
+    mean, var = posterior_forcing(post, basis, grid)
+    spread = post.root.T @ dense
+    for actual, reference in ((mean, post.mean @ dense),
+                              (var, np.einsum("ij,ij->j", spread, spread))):
+        np.testing.assert_allclose(actual.values_flat, reference, rtol=1e-12,
+                                   atol=1e-12 * np.abs(reference).max())
+
+
+def test_posterior_fields_hold_one_table_block_at_a_thousand_features():
+    # 1000 features on the pde-infer grid: the whole cos b and sin b tables
+    # and two feature buffers as tall would take 28.8 MB beside the 8 MB
+    # covariance root; blocks of 2 MiB keep the peak under 20 MiB
+    grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (50, 30, 30))
+    basis = FeatureBasis.sample(1000, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=13)
+    rng = np.random.default_rng(14)
+    post = posterior_q(rng.standard_normal((10, basis.size)), rng.standard_normal(10), 0.5)
+    tracemalloc.start()
+    try:
+        posterior_forcing(post, basis, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_phi_grid_assertion():

@@ -22,7 +22,6 @@ from adjointgp.mcmc import (
     MOMENT_CHUNK_ROWS,
     _draw_indices,
     chain_moments,
-    column_var,
 )
 from oracles import chain_to_csv_every_value, filled_trace_text, read_trace, rw_mh_full_target
 
@@ -239,34 +238,24 @@ def test_split_rhat_multichain_shape():
 
 
 def test_chain_moments_match_numpy_without_copying_the_chain():
-    # a 16000 x 100 chain, the kept draws of the ode-bundle mcmc: the mean
-    # and sd agree with numpy's to rounding, and the peak stays well under
-    # the 12.8 MB that one chain-sized temporary would take
-    draws = np.random.default_rng(7).standard_normal((16000, 100)) * 3.0 + 1.5
-    tracemalloc.start()
-    try:
-        mean, sd = chain_moments(draws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < draws.nbytes / 4
-    np.testing.assert_allclose(mean, draws.mean(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(sd, draws.std(axis=0, ddof=1), rtol=1e-12)
-
-
-def test_column_var_equals_numpy_bit_for_bit_without_copying_the_chain():
     # chain lengths below, at and off a multiple of the chunk, one column
-    # (which numpy sums pairwise) included
+    # (which numpy sums pairwise) included: the mean and variance agree with
+    # numpy's to rounding
     rng = np.random.default_rng(12)
     c = MOMENT_CHUNK_ROWS
     for n in (4, c - 1, c, c + 1, 3 * c, 5 * c + 17, 16000):
         for dim in (1, 2, 7, 100):
             draws = rng.standard_normal((n, dim)) * 3.0 + rng.standard_normal(dim) * 1e3
-            assert np.array_equal(column_var(draws), draws.var(axis=0, ddof=1)), (n, dim)
+            mean, var = chain_moments(draws)
+            np.testing.assert_allclose(mean, draws.mean(axis=0), rtol=1e-12, err_msg=(n, dim))
+            np.testing.assert_allclose(var, draws.var(axis=0, ddof=1), rtol=1e-12,
+                                       err_msg=(n, dim))
+    # a 16000 x 100 chain, the kept draws of the ode-bundle mcmc: the peak
+    # stays well under the 12.8 MB that one chain-sized temporary would take
     draws = rng.standard_normal((16000, 100))
     tracemalloc.start()
     try:
-        column_var(draws)
+        chain_moments(draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
