@@ -4,7 +4,9 @@ The format is deliberately small: full-line ``#`` comments, ``[section]``
 headers, and ``key = value`` pairs.  Parsing is strict: unknown sections,
 unknown keys, duplicates, type errors, and missing required keys all raise
 ConfigError naming the offending field.  Which keys are required depends on
-the system kind (ode, pde, shift) and the sensor rule.
+the system kind (ode, pde, shift) and the sensor rule.  Each sign bound is
+stated once, in `_SIGNS`, and checked before the rules that compare values
+or take their roots; every grid axis needs at least 2 cells, as in `Grid`.
 
 `canonical_text` re-emits a parsed configuration with defaults filled in,
 sections and keys in a fixed order, and floats in shortest round-trip form,
@@ -14,6 +16,7 @@ so `config_hash` is stable across cosmetic rewrites of the same experiment.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -25,7 +28,8 @@ SENSOR_RULES = ("tile", "span", "list", "grid")
 METHODS = ("bayes", "ml", "both")
 SYNTH_MODES = ("forward", "linear")
 
-# value kinds: int, float, str, int_list, float_list
+# value kinds: int, float, str, int_list, float_list; a list entry parses as
+# its scalar kind.  Sections are listed in canonical_text's order.
 _SECTIONS = {
     "system": {
         "kind": "str",
@@ -91,9 +95,22 @@ _DEFAULTS = {
     ("scan", "samples"): 100,  # ignored, kept for the same reason
 }
 
-# emission order for canonical text
-_SECTION_ORDER = ("system", "grid", "kernel", "features", "sensors", "noise",
-                  "seeds", "inference", "mcmc", "sweep", "scan")
+# a scalar kind's parser and its name, one and many, in error messages
+_NUMBERS = {"int": (int, "an integer", "integers"), "float": (float, "a number", "numbers")}
+
+# keys that, when present, must be positive (True) or nonnegative (False)
+_SIGNS = {
+    ("system", "T"): True, ("system", "diffusivity"): True,
+    ("kernel", "lengthscale"): True, ("kernel", "variance"): True,
+    ("features", "count"): True, ("features", "truth_count"): True,
+    ("sensors", "count"): True, ("sensors", "time_windows"): True,
+    ("sensors", "size"): False, ("sensors", "heldout_count"): False,
+    ("noise", "sigma"): False,
+    ("inference", "samples"): True, ("inference", "ridge"): False,
+    ("mcmc", "steps"): True, ("mcmc", "batch_size"): True, ("mcmc", "proposal_scale"): False,
+    ("sweep", "replicates"): True,
+    ("scan", "samples"): True,
+}
 
 
 @dataclass(frozen=True)
@@ -118,35 +135,19 @@ class Config:
 
 def _coerce(section: str, key: str, raw: str):
     kind = _SECTIONS[section][key]
+    if kind == "str":
+        return raw
+    listed = kind.endswith("_list")
+    parse, one, many = _NUMBERS[kind.removesuffix("_list")]
     where = f"'{key}' in [{section}]"
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"value for {where} must be an integer (got {raw!r})") from None
-    if kind == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"value for {where} must be a number (got {raw!r})") from None
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ConfigError(f"value for {where} must be finite (got {raw!r})")
-        return value
-    if kind == "int_list":
-        try:
-            return tuple(int(part) for part in raw.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"value for {where} must be comma-separated integers (got {raw!r})"
-            ) from None
-    if kind == "float_list":
-        try:
-            return tuple(float(part) for part in raw.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"value for {where} must be comma-separated numbers (got {raw!r})"
-            ) from None
-    return raw
+    try:
+        value = tuple(map(parse, raw.split(","))) if listed else parse(raw)
+    except ValueError:
+        want = f"comma-separated {many}" if listed else one
+        raise ConfigError(f"value for {where} must be {want} (got {raw!r})") from None
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"value for {where} must be finite (got {raw!r})")
+    return value
 
 
 def _parse_lines(text: str) -> dict:
@@ -196,154 +197,120 @@ def _forbid(sections: dict, section: str, key: str, why: str):
         raise ConfigError(f"key '{key}' in [{section}] {why}")
 
 
-def _positive(value, section, key, strict=True):
-    ok = value > 0 if strict else value >= 0
-    if not ok:
+def _positive(sections: dict, section: str, key: str, strict: bool = True) -> None:
+    """Refuse `key` in `section` unless it is positive (nonnegative when not
+    `strict`); an absent key passes."""
+    value = sections.get(section, {}).get(key)
+    if value is not None and not (value > 0 if strict else value >= 0):
         bound = "positive" if strict else "nonnegative"
         raise ConfigError(f"'{key}' in [{section}] must be {bound} (got {value})")
+
+
+def _one_of(value, allowed: tuple, section: str, key: str):
+    if value not in allowed:
+        raise ConfigError(f"'{key}' in [{section}] must be one of {allowed} (got {value!r})")
     return value
 
 
 def _validate(sections: dict) -> dict:
-    kind = _require(sections, "system", "kind")
-    if kind not in KINDS:
-        raise ConfigError(f"'kind' in [system] must be one of {KINDS} (got {kind!r})")
+    # signs first: the rules below compare, take roots of and divide these values
+    for (section, key), strict in _SIGNS.items():
+        _positive(sections, section, key, strict)
 
+    kind = _one_of(_require(sections, "system", "kind"), KINDS, "system", "kind")
     allowed_system = set(_KIND_SYSTEM_KEYS[kind]) | {"kind"}
     for key in sections["system"]:
         if key not in allowed_system:
             raise ConfigError(f"key '{key}' in [system] does not apply to kind '{kind}'")
     for key in _KIND_SYSTEM_KEYS[kind]:
         _require(sections, "system", key, f"for kind '{kind}'")
-    _positive(sections["system"]["T"], "system", "T")
+    system = sections["system"]
     if kind == "pde":
-        _positive(sections["system"]["diffusivity"], "system", "diffusivity")
         for lo_key, hi_key in (("x_min", "x_max"), ("y_min", "y_max")):
-            if sections["system"][lo_key] >= sections["system"][hi_key]:
-                raise ConfigError(
-                    f"'{lo_key}' must be below '{hi_key}' in [system]"
-                )
-    if kind == "ode" and sections["system"]["p2"] == 0.0:
+            if system[lo_key] >= system[hi_key]:
+                raise ConfigError(f"'{lo_key}' must be below '{hi_key}' in [system]")
+    if kind == "ode" and system["p2"] == 0.0:
         raise ConfigError("'p2' in [system] must be nonzero for kind 'ode'")
-    if kind == "shift" and abs(sections["system"]["a"]) >= sections["system"]["T"]:
+    if kind == "shift" and abs(system["a"]) >= system["T"]:
         raise ConfigError("'a' in [system] must satisfy |a| < T")
 
+    cell_keys = ("cells_t", "cells_y", "cells_x")
     if kind == "pde":
         _forbid(sections, "grid", "cells", "applies only to one-dimensional kinds")
-        for key in ("cells_t", "cells_y", "cells_x"):
-            _positive(_require(sections, "grid", key, "for kind 'pde'"), "grid", key)
     else:
-        for key in ("cells_t", "cells_y", "cells_x"):
+        for key in cell_keys:
             _forbid(sections, "grid", key, "applies only to kind 'pde'")
-        _positive(_require(sections, "grid", "cells"), "grid", "cells")
+        cell_keys = ("cells",)
+    for key in cell_keys:
+        cells = _require(sections, "grid", key, f"for kind '{kind}'")
+        if cells < 2:  # the bound `Grid` puts on every axis
+            raise ConfigError(f"'{key}' in [grid] must be at least 2: every grid axis "
+                              f"needs 2 cells (got {cells})")
 
     _forbid(sections, "kernel", "lengthscale_per_axis",
             "is reserved and not implemented; use a single 'lengthscale'")
-    _positive(_require(sections, "kernel", "lengthscale"), "kernel", "lengthscale")
-    _positive(_require(sections, "kernel", "variance"), "kernel", "variance")
+    _require(sections, "kernel", "lengthscale")
+    _require(sections, "kernel", "variance")
+    _require(sections, "features", "count")
 
-    _positive(_require(sections, "features", "count"), "features", "count")
-    if "truth_count" in sections.get("features", {}):
-        _positive(sections["features"]["truth_count"], "features", "truth_count")
-
-    rule = _require(sections, "sensors", "rule")
-    if rule not in SENSOR_RULES:
-        raise ConfigError(f"'rule' in [sensors] must be one of {SENSOR_RULES} (got {rule!r})")
+    rule = _one_of(_require(sections, "sensors", "rule"), SENSOR_RULES, "sensors", "rule")
+    sensors = sections["sensors"]
     if rule == "list":
-        times = _require(sections, "sensors", "times", "for rule 'list'")
-        if len(times) == 0:
-            raise ConfigError("'times' in [sensors] must not be empty")
+        _require(sections, "sensors", "times", "for rule 'list'")
         _forbid(sections, "sensors", "count", "conflicts with rule 'list'")
-        if sections["sensors"].get("heldout_count", 0) != 0:
+        if sensors.get("heldout_count", 0) != 0:
             raise ConfigError(
                 "'heldout_count' in [sensors] requires rule 'tile', 'span', or 'grid'"
             )
         if kind == "pde":
             raise ConfigError("rule 'list' applies only to one-dimensional kinds")
     else:
-        _positive(_require(sections, "sensors", "count", f"for rule '{rule}'"),
-                  "sensors", "count")
+        _require(sections, "sensors", "count", f"for rule '{rule}'")
         _forbid(sections, "sensors", "times", f"conflicts with rule '{rule}'")
     if rule == "grid":
         if kind != "pde":
             raise ConfigError("rule 'grid' applies only to kind 'pde'")
         for key in ("count", "heldout_count"):
-            value = sections["sensors"].get(key, 0)
-            root = int(round(value ** 0.5))
-            if value and root * root != value:
+            value = sensors.get(key, 0)
+            if math.isqrt(value) ** 2 != value:
                 raise ConfigError(f"'{key}' in [sensors] must be a perfect square for rule 'grid'")
     elif kind == "pde":
         raise ConfigError("kind 'pde' requires sensor rule 'grid'")
-    if "time_windows" in sections.get("sensors", {}):
-        _positive(sections["sensors"]["time_windows"], "sensors", "time_windows")
-    if "size" in sections.get("sensors", {}):
-        _positive(sections["sensors"]["size"], "sensors", "size", strict=False)
-    if "heldout_count" in sections.get("sensors", {}):
-        _positive(sections["sensors"]["heldout_count"], "sensors", "heldout_count",
-                  strict=False)
-    hi_default = sections["system"]["T"]
-    t_start = sections.get("sensors", {}).get("t_start", 0.0)
-    t_end = sections.get("sensors", {}).get("t_end", hi_default)
-    if not 0.0 <= t_start < t_end <= hi_default:
+    t_start = sensors.setdefault("t_start", 0.0)
+    t_end = sensors.setdefault("t_end", system["T"])
+    if not 0.0 <= t_start < t_end <= system["T"]:
         raise ConfigError(
             "'t_start' and 't_end' in [sensors] must satisfy 0 <= t_start < t_end <= T"
         )
-    sections.setdefault("sensors", {})
-    sections["sensors"].setdefault("t_start", t_start)
-    sections["sensors"].setdefault("t_end", t_end)
 
-    sigma = _require(sections, "noise", "sigma")
-    _positive(sigma, "noise", "sigma", strict=False)
-
-    method = sections.get("inference", {}).get("method", _DEFAULTS[("inference", "method")])
-    if method not in METHODS:
-        raise ConfigError(f"'method' in [inference] must be one of {METHODS} (got {method!r})")
-    synth = sections.get("inference", {}).get("synth", _DEFAULTS[("inference", "synth")])
-    if synth not in SYNTH_MODES:
-        raise ConfigError(f"'synth' in [inference] must be one of {SYNTH_MODES} (got {synth!r})")
-    if sections.get("inference", {}).get("ridge", 0.0) < 0:
-        raise ConfigError("'ridge' in [inference] must be nonnegative")
-    if sections.get("inference", {}).get("samples", 100) < 1:
-        raise ConfigError("'samples' in [inference] must be positive")
+    _require(sections, "noise", "sigma")
+    inference = sections.get("inference", {})
+    for key, allowed in (("method", METHODS), ("synth", SYNTH_MODES)):
+        _one_of(inference.get(key, _DEFAULTS[("inference", key)]), allowed, "inference", key)
 
     if "mcmc" in sections:
-        mc = sections["mcmc"]
-        steps = mc.get("steps", _DEFAULTS[("mcmc", "steps")])
-        _positive(steps, "mcmc", "steps")
-        if not 0 <= mc.get("burn_in", 0) < steps:  # a missing one is filled below
+        steps = sections["mcmc"].get("steps", _DEFAULTS[("mcmc", "steps")])
+        if not 0 <= sections["mcmc"].get("burn_in", 0) < steps:  # a missing one is filled below
             raise ConfigError("'burn_in' in [mcmc] must lie in [0, steps)")
-        if "batch_size" in mc:
-            _positive(mc["batch_size"], "mcmc", "batch_size")
-        if mc.get("proposal_scale", 0.0) < 0:
-            raise ConfigError("'proposal_scale' in [mcmc] must be nonnegative")
 
     if "sweep" in sections:
         for key in ("sensors", "features", "replicates"):
             _require(sections, "sweep", key, "for a sweep run")
         for key in ("sensors", "features"):
-            values = sections["sweep"][key]
-            if len(values) == 0 or any(v < 1 for v in values):
+            if min(sections["sweep"][key]) < 1:
                 raise ConfigError(f"'{key}' in [sweep] must be positive integers")
-            if kind == "pde" and key == "sensors":
-                for v in values:
-                    root = int(round(v ** 0.5))
-                    if root * root != v:
-                        raise ConfigError(
-                            "'sensors' in [sweep] must be perfect squares for kind 'pde'"
-                        )
-        _positive(sections["sweep"]["replicates"], "sweep", "replicates")
+        if kind == "pde" and any(math.isqrt(v) ** 2 != v for v in sections["sweep"]["sensors"]):
+            raise ConfigError("'sensors' in [sweep] must be perfect squares for kind 'pde'")
 
     if "scan" in sections:
         for key in ("lengthscale", "variance"):
             triple = _require(sections, "scan", key, "for a hyperparameter scan")
-            if len(triple) != 3 or triple[0] <= 0 or triple[1] < triple[0] or not (
+            if len(triple) != 3 or not 0 < triple[0] <= triple[1] < math.inf or not (
                     triple[2] >= 1 and triple[2] % 1 == 0):
                 raise ConfigError(f"'{key}' in [scan] must be 'lo,hi,steps' with "
                                   "0 < lo <= hi and steps a whole number >= 1")
             if triple[0] == triple[1] and triple[2] > 1:
                 raise ConfigError(f"'{key}' in [scan] has lo == hi, so steps must be 1")
-        if sections["scan"].get("samples", 100) < 1:
-            raise ConfigError("'samples' in [scan] must be positive")
 
     # fill remaining defaults
     filled = {name: dict(body) for name, body in sections.items()}
@@ -388,12 +355,12 @@ def _format_value(value) -> str:
 def canonical_text(config: Config) -> str:
     """Fixed-order rendering of the validated configuration."""
     lines = []
-    for section in _SECTION_ORDER:
+    for section, keys in _SECTIONS.items():
         if section not in config.data:
             continue
         body = config.data[section]
         lines.append(f"[{section}]")
-        for key in _SECTIONS[section]:
+        for key in keys:
             if key in body:
                 lines.append(f"{key} = {_format_value(body[key])}")
         lines.append("")

@@ -5,8 +5,10 @@ the three seeds in the [seeds] config section through `derive_seed`, which
 mixes integers and context strings through numpy's SeedSequence, so rerunning
 any command with the same config reproduces every byte of its output.  Data
 bundles are directories with a canonical config, truth fields in the binary
-field format, readings as CSV, and a manifest of content hashes; loading a
-bundle re-verifies the hashes.
+field format, readings as CSV, and a manifest of content hashes (and the
+config's seeds); loading a bundle re-verifies the hashes.  Every CSV row is
+Python scalars joined by one formatter, so a float is written as its repr,
+the shortest text that reads back to the same bits.
 
 Observation synthesis has two modes.  `synth = forward` (the default) draws
 the truth forcing from a dense feature basis, runs the forward solver, and
@@ -295,7 +297,6 @@ class SimulatedData:
     truth_solution: Field | None
     truth_weights: np.ndarray | None
     qstar: np.ndarray | None
-    seeds: dict
 
     @property
     def sigma(self) -> float:
@@ -321,7 +322,7 @@ def _read_windows(windows, solution: Field) -> np.ndarray:
 
 def simulate_data(config: Config) -> SimulatedData:
     grid, system, kernel, windows, specs, heldout_windows, heldout_specs = _setup(config)
-    seeds = dict(config["seeds"])
+    seeds = config["seeds"]
     sigma = config["noise"]["sigma"]
 
     if config["inference"]["synth"] == "linear":
@@ -360,7 +361,7 @@ def simulate_data(config: Config) -> SimulatedData:
         heldout_windows=heldout_windows, heldout_specs=heldout_specs,
         heldout_z=heldout_z,
         truth_forcing=truth_forcing, truth_solution=truth_solution,
-        truth_weights=truth_weights, qstar=qstar, seeds=seeds,
+        truth_weights=truth_weights, qstar=qstar,
     )
 
 
@@ -372,21 +373,13 @@ def _axis_names(ndim: int):
     return ("t",) if ndim == 1 else ("t", "y", "x")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        # numpy scalars subclass float but repr as np.float64(...); coerce
-        return repr(float(value))
-    return str(value)
-
-
 def _csv_line(row) -> str:
-    return ",".join(_fmt(v) for v in row) + "\n"
+    """One CSV line of Python scalars (`str` of a float is its repr)."""
+    return ",".join(map(str, row)) + "\n"
 
 
 def _write_csv(path: Path, header, rows) -> str:
-    lines = ((",".join(map(repr, row)) + "\n" for row in rows.tolist())  # floats: no checks
-             if isinstance(rows, np.ndarray) else map(_csv_line, rows))
-    return write_hashed(path, [_csv_line(header), *lines])
+    return write_hashed(path, [_csv_line(header), *map(_csv_line, rows)])
 
 
 def _readings_rows(specs, z):
@@ -438,7 +431,7 @@ def save_bundle(data: SimulatedData, out_dir) -> Path:
         out, files,
         kind=data.config.kind,
         config_sha256=config_hash(data.config),
-        seeds=data.seeds,
+        seeds=data.config["seeds"],
         synth=data.config["inference"]["synth"],
         qstar=None if data.qstar is None else data.qstar.tolist(),
         truth_weights=None if data.truth_weights is None else data.truth_weights.tolist(),
@@ -506,7 +499,6 @@ def load_bundle(bundle_dir) -> SimulatedData:
         truth_forcing=truth_forcing, truth_solution=truth_solution,
         truth_weights=None if truth_weights is None else np.array(truth_weights),
         qstar=None if qstar is None else np.array(qstar),
-        seeds=dict(config["seeds"]),
     )
 
 
@@ -625,7 +617,7 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir,
     files = {
         "weights.csv": _write_csv(out / "weights.csv", header, _weights_rows(outcome)),
         "phi.csv": _write_csv(out / "phi.csv", [f"m{j}" for j in range(outcome.phi.shape[1])],
-                              outcome.phi),
+                              outcome.phi.tolist()),
         "posterior.json": write_hashed(out / "posterior.json", [posterior, "\n"]),
         "forcing_mean.fld": field_to_binary(outcome.forcing_mean, out / "forcing_mean.fld"),
         "forcing_var.fld": field_to_binary(outcome.forcing_var, out / "forcing_var.fld"),
@@ -635,10 +627,11 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir,
         files["forcing_ml.fld"] = field_to_binary(outcome.ml_forcing, out / "forcing_ml.fld")
     if slice_t is not None:
         name, k = f"slice_t{slice_t:g}.csv", _slice_index(data.grid, slice_t)
-        ys, xs = data.grid.axis_centers(1), data.grid.axis_centers(2)
+        ys, xs = data.grid.axis_centers(1).tolist(), data.grid.axis_centers(2).tolist()
         files[name] = _write_csv(out / name, ["iy", "ix", "y", "x", "value"], (
             [iy, ix, ys[iy], xs[ix], v]
-            for (iy, ix), v in np.ndenumerate(outcome.forcing_mean.values[k])))
+            for iy, row in enumerate(outcome.forcing_mean.values[k].tolist())
+            for ix, v in enumerate(row)))
     # timings.json and numerics.json stay out of the manifest: they are
     # diagnostics of the run (wall clocks differ run to run), and the
     # manifest hashes only the results a rerun must reproduce.

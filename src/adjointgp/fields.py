@@ -416,7 +416,7 @@ def dirac_window(grid: Grid, point) -> Window:
     for k in range(grid.ndim):
         o, s, d = grid.origin[k], grid.spacing[k], grid.dims[k]
         top = o + d * s
-        if point[k] < o or point[k] > top:
+        if not o <= point[k] <= top:  # NaN too
             raise DomainError(f"point coordinate {point[k]} outside axis {k}")
         # the closed upper edge belongs to the last cell
         i = min(int(np.floor((point[k] - o) / s)), d - 1)

@@ -148,10 +148,9 @@ class PosteriorQ:
 
 def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor and the jitter added to the diagonal, retrying
-    with jitter scaled to the matrix before giving up."""
+    with jitter scaled to the matrix before giving up.  The matrix is a
+    posterior precision Phi'Phi / sigma^2 + I, so its diagonal is at least 1."""
     scale = float(np.abs(np.diag(mat)).max())
-    if scale == 0.0:
-        scale = 1.0
     eye = np.eye(mat.shape[0])
     for jitter in (0.0, 1e-10, 1e-8, 1e-6):
         try:

@@ -13,7 +13,8 @@ Proposals perturb a random batch of coordinates (default batch of at most 5)
 with isotropic Gaussian noise, the random-walk Metropolis of Metropolis et al.
 (1953); the scale is tuned by a doubling/backoff loop to land in the 25-40%
 acceptance band (around the 0.234 of Roberts, Gelman & Gilks 1997) before
-the main run.
+the main run, over at most TUNE_MAX_ROUNDS probe chains of TUNE_PROBE_STEPS
+steps each.
 
 The proposals are drawn a block of steps at a time: each step's coordinate
 set by Floyd's algorithm over `rng.integers`, the increments d, the
@@ -28,6 +29,7 @@ row that moved.
 Diagnostics: effective sample size via the batch-means estimator and
 split-chain R-hat (two halves of each chain treated as separate chains);
 both, like the chain summary, read the chunked moments of `chain_moments`.
+A chain converged when every R-hat is at most RHAT_MAX.
 The trace CSV writes a value only where its bits differ from the row above,
 so a rejected step is a line of commas; a reader fills the blanks forward.
 """
@@ -59,6 +61,9 @@ __all__ = [
 
 ACCEPT_LO = 0.25
 ACCEPT_HI = 0.40
+RHAT_MAX = 1.05  # a chain converged when every split R-hat is at most this
+TUNE_PROBE_STEPS = 400  # steps of each probe chain of the scale search
+TUNE_MAX_ROUNDS = 40  # probe chains before the search settles for its best scale
 BLOCK_STEPS = 4096  # steps whose proposals are drawn together
 CSV_CHUNK_ROWS = 256  # trace rows formatted and written together
 MOMENT_CHUNK_ROWS = 1024  # draws read together for the chain mean and variance
@@ -247,26 +252,24 @@ def rw_mh(target: GaussianTarget, start, config: ChainConfig) -> ChainResult:
 
 
 def tune_proposal_scale(target: GaussianTarget, start, *, seed: int = 0,
-                        probe_steps: int = 400, max_rounds: int = 40,
                         batch_size: int | None = None) -> float:
     """Multiplicative search for a proposal scale in the acceptance band.
 
-    Runs short probe chains, growing the scale by 1.6x when acceptance is
-    above the band and shrinking by 0.6x when below.  Returns the first
-    scale landing inside [0.25, 0.40]; after `max_rounds` the best scale
-    seen (closest to the band midpoint) is returned.
+    Runs probe chains of TUNE_PROBE_STEPS steps, growing the scale by 1.6x
+    when acceptance is above the band and shrinking by 0.6x when below.
+    Returns the first scale landing inside [ACCEPT_LO, ACCEPT_HI]; after
+    TUNE_MAX_ROUNDS probes the best scale seen (closest to the band
+    midpoint) is returned.  A probe is too short for `rw_mh`'s check of the
+    first 1000 steps, so a probe that accepts nothing reads rate 0.
     """
     start = np.asarray(start, dtype=float).reshape(-1)
     batch = batch_size if batch_size is not None else _default_batch(start.size)
     scale = 2.4 / math.sqrt(batch)
     best = (math.inf, scale)
-    for round_idx in range(max_rounds):
-        cfg = ChainConfig(steps=probe_steps, proposal_scale=scale,
+    for round_idx in range(TUNE_MAX_ROUNDS):
+        cfg = ChainConfig(steps=TUNE_PROBE_STEPS, proposal_scale=scale,
                           seed=seed + round_idx, batch_size=batch)
-        try:
-            rate = rw_mh(target, start, cfg).acceptance_rate
-        except NumericalError:
-            rate = 0.0
+        rate = rw_mh(target, start, cfg).acceptance_rate
         if ACCEPT_LO <= rate <= ACCEPT_HI:
             return scale
         gap = abs(rate - 0.5 * (ACCEPT_LO + ACCEPT_HI))
@@ -340,15 +343,16 @@ def chain_moments(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, squares / (len(draws) - 1)
 
 
-def chain_diagnostics(result_or_draws, threshold: float = 1.05) -> ChainDiagnostics:
-    """ESS, split R-hat, and a convergence verdict for post burn-in draws."""
+def chain_diagnostics(result_or_draws) -> ChainDiagnostics:
+    """ESS, split R-hat, and a convergence verdict for post burn-in draws:
+    converged when every R-hat is at most RHAT_MAX and no coordinate is stuck."""
     if isinstance(result_or_draws, ChainResult):
         draws = result_or_draws.kept
     else:
         draws = np.asarray(result_or_draws, dtype=float)
     ess, degenerate = batch_means_ess(draws)
     rhat = split_rhat(draws)
-    converged = bool(np.all(rhat <= threshold)) and not bool(degenerate.any())
+    converged = bool(np.all(rhat <= RHAT_MAX)) and not bool(degenerate.any())
     return ChainDiagnostics(ess, rhat, degenerate, converged)
 
 

@@ -37,6 +37,13 @@ time, where the bank finds every row's last non-zero time cell at once.
 `dense_field` renders an observation window as the whole-grid field it
 stands for, the form the package never builds; every oracle that needs a
 window's cell values reads them from there.
+
+`exact_gram` is the untruncated discrete GP behind the feature expansion:
+on a tensor grid the exponentiated-quadratic kernel is a Kronecker product
+of per-axis Gaussian matrices, so the Gram of the adjoint rows follows from
+the bank with one small matmul per axis and no feature at all.
+`gp_predictive_var` reads the held-out predictive variance off any Gram by
+the function-space formula, where the package works in weight space.
 """
 
 import numpy as np
@@ -332,3 +339,28 @@ def assert_live_is_tight(bank) -> None:
         assert 0 <= live <= len(row)
         assert not row[live:].any()
         assert live == 0 or row[live - 1].any()
+
+
+def exact_gram(bank, kernel: KernelParams) -> np.ndarray:
+    """(n, n) Gram dV^2 V K V^T of the bank's rows V under the exact kernel
+    K on the grid's cell centers, K applied axis by axis: K = s^2 K_0 x K_1
+    x ..., K_a[i, j] = exp(-(x_i - x_j)^2 / (2 l^2)) over axis a's centers.
+    The feature route's Phi Phi^T tends to it as the feature count grows."""
+    grid = bank.grid
+    rows = bank.rows
+    kv = rows.reshape(len(rows), *grid.dims)
+    for axis in range(grid.ndim):
+        x = grid.axis_centers(axis)
+        k_axis = np.exp(-(x[:, None] - x[None, :]) ** 2 / (2.0 * kernel.lengthscale**2))
+        kv = np.moveaxis(np.tensordot(kv, k_axis, axes=([axis + 1], [0])), -1, axis + 1)
+    kv = kv.reshape(len(rows), -1)
+    return grid.cell_volume**2 * kernel.variance * (rows @ kv.T)
+
+
+def gp_predictive_var(gram: np.ndarray, n: int, sigma: float) -> np.ndarray:
+    """Noise-free predictive variance of readings n, n + 1, ... given
+    readings 0 .. n - 1 observed with noise sd `sigma`, from the noise-free
+    Gram of all of them: diag(G_hh - G_ht (G_tt + sigma^2 I)^-1 G_th)."""
+    cross = gram[n:, :n]
+    solved = np.linalg.solve(gram[:n, :n] + sigma**2 * np.eye(n), cross.T)
+    return np.diag(gram[n:, n:]) - np.einsum("ij,ji->i", cross, solved)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ from adjointgp import (
     PIPELINE_STAGES,
     AdjointBank,
     ConfigError,
+    DomainError,
     FeatureBasis,
+    GridMismatchError,
     KernelParams,
     OdeSystem,
     PdeSystem,
@@ -360,15 +363,18 @@ def _simulate(tmp_path, text, name="exp"):
 
 
 def test_array_rows_are_written_as_the_per_value_formatter_writes_them(tmp_path):
-    # phi.csv's fast path: repr over tolist, byte for byte what _fmt gives
+    # phi.csv: each value as repr of the builtin float, the shortest text
+    # that reads back to the same bits, at every exponent and at the edges
     rng = np.random.default_rng(3)
     phi = np.vstack([rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5)),
                      [0.0, -0.0, 1.0, np.inf, 5e-324]])
     header = [f"m{j}" for j in range(5)]
-    digest = experiments._write_csv(tmp_path / "phi.csv", header, phi)
-    expected = "".join(map(experiments._csv_line, [header, *phi])).encode()
+    digest = experiments._write_csv(tmp_path / "phi.csv", header, phi.tolist())
+    expected = "".join([",".join(header) + "\n"] + [
+        ",".join(repr(float(v)) for v in row) + "\n" for row in phi]).encode()
     assert (tmp_path / "phi.csv").read_bytes() == expected
     assert digest == hashlib.sha256(expected).hexdigest()
+    assert expected.splitlines()[-1] == b"0.0,-0.0,1.0,inf,5e-324"
 
 
 def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
@@ -849,6 +855,109 @@ def test_exit_code_run_length_refused(tmp_path, capsys, section):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text,needle", [
+    (_edit(ODE_TEXT, cells="1"), "at least 2"),
+    (_edit(PDE_TEXT, cells_t="1"), "at least 2"),
+    (_edit(PDE_TEXT, cells_y="1"), "at least 2"),
+    (_edit(PDE_TEXT, cells_x="1"), "at least 2"),
+    (ODE_TEXT + "\n[scan]\nlengthscale = nan,1.0,2\nvariance = 1.0,2.0,2\n", "lo,hi,steps"),
+    (ODE_TEXT + "\n[scan]\nlengthscale = 0.5,nan,2\nvariance = 1.0,2.0,2\n", "lo,hi,steps"),
+    (ODE_TEXT + "\n[scan]\nlengthscale = 0.5,inf,2\nvariance = 1.0,2.0,2\n", "lo,hi,steps"),
+    (ODE_TEXT + "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 0.5,nan,2\n", "lo,hi,steps"),
+    (_sensors(ODE_TEXT, "rule = list\ntimes = 1.0,nan,3.0"), "outside"),
+    (_edit(PDE_TEXT, heldout_count="-1"), "must be nonnegative"),
+], ids=["cells", "cells_t", "cells_y", "cells_x", "scan-lo-nan", "scan-hi-nan",
+        "scan-hi-inf", "scan-variance-nan", "times-nan", "negative-grid-heldout"])
+def test_configs_that_crashed_later_are_refused_by_simulate(tmp_path, capsys, text, needle):
+    # each passed the config and then died with a traceback (exit 1): a
+    # 1-cell axis in Grid, which needs 2 cells on every axis, the scans in
+    # scan-hyper's KernelParams, the NaN time in its point window, the
+    # negative count in the perfect-square rule
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+_FUZZ_TAIL = """
+[inference]
+samples = 100
+ridge = 0.0
+
+[mcmc]
+steps = 100
+burn_in = 20
+batch_size = 5
+proposal_scale = 0.0
+seed = 0
+
+[sweep]
+sensors = 4,9
+features = 5,10
+replicates = 2
+
+[scan]
+lengthscale = 0.5,2.0,3
+variance = 1.0,4.0,2
+samples = 100
+"""
+
+_FUZZ_BASES = {
+    "ode-tile": _sensors(ODE_TEXT, "rule = tile\ncount = 20\nheldout_count = 5\n"
+                         "t_start = 1.0\nt_end = 9.0") + _FUZZ_TAIL,
+    "ode-list": _sensors(ODE_TEXT, "rule = list\ntimes = 1.0,2.5,4.0") + _FUZZ_TAIL,
+    "pde": _sensors(PDE_TEXT, "rule = grid\ncount = 9\ntime_windows = 2\n"
+                    "heldout_count = 4\nsize = 1.0") + _FUZZ_TAIL,
+}
+
+
+def _fuzzed(base: str):
+    """(label, text) for `base` with each value replaced by each awkward
+    number, and each entry of a list value by each awkward entry."""
+    lines = base.splitlines()
+    for i, line in enumerate(lines):
+        if "=" not in line:
+            continue
+        key, value = (part.strip() for part in line.split("="))
+        entries = value.split(",")
+        choices = [(v, v) for v in ("0", "-1", "1", "nan", "inf", "-inf", "0.5")]
+        if len(entries) > 1:
+            choices += [(f"[{j}]={v}", ",".join(entries[:j] + [v] + entries[j + 1:]))
+                        for j in range(len(entries)) for v in ("nan", "inf", "-1", "0")]
+        for label, new in choices:
+            yield f"{key}={label}", "\n".join(lines[:i] + [f"{key} = {new}"] + lines[i + 1:])
+
+
+@pytest.mark.parametrize("base", sorted(_FUZZ_BASES))
+def test_fuzzed_configs_are_refused_or_build(base):
+    # a config is refused with ConfigError, or its grid, system, windows and
+    # every scan lattice kernel build; the solvers' own checks (the CFL bound,
+    # a window off the grid) may still refuse it, as exit 2 does, but nothing
+    # may fail with any other exception
+    crashes = []
+    for label, text in _fuzzed(_FUZZ_BASES[base]):
+        try:
+            config = parse_config(text)
+        except ConfigError:
+            continue
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                experiments._setup(config)
+            scan = config["scan"]
+            axes = ("lengthscale", "variance")
+            inference.grid_scan({key: scan[key][:2] for key in axes},
+                                {key: int(scan[key][2]) for key in axes},
+                                lambda theta: KernelParams(**theta).variance)
+        except (ConfigError, DomainError, GridMismatchError):
+            continue
+        except Exception as exc:  # noqa: BLE001 - every other kind is the finding
+            crashes.append(f"{label}: {type(exc).__name__}: {exc}")
+    assert not crashes, "\n".join(crashes)
 
 
 def test_exit_code_cfl_violation(tmp_path, capsys):

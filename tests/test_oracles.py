@@ -1,13 +1,16 @@
 """The finite-difference oracles must be exact on low-order polynomials,
 otherwise every solver test built on them is meaningless; the window
 quadrature of the forward-sampling oracle must match the inner product,
-and its posterior draws must repeat per seed and average to the mean."""
+and its posterior draws must repeat per seed and average to the mean; the
+per-axis exact Gram must equal the dense kernel matrix sandwiched by the
+rows, and its predictive formula the weight-space posterior's."""
 
 import numpy as np
 
-from adjointgp import (FeatureBasis, Grid, KernelParams, inner_product, posterior_forcing,
-                       posterior_q, window_indicator)
-from oracles import (fd_d1, fd_d2, random_smooth_field, sample_posterior_forcing,
+from adjointgp import (AdjointBank, FeatureBasis, Grid, KernelParams, inner_product,
+                       posterior_forcing, posterior_q, window_indicator)
+from oracles import (eq_kernel, exact_gram, fd_d1, fd_d2, gp_predictive_var,
+                     random_smooth_field, sample_posterior_forcing,
                      window_matrix)
 
 KERNEL = KernelParams(lengthscale=1.0, variance=4.0)
@@ -92,3 +95,22 @@ def test_sample_posterior_forcing_mean_converges():
     for g in (0, 15, 29):
         se = stack[:, g].std(ddof=1) / np.sqrt(2000)
         assert abs(stack[:, g].mean() - mean_field.values_flat[g]) < 3 * se
+
+
+def test_exact_gram_is_the_dense_kernel_between_the_rows():
+    grid = Grid.regular(((0.0, 3.0), (0.0, 2.0), (-1.0, 1.0)), (4, 3, 5))
+    rows = np.random.default_rng(9).standard_normal((6, grid.num_cells))
+    centers = grid.centers()
+    dense = np.array([[eq_kernel(x, y, KERNEL) for y in centers] for x in centers])
+    expected = grid.cell_volume**2 * rows @ dense @ rows.T
+    gram = exact_gram(AdjointBank(rows, grid), KERNEL)
+    np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_gp_predictive_var_matches_the_weight_space_posterior():
+    # on a Gram Phi Phi^T the function-space formula is the weight posterior's
+    phi = np.random.default_rng(10).standard_normal((9, 5))
+    post = posterior_q(phi[:6], np.zeros(6), 0.3)
+    weight_space = np.sum((phi[6:] @ post.root) ** 2, axis=1)
+    np.testing.assert_allclose(gp_predictive_var(phi @ phi.T, 6, 0.3), weight_space,
+                               rtol=1e-10)
