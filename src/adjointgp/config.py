@@ -27,6 +27,7 @@ KINDS = ("ode", "pde", "shift")
 SENSOR_RULES = ("tile", "span", "list", "grid")
 METHODS = ("bayes", "ml", "both")
 SYNTH_MODES = ("forward", "linear")
+SIGMA_MAX = 1e100  # [noise] sigma; from about 1e154 on the MCMC target overflows
 
 # value kinds: int, float, str, int_list, float_list; a list entry parses as
 # its scalar kind.  Sections are listed in canonical_text's order.
@@ -105,7 +106,7 @@ _SIGNS = {
     ("features", "count"): True, ("features", "truth_count"): True,
     ("sensors", "count"): True, ("sensors", "time_windows"): True,
     ("sensors", "size"): False, ("sensors", "heldout_count"): False,
-    ("noise", "sigma"): False,
+    ("noise", "sigma"): False, ("seeds", "basis"): False, ("mcmc", "seed"): False,
     ("inference", "samples"): True, ("inference", "ridge"): False,
     ("mcmc", "steps"): True, ("mcmc", "batch_size"): True, ("mcmc", "proposal_scale"): False,
     ("sweep", "replicates"): True,
@@ -283,7 +284,8 @@ def _validate(sections: dict) -> dict:
             "'t_start' and 't_end' in [sensors] must satisfy 0 <= t_start < t_end <= T"
         )
 
-    _require(sections, "noise", "sigma")
+    if (sigma := _require(sections, "noise", "sigma")) > SIGMA_MAX:
+        raise ConfigError(f"'sigma' in [noise] must be at most {SIGMA_MAX:g} (got {sigma})")
     inference = sections.get("inference", {})
     for key, allowed in (("method", METHODS), ("synth", SYNTH_MODES)):
         _one_of(inference.get(key, _DEFAULTS[("inference", key)]), allowed, "inference", key)

@@ -22,8 +22,8 @@ half-open box covers on a uniform axis are one run) and never as a dense
 field.  A reading <w, u> is the mean of u over the box, and an adjoint
 march adds each box straight into its state.  `shift_groups` sorts them
 into shapes, a base and its time-shifted copies, and an
-:class:`AdjointBank` holds the base solutions of a 1-D solve as rows, and
-yields those of a PDE march slab by slab, never as one (n, G) array.
+:class:`AdjointBank` yields the base solutions slab by slab, one slab of a
+1-D solve's rows or one time cell of a PDE march, never as one (n, G) array.
 
 Binary serialization format (little-endian throughout):
 
@@ -294,56 +294,41 @@ class AdjointBank:
     """Adjoint solutions of n functionals on one grid, a slab at a time.
 
     Functional i is `base[i]` ended `shift[i]` time cells earlier
-    (`shift_groups`), and only the bases are solved.  `slabs()` yields
-    (cells, v) in march order: `cells` is a slice of flat cell indices, and
-    column j of the (cells, w) array `v` solves base `order[j]` there; the
-    other bases are zero there.  `live[i]` counts the time cells (axis 0)
-    up to functional i's last non-zero one, as its march reports it, and
-    `order` sorts the bases by it, longest first.  A bank built from
-    `rows`, one per base in index order, as the ODE and shift solvers
-    return, yields them as one slab, every base live throughout, and
-    `counts` are the (solves, cell_steps) its solver took at the call
-    (none for a shift).  A PDE bank marches each time `slabs()` runs,
-    adding the seconds spent marching to `seconds`, the columns that join
-    to `solves` and the (column, time cell) slabs to `cell_steps`; `kept()`
-    marches once and keeps the slabs and counts.  `rows` collects the
+    (`groups`, as `shift_groups` returns them; each its own base without),
+    and only the bases are solved.  `live[i]` counts the time cells (axis
+    0) up to functional i's last non-zero one, and `order` sorts the bases
+    by it, longest first.  `march(order)` yields (cells, v): `cells` is a
+    slice of flat cell indices, and column j of the (cells, w) array `v`
+    solves base `order[j]` there; the other bases are zero there.  A 1-D
+    system solves at the call and yields its rows as one slab; a PDE bank
+    marches each time `slabs()` runs, adding the seconds spent marching to
+    `seconds`, and `kept()` marches once and keeps the slabs.  `solves`,
+    the bases with `live > 0`, and `cell_steps`, their `live` summed, are
+    fixed here, however often the bank is read.  `rows` collects the
     solutions, row i solving functional i: a copy's is its base's shifted."""
 
-    def __init__(self, rows, grid: Grid, live=None, march=None, counts=None, groups=None):
+    def __init__(self, grid: Grid, live, march, groups=None):
+        self.grid, self.live, self._march = grid, np.asarray(live), march
+        n = len(self.live)
         if groups is None:
-            n = len(rows) if live is None else len(live)
             groups = np.arange(n), np.zeros(n, dtype=int)
         self.base, self.shift = groups
-        bases = np.flatnonzero(self.base == np.arange(len(self.base)))
-        if march is None:
-            rows = np.asarray(rows)
-            if rows.shape != (len(bases), grid.num_cells):
-                raise GridMismatchError(
-                    f"bank rows of shape {rows.shape} do not fit a grid of "
-                    f"{grid.num_cells} cells")
-            live, march, counts = grid.dims[0] - self.shift, lambda order: [
-                (slice(0, grid.num_cells), rows.T)], counts or (0, 0)
-        self.grid, self.live, self._march = grid, np.asarray(live), march
+        bases = np.flatnonzero(self.base == np.arange(n))
         self.order = bases[np.argsort(-self.live[bases], kind="stable")]
-        # counts given here were taken once; otherwise each slabs() run counts
-        self._counted, self.seconds = counts is not None, 0.0
-        self.solves, self.cell_steps = counts or (0, 0)
+        self.solves = int(np.count_nonzero(self.live[bases]))
+        self.cell_steps, self.seconds = int(self.live[bases].sum()), 0.0
 
     def slabs(self):
-        start, width = time.perf_counter(), 0
-        for cells, v in self._march(self.order):
+        start = time.perf_counter()
+        for slab in self._march(self.order):
             self.seconds += time.perf_counter() - start
-            if not self._counted:  # the march's state only widens
-                self.solves += v.shape[1] - width
-                self.cell_steps += (width := v.shape[1])
-            yield cells, v
+            yield slab
             start = time.perf_counter()
         self.seconds += time.perf_counter() - start
 
     def kept(self) -> "AdjointBank":
         slabs = list(self.slabs())
-        return AdjointBank(None, self.grid, self.live, lambda order: slabs,
-                           (self.solves, self.cell_steps), (self.base, self.shift))
+        return AdjointBank(self.grid, self.live, lambda order: slabs, (self.base, self.shift))
 
     @property
     def rows(self) -> np.ndarray:

@@ -223,9 +223,16 @@ def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
     S are the real and imaginary parts of one complex sum."""
     grid = bank.grid
     cos_a, sin_a, blocks = _axis_tables(basis, grid)
-    # exp(i a), and exp(i b), its blocks stacked, as interleaved (cos, sin) columns of one product
-    tables = np.concatenate([cos_b + 1j * sin_b for cos_b, sin_b in blocks]).view(float)
-    turn_a, inner = cos_a + 1j * sin_a, len(tables)
+    inner, lo = -(-grid.num_cells // len(cos_a)), 0  # cells per outer row
+    # exp(i a), and exp(i b) filled block by block (i sin b + cos b has the bits
+    # of cos b + i sin b), as interleaved (cos, sin) columns of one product
+    tables = np.empty((inner, basis.size), dtype=complex)
+    for cos_b, sin_b in blocks:
+        block = tables[lo:(lo := lo + len(cos_b))]
+        np.multiply(sin_b, 1j, out=block)
+        block += cos_b
+    del cos_b, sin_b  # views that would keep the last join buffer alive
+    tables, turn_a = tables.view(float), cos_a + 1j * sin_a
     # pieces: the outer runs, cut at the cells where functionals read
     reads = bank.shift * (grid.num_cells // grid.dims[0])
     edges = np.union1d(np.arange(0, grid.num_cells, inner), reads)
@@ -245,9 +252,11 @@ def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
             low = max(first, top - batch)
             pieces = range(top - 1, low - 1, -1)  # the last first
             outer = edges[pieces] // inner
-            part = np.array([(v[bounds[k] - cells.start:bounds[k + 1] - cells.start].T
-                              @ tables[bounds[k] - o * inner:bounds[k + 1] - o * inner])
-                             .view(complex) for k, o in zip(pieces, outer.tolist())])
+            part = np.empty((len(pieces), w, basis.size), dtype=complex)
+            for projected, k, o in zip(part, pieces, outer.tolist()):
+                np.matmul(v[bounds[k] - cells.start:bounds[k + 1] - cells.start].T,
+                          tables[bounds[k] - o * inner:bounds[k + 1] - o * inner],
+                          out=projected.view(float))
             part *= turn_a[outer, None]
             part[0] += sums[:w]
             for k in range(1, len(part)):  # running sums at each piece's start

@@ -23,7 +23,7 @@ rotates its base's projections.
 
 `OdeSystem` is the solver: its constructor checks the grid once, and its
 solves are `forward(f)` and `adjoint_march(windows)`, which marches at the
-call and returns the base solutions as the rows of an `AdjointBank`.
+call and returns an `AdjointBank` yielding the base rows as one slab.
 """
 
 from __future__ import annotations
@@ -98,19 +98,20 @@ class OdeSystem:
         """Solve the forced system from rest; values reported at cell centers."""
         self._check_step("forward")
         spans = time_spans([forcing], self._grid)
-        return Field(self._grid, self._march([forcing], spans)[0][0])
+        return Field(self._grid, self._march([forcing], spans)[0])
 
     def adjoint_march(self, functionals) -> AdjointBank:
         """Solve the adjoint system backward from rest at t = T for the base
         of every window shape, by the forward march run from the last cell
-        to the first; a time-shifted copy's row is its base's shifted."""
+        to the first; `live` are the span ends, the cells a march steps."""
         self._check_step("adjoint")
         functionals = tuple(functionals)
         spans = time_spans(functionals, self._grid)
-        base, shift = shift_groups(functionals, spans)
-        bases = np.flatnonzero(base == np.arange(len(base)))
-        rows, counts = self._march([functionals[i] for i in bases], spans[bases], bases)
-        return AdjointBank(rows, self._grid, counts=counts, groups=(base, shift))
+        bank = AdjointBank(self._grid, spans[:, 1], lambda order: [
+            (slice(0, self._grid.num_cells), rows.T)], shift_groups(functionals, spans))
+        # the march solves here, at the call, the bases in the bank's order
+        rows = self._march([functionals[i] for i in bank.order], spans[bank.order], bank.order)
+        return bank
 
     def _check_step(self, label: str) -> None:
         # the warning names the line that called the solve
@@ -124,12 +125,12 @@ class OdeSystem:
         """Explicit Euler on (u, u'), forcing at cell centers, from the last
         cell when `order`, the caller's index of each row, makes it an
         adjoint march (in reversed time); returns the (n, cells)
-        cell-center solutions and (solves, cell_steps).  A row steps alone
-        in Python floats (numpy's IEEE arithmetic without its per-call
-        overhead) from its first non-zero cell in march order, and the
-        cells before it stay +0.0, as do all-zero rows, which are not
-        marched.  A non-finite output raises SolverError naming the first
-        bad step and right-hand side.  `spans` are the rows' time_spans."""
+        cell-center solutions.  A row steps alone in Python floats (numpy's
+        IEEE arithmetic without its per-call overhead) from its first
+        non-zero cell in march order, and the cells before it stay +0.0,
+        as do all-zero rows, which are not marched.  A non-finite output
+        raises SolverError naming the first bad step and right-hand side.
+        `spans` are the rows' time_spans."""
         reverse = order is not None
         rows = bank_rows(functionals, self._grid)
         dt, p0, p1, p2 = self._grid.spacing[0], self.params.p0, self.params.p1, self.params.p2
@@ -137,7 +138,6 @@ class OdeSystem:
         # rows and their first non-zero cells in march order
         view = rows[:, ::-1] if reverse else rows
         starts = cells - spans[:, 1] if reverse else spans[:, 0]
-        solves = steps = 0
         for row, start, (a, b) in zip(view, starts.tolist(), spans.tolist()):
             row[:start if a < b else cells] = 0.0  # zeros that may be -0.0
             if a == b:
@@ -150,6 +150,5 @@ class OdeSystem:
                 solution.append(0.5 * (u + u_next))
                 u, w = u_next, w_next
             row[start:] = solution
-            solves, steps = solves + 1, steps + len(solution)
         check_march("adjoint" if reverse else "forward", rows, reverse, order)
-        return rows, (solves, steps)
+        return rows

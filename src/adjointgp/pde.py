@@ -180,7 +180,7 @@ class PdeSystem:
         for: one (S, w) slab per time cell, from the last on."""
         functionals = tuple(functionals)
         spans = time_spans(functionals, self._grid)
-        return AdjointBank(None, self._grid, spans[:, 1], lambda order: self._march(
+        return AdjointBank(self._grid, spans[:, 1], lambda order: self._march(
             self._step, [functionals[i] for i in order], spans[order], order),
             groups=shift_groups(functionals, spans))
 

@@ -7,8 +7,8 @@ are pure index shifts, with no discretization error, provided the offset
 `a` is an integer number of cells.
 
 `ShiftSystem` is the solver: `forward(f)` and `adjoint_march(windows)`,
-which shifts at the call and returns the solutions as the rows of an
-`AdjointBank`.
+which shifts at the call and returns an `AdjointBank` that yields the
+solutions as one slab, every row live throughout.
 Cells shifted in from outside the domain are undefined.  The forward
 solution carries a mask, so inner products downstream integrate only over
 the defined overlap; the adjoint bank holds 0 there, which integrates the
@@ -91,7 +91,10 @@ class ShiftSystem:
 
     def adjoint_march(self, functionals) -> AdjointBank:
         """Adjoint solves v_i(t) = h_i(t + a) of every functional at once,
-        row i of the bank solving functional i; cells shifted in from
-        outside the domain hold 0."""
-        rows = bank_rows(functionals, self._grid)
-        return AdjointBank(_shift_rows(rows, -self._cells), self._grid)
+        yielded as one slab, column i solving functional i; cells shifted in
+        from outside the domain hold 0.  Every row counts as live
+        throughout, so the bank reports n solves and n * nt cell steps."""
+        grid = self._grid
+        rows = _shift_rows(bank_rows(functionals, grid), -self._cells)
+        return AdjointBank(grid, np.full(len(rows), grid.dims[0]),
+                           lambda order: [(slice(0, grid.num_cells), rows.T)])

@@ -33,6 +33,9 @@ random Fourier feature expansion that the package evaluates on grids.
 
 The live-cell check reads an adjoint bank one row and one time cell at a
 time, where the bank finds every row's last non-zero time cell at once.
+`row_bank` wraps given rows as an adjoint bank, each its own base and live
+throughout, as the shift system builds its bank, so `assemble_phi` and the
+Gram oracles can be fed rows no solver made.
 
 `dense_field` renders an observation window as the whole-grid field it
 stands for, the form the package never builds; every oracle that needs a
@@ -48,7 +51,8 @@ the function-space formula, where the package works in weight space.
 
 import numpy as np
 
-from adjointgp import FeatureBasis, Field, Grid, KernelParams, Window, forcing_from_weights
+from adjointgp import (AdjointBank, FeatureBasis, Field, Grid, KernelParams, Window,
+                       forcing_from_weights)
 from adjointgp.features import _eval_at
 from adjointgp.mcmc import BLOCK_STEPS, _block_draws, _default_batch
 
@@ -339,6 +343,13 @@ def assert_live_is_tight(bank) -> None:
         assert 0 <= live <= len(row)
         assert not row[live:].any()
         assert live == 0 or row[live - 1].any()
+
+
+def row_bank(rows, grid: Grid) -> AdjointBank:
+    """Bank yielding `rows`, one per functional on `grid`, as one slab."""
+    rows = np.asarray(rows, dtype=float)
+    return AdjointBank(grid, np.full(len(rows), grid.dims[0]),
+                       lambda order: [(slice(0, grid.num_cells), rows.T)])
 
 
 def exact_gram(bank, kernel: KernelParams) -> np.ndarray:

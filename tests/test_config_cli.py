@@ -12,7 +12,6 @@ import pytest
 
 from adjointgp import (
     PIPELINE_STAGES,
-    AdjointBank,
     ConfigError,
     DomainError,
     FeatureBasis,
@@ -35,6 +34,7 @@ from adjointgp.config import canonical_text, config_hash, parse_config
 from adjointgp import experiments, inference
 from adjointgp.experiments import (make_grid, make_system, run_inference, run_mcmc,
                                    run_shift_demo, save_scan, scan_hyper, simulate_data)
+from oracles import row_bank
 
 # the deliberately tiny bases used here for speed trip the small-basis
 # warning; its trigger condition is pinned in test_inference.py
@@ -484,7 +484,7 @@ def test_infer_records_the_jitter_of_a_singular_design(tmp_path, monkeypatch):
     bundle = _simulate(tmp_path, ODE_TEXT)
 
     def flat_bank(self, functionals):
-        return AdjointBank(np.full((len(functionals), self.grid.num_cells), 1e8), self.grid)
+        return row_bank(np.full((len(functionals), self.grid.num_cells), 1e8), self.grid)
 
     monkeypatch.setattr(OdeSystem, "adjoint_march", flat_bank)
     out = tmp_path / "singular"
@@ -868,19 +868,36 @@ def test_exit_code_run_length_refused(tmp_path, capsys, section):
     (ODE_TEXT + "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 0.5,nan,2\n", "lo,hi,steps"),
     (_sensors(ODE_TEXT, "rule = list\ntimes = 1.0,nan,3.0"), "outside"),
     (_edit(PDE_TEXT, heldout_count="-1"), "must be nonnegative"),
+    (_edit(ODE_TEXT, basis="-1"), "'basis' in [seeds] must be nonnegative"),
+    (ODE_TEXT + "\n[mcmc]\nseed = -1\n", "'seed' in [mcmc] must be nonnegative"),
+    (_edit(ODE_TEXT, sigma="1e300"), "must be at most 1e+100"),
+    (_edit(ODE_TEXT, sigma="1e154"), "must be at most 1e+100"),
+    (_edit(ODE_TEXT, sigma="1.0000001e100"), "must be at most 1e+100"),
 ], ids=["cells", "cells_t", "cells_y", "cells_x", "scan-lo-nan", "scan-hi-nan",
-        "scan-hi-inf", "scan-variance-nan", "times-nan", "negative-grid-heldout"])
+        "scan-hi-inf", "scan-variance-nan", "times-nan", "negative-grid-heldout",
+        "negative-basis-seed", "negative-mcmc-seed", "sigma-1e300", "sigma-1e154",
+        "sigma-above-ceiling"])
 def test_configs_that_crashed_later_are_refused_by_simulate(tmp_path, capsys, text, needle):
     # each passed the config and then died with a traceback (exit 1): a
     # 1-cell axis in Grid, which needs 2 cells on every axis, the scans in
     # scan-hyper's KernelParams, the NaN time in its point window, the
-    # negative count in the perfect-square rule
+    # negative count in the perfect-square rule, a negative seed in numpy's
+    # SeedSequence (infer's basis, mcmc's chain), a sigma whose square
+    # overflows in infer (1e300) or whose MCMC target is not finite (1e154)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text, encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_sigma_at_its_ceiling_runs_every_command(tmp_path):
+    # the largest sigma the config takes leaves every command finite
+    text = _edit(ODE_TEXT, sigma="1e100") + "\n[mcmc]\nsteps = 400\nburn_in = 100\n" + SCAN_2X3
+    bundle = _simulate(tmp_path, text)
+    for command in ("infer", "scan-hyper", "mcmc"):
+        assert main([command, str(bundle), "--out", str(tmp_path / command)]) == 0
 
 
 _FUZZ_TAIL = """
@@ -983,7 +1000,7 @@ def test_exit_code_overflowing_design_matrix(tmp_path, capsys, monkeypatch):
 
     def overflowing_bank(self, functionals):
         rows = np.full((len(functionals), self.grid.num_cells), 1e308)
-        return AdjointBank(rows, self.grid)
+        return row_bank(rows, self.grid)
 
     monkeypatch.setattr(OdeSystem, "adjoint_march", overflowing_bank)
     assert main(["infer", str(bundle), "--out", str(tmp_path / "o")]) == 3

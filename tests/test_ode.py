@@ -274,6 +274,21 @@ def test_bank_counts_one_solve_per_shape():
     assert mixed.solves == 3
 
 
+def test_bank_of_windows_ending_before_T_counts_their_span_ends():
+    # a base is marched from its last cell down, so its live cells are its
+    # span end; the longest is marched first and the steps are their sum
+    grid = _grid(400)
+    dt = grid.spacing[0]
+    windows = [window_indicator(grid, [100 * dt], [120 * dt]),
+               window_indicator(grid, [150 * dt], [200 * dt])]
+    bank = OdeSystem(PARAMS, grid).adjoint_march(windows)
+    assert bank.live.tolist() == [120, 200]
+    assert bank.order.tolist() == [1, 0]
+    assert (bank.solves, bank.cell_steps) == (2, bank.live[bank.order].sum()) == (2, 320)
+    for row, live in zip(bank.rows, bank.live):
+        assert not row[live:].any() and row[:live].any()
+
+
 def test_forward_of_a_delayed_forcing_is_the_delayed_forward():
     grid = _grid(500)
     system = OdeSystem(PARAMS, grid)

@@ -7,10 +7,10 @@ rows, and its predictive formula the weight-space posterior's."""
 
 import numpy as np
 
-from adjointgp import (AdjointBank, FeatureBasis, Grid, KernelParams, inner_product,
-                       posterior_forcing, posterior_q, window_indicator)
+from adjointgp import (FeatureBasis, Grid, KernelParams, inner_product, posterior_forcing,
+                       posterior_q, window_indicator)
 from oracles import (eq_kernel, exact_gram, fd_d1, fd_d2, gp_predictive_var,
-                     random_smooth_field, sample_posterior_forcing,
+                     random_smooth_field, row_bank, sample_posterior_forcing,
                      window_matrix)
 
 KERNEL = KernelParams(lengthscale=1.0, variance=4.0)
@@ -103,7 +103,7 @@ def test_exact_gram_is_the_dense_kernel_between_the_rows():
     centers = grid.centers()
     dense = np.array([[eq_kernel(x, y, KERNEL) for y in centers] for x in centers])
     expected = grid.cell_volume**2 * rows @ dense @ rows.T
-    gram = exact_gram(AdjointBank(rows, grid), KERNEL)
+    gram = exact_gram(row_bank(rows, grid), KERNEL)
     np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 

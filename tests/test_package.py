@@ -8,6 +8,7 @@ only, but never `scipy.linalg`."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -82,6 +83,16 @@ def test_solves_live_on_the_system_only(module, system):
     cls = getattr(mod, system)
     public = {name for name in vars(cls) if not name.startswith("_")}
     assert public == {"grid", "forward", "adjoint_march"}
+
+
+def test_adjoint_bank_has_one_constructor():
+    # every system builds its bank from its live cells and a slab source;
+    # the counts follow from the live cells, so no mode passes them in
+    params = list(inspect.signature(adjointgp.AdjointBank).parameters)
+    assert params == ["grid", "live", "march", "groups"]
+    methods = {name for name, obj in vars(adjointgp.AdjointBank).items()
+               if callable(obj) or isinstance(obj, (classmethod, staticmethod))}
+    assert methods == {"__init__", "slabs", "kept"}
 
 
 def test_files_are_written_as_bytes():

@@ -292,3 +292,16 @@ def test_bank_live_cells_are_tight():
     assert_live_is_tight(bank)
     # a window ending at t_hi covers time cells up to t_hi / dt
     assert bank.live.tolist() == [6, 10, 14, 0]
+
+
+def test_bank_counts_stay_put_when_the_bank_is_read_again():
+    # the counts follow from the live cells, once, however often the bank
+    # marches: projected, then read as rows
+    grid = _grid(20, 12, 12)
+    windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 3.0 + 2.0 * k) for k in range(3)]
+    bank = PdeSystem(_params(), grid).adjoint_march(windows)
+    basis = FeatureBasis.sample(5, 3, KernelParams(lengthscale=2.0, variance=1.0), seed=3)
+    assemble_phi(bank, basis)
+    assert (bank.solves, bank.cell_steps) == (3, 6 + 10 + 14)
+    assert bank.rows.shape == (3, grid.num_cells)
+    assert (bank.solves, bank.cell_steps) == (3, 30)

@@ -122,6 +122,8 @@ def test_bank_equals_single_solves_and_keeps_the_identity(a):
     windows = [random_smooth_field(grid, seed=960 + k) for k in range(3)] + [masked]
     bank = system.adjoint_march(windows)
     assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
+    # every row is its own solve, live throughout
+    assert (bank.solves, bank.cell_steps) == (4, 4 * 250)
     for w, row in zip(windows, bank.rows):
         assert np.array_equal(row, system.adjoint_march([w]).rows[0])
         assert np.array_equal(row, ShiftSystem(params, grid).adjoint_march([w]).rows[0])
