@@ -303,17 +303,12 @@ class SimulatedData:
         return self.config["noise"]["sigma"]
 
     def observations(self) -> ObservationSet:
-        return ObservationSet(tuple(self.windows), self.z, _clamped_sigma(self.sigma))
+        return ObservationSet(tuple(self.windows), self.z, self.sigma)
 
     def heldout_observations(self) -> ObservationSet | None:
         if not self.heldout_windows:
             return None
-        return ObservationSet(tuple(self.heldout_windows), self.heldout_z,
-                              _clamped_sigma(self.sigma))
-
-
-def _clamped_sigma(sigma: float) -> float:
-    return max(float(sigma), SIGMA_MIN)
+        return ObservationSet(tuple(self.heldout_windows), self.heldout_z, self.sigma)
 
 
 def _read_windows(windows, solution: Field) -> np.ndarray:

@@ -11,10 +11,9 @@ The inner product is the cell-center Riemann sum
     <a, b> = sum_g a_g * b_g * cell_volume
 
 which is the quadrature used for every observation functional and for the
-feature projections downstream.  Fields may carry a boolean mask marking
-cells where the field is defined; masked inner products integrate only over
-cells where both operands are defined (undefined cells are excluded, not
-zero-filled).
+feature projections downstream.  A cell a solve leaves undefined (one a
+shift brings in from outside the domain) holds 0, so every sum reads it as
+contributing nothing.
 
 Every observation is a :class:`Window`: the normalized indicator of a box
 of whole cells, kept as one slice of cell indices per axis (the cells a
@@ -29,13 +28,14 @@ Binary serialization format (little-endian throughout):
 
     bytes 0..7    magic ``b"AGPFLD01"``
     uint32        ndim
-    uint8         has_mask (0 or 1)
+    uint8         has_mask, written 0
     bytes         3 zero pad bytes
     uint64[ndim]  dims
     float64[ndim] spacing
     float64[ndim] origin
     float64[G]    values, C order
-    uint8[G]      mask, C order (only if has_mask == 1)
+    uint8[G]      mask, C order (only if has_mask == 1; older files set it,
+                  over values already 0 where it is 0, and it is skipped)
 """
 
 from __future__ import annotations
@@ -156,38 +156,22 @@ def check_time_grid(grid: Grid, ndim: int, T: float) -> None:
 
 
 class Field:
-    """Real values at the cell centers of a :class:`Grid`.  Immutable.
+    """Real values at the cell centers of a :class:`Grid`.  Immutable."""
 
-    An optional boolean mask marks cells where the field is defined;
-    undefined cells hold 0.0 and are excluded from masked inner products.
-    """
+    __slots__ = ("grid", "values")
 
-    __slots__ = ("grid", "values", "mask")
-
-    def __init__(self, grid: Grid, values, mask=None):
+    def __init__(self, grid: Grid, values):
         vals = np.array(values, dtype=np.float64, order="C")
         if vals.size != grid.num_cells:
             raise ValueError(
                 f"value count {vals.size} does not match grid cell count {grid.num_cells}"
             )
         vals = vals.reshape(grid.shape)
-        if mask is not None:
-            m = np.array(mask, dtype=bool, order="C")
-            if m.size != grid.num_cells:
-                raise ValueError("mask size does not match grid cell count")
-            m = m.reshape(grid.shape)
-            if not np.isfinite(vals[m]).all():
-                raise ValueError("field values must be finite on defined cells")
-            vals = np.where(m, vals, 0.0)
-            m.setflags(write=False)
-        else:
-            if not np.isfinite(vals).all():
-                raise ValueError("field values must be finite")
-            m = None
+        if not np.isfinite(vals).all():
+            raise ValueError("field values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mask", m)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -204,10 +188,6 @@ class Field:
     def values_flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
-    @property
-    def mask_flat(self):
-        return None if self.mask is None else self.mask.reshape(-1)
-
 
 def _check_same_grid(a, b):
     if a.grid != b.grid:
@@ -219,26 +199,15 @@ def _check_same_grid(a, b):
 def inner_product(a: Field | Window, b: Field | Window) -> float:
     """Cell-center quadrature <a, b> = sum a*b*cell_volume.
 
-    With masks present the sum runs only over cells where both operands are
-    defined.  Against a :class:`Window` the sum is the mean of the field
-    over the window's box; masked cells hold 0 there, which sums the same.
+    Against a :class:`Window` the sum is the mean of the field over the
+    window's box.
     """
     _check_same_grid(a, b)
     if isinstance(a, Window):
         a, b = b, a
     if isinstance(b, Window):
         return float(a.values[b.box].mean())
-    av = a.values_flat
-    bv = b.values_flat
-    if a.mask is not None or b.mask is not None:
-        joint = np.ones(av.size, dtype=bool)
-        if a.mask is not None:
-            joint &= a.mask_flat
-        if b.mask is not None:
-            joint &= b.mask_flat
-        av = av[joint]
-        bv = bv[joint]
-    return float(np.dot(av, bv)) * a.grid.cell_volume
+    return float(np.dot(a.values_flat, b.values_flat)) * a.grid.cell_volume
 
 
 def norm(a: Field) -> float:
@@ -430,28 +399,21 @@ def write_hashed(path, chunks) -> str:
 def field_to_binary(field: Field, path) -> str:
     """Dump per the documented little-endian layout (see module docstring);
     returns the SHA-256 of the bytes written."""
-    grid, mask = field.grid, field.mask
-    chunks = [_MAGIC, struct.pack("<IB3x", grid.ndim, int(mask is not None)),
-              np.asarray(grid.dims, dtype="<u8"), np.asarray(grid.spacing, dtype="<f8"),
-              np.asarray(grid.origin, dtype="<f8"), np.ascontiguousarray(field.values, dtype="<f8")]
-    if mask is not None:
-        chunks.append(np.ascontiguousarray(mask, dtype="u1"))
-    return write_hashed(path, chunks)
+    grid = field.grid
+    return write_hashed(path, [
+        _MAGIC, struct.pack("<IB3x", grid.ndim, 0),
+        np.asarray(grid.dims, dtype="<u8"), np.asarray(grid.spacing, dtype="<f8"),
+        np.asarray(grid.origin, dtype="<f8"), np.ascontiguousarray(field.values, dtype="<f8")])
 
 
 def field_from_binary(source) -> Field:
     """Parse a field dump (see module docstring) from `source`, its path or
-    its bytes."""
+    its bytes.  The mask bytes of a file with the flag set are skipped."""
     raw = source if isinstance(source, bytes) else Path(source).read_bytes()
     if raw[:8] != _MAGIC:
         raise ValueError(f"bad magic {raw[:8]!r}, not a field dump")
-    ndim, has_mask = struct.unpack_from("<IB3x", raw, 8)
+    (ndim,) = struct.unpack_from("<I", raw, 8)
     dims, spacing, origin = (np.frombuffer(raw, dtype, ndim, 16 + 8 * ndim * k)
                              for k, dtype in enumerate(("<u8", "<f8", "<f8")))
     grid = Grid(tuple(dims.astype(int)), tuple(spacing), tuple(origin))
-    start = 16 + 24 * ndim
-    vals = np.frombuffer(raw, "<f8", grid.num_cells, start)
-    mask = None
-    if has_mask:
-        mask = np.frombuffer(raw, "u1", grid.num_cells, start + 8 * grid.num_cells).astype(bool)
-    return Field(grid, vals, mask=mask)
+    return Field(grid, np.frombuffer(raw, "<f8", grid.num_cells, 16 + 24 * ndim))

@@ -74,7 +74,9 @@ SIGMA_MIN = 1e-6
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Observation functionals, their noisy readings, and the noise level."""
+    """Observation functionals, their noisy readings, and the noise level.
+    A `sigma` below SIGMA_MIN is kept as SIGMA_MIN, the numerical floor
+    that keeps the posterior and its scores finite as sigma -> 0."""
 
     windows: tuple[Window, ...]
     z: np.ndarray
@@ -93,11 +95,12 @@ class ObservationSet:
             raise ValueError(f"{len(windows)} windows but {z.size} readings")
         if not np.isfinite(z).all():
             raise ValueError("readings must be finite")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("noise level sigma must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("noise level sigma must be finite and non-negative")
         z.setflags(write=False)
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "sigma", max(float(self.sigma), SIGMA_MIN))
 
     @property
     def n(self) -> int:
@@ -398,12 +401,9 @@ def predictive_mse(post: PosteriorQ, phi, z) -> float:
 def predictive_nll(post: PosteriorQ, phi, data: ObservationSet) -> float:
     """Negative log likelihood of the readings in `data` under the exact
     Gaussian posterior predictive, whose variance adds the observation noise.
-    Row i of `phi` is the design row of reading i.
-
-    The noise floor SIGMA_MIN keeps the score finite as sigma -> 0.
-    """
+    Row i of `phi` is the design row of reading i."""
     mean, var = _predictive_moments(post, phi, data.z)
-    var = var + max(float(data.sigma), SIGMA_MIN) ** 2
+    var = var + data.sigma ** 2
     return float(np.sum(0.5 * np.log(2.0 * np.pi * var) + (data.z - mean) ** 2 / (2.0 * var)))
 
 
@@ -425,7 +425,7 @@ def nll_score(theta: dict, data: ObservationSet, bank: AdjointBank,
     kernel = KernelParams(float(theta["lengthscale"]), float(theta["variance"]))
     basis = FeatureBasis(basis.frequencies, basis.phases, kernel, seed=basis.seed)
     phi = assemble_phi(bank, basis, grid=data.grid, projections=projections)
-    post = posterior_q(phi, data.z, max(data.sigma, SIGMA_MIN))
+    post = posterior_q(phi, data.z, data.sigma)
     return predictive_nll(post, phi, data)
 
 

@@ -77,7 +77,7 @@ class ChainConfig:
     burn_in: int = 0
     proposal_scale: float = 0.1
     seed: int = 0
-    batch_size: int | None = None
+    batch_size: int = 5
 
     def __post_init__(self):
         if self.steps < 1:
@@ -86,8 +86,8 @@ class ChainConfig:
             raise ValueError("burn_in must lie in [0, steps)")
         if not (math.isfinite(self.proposal_scale) and self.proposal_scale > 0):
             raise ValueError("proposal_scale must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive when given")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,6 @@ def gaussian_log_target(phi, z, sigma: float) -> GaussianTarget:
     return GaussianTarget(phi, z, float(sigma), P, b)
 
 
-def _default_batch(dim: int) -> int:
-    return min(dim, 5)
-
-
 def _draw_indices(rng, dim: int, batch: int, size: int) -> np.ndarray:
     """(size, batch) coordinate sets, each `batch` distinct indices below
     `dim`: Floyd's algorithm, one `rng.integers` draw per slot for all rows."""
@@ -204,8 +200,7 @@ def rw_mh(target: GaussianTarget, start, config: ChainConfig) -> ChainResult:
     current_lp = target(q)
     if not math.isfinite(current_lp):
         raise ValueError("log target is not finite at the start point")
-    batch = config.batch_size if config.batch_size is not None else _default_batch(dim)
-    batch = min(batch, dim)
+    batch = min(config.batch_size, dim)
     rng = np.random.default_rng(config.seed)
     P = target.P
     chain = np.empty((config.steps, dim))
@@ -252,7 +247,7 @@ def rw_mh(target: GaussianTarget, start, config: ChainConfig) -> ChainResult:
 
 
 def tune_proposal_scale(target: GaussianTarget, start, *, seed: int = 0,
-                        batch_size: int | None = None) -> float:
+                        batch_size: int = 5) -> float:
     """Multiplicative search for a proposal scale in the acceptance band.
 
     Runs probe chains of TUNE_PROBE_STEPS steps, growing the scale by 1.6x
@@ -263,7 +258,7 @@ def tune_proposal_scale(target: GaussianTarget, start, *, seed: int = 0,
     first 1000 steps, so a probe that accepts nothing reads rate 0.
     """
     start = np.asarray(start, dtype=float).reshape(-1)
-    batch = batch_size if batch_size is not None else _default_batch(start.size)
+    batch = min(batch_size, start.size)
     scale = 2.4 / math.sqrt(batch)
     best = (math.inf, scale)
     for round_idx in range(TUNE_MAX_ROUNDS):

@@ -9,10 +9,9 @@ are pure index shifts, with no discretization error, provided the offset
 `ShiftSystem` is the solver: `forward(f)` and `adjoint_march(windows)`,
 which shifts at the call and returns an `AdjointBank` that yields the
 solutions as one slab, every row live throughout.
-Cells shifted in from outside the domain are undefined.  The forward
-solution carries a mask, so inner products downstream integrate only over
-the defined overlap; the adjoint bank holds 0 there, which integrates the
-same.
+Cells shifted in from outside the domain are undefined and hold 0 in both
+solutions, so the identity <h, L f> = <L* h, f> holds over the overlap
+to rounding.
 """
 
 from __future__ import annotations
@@ -81,13 +80,9 @@ class ShiftSystem:
 
     def forward(self, forcing: Field) -> Field:
         """Solve L_a u = f, i.e. u(t) = f(t - a); cells shifted in from
-        outside the domain are masked as undefined."""
+        outside the domain hold 0."""
         grid = self._grid
-        vals = _shift_rows(bank_rows([forcing], grid), self._cells)[0]
-        defined = (forcing.mask_flat if forcing.mask is not None
-                   else np.ones(grid.num_cells, dtype=bool))
-        mask = _shift_rows(defined[None].copy(), self._cells)[0]
-        return Field(grid, vals, mask=mask)
+        return Field(grid, _shift_rows(bank_rows([forcing], grid), self._cells)[0])
 
     def adjoint_march(self, functionals) -> AdjointBank:
         """Adjoint solves v_i(t) = h_i(t + a) of every functional at once,

@@ -54,7 +54,7 @@ import numpy as np
 from adjointgp import (AdjointBank, FeatureBasis, Field, Grid, KernelParams, Window,
                        forcing_from_weights)
 from adjointgp.features import _eval_at
-from adjointgp.mcmc import BLOCK_STEPS, _block_draws, _default_batch
+from adjointgp.mcmc import BLOCK_STEPS, _block_draws
 
 
 def fd_d1(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -230,8 +230,7 @@ def rw_mh_full_target(target, start, config):
     and applied as q[i] += delta."""
     q = np.array(start, dtype=float)
     dim = q.size
-    batch = config.batch_size if config.batch_size is not None else _default_batch(dim)
-    batch = min(batch, dim)
+    batch = min(config.batch_size, dim)
     rng = np.random.default_rng(config.seed)
     chain = np.empty((config.steps, dim))
     flags = np.zeros(config.steps, dtype=bool)

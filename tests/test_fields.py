@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,10 +65,6 @@ def test_field_rejects_nonfinite_and_bad_shape():
         Field(grid, [1.0, np.nan, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         Field(grid, np.zeros(4))
-    # non-finite values are fine on cells the mask excludes
-    f = Field(grid, [1.0, np.inf, 2.0, 3.0, 4.0],
-              mask=[True, False, True, True, True])
-    assert f.values_flat[1] == 0.0
 
 
 def test_inner_product_of_normalized_window_is_one():
@@ -128,13 +126,6 @@ def test_inner_product_rejects_grid_mismatch():
         inner_product(a, b)
 
 
-def test_masked_inner_product_skips_undefined_cells():
-    grid = Grid.regular(((0.0, 1.0),), (4,))
-    a = Field(grid, [1.0, 2.0, 3.0, 4.0], mask=[True, True, False, True])
-    b = Field(grid, [1.0, 1.0, 1.0, 1.0])
-    np.testing.assert_allclose(inner_product(a, b), (1 + 2 + 4) * 0.25, rtol=1e-12)
-
-
 def test_norm_matches_manual():
     grid = Grid.regular(((0.0, 1.0),), (4,))
     f = Field(grid, [3.0, 0.0, 0.0, 4.0])
@@ -172,14 +163,21 @@ def test_binary_round_trip_bit_exact(tmp_path):
     assert (g.values == f.values).all()
 
 
-def test_binary_round_trip_with_mask(tmp_path):
-    grid = Grid.regular(((0.0, 1.0),), (6,))
-    f = Field(grid, np.arange(6.0), mask=[True, True, False, True, False, True])
+def test_binary_reads_a_file_with_the_mask_flag_set(tmp_path):
+    # older writers set the flag and appended one mask byte per cell, over
+    # values already 0 where the mask is 0; the reader skips those bytes
+    values = [0.0, 1.0, 0.0, 3.0, 0.0, 5.0]
+    raw = b"".join([b"AGPFLD01", struct.pack("<IB3x", 1, 1), struct.pack("<Q", 6),
+                    struct.pack("<d", 1.0 / 6.0), struct.pack("<d", 0.0),
+                    struct.pack("<6d", *values), bytes([0, 1, 0, 1, 0, 1])])
     path = tmp_path / "field.fld"
-    field_to_binary(f, path)
+    path.write_bytes(raw)
     g = field_from_binary(path)
-    np.testing.assert_array_equal(g.mask_flat, f.mask_flat)
-    assert (g.values_flat == f.values_flat).all()
+    assert g.grid == Grid.regular(((0.0, 1.0),), (6,))
+    assert g.values_flat.tolist() == values and not np.signbit(g.values_flat).any()
+    # written back, it carries the flag 0 and no mask bytes
+    field_to_binary(g, tmp_path / "again.fld")
+    assert (tmp_path / "again.fld").read_bytes() == raw[:12] + b"\x00" + raw[13:-6]
 
 
 def test_binary_rejects_foreign_file(tmp_path):

@@ -40,6 +40,7 @@ from adjointgp import (
 from adjointgp.config import parse_config
 from adjointgp.experiments import build_heldout, build_windows, make_grid, make_kernel, make_system
 from adjointgp.features import _JOIN_BYTES
+from adjointgp.inference import SIGMA_MIN
 from adjointgp.shift import ShiftParams, ShiftSystem
 from oracles import (exact_gram, forward_predictive_readings, gp_predictive_var, kernel_approx,
                      random_smooth_field, row_bank)
@@ -105,11 +106,31 @@ def test_observation_set_validation():
         ObservationSet((), np.zeros(0), 0.1)
     with pytest.raises(ValueError):
         ObservationSet(tuple(w), np.zeros(3), 0.1)
-    with pytest.raises(ValueError):
-        ObservationSet(tuple(w), np.zeros(2), 0.0)
+    for sigma in (-1e-9, np.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            ObservationSet(tuple(w), np.zeros(2), sigma)
+    assert ObservationSet(tuple(w), np.zeros(2), 0.0).sigma == SIGMA_MIN
     other = _windows(_grid(60), 1)
     with pytest.raises(GridMismatchError):
         ObservationSet(tuple(w[:1] + other), np.zeros(2), 0.1)
+
+
+def test_sigma_below_the_floor_is_fitted_and_scored_at_the_floor():
+    grid = _grid(200)
+    system = OdeSystem(PARAMS, grid)
+    basis = FeatureBasis.sample(6, 1, KERNEL, seed=3)
+    windows = tuple(_windows(grid, 8))
+    z = np.linspace(-1.0, 1.0, 8)
+    tiny = ObservationSet(windows, z, 1e-9)
+    assert tiny.sigma == SIGMA_MIN
+    got = run_pipeline(system, tiny, basis)
+    floor = run_pipeline(system, ObservationSet(windows, z, SIGMA_MIN), basis)
+    np.testing.assert_array_equal(got.posterior.mean, floor.posterior.mean)
+    np.testing.assert_array_equal(got.posterior.root, floor.posterior.root)
+    # the posterior the pipeline fits is the one the score rebuilds
+    theta = {"lengthscale": KERNEL.lengthscale, "variance": KERNEL.variance}
+    score = nll_score(theta, tiny, system.adjoint_march(windows), basis)
+    assert score == pytest.approx(predictive_nll(got.posterior, got.phi, tiny), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,17 @@ def test_tune_rejects_a_positional_batch_size():
         tune_proposal_scale(_std_normal_target(3), np.zeros(3), 3)
 
 
+def test_batch_wider_than_the_target_is_clamped_in_sampler_and_tuner():
+    target, start = _std_normal_target(3), np.zeros(3)
+    assert ChainConfig(steps=10).batch_size == 5
+    wide = rw_mh(target, start, ChainConfig(steps=300, proposal_scale=1.0, seed=4))
+    full = rw_mh(target, start, ChainConfig(steps=300, proposal_scale=1.0, seed=4, batch_size=3))
+    np.testing.assert_array_equal(wide.chain, full.chain)
+    # the first probe's scale follows the clamped batch, as the probes do
+    assert (tune_proposal_scale(target, start, seed=5, batch_size=5)
+            == tune_proposal_scale(target, start, seed=5, batch_size=3))
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 

@@ -1,10 +1,10 @@
 """Every exported name resolves, so a stale `__all__` entry fails here
 rather than at a user's `from adjointgp import *`; every module-level
 import is used; each solver module offers its solves through its system
-object only; and the import graph is pinned: no module imports scipy at
-package import, a whole ODE run (simulate, infer, scan, mcmc) loads no
-scipy module, and the PDE loads `scipy.sparse`, from its step operator
-only, but never `scipy.linalg`."""
+object only; a `Field` is values on a grid and no more; and the import
+graph is pinned: no module imports scipy at package import, a whole ODE
+run (simulate, infer, scan, mcmc) loads no scipy module, and the PDE loads
+`scipy.sparse`, from its step operator only, but never `scipy.linalg`."""
 
 import ast
 import importlib
@@ -93,6 +93,14 @@ def test_adjoint_bank_has_one_constructor():
     methods = {name for name, obj in vars(adjointgp.AdjointBank).items()
                if callable(obj) or isinstance(obj, (classmethod, staticmethod))}
     assert methods == {"__init__", "slabs", "kept"}
+
+
+def test_field_is_values_on_a_grid():
+    # a cell a solve leaves undefined holds 0, so a field carries no mask
+    assert list(inspect.signature(adjointgp.Field).parameters) == ["grid", "values"]
+    assert adjointgp.Field.__slots__ == ("grid", "values")
+    field = adjointgp.Field.zeros(adjointgp.Grid.regular(((0.0, 1.0),), (2,)))
+    assert not hasattr(field, "mask") and not hasattr(field, "mask_flat")
 
 
 def test_files_are_written_as_bytes():

@@ -92,11 +92,12 @@ def test_box_reading_equals_dense_inner_product(name):
     f = random_smooth_field(grid, seed=41)
     solutions = [f, system.forward(f)]
     if grid.ndim == 1:
-        solutions.append(Field(grid, f.values, mask=grid.axis_centers(0) < 7.0))
+        solutions.append(Field(grid, np.where(grid.axis_centers(0) < 7.0, f.values, 0.0)))
     if name.startswith("shift"):
-        # masked cells hold 0, so the box mean counts them as the masked
-        # dense inner product does: in the window, not in the sum
-        assert not solutions[1].mask.all()
+        # cells shifted in from outside the domain hold 0, so the box mean
+        # counts them as the dense inner product does: in the window, not in
+        # the sum
+        assert (solutions[1].values_flat == 0.0).any()
     for u in solutions:
         for w in _windows(grid):
             expected = inner_product(dense_field(w), u)
