@@ -578,7 +578,7 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
 
 def _weights_rows(outcome: InferenceOutcome):
     mean = outcome.posterior.mean
-    sd = np.sqrt(np.diag(outcome.posterior.cov))
+    sd = outcome.posterior.sd
     rows = []
     for m in range(mean.size):
         row = [m, float(mean[m]), float(sd[m])]
@@ -693,7 +693,7 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     result = rw_mh(target, start, cfg)
     t2 = time.perf_counter()
     diag = chain_diagnostics(result)
-    chain_mean, chain_var = chain_moments(result.kept)
+    chain_mean, chain_var = chain_moments(*result.runs(cfg.burn_in))
     diagnostics = {
         "acceptance_rate": result.acceptance_rate,
         "proposal_scale": scale,
@@ -711,7 +711,7 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
                    max_c_drift=result.drift)
     return McmcOutcome(result=result, chain_mean=chain_mean, chain_sd=np.sqrt(chain_var),
                        exact_mean=pipeline.posterior.mean,
-                       exact_sd=np.sqrt(np.diag(pipeline.posterior.cov)),
+                       exact_sd=pipeline.posterior.sd,
                        ess=diag.ess, rhat=diag.rhat, diagnostics=diagnostics, timings=timings)
 
 

@@ -148,6 +148,12 @@ class PosteriorQ:
     def cov(self) -> np.ndarray:
         return self.root @ self.root.T
 
+    @property
+    def sd(self) -> np.ndarray:
+        """Marginal standard deviations, the row norms of `root`: O(M^2),
+        where the diagonal of `cov` costs a whole product."""
+        return np.sqrt(np.einsum("ij,ij->i", self.root, self.root))
+
 
 def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor and the jitter added to the diagonal, retrying

@@ -22,14 +22,21 @@ log-uniforms, and the state-free term d'P[i,i]d / 2.  The walk keeps the
 gradient c = b - P q, so moving coordinates i by d changes the log target by
 c[i]'d - d'P[i,i]d / 2: a step costs O(batch) and an accept, which updates c
 by P[i]'d, costs O(M batch).  At each block boundary c is recomputed from the
-chain and the largest drift is reported.  The chain rows are the running sums
-of the accepted increments, and the log target is evaluated in full on every
-row that moved.
+state and the largest drift is reported.
+
+A Metropolis chain repeats its state until a proposal is accepted, so the
+chain is kept as its states: the start and then each accepted state once,
+`states` of shape (accepts + 1, M), the running sums of the accepted
+increments, with the log target of each.  Its memory grows with accepts x M,
+not steps x M.  Step t holds state cumsum(accepted_flags)[t]; from a given
+step on, each state stands for the run of steps it `holds`.
 
 Diagnostics: effective sample size via the batch-means estimator and
 split-chain R-hat (two halves of each chain treated as separate chains);
-both, like the chain summary, read the chunked moments of `chain_moments`.
-A chain converged when every R-hat is at most RHAT_MAX.
+both, like the chain summary, read the weighted moments of `chain_moments`,
+in which a state counts once per step it holds and a run that crosses a
+batch edge or the half split is cut there.  A chain converged when every
+R-hat is at most RHAT_MAX.
 The trace CSV writes a value only where its bits differ from the row above,
 so a rejected step is a line of commas; a reader fills the blanks forward.
 """
@@ -66,7 +73,7 @@ TUNE_PROBE_STEPS = 400  # steps of each probe chain of the scale search
 TUNE_MAX_ROUNDS = 40  # probe chains before the search settles for its best scale
 BLOCK_STEPS = 4096  # steps whose proposals are drawn together
 CSV_CHUNK_ROWS = 256  # trace rows formatted and written together
-MOMENT_CHUNK_ROWS = 1024  # draws read together for the chain mean and variance
+MOMENT_CHUNK_ROWS = 1024  # states read together for their log targets and moments
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,13 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainResult:
+    """A chain as its states: `states` (accepts + 1, M) holds the start and
+    then each accepted state once, `log_targets` (accepts + 1,) their log
+    targets, and `accepted_flags` (steps,) whether each step moved; step t
+    holds state cumsum(accepted_flags)[t]."""
+
     config: ChainConfig
-    chain: np.ndarray
+    states: np.ndarray
     log_targets: np.ndarray
     accepted_flags: np.ndarray
     drift: float = 0.0  # largest |c - (b - P q)| found at a block boundary
@@ -106,9 +118,22 @@ class ChainResult:
     def acceptance_rate(self) -> float:
         return self.accepted / self.config.steps
 
+    def runs(self, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(states, holds): the states held by steps lo..steps-1, a view,
+        and the number of those steps each one holds."""
+        flags = self.accepted_flags
+        first = int(np.count_nonzero(flags[:lo + 1]))
+        edges = np.concatenate(([lo], lo + 1 + np.flatnonzero(flags[lo + 1:]), [flags.size]))
+        return self.states[first:], np.diff(edges)
+
+    @property
+    def chain(self) -> np.ndarray:
+        """The (steps, M) chain, one row per step, built on demand."""
+        return self.states[np.cumsum(self.accepted_flags)]
+
     @property
     def kept(self) -> np.ndarray:
-        """Post burn-in draws."""
+        """Post burn-in draws, built on demand."""
         return self.chain[self.config.burn_in:]
 
 
@@ -136,9 +161,16 @@ class GaussianTarget:
     def dim(self) -> int:
         return self.b.size
 
-    def __call__(self, q) -> float:
-        resid = self.z - self.phi.dot(q)
-        return -(0.5 / self.sigma**2) * float(resid.dot(resid)) - 0.5 * float(q.dot(q))
+    def __call__(self, q):
+        """The log density at q (M,), a float, or at each row of a stack
+        q (K, M), an array (K,); a single q is a stack of one."""
+        q = np.asarray(q, dtype=float)
+        rows = q.reshape(-1, self.dim)
+        resid = self.z - np.matmul(self.phi, rows[:, :, None])[:, :, 0]
+        rr = np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
+        qq = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+        lp = -(0.5 / self.sigma**2) * rr - 0.5 * qq
+        return float(lp[0]) if q.ndim == 1 else lp
 
 
 def gaussian_log_target(phi, z, sigma: float) -> GaussianTarget:
@@ -187,25 +219,26 @@ def rw_mh(target: GaussianTarget, start, config: ChainConfig) -> ChainResult:
     c = b - P q, which is recomputed at every block boundary (the result
     carries the largest drift found there).  Zero acceptances across the
     first 1000 steps abort the run: the proposal scale is unusable and
-    every later draw would repeat the start point.
+    every later draw would repeat the start point.  The result keeps the
+    start and each accepted state once, allocated after the last block,
+    and their log targets, evaluated MOMENT_CHUNK_ROWS states at a time.
     """
     if not isinstance(target, GaussianTarget):
         raise TypeError("rw_mh samples a GaussianTarget (see gaussian_log_target)")
-    q = np.array(start, dtype=float).reshape(-1)
-    dim = q.size
+    start = np.array(start, dtype=float).reshape(-1)
+    dim = start.size
     if dim != target.dim:
         raise ValueError(f"start has {dim} coordinates, the target {target.dim}")
-    if not np.isfinite(q).all():
+    if not np.isfinite(start).all():
         raise ValueError("start point is not finite")
-    current_lp = target(q)
-    if not math.isfinite(current_lp):
+    if not math.isfinite(target(start)):
         raise ValueError("log target is not finite at the start point")
     batch = min(config.batch_size, dim)
     rng = np.random.default_rng(config.seed)
     P = target.P
-    chain = np.empty((config.steps, dim))
-    log_targets = np.empty(config.steps)
     accepted_flags = np.zeros(config.steps, dtype=bool)
+    moves = []  # each block's accepted (coordinates, increments), in step order
+    q = start.copy()
     c = target.b - P @ q
     drift = 0.0
     for lo in range(0, config.steps, BLOCK_STEPS):
@@ -229,21 +262,26 @@ def rw_mh(target: GaussianTarget, start, config: ChainConfig) -> ChainResult:
                 "proposal_scale is far too large for this target"
             )
         moved = np.flatnonzero(flags)
-        rows = chain[lo:hi]
-        # x + (-0.0) is x bit for bit, signed zeros included, so the running
-        # sum repeats stepping q[i] += d one accept at a time
-        rows.fill(-0.0)
-        rows[moved[:, None], idx[moved]] = delta[moved]
-        rows[0] += q
-        np.cumsum(rows, axis=0, out=rows)
-        q = rows[-1]
-        values = [current_lp] + [target(rows[t]) for t in moved.tolist()]
-        log_targets[lo:hi] = np.take(values, np.cumsum(flags))
-        current_lp = values[-1]
+        moves.append((idx[moved], delta[moved]))
+        # q[i] += d one accept at a time, in step order: the sums the states
+        # replay below, so q is the block's last state bit for bit
+        np.add.at(q, *moves[-1])
         fresh = target.b - P @ q
         drift = max(drift, float(np.max(np.abs(fresh - c))))
         c = fresh
-    return ChainResult(config, chain, log_targets, accepted_flags, drift)
+    # x + (-0.0) is x bit for bit, signed zeros included, so the running sum
+    # repeats stepping q[i] += d one accept at a time
+    states = np.full((np.count_nonzero(accepted_flags) + 1, dim), -0.0)
+    row = 1
+    for i, d in moves:
+        states[np.arange(row, row + len(i))[:, None], i] = d
+        row += len(i)
+    states[0] += start
+    np.cumsum(states, axis=0, out=states)
+    log_targets = np.empty(len(states))
+    for lo in range(0, len(states), MOMENT_CHUNK_ROWS):
+        log_targets[lo:lo + MOMENT_CHUNK_ROWS] = target(states[lo:lo + MOMENT_CHUNK_ROWS])
+    return ChainResult(config, states, log_targets, accepted_flags, drift)
 
 
 def tune_proposal_scale(target: GaussianTarget, start, *, seed: int = 0,
@@ -274,28 +312,29 @@ def tune_proposal_scale(target: GaussianTarget, start, *, seed: int = 0,
     return best[1]
 
 
-def batch_means_ess(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batch_means_ess(draws: np.ndarray, holds=None) -> tuple[np.ndarray, np.ndarray]:
     """Effective sample size per coordinate by the batch-means method.
 
-    Splits the chain into b = floor(sqrt(N)) batches of equal length and
-    estimates ESS = N * var(draws) / (batch_len * var(batch means)).  The
-    estimate is capped at N.  Coordinates whose chain never moves get
-    ESS 0 and are flagged degenerate.
+    Row k of `draws` stands for holds[k] consecutive draws (one each when
+    `holds` is None).  Splits the N draws into b = floor(sqrt(N)) batches of
+    equal length and estimates ESS = N * var(draws) / (batch_len * var(batch
+    means)).  The estimate is capped at N.  Coordinates whose chain never
+    moves get ESS 0 and are flagged degenerate.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 1:
-        draws = draws[:, None]
-    n = draws.shape[0]
+    draws, bounds = _held(draws, holds)
+    n = int(bounds[-1])
     if n < 4:
         raise ValueError("need at least 4 draws for batch means")
     b = int(math.isqrt(n))
     batch_len = n // b
     used = b * batch_len
-    trimmed = draws[:used]
-    means = trimmed.reshape(b, batch_len, -1).mean(axis=1)
-    var_all = chain_moments(trimmed)[1]
+    means, within = _group_moments(draws, bounds, np.arange(0, used + 1, batch_len))
     var_means = means.var(axis=0, ddof=1)
-    degenerate = var_all <= 0.0
+    # the variance of the used draws from the batches' own: within plus between
+    var_all = ((batch_len - 1) * within.sum(axis=0)
+               + batch_len * (b - 1) * var_means) / (used - 1)
+    # by bits, not by variance: the mean of N copies of 0.1 is not 0.1
+    degenerate = draws.min(axis=0) == draws.max(axis=0)
     ess = np.zeros(draws.shape[1])
     alive = ~degenerate & (var_means > 0.0)
     ess[alive] = used * var_all[alive] / (batch_len * var_means[alive])
@@ -303,25 +342,23 @@ def batch_means_ess(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(ess, n), degenerate
 
 
-def split_rhat(draws: np.ndarray) -> np.ndarray:
+def split_rhat(draws: np.ndarray, holds=None) -> np.ndarray:
     """Split R-hat per coordinate: each chain is halved and the halves are
     compared, sqrt(((n-1)/n W + B/n) / W).  Accepts (N, dim) for a single
-    chain or (chains, N, dim) for several; constant coordinates get R-hat 1.
+    chain, its rows weighted by `holds` as in `batch_means_ess`, or
+    (chains, N, dim) for several; constant coordinates get R-hat 1.
     """
     draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 1:
-        draws = draws[None, :, None]
-    elif draws.ndim == 2:
-        draws = draws[None, :, :]
-    chains, n, dim = draws.shape
-    half = n // 2
+    if draws.ndim == 3 and holds is not None:
+        raise ValueError("holds apply to a single chain")
+    chains = [_held(chain, None) for chain in draws] if draws.ndim == 3 else [_held(draws, holds)]
+    half = int(chains[0][1][-1]) // 2
     if half < 2:
         raise ValueError("need at least 4 draws per chain to split")
-    # the halves are read as views; only their per-half statistics are stacked
-    halves = (draws[:, :half], draws[:, half:2 * half])
-    within = np.array([chain_moments(chain)[1] for h in halves for chain in h]).mean(axis=0)
-    between = half * np.concatenate([h.mean(axis=1) for h in halves]).var(axis=0, ddof=1)
-    out = np.ones(dim)
+    halves = [_group_moments(chain, bounds, [0, half, 2 * half]) for chain, bounds in chains]
+    within = np.concatenate([var for _, var in halves]).mean(axis=0)
+    between = half * np.concatenate([mean for mean, _ in halves]).var(axis=0, ddof=1)
+    out = np.ones(within.size)
     alive = within > 0.0
     out[alive] = np.sqrt(
         ((half - 1) / half * within[alive] + between[alive] / half) / within[alive]
@@ -329,24 +366,68 @@ def split_rhat(draws: np.ndarray) -> np.ndarray:
     return out
 
 
-def chain_moments(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate mean and variance (ddof 1) of N >= 2 draws (N, dim) in
-    two passes of MOMENT_CHUNK_ROWS rows, so no chain-sized temporary is made."""
-    chunks = [draws[lo:lo + MOMENT_CHUNK_ROWS] for lo in range(0, len(draws), MOMENT_CHUNK_ROWS)]
-    mean = sum(chunk.sum(axis=0) for chunk in chunks) / len(draws)
-    squares = sum(((chunk - mean) ** 2).sum(axis=0) for chunk in chunks)
-    return mean, squares / (len(draws) - 1)
+def chain_moments(draws: np.ndarray, holds=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate mean and variance (ddof 1) of N >= 2 draws, the rows of
+    `draws` weighted by `holds` as in `batch_means_ess`, in two passes of
+    MOMENT_CHUNK_ROWS rows, so no chain-sized temporary is made."""
+    draws, bounds = _held(draws, holds)
+    mean, var = _group_moments(draws, bounds, [0, bounds[-1]])
+    return mean[0], var[0]
+
+
+def _held(draws, holds) -> tuple[np.ndarray, np.ndarray]:
+    """`draws` as (rows, dim) floats, and the bounds of their runs: row k
+    stands for draws bounds[k]..bounds[k+1]-1, one each when `holds` is None."""
+    draws = np.asarray(draws, dtype=float)
+    draws = draws[:, None] if draws.ndim == 1 else draws
+    ends = np.arange(1, len(draws) + 1) if holds is None else np.cumsum(holds)
+    return draws, np.concatenate(([0], ends))
+
+
+def _group_moments(draws, bounds, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate means and variances (ddof 1), (groups, dim) each, of
+    the groups of draws edges[g]..edges[g+1]-1, the rows of `draws` holding
+    the runs `bounds` (see `_held`); draws past edges[-1] are left out.  Each
+    run is cut at the edges into pieces, and each of the two passes reads
+    MOMENT_CHUNK_ROWS pieces at a time."""
+    edges = np.asarray(edges)
+    cuts = np.union1d(bounds, edges)
+    cuts = cuts[(cuts >= edges[0]) & (cuts <= edges[-1])]
+    rows = np.searchsorted(bounds, cuts[:-1], side="right") - 1
+    groups = np.searchsorted(edges, cuts[:-1], side="right") - 1
+    lengths = np.diff(cuts).astype(float)[:, None]
+    counts = np.diff(edges)[:, None]
+
+    def weighted_sums(mean=None):
+        # per group, the pieces (or their squared deviations from `mean`)
+        # summed, each weighted by its length
+        out = np.zeros((counts.size, draws.shape[1]))
+        for lo in range(0, rows.size, MOMENT_CHUNK_ROWS):
+            piece = slice(lo, lo + MOMENT_CHUNK_ROWS)
+            g = groups[piece]
+            heads = np.flatnonzero(np.diff(g, prepend=-1))  # each group's first piece
+            values = draws[rows[piece]]
+            if mean is not None:
+                values -= mean[g]
+                values *= values
+            values *= lengths[piece]
+            out[g[heads]] += np.add.reduceat(values, heads, axis=0)
+        return out
+
+    mean = weighted_sums() / counts
+    return mean, weighted_sums(mean) / (counts - 1)
 
 
 def chain_diagnostics(result_or_draws) -> ChainDiagnostics:
     """ESS, split R-hat, and a convergence verdict for post burn-in draws:
-    converged when every R-hat is at most RHAT_MAX and no coordinate is stuck."""
+    converged when every R-hat is at most RHAT_MAX and no coordinate is stuck.
+    A `ChainResult` is read as its held states, never as a steps x M chain."""
     if isinstance(result_or_draws, ChainResult):
-        draws = result_or_draws.kept
+        draws, holds = result_or_draws.runs(result_or_draws.config.burn_in)
     else:
-        draws = np.asarray(result_or_draws, dtype=float)
-    ess, degenerate = batch_means_ess(draws)
-    rhat = split_rhat(draws)
+        draws, holds = np.asarray(result_or_draws, dtype=float), None
+    ess, degenerate = batch_means_ess(draws, holds)
+    rhat = split_rhat(draws, holds)
     converged = bool(np.all(rhat <= RHAT_MAX)) and not bool(degenerate.any())
     return ChainDiagnostics(ess, rhat, degenerate, converged)
 
@@ -368,31 +449,39 @@ def chain_to_csv(result: ChainResult, path) -> str:
 
 def _trace_chunks(result: ChainResult):
     """The text of chain_to_csv: the header and row 0, then CSV_CHUNK_ROWS
-    rows at a time."""
-    chain, log_targets, steps = result.chain, result.log_targets, result.config.steps
-    dim = chain.shape[1]
-    flags = result.accepted_flags.astype(int).tolist()
+    rows at a time, read from the states the rows hold."""
+    states, log_targets, steps = result.states, result.log_targets, result.config.steps
+    dim = states.shape[1]
+    flags = result.accepted_flags.tolist()
+    held = np.cumsum(result.accepted_flags)
     header = ",".join(["step"] + [f"q{j}" for j in range(dim)] + ["log_target", "accepted"])
     # repr of builtin float round-trips exactly; numpy scalars do not
-    first = ",".join(map(repr, chain[0].tolist() + [float(log_targets[0])]))
-    yield f"{header}\n0,{first},{flags[0]}\n"
-    commas = ["," * k for k in range(dim + 2)]
+    first = ",".join(map(repr, states[held[0]].tolist() + [float(log_targets[held[0]])]))
+    yield f"{header}\n0,{first},{int(flags[0])}\n"
+    commas = ["," * k for k in range(dim + 3)]
     for lo in range(1, steps, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, steps)
-        # the row above the chunk, then the chunk; log target last, compared as bits
-        block = np.empty((hi - lo + 1, dim + 1))
-        block[:, :dim], block[:, dim] = chain[lo - 1:hi], log_targets[lo - 1:hi]
+        # the state held above the chunk, then each state the chunk accepts;
+        # log target last, compared as bits
+        a, b = held[lo - 1], held[hi - 1]
+        block = np.empty((b - a + 1, dim + 1))
+        block[:, :dim], block[:, dim] = states[a:b + 1], log_targets[a:b + 1]
         bits = block.view(np.int64)
         rows, cols = np.nonzero(bits[1:] != bits[:-1])
-        bounds = np.searchsorted(rows, np.arange(hi - lo + 1)).tolist()
+        bounds = np.searchsorted(rows, np.arange(b - a + 1)).tolist()
         texts = [repr(v) for v in block[rows + 1, cols].tolist()]
         cols = cols.tolist()
         parts = []
-        for t, a, b, acc in zip(range(lo, hi), bounds, bounds[1:], flags[lo:hi]):
+        spans = zip(bounds, bounds[1:])
+        for t, acc in zip(range(lo, hi), flags[lo:hi]):
+            if not acc:  # the state above again: every value field empty
+                parts.append(f"{t}{commas[dim + 2]}0\n")
+                continue
             parts.append(str(t))
             last = -1  # the step; field j follows j - last commas from the last written
-            for j, text in zip(cols[a:b], texts[a:b]):
+            start, stop = next(spans)
+            for j, text in zip(cols[start:stop], texts[start:stop]):
                 parts += (commas[j - last], text)
                 last = j
-            parts.append(f"{commas[dim - last]},{acc}\n")
+            parts.append(f"{commas[dim - last]},1\n")
         yield "".join(parts)

@@ -185,15 +185,17 @@ def forward_predictive_readings(post, basis, system, windows, samples: int,
 
 def chain_to_csv_every_value(result, path) -> None:
     """MCMC trace with every value formatted on every row: one row per step
-    with every coordinate, the log target, and whether the step accepted."""
-    dim = result.chain.shape[1]
+    with every coordinate and the log target of the state the step holds,
+    and whether the step accepted."""
+    dim = result.states.shape[1]
     header = ["step"] + [f"q{j}" for j in range(dim)] + ["log_target", "accepted"]
+    held = np.cumsum(result.accepted_flags)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for t in range(result.config.steps):
             # repr of builtin float round-trips exactly; numpy scalars do not
-            coords = ",".join(repr(float(v)) for v in result.chain[t])
-            fh.write(f"{t},{coords},{float(result.log_targets[t])!r},"
+            coords = ",".join(repr(float(v)) for v in result.states[held[t]])
+            fh.write(f"{t},{coords},{float(result.log_targets[held[t]])!r},"
                      f"{int(result.accepted_flags[t])}\n")
 
 

@@ -591,6 +591,7 @@ def test_posterior_matches_brute_force_formula():
     mean = cov @ (design.T @ z / sigma**2)
     np.testing.assert_allclose(post.cov, cov, rtol=1e-10)
     np.testing.assert_allclose(post.mean, mean, rtol=1e-10)
+    np.testing.assert_allclose(post.sd, np.sqrt(np.diag(cov)), rtol=1e-10)
 
 
 def test_posterior_never_exceeds_prior_covariance():

@@ -127,7 +127,8 @@ def test_rw_mh_matches_full_target_reference(steps):
     assert 0.1 < result.acceptance_rate < 0.9
     np.testing.assert_array_equal(result.accepted_flags, flags)
     assert (result.chain.view(np.int64) == chain.view(np.int64)).all()
-    np.testing.assert_array_equal(result.log_targets, [target(q) for q in chain])
+    np.testing.assert_array_equal(result.log_targets[np.cumsum(flags)],
+                                  [target(q) for q in chain])
     assert result.drift < 1e-9
 
 
@@ -200,10 +201,15 @@ def test_batch_means_ess_near_n_for_iid_draws():
 
 
 def test_batch_means_ess_flags_constant_chain():
-    draws = np.ones((100, 2))
-    ess, degenerate = batch_means_ess(draws)
-    assert degenerate.all()
-    assert (ess == 0.0).all()
+    # 0.1 included: a mean of its copies is not 0.1, so a variance reads
+    # rounding noise for a coordinate that never moved
+    for value in (1.0, 0.1):
+        draws = np.full((100, 2), value)
+        ess, degenerate = batch_means_ess(draws)
+        assert degenerate.all()
+        assert (ess == 0.0).all()
+        ess, degenerate = batch_means_ess(draws[:3], np.array([40, 1, 59]))
+        assert degenerate.all() and (ess == 0.0).all()
     with pytest.raises(ValueError):
         batch_means_ess(np.zeros((3, 1)))
 
@@ -273,6 +279,44 @@ def test_chain_moments_match_numpy_without_copying_the_chain():
     assert peak < draws.nbytes / 4
 
 
+def _held_chain(seed, states, dim, longest):
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((states, dim)) * 3.0 + rng.standard_normal(dim) * 1e3
+    holds = rng.integers(1, longest + 1, size=states)
+    return draws, holds, np.repeat(draws, holds, axis=0)
+
+
+@pytest.mark.parametrize("states,longest", [(40, 5), (700, 40), (3 * MOMENT_CHUNK_ROWS + 5, 9)])
+def test_held_statistics_equal_the_dense_ones(states, longest):
+    draws, holds, dense = _held_chain(states, states, 3, longest)
+    n = dense.shape[0]
+    ends = np.cumsum(holds)
+    batch_len = n // math.isqrt(n)
+    # some run crosses a batch edge, and one crosses the half split
+    assert (ends // batch_len != (ends - holds) // batch_len).any()
+    assert ((ends - holds < n // 2) & (ends > n // 2)).any()
+    for held, flat in ((chain_moments(draws, holds), chain_moments(dense)),
+                       (batch_means_ess(draws, holds), batch_means_ess(dense)),
+                       ((split_rhat(draws, holds),), (split_rhat(dense),))):
+        for a, b in zip(held, flat):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+    ones = np.ones(states, dtype=int)
+    for fn in (chain_moments, batch_means_ess, lambda d, h=None: (split_rhat(d, h),)):
+        for a, b in zip(fn(draws), fn(draws, ones)):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_chain_diagnostics_read_the_held_states():
+    cfg = ChainConfig(steps=6000, burn_in=700, proposal_scale=2.4, seed=13, batch_size=2)
+    result = rw_mh(_std_normal_target(3), np.zeros(3), cfg)
+    states, holds = result.runs(cfg.burn_in)
+    np.testing.assert_array_equal(np.repeat(states, holds, axis=0), result.kept)
+    held, dense = chain_diagnostics(result), chain_diagnostics(result.kept)
+    for name in ("ess", "rhat"):
+        np.testing.assert_allclose(getattr(held, name), getattr(dense, name), rtol=1e-12)
+    assert held.converged == dense.converged
+
+
 def test_chain_diagnostics_verdicts():
     cfg = ChainConfig(steps=20000, burn_in=1000, proposal_scale=2.4, seed=13)
     result = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
@@ -299,20 +343,23 @@ def test_chain_to_csv_round_trip(tmp_path):
     assert len(lines) == 51
     chain, log_targets, accepted = read_trace(path)
     np.testing.assert_array_equal(chain, result.chain)
-    np.testing.assert_array_equal(log_targets, result.log_targets)
+    np.testing.assert_array_equal(log_targets, _step_log_targets(result))
     np.testing.assert_array_equal(accepted, result.accepted_flags)
 
 
-def _check_compact_trace(result, path, oracle_path, edited_rows=0):
+def _step_log_targets(result):
+    return result.log_targets[np.cumsum(result.accepted_flags)]
+
+
+def _check_compact_trace(result, path, oracle_path):
     """The trace filled forward is the every-value oracle byte for byte, and
     a value field is empty exactly where its bits repeat the row above.  A
-    rejected step repeats the row above, so it is a line of commas wherever
-    neither row was changed by hand: from row `edited_rows` on."""
+    rejected step holds the state above, so it is a line of commas."""
     chain_to_csv(result, path)
     chain_to_csv_every_value(result, oracle_path)
     assert filled_trace_text(path).encode() == oracle_path.read_bytes()
     steps, dim = result.chain.shape
-    values = np.column_stack([result.chain, result.log_targets]).view(np.int64)
+    values = np.column_stack([result.chain, _step_log_targets(result)]).view(np.int64)
     lines = path.read_text().splitlines(keepends=True)[1:]
     assert len(lines) == steps
     assert "" not in lines[0].split(",")
@@ -321,7 +368,7 @@ def _check_compact_trace(result, path, oracle_path, edited_rows=0):
         assert fields[0] == str(t) and fields[-1] == f"{int(result.accepted_flags[t])}\n"
         empty = [field == "" for field in fields[1:-1]]
         assert empty == (values[t] == values[t - 1]).tolist(), t
-        if t >= edited_rows and not result.accepted_flags[t]:
+        if not result.accepted_flags[t]:
             assert lines[t] == f"{t}," + "," * dim + ",0\n"
     return lines
 
@@ -331,17 +378,19 @@ def test_chain_to_csv_matches_every_value_oracle(tmp_path, batch):
     start = np.array([-0.0, 0.5, -1.25, 0.0, 2.0, 1e-300, -3.5, 7.0, 0.1, -0.2, 3.0, 1.0])
     cfg = ChainConfig(steps=300, proposal_scale=1.2, seed=23, batch_size=batch)
     result = rw_mh(_std_normal_target(start.size), start, cfg)
-    assert 0 < result.accepted < cfg.steps  # rejected steps repeat their row
-    chain = result.chain.copy()
+    assert 5 <= result.accepted < cfg.steps  # rejected steps repeat their state
+    # the first four accepts after row 0, of states k..k+3
+    t1, t2, t3, t4 = (np.flatnonzero(result.accepted_flags[1:])[:4] + 1).tolist()
+    k = np.count_nonzero(result.accepted_flags[:t1 + 1])
+    states = result.states.copy()
     # equal values with different bits must be written anew
-    chain[:6, 0] = [-0.0, -0.0, 0.0, 0.0, -0.0, 0.0]
-    result = ChainResult(cfg, chain, result.log_targets, result.accepted_flags)
-    lines = _check_compact_trace(result, tmp_path / "trace.csv", tmp_path / "oracle.csv",
-                                 edited_rows=7)
+    states[k - 1:k + 4, 0] = [-0.0, -0.0, 0.0, 0.0, -0.0]
+    result = ChainResult(cfg, states, result.log_targets, result.accepted_flags)
+    lines = _check_compact_trace(result, tmp_path / "trace.csv", tmp_path / "oracle.csv")
     expected = (tmp_path / "oracle.csv").read_bytes()
-    assert b"\n1,-0.0," in expected and b"\n2,0.0," in expected
-    assert lines[1].startswith("1,,") and lines[2].startswith("2,0.0,")
-    assert lines[3].startswith("3,,") and lines[4].startswith("4,-0.0,")
+    assert f"\n{t1},-0.0,".encode() in expected and f"\n{t2},0.0,".encode() in expected
+    assert lines[t1].startswith(f"{t1},,") and lines[t2].startswith(f"{t2},0.0,")
+    assert lines[t3].startswith(f"{t3},,") and lines[t4].startswith(f"{t4},-0.0,")
 
 
 @pytest.mark.parametrize("steps", [1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
@@ -366,14 +415,16 @@ def test_chain_to_csv_moves_every_coordinate_at_full_batch(tmp_path):
 def test_chain_to_csv_leaves_an_unchanged_log_target_empty_on_an_accept(tmp_path):
     cfg = ChainConfig(steps=60, proposal_scale=1.0, seed=14)
     result = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
-    t, after = np.flatnonzero(result.accepted_flags[1:])[:2] + 1
-    # the accept at t lands on the log target of the row above, up to the next accept
+    t = np.flatnonzero(result.accepted_flags[1:])[0] + 1
+    k = np.count_nonzero(result.accepted_flags[:t + 1])
+    # the state accepted at t has the log target of the state above
     log_targets = result.log_targets.copy()
-    log_targets[t:after] = log_targets[t - 1]
-    result = ChainResult(cfg, result.chain, log_targets, result.accepted_flags)
+    log_targets[k] = log_targets[k - 1]
+    result = ChainResult(cfg, result.states, log_targets, result.accepted_flags)
     lines = _check_compact_trace(result, tmp_path / "trace.csv", tmp_path / "oracle.csv")
     assert lines[t].endswith(",,1\n") and lines[t] != f"{t},,,,1\n"
-    np.testing.assert_array_equal(read_trace(tmp_path / "trace.csv")[1], log_targets)
+    np.testing.assert_array_equal(read_trace(tmp_path / "trace.csv")[1],
+                                  _step_log_targets(result))
 
 
 def test_chain_to_csv_holds_no_chain_sized_copy(tmp_path):
@@ -387,4 +438,21 @@ def test_chain_to_csv_holds_no_chain_sized_copy(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < result.chain.nbytes / 4
+    assert peak < cfg.steps * 100 * 8 / 4
+
+
+def test_rw_mh_holds_no_steps_by_dim_array():
+    # the ode-bundle chain's shape at its acceptance: 20000 steps of 100
+    # coordinates, about 0.3 accepted; the peak stays under half of the 16 MB
+    # dense chain
+    cfg = ChainConfig(steps=20000, proposal_scale=1.0, seed=9)
+    target = _std_normal_target(100)
+    tracemalloc.start()
+    try:
+        result = rw_mh(target, np.zeros(100), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.25 < result.acceptance_rate < 0.35
+    assert result.states.shape == (result.accepted + 1, 100)
+    assert peak < cfg.steps * 100 * 8 / 2

@@ -1,18 +1,21 @@
 """Every exported name resolves, so a stale `__all__` entry fails here
 rather than at a user's `from adjointgp import *`; every module-level
 import is used; each solver module offers its solves through its system
-object only; a `Field` is values on a grid and no more; and the import
+object only; a `Field` is values on a grid and no more; an MCMC chain is
+kept as its states, never as a steps x M array; and the import
 graph is pinned: no module imports scipy at package import, a whole ODE
 run (simulate, infer, scan, mcmc) loads no scipy module, and the PDE loads
 `scipy.sparse`, from its step operator only, but never `scipy.linalg`."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -101,6 +104,26 @@ def test_field_is_values_on_a_grid():
     assert adjointgp.Field.__slots__ == ("grid", "values")
     field = adjointgp.Field.zeros(adjointgp.Grid.regular(((0.0, 1.0),), (2,)))
     assert not hasattr(field, "mask") and not hasattr(field, "mask_flat")
+
+
+def test_mcmc_keeps_the_chain_as_its_states(tmp_path, monkeypatch):
+    # a chain is its start and accepted states; the package never builds the
+    # steps x M chain, which stays on demand for tests and library callers
+    fields = [f.name for f in dataclasses.fields(adjointgp.ChainResult)]
+    assert fields == ["config", "states", "log_targets", "accepted_flags", "drift"]
+
+    def dense(self):
+        raise AssertionError("a steps x M chain was built")
+
+    monkeypatch.setattr(adjointgp.ChainResult, "chain", property(dense))
+    monkeypatch.setattr(adjointgp.ChainResult, "kept", property(dense))
+    data = adjointgp.simulate_data(adjointgp.parse_config(TINY_ODE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", adjointgp.MisspecificationWarning)
+        outcome = adjointgp.run_mcmc(data)
+    adjointgp.save_mcmc(outcome, data, tmp_path / "mcmc")
+    assert outcome.result.states.shape[0] == outcome.result.accepted + 1
+    assert (tmp_path / "mcmc" / "trace.csv").exists()
 
 
 def test_files_are_written_as_bytes():
