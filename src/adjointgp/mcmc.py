@@ -346,7 +346,8 @@ def split_rhat(draws: np.ndarray, holds=None) -> np.ndarray:
     """Split R-hat per coordinate: each chain is halved and the halves are
     compared, sqrt(((n-1)/n W + B/n) / W).  Accepts (N, dim) for a single
     chain, its rows weighted by `holds` as in `batch_means_ess`, or
-    (chains, N, dim) for several; constant coordinates get R-hat 1.
+    (chains, N, dim) for several; a coordinate whose split draws all hold
+    the same value (min == max, as `batch_means_ess` decides) gets R-hat 1.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim == 3 and holds is not None:
@@ -358,8 +359,13 @@ def split_rhat(draws: np.ndarray, holds=None) -> np.ndarray:
     halves = [_group_moments(chain, bounds, [0, half, 2 * half]) for chain, bounds in chains]
     within = np.concatenate([var for _, var in halves]).mean(axis=0)
     between = half * np.concatenate([mean for mean, _ in halves]).var(axis=0, ddof=1)
+    # a coordinate moves when its split draws differ in bits: the variance
+    # of a value that never moved can read rounding noise
+    used = [chain[:np.searchsorted(bounds, 2 * half)] for chain, bounds in chains]
+    lo = np.min([u.min(axis=0) for u in used], axis=0)
+    hi = np.max([u.max(axis=0) for u in used], axis=0)
     out = np.ones(within.size)
-    alive = within > 0.0
+    alive = (lo < hi) & (within > 0.0)
     out[alive] = np.sqrt(
         ((half - 1) / half * within[alive] + between[alive] / half) / within[alive]
     )

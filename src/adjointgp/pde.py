@@ -18,8 +18,11 @@ form: donor-cell advective fluxes (upwind against the reversed velocity),
 and the wall condition imposed as zero total flux, the discrete form of the
 Robin condition (velocity . n) v + diffusivity * (v_ghost - v_in) / dx = 0
 with the advective wall flux evaluated at the interior cell.  With constant
-coefficients one step is a fixed sparse matrix A over the S = ny * nx
-spatial cells.  The forward march applies its transpose A^T, which is the
+coefficients one step is a fixed five-point stencil A over the S = ny * nx
+spatial cells: one coefficient per neighbour direction, and a diagonal that
+differs from its interior value on the wall cells only.  Each cell adds its
+terms from 0.0 in the column order of its row of A, as a row-by-row matrix
+product would.  The forward march applies the transpose A^T, which is the
 upwind, centered-diffusion step with walls reflected by one ghost layer;
 so the two observation routes are transposes of each other by
 construction.  Both solves run one march, x <- B x + dt * rhs, with B = A^T
@@ -33,7 +36,7 @@ marches one column per window shape (`fields.shift_groups`), its base: a
 copy's solution is the base's shifted, and its Phi row a rotation.
 
 `PdeSystem` is the solver: its constructor checks the grid and the CFL
-bound and builds A once.  Its solves are `forward(f)` and
+bound and builds A's stencil once.  Its solves are `forward(f)` and
 `adjoint_march`, whose slabs `assemble_phi` projects as they are marched;
 the bank's `kept()` marches once and keeps them.
 
@@ -107,27 +110,67 @@ def cfl_limit(params: PdeParams, grid: Grid) -> float:
     return _CFL_SAFETY * min(candidates)
 
 
-def _step_operator(params: PdeParams, grid: Grid):
-    """(S, S) CSR matrix A of one adjoint step, S = ny * nx:
-    v <- A v + dt * h with A = I + dt * (kron(L_y, I_x) + kron(I_y, L_x)).
-    One forward step is u <- A^T u + dt * f."""
-    # imported here, not at package import, so ODE-only runs do not pay for it
-    import scipy.sparse as sp
+class _Stencil:
+    """One step x <- A x of the five-point stencil over C-contiguous (ny, nx,
+    w) cell-major states: `diag`, (ny, nx), and one scalar per neighbour,
+    y-1, x-1, x+1, y+1.  `T` is the transposed step, its neighbours swapped."""
+
+    def __init__(self, diag, ym, xm, xp, yp):
+        self.diag, self.ym, self.xm, self.xp, self.yp = diag, ym, xm, xp, yp
+
+    @property
+    def T(self) -> "_Stencil":
+        return _Stencil(self.diag, self.yp, self.xp, self.xm, self.ym)
+
+    def apply(self, x, out, tmp) -> None:
+        """out <- A x, `tmp` a scratch state.  Each cell adds its terms in the
+        order y-1, x-1, self, x+1, y+1 from 0.0, the column order of its row
+        of A, and a term across a wall adds nothing.  On the flat states an
+        x neighbour is w entries away and a y neighbour nx * w; the diagonal
+        takes its interior value, then the wall cells are redone."""
+        w = x.shape[2]
+        sy = x.shape[1] * w
+        xf, of, tf = x.reshape(-1), out.reshape(-1), tmp.reshape(-1)
+        of[:sy] = 0.0
+        np.multiply(xf[:-sy], self.ym, out=of[sy:])
+        np.multiply(xf[:-w], self.xm, out=tf[w:])
+        tmp[:, 0] = 0.0
+        of += tf
+        np.multiply(xf, self.diag[1, 1], out=tf)
+        for wall in (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1]):
+            np.multiply(x[wall], self.diag[wall][..., None], out=tmp[wall])
+        of += tf
+        np.multiply(xf[w:], self.xp, out=tf[:-w])
+        tmp[:, -1] = 0.0
+        of += tf
+        np.multiply(xf[sy:], self.yp, out=tf[:-sy])
+        np.add(of[:-sy], tf[:-sy], out=of[:-sy])
+
+
+def _step_operator(params: PdeParams, grid: Grid) -> _Stencil:
+    """Stencil of one adjoint step v <- A v + dt * h over the S = ny * nx
+    cells, A = I + dt * (kron(F_y, I_x) + kron(I_y, F_x)) with F the flux
+    form of each axis.  One forward step is u <- A^T u + dt * f."""
 
     def flux_form(n, h, vel):
         # interior face fluxes kappa * (v[j+1] - v[j]) / h + vel * v_donor,
-        # donor cell upwind against the reversed velocity; the walls carry
-        # zero total flux; divided by h and differenced onto the cells
-        diff = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-        donor = sp.eye(n - 1, n, k=1 if vel >= 0.0 else 0)
-        return -diff.T @ (params.diffusivity / (h * h) * diff + vel / h * donor)
+        # donor cell upwind against the reversed velocity, are lower * v[j] +
+        # upper * v[j+1]; the walls carry zero total flux; divided by h and
+        # differenced onto the cells: F's diagonal and its two off-diagonals
+        c, a = params.diffusivity / (h * h), vel / h
+        lower, upper = (-c, c + a) if vel >= 0.0 else (-c + a, c)
+        diag = np.zeros(n)
+        diag[:-1] += lower
+        diag[1:] -= upper
+        return diag, -lower, upper
 
     _, ny, nx = grid.dims
     dt, dy, dx = grid.spacing
     vy, vx = params.velocity
-    lap = (sp.kron(flux_form(ny, dy, vy), sp.identity(nx))
-           + sp.kron(sp.identity(ny), flux_form(nx, dx, vx)))
-    return (sp.identity(ny * nx) + dt * lap).tocsr()
+    fy, ym, yp = flux_form(ny, dy, vy)
+    fx, xm, xp = flux_form(nx, dx, vx)
+    diag = 1.0 + dt * (fy[:, None] + fx)
+    return _Stencil(diag, dt * ym, dt * xm, dt * xp, dt * yp)
 
 
 def sensor_field(grid: Grid, region_lo, region_hi, t_lo: float, t_hi: float) -> Window:
@@ -145,8 +188,8 @@ def sensor_field(grid: Grid, region_lo, region_hi, t_lo: float, t_hi: float) -> 
 class PdeSystem:
     """Forward and adjoint solver bound to fixed coefficients and a
     (time, y, x) grid.  The constructor checks the grid and the CFL bound,
-    keeping `step_margin` = dt / cfl_limit, and builds the step operator A
-    and its transpose, once per system."""
+    keeping `step_margin` = dt / cfl_limit, and builds the stencil of the
+    step operator A once per system."""
 
     def __init__(self, params: PdeParams, grid: Grid):
         dt = grid.spacing[0]
@@ -160,7 +203,6 @@ class PdeSystem:
         self._grid = grid
         self.step_margin = dt / limit
         self._step = _step_operator(params, grid)
-        self._step_t = self._step.T.tocsr()
 
     @property
     def grid(self) -> Grid:
@@ -170,7 +212,7 @@ class PdeSystem:
         """March the forward problem from rest by u <- A^T u + dt f."""
         values = np.zeros(self._grid.num_cells)
         spans = time_spans([forcing], self._grid)
-        for cells, v in self._march(self._step_t, [forcing], spans):
+        for cells, v in self._march([forcing], spans):
             values[cells] = v[:, 0]
         return Field(self._grid, values)
 
@@ -181,16 +223,18 @@ class PdeSystem:
         functionals = tuple(functionals)
         spans = time_spans(functionals, self._grid)
         return AdjointBank(self._grid, spans[:, 1], lambda order: self._march(
-            self._step, [functionals[i] for i in order], spans[order], order),
+            [functionals[i] for i in order], spans[order], order),
             groups=shift_groups(functionals, spans))
 
-    def _march(self, op, functionals, spans, order=None):
-        """Step x <- op x + dt * rhs from rest and yield (cells, x), x the
-        (S, w) solution on a time cell, from the first cell on, or from the
-        last when `order`, the caller's index of each column, makes it an
-        adjoint march.  Columns come sorted by the step they join at, their
-        first right-hand side.  A non-finite slab raises SolverError."""
+    def _march(self, functionals, spans, order=None):
+        """Step x <- B x + dt * rhs from rest and yield (cells, x), x the
+        (S, w) solution on a time cell: forward, B = A^T from the first cell
+        on, or, when `order`, the caller's index of each column, makes it an
+        adjoint march, B = A from the last.  Columns come sorted by the step
+        they join at, their first right-hand side.  A non-finite slab raises
+        SolverError."""
         reverse = order is not None
+        op = self._step if reverse else self._step.T
         nt, ny, nx = self._grid.dims
         dt = self._grid.spacing[0]
         # an all-zero adjoint column never joins; a forward march has one column
@@ -199,13 +243,21 @@ class PdeSystem:
         boxes = {j: (flat[f.box[1:]].ravel(), dt * f.value)
                  for j, f in enumerate(functionals) if isinstance(f, Window)}
         adds = {}
-        state = np.zeros((ny * nx, 0))
+        # the state, the next state and the stencil's scratch, each laid out
+        # (ny, nx, w) at the head of a buffer as wide as every joining column
+        width = int(np.searchsorted(joins, nt - 1, side="right"))
+        cur, spare, scratch = np.zeros((3, ny * nx * width))
+        cols = 0
         for step, k in enumerate(range(nt - 1, -1, -1) if reverse else range(nt)):
             w = int(np.searchsorted(joins, step, side="right"))
             if w == 0:
                 continue
-            if w > state.shape[1]:
-                state = np.concatenate((state, np.zeros((ny * nx, w - state.shape[1]))), axis=1)
+            if w > cols:
+                grown = spare[:ny * nx * w].reshape(ny, nx, w)
+                grown[..., :cols] = cur[:ny * nx * cols].reshape(ny, nx, cols)
+                grown[..., cols:] = 0.0
+                cur, spare, cols = spare, cur, w
+            state, nxt, tmp = (b[:ny * nx * w].reshape(ny, nx, w) for b in (cur, spare, scratch))
             # the columns with a right-hand side here; the flat state entries
             # their windows add to are found once per run of such cells
             on = np.flatnonzero((spans[:w, 0] <= k) & (k < spans[:w, 1]))
@@ -216,15 +268,15 @@ class PdeSystem:
                                                              for j in wins]))
             # overflow is reported as SolverError below, not as a numpy warning
             with np.errstate(over="ignore", invalid="ignore"):
-                nxt = op @ state
+                op.apply(state, nxt, tmp)
                 idx, values = adds[key]
                 nxt.reshape(-1)[idx] += values
                 for j in on:
                     if j not in boxes:
-                        nxt[:, j] += dt * functionals[j].values[k].reshape(-1)
-                out = state + nxt
+                        nxt[..., j] += dt * functionals[j].values[k]
+                out = (state + nxt).reshape(ny * nx, w)
                 out *= 0.5
             check_march("adjoint" if reverse else "forward", out.T[:, None], order=order,
                         step=step)
             yield slice(k * ny * nx, (k + 1) * ny * nx), out
-            state = nxt
+            cur, spare = spare, cur

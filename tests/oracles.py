@@ -14,9 +14,12 @@ which are built from adjoint design rows, end to end.
 
 The PDE reference marches step the advection-diffusion scheme by hand:
 the forward with a reflected ghost layer, the adjoint in flux form with
-donor-cell fluxes and zero total flux at the walls.  The package builds
-one sparse step operator from the same scheme; these stencils never see it,
-so a wrong axis or upwind side in that operator shows as a mismatch.
+donor-cell fluxes and zero total flux at the walls.  The package steps
+one five-point stencil built from the same scheme; these marches never see
+it, so a wrong axis or upwind side in that stencil shows as a mismatch.
+`pde_step_matrix` writes the same step as a dense Kronecker sum, and
+`row_order_product` applies it row by row in column order, the sum order
+the package's stencil keeps, so one step of each must agree bit for bit.
 
 The trace writer formats every coordinate of every step afresh; the
 package's writer leaves a field empty where its bits repeat the row above,
@@ -309,6 +312,34 @@ def pde_adjoint_flux_bank(params, functionals) -> np.ndarray:
         out[:, nt - 1 - k] = 0.5 * (state + nxt)
         state = nxt
     return out.reshape(len(functionals), -1)
+
+
+def pde_step_matrix(params, grid: Grid) -> np.ndarray:
+    """Dense (S, S) adjoint step A = I + dt * (kron(F_y, I) + kron(I, F_x)),
+    F = -D^T (kappa / h^2 D + vel / h E) per axis: D takes each interior
+    face's difference, E its donor cell, upwind against the reversed
+    velocity.  Each entry of F sums at most two exact products."""
+    _, ny, nx = grid.dims
+    dt, dy, dx = grid.spacing
+
+    def flux_form(n, h, vel):
+        diff = np.eye(n - 1, n, k=1) - np.eye(n - 1, n)
+        donor = np.eye(n - 1, n, k=1 if vel >= 0.0 else 0)
+        return -diff.T @ (params.diffusivity / (h * h) * diff + vel / h * donor)
+
+    lap = (np.kron(flux_form(ny, dy, params.velocity[0]), np.eye(nx))
+           + np.kron(np.eye(ny), flux_form(nx, dx, params.velocity[1])))
+    return np.eye(ny * nx) + dt * lap
+
+
+def row_order_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v for an (S, w) v, each row's non-zero terms added one at a
+    time from 0.0 in column order, the order of a sparse row product."""
+    out = np.zeros((matrix.shape[0], v.shape[1]))
+    for r, row in enumerate(matrix):
+        for c in np.flatnonzero(row):
+            out[r] = out[r] + row[c] * v[c]
+    return out
 
 
 def eq_kernel(x, y, kernel: KernelParams) -> float:

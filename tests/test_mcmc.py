@@ -241,9 +241,14 @@ def test_split_rhat_flags_two_regime_chain():
 
 
 def test_split_rhat_constant_coordinate_is_one():
-    draws = np.column_stack([np.ones(100), np.linspace(0, 1, 100)])
-    rhat = split_rhat(draws)
-    assert rhat[0] == 1.0
+    # 0.1 included: its half means are not 0.1, so the within-half variance
+    # reads rounding noise for a coordinate that never moved
+    for value in (1.0, 0.1):
+        draws = np.column_stack([np.full(100, value), np.linspace(0, 1, 100)])
+        rhat = split_rhat(draws)
+        assert rhat[0] == 1.0
+        rhat = split_rhat(draws[:3], np.array([47, 5, 48]))
+        assert rhat[0] == 1.0
 
 
 def test_split_rhat_multichain_shape():

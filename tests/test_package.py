@@ -2,10 +2,9 @@
 rather than at a user's `from adjointgp import *`; every module-level
 import is used; each solver module offers its solves through its system
 object only; a `Field` is values on a grid and no more; an MCMC chain is
-kept as its states, never as a steps x M array; and the import
-graph is pinned: no module imports scipy at package import, a whole ODE
-run (simulate, infer, scan, mcmc) loads no scipy module, and the PDE loads
-`scipy.sparse`, from its step operator only, but never `scipy.linalg`."""
+kept as its states, never as a steps x M array; and the package is
+numpy alone: no module imports scipy, anywhere, and neither a whole ODE run
+(simulate, infer, scan, mcmc) nor a PDE run loads a scipy module."""
 
 import ast
 import dataclasses
@@ -167,14 +166,13 @@ def _fresh_modules(*lines):
 
 
 def test_ode_solves_leave_scipy_sparse_unimported():
-    # only PdeSystem builds a sparse step operator, and it imports
-    # scipy.sparse there; a fresh interpreter keeps ODE-only runs free of it
+    # the ODE solves alone, in a fresh interpreter, load no scipy module
     loaded = _fresh_modules(
         "grid = ag.Grid.regular(((0.0, 10.0),), (200,))",
         "system = ag.OdeSystem(ag.OdeParams(5.0, 1.0, 0.5, 10.0), grid)",
         "system.forward(ag.Field.full(grid, 1.0))",
         "system.adjoint_march([ag.window_indicator(grid, [2.0], [3.0])] * 2)")
-    assert [m for m in loaded if m.startswith("scipy.sparse")] == []
+    assert loaded == []
 
 
 TINY_ODE = ("[system]\nkind = ode\np0 = 5.0\np1 = 1.0\np2 = 0.5\nT = 10.0\n"
@@ -200,18 +198,17 @@ def test_ode_run_loads_no_scipy():
         "ag.run_inference(data), ag.scan_hyper(data), ag.run_mcmc(data)") == []
 
 
-def test_pde_run_loads_scipy_sparse_but_not_scipy_linalg():
-    loaded = _fresh_modules(
+def test_pde_run_loads_no_scipy():
+    # the PDE steps a numpy stencil: simulate and infer on a PDE config
+    # leave every scipy module unloaded
+    assert _fresh_modules(
         f"data = ag.simulate_data(ag.parse_config({TINY_PDE!r}))",
-        "ag.run_inference(data)")
-    assert "scipy.sparse" in loaded
-    assert [m for m in loaded if m.startswith("scipy.linalg")] == []
+        "ag.run_inference(data)") == []
 
 
-def test_the_only_scipy_import_is_the_pde_step_operator():
-    # no scipy import outside a function anywhere in the package (so importing
-    # it costs no scipy), and one inside a function: scipy.sparse, in
-    # pde._step_operator, which only the PDE runs
+def test_the_package_imports_no_scipy():
+    # no scipy import anywhere in the package, at module level or inside a
+    # function, so no command can load it
     found = []
     for name in ["__init__", *SUBMODULES]:
         with open(os.path.join(adjointgp.__path__[0], f"{name}.py"), encoding="utf-8") as fh:
@@ -228,4 +225,4 @@ def test_the_only_scipy_import_is_the_pde_step_operator():
             else:
                 continue
             found += [(name, owner.get(id(node)), m) for m in mods if m.split(".")[0] == "scipy"]
-    assert found == [("pde", "_step_operator", "scipy.sparse")]
+    assert found == []

@@ -25,7 +25,9 @@ from oracles import (
     pde_apply,
     pde_apply_adjoint,
     pde_forward_stencil,
+    pde_step_matrix,
     random_smooth_field,
+    row_order_product,
 )
 
 BOUNDS = ((0.0, 10.0), (0.0, 10.0))
@@ -259,9 +261,10 @@ def test_bank_names_the_caller_of_a_blow_up_that_joins_the_march_late():
 
 @pytest.mark.parametrize("velocity", [(0.4, 0.3), (0.4, -0.3), (-0.4, 0.3), (0.0, 0.3)])
 def test_step_operator_matches_hand_written_stencils(velocity):
-    """The sparse step operator against the hand-written flux-form adjoint
-    and ghost-layer forward marches.  The grid is not square and every
-    axis length differs, so swapped axes do not cancel out."""
+    """The stencil step operator against the hand-written flux-form adjoint
+    and ghost-layer forward marches, and one step of it against the dense
+    step matrix.  The grid is not square and every axis length differs, so
+    swapped axes do not cancel out."""
     grid = Grid.regular(((0.0, 10.0), (0.0, 9.0), (0.0, 13.0)), (15, 9, 13))
     params = PdeParams(velocity=velocity, diffusivity=0.05,
                        bounds=((0.0, 9.0), (0.0, 13.0)), T=10.0)
@@ -275,6 +278,19 @@ def test_step_operator_matches_hand_written_stencils(velocity):
     rows = system.adjoint_march(windows).rows
     ref = pde_adjoint_flux_bank(params, windows)
     np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    # one step of A and of A^T, bit for bit against the dense matrix summed
+    # row by row in column order, on states with exact zeros
+    matrix = pde_step_matrix(params, grid)
+    op = pde._step_operator(params, grid)
+    rng = np.random.default_rng(870)
+    for w in (1, 5):
+        v = rng.standard_normal((9 * 13, w))
+        v[rng.random(v.shape) < 0.3] = 0.0
+        for stencil, m in ((op, matrix), (op.T, matrix.T)):
+            out, tmp = np.empty((2, 9, 13, w))
+            stencil.apply(v.reshape(9, 13, w), out, tmp)
+            np.testing.assert_array_equal(out.reshape(-1, w).view(np.int64),
+                                          row_order_product(m, v).view(np.int64))
 
 
 def test_forward_overflow_raises_without_a_warning():
