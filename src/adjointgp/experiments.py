@@ -44,7 +44,7 @@ from .fields import (
     field_from_binary,
     field_to_binary,
     inner_product,
-    window_indicator,
+    window_boxes,
     write_hashed,
 )
 from .inference import (
@@ -72,7 +72,7 @@ from .mcmc import (
     tune_proposal_scale,
 )
 from .ode import OdeParams, OdeSystem
-from .pde import PdeParams, PdeSystem, sensor_field
+from .pde import PdeParams, PdeSystem
 from .shift import ShiftParams, ShiftSystem
 
 __all__ = [
@@ -177,11 +177,9 @@ def _snap_center(grid: Grid, axis: int, value: float) -> float:
 
 def _tile_windows(grid: Grid, count: int, t_start: float, t_end: float):
     edges = np.linspace(t_start, t_end, count + 1)
-    windows, specs = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        windows.append(window_indicator(grid, (lo,), (hi,)))
-        specs.append(WindowSpec("box", (float(lo),), (float(hi),)))
-    return windows, specs
+    bounds = edges.tolist()
+    specs = [WindowSpec("box", (lo,), (hi,)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return window_boxes(grid, edges[:-1, None], edges[1:, None]), specs
 
 
 def _span_times(count: int, t_start: float, t_end: float, stagger: bool):
@@ -213,10 +211,10 @@ def _grid_windows(grid: Grid, count: int, time_windows: int, size: float,
     rel = (np.arange(k) + 0.5) / k
     ys = y_lo + rel * (y_hi - y_lo)
     xs = x_lo + rel * (x_hi - x_lo)
-    edges = np.linspace(t_start, t_end, time_windows + 1)
-    windows, specs = [], []
-    for y in ys:
-        for x in xs:
+    edges = np.linspace(t_start, t_end, time_windows + 1).tolist()
+    lows, highs, specs = [], [], []
+    for y in ys.tolist():
+        for x in xs.tolist():
             if size > 0.0:
                 lo_yx = (y - 0.5 * size, x - 0.5 * size)
                 hi_yx = (y + 0.5 * size, x + 0.5 * size)
@@ -226,13 +224,10 @@ def _grid_windows(grid: Grid, count: int, time_windows: int, size: float,
                 lo_yx = (cy - 0.5 * grid.spacing[1], cx - 0.5 * grid.spacing[2])
                 hi_yx = (cy + 0.5 * grid.spacing[1], cx + 0.5 * grid.spacing[2])
             for w_lo, w_hi in zip(edges[:-1], edges[1:]):
-                windows.append(sensor_field(grid, lo_yx, hi_yx, w_lo, w_hi))
-                specs.append(WindowSpec(
-                    "sensor",
-                    (float(w_lo), float(y), float(x)),
-                    (float(w_hi), float(y), float(x)),
-                ))
-    return windows, specs
+                lows.append((w_lo, *lo_yx))
+                highs.append((w_hi, *hi_yx))
+                specs.append(WindowSpec("sensor", (w_lo, y, x), (w_hi, y, x)))
+    return window_boxes(grid, lows, highs), specs
 
 
 def _build(config: Config, grid: Grid, count: int, stagger: bool):

@@ -15,7 +15,9 @@ with integer `seed` spawns one child stream per feature via
 ``numpy.random.SeedSequence(seed).spawn(M)``; feature m draws its frequency
 vector first, then its phase, from child m.  The draw for feature m is
 therefore independent of M and of every other feature, and a basis can
-be rebuilt bit-for-bit from (seed, count, dim, kernel).
+be rebuilt bit-for-bit from (seed, count, dim, kernel).  The children are
+never built: their PCG64 states follow from numpy's fixed SeedSequence
+algorithm in one vectorized pass, and one generator draws each stream.
 
 Evaluation on a grid takes cosines of per-axis arguments only.  The cells
 are split into outer rows of `inner` cells, a time cell on grids with
@@ -46,6 +48,8 @@ __all__ = [
 ]
 
 _JOIN_BYTES = 2**21  # joined rows of b one table block holds: 2 MiB
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 @dataclass(frozen=True)
@@ -100,15 +104,19 @@ class FeatureBasis:
     @classmethod
     def sample(cls, count: int, dim: int, kernel: KernelParams, seed: int) -> "FeatureBasis":
         """Draw `count` features via one spawned PCG64 stream per feature."""
-        count = int(count)
-        dim = int(dim)
+        count, dim, seed = int(count), int(dim), int(seed)
         if count < 1 or dim < 1:
             raise ValueError("count and dim must be positive")
-        children = np.random.SeedSequence(int(seed)).spawn(count)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         freq = np.empty((count, dim))
         ph = np.empty(count)
-        for m, child in enumerate(children):
-            rng = np.random.Generator(np.random.PCG64(child))
+        # one generator, set to each child's stream in turn
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        for m, (state, inc) in enumerate(_spawned_pcg64(seed, count)):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
             freq[m] = rng.standard_normal(dim)
             ph[m] = 2.0 * np.pi * rng.random()  # uniform(0, 2 pi)'s bits, minus its checks
         return cls(freq, ph, kernel, seed=seed)
@@ -125,6 +133,53 @@ class FeatureBasis:
     def amplitude(self) -> float:
         """Common feature amplitude sqrt(2 * variance / count)."""
         return float(np.sqrt(2.0 * self.kernel.variance / self.size))
+
+
+def _hashed(value, consts):
+    """One step of SeedSequence's hash on uint32 arrays: xor the current
+    constant, multiply by the next, fold the high half down."""
+    old, new = next(consts)
+    value = (value ^ old) * new
+    return value ^ value >> 16
+
+
+def _constants(value: int, mult: int):
+    while True:
+        yield value, (value := value * mult & _MASK32)
+
+
+def _spawned_pcg64(seed: int, count: int):
+    """(state, inc) of PCG64(SeedSequence(seed).spawn(count)[m]) for each m,
+    by numpy's fixed SeedSequence algorithm: the child's entropy, the
+    seed's uint32 words (at least 4) then its spawn key m, is mixed into a
+    4-word pool, which hashes into the 128-bit seed and increment of the
+    PCG64.  All uint32 arithmetic is on arrays, where it wraps without a
+    warning, and every child's pool is mixed at once: the pool words are
+    (1,) arrays until the spawn keys (count,) join them."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    mixing = _constants(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        out = 0xCA01F9DD * x - 0x4973F715 * y
+        return out ^ out >> 16
+
+    pool = [_hashed(w, mixing) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], _hashed(pool[src], mixing))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], _hashed(word, mixing))
+    seeding = _constants(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([_hashed(pool[i % 4], seeding) for i in range(8)], axis=1)
+    mask = (1 << 128) - 1
+    for s0, s1, i0, i1 in state.astype("<u4").view("<u8").tolist():
+        # pcg64_set_seed: state 0, step, add the seed, step
+        inc = ((i0 << 64 | i1) << 1 | 1) & mask
+        yield ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & mask, inc
 
 
 def _eval_at(basis: FeatureBasis, points: np.ndarray) -> np.ndarray:

@@ -19,8 +19,11 @@ Every observation is a :class:`Window`: the normalized indicator of a box
 of whole cells, kept as one slice of cell indices per axis (the cells a
 half-open box covers on a uniform axis are one run) and never as a dense
 field.  A reading <w, u> is the mean of u over the box, and an adjoint
-march adds each box straight into its state.  `shift_groups` sorts them
-into shapes, a base and its time-shifted copies, and an
+march adds each box straight into its state.  `shift_groups` gives each
+functional a base and the run of time shifts of the base's solution that
+sum to its own: on grids with spatial axes a window's base is its box's
+impulse, the box on one time cell, and its run the shifts its time cells
+span; any other functional reads one shift of its shape.  An
 :class:`AdjointBank` yields the base solutions slab by slab, one slab of a
 1-D solve's rows or one time cell of a PDE march, never as one (n, G) array.
 
@@ -239,49 +242,57 @@ def window_indicator(grid: Grid, lo, hi) -> Window:
     carries the constant value 1 / (covered measure), so it integrates to 1
     under :func:`inner_product` against the unit field.
     """
-    lo = np.asarray(lo, dtype=float).reshape(-1)
-    hi = np.asarray(hi, dtype=float).reshape(-1)
-    if lo.size != grid.ndim or hi.size != grid.ndim:
+    return window_boxes(grid, np.reshape(lo, (1, -1)), np.reshape(hi, (1, -1)))[0]
+
+
+def window_boxes(grid: Grid, lo, hi) -> list[Window]:
+    """`window_indicator` of each box [lo[i], hi[i]), lo and hi (n, ndim),
+    cut with one search per axis; the first bad box raises as it would."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.shape[1] != grid.ndim or hi.shape[1] != grid.ndim:
         raise GridMismatchError(
-            f"window bounds must have {grid.ndim} coordinates, got {lo.size}/{hi.size}"
+            f"window bounds must have {grid.ndim} coordinates, got {lo.shape[1]}/{hi.shape[1]}"
         )
-    if not (lo < hi).all():
-        raise ValueError(f"window must satisfy lo < hi componentwise, got {lo} / {hi}")
-    box = []
-    for k in range(grid.ndim):
-        # the centers are increasing, so those in [lo, hi) are one run
-        start, stop = np.searchsorted(grid.axis_centers(k), (lo[k], hi[k])).tolist()
-        if start == stop:
-            raise DomainError(
-                f"window [{lo[k]}, {hi[k]}) contains no cell centers on axis {k}"
-            )
-        box.append(slice(start, stop))
-    return Window(grid, tuple(box))
+    # the centers are increasing, so those in [lo, hi) are one run
+    cuts = np.stack([np.searchsorted(grid.axis_centers(k), (lo[:, k], hi[:, k]))
+                     for k in range(grid.ndim)], axis=-1)
+    ordered, empty = (lo < hi).all(axis=1), cuts[0] == cuts[1]
+    bad = np.flatnonzero(~ordered | empty.any(axis=1))
+    if bad.size:
+        i = bad[0]
+        if not ordered[i]:
+            raise ValueError(f"window must satisfy lo < hi componentwise, got {lo[i]} / {hi[i]}")
+        k = int(np.argmax(empty[i]))
+        raise DomainError(f"window [{lo[i, k]}, {hi[i, k]}) contains no cell centers on axis {k}")
+    return [Window(grid, tuple(map(slice, start, stop)))
+            for start, stop in zip(cuts[0].tolist(), cuts[1].tolist())]
 
 
 class AdjointBank:
     """Adjoint solutions of n functionals on one grid, a slab at a time.
 
-    Functional i is `base[i]` ended `shift[i]` time cells earlier
-    (`groups`, as `shift_groups` returns them; each its own base without),
-    and only the bases are solved.  `live[i]` counts the time cells (axis
-    0) up to functional i's last non-zero one, and `order` sorts the bases
-    by it, longest first.  `march(order)` yields (cells, v): `cells` is a
-    slice of flat cell indices, and column j of the (cells, w) array `v`
-    solves base `order[j]` there; the other bases are zero there.  A 1-D
-    system solves at the call and yields its rows as one slab; a PDE bank
-    marches each time `slabs()` runs, adding the seconds spent marching to
-    `seconds`, and `kept()` marches once and keeps the slabs.  `solves`,
-    the bases with `live > 0`, and `cell_steps`, their `live` summed, are
-    fixed here, however often the bank is read.  `rows` collects the
-    solutions, row i solving functional i: a copy's is its base's shifted."""
+    Functional i reads the solution of base[i]'s right-hand side ended d
+    time cells earlier for each shift d of its run runs[i] = [d0, d1), the
+    reads summed and times scale[i] (`groups`, as `shift_groups` returns
+    them; each its own base over the run [0, 1) at scale 1 without), and
+    only the bases are solved.  `live[i]` counts the time cells (axis 0) up
+    to functional i's last non-zero one, and `order` sorts the bases by it,
+    longest first.  `march(order)` yields (cells, v): `cells` is a slice of
+    flat cell indices, and column j of the (cells, w) array `v` solves base
+    `order[j]` there; the other bases are zero there.  A 1-D system solves
+    at the call and yields its rows as one slab; a PDE bank marches each
+    time `slabs()` runs, adding the seconds spent marching to `seconds`, and
+    `kept()` marches once and keeps the slabs.  `solves`, the bases with
+    `live > 0`, and `cell_steps`, their `live` summed, are fixed here,
+    however often the bank is read.  `rows` collects the solutions, row i
+    solving functional i: its base's rows shifted over its run and summed."""
 
     def __init__(self, grid: Grid, live, march, groups=None):
         self.grid, self.live, self._march = grid, np.asarray(live), march
         n = len(self.live)
         if groups is None:
-            groups = np.arange(n), np.zeros(n, dtype=int)
-        self.base, self.shift = groups
+            groups = np.arange(n), np.tile([0, 1], (n, 1)), np.ones(n)
+        self.base, self.runs, self.scale = groups
         bases = np.flatnonzero(self.base == np.arange(n))
         self.order = bases[np.argsort(-self.live[bases], kind="stable")]
         self.solves = int(np.count_nonzero(self.live[bases]))
@@ -297,17 +308,29 @@ class AdjointBank:
 
     def kept(self) -> "AdjointBank":
         slabs = list(self.slabs())
-        return AdjointBank(self.grid, self.live, lambda order: slabs, (self.base, self.shift))
+        return AdjointBank(self.grid, self.live, lambda order: slabs,
+                           (self.base, self.runs, self.scale))
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Column of the march that solves functional i's base."""
+        column = np.empty(len(self.live), dtype=int)
+        column[self.order] = np.arange(len(self.order))
+        return column[self.base]
 
     @property
     def rows(self) -> np.ndarray:
-        rows = np.zeros((len(self.live), self.grid.num_cells))
-        for cells, v in self.slabs():
-            rows[self.order[:v.shape[1]], cells] = v.T
-        per_time = self.grid.num_cells // self.grid.dims[0]
-        for i in np.flatnonzero(self.base != np.arange(len(self.base))):
-            d = self.shift[i] * per_time
-            rows[i, :rows.shape[1] - d] = rows[self.base[i], d:]
+        cells = self.grid.num_cells
+        solved = np.zeros((len(self.order), cells))
+        for part, v in self.slabs():
+            solved[:v.shape[1], part] = v.T
+        rows = np.zeros((len(self.live), cells))
+        per_time = cells // self.grid.dims[0]
+        for row, j, (d0, d1), scale in zip(rows, self.columns, self.runs.tolist(), self.scale):
+            row[:cells - d0 * per_time] = solved[j, d0 * per_time:]
+            for d in range(d0 + 1, d1):
+                row[:cells - d * per_time] += solved[j, d * per_time:]
+            row *= scale
         return rows
 
 
@@ -328,18 +351,35 @@ def time_spans(functionals, grid: Grid) -> np.ndarray:
     return spans
 
 
-def shift_groups(functionals, spans) -> tuple[np.ndarray, np.ndarray]:
-    """(base, shift): functional i is base[i] ended shift[i] time cells
-    earlier.  Windows group by spatial box, time width and value, fields by
-    the bytes of their non-zero time segment; a base is the first to end last."""
-    base, shift, keys = np.arange(len(spans)), np.zeros(len(spans), dtype=int), {}
-    for i in np.argsort(-spans[:, 1], kind="stable").tolist():
-        (a, b), f = spans[i].tolist(), functionals[i]
-        key = ((tuple((s.start, s.stop) for s in f.box[1:]), b - a, f.value)
-               if isinstance(f, Window) else f.values[a:b].tobytes())
-        base[i] = keys.setdefault(key, i)
-        shift[i] = spans[base[i], 1] - b
-    return base, shift
+def impulse(window: Window, end: int) -> Window:
+    """The window's spatial box over the single time cell `end` - 1."""
+    return Window(window.grid, (slice(end - 1, end),) + window.box[1:])
+
+
+def shift_groups(functionals, spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(base, runs, scale) as `AdjointBank` reads them.  A base is the first
+    functional of its group to end last.  On grids with spatial axes a
+    window groups by its spatial box alone and its base solves the box's
+    impulse on the last time cell the group covers: the window reads the
+    run of shifts its time cells span, scaled by its value over the
+    impulse's.  Any other functional reads one shift of its shape, at scale
+    1: windows group by time width and value, fields by the bytes of their
+    non-zero time segment.  On a 1-D grid a window keeps its shape because
+    every shift it reads would cut the projection's outer runs into pieces."""
+    spans, keys, n = spans.tolist(), {}, len(spans)
+    base, runs, scale = [0] * n, [(0, 1)] * n, [1.0] * n
+    for i in sorted(range(n), key=lambda i: -spans[i][1]):
+        (a, b), f = spans[i], functionals[i]
+        boxed = isinstance(f, Window) and f.grid.ndim > 1
+        key = (tuple((s.start, s.stop) for s in f.box[1:]) if boxed
+               else (b - a, f.value) if isinstance(f, Window) else f.values[a:b].tobytes())
+        if key not in keys:  # a base, with its impulse's value if it has one
+            keys[key] = i, impulse(f, b).value if boxed else 1.0
+        base[i], unit = keys[key]
+        end = spans[base[i]][1]
+        runs[i] = end - b, end - a if boxed else end - b + 1
+        scale[i] = f.value / unit if boxed else 1.0
+    return np.array(base), np.array(runs).reshape(n, 2), np.array(scale)
 
 
 def bank_rows(functionals, grid: Grid) -> np.ndarray:

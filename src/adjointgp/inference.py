@@ -10,10 +10,13 @@ expanded in M basis features the readings follow the linear model
 The design matrix is a plain read-only (n, M) array.  A 1-D bank is
 projected from its solved rows; a PDE bank in the pass that marches it:
 each time cell is projected, for the bases live there, as the march yields
-it.  One base per window shape is solved: a copy ending d time cells
-before its base has its solution shifted by d, so its row is
-cos(w d dt) C + sin(w d dt) S, C and S the base's cosine and sine
-projections over time cells >= d and w the features' time frequencies.
+it.  Only the bases are solved (`fields.shift_groups`): functional i
+reads its base's solution shifted by each d of its run [d0, d1), so its
+row is scale[i] times the sum over the run of cos(w d dt) C_d + sin(w d
+dt) S_d, C_d and S_d the base's cosine and sine projections over time
+cells >= d and w the features' time frequencies.  On the PDE a window's
+base is its box's impulse and the run spans its time cells; elsewhere
+the run is one shift of the functional's shape.
 
 Factorization policy.  The prior is q ~ N(0, I): the feature amplitude
 carries the kernel variance.  The conjugate posterior takes one Cholesky
@@ -199,14 +202,14 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = 
     and added with cos a and sin a of its outer row into running cosine and
     sine sums C and S of its w base columns; a PDE bank yields them as it
     marches, so no solution outlives its time cell, and the time cells after
-    the last window ends are never evaluated.  Functional i, its base shifted
-    d = shift[i] cells earlier, reads cos(w d dt) C + sin(w d dt) S, w the
-    time frequencies, once the march has passed cell d; 1-D outer runs are
-    cut at those cells.  The amplitude scales Phi as the last step, so the
-    variance never needs a new projection: `projections`, a dict the caller
-    keeps across calls on one bank and one frequency draw, holds the
-    unit-amplitude projection per lengthscale, bit for bit what a call
-    without it makes.  Passing `grid` asserts the bank lives on that grid; a
+    the last window ends are never evaluated.  Functional i adds cos(w d dt)
+    C + sin(w d dt) S, w the time frequencies, for each shift d of its run
+    runs[i] as the march passes cell d, and the sum is scaled by scale[i];
+    1-D outer runs are cut at those cells.  The amplitude scales Phi as the
+    last step, so the variance never needs a new projection: `projections`,
+    a dict the caller keeps across calls on one bank and one frequency draw,
+    holds the unit-amplitude projection per lengthscale, bit for bit what a
+    call without it makes.  Passing `grid` asserts the bank lives on that grid; a
     mismatch raises GridMismatchError before any work is done.  Non-finite
     entries raise NumericalError.
     """
@@ -242,17 +245,20 @@ def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
         block += cos_b
     del cos_b, sin_b  # views that would keep the last join buffer alive
     tables, turn_a = tables.view(float), cos_a + 1j * sin_a
+    # one (functional, shift) pair per read, the shifts of each run in order
+    runs, widths = bank.runs, np.diff(bank.runs, axis=1)[:, 0]
+    reader = np.repeat(np.arange(len(runs)), widths)
+    shift = np.arange(len(reader)) + np.repeat(runs[:, 0] - np.cumsum(widths) + widths, widths)
+    shifts, which = np.unique(shift, return_inverse=True)
     # pieces: the outer runs, cut at the cells where functionals read
-    reads = bank.shift * (grid.num_cells // grid.dims[0])
-    edges = np.union1d(np.arange(0, grid.num_cells, inner), reads)
+    per_time = grid.num_cells // grid.dims[0]
+    edges = np.union1d(np.arange(0, grid.num_cells, inner), shifts * per_time)
     bounds = np.append(edges, grid.num_cells).tolist()
-    column = np.empty(len(bank.live), dtype=int)
-    column[bank.order] = np.arange(len(bank.order))
-    piece, column = np.searchsorted(edges, reads), column[bank.base]
-    back = np.exp(-1j * np.outer(bank.shift, basis.frequencies[:, 0] / basis.kernel.lengthscale
+    piece, column = np.searchsorted(edges, shift * per_time), bank.columns[reader]
+    back = np.exp(-1j * np.outer(shifts, basis.frequencies[:, 0] / basis.kernel.lengthscale
                                  * grid.spacing[0]))
     sums = np.zeros((len(bank.order), basis.size), dtype=complex)
-    unit = np.zeros((len(bank.live), basis.size))
+    unit = np.zeros(len(runs) * basis.size)  # flat: numpy's fast scatter-add is 1-D
     for cells, v in bank.slabs():
         w = v.shape[1]
         first, stop = np.searchsorted(edges, (cells.start, cells.stop)).tolist()
@@ -271,10 +277,11 @@ def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
             for k in range(1, len(part)):  # running sums at each piece's start
                 part[k] += part[k - 1]
             sums[:w] = part[-1]
-            # functionals that read at the start of one of these pieces
+            # reads at the start of one of these pieces
             read = np.flatnonzero((piece >= low) & (piece < top) & (column < w))
-            unit[read] = (part[top - 1 - piece[read], column[read]] * back[read]).real
-    return unit * grid.cell_volume
+            np.add.at(unit, (reader[read, None] * basis.size + np.arange(basis.size)).ravel(),
+                      (part[top - 1 - piece[read], column[read]] * back[which[read]]).real.ravel())
+    return unit.reshape(len(runs), basis.size) * bank.scale[:, None] * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,8 @@ def split_rhat(draws: np.ndarray, holds=None) -> np.ndarray:
     compared, sqrt(((n-1)/n W + B/n) / W).  Accepts (N, dim) for a single
     chain, its rows weighted by `holds` as in `batch_means_ess`, or
     (chains, N, dim) for several; a coordinate whose split draws all hold
-    the same value (min == max, as `batch_means_ess` decides) gets R-hat 1.
+    the same value (min == max, as `batch_means_ess` decides) gets R-hat 1,
+    and one whose draws differ while each half is constant gets inf.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim == 3 and holds is not None:
@@ -365,6 +366,7 @@ def split_rhat(draws: np.ndarray, holds=None) -> np.ndarray:
     lo = np.min([u.min(axis=0) for u in used], axis=0)
     hi = np.max([u.max(axis=0) for u in used], axis=0)
     out = np.ones(within.size)
+    out[(lo < hi) & (within == 0.0)] = np.inf  # halves apart, each constant
     alive = (lo < hi) & (within > 0.0)
     out[alive] = np.sqrt(
         ((half - 1) / half * within[alive] + between[alive] / half) / within[alive]

@@ -31,9 +31,12 @@ right-hand side at once on a cell-major (S, w) state: a column joins when
 its first right-hand side comes up in march order, so an adjoint column
 starts at its window's last time cell and the zero slabs before it are
 never marched.  The march yields each time cell's (S, w) solution as it
-goes and checks it for non-finite values.  A is constant, so the adjoint
-marches one column per window shape (`fields.shift_groups`), its base: a
-copy's solution is the base's shifted, and its Phi row a rotation.
+goes and checks it for non-finite values.  A is constant, so a window of
+W time cells solves as the sum of W time shifts of its box's impulse, the
+box on one time cell: the adjoint marches one impulse per spatial box
+(`fields.shift_groups`), ending where the box's last window ends, and a
+window's Phi row sums the rotations of that impulse's projections over
+the shifts its time cells span.
 
 `PdeSystem` is the solver: its constructor checks the grid and the CFL
 bound and builds A's stencil once.  Its solves are `forward(f)` and
@@ -53,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, check_march
-from .fields import (AdjointBank, Field, Grid, Window, check_time_grid, shift_groups,
-                     time_spans, window_indicator)
+from .fields import (AdjointBank, Field, Grid, Window, check_time_grid, impulse,
+                     shift_groups, time_spans, window_indicator)
 
 __all__ = ["PdeParams", "PdeSystem", "cfl_limit", "sensor_field"]
 
@@ -217,14 +220,19 @@ class PdeSystem:
         return Field(self._grid, values)
 
     def adjoint_march(self, functionals) -> AdjointBank:
-        """Adjoint solves of every window shape's base at once by v <- A v +
-        dt h, marched in reversed time each time the bank's slabs are asked
-        for: one (S, w) slab per time cell, from the last on."""
+        """Adjoint solves of every base at once by v <- A v + dt h, marched
+        in reversed time each time the bank's slabs are asked for: one (S, w)
+        slab per time cell, from the last on.  A window's base is its box's
+        impulse, on the time cell its base functional ends on."""
         functionals = tuple(functionals)
         spans = time_spans(functionals, self._grid)
-        return AdjointBank(self._grid, spans[:, 1], lambda order: self._march(
-            [functionals[i] for i in order], spans[order], order),
-            groups=shift_groups(functionals, spans))
+        ends = spans[:, 1].tolist()
+
+        def march(order):
+            bases = [impulse(functionals[i], ends[i]) if isinstance(functionals[i], Window)
+                     else functionals[i] for i in order]
+            return self._march(bases, time_spans(bases, self._grid), order)
+        return AdjointBank(self._grid, spans[:, 1], march, shift_groups(functionals, spans))
 
     def _march(self, functionals, spans, order=None):
         """Step x <- B x + dt * rhs from rest and yield (cells, x), x the

@@ -427,8 +427,8 @@ def test_infer_writes_numerics_and_stage_timings(tmp_path, capsys):
                             "bank_cell_steps", "peak_rss_mb"}
     assert timings["peak_rss_mb"] > 0
     assert (timings["bank_rows_training"], timings["bank_rows_heldout"]) == (18, 8)
-    # every PDE window is marched as its own column
-    assert timings["bank_solves"] == 26
+    # a PDE bank marches one impulse per sensor box: 9 training, 4 held out
+    assert timings["bank_solves"] == 13
     manifest = json.loads((outs[0] / "manifest.json").read_text())
     assert not {"numerics.json", "timings.json"} & set(manifest["files"])
 
@@ -630,7 +630,7 @@ def test_scan_command_ranks_lattice(tmp_path, capsys):
 def test_scan_marches_the_adjoint_once(text, system, monkeypatch):
     # the four points of a 2x2 lattice project one kept bank; a PDE bank
     # that is not kept marches again for every projection, and the kept
-    # bank holds one column per window shape: 18 of 36 windows
+    # bank holds one column per sensor box: 9 of 36 windows
     data = simulate_data(parse_config(
         text + "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 1.0,2.0,2\n"))
     march, calls = system._march, []
@@ -643,9 +643,8 @@ def test_scan_marches_the_adjoint_once(text, system, monkeypatch):
     assert len(scan_hyper(data)) == 4
     assert len(calls) == 1
     if system is PdeSystem:
-        shapes = {tuple((b.start, b.stop) for b in w.box[1:]) + (w.box[0].stop - w.box[0].start,)
-                  for w in data.windows}
-        assert len(calls[0][1]) == len(shapes) == len(data.windows) // 2
+        boxes = {tuple((b.start, b.stop) for b in w.box[1:]) for w in data.windows}
+        assert len(calls[0][1]) == len(boxes) == len(data.windows) // 4
 
 
 SCAN_2X3 = "\n[scan]\nlengthscale = 1.0,2.0,2\nvariance = 1.0,3.0,3\n"

@@ -69,6 +69,26 @@ def test_sample_draws_the_uniform_phase_bit_for_bit(seed, dim):
         assert basis.phases[m].tobytes() == np.float64(rng.uniform(0.0, 2.0 * np.pi)).tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 12345, 2**32 - 1, 2**32 + 7, 2**62 + 99, 3**60, 2**96 + 3])
+@pytest.mark.parametrize("count", [1, 7, 300])
+def test_sample_matches_numpy_spawned_streams(seed, count):
+    # the spawned children's streams are seeded without building them: each
+    # feature still holds the bits of its own SeedSequence(seed).spawn child,
+    # for seeds of one, two and three or more 32-bit words
+    basis = FeatureBasis.sample(count, 3, KERNEL, seed=seed)
+    freq, phases = np.empty((count, 3)), np.empty(count)
+    for m, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        freq[m], phases[m] = rng.standard_normal(3), 2.0 * np.pi * rng.random()
+    assert basis.frequencies.tobytes() == freq.tobytes()
+    assert basis.phases.tobytes() == phases.tobytes()
+
+
+def test_sample_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        FeatureBasis.sample(3, 1, KERNEL, seed=-1)
+
+
 def test_single_feature_amplitude():
     basis = FeatureBasis.sample(1, 1, KERNEL, seed=0)
     assert basis.amplitude == np.sqrt(2.0 * 4.0 / 1.0)

@@ -34,6 +34,7 @@ from adjointgp import (
     predictive_mse,
     predictive_nll,
     run_pipeline,
+    Window,
     sensor_field,
     window_indicator,
 )
@@ -344,18 +345,24 @@ def _march_systems():
             _rule_windows("rule = list\ntimes = 0.2, 1.7, 3.33, 5.0, 9.95, 10.0\n")]
 
 
-def _shape_count(rows, grid):
-    """Non-zero solutions that are no longer-lived solution's last time
-    cells: one that ends d cells earlier and equals another's last cells
-    is a time-shifted copy of it."""
-    cells = rows.reshape(len(rows), grid.dims[0], -1)
+def _base_count(functionals, rows, grid):
+    """The bases a march solves: on a grid with spatial axes one per
+    window's spatial box, and for every other functional one per non-zero
+    solution that is no longer-lived solution's last time cells: one that
+    ends d cells earlier and equals another's last cells is a time-shifted
+    copy of it."""
+    boxed = [isinstance(f, Window) and grid.ndim > 1 for f in functionals]
+    boxes = {tuple((s.start, s.stop) for s in f.box[1:])
+             for f, b in zip(functionals, boxed) if b}
+    rows = [row for row, b in zip(rows, boxed) if not b]
+    cells = np.reshape(rows, (len(rows), grid.dims[0], grid.num_cells // grid.dims[0]))
     live = [np.flatnonzero(c.any(axis=1))[-1] + 1 if c.any() else 0 for c in cells]
     bases = []
     for i in np.argsort(live, kind="stable")[::-1]:
         if live[i] and not any(np.array_equal(cells[b, live[b] - live[i]:live[b]],
                                               cells[i, :live[i]]) for b in bases):
             bases.append(i)
-    return len(bases)
+    return len(boxes) + len(bases)
 
 
 @pytest.mark.parametrize("case", range(8), ids=["pde", "ode", "shift-2", "shift+1.2",
@@ -364,7 +371,7 @@ def test_march_and_project_matches_single_solves_on_the_dense_basis(case):
     # one pass that projects each slab as the march yields it, each shifted
     # copy read from its base's sums, against every functional solved alone
     # and projected on the dense basis; the training and held-out rows of the
-    # pipeline are those rows, and a march solves each shape once
+    # pipeline are those rows, and a march solves each base once
     system, functionals, dim, n = _march_systems()[case]
     grid = system.grid
     basis = FeatureBasis.sample(30, dim, KernelParams(lengthscale=2.0, variance=2.0), seed=23)
@@ -378,7 +385,7 @@ def test_march_and_project_matches_single_solves_on_the_dense_basis(case):
                           heldout=functionals[n:])
     assert np.array_equal(np.vstack((result.phi, result.phi_heldout)), phi)
     if not isinstance(system, ShiftSystem):  # a shift solves every row alone
-        assert bank.solves == result.solves == _shape_count(singles, grid)
+        assert bank.solves == result.solves == _base_count(functionals, singles, grid)
         assert bank.solves < len(functionals) or case < 2
     if dim == 3:
         # a column is marched from its base's last time cell down

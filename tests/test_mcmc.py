@@ -251,6 +251,16 @@ def test_split_rhat_constant_coordinate_is_one():
         assert rhat[0] == 1.0
 
 
+def test_split_rhat_is_infinite_for_halves_constant_apart():
+    # each half never moves but the two sit at different values: no
+    # within-half spread to compare with, so R-hat is unbounded, not 1
+    draws = np.column_stack([np.repeat([0.0, 1.0], 500), np.linspace(0, 1, 1000)])
+    for rhat in (split_rhat(draws), split_rhat(draws[[0, 500, 999]], np.array([500, 499, 1])),
+                 chain_diagnostics(draws).rhat):
+        assert rhat[0] == np.inf and np.isfinite(rhat[1])
+    assert not chain_diagnostics(draws).converged
+
+
 def test_split_rhat_multichain_shape():
     rng = np.random.default_rng(12)
     stacked = rng.standard_normal((4, 5000, 2))

@@ -12,11 +12,15 @@ from adjointgp import (
     GridMismatchError,
     KernelParams,
     SolverError,
+    Window,
     assemble_phi,
+    eval_basis,
     inner_product,
     norm,
 )
 from adjointgp import pde
+from adjointgp.config import parse_config
+from adjointgp.experiments import build_heldout, build_windows, make_grid, make_system
 from adjointgp.pde import PdeParams, PdeSystem, cfl_limit, sensor_field
 from oracles import (
     assert_live_is_tight,
@@ -312,12 +316,90 @@ def test_bank_live_cells_are_tight():
 
 def test_bank_counts_stay_put_when_the_bank_is_read_again():
     # the counts follow from the live cells, once, however often the bank
-    # marches: projected, then read as rows
+    # marches: projected, then read as rows; the three windows share a box,
+    # so one impulse is marched, from the last cell any of them covers
     grid = _grid(20, 12, 12)
     windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 3.0 + 2.0 * k) for k in range(3)]
     bank = PdeSystem(_params(), grid).adjoint_march(windows)
     basis = FeatureBasis.sample(5, 3, KernelParams(lengthscale=2.0, variance=1.0), seed=3)
     assemble_phi(bank, basis)
-    assert (bank.solves, bank.cell_steps) == (3, 6 + 10 + 14)
+    assert (bank.solves, bank.cell_steps) == (1, 14)
     assert bank.rows.shape == (3, grid.num_cells)
-    assert (bank.solves, bank.cell_steps) == (3, 30)
+    assert (bank.solves, bank.cell_steps) == (1, 14)
+
+
+MIXED = """
+[system]
+kind = pde
+velocity_x = 0.4
+velocity_y = -0.3
+diffusivity = 0.01
+x_min = 0.0
+x_max = 10.0
+y_min = 0.0
+y_max = 10.0
+T = 10.0
+
+[grid]
+cells_t = 20
+cells_y = 12
+cells_x = 12
+
+[features]
+count = 30
+
+[sensors]
+rule = grid
+count = 9
+time_windows = 4
+heldout_count = 4
+t_start = 0.5
+t_end = 9.5
+
+[kernel]
+lengthscale = 2.0
+variance = 2.0
+
+[noise]
+sigma = 0.05
+"""
+
+
+def test_bank_of_impulse_shifts_equals_a_dense_march_per_window():
+    # windows of 4 or 5 time cells on the 3x3 training and 2x2 held-out
+    # lattices, a width-1 window and one ending on the last cell, each on a
+    # box another window also covers: every row is its box's impulse summed
+    # over the shifts its time cells span, against each window marched alone
+    # as a dense field
+    config = parse_config(MIXED)
+    grid = make_grid(config)
+    system = make_system(config, grid)
+    windows = build_windows(config, grid)[0] + build_heldout(config, grid)[0]
+    box = windows[0].box[1:]
+    windows += [Window(grid, (slice(4, 5),) + box), Window(grid, (slice(8, 20),) + box)]
+    bank = system.adjoint_march(windows)
+    assert bank.solves == len({str(w.box[1:]) for w in windows}) == 13
+    # the windows end on time cell 19 of 20; the first box's last one on 20
+    assert bank.cell_steps == 12 * 19 + 20
+    rows = bank.rows
+    dense = np.array([system.adjoint_march([dense_field(w)]).rows[0] for w in windows])
+    np.testing.assert_allclose(rows, dense, rtol=1e-13, atol=0.0)
+    assert np.array_equal(rows == 0.0, dense == 0.0)
+    basis = FeatureBasis.sample(30, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=5)
+    phi = assemble_phi(bank, basis)
+    np.testing.assert_allclose(phi, rows @ eval_basis(basis, grid).T * grid.cell_volume,
+                               rtol=1e-12)
+
+
+def test_bank_of_the_pde_infer_windows_marches_one_impulse_per_box():
+    # 25 training and 9 held-out sensors share the centre box: 33 impulses,
+    # each marched over all 50 time cells, for 136 windows
+    text = MIXED.replace("cells_t = 20\ncells_y = 12\ncells_x = 12",
+                         "cells_t = 50\ncells_y = 30\ncells_x = 30")
+    text = text.replace("count = 9\ntime_windows = 4\nheldout_count = 4\nt_start = 0.5\n"
+                        "t_end = 9.5", "count = 25\ntime_windows = 4\nheldout_count = 9")
+    config = parse_config(text)
+    grid = make_grid(config)
+    windows = build_windows(config, grid)[0] + build_heldout(config, grid)[0]
+    bank = make_system(config, grid).adjoint_march(windows)
+    assert (len(windows), bank.solves, bank.cell_steps) == (136, 33, 1650)

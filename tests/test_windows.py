@@ -1,13 +1,16 @@
 """Observation windows are boxes: banks and readings built from the boxes
 equal those of the same windows rendered as dense fields, and building a
-config's windows holds no grid-sized array."""
+config's windows holds no grid-sized array and cuts each box as
+window_indicator would."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from adjointgp import (
+    DomainError,
     Field,
     Grid,
     GridMismatchError,
@@ -69,7 +72,13 @@ def test_bank_of_boxes_equals_bank_of_dense_windows(name):
     assert all(isinstance(w, Window) for w in windows)
     boxes = system.adjoint_march(windows).kept()
     dense = system.adjoint_march([dense_field(w) for w in windows]).kept()
-    assert np.array_equal(boxes.rows, dense.rows)
+    if name == "pde":
+        # a PDE window is summed from its box's impulse shifts, a dense field
+        # is marched whole: equal to rounding, with the same zero cells
+        np.testing.assert_allclose(boxes.rows, dense.rows, rtol=1e-13, atol=0.0)
+        assert np.array_equal(boxes.rows == 0.0, dense.rows == 0.0)
+    else:
+        assert np.array_equal(boxes.rows, dense.rows)
     assert np.array_equal(boxes.live, dense.live)
 
 
@@ -155,3 +164,84 @@ def test_windows_of_a_config_hold_no_grid_sized_array():
     # one dense window of this grid alone is 0.36 MB
     assert held - before < 5e6
     assert peak - before < 5e6
+
+
+def _windows_one_at_a_time(config, grid, count):
+    """The windows of a tile or grid rule, each cut by its own
+    window_indicator call (sensor_field for a grid sensor)."""
+    sensors = config["sensors"]
+    t_start, t_end = sensors["t_start"], sensors["t_end"]
+    if sensors["rule"] == "tile":
+        edges = np.linspace(t_start, t_end, count + 1)
+        return [window_indicator(grid, (lo,), (hi,)) for lo, hi in zip(edges[:-1], edges[1:])]
+    k, size = int(np.sqrt(count)), sensors["size"]
+    rel = (np.arange(k) + 0.5) / k
+    ys = grid.bounds(1)[0] + rel * (grid.bounds(1)[1] - grid.bounds(1)[0])
+    xs = grid.bounds(2)[0] + rel * (grid.bounds(2)[1] - grid.bounds(2)[0])
+    edges = np.linspace(t_start, t_end, sensors["time_windows"] + 1)
+    windows = []
+    for y in ys:
+        for x in xs:
+            if size > 0.0:
+                lo, hi = (y - 0.5 * size, x - 0.5 * size), (y + 0.5 * size, x + 0.5 * size)
+            else:  # the cell holding the sensor's center
+                cell = dirac_window(grid, (0.0, y, x)).box
+                c = [grid.axis_centers(k)[cell[k].start] for k in (1, 2)]
+                lo = (c[0] - 0.5 * grid.spacing[1], c[1] - 0.5 * grid.spacing[2])
+                hi = (c[0] + 0.5 * grid.spacing[1], c[1] + 0.5 * grid.spacing[2])
+            windows += [sensor_field(grid, lo, hi, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    return windows
+
+
+ODE_TILE = """
+[system]
+kind = ode
+p0 = 5.0
+p1 = 1.0
+p2 = 0.5
+T = 10.0
+
+[grid]
+cells = 2000
+
+[kernel]
+lengthscale = 0.7
+variance = 4.0
+
+[features]
+count = 100
+
+[sensors]
+rule = tile
+count = 100
+heldout_count = 20
+
+[noise]
+sigma = 0.05
+"""
+
+
+@pytest.mark.parametrize("text", [
+    PDE_INFER,
+    PDE_INFER.replace("time_windows = 4", "time_windows = 7\nsize = 1.3"),
+    PDE_INFER.replace("count = 25", "count = 16\nsize = 0.0\nt_start = 1.0\nt_end = 9.0"),
+    ODE_TILE,
+    ODE_TILE.replace("count = 100\nheldout", "count = 7\nt_start = 0.3\nt_end = 9.1\nheldout"),
+], ids=["pde-infer", "pde-sized", "pde-cells", "ode-bundle", "ode-short"])
+def test_rule_windows_equal_windows_cut_one_at_a_time(text):
+    config = parse_config(text)
+    grid = make_grid(config)
+    for build, stagger in ((build_windows, False), (build_heldout, True)):
+        windows, specs = build(config, grid)
+        count = config["sensors"]["heldout_count" if stagger else "count"]
+        assert windows == _windows_one_at_a_time(config, grid, count)
+        assert len(specs) == len(windows)
+
+
+def test_rule_windows_raise_as_the_first_empty_window_does():
+    config = parse_config(PDE_INFER.replace("time_windows = 4", "time_windows = 4\nsize = 0.1"))
+    grid = make_grid(config)
+    with pytest.raises(DomainError) as one:
+        _windows_one_at_a_time(config, grid, 25)
+    with pytest.raises(DomainError, match=re.escape(str(one.value))):
+        build_windows(config, grid)
