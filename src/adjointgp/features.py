@@ -202,8 +202,9 @@ def _axis_tables(basis: FeatureBasis, grid: Grid):
     """Unit-amplitude tables (cos a, sin a) of shape (outer, M), and (cos b,
     sin b) of shape (inner, M) in blocks of rows.  a holds the phase and the
     time argument, or on 1-D grids the argument at a run's first center; b
-    sums the spatial arguments, or the offsets i * dx, joined axis by axis one
-    row at a time.  A block spans the most cells of the first spatial axis
+    sums the spatial arguments, or the offsets i * dx, joined axis by axis
+    by products broadcast over the rows whose scratch fits _JOIN_BYTES / 8,
+    at least one.  A block spans the most cells of the first spatial axis
     that fit _JOIN_BYTES, at least one; a 1-D grid's b is one block."""
     scaled = basis.frequencies.T / basis.kernel.lengthscale
     if grid.ndim == 1:
@@ -221,13 +222,16 @@ def _axis_tables(basis: FeatureBasis, grid: Grid):
         arg = np.outer(first[lo:lo + rows], scaled[k0])
         cos_b, sin_b = np.cos(arg), np.sin(arg)
         for cos, sin in trig:
-            tmp = np.empty_like(cos)
+            step = max(1, _JOIN_BYTES // 8 // cos.nbytes)
+            tmp = np.empty((min(step, len(cos_b)),) + cos.shape)
             joined = np.empty((2, len(cos_b), len(cos), basis.size))
-            for j, (c, s) in enumerate(zip(cos_b, sin_b)):
-                np.multiply(cos, c, out=joined[0, j])
-                joined[0, j] -= np.multiply(sin, s, out=tmp)
-                np.multiply(cos, s, out=joined[1, j])
-                joined[1, j] += np.multiply(sin, c, out=tmp)
+            for j in range(0, len(cos_b), step):
+                c, s = cos_b[j:j + step, None], sin_b[j:j + step, None]
+                t, (jc, js) = tmp[:len(c)], joined[:, j:j + step]
+                np.multiply(cos, c, out=jc)
+                jc -= np.multiply(sin, s, out=t)
+                np.multiply(cos, s, out=js)
+                js += np.multiply(sin, c, out=t)
             cos_b, sin_b = joined.reshape(2, -1, basis.size)
         return cos_b, sin_b
     return np.cos(time), np.sin(time), map(join, range(0, len(first), rows))

@@ -9,8 +9,9 @@ expanded in M basis features the readings follow the linear model
 
 The design matrix is a plain read-only (n, M) array.  A 1-D bank is
 projected from its solved rows; a PDE bank in the pass that marches it:
-each time cell is projected, for the bases live there, as the march yields
-it.  Only the bases are solved (`fields.shift_groups`): functional i
+each time cell, for the bases live there, is copied as the march yields
+it into a stack of a few time cells, which one product projects.  Only
+the bases are solved (`fields.shift_groups`): functional i
 reads its base's solution shifted by each d of its run [d0, d1), so its
 row is scale[i] times the sum over the run of cos(w d dt) C_d + sin(w d
 dt) S_d, C_d and S_d the base's cosine and sine projections over time
@@ -73,6 +74,8 @@ __all__ = [
 ]
 
 SIGMA_MIN = 1e-6
+_STACK_BYTES = 2**20  # slab rows copied for one table product: 1 MiB
+_PART_SIZE = 2**19  # complex projections of one batch: 8 MiB
 
 
 @dataclass(frozen=True)
@@ -197,15 +200,19 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = 
     """Read-only (n, M) design matrix Phi[i, m] = <v_i, phi_m> over the
     adjoint bank's grid.
 
-    Each slab (cells, V) the bank yields, one time cell on (time, space)
-    grids, is projected once onto the per-axis tables, V^T [cos b | sin b],
-    and added with cos a and sin a of its outer row into running cosine and
-    sine sums C and S of its w base columns; a PDE bank yields them as it
-    marches, so no solution outlives its time cell, and the time cells after
-    the last window ends are never evaluated.  Functional i adds cos(w d dt)
-    C + sin(w d dt) S, w the time frequencies, for each shift d of its run
-    runs[i] as the march passes cell d, and the sum is scaled by scale[i];
-    1-D outer runs are cut at those cells.  The amplitude scales Phi as the
+    The slabs (cells, V) the bank yields, one time cell on (time, space)
+    grids, are cut into pieces, the outer runs of cells cut at the cells
+    where functionals read, and each piece is projected once onto the
+    per-axis tables, V^T [cos b | sin b], and added with cos a and sin a of
+    its outer row into running cosine and sine sums C and S of its w base
+    columns.  Consecutive pieces that read all of the tables, every time
+    cell of a PDE bank and the uncut outer runs of a 1-D one, are copied
+    into a stack of at most _STACK_BYTES and projected by one product; a
+    PDE bank yields its slabs as it marches, so no solution outlives its
+    stack, and the time cells after the last window ends are never
+    evaluated.  Functional i adds cos(w d dt) C + sin(w d dt) S, w the time
+    frequencies, for each shift d of its run runs[i] as the march passes
+    cell d, and the sum is scaled by scale[i].  The amplitude scales Phi as the
     last step, so the variance never needs a new projection: `projections`,
     a dict the caller keeps across calls on one bank and one frequency draw,
     holds the unit-amplitude projection per lengthscale, bit for bit what a
@@ -232,56 +239,115 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = 
 
 def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
     """Unit-amplitude (n, M) projections, as `assemble_phi` describes; C and
-    S are the real and imaginary parts of one complex sum."""
-    grid = bank.grid
+    S are the real and imaginary parts of one complex sum.  The pieces go
+    in batches, in march order: each batch's products, then its turns and
+    running sums, then its reads, one add per functional and piece (every
+    shift is a piece edge, so a functional reads a piece at most once) in
+    march order, which is the order of the pieces one at a time."""
+    grid, size = bank.grid, basis.size
     cos_a, sin_a, blocks = _axis_tables(basis, grid)
     inner, lo = -(-grid.num_cells // len(cos_a)), 0  # cells per outer row
-    # exp(i a), and exp(i b) filled block by block (i sin b + cos b has the bits
-    # of cos b + i sin b), as interleaved (cos, sin) columns of one product
-    tables = np.empty((inner, basis.size), dtype=complex)
+    # exp(i a), and exp(i b) filled block by block, as interleaved (cos, sin)
+    # columns of one product
+    tables, turn_a = np.empty((inner, size), dtype=complex), np.empty(cos_a.shape, dtype=complex)
+    turn_a.real, turn_a.imag = cos_a, sin_a
     for cos_b, sin_b in blocks:
-        block = tables[lo:(lo := lo + len(cos_b))]
-        np.multiply(sin_b, 1j, out=block)
-        block += cos_b
+        rows = slice(lo, lo := lo + len(cos_b))
+        tables.real[rows], tables.imag[rows] = cos_b, sin_b
     del cos_b, sin_b  # views that would keep the last join buffer alive
-    tables, turn_a = tables.view(float), cos_a + 1j * sin_a
-    # one (functional, shift) pair per read, the shifts of each run in order
-    runs, widths = bank.runs, np.diff(bank.runs, axis=1)[:, 0]
+    tables = tables.view(float)
+    # one (functional, shift) pair per read, ordered by shift; a base with
+    # no live cell is never marched, and its functionals read 0
+    runs = bank.runs
+    widths = np.diff(runs, axis=1)[:, 0] * (bank.live[bank.base] > 0)
     reader = np.repeat(np.arange(len(runs)), widths)
     shift = np.arange(len(reader)) + np.repeat(runs[:, 0] - np.cumsum(widths) + widths, widths)
-    shifts, which = np.unique(shift, return_inverse=True)
-    # pieces: the outer runs, cut at the cells where functionals read
+    by_shift = np.argsort(shift, kind="stable")
+    reader, shift = reader[by_shift], shift[by_shift]
+    distinct = np.diff(shift, prepend=-1) != 0  # each distinct shift's first read
+    shifts, which = shift[distinct], np.cumsum(distinct) - 1
+    # pieces: the outer runs, cut at the cells where functionals read; piece
+    # k reads `lengths[k]` rows of the tables from `heads[k]`, all of them
+    # when `whole[k]`, as every piece on a grid with spatial axes does
     per_time = grid.num_cells // grid.dims[0]
-    edges = np.union1d(np.arange(0, grid.num_cells, inner), shifts * per_time)
-    bounds = np.append(edges, grid.num_cells).tolist()
-    piece, column = np.searchsorted(edges, shift * per_time), bank.columns[reader]
-    back = np.exp(-1j * np.outer(shifts, basis.frequencies[:, 0] / basis.kernel.lengthscale
-                                 * grid.spacing[0]))
-    sums = np.zeros((len(bank.order), basis.size), dtype=complex)
-    unit = np.zeros(len(runs) * basis.size)  # flat: numpy's fast scatter-add is 1-D
+    edges = np.sort(np.concatenate((np.arange(0, grid.num_cells, inner), shifts * per_time)))
+    edges = edges[np.diff(edges, prepend=-1) != 0]
+    bounds = np.append(edges, grid.num_cells)
+    outer, heads, lengths = edges // inner, (edges % inner).tolist(), np.diff(bounds)
+    whole, lengths, bounds = (lengths == inner).tolist(), lengths.tolist(), bounds.tolist()
+    # piece k's reads are [starts[k], starts[k + 1])
+    piece = np.searchsorted(edges, shift * per_time)
+    starts = np.searchsorted(piece, np.arange(len(bounds))).tolist()
+    column, last = bank.columns[reader], runs[reader, 1]
+    # exp(-i w d dt), as cos - i sin: the bits of np.exp, whose complex path
+    # takes half as long again
+    back = np.outer(shifts, basis.frequencies[:, 0] / basis.kernel.lengthscale * grid.spacing[0])
+    back = np.cos(back) - 1j * np.sin(back)
+    sums = np.zeros((len(bank.order), size), dtype=complex)
+    unit = np.zeros((len(runs), size))
+    # a batch: its pieces, consecutive and in march order (the last first),
+    # their widths, and its products, each (first table row, table rows,
+    # height, the piece's rows): whole pieces in a row share one product of
+    # their rows, which are copied, transposed, one after another into
+    # `stack`, and stand as None; a bank with no whole piece allocates no
+    # stack, whose 1 MiB alone made the ode-bundle projection up to a third
+    # slower
+    budget = _STACK_BYTES // 8
+    stack = np.empty(max(budget, len(bank.order) * inner) if any(whole) else 0)
+    ks, ws, products = [], [], []
+
+    def flush():
+        part, at, row = np.empty((sum(ws), 2 * size)), 0, 0
+        for h, n, height, src in products:
+            if src is None:
+                src = stack[at:(at := at + height * n)].reshape(height, n)
+            np.matmul(src, tables[h:h + n], out=part[row:(row := row + height)])
+        part, row, i = part.view(complex), 0, 0
+        # turned by the outer rows, then running sums at each piece's start
+        for w, run in itertools.groupby(ws):
+            count = len(list(run))
+            seg = part[row:(row := row + w * count)].reshape(count, w, size)
+            seg *= turn_a[outer[ks[i] - count + 1:ks[i] + 1][::-1], None]
+            i += count
+            seg[0] += sums[:w]
+            for k in range(1, count):
+                seg[k] += seg[k - 1]
+            sums[:w] = seg[-1]
+        # reads at the start of these pieces; a functional reads a piece at
+        # most once, so its reads here, by rank in march order, take one add each
+        top, reads = ks[0] + 1, slice(starts[ks[-1]], starts[ks[0] + 1])
+        rank = np.minimum(last[reads], bounds[top] // per_time) - 1 - shift[reads]
+        got = reads.start + np.argsort(rank, kind="stable")
+        read = (part[np.cumsum([0] + ws[:-1])[top - 1 - piece[got]] + column[got]]
+                * back[which[got]]).real
+        ranks = [0] + np.cumsum(np.bincount(rank)).tolist()
+        for lo, hi in itertools.pairwise(ranks):
+            unit[reader[got[lo:hi]]] += read[lo:hi]
+        del ks[:], ws[:], products[:]
+
+    used = height = 0
     for cells, v in bank.slabs():
-        w = v.shape[1]
         first, stop = np.searchsorted(edges, (cells.start, cells.stop)).tolist()
-        batch = max(1, 2**20 // (2 * basis.size * w))  # pieces summed at once: 8 MB
-        for top in range(stop, first, -batch):
-            low = max(first, top - batch)
-            pieces = range(top - 1, low - 1, -1)  # the last first
-            outer = edges[pieces] // inner
-            part = np.empty((len(pieces), w, basis.size), dtype=complex)
-            for projected, k, o in zip(part, pieces, outer.tolist()):
-                np.matmul(v[bounds[k] - cells.start:bounds[k + 1] - cells.start].T,
-                          tables[bounds[k] - o * inner:bounds[k + 1] - o * inner],
-                          out=projected.view(float))
-            part *= turn_a[outer, None]
-            part[0] += sums[:w]
-            for k in range(1, len(part)):  # running sums at each piece's start
-                part[k] += part[k - 1]
-            sums[:w] = part[-1]
-            # reads at the start of one of these pieces
-            read = np.flatnonzero((piece >= low) & (piece < top) & (column < w))
-            np.add.at(unit, (reader[read, None] * basis.size + np.arange(basis.size)).ravel(),
-                      (part[top - 1 - piece[read], column[read]] * back[which[read]]).real.ravel())
-    return unit.reshape(len(runs), basis.size) * bank.scale[:, None] * grid.cell_volume
+        for k in range(stop - 1, first - 1, -1):  # the last first
+            src = v[bounds[k] - cells.start:bounds[k + 1] - cells.start].T
+            w = len(src)
+            if ks and (used + src.size > budget or (height + w) * size > _PART_SIZE):
+                flush()
+                used = height = 0
+            if not whole[k]:
+                products.append((heads[k], lengths[k], w, src))
+            else:
+                stack[used:(used := used + src.size)].reshape(src.shape)[...] = src
+                if ks and whole[k + 1]:
+                    products[-1] = (0, inner, products[-1][2] + w, None)
+                else:
+                    products.append((0, inner, w, None))
+            ks.append(k)
+            ws.append(w)
+            height += w
+    if ks:
+        flush()
+    return unit * bank.scale[:, None] * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

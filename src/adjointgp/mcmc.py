@@ -399,7 +399,8 @@ def _group_moments(draws, bounds, edges) -> tuple[np.ndarray, np.ndarray]:
     run is cut at the edges into pieces, and each of the two passes reads
     MOMENT_CHUNK_ROWS pieces at a time."""
     edges = np.asarray(edges)
-    cuts = np.union1d(bounds, edges)
+    cuts = np.sort(np.concatenate((bounds, edges)))
+    cuts = cuts[np.diff(cuts, prepend=-1) != 0]
     cuts = cuts[(cuts >= edges[0]) & (cuts <= edges[-1])]
     rows = np.searchsorted(bounds, cuts[:-1], side="right") - 1
     groups = np.searchsorted(edges, cuts[:-1], side="right") - 1

@@ -210,6 +210,20 @@ def test_blockwise_forcing_matches_the_dense_basis():
                                rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
+def test_joined_tables_equal_the_elementwise_join_bit_for_bit():
+    # 25 rows of y at M = 100 on 30 x cells: broadcast runs of 10, 10 and 5
+    # rows, each entry one product pair and one sum as an elementwise join
+    grid = Grid.regular(((0.0, 2.0), (0.0, 3.0), (-1.0, 1.0)), (4, 25, 30))
+    basis = FeatureBasis.sample(100, 3, KERNEL, seed=21)
+    cos_a, sin_a, blocks = features._axis_tables(basis, grid)
+    scaled = basis.frequencies.T / basis.kernel.lengthscale
+    y, x = (np.outer(grid.axis_centers(k), scaled[k]) for k in (1, 2))
+    cy, sy, cx, sx = np.cos(y)[:, None], np.sin(y)[:, None], np.cos(x), np.sin(x)
+    for joined, reference in zip(map(np.concatenate, zip(*blocks)),
+                                 (cy * cx - sy * sx, sy * cx + cy * sx)):
+        assert np.array_equal(joined, reference.reshape(-1, basis.size))
+
+
 def test_forcing_on_a_line_is_the_whole_table_product_bit_for_bit():
     # a 1-D grid's tables are one block: the synthesis is the single product
     grid = Grid.regular(((0.0, 10.0),), (2000,))

@@ -41,6 +41,7 @@ from adjointgp import (
 from adjointgp.config import parse_config
 from adjointgp.experiments import build_heldout, build_windows, make_grid, make_kernel, make_system
 from adjointgp.features import _JOIN_BYTES
+from adjointgp import inference
 from adjointgp.inference import SIGMA_MIN
 from adjointgp.shift import ShiftParams, ShiftSystem
 from oracles import (exact_gram, forward_predictive_readings, gp_predictive_var, kernel_approx,
@@ -278,6 +279,52 @@ def test_live_cells_project_like_the_dense_basis():
     dense_var = np.einsum("mg,mk,kg->g", dense, post.cov, dense)
     np.testing.assert_allclose(var.values_flat, dense_var, rtol=1e-12,
                                atol=1e-12 * dense_var.max())
+
+
+def test_stacked_pieces_project_bit_for_bit_as_one_piece_per_product(monkeypatch):
+    # a PDE bank whose boxes end at different time cells, so that columns
+    # join and the width grows from 6 to 9 inside one stack of slabs, and a
+    # 1-D bank of 3 window shapes whose reads cut some outer runs and leave
+    # the rest whole.  Here BLAS takes the same kernel for a piece alone as
+    # for its stack, so the rows keep their bits; a one-row product, or a
+    # small one stacked into one past about 1e6 multiply-adds, can round
+    # apart from the same rows stacked
+    grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (40, 30, 30))
+    system = PdeSystem(PdeParams((0.4, 0.4), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), grid)
+    boxes = [(1.0 + 2.5 * (b % 3), 1.0 + 2.5 * (b // 3)) for b in range(9)]
+    windows = [sensor_field(grid, (y, x), (y + 1.5, x + 1.5), 1.0 + 0.5 * b,
+                            10.0 if b < 6 else 4.0 + 0.6 * b) for b, (y, x) in enumerate(boxes)]
+    pde = system.adjoint_march(windows).kept()
+    assert sorted({v.shape[1] for _, v in pde.slabs()}) == [6, 7, 8, 9]
+    line = Grid.regular(((0.0, 10.0),), (2000,))
+    spans = [window_indicator(line, [t], [t + 0.2 + 0.1 * (i % 3)])
+             for i, t in enumerate(np.linspace(0.5, 4.5, 24))]
+    ode = OdeSystem(OdeParams(5.0, 1.0, 0.5, 10.0), line).adjoint_march(spans)
+    assert len(ode.order) == 3
+    for bank, basis in ((pde, FeatureBasis.sample(100, 3, KernelParams(2.0, 2.0), seed=11)),
+                        (ode, FeatureBasis.sample(100, 1, KernelParams(0.7, 4.0), seed=11))):
+        default = assemble_phi(bank, basis)
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "_STACK_BYTES", 0)  # one piece per product
+            assert np.array_equal(default, assemble_phi(bank, basis))
+        reference = bank.rows @ eval_basis(basis, bank.grid).T * bank.grid.cell_volume
+        assert np.abs(default - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def test_reads_of_one_piece_by_many_functionals_match_the_dense_basis():
+    # two identical windows, and two windows on another box whose time spans
+    # overlap: several functionals read one piece of one base, each once
+    grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (20, 12, 12))
+    system = PdeSystem(PdeParams((0.4, 0.4), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), grid)
+    windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 6.0)] * 2 + [
+        sensor_field(grid, (6.0, 6.0), (8.0, 8.0), t0, t1) for t0, t1 in ((1.0, 7.0), (4.0, 9.0))]
+    bank = system.adjoint_march(windows).kept()
+    assert bank.base.tolist() == [0, 0, 3, 3]
+    basis = FeatureBasis.sample(30, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=11)
+    phi = assemble_phi(bank, basis)
+    reference = bank.rows @ eval_basis(basis, grid).T * grid.cell_volume
+    assert np.abs(phi - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert np.array_equal(phi[0], phi[1])
 
 
 ODE_RULE_TEXT = """

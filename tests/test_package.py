@@ -152,11 +152,13 @@ def test_files_are_written_as_bytes():
     assert found == []
 
 
-def _fresh_modules(*lines):
-    """The sorted `scipy` modules a fresh interpreter has loaded after
-    running `lines`, with the package importable."""
+def _fresh_modules(*lines, prefixes=("scipy",)):
+    """The sorted modules under `prefixes` (a package and its submodules)
+    that a fresh interpreter has loaded after running `lines`, with the
+    package importable."""
     script = "\n".join(["import sys", "import adjointgp as ag", *lines,
-                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+                        f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.')"
+                        f" for p in {tuple(prefixes)!r})))"])
     src = os.path.dirname(os.path.dirname(adjointgp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -192,18 +194,20 @@ TINY_PDE = ("[system]\nkind = pde\nvelocity_x = 0.4\nvelocity_y = 0.4\n"
 
 def test_ode_run_loads_no_scipy():
     # the posterior is numpy alone: simulate, infer, scan and mcmc on an ODE
-    # config leave every scipy module unloaded
+    # config leave every scipy module unloaded, and numpy.ma too (np.union1d
+    # and np.unique without an inverse import it)
     assert _fresh_modules(
         f"data = ag.simulate_data(ag.parse_config({TINY_ODE!r}))",
-        "ag.run_inference(data), ag.scan_hyper(data), ag.run_mcmc(data)") == []
+        "ag.run_inference(data), ag.scan_hyper(data), ag.run_mcmc(data)",
+        prefixes=("scipy", "numpy.ma")) == []
 
 
 def test_pde_run_loads_no_scipy():
     # the PDE steps a numpy stencil: simulate and infer on a PDE config
-    # leave every scipy module unloaded
+    # leave every scipy module and numpy.ma unloaded
     assert _fresh_modules(
         f"data = ag.simulate_data(ag.parse_config({TINY_PDE!r}))",
-        "ag.run_inference(data)") == []
+        "ag.run_inference(data)", prefixes=("scipy", "numpy.ma")) == []
 
 
 def test_the_package_imports_no_scipy():
