@@ -47,7 +47,6 @@ from .inference import (
     PIPELINE_STAGES,
     assemble_phi,
     grid_scan,
-    ml_estimate,
     nll_score,
     posterior_forcing,
     posterior_from_json,
@@ -105,7 +104,7 @@ __all__ = [
     "PdeParams", "PdeSystem", "cfl_limit", "sensor_field",
     "ShiftParams", "ShiftSystem",
     "ObservationSet", "PipelineResult", "PosteriorQ", "PIPELINE_STAGES",
-    "assemble_phi", "grid_scan", "ml_estimate", "nll_score", "posterior_forcing",
+    "assemble_phi", "grid_scan", "nll_score", "posterior_forcing",
     "posterior_from_json", "posterior_q", "posterior_to_json",
     "predictive_mse", "predictive_nll", "run_pipeline",
     "ChainConfig", "ChainDiagnostics", "ChainResult", "GaussianTarget",

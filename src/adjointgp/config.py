@@ -25,7 +25,6 @@ __all__ = ["Config", "parse_config", "load_config", "canonical_text", "config_ha
 
 KINDS = ("ode", "pde", "shift")
 SENSOR_RULES = ("tile", "span", "list", "grid")
-METHODS = ("bayes", "ml", "both")
 SYNTH_MODES = ("forward", "linear")
 SIGMA_MAX = 1e100  # [noise] sigma; from about 1e154 on the MCMC target overflows
 
@@ -82,9 +81,10 @@ _DEFAULTS = {
     ("seeds", "data"): 0,
     ("seeds", "basis"): 1,
     ("seeds", "noise"): 2,
+    # method, samples and ridge are ignored (one estimator; predictive scores
+    # are exact), but kept: canonical_text writes them into every bundle's
+    # config.txt and hash, so old bundles keep loading
     ("inference", "method"): "bayes",
-    # ignored (predictive scores are exact), but kept: canonical_text writes
-    # it into every bundle's config.txt and hash, so old bundles keep loading
     ("inference", "samples"): 100,
     ("inference", "ridge"): 0.0,
     ("inference", "synth"): "forward",
@@ -107,11 +107,14 @@ _SIGNS = {
     ("sensors", "count"): True, ("sensors", "time_windows"): True,
     ("sensors", "size"): False, ("sensors", "heldout_count"): False,
     ("noise", "sigma"): False, ("seeds", "basis"): False, ("mcmc", "seed"): False,
-    ("inference", "samples"): True, ("inference", "ridge"): False,
+    ("inference", "samples"): True,
     ("mcmc", "steps"): True, ("mcmc", "batch_size"): True, ("mcmc", "proposal_scale"): False,
     ("sweep", "replicates"): True,
     ("scan", "samples"): True,
 }
+
+# keys of the removed maximum-likelihood route: each accepts only its default
+_RETIRED = (("inference", "method"), ("inference", "ridge"))
 
 
 @dataclass(frozen=True)
@@ -286,9 +289,13 @@ def _validate(sections: dict) -> dict:
 
     if (sigma := _require(sections, "noise", "sigma")) > SIGMA_MAX:
         raise ConfigError(f"'sigma' in [noise] must be at most {SIGMA_MAX:g} (got {sigma})")
-    inference = sections.get("inference", {})
-    for key, allowed in (("method", METHODS), ("synth", SYNTH_MODES)):
-        _one_of(inference.get(key, _DEFAULTS[("inference", key)]), allowed, "inference", key)
+    for section, key in _RETIRED:
+        value, only = sections.get(section, {}).get(key), _DEFAULTS[(section, key)]
+        if value is not None and value != only:
+            raise ConfigError(f"'{key}' in [{section}] must be {only!r}: the maximum-"
+                              f"likelihood route was removed (got {value!r})")
+    _one_of(sections.get("inference", {}).get("synth", _DEFAULTS[("inference", "synth")]),
+            SYNTH_MODES, "inference", "synth")
 
     if "mcmc" in sections:
         steps = sections["mcmc"].get("steps", _DEFAULTS[("mcmc", "steps")])

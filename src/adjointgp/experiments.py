@@ -15,7 +15,7 @@ the truth forcing from a dense feature basis, runs the forward solver, and
 reads the observation windows off the discrete solution.  `synth = linear`
 draws truth weights for the inference basis itself and synthesizes readings
 through the adjoint design matrix, which makes the linear model exact; this
-mode exists to validate the solvers and estimators without a
+mode exists to validate the solvers and the estimator without a
 discretization gap between the two routes.
 """
 
@@ -53,7 +53,6 @@ from .inference import (
     PipelineResult,
     assemble_phi,
     grid_scan,
-    ml_estimate,
     nll_score,
     posterior_forcing,
     posterior_to_json,
@@ -502,8 +501,6 @@ class InferenceOutcome:
     pipeline: PipelineResult
     forcing_mean: Field
     forcing_var: Field
-    ml_weights: np.ndarray | None
-    ml_forcing: Field | None
     metrics: dict
     # pipeline stage, push-back and held-out scoring seconds, bank counts
     timings: dict
@@ -522,7 +519,7 @@ def _forcing_mse(estimate: Field, truth: Field) -> float:
 
 
 def run_inference(data: SimulatedData) -> InferenceOutcome:
-    """Adjoint pipeline (and optionally maximum likelihood) on simulated data."""
+    """Adjoint pipeline and exact posterior on simulated data."""
     config = data.config
     sigma_cfg = data.sigma
     if sigma_cfg < SIGMA_MIN:
@@ -537,13 +534,6 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
     mean_field, var_field = posterior_forcing(result.posterior, basis, data.grid)
     t1 = time.perf_counter()
 
-    method = config["inference"]["method"]
-    ml_weights = ml_forcing = None
-    if method in ("ml", "both"):
-        ml_weights, _ = ml_estimate(result.phi, data.z, sigma=obs.sigma,
-                                    ridge=config["inference"]["ridge"])
-        ml_forcing = forcing_from_weights(basis, ml_weights, data.grid)
-
     metrics = {
         "n": int(len(data.windows)),
         "features": int(basis.size),
@@ -555,9 +545,6 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
     if data.qstar is not None:
         metrics["qstar_max_abs_error_bayes"] = float(
             np.max(np.abs(result.posterior.mean - data.qstar)))
-        if ml_weights is not None:
-            metrics["qstar_max_abs_error_ml"] = float(
-                np.max(np.abs(ml_weights - data.qstar)))
     heldout = data.heldout_observations()
     t2 = time.perf_counter()
     if heldout is not None:
@@ -567,20 +554,7 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
                    heldout_scoring=time.perf_counter() - t2,
                    bank_rows_training=obs.n, bank_rows_heldout=len(data.heldout_windows),
                    bank_solves=result.solves, bank_cell_steps=result.cell_steps)
-    return InferenceOutcome(basis, result, mean_field, var_field,
-                            ml_weights, ml_forcing, metrics, timings)
-
-
-def _weights_rows(outcome: InferenceOutcome):
-    mean = outcome.posterior.mean
-    sd = outcome.posterior.sd
-    rows = []
-    for m in range(mean.size):
-        row = [m, float(mean[m]), float(sd[m])]
-        if outcome.ml_weights is not None:
-            row.append(float(outcome.ml_weights[m]))
-        rows.append(row)
-    return rows
+    return InferenceOutcome(basis, result, mean_field, var_field, metrics, timings)
 
 
 def _slice_index(grid, t_value: float) -> int:
@@ -601,11 +575,12 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    header = ["index", "mean", "sd"] + (["ml"] if outcome.ml_weights is not None else [])
     posterior = posterior_to_json(outcome.posterior, basis_seed=outcome.basis.seed,
                                   config_hash=config_hash(data.config))
     files = {
-        "weights.csv": _write_csv(out / "weights.csv", header, _weights_rows(outcome)),
+        "weights.csv": _write_csv(out / "weights.csv", ["index", "mean", "sd"], (
+            [m, *row] for m, row in enumerate(zip(outcome.posterior.mean.tolist(),
+                                                  outcome.posterior.sd.tolist())))),
         "phi.csv": _write_csv(out / "phi.csv", [f"m{j}" for j in range(outcome.phi.shape[1])],
                               outcome.phi.tolist()),
         "posterior.json": write_hashed(out / "posterior.json", [posterior, "\n"]),
@@ -613,8 +588,6 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir,
         "forcing_var.fld": field_to_binary(outcome.forcing_var, out / "forcing_var.fld"),
         "metrics.json": _write_json(out / "metrics.json", outcome.metrics),
     }
-    if outcome.ml_forcing is not None:
-        files["forcing_ml.fld"] = field_to_binary(outcome.ml_forcing, out / "forcing_ml.fld")
     if slice_t is not None:
         name, k = f"slice_t{slice_t:g}.csv", _slice_index(data.grid, slice_t)
         ys, xs = data.grid.axis_centers(1).tolist(), data.grid.axis_centers(2).tolist()

@@ -19,25 +19,18 @@ cells >= d and w the features' time frequencies.  On the PDE a window's
 base is its box's impulse and the run spans its time cells; elsewhere
 the run is one shift of the functional's shape.
 
-Factorization policy.  The prior is q ~ N(0, I): the feature amplitude
-carries the kernel variance.  The conjugate posterior takes one Cholesky
-factorization, of its precision P = sigma^{-2} Phi^T Phi + I = L L^T,
-retried with escalating diagonal jitter (1e-10 up to 1e-6 of the diagonal
-scale) before failing.  The covariance is kept as the square-root factor
+Factorization policy.  The conjugate posterior is the one estimator.  The
+prior is q ~ N(0, I): the feature amplitude carries the kernel variance.
+The posterior takes one Cholesky factorization, of its precision
+P = sigma^{-2} Phi^T Phi + I = L L^T, retried with escalating diagonal
+jitter (1e-10 up to 1e-6 of the diagonal scale) before failing.  The
+covariance is kept as the square-root factor
 R = L^{-T}, the inverse of the triangular L^T taken by halves in numpy
 alone, S_n = P^{-1} = R R^T, and the mean reads R twice,
 
     mu_n = P^{-1} sigma^{-2} Phi^T z = R (R^T sigma^{-2} Phi^T z).
 
 Draws, pointwise variances and predictive moments read R; nothing is factored again.
-
-Maximum likelihood and its ridge variant take one SVD Phi = U diag(s) V^T,
-with filter factors s / (s^2 + ridge):
-
-    q_hat = V ((U^T z) s / (s^2 + ridge)),
-    cov   = sigma^2 V diag(1 / (s^2 + ridge)) V^T.
-
-Without a ridge it needs n >= M and a squared condition number below 1e12.
 """
 
 from __future__ import annotations
@@ -59,7 +52,6 @@ __all__ = [
     "ObservationSet",
     "PosteriorQ",
     "assemble_phi",
-    "ml_estimate",
     "posterior_q",
     "posterior_forcing",
     "predictive_mse",
@@ -351,48 +343,7 @@ def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# estimators
-
-
-def ml_estimate(phi, z, sigma: float | None = None, ridge: float = 0.0):
-    """Maximum-likelihood weights and their covariance, from one SVD.
-
-    Requires at least as many observations as features; without a ridge it
-    also requires a squared condition number below 1e12.  Otherwise raises
-    NumericalError and points at the Bayesian route.  `ridge` adds an
-    optional Tikhonov term to the normal equations (default 0, no
-    regularization).  When `sigma` is not given, the noise variance is
-    estimated from the residuals (zero when n == M leaves no degrees of
-    freedom).
-    """
-    design = np.asarray(phi, dtype=float)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    n, m = design.shape
-    if z.size != n:
-        raise ValueError("reading count does not match design matrix")
-    if n < m:
-        raise NumericalError(
-            f"need n >= M for maximum likelihood (got n={n}, M={m}); "
-            "use posterior_q instead"
-        )
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if ridge == 0.0 and (s[-1] == 0.0 or (s[0] / s[-1]) ** 2 >= 1e12):
-        raise NumericalError(
-            "design matrix is rank deficient or too ill-conditioned for "
-            "maximum likelihood; use the Bayesian route (posterior_q)"
-        )
-    shrunk = s**2 + ridge
-    qhat = vt.T @ ((u.T @ z) * s / shrunk)
-    inv_gram = (vt.T / shrunk) @ vt
-    if sigma is None:
-        resid = z - design @ qhat
-        sigma2 = float(resid @ resid) / (n - m) if n > m else 0.0
-    else:
-        sigma2 = float(sigma) ** 2
-    cov = sigma2 * 0.5 * (inv_gram + inv_gram.T)
-    return qhat, cov
+# estimator
 
 
 def posterior_q(phi, z, sigma: float) -> PosteriorQ:

@@ -283,9 +283,12 @@ def test_sensor_rules(text, needle):
     (ODE_TEXT.replace("count = 8", "count = 0"), "must be positive"),
     (ODE_TEXT.replace("count = 8", "count = 8\ntruth_count = -5"), "must be positive"),
     (_edit(ODE_TEXT, sigma="-0.1"), "must be nonnegative"),
-    (ODE_TEXT + "\n[inference]\nmethod = magic\n", "must be one of"),
+    (ODE_TEXT + "\n[inference]\nmethod = magic\n", "must be 'bayes'"),
+    (ODE_TEXT + "\n[inference]\nmethod = ml\n", "maximum-likelihood route was removed"),
+    (ODE_TEXT + "\n[inference]\nmethod = both\n", "maximum-likelihood route was removed"),
     (ODE_TEXT + "\n[inference]\nsynth = copy\n", "must be one of"),
-    (ODE_TEXT + "\n[inference]\nridge = -1.0\n", "must be nonnegative"),
+    (ODE_TEXT + "\n[inference]\nridge = -1.0\n", "must be 0.0"),
+    (ODE_TEXT + "\n[inference]\nridge = 0.5\n", "maximum-likelihood route was removed"),
     (ODE_TEXT + "\n[inference]\nsamples = 0\n", "must be positive"),
     (ODE_TEXT + "\n[mcmc]\nsteps = 100\nburn_in = 100\n", "burn_in"),
     (ODE_TEXT + "\n[mcmc]\nproposal_scale = -0.5\n", "must be nonnegative"),
@@ -377,23 +380,26 @@ def test_array_rows_are_written_as_the_per_value_formatter_writes_them(tmp_path)
     assert expected.splitlines()[-1] == b"0.0,-0.0,1.0,inf,5e-324"
 
 
+LINEAR = "\n[inference]\nsynth = linear\n"
+
+
 def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
-    text = _edit(ODE_TEXT, sigma="1e-6") + "\n[inference]\nmethod = both\nsynth = linear\n"
+    text = _edit(ODE_TEXT, sigma="1e-6") + LINEAR
     bundle = _simulate(tmp_path, text)
     out = tmp_path / "inferred"
     assert main(["infer", str(bundle), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "outputs ->" in stdout
     for name in ("weights.csv", "phi.csv", "posterior.json", "forcing_mean.fld",
-                 "forcing_var.fld", "forcing_ml.fld", "metrics.json",
+                 "forcing_var.fld", "metrics.json",
                  "timings.json", "manifest.json"):
         assert (out / name).exists(), name
 
     qstar = json.loads((bundle / "manifest.json").read_text())["qstar"]
     with open(out / "weights.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    ml = np.array([float(r["ml"]) for r in rows])
-    np.testing.assert_allclose(ml, qstar, atol=1e-4)
+    mean = np.array([float(r["mean"]) for r in rows])
+    np.testing.assert_allclose(mean, qstar, atol=1e-4)
 
     posterior_meta = json.loads((out / "posterior.json").read_text())
     assert posterior_meta["config_hash"] == config_hash(parse_config(text))
@@ -711,17 +717,16 @@ def test_shift_demo_command(tmp_path, capsys):
 
 
 MCMC_SECTION = "\n[mcmc]\nsteps = 1500\nburn_in = 100\nseed = 1\n"
-LINEAR_BOTH = "\n[inference]\nmethod = both\nsynth = linear\n"
 
 
 @pytest.mark.parametrize("text, command, present, absent", [
     (ODE_TEXT, None, {"heldout.csv", "truth_solution.fld"}, set()),
-    (ODE_TEXT + LINEAR_BOTH, None, {"heldout.csv"}, {"truth_solution.fld"}),
-    (ODE_TEXT + LINEAR_BOTH, ["infer"], {"forcing_ml.fld"}, {"numerics.json", "timings.json"}),
+    (ODE_TEXT + LINEAR, None, {"heldout.csv"}, {"truth_solution.fld"}),
+    (ODE_TEXT + LINEAR, ["infer"], {"forcing_mean.fld"}, {"numerics.json", "timings.json"}),
     (ODE_TEXT + MCMC_SECTION, ["mcmc"], {"trace.csv", "diagnostics.json"}, {"timings.json"}),
     (PDE_TEXT, ["infer", "--slice", "t=5"], {"slice_t5.csv", "forcing_mean.fld"},
      {"timings.json"}),
-], ids=["forward-bundle", "linear-bundle", "infer-both", "mcmc", "infer-slice"])
+], ids=["forward-bundle", "linear-bundle", "infer-linear", "mcmc", "infer-slice"])
 def test_manifest_hashes_the_bytes_on_disk(tmp_path, text, command, present, absent):
     # the manifest lists the digests its writers returned: they are those of
     # the bytes on disk, for every file but the manifest and the diagnostics
@@ -982,14 +987,6 @@ def test_exit_code_cfl_violation(tmp_path, capsys):
     cfg.write_text(_edit(PDE_TEXT, diffusivity="2.0"), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "largest admissible step" in capsys.readouterr().err
-
-
-def test_exit_code_numerical_error(tmp_path, capsys):
-    # ml needs n >= M; 20 readings cannot fit 30 features
-    bundle = _simulate(tmp_path, ODE_TEXT.replace("count = 8", "count = 30")
-                       + "\n[inference]\nmethod = ml\n")
-    assert main(["infer", str(bundle), "--out", str(tmp_path / "o")]) == 3
-    assert "numerical error:" in capsys.readouterr().err
 
 
 def test_exit_code_overflowing_design_matrix(tmp_path, capsys, monkeypatch):

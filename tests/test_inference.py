@@ -25,7 +25,6 @@ from adjointgp import (
     forcing_from_weights,
     grid_scan,
     inner_product,
-    ml_estimate,
     nll_score,
     posterior_forcing,
     posterior_from_json,
@@ -564,67 +563,6 @@ def test_phi_grid_assertion_tells_apart_grids_of_one_cell_count():
 
 
 # ---------------------------------------------------------------------------
-# maximum likelihood
-
-
-def test_ml_identity_design_recovers_readings():
-    z = np.array([0.3, -1.2, 0.7])
-    qhat, cov = ml_estimate(np.eye(3), z, sigma=0.5)
-    np.testing.assert_allclose(qhat, z, rtol=1e-12)
-    np.testing.assert_allclose(cov, 0.25 * np.eye(3), rtol=1e-12)
-
-
-def test_ml_noiseless_recovery():
-    rng = np.random.default_rng(4)
-    design = rng.standard_normal((12, 5))
-    qstar = rng.standard_normal(5)
-    qhat, _ = ml_estimate(design, design @ qstar, sigma=1.0)
-    np.testing.assert_allclose(qhat, qstar, rtol=0, atol=1e-8)
-
-
-def test_ml_rejects_underdetermined_and_degenerate():
-    rng = np.random.default_rng(5)
-    with pytest.raises(NumericalError, match="posterior_q"):
-        ml_estimate(rng.standard_normal((3, 5)), np.zeros(3))
-    col = rng.standard_normal((6, 1))
-    dup = np.hstack([col, col])  # rank 1
-    with pytest.raises(NumericalError, match="ill-conditioned|rank"):
-        ml_estimate(dup, np.zeros(6))
-
-
-def test_ml_sigma_estimated_from_residuals():
-    rng = np.random.default_rng(6)
-    design = rng.standard_normal((40, 3))
-    qstar = rng.standard_normal(3)
-    noise = 0.3 * rng.standard_normal(40)
-    z = design @ qstar + noise
-    qhat, cov = ml_estimate(design, z)
-    resid = z - design @ qhat
-    sigma2 = resid @ resid / (40 - 3)
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    expected = sigma2 * (vt.T * s**-2.0) @ vt
-    np.testing.assert_allclose(cov, expected, rtol=1e-10)
-
-
-def test_ml_ridge_matches_regularized_normal_equations():
-    rng = np.random.default_rng(8)
-    design = rng.standard_normal((15, 4))
-    z = rng.standard_normal(15)
-    gram = design.T @ design + 0.3 * np.eye(4)
-    qhat, cov = ml_estimate(design, z, sigma=0.5, ridge=0.3)
-    np.testing.assert_allclose(qhat, np.linalg.solve(gram, design.T @ z), rtol=1e-12)
-    np.testing.assert_allclose(cov, 0.25 * np.linalg.inv(gram), rtol=1e-12)
-
-
-def test_ml_large_ridge_shrinks_toward_zero():
-    rng = np.random.default_rng(7)
-    design = rng.standard_normal((10, 2))
-    z = rng.standard_normal(10)
-    qhat, _ = ml_estimate(design, z, sigma=1.0, ridge=1e9)
-    assert np.abs(qhat).max() < 1e-6
-
-
-# ---------------------------------------------------------------------------
 # conjugate posterior
 
 
@@ -701,16 +639,6 @@ def test_default_prior_posterior_takes_one_cholesky(monkeypatch):
     post = posterior_q(design, rng.standard_normal(12), sigma=0.3)
     posterior_from_json(posterior_to_json(post))
     assert calls == [(5, 5)]
-
-
-def test_ml_estimate_takes_no_cholesky(monkeypatch):
-    rng = np.random.default_rng(17)
-    design = rng.standard_normal((12, 5))
-    z = rng.standard_normal(12)
-    calls = _count_cholesky(monkeypatch)
-    for ridge in (0.0, 0.01):
-        ml_estimate(design, z, sigma=0.3, ridge=ridge)
-    assert calls == []
 
 
 def test_misspecification_warning_trigger():
