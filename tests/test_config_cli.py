@@ -159,6 +159,18 @@ def test_hash_sees_semantic_differences():
     assert config_hash(parse_config(changed)) != config_hash(parse_config(ODE_TEXT))
 
 
+def test_retired_keys_at_their_defaults_keep_the_text_and_hash():
+    # method and ridge accept only their defaults, yet canonical_text still
+    # writes both: config.txt and the hash of every bundle are what they were
+    # while the maximum-likelihood route existed (the digest is pinned from then)
+    text = canonical_text(parse_config(ODE_TEXT))
+    assert "\n[inference]\nmethod = bayes\n" in text and "\nridge = 0.0\n" in text
+    explicit = ODE_TEXT + "\n[inference]\nmethod = bayes\nridge = 0.0\n"
+    assert canonical_text(parse_config(explicit)) == text
+    assert config_hash(parse_config(ODE_TEXT)) == (
+        "52bfc29fb9d983de8b31e2d2198fc346e283711a4ad0889b42747688c01bfea4")
+
+
 def test_defaults_are_filled():
     config = parse_config(ODE_TEXT)
     assert config["features"]["truth_count"] == 1000
@@ -987,6 +999,24 @@ def test_exit_code_cfl_violation(tmp_path, capsys):
     cfg.write_text(_edit(PDE_TEXT, diffusivity="2.0"), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "largest admissible step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["ml", "both"])
+def test_infer_refuses_a_bundle_written_with_the_removed_ml_route(tmp_path, capsys, method):
+    # a bundle simulated while the route existed, its manifest consistent
+    bundle = _simulate(tmp_path, ODE_TEXT)
+    text = (bundle / "config.txt").read_text(encoding="utf-8")
+    assert "method = bayes\n" in text
+    text = text.replace("method = bayes\n", f"method = {method}\n")
+    (bundle / "config.txt").write_bytes(text.encode("utf-8"))
+    manifest = json.loads((bundle / "manifest.json").read_text(encoding="utf-8"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    manifest["files"]["config.txt"] = manifest["config_sha256"] = digest
+    (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["infer", str(bundle), "--out", str(out)]) == 2
+    assert "maximum-likelihood route was removed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_overflowing_design_matrix(tmp_path, capsys, monkeypatch):

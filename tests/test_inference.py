@@ -586,6 +586,52 @@ def test_posterior_matches_brute_force_formula():
     np.testing.assert_allclose(post.sd, np.sqrt(np.diag(cov)), rtol=1e-10)
 
 
+def test_posterior_on_the_identity_design_shrinks_each_reading_alone():
+    # Phi = I: each weight sees one reading, mean z / (1 + sigma^2) and
+    # variance sigma^2 / (1 + sigma^2)
+    z = np.array([0.3, -1.2, 0.7])
+    post = posterior_q(np.eye(3), z, sigma=0.5)
+    np.testing.assert_allclose(post.mean, z / 1.25, rtol=1e-12)
+    np.testing.assert_allclose(post.cov, 0.2 * np.eye(3), rtol=1e-12)
+
+
+def test_posterior_recovers_noiseless_weights_as_sigma_vanishes():
+    rng = np.random.default_rng(4)
+    design = rng.standard_normal((12, 5))
+    qstar = rng.standard_normal(5)
+    post = posterior_q(design, design @ qstar, sigma=1e-6)
+    np.testing.assert_allclose(post.mean, qstar, rtol=0, atol=1e-8)
+
+
+def test_posterior_on_an_underdetermined_design_tends_to_the_minimum_norm_fit():
+    # fewer readings than features: the mean is Phi^T (Phi Phi^T + sigma^2 I)^-1 z,
+    # which tends to the minimum-norm interpolant as sigma shrinks, and
+    # directions no reading sees keep the prior variance
+    rng = np.random.default_rng(5)
+    design = rng.standard_normal((3, 5))
+    z = rng.standard_normal(3)
+    unseen = np.linalg.svd(design)[2][3:]
+    for sigma in (0.1, 1e-3):
+        post = posterior_q(design, z, sigma=sigma)
+        dual = design.T @ np.linalg.solve(design @ design.T + sigma**2 * np.eye(3), z)
+        np.testing.assert_allclose(post.mean, dual, rtol=1e-8)
+        np.testing.assert_allclose(unseen @ post.cov @ unseen.T, np.eye(2), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(post.mean, np.linalg.pinv(design) @ z, rtol=0, atol=1e-5)
+
+
+def test_posterior_splits_weight_evenly_between_duplicate_features():
+    # two equal columns: their sum has prior variance 2 and the one-column
+    # posterior, and the two weights are equal
+    rng = np.random.default_rng(6)
+    col = rng.standard_normal(6)
+    z = rng.standard_normal(6)
+    post = posterior_q(np.column_stack([col, col]), z, sigma=1.0)
+    assert post.mean[0] == pytest.approx(post.mean[1], rel=1e-12)
+    precision = col @ col + 0.5
+    assert post.mean.sum() == pytest.approx((col @ z) / precision, rel=1e-12)
+    assert post.cov.sum() == pytest.approx(1.0 / precision, rel=1e-12)
+
+
 def test_posterior_never_exceeds_prior_covariance():
     rng = np.random.default_rng(11)
     design = rng.standard_normal((8, 4))
