@@ -8,6 +8,8 @@ forcing prior closes the model in conjugate form.  A random-walk sampler over
 the same posterior is included as a validation baseline.
 """
 
+import types
+
 from .errors import (
     AdjointGPError,
     ConfigError,
@@ -33,7 +35,6 @@ from .fields import (
 from .features import (
     FeatureBasis,
     KernelParams,
-    eval_basis,
     forcing_from_weights,
     sample_prior_forcing,
 )
@@ -49,9 +50,7 @@ from .inference import (
     grid_scan,
     nll_score,
     posterior_forcing,
-    posterior_from_json,
     posterior_q,
-    posterior_to_json,
     predictive_mse,
     predictive_nll,
     run_pipeline,
@@ -94,26 +93,7 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjointGPError", "ConfigError", "DomainError", "GridMismatchError",
-    "MisspecificationWarning", "NumericalError", "SolverError", "StabilityWarning",
-    "AdjointBank", "Field", "Grid", "Window", "dirac_window", "field_from_binary",
-    "field_to_binary", "inner_product", "norm", "window_indicator",
-    "FeatureBasis", "KernelParams", "eval_basis", "forcing_from_weights", "sample_prior_forcing",
-    "OdeParams", "OdeSystem", "euler_stability_limit",
-    "PdeParams", "PdeSystem", "cfl_limit", "sensor_field",
-    "ShiftParams", "ShiftSystem",
-    "ObservationSet", "PipelineResult", "PosteriorQ", "PIPELINE_STAGES",
-    "assemble_phi", "grid_scan", "nll_score", "posterior_forcing",
-    "posterior_from_json", "posterior_q", "posterior_to_json",
-    "predictive_mse", "predictive_nll", "run_pipeline",
-    "ChainConfig", "ChainDiagnostics", "ChainResult", "GaussianTarget",
-    "batch_means_ess", "chain_diagnostics", "chain_to_csv", "gaussian_log_target",
-    "rw_mh", "split_rhat", "tune_proposal_scale",
-    "Config", "canonical_text", "config_hash", "load_config", "parse_config",
-    "SimulatedData", "InferenceOutcome", "McmcOutcome", "build_heldout",
-    "build_windows", "derive_seed", "load_bundle", "make_grid", "make_kernel",
-    "make_system", "run_inference", "run_mcmc", "run_shift_demo", "run_sweep",
-    "save_bundle", "save_inference", "save_mcmc", "scan_hyper", "simulate_data",
-    "__version__",
-]
+# every public name imported above, and the version
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+__all__.append("__version__")

@@ -55,7 +55,6 @@ from .inference import (
     grid_scan,
     nll_score,
     posterior_forcing,
-    posterior_to_json,
     predictive_mse,
     predictive_nll,
     run_pipeline,
@@ -575,15 +574,15 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    posterior = posterior_to_json(outcome.posterior, basis_seed=outcome.basis.seed,
-                                  config_hash=config_hash(data.config))
+    root = io.BytesIO()
+    np.lib.format.write_array(root, outcome.posterior.root, version=(1, 0))
     files = {
         "weights.csv": _write_csv(out / "weights.csv", ["index", "mean", "sd"], (
             [m, *row] for m, row in enumerate(zip(outcome.posterior.mean.tolist(),
                                                   outcome.posterior.sd.tolist())))),
         "phi.csv": _write_csv(out / "phi.csv", [f"m{j}" for j in range(outcome.phi.shape[1])],
                               outcome.phi.tolist()),
-        "posterior.json": write_hashed(out / "posterior.json", [posterior, "\n"]),
+        "posterior_root.npy": write_hashed(out / "posterior_root.npy", [root.getvalue()]),
         "forcing_mean.fld": field_to_binary(outcome.forcing_mean, out / "forcing_mean.fld"),
         "forcing_var.fld": field_to_binary(outcome.forcing_var, out / "forcing_var.fld"),
         "metrics.json": _write_json(out / "metrics.json", outcome.metrics),

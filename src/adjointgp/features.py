@@ -27,7 +27,8 @@ addition phi_m = amplitude * (cos a cos b - sin a sin b).  The tables carry
 no amplitude, and b's rows come in blocks joined within a fixed byte budget:
 a forcing is two products per block, Phi projects on the blocks stacked, the
 posterior fields read one (rows, M) feature block per block and outer row,
-and the amplitude scales the result last.  `eval_basis` is the reference.
+and the amplitude scales the result last.  The dense reference, `eval_basis`,
+lives in the tests' oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .fields import Field, Grid
 __all__ = [
     "KernelParams",
     "FeatureBasis",
-    "eval_basis",
     "forcing_from_weights",
     "sample_prior_forcing",
 ]
@@ -180,22 +180,6 @@ def _spawned_pcg64(seed: int, count: int):
         # pcg64_set_seed: state 0, step, add the seed, step
         inc = ((i0 << 64 | i1) << 1 | 1) & mask
         yield ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & mask, inc
-
-
-def _eval_at(basis: FeatureBasis, points: np.ndarray) -> np.ndarray:
-    """Feature matrix (count, npoints) at explicit points (npoints, dim)."""
-    args = basis.frequencies @ points.T / basis.kernel.lengthscale
-    args += basis.phases[:, None]
-    np.cos(args, out=args)
-    args *= basis.amplitude
-    return args
-
-
-def eval_basis(basis: FeatureBasis, grid: Grid) -> np.ndarray:
-    """Dense (count, num_cells) matrix of every feature at every cell center."""
-    if basis.dim != grid.ndim:
-        raise ValueError(f"basis dim {basis.dim} does not match grid ndim {grid.ndim}")
-    return _eval_at(basis, grid.centers())
 
 
 def _axis_tables(basis: FeatureBasis, grid: Grid):

@@ -36,7 +36,6 @@ Draws, pointwise variances and predictive moments read R; nothing is factored ag
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 import warnings
@@ -61,8 +60,6 @@ __all__ = [
     "run_pipeline",
     "PipelineResult",
     "PIPELINE_STAGES",
-    "posterior_to_json",
-    "posterior_from_json",
 ]
 
 SIGMA_MIN = 1e-6
@@ -520,44 +517,3 @@ def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
     timings = dict(zip(PIPELINE_STAGES, (t1 - t0 + bank.seconds, t2 - t1 - bank.seconds,
                                          t3 - t2)))
     return PipelineResult(post, phi[:n], phi[n:], timings, bank.solves, bank.cell_steps)
-
-
-def posterior_to_json(post: PosteriorQ, *, basis_seed=None,
-                      config_hash: str = "") -> str:
-    """Serialize the weight posterior: mean, a square-root factor of the
-    covariance under "chol" (cov = chol @ chol.T), and provenance (basis
-    seed and config hash), as json.dumps(payload, indent=2, sort_keys=True)
-    lays it out, from C-encoded rows: with an indent, json formats in Python."""
-    payload = {"basis_seed": basis_seed, "chol": post.root.tolist(),
-               "config_hash": config_hash, "mean": post.mean.tolist()}
-    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {_indented(value, '  ')}"
-                               for key, value in sorted(payload.items())) + "\n}"
-
-
-def _indented(value, pad: str) -> str:
-    """json.dumps(value, indent=2) of a scalar or a (nested) list of floats,
-    its lines after the first indented by `pad`."""
-    if not isinstance(value, list) or not value:
-        return json.dumps(value)
-    inner = pad + "  "
-    items = ([_indented(row, inner) for row in value] if isinstance(value[0], list)
-             else json.dumps(value)[1:-1].split(", "))
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-
-
-def posterior_from_json(text: str) -> tuple[PosteriorQ, dict]:
-    """Inverse of posterior_to_json.
-
-    "chol" is any square-root factor of the covariance, cov = chol @ chol.T,
-    and becomes the posterior's `root` as stored.  Files that hold the lower
-    Cholesky factor of the covariance load the same way, and the
-    "prior_mean" and "prior_cov" keys of older files, always N(0, I), are
-    ignored.  Returns the posterior plus the stored provenance
-    ("basis_seed", "config_hash").
-    """
-    payload = json.loads(text)
-    post = PosteriorQ(np.array(payload["mean"], dtype=float),
-                      np.array(payload["chol"], dtype=float))
-    meta = {"basis_seed": payload.get("basis_seed"),
-            "config_hash": payload.get("config_hash", "")}
-    return post, meta

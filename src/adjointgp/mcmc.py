@@ -126,16 +126,6 @@ class ChainResult:
         edges = np.concatenate(([lo], lo + 1 + np.flatnonzero(flags[lo + 1:]), [flags.size]))
         return self.states[first:], np.diff(edges)
 
-    @property
-    def chain(self) -> np.ndarray:
-        """The (steps, M) chain, one row per step, built on demand."""
-        return self.states[np.cumsum(self.accepted_flags)]
-
-    @property
-    def kept(self) -> np.ndarray:
-        """Post burn-in draws, built on demand."""
-        return self.chain[self.config.burn_in:]
-
 
 @dataclass(frozen=True)
 class ChainDiagnostics:

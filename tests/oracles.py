@@ -33,6 +33,9 @@ stream the two must accept the same steps and walk the same chain.
 
 The exact kernel and the truncated feature sum at single points check the
 random Fourier feature expansion that the package evaluates on grids.
+`eval_basis` takes the cosine of every feature at every cell center
+directly, the dense reference for the package's angle-addition tables.
+`dense_chain` rebuilds the per-step chain from a chain's accepted states.
 
 The live-cell check reads an adjoint bank one row and one time cell at a
 time, where the bank finds every row's last non-zero time cell at once.
@@ -56,7 +59,6 @@ import numpy as np
 
 from adjointgp import (AdjointBank, FeatureBasis, Field, Grid, KernelParams, Window,
                        forcing_from_weights)
-from adjointgp.features import _eval_at
 from adjointgp.mcmc import BLOCK_STEPS, _block_draws
 
 
@@ -184,6 +186,12 @@ def forward_predictive_readings(post, basis, system, windows, samples: int,
     wm = window_matrix(windows)
     draws = sample_posterior_forcing(post, basis, system.grid, samples, seed)
     return np.stack([wm @ system.forward(f).values_flat for f in draws])
+
+
+def dense_chain(result, lo: int = 0) -> np.ndarray:
+    """The (steps - lo, M) chain of a `ChainResult` from step lo on, one row
+    per step, the steps x M array the package never builds."""
+    return result.states[np.cumsum(result.accepted_flags)[lo:]]
 
 
 def chain_to_csv_every_value(result, path) -> None:
@@ -340,6 +348,22 @@ def row_order_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
         for c in np.flatnonzero(row):
             out[r] = out[r] + row[c] * v[c]
     return out
+
+
+def _eval_at(basis: FeatureBasis, points: np.ndarray) -> np.ndarray:
+    """Feature matrix (count, npoints) at explicit points (npoints, dim)."""
+    args = basis.frequencies @ points.T / basis.kernel.lengthscale
+    args += basis.phases[:, None]
+    np.cos(args, out=args)
+    args *= basis.amplitude
+    return args
+
+
+def eval_basis(basis: FeatureBasis, grid: Grid) -> np.ndarray:
+    """Dense (count, num_cells) matrix of every feature at every cell center."""
+    if basis.dim != grid.ndim:
+        raise ValueError(f"basis dim {basis.dim} does not match grid ndim {grid.ndim}")
+    return _eval_at(basis, grid.centers())
 
 
 def eq_kernel(x, y, kernel: KernelParams) -> float:

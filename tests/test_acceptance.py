@@ -36,7 +36,8 @@ from adjointgp.experiments import (
     run_sweep,
     simulate_data,
 )
-from oracles import eq_kernel, kernel_approx, ode_apply, ode_apply_adjoint, random_smooth_field
+from oracles import (dense_chain, eq_kernel, kernel_approx, ode_apply, ode_apply_adjoint,
+                     random_smooth_field)
 
 
 def _line(num, label, ok, detail):
@@ -238,7 +239,7 @@ def test_sampler_matches_exact_posterior():
     outcome = run_mcmc(data)
     elapsed = time.monotonic() - t0
 
-    kept = outcome.result.kept.shape[0]
+    kept = dense_chain(outcome.result, outcome.result.config.burn_in).shape[0]
     se = outcome.chain_sd / np.sqrt(outcome.ess)
     z_max = float(np.max(np.abs(outcome.chain_mean - outcome.exact_mean) / se))
     sd_rel = float(np.max(np.abs(outcome.chain_sd / outcome.exact_sd - 1.0)))
@@ -444,9 +445,10 @@ def test_cost_scales_gently_with_observations():
         data = simulate_data(parse_config(C7_TEXT.format(tw=tw)))
         runs = []
         for _ in range(3):
-            t0 = time.monotonic()
+            # CPU time, so that other load on a shared host does not count
+            t0 = time.process_time()
             run_inference(data)
-            runs.append(time.monotonic() - t0)
+            runs.append(time.process_time() - t0)
         return median(runs)
 
     t50 = timed(2)

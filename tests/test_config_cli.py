@@ -19,6 +19,7 @@ from adjointgp import (
     KernelParams,
     OdeSystem,
     PdeSystem,
+    PosteriorQ,
     StabilityWarning,
     assemble_phi,
     cfl_limit,
@@ -402,7 +403,7 @@ def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
     assert main(["infer", str(bundle), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "outputs ->" in stdout
-    for name in ("weights.csv", "phi.csv", "posterior.json", "forcing_mean.fld",
+    for name in ("weights.csv", "phi.csv", "posterior_root.npy", "forcing_mean.fld",
                  "forcing_var.fld", "metrics.json",
                  "timings.json", "manifest.json"):
         assert (out / name).exists(), name
@@ -413,8 +414,8 @@ def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
     mean = np.array([float(r["mean"]) for r in rows])
     np.testing.assert_allclose(mean, qstar, atol=1e-4)
 
-    posterior_meta = json.loads((out / "posterior.json").read_text())
-    assert posterior_meta["config_hash"] == config_hash(parse_config(text))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == config_hash(parse_config(text))
 
     # --jobs is gone: every command that once took it now refuses it
     with pytest.raises(SystemExit) as exc:
@@ -721,7 +722,7 @@ def test_shift_demo_command(tmp_path, capsys):
     report = json.loads((out / "demo.json").read_text())
     assert report["passed"] is True
     assert (out / "bundle" / "manifest.json").exists()
-    assert (out / "inference" / "posterior.json").exists()
+    assert (out / "inference" / "posterior_root.npy").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +735,8 @@ MCMC_SECTION = "\n[mcmc]\nsteps = 1500\nburn_in = 100\nseed = 1\n"
 @pytest.mark.parametrize("text, command, present, absent", [
     (ODE_TEXT, None, {"heldout.csv", "truth_solution.fld"}, set()),
     (ODE_TEXT + LINEAR, None, {"heldout.csv"}, {"truth_solution.fld"}),
-    (ODE_TEXT + LINEAR, ["infer"], {"forcing_mean.fld"}, {"numerics.json", "timings.json"}),
+    (ODE_TEXT + LINEAR, ["infer"], {"forcing_mean.fld", "posterior_root.npy"},
+     {"posterior.json", "numerics.json", "timings.json"}),
     (ODE_TEXT + MCMC_SECTION, ["mcmc"], {"trace.csv", "diagnostics.json"}, {"timings.json"}),
     (PDE_TEXT, ["infer", "--slice", "t=5"], {"slice_t5.csv", "forcing_mean.fld"},
      {"timings.json"}),
@@ -750,6 +752,25 @@ def test_manifest_hashes_the_bytes_on_disk(tmp_path, text, command, present, abs
     assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
                      if p.name not in ("manifest.json", "timings.json", "numerics.json")}
     assert present <= set(files) and not absent & set(files)
+
+
+def test_posterior_root_and_weights_rebuild_the_posterior(tmp_path):
+    # the root as an .npy and the mean as weights.csv's repr floats hold the
+    # posterior bit for bit, and the manifest hashes the root's bytes on disk
+    data = simulate_data(parse_config(ODE_TEXT + LINEAR))
+    outcome = run_inference(data)
+    out = experiments.save_inference(outcome, data, tmp_path / "infer")
+    root = np.load(out / "posterior_root.npy")
+    assert root.dtype == np.dtype("<f8") and root.flags.c_contiguous
+    with open(out / "weights.csv", newline="") as fh:
+        mean = [float(row["mean"]) for row in csv.DictReader(fh)]
+    clone, post = PosteriorQ(mean, root), outcome.posterior
+    for got, want in ((clone.mean, post.mean), (clone.root, post.root), (clone.sd, post.sd)):
+        assert got.shape == want.shape
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    digest = hashlib.sha256((out / "posterior_root.npy").read_bytes()).hexdigest()
+    assert files["posterior_root.npy"] == digest
 
 
 def test_saves_read_back_nothing_they_wrote(tmp_path, monkeypatch):

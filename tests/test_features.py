@@ -8,11 +8,10 @@ from adjointgp import (
     FeatureBasis,
     Grid,
     KernelParams,
-    eval_basis,
     forcing_from_weights,
     sample_prior_forcing,
 )
-from oracles import eq_kernel, feature_vector, kernel_approx
+from oracles import eq_kernel, eval_basis, feature_vector, kernel_approx
 
 KERNEL = KernelParams(lengthscale=1.0, variance=4.0)
 

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 import warnings
 
@@ -21,15 +20,12 @@ from adjointgp import (
     PIPELINE_STAGES,
     PosteriorQ,
     assemble_phi,
-    eval_basis,
     forcing_from_weights,
     grid_scan,
     inner_product,
     nll_score,
     posterior_forcing,
-    posterior_from_json,
     posterior_q,
-    posterior_to_json,
     predictive_mse,
     predictive_nll,
     run_pipeline,
@@ -43,8 +39,8 @@ from adjointgp.features import _JOIN_BYTES
 from adjointgp import inference
 from adjointgp.inference import SIGMA_MIN
 from adjointgp.shift import ShiftParams, ShiftSystem
-from oracles import (exact_gram, forward_predictive_readings, gp_predictive_var, kernel_approx,
-                     random_smooth_field, row_bank)
+from oracles import (eval_basis, exact_gram, forward_predictive_readings, gp_predictive_var,
+                     kernel_approx, random_smooth_field, row_bank)
 
 PDE_INFER_TEXT = """
 [system]
@@ -683,7 +679,6 @@ def test_default_prior_posterior_takes_one_cholesky(monkeypatch):
     design = rng.standard_normal((12, 5))
     calls = _count_cholesky(monkeypatch)
     post = posterior_q(design, rng.standard_normal(12), sigma=0.3)
-    posterior_from_json(posterior_to_json(post))
     assert calls == [(5, 5)]
 
 
@@ -1018,63 +1013,3 @@ def test_pipeline_matches_manual_route():
     assert PIPELINE_STAGES == ("adjoint_solves", "phi_assembly", "posterior_solve")
     assert tuple(result.timings) == PIPELINE_STAGES
     assert all(t >= 0.0 for t in result.timings.values())
-
-
-@pytest.mark.parametrize("m, seed, bad", [(1, None, False), (3, 9, True), (100, 31, False)],
-                         ids=["one-feature", "non-finite", "100-features"])
-def test_posterior_json_is_the_indented_json_dumps(m, seed, bad):
-    # the direct layout gives json.dumps(indent=2, sort_keys=True)'s bytes,
-    # with NaN and the infinities spelled as json spells them
-    rng = np.random.default_rng(36)
-    mean, root = rng.standard_normal(m), rng.standard_normal((m, m))
-    if bad:
-        root[0, 1], root[2, 0], mean[1] = np.nan, np.inf, -np.inf
-    post = PosteriorQ(mean, root)
-    payload = {"mean": mean.tolist(), "chol": root.tolist(), "basis_seed": seed,
-               "config_hash": 'c\u00e9"\\'}
-    text = posterior_to_json(post, basis_seed=seed, config_hash=payload["config_hash"])
-    assert text == json.dumps(payload, indent=2, sort_keys=True)
-    assert ("NaN" in text and "-Infinity" in text) == bad
-
-
-def test_posterior_json_round_trip():
-    rng = np.random.default_rng(35)
-    design = rng.standard_normal((7, 3))
-    post = posterior_q(design, rng.standard_normal(7), sigma=1.0)
-    text = posterior_to_json(post, basis_seed=9, config_hash="abc123")
-    clone, meta = posterior_from_json(text)
-    np.testing.assert_allclose(clone.mean, post.mean, rtol=0, atol=0)
-    np.testing.assert_allclose(clone.cov, post.cov, rtol=1e-12)
-    assert meta == {"basis_seed": 9, "config_hash": "abc123"}
-    payload = json.loads(text)
-    assert set(payload) == {"mean", "chol", "basis_seed", "config_hash"}
-    np.testing.assert_array_equal(clone.root, post.root)
-
-
-def test_posterior_json_holding_a_cholesky_factor_of_the_covariance_loads():
-    # files that store the lower Cholesky factor of the covariance under
-    # "chol" load to the same covariance, within 1e-14 of its largest
-    # entry: that factor is a square root as well
-    rng = np.random.default_rng(36)
-    design = rng.standard_normal((7, 3))
-    post = posterior_q(design, rng.standard_normal(7), sigma=0.5)
-    payload = json.loads(posterior_to_json(post, basis_seed=4, config_hash="f00"))
-    payload["chol"] = np.linalg.cholesky(post.cov).tolist()
-    clone, meta = posterior_from_json(json.dumps(payload))
-    np.testing.assert_allclose(clone.cov, post.cov, rtol=1e-14,
-                               atol=1e-14 * np.abs(post.cov).max())
-    np.testing.assert_array_equal(clone.mean, post.mean)
-    assert meta == {"basis_seed": 4, "config_hash": "f00"}
-
-
-def test_posterior_json_with_prior_keys_loads():
-    # files written while posterior.json still stored the N(0, I) prior
-    # load to the same posterior; the prior keys are ignored
-    rng = np.random.default_rng(37)
-    post = posterior_q(rng.standard_normal((6, 3)), rng.standard_normal(6), sigma=0.5)
-    payload = json.loads(posterior_to_json(post, basis_seed=5, config_hash="0ff"))
-    payload.update(prior_mean=[0.0] * 3, prior_cov=np.eye(3).tolist())
-    clone, meta = posterior_from_json(json.dumps(payload, indent=2, sort_keys=True))
-    np.testing.assert_array_equal(clone.mean, post.mean)
-    np.testing.assert_array_equal(clone.root, post.root)
-    assert meta == {"basis_seed": 5, "config_hash": "0ff"}

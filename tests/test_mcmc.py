@@ -23,7 +23,8 @@ from adjointgp.mcmc import (
     _draw_indices,
     chain_moments,
 )
-from oracles import chain_to_csv_every_value, filled_trace_text, read_trace, rw_mh_full_target
+from oracles import (chain_to_csv_every_value, dense_chain, filled_trace_text, read_trace,
+                     rw_mh_full_target)
 
 
 def _std_normal_target(dim):
@@ -53,7 +54,7 @@ def test_chain_config_validation():
 def test_rw_mh_samples_standard_normal():
     cfg = ChainConfig(steps=50000, burn_in=2000, proposal_scale=2.4, seed=0)
     result = rw_mh(_std_normal_target(1), np.zeros(1), cfg)
-    kept = result.kept[:, 0]
+    kept = dense_chain(result, cfg.burn_in)[:, 0]
     ess, _ = batch_means_ess(kept)
     se = kept.std(ddof=1) / math.sqrt(ess[0])
     assert abs(kept.mean()) < 3 * se
@@ -70,7 +71,7 @@ def test_rw_mh_matches_conjugate_posterior():
     scale = tune_proposal_scale(target, exact.mean, seed=1)
     cfg = ChainConfig(steps=60000, burn_in=5000, proposal_scale=scale, seed=2)
     result = rw_mh(target, exact.mean, cfg)
-    kept = result.kept
+    kept = dense_chain(result, cfg.burn_in)
     ess, _ = batch_means_ess(kept)
     sd = kept.std(axis=0, ddof=1)
     se = sd / np.sqrt(ess)
@@ -82,7 +83,7 @@ def test_rw_mh_is_reproducible():
     cfg = ChainConfig(steps=200, proposal_scale=1.0, seed=7)
     a = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
     b = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
-    assert (a.chain == b.chain).all()
+    assert (dense_chain(a) == dense_chain(b)).all()
     assert (a.accepted_flags == b.accepted_flags).all()
 
 
@@ -126,7 +127,7 @@ def test_rw_mh_matches_full_target_reference(steps):
     chain, flags = rw_mh_full_target(target, start, cfg)
     assert 0.1 < result.acceptance_rate < 0.9
     np.testing.assert_array_equal(result.accepted_flags, flags)
-    assert (result.chain.view(np.int64) == chain.view(np.int64)).all()
+    assert (dense_chain(result).view(np.int64) == chain.view(np.int64)).all()
     np.testing.assert_array_equal(result.log_targets[np.cumsum(flags)],
                                   [target(q) for q in chain])
     assert result.drift < 1e-9
@@ -181,7 +182,7 @@ def test_batch_wider_than_the_target_is_clamped_in_sampler_and_tuner():
     assert ChainConfig(steps=10).batch_size == 5
     wide = rw_mh(target, start, ChainConfig(steps=300, proposal_scale=1.0, seed=4))
     full = rw_mh(target, start, ChainConfig(steps=300, proposal_scale=1.0, seed=4, batch_size=3))
-    np.testing.assert_array_equal(wide.chain, full.chain)
+    np.testing.assert_array_equal(dense_chain(wide), dense_chain(full))
     # the first probe's scale follows the clamped batch, as the probes do
     assert (tune_proposal_scale(target, start, seed=5, batch_size=5)
             == tune_proposal_scale(target, start, seed=5, batch_size=3))
@@ -325,8 +326,9 @@ def test_chain_diagnostics_read_the_held_states():
     cfg = ChainConfig(steps=6000, burn_in=700, proposal_scale=2.4, seed=13, batch_size=2)
     result = rw_mh(_std_normal_target(3), np.zeros(3), cfg)
     states, holds = result.runs(cfg.burn_in)
-    np.testing.assert_array_equal(np.repeat(states, holds, axis=0), result.kept)
-    held, dense = chain_diagnostics(result), chain_diagnostics(result.kept)
+    kept = dense_chain(result, cfg.burn_in)
+    np.testing.assert_array_equal(np.repeat(states, holds, axis=0), kept)
+    held, dense = chain_diagnostics(result), chain_diagnostics(kept)
     for name in ("ess", "rhat"):
         np.testing.assert_allclose(getattr(held, name), getattr(dense, name), rtol=1e-12)
     assert held.converged == dense.converged
@@ -357,7 +359,7 @@ def test_chain_to_csv_round_trip(tmp_path):
     assert lines[0] == "step,q0,q1,log_target,accepted"
     assert len(lines) == 51
     chain, log_targets, accepted = read_trace(path)
-    np.testing.assert_array_equal(chain, result.chain)
+    np.testing.assert_array_equal(chain, dense_chain(result))
     np.testing.assert_array_equal(log_targets, _step_log_targets(result))
     np.testing.assert_array_equal(accepted, result.accepted_flags)
 
@@ -373,8 +375,9 @@ def _check_compact_trace(result, path, oracle_path):
     chain_to_csv(result, path)
     chain_to_csv_every_value(result, oracle_path)
     assert filled_trace_text(path).encode() == oracle_path.read_bytes()
-    steps, dim = result.chain.shape
-    values = np.column_stack([result.chain, _step_log_targets(result)]).view(np.int64)
+    chain = dense_chain(result)
+    steps, dim = chain.shape
+    values = np.column_stack([chain, _step_log_targets(result)]).view(np.int64)
     lines = path.read_text().splitlines(keepends=True)[1:]
     assert len(lines) == steps
     assert "" not in lines[0].split(",")

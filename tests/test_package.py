@@ -105,17 +105,13 @@ def test_field_is_values_on_a_grid():
     assert not hasattr(field, "mask") and not hasattr(field, "mask_flat")
 
 
-def test_mcmc_keeps_the_chain_as_its_states(tmp_path, monkeypatch):
-    # a chain is its start and accepted states; the package never builds the
-    # steps x M chain, which stays on demand for tests and library callers
+def test_mcmc_keeps_the_chain_as_its_states(tmp_path):
+    # a chain is its start and accepted states; the package has no way to
+    # build the steps x M chain, which only the tests' oracles rebuild
     fields = [f.name for f in dataclasses.fields(adjointgp.ChainResult)]
     assert fields == ["config", "states", "log_targets", "accepted_flags", "drift"]
-
-    def dense(self):
-        raise AssertionError("a steps x M chain was built")
-
-    monkeypatch.setattr(adjointgp.ChainResult, "chain", property(dense))
-    monkeypatch.setattr(adjointgp.ChainResult, "kept", property(dense))
+    assert not hasattr(adjointgp.ChainResult, "chain")
+    assert not hasattr(adjointgp.ChainResult, "kept")
     data = adjointgp.simulate_data(adjointgp.parse_config(TINY_ODE))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", adjointgp.MisspecificationWarning)

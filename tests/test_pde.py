@@ -14,7 +14,6 @@ from adjointgp import (
     SolverError,
     Window,
     assemble_phi,
-    eval_basis,
     inner_product,
     norm,
 )
@@ -25,6 +24,7 @@ from adjointgp.pde import PdeParams, PdeSystem, cfl_limit, sensor_field
 from oracles import (
     assert_live_is_tight,
     dense_field,
+    eval_basis,
     pde_adjoint_flux_bank,
     pde_apply,
     pde_apply_adjoint,
