@@ -773,6 +773,33 @@ def test_posterior_root_and_weights_rebuild_the_posterior(tmp_path):
     assert files["posterior_root.npy"] == digest
 
 
+def test_posterior_root_is_a_version_1_npy_of_little_endian_doubles(tmp_path):
+    # NEP 1 header version 1.0, '<f8', C order, the M x M root, then its
+    # M * M doubles and nothing after them
+    data = simulate_data(parse_config(ODE_TEXT + LINEAR))
+    outcome = run_inference(data)
+    path = experiments.save_inference(outcome, data, tmp_path / "infer") / "posterior_root.npy"
+    count = outcome.posterior.mean.size
+    with open(path, "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        assert (fh.tell() + count * count * 8) == path.stat().st_size
+    assert shape == (count, count) and not fortran_order and dtype.str == "<f8"
+
+
+@pytest.mark.parametrize("text", [ODE_TEXT, PDE_TEXT], ids=["ode", "pde"])
+def test_infer_command_writes_the_library_posterior_root_bit_for_bit(tmp_path, text):
+    # the root infer writes from a bundle is the one the library computes
+    # from the same config, and it is the posterior's only file
+    out = tmp_path / "inferred"
+    assert main(["infer", str(_simulate(tmp_path, text)), "--out", str(out)]) == 0
+    root = np.load(out / "posterior_root.npy")
+    want = run_inference(simulate_data(parse_config(text))).posterior.root
+    assert root.shape == want.shape
+    assert (root.view(np.int64) == want.view(np.int64)).all()
+    assert not (out / "posterior.json").exists()
+
+
 def test_saves_read_back_nothing_they_wrote(tmp_path, monkeypatch):
     # each writer hashes its bytes as it writes them, so no save_* opens a
     # file under its output directory for reading

@@ -3,13 +3,14 @@ otherwise every solver test built on them is meaningless; the window
 quadrature of the forward-sampling oracle must match the inner product,
 and its posterior draws must repeat per seed and average to the mean; the
 per-axis exact Gram must equal the dense kernel matrix sandwiched by the
-rows, and its predictive formula the weight-space posterior's."""
+rows, and its predictive formula the weight-space posterior's; the dense
+chain must hold, at each step, the state that step's flags point to."""
 
 import numpy as np
 
-from adjointgp import (FeatureBasis, Grid, KernelParams, inner_product, posterior_forcing,
-                       posterior_q, window_indicator)
-from oracles import (eq_kernel, exact_gram, fd_d1, fd_d2, gp_predictive_var,
+from adjointgp import (ChainConfig, ChainResult, FeatureBasis, Grid, KernelParams,
+                       inner_product, posterior_forcing, posterior_q, window_indicator)
+from oracles import (dense_chain, eq_kernel, exact_gram, fd_d1, fd_d2, gp_predictive_var,
                      random_smooth_field, row_bank, sample_posterior_forcing,
                      window_matrix)
 
@@ -114,3 +115,16 @@ def test_gp_predictive_var_matches_the_weight_space_posterior():
     weight_space = np.sum((phi[6:] @ post.root) ** 2, axis=1)
     np.testing.assert_allclose(gp_predictive_var(phi @ phi.T, 6, 0.3), weight_space,
                                rtol=1e-10)
+
+
+def test_dense_chain_holds_each_accepted_state_for_its_steps():
+    # the start is held until the first accept, each accepted state until the
+    # next; from step lo on, the rows are the package's runs expanded
+    states = np.array([[0.0, 10.0], [1.0, 11.0], [2.0, 12.0]])
+    flags = np.array([False, True, False, False, True, False])
+    result = ChainResult(ChainConfig(steps=6), states, np.zeros(3), flags)
+    np.testing.assert_array_equal(dense_chain(result)[:, 0], [0, 1, 1, 1, 2, 2])
+    np.testing.assert_array_equal(dense_chain(result, 2)[:, 1], [11, 11, 12, 12])
+    for lo in range(6):
+        held, holds = result.runs(lo)
+        np.testing.assert_array_equal(dense_chain(result, lo), np.repeat(held, holds, axis=0))

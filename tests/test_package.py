@@ -1,5 +1,6 @@
 """Every exported name resolves, so a stale `__all__` entry fails here
-rather than at a user's `from adjointgp import *`; every module-level
+rather than at a user's `from adjointgp import *`, and every public name
+is exported; the retired posterior JSON helpers stay gone; every module-level
 import is used; each solver module offers its solves through its system
 object only; a `Field` is values on a grid and no more; an MCMC chain is
 kept as its states, never as a steps x M array; and the package is
@@ -14,6 +15,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 import warnings
 
 import pytest
@@ -27,6 +29,25 @@ def test_package_exports_resolve():
     missing = [name for name in adjointgp.__all__ if not hasattr(adjointgp, name)]
     assert missing == []
     assert len(set(adjointgp.__all__)) == len(adjointgp.__all__)
+
+
+def test_all_lists_every_public_name():
+    # `__all__` is every public non-module name the package binds, and the
+    # version; a name bound after it was built, or a module, fails here
+    public = {name for name, value in vars(adjointgp).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(adjointgp.__all__) == sorted(public | {"__version__"})
+
+
+def test_retired_posterior_and_basis_helpers_are_gone():
+    # the posterior is written as an .npy and read with np.load, and the dense
+    # feature matrix is a test oracle: the package keeps neither route
+    from adjointgp import features, inference
+    gone = [(adjointgp, "posterior_to_json"), (adjointgp, "posterior_from_json"),
+            (adjointgp, "eval_basis"), (inference, "posterior_to_json"),
+            (inference, "posterior_from_json"), (inference, "_indented"),
+            (inference, "json"), (features, "eval_basis"), (features, "_eval_at")]
+    assert [f"{m.__name__}.{n}" for m, n in gone if hasattr(m, n)] == []
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
