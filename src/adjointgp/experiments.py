@@ -63,7 +63,6 @@ from .mcmc import (
     ChainConfig,
     ChainResult,
     chain_diagnostics,
-    chain_moments,
     chain_to_csv,
     gaussian_log_target,
     rw_mh,
@@ -635,8 +634,8 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
 
     The chain starts at the conjugate posterior mean, so the run measures
     mixing cost rather than burn-in distance.  `timings` sets the exact
-    route's stage seconds beside the sampler's tune and chain seconds and
-    its minimum ESS per chain second.
+    route's stage seconds beside the sampler's tune, chain and chain
+    statistics seconds and its minimum ESS per chain second.
     """
     config = data.config
     basis = _inference_basis(config, data.grid, data.kernel)
@@ -660,7 +659,7 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     result = rw_mh(target, start, cfg)
     t2 = time.perf_counter()
     diag = chain_diagnostics(result)
-    chain_mean, chain_var = chain_moments(*result.runs(cfg.burn_in))
+    t3 = time.perf_counter()
     diagnostics = {
         "acceptance_rate": result.acceptance_rate,
         "proposal_scale": scale,
@@ -670,13 +669,13 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
         "max_rhat": float(diag.rhat.max()),
         "converged": diag.converged,
         "feature_count_warning": basis.size >= MCMC_FEATURE_WARN,
-        "max_abs_mean_gap": float(np.max(np.abs(chain_mean - pipeline.posterior.mean))),
+        "max_abs_mean_gap": float(np.max(np.abs(diag.mean - pipeline.posterior.mean))),
         "config_sha256": config_hash(config),
     }
-    timings = dict(pipeline.timings, tune=t1 - t0, chain=t2 - t1,
+    timings = dict(pipeline.timings, tune=t1 - t0, chain=t2 - t1, chain_statistics=t3 - t2,
                    ess_per_second=diagnostics["min_ess"] / (t2 - t1),
                    max_c_drift=result.drift)
-    return McmcOutcome(result=result, chain_mean=chain_mean, chain_sd=np.sqrt(chain_var),
+    return McmcOutcome(result=result, chain_mean=diag.mean, chain_sd=np.sqrt(diag.var),
                        exact_mean=pipeline.posterior.mean,
                        exact_sd=pipeline.posterior.sd,
                        ess=diag.ess, rhat=diag.rhat, diagnostics=diagnostics, timings=timings)

@@ -14,7 +14,7 @@ with isotropic Gaussian noise, the random-walk Metropolis of Metropolis et al.
 (1953); the scale is tuned by a doubling/backoff loop to land in the 25-40%
 acceptance band (around the 0.234 of Roberts, Gelman & Gilks 1997) before
 the main run, over at most TUNE_MAX_ROUNDS probe chains of TUNE_PROBE_STEPS
-steps each.
+steps each; a probe reads only its acceptance, so it builds no states.
 
 The proposals are drawn a block of steps at a time: each step's coordinate
 set by Floyd's algorithm over `rng.integers`, the increments d, the
@@ -31,11 +31,12 @@ increments, with the log target of each.  Its memory grows with accepts x M,
 not steps x M.  Step t holds state cumsum(accepted_flags)[t]; from a given
 step on, each state stands for the run of steps it `holds`.
 
-Diagnostics: effective sample size via the batch-means estimator and
-split-chain R-hat (two halves of each chain treated as separate chains);
-both, like the chain summary, read the weighted moments of `chain_moments`,
-in which a state counts once per step it holds and a run that crosses a
-batch edge or the half split is cut there.  A chain converged when every
+Diagnostics: batch-means effective sample size and split-chain R-hat (two
+halves of each chain as separate chains).  Both, and the chain's moments,
+come from one grouped pass over the held states, each counted once per step
+it holds and cut at the batch edges and the half split; groups pool by the
+pairwise update of Chan, Golub & LeVeque (1979), which moved the summaries
+of one pass per statistic by rounding only.  A chain converged when every
 R-hat is at most RHAT_MAX.
 The trace CSV writes a value only where its bits differ from the row above,
 so a rejected step is a line of commas; a reader fills the blanks forward.
@@ -133,6 +134,8 @@ class ChainDiagnostics:
     rhat: np.ndarray
     degenerate: np.ndarray
     converged: bool
+    mean: np.ndarray
+    var: np.ndarray  # ddof 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,18 +204,8 @@ def _block_draws(rng, dim: int, batch: int, size: int, scale: float):
     return idx, delta, log_u
 
 
-def rw_mh(target: GaussianTarget, start, config: ChainConfig) -> ChainResult:
-    """Batch-update random-walk Metropolis-Hastings.
-
-    Each step picks `batch_size` coordinates without replacement and
-    perturbs them jointly; it is tested against the kept gradient
-    c = b - P q, which is recomputed at every block boundary (the result
-    carries the largest drift found there).  Zero acceptances across the
-    first 1000 steps abort the run: the proposal scale is unusable and
-    every later draw would repeat the start point.  The result keeps the
-    start and each accepted state once, allocated after the last block,
-    and their log targets, evaluated MOMENT_CHUNK_ROWS states at a time.
-    """
+def _walk(target: GaussianTarget, start, config: ChainConfig):
+    """`rw_mh` without its states: (start, accepted_flags, moves, drift); calls the target once."""
     if not isinstance(target, GaussianTarget):
         raise TypeError("rw_mh samples a GaussianTarget (see gaussian_log_target)")
     start = np.array(start, dtype=float).reshape(-1)
@@ -259,13 +252,27 @@ def rw_mh(target: GaussianTarget, start, config: ChainConfig) -> ChainResult:
         fresh = target.b - P @ q
         drift = max(drift, float(np.max(np.abs(fresh - c))))
         c = fresh
+    return start, accepted_flags, moves, drift
+
+
+def rw_mh(target: GaussianTarget, start, config: ChainConfig) -> ChainResult:
+    """Batch-update random-walk Metropolis-Hastings.
+
+    Each step picks `batch_size` coordinates without replacement and
+    perturbs them jointly; it is tested against the kept gradient
+    c = b - P q, which is recomputed at every block boundary (the result
+    carries the largest drift found there).  Zero acceptances across the
+    first 1000 steps abort the run: the proposal scale is unusable and
+    every later draw would repeat the start point.  The result keeps the
+    start and each accepted state once, allocated after the last block,
+    and their log targets, evaluated MOMENT_CHUNK_ROWS states at a time.
+    """
+    start, accepted_flags, moves, drift = _walk(target, start, config)
     # x + (-0.0) is x bit for bit, signed zeros included, so the running sum
     # repeats stepping q[i] += d one accept at a time
-    states = np.full((np.count_nonzero(accepted_flags) + 1, dim), -0.0)
-    row = 1
-    for i, d in moves:
-        states[np.arange(row, row + len(i))[:, None], i] = d
-        row += len(i)
+    idx, delta = (np.concatenate(part) for part in zip(*moves))
+    states = np.full((len(idx) + 1, start.size), -0.0)
+    states[np.arange(1, len(idx) + 1)[:, None], idx] = delta
     states[0] += start
     np.cumsum(states, axis=0, out=states)
     log_targets = np.empty(len(states))
@@ -285,14 +292,13 @@ def tune_proposal_scale(target: GaussianTarget, start, *, seed: int = 0,
     midpoint) is returned.  A probe is too short for `rw_mh`'s check of the
     first 1000 steps, so a probe that accepts nothing reads rate 0.
     """
-    start = np.asarray(start, dtype=float).reshape(-1)
-    batch = min(batch_size, start.size)
+    batch = min(batch_size, np.size(start))
     scale = 2.4 / math.sqrt(batch)
     best = (math.inf, scale)
     for round_idx in range(TUNE_MAX_ROUNDS):
         cfg = ChainConfig(steps=TUNE_PROBE_STEPS, proposal_scale=scale,
                           seed=seed + round_idx, batch_size=batch)
-        rate = rw_mh(target, start, cfg).acceptance_rate
+        rate = np.count_nonzero(_walk(target, start, cfg)[1]) / cfg.steps
         if ACCEPT_LO <= rate <= ACCEPT_HI:
             return scale
         gap = abs(rate - 0.5 * (ACCEPT_LO + ACCEPT_HI))
@@ -306,30 +312,12 @@ def batch_means_ess(draws: np.ndarray, holds=None) -> tuple[np.ndarray, np.ndarr
     """Effective sample size per coordinate by the batch-means method.
 
     Row k of `draws` stands for holds[k] consecutive draws (one each when
-    `holds` is None).  Splits the N draws into b = floor(sqrt(N)) batches of
-    equal length and estimates ESS = N * var(draws) / (batch_len * var(batch
-    means)).  The estimate is capped at N.  Coordinates whose chain never
-    moves get ESS 0 and are flagged degenerate.
+    `holds` is None).  Splits the N >= 4 draws into b = floor(sqrt(N))
+    batches of equal length and estimates ESS = N * var(draws) / (batch_len
+    * var(batch means)).  The estimate is capped at N.  Coordinates whose
+    chain never moves get ESS 0 and are flagged degenerate.
     """
-    draws, bounds = _held(draws, holds)
-    n = int(bounds[-1])
-    if n < 4:
-        raise ValueError("need at least 4 draws for batch means")
-    b = int(math.isqrt(n))
-    batch_len = n // b
-    used = b * batch_len
-    means, within = _group_moments(draws, bounds, np.arange(0, used + 1, batch_len))
-    var_means = means.var(axis=0, ddof=1)
-    # the variance of the used draws from the batches' own: within plus between
-    var_all = ((batch_len - 1) * within.sum(axis=0)
-               + batch_len * (b - 1) * var_means) / (used - 1)
-    # by bits, not by variance: the mean of N copies of 0.1 is not 0.1
-    degenerate = draws.min(axis=0) == draws.max(axis=0)
-    ess = np.zeros(draws.shape[1])
-    alive = ~degenerate & (var_means > 0.0)
-    ess[alive] = used * var_all[alive] / (batch_len * var_means[alive])
-    ess[~degenerate & ~alive] = used  # batch means identical but chain moved
-    return np.minimum(ess, n), degenerate
+    return _chain_stats(draws, holds)[2:4]
 
 
 def split_rhat(draws: np.ndarray, holds=None) -> np.ndarray:
@@ -343,58 +331,65 @@ def split_rhat(draws: np.ndarray, holds=None) -> np.ndarray:
     draws = np.asarray(draws, dtype=float)
     if draws.ndim == 3 and holds is not None:
         raise ValueError("holds apply to a single chain")
-    chains = [_held(chain, None) for chain in draws] if draws.ndim == 3 else [_held(draws, holds)]
-    half = int(chains[0][1][-1]) // 2
-    if half < 2:
-        raise ValueError("need at least 4 draws per chain to split")
-    halves = [_group_moments(chain, bounds, [0, half, 2 * half]) for chain, bounds in chains]
-    within = np.concatenate([var for _, var in halves]).mean(axis=0)
-    between = half * np.concatenate([mean for mean, _ in halves]).var(axis=0, ddof=1)
-    # a coordinate moves when its split draws differ in bits: the variance
-    # of a value that never moved can read rounding noise
-    used = [chain[:np.searchsorted(bounds, 2 * half)] for chain, bounds in chains]
-    lo = np.min([u.min(axis=0) for u in used], axis=0)
-    hi = np.max([u.max(axis=0) for u in used], axis=0)
-    out = np.ones(within.size)
-    out[(lo < hi) & (within == 0.0)] = np.inf  # halves apart, each constant
-    alive = (lo < hi) & (within > 0.0)
-    out[alive] = np.sqrt(
-        ((half - 1) / half * within[alive] + between[alive] / half) / within[alive]
-    )
-    return out
+    chains = list(draws) if draws.ndim == 3 else [draws]
+    return _rhat([_chain_stats(chain, holds)[4] for chain in chains])
 
 
 def chain_moments(draws: np.ndarray, holds=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate mean and variance (ddof 1) of N >= 2 draws, the rows of
-    `draws` weighted by `holds` as in `batch_means_ess`, in two passes of
-    MOMENT_CHUNK_ROWS rows, so no chain-sized temporary is made."""
-    draws, bounds = _held(draws, holds)
-    mean, var = _group_moments(draws, bounds, [0, bounds[-1]])
-    return mean[0], var[0]
+    """Per-coordinate mean and variance (ddof 1) of N >= 4 draws, the rows of
+    `draws` weighted by `holds` as in `batch_means_ess`, read MOMENT_CHUNK_ROWS
+    rows at a time, so no chain-sized temporary is made."""
+    return _chain_stats(draws, holds)[:2]
 
 
-def _held(draws, holds) -> tuple[np.ndarray, np.ndarray]:
-    """`draws` as (rows, dim) floats, and the bounds of their runs: row k
-    stands for draws bounds[k]..bounds[k+1]-1, one each when `holds` is None."""
-    draws = np.asarray(draws, dtype=float)
-    draws = draws[:, None] if draws.ndim == 1 else draws
-    ends = np.arange(1, len(draws) + 1) if holds is None else np.cumsum(holds)
-    return draws, np.concatenate(([0], ends))
+def _chain_stats(draws, holds):
+    """The mean, variance, batch-means ESS, degenerate flags and `_rhat`'s
+    halves of n >= 4 draws, row k of `draws` holding holds[k] (one each when
+    `holds` is None), from one pass cut at the batch edges and half split."""
+    draws = np.asarray(draws, dtype=float).reshape(len(draws), -1)
+    bounds = np.cumsum(np.concatenate(([0], np.ones(len(draws), int) if holds is None else holds)))
+    n = int(bounds[-1])
+    if n < 4:
+        raise ValueError("need at least 4 draws per chain")
+    b = math.isqrt(n)
+    batch_len, half = n // b, n // 2
+    used = b * batch_len
+    (mean, square), (_, used_square), (batch_means, _), (half_means, half_squares) = (
+        _group_moments(draws, bounds, [0, n], [0, used], np.arange(0, used + 1, batch_len),
+                       [0, half, 2 * half]))
+    var_means = batch_means.var(axis=0, ddof=1)
+    # stuck by bits (a mean of copies of 0.1 is not 0.1): the halves' rows, then any last draw
+    head, rest = np.split(draws, [np.searchsorted(bounds, 2 * half)])
+    lo, hi = head.min(axis=0, keepdims=True), head.max(axis=0, keepdims=True)
+    degenerate = (lo[0] == hi[0]) & (rest == lo).all(axis=0)
+    alive = ~degenerate & (var_means > 0.0)
+    ess = np.where(degenerate, 0.0, used)  # used where the batch means agree but the chain moved
+    ess[alive] = used * used_square[0, alive] / ((used - 1) * batch_len * var_means[alive])
+    return (mean[0], square[0] / (n - 1), np.minimum(ess, n), degenerate,
+            (half, half_means, half_squares / (half - 1), lo, hi))
 
 
-def _group_moments(draws, bounds, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate means and variances (ddof 1), (groups, dim) each, of
-    the groups of draws edges[g]..edges[g+1]-1, the rows of `draws` holding
-    the runs `bounds` (see `_held`); draws past edges[-1] are left out.  Each
-    run is cut at the edges into pieces, and each of the two passes reads
-    MOMENT_CHUNK_ROWS pieces at a time."""
-    edges = np.asarray(edges)
-    cuts = np.sort(np.concatenate((bounds, edges)))
-    cuts = cuts[np.diff(cuts, prepend=-1) != 0]
-    cuts = cuts[(cuts >= edges[0]) & (cuts <= edges[-1])]
-    rows = np.searchsorted(bounds, cuts[:-1], side="right") - 1
-    groups = np.searchsorted(edges, cuts[:-1], side="right") - 1
-    lengths = np.diff(cuts).astype(float)[:, None]
+def _rhat(halves) -> np.ndarray:
+    """Split R-hat from each chain's halves of `_chain_stats`, chains of one length:
+    1 where the split draws never move (by bits), inf where constant halves differ."""
+    half = halves[0][0]
+    means, var, lo, hi = (np.concatenate(part) for part in list(zip(*halves))[1:])
+    within, spread = var.mean(axis=0), means.var(axis=0, ddof=1)
+    ratio = np.divide(spread, within, out=np.full(within.size, np.inf), where=within > 0.0)
+    return np.where(lo.min(axis=0) < hi.max(axis=0), np.sqrt((half - 1) / half + ratio), 1.0)
+
+
+def _group_moments(draws, bounds, *cuts) -> list:
+    """Per-coordinate (means, sums of squared deviations) of the draws
+    cut[j]..cut[j+1]-1 of each cut from 0 (one to the end), row k of `draws`
+    holding draws bounds[k]..bounds[k+1]-1.  Both passes read the finest cut,
+    MOMENT_CHUNK_ROWS pieces of runs at a time; a cut pools its groups by
+    Chan, Golub & LeVeque (1979), so a group of one draw divides by nothing."""
+    edges, cuts_all = (np.sort(np.concatenate(parts)) for parts in (cuts, (bounds, *cuts)))
+    edges, cuts_all = (e[np.diff(e, prepend=-1) != 0] for e in (edges, cuts_all))
+    rows = np.searchsorted(bounds, cuts_all[:-1], side="right") - 1
+    groups = np.searchsorted(edges, cuts_all[:-1], side="right") - 1
+    lengths = np.diff(cuts_all).astype(float)[:, None]
     counts = np.diff(edges)[:, None]
 
     def weighted_sums(mean=None):
@@ -413,22 +408,28 @@ def _group_moments(draws, bounds, edges) -> tuple[np.ndarray, np.ndarray]:
             out[g[heads]] += np.add.reduceat(values, heads, axis=0)
         return out
 
-    mean = weighted_sums() / counts
-    return mean, weighted_sums(mean) / (counts - 1)
+    means = weighted_sums() / counts
+    squares = weighted_sums(means)
+    pooled = []
+    for cut in cuts:
+        first = np.searchsorted(edges, cut)
+        k, first = first[-1], first[:-1]
+        mean = np.add.reduceat(counts[:k] * means[:k], first) / np.diff(cut)[:, None]
+        gap = means[:k] - np.repeat(mean, np.diff(first, append=k), axis=0)
+        pooled.append((mean, np.add.reduceat(squares[:k] + counts[:k] * gap * gap, first)))
+    return pooled
 
 
 def chain_diagnostics(result_or_draws) -> ChainDiagnostics:
-    """ESS, split R-hat, and a convergence verdict for post burn-in draws:
-    converged when every R-hat is at most RHAT_MAX and no coordinate is stuck.
-    A `ChainResult` is read as its held states, never as a steps x M chain."""
-    if isinstance(result_or_draws, ChainResult):
-        draws, holds = result_or_draws.runs(result_or_draws.config.burn_in)
-    else:
-        draws, holds = np.asarray(result_or_draws, dtype=float), None
-    ess, degenerate = batch_means_ess(draws, holds)
-    rhat = split_rhat(draws, holds)
+    """ESS, split R-hat, moments and a convergence verdict for post burn-in
+    draws: converged when every R-hat is at most RHAT_MAX and no coordinate
+    is stuck.  A `ChainResult` is read as its held states, in one pass."""
+    given = result_or_draws
+    held = given.runs(given.config.burn_in) if isinstance(given, ChainResult) else (given, None)
+    mean, var, ess, degenerate, halves = _chain_stats(*held)
+    rhat = _rhat([halves])
     converged = bool(np.all(rhat <= RHAT_MAX)) and not bool(degenerate.any())
-    return ChainDiagnostics(ess, rhat, degenerate, converged)
+    return ChainDiagnostics(ess, rhat, degenerate, converged, mean, var)
 
 
 def chain_to_csv(result: ChainResult, path) -> str:

@@ -30,6 +30,8 @@ The reference sampler takes the package's proposal draws but tests each
 step by evaluating the full target at the proposal and at the current
 point, where the package updates a gradient incrementally; on a given
 stream the two must accept the same steps and walk the same chain.
+`tune_through_rw_mh` runs the scale search's probes as whole `rw_mh`
+chains, states and log targets included, and reads their acceptance rate.
 
 The exact kernel and the truncated feature sum at single points check the
 random Fourier feature expansion that the package evaluates on grids.
@@ -55,11 +57,14 @@ the bank with one small matmul per axis and no feature at all.
 the function-space formula, where the package works in weight space.
 """
 
+import math
+
 import numpy as np
 
 from adjointgp import (AdjointBank, FeatureBasis, Field, Grid, KernelParams, Window,
                        forcing_from_weights)
-from adjointgp.mcmc import BLOCK_STEPS, _block_draws
+from adjointgp.mcmc import (ACCEPT_HI, ACCEPT_LO, BLOCK_STEPS, TUNE_MAX_ROUNDS,
+                            TUNE_PROBE_STEPS, ChainConfig, _block_draws, rw_mh)
 
 
 def fd_d1(values: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -260,6 +265,26 @@ def rw_mh_full_target(target, start, config):
                 flags[lo + t] = True
             chain[lo + t] = q
     return chain, flags
+
+
+def tune_through_rw_mh(target, start, seed: int, batch_size: int = 5):
+    """(scale, probes) of the proposal scale search with each probe a full
+    `rw_mh` chain: 1.6x above the acceptance band, 0.6x below, the first
+    scale inside it, else the one closest to the band midpoint."""
+    batch = min(batch_size, np.size(start))
+    scale = 2.4 / math.sqrt(batch)
+    best = (math.inf, scale)
+    for probe in range(TUNE_MAX_ROUNDS):
+        config = ChainConfig(steps=TUNE_PROBE_STEPS, proposal_scale=scale,
+                             seed=seed + probe, batch_size=batch)
+        rate = rw_mh(target, start, config).acceptance_rate
+        if ACCEPT_LO <= rate <= ACCEPT_HI:
+            return scale, probe + 1
+        gap = abs(rate - 0.5 * (ACCEPT_LO + ACCEPT_HI))
+        if gap < best[0]:
+            best = (gap, scale)
+        scale = scale * 0.6 if rate < ACCEPT_LO else scale * 1.6
+    return best[1], TUNE_MAX_ROUNDS
 
 
 def pde_forward_stencil(params, forcing: Field) -> Field:

@@ -608,8 +608,9 @@ def test_mcmc_command_writes_chain_outputs(tmp_path, capsys):
     assert {"acceptance_rate", "converged", "proposal_scale"} <= set(diag)
     timings = json.loads((out / "timings.json").read_text())
     assert {"adjoint_solves", "phi_assembly", "posterior_solve", "tune", "chain",
-            "ess_per_second", "max_c_drift", "trace_write", "trace_bytes",
+            "chain_statistics", "ess_per_second", "max_c_drift", "trace_write", "trace_bytes",
             "peak_rss_mb"} <= set(timings)
+    assert timings["chain_statistics"] > 0
     assert timings["trace_bytes"] == (out / "trace.csv").stat().st_size
     manifest = json.loads((out / "manifest.json").read_text())
     assert "timings.json" not in manifest["files"]

@@ -7,6 +7,7 @@ import pytest
 from adjointgp import (
     ChainConfig,
     ChainResult,
+    GaussianTarget,
     NumericalError,
     batch_means_ess,
     chain_diagnostics,
@@ -24,7 +25,7 @@ from adjointgp.mcmc import (
     chain_moments,
 )
 from oracles import (chain_to_csv_every_value, dense_chain, filled_trace_text, read_trace,
-                     rw_mh_full_target)
+                     rw_mh_full_target, tune_through_rw_mh)
 
 
 def _std_normal_target(dim):
@@ -188,8 +189,96 @@ def test_batch_wider_than_the_target_is_clamped_in_sampler_and_tuner():
             == tune_proposal_scale(target, start, seed=5, batch_size=3))
 
 
+@pytest.mark.parametrize("rows,dim,batch", [(20, 12, 5), (0, 2, 1)])  # shrinks; grows
+def test_tune_evaluates_the_target_only_to_check_each_probe_start(monkeypatch, rows, dim, batch):
+    rng = np.random.default_rng(34)
+    target = gaussian_log_target(rng.standard_normal((rows, dim)), rng.standard_normal(rows), 0.5)
+    start = np.zeros(dim)
+    scale, probes = tune_through_rw_mh(target, start, seed=5, batch_size=batch)
+    assert probes > 1
+    calls = []
+    call = GaussianTarget.__call__
+    monkeypatch.setattr(GaussianTarget, "__call__",
+                        lambda self, q: calls.append(np.shape(q)) or call(self, q))
+    assert tune_proposal_scale(target, start, seed=5, batch_size=batch).hex() == scale.hex()
+    assert calls == [(dim,)] * probes
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
+
+
+def _dense_rhat(chains):
+    """Split R-hat of (chains, N, dim) draws by its definition."""
+    half = chains.shape[1] // 2
+    halves = np.concatenate([chains[:, :half], chains[:, half:2 * half]])
+    within = halves.var(axis=1, ddof=1).mean(axis=0)
+    between = half * halves.mean(axis=1).var(axis=0, ddof=1)
+    return np.sqrt(((half - 1) / half * within + between / half) / within)
+
+
+def _dense_batch_means_ess(draws):
+    """Batch-means ESS of (N, dim) draws by its definition."""
+    n = len(draws)
+    b = math.isqrt(n)
+    used = draws[:b * (n // b)]
+    batch_means = used.reshape(b, n // b, -1).mean(axis=1)
+    return np.minimum(len(used) * used.var(axis=0, ddof=1)
+                      / (n // b * batch_means.var(axis=0, ddof=1)), n)
+
+
+# run lengths of held chains; with N draws, b = isqrt(N) batches of N // b
+_CUTS = {
+    # N = 22: the half split (11) inside batch [10, 15) and inside run [9, 12),
+    # so draw 10 is a group of one; draws 20 and 21 are past the batches
+    "split-in-run": [3, 2, 4, 3, 1, 2, 4, 3],
+    # N = 22: the half split at a run end, again a group of one
+    "split-at-run-end": [2, 3, 6, 1, 1, 4, 5],
+    # N = 17: the last draw is past both halves, in a row of its own
+    "odd-tail-row": [3, 5, 2, 6, 1],
+    # N = 23: the half split one draw past a batch edge, inside a run
+    "odd-split-in-run": [4, 5, 4, 2, 7, 1],
+}
+
+
+@pytest.mark.parametrize("holds", [*_CUTS.values(), "long"], ids=[*_CUTS, "long"])
+def test_grouped_statistics_equal_their_dense_definitions(holds):
+    rng = np.random.default_rng(35)
+    if holds == "long":  # several MOMENT_CHUNK_ROWS of runs
+        holds = rng.integers(1, 5, size=3 * MOMENT_CHUNK_ROWS + 7)
+    holds = np.asarray(holds)
+    ends = np.cumsum(holds)
+    n, half = int(ends[-1]), int(ends[-1]) // 2
+    b = math.isqrt(n)
+    used = b * (n // b)
+    assert b * b != n and used < n
+    moving = rng.standard_normal((holds.size, 3)) * 3.0 + [0.0, 1e3, -5.0]
+    # a coordinate that never moves; where the half split falls at a run end,
+    # one constant on each half but apart; where the last draw sits past both
+    # halves in a row of its own, one that moves only there
+    still = np.full(holds.size, 0.1)
+    apart = [np.where(ends <= half, 0.0, 1.0)] if half in ends else []
+    tail = [np.where(ends < n, 2.0, 3.0)] if ends[-2] == 2 * half < n else []
+    states = np.column_stack([moving, still, *apart, *tail])
+    dense = np.repeat(states, holds, axis=0)
+
+    flags = np.zeros(n, dtype=bool)
+    flags[ends[:-1]] = True
+    result = ChainResult(ChainConfig(steps=n), states, np.zeros(holds.size), flags)
+    diag = chain_diagnostics(result)
+    for mean, var in ((diag.mean, diag.var), chain_moments(states, holds)):
+        np.testing.assert_allclose(mean, dense.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(var, dense.var(axis=0, ddof=1), rtol=1e-12, atol=1e-20)
+    for ess, degenerate in ((diag.ess, diag.degenerate), batch_means_ess(states, holds)):
+        live = [0, 1, 2] + [4] * len(apart)
+        np.testing.assert_allclose(ess[live], _dense_batch_means_ess(dense[:, live]), rtol=1e-12)
+        assert degenerate.tolist() == [False] * 3 + [True] + [False] * (len(apart) + len(tail))
+        # the tail draw is past the batches too: their means agree, the chain moved
+        assert ess[3] == 0.0 and ess[4 + len(apart):].tolist() == [float(used)] * len(tail)
+    for rhat in (diag.rhat, split_rhat(states, holds)):
+        np.testing.assert_allclose(rhat[:3], _dense_rhat(dense[None, :, :3]), rtol=1e-12)
+        assert rhat[3:].tolist() == [1.0] + [np.inf] * len(apart) + [1.0] * len(tail)
+    assert diag.converged is False
 
 
 def test_batch_means_ess_near_n_for_iid_draws():
@@ -268,6 +357,9 @@ def test_split_rhat_multichain_shape():
     rhat = split_rhat(stacked)
     assert rhat.shape == (2,)
     np.testing.assert_allclose(rhat, 1.0, atol=0.03)
+    # an odd chain length leaves each chain's last draw out of its halves
+    for chains in (stacked, stacked[:, :4999] * 3.0 + 1e3):
+        np.testing.assert_allclose(split_rhat(chains), _dense_rhat(chains), rtol=1e-12)
 
 
 def test_chain_moments_match_numpy_without_copying_the_chain():
