@@ -60,12 +60,10 @@ from .mcmc import (
     ChainDiagnostics,
     ChainResult,
     GaussianTarget,
-    batch_means_ess,
     chain_diagnostics,
     chain_to_csv,
     gaussian_log_target,
     rw_mh,
-    split_rhat,
     tune_proposal_scale,
 )
 from .config import Config, canonical_text, config_hash, load_config, parse_config

@@ -295,6 +295,11 @@ class SimulatedData:
         return self.config["noise"]["sigma"]
 
     def observations(self) -> ObservationSet:
+        """The training readings.  A sigma below SIGMA_MIN is kept as
+        SIGMA_MIN and warns, at the caller of the command that reads them."""
+        if self.sigma < SIGMA_MIN:
+            warnings.warn(f"noise level {self.sigma} is below the numerical floor; "
+                          f"inference uses sigma = {SIGMA_MIN}", UserWarning, stacklevel=3)
         return ObservationSet(tuple(self.windows), self.z, self.sigma)
 
     def heldout_observations(self) -> ObservationSet | None:
@@ -519,12 +524,6 @@ def _forcing_mse(estimate: Field, truth: Field) -> float:
 def run_inference(data: SimulatedData) -> InferenceOutcome:
     """Adjoint pipeline and exact posterior on simulated data."""
     config = data.config
-    sigma_cfg = data.sigma
-    if sigma_cfg < SIGMA_MIN:
-        warnings.warn(
-            f"noise level {sigma_cfg} is below the numerical floor; "
-            f"inference uses sigma = {SIGMA_MIN}",
-            UserWarning, stacklevel=2)
     basis = _inference_basis(config, data.grid, data.kernel)
     obs = data.observations()
     result = run_pipeline(data.system, obs, basis, heldout=data.heldout_windows)
@@ -658,7 +657,7 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
                       batch_size=settings["batch_size"])
     result = rw_mh(target, start, cfg)
     t2 = time.perf_counter()
-    diag = chain_diagnostics(result)
+    diag = chain_diagnostics(*result.runs(cfg.burn_in))
     t3 = time.perf_counter()
     diagnostics = {
         "acceptance_rate": result.acceptance_rate,

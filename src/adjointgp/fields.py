@@ -44,6 +44,7 @@ Binary serialization format (little-endian throughout):
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -203,10 +204,14 @@ def inner_product(a: Field | Window, b: Field | Window) -> float:
     """Cell-center quadrature <a, b> = sum a*b*cell_volume.
 
     Against a :class:`Window` the sum is the mean of the field over the
-    window's box.
+    window's box; of two windows, both values times their overlap's measure.
     """
     _check_same_grid(a, b)
     if isinstance(a, Window):
+        if isinstance(b, Window):
+            cells = math.prod(max(0, min(s.stop, t.stop) - max(s.start, t.start))
+                              for s, t in zip(a.box, b.box))
+            return a.value * b.value * cells * a.grid.cell_volume
         a, b = b, a
     if isinstance(b, Window):
         return float(a.values[b.box].mean())

@@ -31,8 +31,8 @@ increments, with the log target of each.  Its memory grows with accepts x M,
 not steps x M.  Step t holds state cumsum(accepted_flags)[t]; from a given
 step on, each state stands for the run of steps it `holds`.
 
-Diagnostics: batch-means effective sample size and split-chain R-hat (two
-halves of each chain as separate chains).  Both, and the chain's moments,
+Diagnostics: batch-means effective sample size and split-chain R-hat (the
+chain's two halves as separate chains).  Both, and the chain's moments,
 come from one grouped pass over the held states, each counted once per step
 it holds and cut at the batch edges and the half split; groups pool by the
 pairwise update of Chan, Golub & LeVeque (1979), which moved the summaries
@@ -60,9 +60,6 @@ __all__ = [
     "gaussian_log_target",
     "rw_mh",
     "tune_proposal_scale",
-    "batch_means_ess",
-    "split_rhat",
-    "chain_moments",
     "chain_diagnostics",
     "chain_to_csv",
 ]
@@ -308,49 +305,15 @@ def tune_proposal_scale(target: GaussianTarget, start, *, seed: int = 0,
     return best[1]
 
 
-def batch_means_ess(draws: np.ndarray, holds=None) -> tuple[np.ndarray, np.ndarray]:
-    """Effective sample size per coordinate by the batch-means method.
-
-    Row k of `draws` stands for holds[k] consecutive draws (one each when
-    `holds` is None).  Splits the N >= 4 draws into b = floor(sqrt(N))
-    batches of equal length and estimates ESS = N * var(draws) / (batch_len
-    * var(batch means)).  The estimate is capped at N.  Coordinates whose
-    chain never moves get ESS 0 and are flagged degenerate.
-    """
-    return _chain_stats(draws, holds)[2:4]
-
-
-def split_rhat(draws: np.ndarray, holds=None) -> np.ndarray:
-    """Split R-hat per coordinate: each chain is halved and the halves are
-    compared, sqrt(((n-1)/n W + B/n) / W).  Accepts (N, dim) for a single
-    chain, its rows weighted by `holds` as in `batch_means_ess`, or
-    (chains, N, dim) for several; a coordinate whose split draws all hold
-    the same value (min == max, as `batch_means_ess` decides) gets R-hat 1,
-    and one whose draws differ while each half is constant gets inf.
-    """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 3 and holds is not None:
-        raise ValueError("holds apply to a single chain")
-    chains = list(draws) if draws.ndim == 3 else [draws]
-    return _rhat([_chain_stats(chain, holds)[4] for chain in chains])
-
-
-def chain_moments(draws: np.ndarray, holds=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate mean and variance (ddof 1) of N >= 4 draws, the rows of
-    `draws` weighted by `holds` as in `batch_means_ess`, read MOMENT_CHUNK_ROWS
-    rows at a time, so no chain-sized temporary is made."""
-    return _chain_stats(draws, holds)[:2]
-
-
 def _chain_stats(draws, holds):
-    """The mean, variance, batch-means ESS, degenerate flags and `_rhat`'s
-    halves of n >= 4 draws, row k of `draws` holding holds[k] (one each when
-    `holds` is None), from one pass cut at the batch edges and half split."""
+    """The mean, variance, batch-means ESS, degenerate flags and split R-hat
+    of n >= 4 draws, row k of `draws` holding holds[k] (one each when `holds`
+    is None), from one pass cut at the batch edges and half split."""
     draws = np.asarray(draws, dtype=float).reshape(len(draws), -1)
     bounds = np.cumsum(np.concatenate(([0], np.ones(len(draws), int) if holds is None else holds)))
     n = int(bounds[-1])
     if n < 4:
-        raise ValueError("need at least 4 draws per chain")
+        raise ValueError("need at least 4 draws")
     b = math.isqrt(n)
     batch_len, half = n // b, n // 2
     used = b * batch_len
@@ -360,23 +323,17 @@ def _chain_stats(draws, holds):
     var_means = batch_means.var(axis=0, ddof=1)
     # stuck by bits (a mean of copies of 0.1 is not 0.1): the halves' rows, then any last draw
     head, rest = np.split(draws, [np.searchsorted(bounds, 2 * half)])
-    lo, hi = head.min(axis=0, keepdims=True), head.max(axis=0, keepdims=True)
-    degenerate = (lo[0] == hi[0]) & (rest == lo).all(axis=0)
+    lo, hi = head.min(axis=0), head.max(axis=0)
+    degenerate = (lo == hi) & (rest == lo).all(axis=0)
     alive = ~degenerate & (var_means > 0.0)
     ess = np.where(degenerate, 0.0, used)  # used where the batch means agree but the chain moved
     ess[alive] = used * used_square[0, alive] / ((used - 1) * batch_len * var_means[alive])
-    return (mean[0], square[0] / (n - 1), np.minimum(ess, n), degenerate,
-            (half, half_means, half_squares / (half - 1), lo, hi))
-
-
-def _rhat(halves) -> np.ndarray:
-    """Split R-hat from each chain's halves of `_chain_stats`, chains of one length:
-    1 where the split draws never move (by bits), inf where constant halves differ."""
-    half = halves[0][0]
-    means, var, lo, hi = (np.concatenate(part) for part in list(zip(*halves))[1:])
-    within, spread = var.mean(axis=0), means.var(axis=0, ddof=1)
+    # split R-hat, the halves compared: 1 where the split draws never move
+    # (by bits), inf where constant halves differ
+    within, spread = (half_squares / (half - 1)).mean(axis=0), half_means.var(axis=0, ddof=1)
     ratio = np.divide(spread, within, out=np.full(within.size, np.inf), where=within > 0.0)
-    return np.where(lo.min(axis=0) < hi.max(axis=0), np.sqrt((half - 1) / half + ratio), 1.0)
+    rhat = np.where(lo < hi, np.sqrt((half - 1) / half + ratio), 1.0)
+    return mean[0], square[0] / (n - 1), np.minimum(ess, n), degenerate, rhat
 
 
 def _group_moments(draws, bounds, *cuts) -> list:
@@ -420,14 +377,18 @@ def _group_moments(draws, bounds, *cuts) -> list:
     return pooled
 
 
-def chain_diagnostics(result_or_draws) -> ChainDiagnostics:
-    """ESS, split R-hat, moments and a convergence verdict for post burn-in
-    draws: converged when every R-hat is at most RHAT_MAX and no coordinate
-    is stuck.  A `ChainResult` is read as its held states, in one pass."""
-    given = result_or_draws
-    held = given.runs(given.config.burn_in) if isinstance(given, ChainResult) else (given, None)
-    mean, var, ess, degenerate, halves = _chain_stats(*held)
-    rhat = _rhat([halves])
+def chain_diagnostics(draws, holds=None) -> ChainDiagnostics:
+    """Batch-means ESS, split R-hat, moments (variance ddof 1) and a
+    convergence verdict of N >= 4 draws, row k of `draws` standing for
+    holds[k] of them (one each when `holds` is None), as `ChainResult.runs`
+    gives them; one pass, MOMENT_CHUNK_ROWS rows at a time.  ESS is
+    N var / (batch_len var(batch means)) over b = floor(sqrt(N)) batches,
+    capped at N; R-hat is sqrt(((n-1)/n W + B/n) / W) over the two halves.
+    A coordinate whose draws never move (by bits) is degenerate, with ESS 0
+    and R-hat 1; R-hat is inf where the draws differ but each half is
+    constant.  Converged when every R-hat is at most RHAT_MAX and no
+    coordinate is stuck."""
+    mean, var, ess, degenerate, rhat = _chain_stats(draws, holds)
     converged = bool(np.all(rhat <= RHAT_MAX)) and not bool(degenerate.any())
     return ChainDiagnostics(ess, rhat, degenerate, converged, mean, var)
 

@@ -965,6 +965,20 @@ def test_sigma_at_its_ceiling_runs_every_command(tmp_path):
         assert main([command, str(bundle), "--out", str(tmp_path / command)]) == 0
 
 
+@pytest.mark.parametrize("sigma", ["0", "0.05"])
+def test_sigma_below_the_floor_warns_once_in_every_command(tmp_path, sigma):
+    # each command reads its readings once, and the floor under sigma says so
+    bundle = _simulate(tmp_path, _edit(ODE_TEXT, sigma=sigma) + MCMC_SECTION + SCAN_2X3)
+    for command in ("infer", "scan-hyper", "mcmc"):
+        argv = [command, str(bundle), "--out", str(tmp_path / command)]
+        if sigma == "0":
+            with pytest.warns(UserWarning, match="below the numerical floor") as record:
+                assert main(argv) == 0
+            assert sum("below the numerical floor" in str(w.message) for w in record) == 1
+        else:  # any warning would be an error here
+            assert main(argv) == 0
+
+
 _FUZZ_TAIL = """
 [inference]
 samples = 100

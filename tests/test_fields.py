@@ -15,6 +15,7 @@ from adjointgp import (
     norm,
     window_indicator,
 )
+from adjointgp.fields import bank_rows
 from oracles import dense_field
 
 
@@ -117,6 +118,25 @@ def test_inner_product_matches_naive_loop():
                 acc += a.values[i, j, k] * b.values[i, j, k]
     acc *= grid.cell_volume
     np.testing.assert_allclose(inner_product(a, b), acc, rtol=1e-12)
+
+
+@pytest.mark.parametrize("grid,boxes", [
+    # overlapping, nested, the same, touching and apart on a 10-cell line
+    (Grid.regular(((0.0, 1.0),), (10,)),
+     [([0.2], [0.6]), ([0.4], [0.9]), ([0.5], [0.6]), ([0.2], [0.6]), ([0.6], [0.8]), ([0.0], [0.1])]),
+    # overlapping in every axis, then in only two of three
+    (Grid.regular(((0.0, 2.0), (1.0, 3.0), (0.0, 1.0)), (4, 5, 3)),
+     [([0.0, 1.0, 0.0], [1.5, 2.6, 0.7]), ([0.5, 2.2, 0.3], [2.0, 3.0, 1.0]),
+      ([1.0, 1.0, 0.7], [2.0, 3.0, 1.0])]),
+])
+def test_inner_product_of_two_windows_is_the_dot_product_of_their_rows(grid, boxes):
+    windows = [window_indicator(grid, lo, hi) for lo, hi in boxes]
+    rows = bank_rows(windows, grid)
+    for i, a in enumerate(windows):
+        for j, b in enumerate(windows):
+            expected = float(rows[i] @ rows[j]) * grid.cell_volume
+            np.testing.assert_allclose(inner_product(a, b), expected, rtol=1e-12, atol=0.0)
+            assert (inner_product(a, b) == 0.0) == (expected == 0.0), (i, j)
 
 
 def test_inner_product_rejects_grid_mismatch():

@@ -9,20 +9,17 @@ from adjointgp import (
     ChainResult,
     GaussianTarget,
     NumericalError,
-    batch_means_ess,
     chain_diagnostics,
     chain_to_csv,
     gaussian_log_target,
     posterior_q,
     rw_mh,
-    split_rhat,
     tune_proposal_scale,
 )
 from adjointgp.mcmc import (
     CSV_CHUNK_ROWS,
     MOMENT_CHUNK_ROWS,
     _draw_indices,
-    chain_moments,
 )
 from oracles import (chain_to_csv_every_value, dense_chain, filled_trace_text, read_trace,
                      rw_mh_full_target, tune_through_rw_mh)
@@ -56,7 +53,7 @@ def test_rw_mh_samples_standard_normal():
     cfg = ChainConfig(steps=50000, burn_in=2000, proposal_scale=2.4, seed=0)
     result = rw_mh(_std_normal_target(1), np.zeros(1), cfg)
     kept = dense_chain(result, cfg.burn_in)[:, 0]
-    ess, _ = batch_means_ess(kept)
+    ess = chain_diagnostics(kept).ess
     se = kept.std(ddof=1) / math.sqrt(ess[0])
     assert abs(kept.mean()) < 3 * se
     np.testing.assert_allclose(kept.var(ddof=1), 1.0, rtol=0.10)
@@ -73,7 +70,7 @@ def test_rw_mh_matches_conjugate_posterior():
     cfg = ChainConfig(steps=60000, burn_in=5000, proposal_scale=scale, seed=2)
     result = rw_mh(target, exact.mean, cfg)
     kept = dense_chain(result, cfg.burn_in)
-    ess, _ = batch_means_ess(kept)
+    ess = chain_diagnostics(kept).ess
     sd = kept.std(axis=0, ddof=1)
     se = sd / np.sqrt(ess)
     assert (np.abs(kept.mean(axis=0) - exact.mean) < 3 * se).all()
@@ -208,10 +205,10 @@ def test_tune_evaluates_the_target_only_to_check_each_probe_start(monkeypatch, r
 # diagnostics
 
 
-def _dense_rhat(chains):
-    """Split R-hat of (chains, N, dim) draws by its definition."""
-    half = chains.shape[1] // 2
-    halves = np.concatenate([chains[:, :half], chains[:, half:2 * half]])
+def _dense_rhat(draws):
+    """Split R-hat of (N, dim) draws by its definition."""
+    half = len(draws) // 2
+    halves = np.stack([draws[:half], draws[half:2 * half]])
     within = halves.var(axis=1, ddof=1).mean(axis=0)
     between = half * halves.mean(axis=1).var(axis=0, ddof=1)
     return np.sqrt(((half - 1) / half * within + between / half) / within)
@@ -265,29 +262,26 @@ def test_grouped_statistics_equal_their_dense_definitions(holds):
     flags = np.zeros(n, dtype=bool)
     flags[ends[:-1]] = True
     result = ChainResult(ChainConfig(steps=n), states, np.zeros(holds.size), flags)
-    diag = chain_diagnostics(result)
-    for mean, var in ((diag.mean, diag.var), chain_moments(states, holds)):
-        np.testing.assert_allclose(mean, dense.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(var, dense.var(axis=0, ddof=1), rtol=1e-12, atol=1e-20)
-    for ess, degenerate in ((diag.ess, diag.degenerate), batch_means_ess(states, holds)):
-        live = [0, 1, 2] + [4] * len(apart)
-        np.testing.assert_allclose(ess[live], _dense_batch_means_ess(dense[:, live]), rtol=1e-12)
-        assert degenerate.tolist() == [False] * 3 + [True] + [False] * (len(apart) + len(tail))
-        # the tail draw is past the batches too: their means agree, the chain moved
-        assert ess[3] == 0.0 and ess[4 + len(apart):].tolist() == [float(used)] * len(tail)
-    for rhat in (diag.rhat, split_rhat(states, holds)):
-        np.testing.assert_allclose(rhat[:3], _dense_rhat(dense[None, :, :3]), rtol=1e-12)
-        assert rhat[3:].tolist() == [1.0] + [np.inf] * len(apart) + [1.0] * len(tail)
+    diag = chain_diagnostics(*result.runs())
+    np.testing.assert_allclose(diag.mean, dense.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(diag.var, dense.var(axis=0, ddof=1), rtol=1e-12, atol=1e-20)
+    live = [0, 1, 2] + [4] * len(apart)
+    np.testing.assert_allclose(diag.ess[live], _dense_batch_means_ess(dense[:, live]), rtol=1e-12)
+    assert diag.degenerate.tolist() == [False] * 3 + [True] + [False] * (len(apart) + len(tail))
+    # the tail draw is past the batches too: their means agree, the chain moved
+    assert diag.ess[3] == 0.0 and diag.ess[4 + len(apart):].tolist() == [float(used)] * len(tail)
+    np.testing.assert_allclose(diag.rhat[:3], _dense_rhat(dense[:, :3]), rtol=1e-12)
+    assert diag.rhat[3:].tolist() == [1.0] + [np.inf] * len(apart) + [1.0] * len(tail)
     assert diag.converged is False
 
 
 def test_batch_means_ess_near_n_for_iid_draws():
     rng = np.random.default_rng(8)
     draws = rng.standard_normal((20000, 3))
-    ess, degenerate = batch_means_ess(draws)
-    assert not degenerate.any()
-    assert (ess > 0.8 * 20000).all()
-    assert (ess <= 20000).all()
+    diag = chain_diagnostics(draws)
+    assert not diag.degenerate.any()
+    assert (diag.ess > 0.8 * 20000).all()
+    assert (diag.ess <= 20000).all()
 
 
 def test_batch_means_ess_flags_constant_chain():
@@ -295,13 +289,14 @@ def test_batch_means_ess_flags_constant_chain():
     # rounding noise for a coordinate that never moved
     for value in (1.0, 0.1):
         draws = np.full((100, 2), value)
-        ess, degenerate = batch_means_ess(draws)
-        assert degenerate.all()
-        assert (ess == 0.0).all()
-        ess, degenerate = batch_means_ess(draws[:3], np.array([40, 1, 59]))
-        assert degenerate.all() and (ess == 0.0).all()
-    with pytest.raises(ValueError):
-        batch_means_ess(np.zeros((3, 1)))
+        diag = chain_diagnostics(draws)
+        assert diag.degenerate.all()
+        assert (diag.ess == 0.0).all()
+        diag = chain_diagnostics(draws[:3], np.array([40, 1, 59]))
+        assert diag.degenerate.all() and (diag.ess == 0.0).all()
+    for held in ((np.zeros((3, 1)),), (np.zeros((2, 1)), np.array([1, 2]))):
+        with pytest.raises(ValueError, match="at least 4 draws"):
+            chain_diagnostics(*held)
 
 
 def test_autocorrelated_chain_has_reduced_ess():
@@ -312,14 +307,14 @@ def test_autocorrelated_chain_has_reduced_ess():
     noise = rng.standard_normal(n)
     for t in range(1, n):
         x[t] = rho * x[t - 1] + noise[t]
-    ess, _ = batch_means_ess(x)
+    ess = chain_diagnostics(x).ess
     # AR(1) factor (1-rho)/(1+rho) ~ 1/39 of the nominal size
     assert ess[0] < 0.1 * n
 
 
 def test_split_rhat_near_one_for_iid_draws():
     rng = np.random.default_rng(10)
-    rhat = split_rhat(rng.standard_normal((20000, 4)))
+    rhat = chain_diagnostics(rng.standard_normal((20000, 4))).rhat
     np.testing.assert_allclose(rhat, 1.0, atol=0.02)
 
 
@@ -327,7 +322,7 @@ def test_split_rhat_flags_two_regime_chain():
     rng = np.random.default_rng(11)
     drift = np.concatenate([np.zeros(5000), 5.0 * np.ones(5000)])
     draws = (drift + 0.1 * rng.standard_normal(10000))[:, None]
-    assert split_rhat(draws)[0] > 2.0
+    assert chain_diagnostics(draws).rhat[0] > 2.0
 
 
 def test_split_rhat_constant_coordinate_is_one():
@@ -335,31 +330,18 @@ def test_split_rhat_constant_coordinate_is_one():
     # reads rounding noise for a coordinate that never moved
     for value in (1.0, 0.1):
         draws = np.column_stack([np.full(100, value), np.linspace(0, 1, 100)])
-        rhat = split_rhat(draws)
-        assert rhat[0] == 1.0
-        rhat = split_rhat(draws[:3], np.array([47, 5, 48]))
-        assert rhat[0] == 1.0
+        assert chain_diagnostics(draws).rhat[0] == 1.0
+        assert chain_diagnostics(draws[:3], np.array([47, 5, 48])).rhat[0] == 1.0
 
 
 def test_split_rhat_is_infinite_for_halves_constant_apart():
     # each half never moves but the two sit at different values: no
     # within-half spread to compare with, so R-hat is unbounded, not 1
     draws = np.column_stack([np.repeat([0.0, 1.0], 500), np.linspace(0, 1, 1000)])
-    for rhat in (split_rhat(draws), split_rhat(draws[[0, 500, 999]], np.array([500, 499, 1])),
-                 chain_diagnostics(draws).rhat):
-        assert rhat[0] == np.inf and np.isfinite(rhat[1])
-    assert not chain_diagnostics(draws).converged
-
-
-def test_split_rhat_multichain_shape():
-    rng = np.random.default_rng(12)
-    stacked = rng.standard_normal((4, 5000, 2))
-    rhat = split_rhat(stacked)
-    assert rhat.shape == (2,)
-    np.testing.assert_allclose(rhat, 1.0, atol=0.03)
-    # an odd chain length leaves each chain's last draw out of its halves
-    for chains in (stacked, stacked[:, :4999] * 3.0 + 1e3):
-        np.testing.assert_allclose(split_rhat(chains), _dense_rhat(chains), rtol=1e-12)
+    for diag in (chain_diagnostics(draws),
+                 chain_diagnostics(draws[[0, 500, 999]], np.array([500, 499, 1]))):
+        assert diag.rhat[0] == np.inf and np.isfinite(diag.rhat[1])
+        assert not diag.converged
 
 
 def test_chain_moments_match_numpy_without_copying_the_chain():
@@ -371,16 +353,16 @@ def test_chain_moments_match_numpy_without_copying_the_chain():
     for n in (4, c - 1, c, c + 1, 3 * c, 5 * c + 17, 16000):
         for dim in (1, 2, 7, 100):
             draws = rng.standard_normal((n, dim)) * 3.0 + rng.standard_normal(dim) * 1e3
-            mean, var = chain_moments(draws)
-            np.testing.assert_allclose(mean, draws.mean(axis=0), rtol=1e-12, err_msg=(n, dim))
-            np.testing.assert_allclose(var, draws.var(axis=0, ddof=1), rtol=1e-12,
+            diag = chain_diagnostics(draws)
+            np.testing.assert_allclose(diag.mean, draws.mean(axis=0), rtol=1e-12, err_msg=(n, dim))
+            np.testing.assert_allclose(diag.var, draws.var(axis=0, ddof=1), rtol=1e-12,
                                        err_msg=(n, dim))
     # a 16000 x 100 chain, the kept draws of the ode-bundle mcmc: the peak
     # stays well under the 12.8 MB that one chain-sized temporary would take
     draws = rng.standard_normal((16000, 100))
     tracemalloc.start()
     try:
-        chain_moments(draws)
+        chain_diagnostics(draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -403,15 +385,13 @@ def test_held_statistics_equal_the_dense_ones(states, longest):
     # some run crosses a batch edge, and one crosses the half split
     assert (ends // batch_len != (ends - holds) // batch_len).any()
     assert ((ends - holds < n // 2) & (ends > n // 2)).any()
-    for held, flat in ((chain_moments(draws, holds), chain_moments(dense)),
-                       (batch_means_ess(draws, holds), batch_means_ess(dense)),
-                       ((split_rhat(draws, holds),), (split_rhat(dense),))):
-        for a, b in zip(held, flat):
-            np.testing.assert_allclose(a, b, rtol=1e-12)
-    ones = np.ones(states, dtype=int)
-    for fn in (chain_moments, batch_means_ess, lambda d, h=None: (split_rhat(d, h),)):
-        for a, b in zip(fn(draws), fn(draws, ones)):
-            np.testing.assert_array_equal(a, b)
+    fields = ("mean", "var", "ess", "degenerate", "rhat")
+    held, flat = chain_diagnostics(draws, holds), chain_diagnostics(dense)
+    for name in fields:
+        np.testing.assert_allclose(getattr(held, name), getattr(flat, name), rtol=1e-12)
+    rows, ones = chain_diagnostics(draws), chain_diagnostics(draws, np.ones(states, dtype=int))
+    for name in fields:
+        np.testing.assert_array_equal(getattr(rows, name), getattr(ones, name))
 
 
 def test_chain_diagnostics_read_the_held_states():
@@ -420,7 +400,7 @@ def test_chain_diagnostics_read_the_held_states():
     states, holds = result.runs(cfg.burn_in)
     kept = dense_chain(result, cfg.burn_in)
     np.testing.assert_array_equal(np.repeat(states, holds, axis=0), kept)
-    held, dense = chain_diagnostics(result), chain_diagnostics(kept)
+    held, dense = chain_diagnostics(states, holds), chain_diagnostics(kept)
     for name in ("ess", "rhat"):
         np.testing.assert_allclose(getattr(held, name), getattr(dense, name), rtol=1e-12)
     assert held.converged == dense.converged
@@ -429,7 +409,7 @@ def test_chain_diagnostics_read_the_held_states():
 def test_chain_diagnostics_verdicts():
     cfg = ChainConfig(steps=20000, burn_in=1000, proposal_scale=2.4, seed=13)
     result = rw_mh(_std_normal_target(2), np.zeros(2), cfg)
-    diag = chain_diagnostics(result)
+    diag = chain_diagnostics(*result.runs(cfg.burn_in))
     assert diag.converged
     assert (diag.rhat <= 1.05).all()
     assert not diag.degenerate.any()
