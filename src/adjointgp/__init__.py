@@ -25,7 +25,6 @@ from .fields import (
     Field,
     Grid,
     Window,
-    dirac_window,
     field_from_binary,
     field_to_binary,
     inner_product,
@@ -39,7 +38,7 @@ from .features import (
     sample_prior_forcing,
 )
 from .ode import OdeParams, OdeSystem, euler_stability_limit
-from .pde import PdeParams, PdeSystem, cfl_limit, sensor_field
+from .pde import PdeParams, PdeSystem, cfl_limit
 from .shift import ShiftParams, ShiftSystem
 from .inference import (
     ObservationSet,

@@ -129,9 +129,6 @@ class Config:
     def __contains__(self, section: str) -> bool:
         return section in self.data
 
-    def get(self, section: str, key: str, default=None):
-        return self.data.get(section, {}).get(key, default)
-
     @property
     def kind(self) -> str:
         return self.data["system"]["kind"]

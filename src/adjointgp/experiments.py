@@ -40,7 +40,6 @@ from .features import FeatureBasis, KernelParams, forcing_from_weights, sample_p
 from .fields import (
     Field,
     Grid,
-    dirac_window,
     field_from_binary,
     field_to_binary,
     inner_product,
@@ -165,13 +164,6 @@ def make_system(config: Config, grid: Grid):
     return ShiftSystem(ShiftParams(sys_cfg["a"], sys_cfg["T"]), grid)
 
 
-def _snap_center(grid: Grid, axis: int, value: float) -> float:
-    origin = grid.origin[axis]
-    step = grid.spacing[axis]
-    idx = int(np.clip(math.floor((value - origin) / step), 0, grid.dims[axis] - 1))
-    return origin + (idx + 0.5) * step
-
-
 def _tile_windows(grid: Grid, count: int, t_start: float, t_end: float):
     edges = np.linspace(t_start, t_end, count + 1)
     bounds = edges.tolist()
@@ -190,18 +182,16 @@ def _span_times(count: int, t_start: float, t_end: float, stagger: bool):
 
 
 def _point_windows(grid: Grid, times):
-    windows, specs = [], []
-    for t in times:
-        windows.append(dirac_window(grid, (float(t),)))
-        specs.append(WindowSpec("point", (float(t),), (float(t),)))
-    return windows, specs
+    points = np.asarray(times, dtype=float).reshape(-1, 1)
+    return (window_boxes(grid, points, points),
+            [WindowSpec("point", (t,), (t,)) for t in points[:, 0].tolist()])
 
 
 def _grid_windows(grid: Grid, count: int, time_windows: int, size: float,
                   t_start: float, t_end: float):
     """k^2 sensors on a lattice inset half a lattice cell from the walls,
     each observed over `time_windows` equal spans of [t_start, t_end].
-    A zero `size` means a single spatial cell per sensor."""
+    A zero `size` makes each sensor a point: the one spatial cell holding it."""
     k = math.isqrt(count)
     y_lo, y_hi = grid.bounds(1)
     x_lo, x_hi = grid.bounds(2)
@@ -212,17 +202,9 @@ def _grid_windows(grid: Grid, count: int, time_windows: int, size: float,
     lows, highs, specs = [], [], []
     for y in ys.tolist():
         for x in xs.tolist():
-            if size > 0.0:
-                lo_yx = (y - 0.5 * size, x - 0.5 * size)
-                hi_yx = (y + 0.5 * size, x + 0.5 * size)
-            else:
-                cy = _snap_center(grid, 1, y)
-                cx = _snap_center(grid, 2, x)
-                lo_yx = (cy - 0.5 * grid.spacing[1], cx - 0.5 * grid.spacing[2])
-                hi_yx = (cy + 0.5 * grid.spacing[1], cx + 0.5 * grid.spacing[2])
             for w_lo, w_hi in zip(edges[:-1], edges[1:]):
-                lows.append((w_lo, *lo_yx))
-                highs.append((w_hi, *hi_yx))
+                lows.append((w_lo, y - 0.5 * size, x - 0.5 * size))
+                highs.append((w_hi, y + 0.5 * size, x + 0.5 * size))
                 specs.append(WindowSpec("sensor", (w_lo, y, x), (w_hi, y, x)))
     return window_boxes(grid, lows, highs), specs
 
@@ -287,7 +269,6 @@ class SimulatedData:
     heldout_z: np.ndarray
     truth_forcing: Field
     truth_solution: Field | None
-    truth_weights: np.ndarray | None
     qstar: np.ndarray | None
 
     @property
@@ -327,13 +308,12 @@ def simulate_data(config: Config) -> SimulatedData:
         heldout_clean = phi[len(windows):] @ qstar
         truth_forcing = forcing_from_weights(basis, qstar, grid)
         truth_solution = None
-        truth_weights = None
     else:
         truth_basis = FeatureBasis.sample(
             config["features"]["truth_count"], grid.ndim, kernel,
             derive_seed(seeds["data"], "truth-basis"),
         )
-        truth_weights, truth_forcing = sample_prior_forcing(
+        _, truth_forcing = sample_prior_forcing(
             truth_basis, grid, derive_seed(seeds["data"], "truth-weights"))
         truth_solution = system.forward(truth_forcing)
         clean = _read_windows(windows, truth_solution)
@@ -352,8 +332,7 @@ def simulate_data(config: Config) -> SimulatedData:
         windows=windows, window_specs=specs, z=z,
         heldout_windows=heldout_windows, heldout_specs=heldout_specs,
         heldout_z=heldout_z,
-        truth_forcing=truth_forcing, truth_solution=truth_solution,
-        truth_weights=truth_weights, qstar=qstar,
+        truth_forcing=truth_forcing, truth_solution=truth_solution, qstar=qstar,
     )
 
 
@@ -426,7 +405,6 @@ def save_bundle(data: SimulatedData, out_dir) -> Path:
         seeds=data.config["seeds"],
         synth=data.config["inference"]["synth"],
         qstar=None if data.qstar is None else data.qstar.tolist(),
-        truth_weights=None if data.truth_weights is None else data.truth_weights.tolist(),
     )
     return out
 
@@ -443,9 +421,14 @@ def load_bundle(bundle_dir) -> SimulatedData:
     manifest_path = bundle / "manifest.json"
     if not manifest_path.is_file():
         raise ConfigError(f"{bundle} is not a data bundle (no manifest.json)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        listed = [(name, str(digest)) for name, digest in manifest["files"].items()]
+        config_sha256 = manifest["config_sha256"]
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"{manifest_path} is not a bundle manifest ({exc!r})") from None
     raw = {}
-    for name, expected in manifest["files"].items():
+    for name, expected in listed:
         target = bundle / name
         if not target.is_file():
             raise ConfigError(f"bundle file {name} is missing")
@@ -460,7 +443,7 @@ def load_bundle(bundle_dir) -> SimulatedData:
             raise ConfigError(f"bundle manifest does not list {name}")
 
     config = parse_config(raw["config.txt"].decode("utf-8"))
-    if config_hash(config) != manifest["config_sha256"]:
+    if config_hash(config) != config_sha256:
         raise ConfigError("bundle config does not match its manifest hash")
     grid, system, kernel, windows, specs, heldout_windows, heldout_specs = _setup(config)
 
@@ -482,14 +465,12 @@ def load_bundle(bundle_dir) -> SimulatedData:
     truth_solution = None if truth_solution is None else field_from_binary(truth_solution)
 
     qstar = manifest.get("qstar")
-    truth_weights = manifest.get("truth_weights")
     return SimulatedData(
         config=config, grid=grid, system=system, kernel=kernel,
         windows=windows, window_specs=specs, z=z,
         heldout_windows=heldout_windows, heldout_specs=heldout_specs,
         heldout_z=heldout_z,
         truth_forcing=truth_forcing, truth_solution=truth_solution,
-        truth_weights=None if truth_weights is None else np.array(truth_weights),
         qstar=None if qstar is None else np.array(qstar),
     )
 

@@ -18,7 +18,11 @@ contributing nothing.
 Every observation is a :class:`Window`: the normalized indicator of a box
 of whole cells, kept as one slice of cell indices per axis (the cells a
 half-open box covers on a uniform axis are one run) and never as a dense
-field.  A reading <w, u> is the mean of u over the box, and an adjoint
+field.  `window_boxes` decides every box's cells by one rule: on an axis
+where lo < hi the cells whose centers lie in [lo, hi), and on an axis where
+lo == hi the one cell holding that point, floor((p - origin) / dx), with the
+domain's closed upper edge in the last cell.  A point observation is a box
+of zero width.  A reading <w, u> is the mean of u over the box, and an adjoint
 march adds each box straight into its state.  `shift_groups` gives each
 functional a base and the run of time shifts of the base's solution that
 sum to its own: on grids with spatial axes a window's base is its box's
@@ -243,9 +247,11 @@ class Window:
 def window_indicator(grid: Grid, lo, hi) -> Window:
     """Normalized indicator of the box [lo, hi), snapped to whole cells.
 
-    The window covers every cell whose center falls in the half-open box and
-    carries the constant value 1 / (covered measure), so it integrates to 1
-    under :func:`inner_product` against the unit field.
+    On an axis where lo < hi the window covers every cell whose center falls
+    in [lo, hi); where lo == hi it is a point there and covers the one cell
+    that holds it, the domain's closed upper edge in the last cell.  The
+    window carries the constant value 1 / (covered measure), so it
+    integrates to 1 under :func:`inner_product` against the unit field.
     """
     return window_boxes(grid, np.reshape(lo, (1, -1)), np.reshape(hi, (1, -1)))[0]
 
@@ -258,16 +264,25 @@ def window_boxes(grid: Grid, lo, hi) -> list[Window]:
         raise GridMismatchError(
             f"window bounds must have {grid.ndim} coordinates, got {lo.shape[1]}/{hi.shape[1]}"
         )
+    origin, step, dims = np.array(grid.origin), np.array(grid.spacing), np.array(grid.dims)
+    # NaN == NaN is false, but a NaN point is a point, refused as outside
+    point = (lo == hi) | np.isnan(lo) & np.isnan(hi)
+    inside = (origin <= lo) & (hi <= origin + dims * step)
+    # the cell holding a point; the closed upper edge belongs to the last cell
+    cell = np.minimum(np.floor((np.where(point & inside, lo, origin) - origin) / step), dims - 1)
     # the centers are increasing, so those in [lo, hi) are one run
     cuts = np.stack([np.searchsorted(grid.axis_centers(k), (lo[:, k], hi[:, k]))
                      for k in range(grid.ndim)], axis=-1)
-    ordered, empty = (lo < hi).all(axis=1), cuts[0] == cuts[1]
-    bad = np.flatnonzero(~ordered | empty.any(axis=1))
+    cuts = np.where(point, (cell, cell + 1), cuts).astype(int)
+    ordered, missed = (lo < hi) | point, np.where(point, ~inside, cuts[0] == cuts[1])
+    bad = np.flatnonzero(~ordered.all(axis=1) | missed.any(axis=1))
     if bad.size:
         i = bad[0]
-        if not ordered[i]:
-            raise ValueError(f"window must satisfy lo < hi componentwise, got {lo[i]} / {hi[i]}")
-        k = int(np.argmax(empty[i]))
+        if not ordered[i].all():
+            raise ValueError(f"window must satisfy lo <= hi componentwise, got {lo[i]} / {hi[i]}")
+        k = int(np.argmax(missed[i]))
+        if point[i, k]:
+            raise DomainError(f"point coordinate {lo[i, k]} outside axis {k}")
         raise DomainError(f"window [{lo[i, k]}, {hi[i, k]}) contains no cell centers on axis {k}")
     return [Window(grid, tuple(map(slice, start, stop)))
             for start, stop in zip(cuts[0].tolist(), cuts[1].tolist())]
@@ -403,25 +418,6 @@ def bank_rows(functionals, grid: Grid) -> np.ndarray:
         else:
             row[:] = f.values_flat
     return rows
-
-
-def dirac_window(grid: Grid, point) -> Window:
-    """Point observation as a single-cell window containing `point`."""
-    point = np.asarray(point, dtype=float).reshape(-1)
-    if point.size != grid.ndim:
-        raise GridMismatchError("point dimension does not match grid")
-    lo = []
-    hi = []
-    for k in range(grid.ndim):
-        o, s, d = grid.origin[k], grid.spacing[k], grid.dims[k]
-        top = o + d * s
-        if not o <= point[k] <= top:  # NaN too
-            raise DomainError(f"point coordinate {point[k]} outside axis {k}")
-        # the closed upper edge belongs to the last cell
-        i = min(int(np.floor((point[k] - o) / s)), d - 1)
-        lo.append(o + i * s)
-        hi.append(o + (i + 1) * s)
-    return window_indicator(grid, lo, hi)
 
 
 # ---------------------------------------------------------------------------

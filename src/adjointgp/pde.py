@@ -43,7 +43,9 @@ bound and builds A's stencil once.  Its solves are `forward(f)` and
 `adjoint_march`, whose slabs `assemble_phi` projects as they are marched;
 the bank's `kept()` marches once and keeps them.
 
-Grids are (time, y, x) with time on axis 0.  Forcing fields and solver
+Grids are (time, y, x) with time on axis 0, so an observation window is
+`fields.window_indicator(grid, (t_lo, y_lo, x_lo), (t_hi, y_hi, x_hi))`,
+a point on each axis where lo == hi.  Forcing fields and solver
 output live at cell centers; time-cell values are the average of the two
 bracketing node states, matching the ODE solver convention.  Coefficients
 are constant over the domain.
@@ -57,9 +59,9 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError, check_march
 from .fields import (AdjointBank, Field, Grid, Window, check_time_grid, impulse,
-                     shift_groups, time_spans, window_indicator)
+                     shift_groups, time_spans)
 
-__all__ = ["PdeParams", "PdeSystem", "cfl_limit", "sensor_field"]
+__all__ = ["PdeParams", "PdeSystem", "cfl_limit"]
 
 _CFL_SAFETY = 0.9
 
@@ -174,18 +176,6 @@ def _step_operator(params: PdeParams, grid: Grid) -> _Stencil:
     fx, xm, xp = flux_form(nx, dx, vx)
     diag = 1.0 + dt * (fy[:, None] + fx)
     return _Stencil(diag, dt * ym, dt * xm, dt * xp, dt * yp)
-
-
-def sensor_field(grid: Grid, region_lo, region_hi, t_lo: float, t_hi: float) -> Window:
-    """Observation window: spatial box (grid-axis order, y then x) crossed
-    with a time interval, snapped to whole cells and normalized."""
-    region_lo = np.asarray(region_lo, dtype=float).reshape(-1)
-    region_hi = np.asarray(region_hi, dtype=float).reshape(-1)
-    if region_lo.size != 2 or region_hi.size != 2:
-        raise ValueError("region bounds must have two components (y, x)")
-    lo = (float(t_lo), region_lo[0], region_lo[1])
-    hi = (float(t_hi), region_hi[0], region_hi[1])
-    return window_indicator(grid, lo, hi)
 
 
 class PdeSystem:

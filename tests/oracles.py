@@ -47,7 +47,9 @@ Gram oracles can be fed rows no solver made.
 
 `dense_field` renders an observation window as the whole-grid field it
 stands for, the form the package never builds; every oracle that needs a
-window's cell values reads them from there.
+window's cell values reads them from there.  `cell_box` cuts a window axis
+by axis with scalar arithmetic: the cell holding a point, the cells whose
+centers fall in a span, where the package cuts all boxes at once.
 
 `exact_gram` is the untruncated discrete GP behind the feature expansion:
 on a tensor grid the exponentiated-quadratic kernel is a Kronecker product
@@ -61,8 +63,8 @@ import math
 
 import numpy as np
 
-from adjointgp import (AdjointBank, FeatureBasis, Field, Grid, KernelParams, Window,
-                       forcing_from_weights)
+from adjointgp import (AdjointBank, DomainError, FeatureBasis, Field, Grid, KernelParams,
+                       Window, forcing_from_weights)
 from adjointgp.mcmc import (ACCEPT_HI, ACCEPT_LO, BLOCK_STEPS, TUNE_MAX_ROUNDS,
                             TUNE_PROBE_STEPS, ChainConfig, _block_draws, rw_mh)
 
@@ -163,6 +165,28 @@ def dense_field(functional) -> Field:
     vals = np.zeros(functional.grid.shape)
     vals[functional.box] = functional.value
     return Field(functional.grid, vals)
+
+
+def cell_box(grid: Grid, lo, hi) -> Window:
+    """The window of the box [lo, hi), cut one axis at a time.  Where
+    lo == hi the axis holds a point, in cell floor((p - origin) / dx), the
+    closed upper edge in the last cell; elsewhere the cells whose centers
+    lie in [lo, hi).  A point outside the axis, NaN too, or a span holding
+    no center raises DomainError."""
+    box = []
+    for k, (a, b) in enumerate(zip(np.ravel(lo).tolist(), np.ravel(hi).tolist())):
+        o, s, d = grid.origin[k], grid.spacing[k], grid.dims[k]
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            if not o <= a <= o + d * s:
+                raise DomainError(f"point coordinate {a} outside axis {k}")
+            i = min(math.floor((a - o) / s), d - 1)
+            box.append(slice(i, i + 1))
+            continue
+        held = [i for i in range(d) if a <= o + (i + 0.5) * s < b]
+        if not held:
+            raise DomainError(f"window [{a}, {b}) contains no cell centers on axis {k}")
+        box.append(slice(held[0], held[-1] + 1))
+    return Window(grid, tuple(box))
 
 
 def window_matrix(windows) -> np.ndarray:

@@ -25,7 +25,6 @@ from adjointgp import (
     PdeSystem,
     inner_product,
     norm,
-    sensor_field,
     window_indicator,
 )
 from adjointgp.config import parse_config
@@ -109,8 +108,7 @@ def test_observation_routes_agree():
                               bounds=((0.0, 10.0), (0.0, 10.0)), T=10.0),
                     pde_grid)
     spots = [(2.0, 2.0), (5.0, 5.0), (8.0, 3.0), (3.0, 8.0), (7.0, 7.0)]
-    pde_windows = [sensor_field(pde_grid, (y - 0.5, x - 0.5),
-                                (y + 0.5, x + 0.5), 4.0, 6.0)
+    pde_windows = [window_indicator(pde_grid, (4.0, y - 0.5, x - 0.5), (6.0, y + 0.5, x + 0.5))
                    for y, x in spots]
     pde_bank = [Field(pde_grid, pde.adjoint_march([w]).rows[0]) for w in pde_windows]
     worst_pde = 0.0

@@ -33,8 +33,9 @@ from adjointgp import (
 from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
 from adjointgp import experiments, inference
-from adjointgp.experiments import (make_grid, make_system, run_inference, run_mcmc,
-                                   run_shift_demo, save_scan, scan_hyper, simulate_data)
+from adjointgp.experiments import (derive_seed, make_grid, make_system, run_inference,
+                                   run_mcmc, run_shift_demo, save_scan, scan_hyper,
+                                   simulate_data)
 from oracles import row_bank
 
 # the deliberately tiny bases used here for speed trip the small-basis
@@ -366,6 +367,16 @@ def test_simulate_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_derive_seed_refuses_no_parts_and_float_parts():
+    with pytest.raises(ValueError, match="at least one part"):
+        derive_seed()
+    with pytest.raises(TypeError, match="must be int or str, got float"):
+        derive_seed(3, 2.5)
+    # a numpy integer is the int it holds; a string is hashed, not read as a number
+    assert derive_seed(3, "x") == derive_seed(np.int64(3), "x") != derive_seed(3, "y")
+    assert derive_seed(3) != derive_seed("3")
+
+
 # ---------------------------------------------------------------------------
 # command-line pipelines
 
@@ -593,6 +604,37 @@ def test_sweep_refuses_a_malformed_complete_row(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+SWEEP_SECTION = "\n[sweep]\nsensors = 10\nfeatures = 5\nreplicates = 1\n"
+
+
+@pytest.mark.parametrize("text, needle", [
+    (ODE_TEXT, "missing [sweep] section"),
+    (_edit(ODE_TEXT, heldout_count=None) + SWEEP_SECTION, "needs 'heldout_count'"),
+], ids=["no-sweep-section", "no-heldout"])
+def test_sweep_refuses_a_config_it_cannot_score(tmp_path, capsys, text, needle):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_results_file_of_another_header(tmp_path, capsys):
+    # the file is left as it was: no row is cut, appended or summarized
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(ODE_TEXT + SWEEP_SECTION, encoding="utf-8")
+    out = tmp_path / "sweep_out"
+    out.mkdir()
+    foreign = b"index,z\n0,0.5\n1,0.2"
+    (out / "results.csv").write_bytes(foreign)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "does not start with the sweep results header" in capsys.readouterr().err
+    assert (out / "results.csv").read_bytes() == foreign
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv"]
+
+
 def test_mcmc_command_writes_chain_outputs(tmp_path, capsys):
     text = (_edit(ODE_TEXT, heldout_count=None).replace("count = 8", "count = 5")
             + "\n[mcmc]\nsteps = 4000\nburn_in = 500\nseed = 1\n")
@@ -627,6 +669,18 @@ def test_mcmc_command_warns_on_large_bases(tmp_path, capsys):
     assert "costly" in capsys.readouterr().err
 
 
+def test_mcmc_without_its_section_runs_the_default_chain(tmp_path, capsys):
+    # a bundle whose config has no [mcmc] samples with that section's defaults
+    bundle = _simulate(tmp_path, ODE_TEXT)
+    assert "[mcmc]" not in (bundle / "config.txt").read_text(encoding="utf-8")
+    out = tmp_path / "chain"
+    assert main(["mcmc", str(bundle), "--out", str(out)]) == 0
+    capsys.readouterr()
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert (diag["steps"], diag["burn_in"]) == (20000, 4000)
+    assert diag["proposal_scale"] > 0.0  # the default 0 asks for a tuned scale
+
+
 def test_scan_command_ranks_lattice(tmp_path, capsys):
     text = ODE_TEXT + ("\n[scan]\nlengthscale = 0.5,1.0,2\n"
                        "variance = 4.0,4.0,1\nsamples = 10\n")
@@ -642,6 +696,14 @@ def test_scan_command_ranks_lattice(tmp_path, capsys):
     assert nlls == sorted(nlls)
     best = json.loads((out / "best.json").read_text())
     assert best["nll"] == nlls[0]
+
+
+def test_scan_command_refuses_a_bundle_without_a_scan_section(tmp_path, capsys):
+    bundle = _simulate(tmp_path, ODE_TEXT)
+    out = tmp_path / "scan_out"
+    assert main(["scan-hyper", str(bundle), "--out", str(out)]) == 2
+    assert "missing [scan] section" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, system", [
@@ -890,6 +952,10 @@ def test_slice_argument_errors(tmp_path, capsys):
                  "--slice", "t=99"]) == 2
     assert "outside" in capsys.readouterr().err
     assert not (tmp_path / "o2").exists()
+    assert main(["infer", str(pde_bundle), "--out", str(tmp_path / "o2"),
+                 "--slice", "t=abc"]) == 2
+    assert "--slice value must be a number (got 'abc')" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1080,6 +1146,108 @@ def test_infer_refuses_a_bundle_written_with_the_removed_ml_route(tmp_path, caps
     assert main(["infer", str(bundle), "--out", str(out)]) == 2
     assert "maximum-likelihood route was removed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _unlisted(name):
+    def edit(bundle, manifest):
+        del manifest["files"][name]
+        return manifest
+    return edit
+
+
+def _without_key(key):
+    return lambda bundle, manifest: {k: v for k, v in manifest.items() if k != key}
+
+
+def _deleted(name):
+    def edit(bundle, manifest):
+        (bundle / name).unlink()
+        return manifest
+    return edit
+
+
+def _rewritten(name, listed):
+    """`name` loses its last row; with `listed` the manifest lists its new hash."""
+    def edit(bundle, manifest):
+        raw = (bundle / name).read_bytes()
+        cut = raw[:raw.rindex(b"\n", 0, len(raw) - 1) + 1]
+        (bundle / name).write_bytes(cut)
+        if listed:
+            manifest["files"][name] = hashlib.sha256(cut).hexdigest()
+        return manifest
+    return edit
+
+
+def _config_hash_changed(bundle, manifest):
+    manifest["config_sha256"] = "0" * 64
+    return manifest
+
+
+def _hash_a_number(bundle, manifest):
+    manifest["files"]["readings.csv"] = 5
+    return manifest
+
+
+def _heldout_gone(bundle, manifest):
+    (bundle / "heldout.csv").unlink()
+    del manifest["files"]["heldout.csv"]
+    return manifest
+
+
+_BROKEN_BUNDLES = {
+    "manifest-not-json": (lambda bundle, manifest: "{\"files\": ", "is not a bundle manifest"),
+    "manifest-a-list": (lambda bundle, manifest: [manifest], "is not a bundle manifest"),
+    "no-files": (_without_key("files"), "is not a bundle manifest (KeyError('files'))"),
+    "files-a-list": (lambda bundle, manifest: dict(manifest, files=list(manifest["files"])),
+                     "is not a bundle manifest"),
+    "hash-a-number": (_hash_a_number,
+                      "bundle file readings.csv does not match its manifest hash (expected 5..."),
+    "no-config-hash": (_without_key("config_sha256"),
+                       "is not a bundle manifest (KeyError('config_sha256'))"),
+    "file-missing": (_deleted("truth_forcing.fld"), "bundle file truth_forcing.fld is missing"),
+    "file-changed": (_rewritten("readings.csv", listed=False),
+                     "bundle file readings.csv does not match its manifest hash"),
+    "config-unlisted": (_unlisted("config.txt"), "does not list config.txt"),
+    "readings-unlisted": (_unlisted("readings.csv"), "does not list readings.csv"),
+    "truth-unlisted": (_unlisted("truth_forcing.fld"), "does not list truth_forcing.fld"),
+    "config-hash": (_config_hash_changed, "bundle config does not match its manifest hash"),
+    "readings-rows": (_rewritten("readings.csv", listed=True),
+                      "readings.csv has 19 rows but the config builds 20 windows"),
+    "heldout-missing": (_heldout_gone, "does not list heldout.csv"),
+    "heldout-rows": (_rewritten("heldout.csv", listed=True),
+                     "heldout.csv row count does not match the config"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_BUNDLES))
+def test_commands_refuse_a_broken_bundle_and_write_nothing(tmp_path, capsys, case):
+    # every refusal of load_bundle exits 2 in each command that reads a
+    # bundle, before its output directory is made
+    edit, needle = _BROKEN_BUNDLES[case]
+    bundle = _simulate(tmp_path, ODE_TEXT + MCMC_SECTION + SCAN_2X3)
+    manifest = edit(bundle, json.loads((bundle / "manifest.json").read_text(encoding="utf-8")))
+    text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+    (bundle / "manifest.json").write_text(text, encoding="utf-8")
+    for command in ("infer", "mcmc", "scan-hyper"):
+        out = tmp_path / command
+        assert main([command, str(bundle), "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err, (command, err)
+        assert not out.exists(), command
+
+
+def test_bundle_manifest_holds_no_truth_weights_and_old_ones_still_load(tmp_path):
+    # a forward-synth manifest once carried the truth's 1000 weights; nothing
+    # read them, and a bundle that still carries them infers as one without
+    bundle = _simulate(tmp_path, ODE_TEXT)
+    manifest = json.loads((bundle / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest) == {"config_sha256", "files", "kind", "qstar", "seeds", "synth"}
+    assert main(["infer", str(bundle), "--out", str(tmp_path / "new")]) == 0
+    manifest["truth_weights"] = np.random.default_rng(0).standard_normal(1000).tolist()
+    (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["infer", str(bundle), "--out", str(tmp_path / "old")]) == 0
+    for name in ("weights.csv", "posterior_root.npy", "metrics.json", "manifest.json"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
 
 def test_exit_code_overflowing_design_matrix(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -8,15 +9,14 @@ from adjointgp import (
     Field,
     Grid,
     GridMismatchError,
-    dirac_window,
     field_from_binary,
     field_to_binary,
     inner_product,
     norm,
     window_indicator,
 )
-from adjointgp.fields import bank_rows
-from oracles import dense_field
+from adjointgp.fields import bank_rows, window_boxes
+from oracles import cell_box, dense_field
 
 
 def test_grid_regular_layout():
@@ -152,24 +152,79 @@ def test_norm_matches_manual():
     np.testing.assert_allclose(norm(f), np.sqrt(25.0 * 0.25), rtol=1e-12)
 
 
-def test_dirac_window_selects_single_cell():
+def test_point_window_selects_single_cell():
     grid = Grid.regular(((0.0, 1.0),), (10,))
-    w = dirac_window(grid, [0.23])
+    w = window_indicator(grid, [0.23], [0.23])
     values = dense_field(w).values_flat
     covered = np.nonzero(values)[0]
     np.testing.assert_array_equal(covered, [2])
     np.testing.assert_allclose(values[2], 10.0, rtol=1e-12)
 
 
-def test_dirac_window_closed_upper_edge():
+def test_point_window_closed_upper_edge():
     # the domain's top boundary belongs to the last cell
     grid = Grid.regular(((0.0, 1.0),), (10,))
-    w = dirac_window(grid, [1.0])
+    w = window_indicator(grid, [1.0], [1.0])
     assert np.nonzero(dense_field(w).values_flat)[0].tolist() == [9]
     with pytest.raises(DomainError):
-        dirac_window(grid, [1.0000001])
+        window_indicator(grid, [1.0000001], [1.0000001])
     with pytest.raises(DomainError):
-        dirac_window(grid, [-0.1])
+        window_indicator(grid, [-0.1], [-0.1])
+
+
+def _mixed_bounds(grid, rng):
+    """One axis of a random box: a point inside, on a cell edge, just past
+    an end, or NaN; a span, whole, random or narrower than a cell."""
+    lo, hi = [], []
+    for k in range(grid.ndim):
+        a, b = grid.bounds(k)
+        edges = a + grid.spacing[k] * np.arange(grid.dims[k] + 1)
+        points = [rng.uniform(a, b), rng.choice(edges), np.nextafter(b, np.inf),
+                  np.nextafter(a, -np.inf), np.nan]
+        spans = [(a, b), tuple(np.sort(rng.uniform(a - 0.2, b + 0.2, 2))),
+                 (edges[1] + 0.1 * grid.spacing[k], edges[1] + 0.3 * grid.spacing[k])]
+        pick = rng.integers(8)
+        x, y = (points[pick],) * 2 if pick < 5 else spans[pick - 5]
+        lo.append(float(x))
+        hi.append(float(y))
+    return lo, hi
+
+
+def test_boxes_mixing_point_and_span_axes_match_the_axis_by_axis_oracle():
+    grid = Grid.regular(((0.0, 3.0), (-2.0, 1.0), (0.5, 1.7)), (9, 11, 3))
+    rng = np.random.default_rng(35)
+    boxes = [_mixed_bounds(grid, rng) for _ in range(1500)]
+    good, refused = [], 0
+    for lo, hi in boxes:
+        try:
+            expected = cell_box(grid, lo, hi)
+        except DomainError as exc:
+            refused += 1
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                window_indicator(grid, lo, hi)
+            continue
+        assert window_indicator(grid, lo, hi) == expected, (lo, hi)
+        good.append((lo, hi, expected))
+    assert len(good) > 100 and refused > 100
+    # cut all at once they are the same windows
+    lows, highs, expected = zip(*good)
+    assert window_boxes(grid, lows, highs) == list(expected)
+    # with one refused box among them the batch raises as that box does
+    lo, hi = [0.4, np.nan, 1.0], [0.4, np.nan, 1.0]
+    with pytest.raises(DomainError, match="^point coordinate nan outside axis 1$"):
+        window_boxes(grid, lows[:7] + (lo,) + lows[7:], highs[:7] + (hi,) + highs[7:])
+
+
+def test_reversed_and_narrow_boxes_are_refused():
+    grid = Grid.regular(((0.0, 1.0), (0.0, 2.0)), (10, 4))
+    # lo > hi on any axis, also beside a point axis or against a NaN
+    for lo, hi in (((0.5, 1.0), (0.4, 1.5)), ((0.5, 1.0), (0.5, 0.9)),
+                   ((np.nan, 1.0), (0.4, 1.5)), ((0.2, 1.0), (np.nan, 1.5))):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            window_indicator(grid, lo, hi)
+    # a span narrower than a cell that holds no center
+    with pytest.raises(DomainError, match=r"^window \[0.36, 0.39\) contains no cell centers on axis 0$"):
+        window_indicator(grid, (0.36, 0.5), (0.39, 0.5))
 
 
 def test_binary_round_trip_bit_exact(tmp_path):

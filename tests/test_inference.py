@@ -30,7 +30,6 @@ from adjointgp import (
     predictive_nll,
     run_pipeline,
     Window,
-    sensor_field,
     window_indicator,
 )
 from adjointgp.config import parse_config
@@ -259,7 +258,7 @@ def test_live_cells_project_like_the_dense_basis():
     # after the last window ends are skipped
     grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (20, 12, 12))
     system = PdeSystem(PdeParams((0.4, 0.4), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), grid)
-    windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 3.0 + 2.0 * k)
+    windows = [window_indicator(grid, (1.0, 2.0, 3.0), (3.0 + 2.0 * k, 4.0, 5.0))
                for k in range(3)] + [Field.zeros(grid)]
     bank = system.adjoint_march(windows).kept()
     assert bank.live.tolist() == [6, 10, 14, 0]
@@ -287,8 +286,9 @@ def test_stacked_pieces_project_bit_for_bit_as_one_piece_per_product(monkeypatch
     grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (40, 30, 30))
     system = PdeSystem(PdeParams((0.4, 0.4), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), grid)
     boxes = [(1.0 + 2.5 * (b % 3), 1.0 + 2.5 * (b // 3)) for b in range(9)]
-    windows = [sensor_field(grid, (y, x), (y + 1.5, x + 1.5), 1.0 + 0.5 * b,
-                            10.0 if b < 6 else 4.0 + 0.6 * b) for b, (y, x) in enumerate(boxes)]
+    windows = [window_indicator(grid, (1.0 + 0.5 * b, y, x),
+                                (10.0 if b < 6 else 4.0 + 0.6 * b, y + 1.5, x + 1.5))
+               for b, (y, x) in enumerate(boxes)]
     pde = system.adjoint_march(windows).kept()
     assert sorted({v.shape[1] for _, v in pde.slabs()}) == [6, 7, 8, 9]
     line = Grid.regular(((0.0, 10.0),), (2000,))
@@ -311,8 +311,8 @@ def test_reads_of_one_piece_by_many_functionals_match_the_dense_basis():
     # overlap: several functionals read one piece of one base, each once
     grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (20, 12, 12))
     system = PdeSystem(PdeParams((0.4, 0.4), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), grid)
-    windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 6.0)] * 2 + [
-        sensor_field(grid, (6.0, 6.0), (8.0, 8.0), t0, t1) for t0, t1 in ((1.0, 7.0), (4.0, 9.0))]
+    windows = [window_indicator(grid, (1.0, 2.0, 3.0), (6.0, 4.0, 5.0))] * 2 + [
+        window_indicator(grid, (t0, 6.0, 6.0), (t1, 8.0, 8.0)) for t0, t1 in ((1.0, 7.0), (4.0, 9.0))]
     bank = system.adjoint_march(windows).kept()
     assert bank.base.tolist() == [0, 0, 3, 3]
     basis = FeatureBasis.sample(30, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=11)
@@ -367,14 +367,15 @@ def _march_systems():
     pde = PdeSystem(PdeParams((0.4, -0.3), 0.01, ((0.0, 10.0), (0.0, 10.0)), 10.0), pde_grid)
     early = random_smooth_field(pde_grid, seed=20).values.copy()
     early[9:] = 0.0
-    pde_functionals = [sensor_field(pde_grid, (2.0 + k, 3.0), (4.0 + k, 5.0), 1.0, t_hi)
+    pde_functionals = [window_indicator(pde_grid, (1.0, 2.0 + k, 3.0), (t_hi, 4.0 + k, 5.0))
                        for k, t_hi in enumerate((3.0, 5.5, 8.0, 10.0))]
     pde_functionals[1:1] = [random_smooth_field(pde_grid, seed=21), Field(pde_grid, early)]
     boxes = [((2.0, 3.0), (4.0, 5.0)), ((6.0, 1.0), (8.0, 2.5))]
-    copies = [sensor_field(pde_grid, lo, hi, t_hi - width, t_hi)
+    copies = [window_indicator(pde_grid, (t_hi - width, *lo), (t_hi, *hi))
               for width, ends in ((2.0, (3.0, 10.0, 5.5)), (7.0, (7.0, 10.0, 9.5)))
               for t_hi in ends for lo, hi in boxes]
-    copies += [sensor_field(pde_grid, *boxes[1], 6.0, 8.0), sensor_field(pde_grid, *boxes[0], 1.0, 3.0)]
+    copies += [window_indicator(pde_grid, (6.0, *boxes[1][0]), (8.0, *boxes[1][1])),
+               window_indicator(pde_grid, (1.0, *boxes[0][0]), (3.0, *boxes[0][1]))]
     line = _grid(300)
     windows = [window_indicator(line, [lo], [hi]) for lo, hi in
                ((0.5, 2.0), (1.0, 6.0), (4.0, 10.0), (8.0, 9.0), (0.0, 0.5))]
@@ -857,7 +858,7 @@ def _pde_case():
     params = PdeParams(velocity=(0.4, 0.4), diffusivity=0.01, bounds=bounds, T=10.0)
     boxes = [((1.0, 1.0), (4.0, 4.0)), ((6.0, 1.0), (9.0, 4.0)),
              ((1.0, 6.0), (4.0, 9.0)), ((6.0, 6.0), (9.0, 9.0))]
-    windows = [sensor_field(grid, lo, hi, t_lo, t_lo + 5.0)
+    windows = [window_indicator(grid, (t_lo, *lo), (t_lo + 5.0, *hi))
                for lo, hi in boxes for t_lo in (0.0, 5.0)]
     return (PdeSystem(params, grid), FeatureBasis.sample(8, 3, KERNEL, seed=28),
             windows[::2], windows[1::2])

@@ -9,7 +9,6 @@ from adjointgp import (
     OdeSystem,
     SolverError,
     StabilityWarning,
-    dirac_window,
     euler_stability_limit,
     inner_product,
     norm,
@@ -225,8 +224,8 @@ def _shifted_banks(grid):
         "tiles": ([window_indicator(grid, [k * 20 * dt], [(k + 1) * 20 * dt]) for k in range(20)]
                   + [window_indicator(grid, [k * 80 * dt], [(k + 1) * 80 * dt])
                      for k in range(5)]),
-        "points": ([dirac_window(grid, [t]) for t in np.linspace(1.0, 9.0, 12)]
-                   + [dirac_window(grid, [t]) for t in (0.0, 0.7, 2.5, 7.25, 9.99, 10.0)]),
+        "points": [window_indicator(grid, [t], [t]) for t in
+                   [*np.linspace(1.0, 9.0, 12), 0.0, 0.7, 2.5, 7.25, 9.99, 10.0]],
         "edges": [window_indicator(grid, [0.0], [3 * dt]), window_indicator(grid, [0.0], [dt]),
                   window_indicator(grid, [10.0 - 3 * dt], [10.0]),
                   window_indicator(grid, [10.0 - dt], [10.0]),

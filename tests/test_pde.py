@@ -16,11 +16,12 @@ from adjointgp import (
     assemble_phi,
     inner_product,
     norm,
+    window_indicator,
 )
 from adjointgp import pde
 from adjointgp.config import parse_config
 from adjointgp.experiments import build_heldout, build_windows, make_grid, make_system
-from adjointgp.pde import PdeParams, PdeSystem, cfl_limit, sensor_field
+from adjointgp.pde import PdeParams, PdeSystem, cfl_limit
 from oracles import (
     assert_live_is_tight,
     dense_field,
@@ -188,9 +189,9 @@ def test_bilinear_identity_against_fd_oracle():
     assert stats[20] / stats[40] > 1.74  # ~2^0.8
 
 
-def test_sensor_field_normalization():
+def test_sensor_window_normalization():
     grid = _grid(40, 16, 16)
-    w = sensor_field(grid, (2.0, 2.0), (4.0, 4.0), 1.0, 3.0)
+    w = window_indicator(grid, (1.0, 2.0, 2.0), (3.0, 4.0, 4.0))
     ones = Field.full(grid, 1.0)
     np.testing.assert_allclose(inner_product(w, ones), 1.0, rtol=1e-12)
     # support stays inside the requested box
@@ -214,7 +215,7 @@ def test_bank_equals_single_solves_and_keeps_the_identity():
     params = _params(vy=0.4, vx=-0.3)
     system = PdeSystem(params, grid)
     windows = ([random_smooth_field(grid, seed=820 + k) for k in range(2)]
-               + [sensor_field(grid, (2.0 + k, 3.0), (4.0 + k, 5.0), 2.0 * k, 2.0 * k + 3.0)
+               + [window_indicator(grid, (2.0 * k, 2.0 + k, 3.0), (2.0 * k + 3.0, 4.0 + k, 5.0))
                   for k in range(3)])
     bank = system.adjoint_march(windows).kept()
     assert bank.grid == grid and bank.rows.shape == (len(windows), grid.num_cells)
@@ -247,7 +248,7 @@ def test_bank_names_the_caller_of_a_blow_up_that_joins_the_march_late():
     system = PdeSystem(_params(), grid)
     values = np.zeros(grid.shape)
     values[:8] = 1.7e308
-    functionals = [Field(grid, values), sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 10.0)]
+    functionals = [Field(grid, values), window_indicator(grid, (1.0, 2.0, 3.0), (10.0, 4.0, 5.0))]
     assert system.adjoint_march(functionals).order.tolist() == [1, 0]
     message = r"adjoint solve .* at step \d+ \(right-hand side 0\)$"
     with pytest.raises(SolverError, match=message) as kept:
@@ -278,7 +279,7 @@ def test_step_operator_matches_hand_written_stencils(velocity):
     ref = pde_forward_stencil(params, f).values
     np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     windows = [random_smooth_field(grid, seed=860 + k) for k in range(2)]
-    windows.append(sensor_field(grid, (1.0, 2.0), (4.0, 7.0), 3.0, 6.0))
+    windows.append(window_indicator(grid, (3.0, 1.0, 2.0), (6.0, 4.0, 7.0)))
     rows = system.adjoint_march(windows).rows
     ref = pde_adjoint_flux_bank(params, windows)
     np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -307,7 +308,7 @@ def test_forward_overflow_raises_without_a_warning():
 
 def test_bank_live_cells_are_tight():
     grid = _grid(20, 12, 12)
-    windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 3.0 + 2.0 * k) for k in range(3)]
+    windows = [window_indicator(grid, (1.0, 2.0, 3.0), (3.0 + 2.0 * k, 4.0, 5.0)) for k in range(3)]
     bank = PdeSystem(_params(), grid).adjoint_march(windows + [Field.zeros(grid)]).kept()
     assert_live_is_tight(bank)
     # a window ending at t_hi covers time cells up to t_hi / dt
@@ -319,7 +320,7 @@ def test_bank_counts_stay_put_when_the_bank_is_read_again():
     # marches: projected, then read as rows; the three windows share a box,
     # so one impulse is marched, from the last cell any of them covers
     grid = _grid(20, 12, 12)
-    windows = [sensor_field(grid, (2.0, 3.0), (4.0, 5.0), 1.0, 3.0 + 2.0 * k) for k in range(3)]
+    windows = [window_indicator(grid, (1.0, 2.0, 3.0), (3.0 + 2.0 * k, 4.0, 5.0)) for k in range(3)]
     bank = PdeSystem(_params(), grid).adjoint_march(windows)
     basis = FeatureBasis.sample(5, 3, KernelParams(lengthscale=2.0, variance=1.0), seed=3)
     assemble_phi(bank, basis)

@@ -1,7 +1,8 @@
 """Observation windows are boxes: banks and readings built from the boxes
 equal those of the same windows rendered as dense fields, and building a
 config's windows holds no grid-sized array and cuts each box as
-window_indicator would."""
+window_indicator would, a point sensor's cell as the `cell_box` oracle
+finds it."""
 
 import re
 import tracemalloc
@@ -21,14 +22,12 @@ from adjointgp import (
     ShiftParams,
     ShiftSystem,
     Window,
-    dirac_window,
     inner_product,
-    sensor_field,
     window_indicator,
 )
 from adjointgp.config import parse_config
 from adjointgp.experiments import build_heldout, build_windows, make_grid
-from oracles import dense_field, random_smooth_field
+from oracles import cell_box, dense_field, random_smooth_field
 
 PDE_BOUNDS = ((0.0, 10.0), (0.0, 10.0))
 
@@ -54,15 +53,15 @@ SYSTEMS = {"ode": _ode, "pde": _pde, "shift+": _shift(1.2), "shift-": _shift(-2.
 def _windows(grid):
     """Boxes over the whole time axis, touching either end, and single cells."""
     if grid.ndim == 3:
-        return [sensor_field(grid, (2.0 + k, 3.0), (4.0 + k, 5.0), 2.5 * k, 2.5 * k + 3.0)
+        return [window_indicator(grid, (2.5 * k, 2.0 + k, 3.0), (2.5 * k + 3.0, 4.0 + k, 5.0))
                 for k in range(3)] + [
-            sensor_field(grid, (0.0, 0.0), (10.0, 10.0), 0.0, 10.0),
-            sensor_field(grid, (8.0, 0.0), (10.0, 2.0), 9.0, 10.0),
-            dirac_window(grid, (10.0, 0.0, 5.0)),
+            window_indicator(grid, (0.0, 0.0, 0.0), (10.0, 10.0, 10.0)),
+            window_indicator(grid, (9.0, 8.0, 0.0), (10.0, 10.0, 2.0)),
+            window_indicator(grid, (10.0, 0.0, 5.0), (10.0, 0.0, 5.0)),
         ]
     return [window_indicator(grid, [lo], [hi])
-            for lo, hi in ((0.0, 2.0), (1.0, 3.5), (4.0, 10.0), (0.0, 10.0), (9.9, 10.0))] + [
-        dirac_window(grid, [0.0]), dirac_window(grid, [5.01])]
+            for lo, hi in ((0.0, 2.0), (1.0, 3.5), (4.0, 10.0), (0.0, 10.0), (9.9, 10.0),
+                           (0.0, 0.0), (5.01, 5.01))]
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -168,7 +167,7 @@ def test_windows_of_a_config_hold_no_grid_sized_array():
 
 def _windows_one_at_a_time(config, grid, count):
     """The windows of a tile or grid rule, each cut by its own
-    window_indicator call (sensor_field for a grid sensor)."""
+    window_indicator call; a point sensor's cell is the oracle's."""
     sensors = config["sensors"]
     t_start, t_end = sensors["t_start"], sensors["t_end"]
     if sensors["rule"] == "tile":
@@ -185,11 +184,12 @@ def _windows_one_at_a_time(config, grid, count):
             if size > 0.0:
                 lo, hi = (y - 0.5 * size, x - 0.5 * size), (y + 0.5 * size, x + 0.5 * size)
             else:  # the cell holding the sensor's center
-                cell = dirac_window(grid, (0.0, y, x)).box
+                cell = cell_box(grid, (0.0, y, x), (0.0, y, x)).box
                 c = [grid.axis_centers(k)[cell[k].start] for k in (1, 2)]
                 lo = (c[0] - 0.5 * grid.spacing[1], c[1] - 0.5 * grid.spacing[2])
                 hi = (c[0] + 0.5 * grid.spacing[1], c[1] + 0.5 * grid.spacing[2])
-            windows += [sensor_field(grid, lo, hi, a, b) for a, b in zip(edges[:-1], edges[1:])]
+            windows += [window_indicator(grid, (a, *lo), (b, *hi))
+                        for a, b in zip(edges[:-1], edges[1:])]
     return windows
 
 
@@ -236,6 +236,20 @@ def test_rule_windows_equal_windows_cut_one_at_a_time(text):
         count = config["sensors"]["heldout_count" if stagger else "count"]
         assert windows == _windows_one_at_a_time(config, grid, count)
         assert len(specs) == len(windows)
+
+
+@pytest.mark.parametrize("sensors", [
+    "rule = span\ncount = 9\nheldout_count = 4",
+    "rule = span\ncount = 1\nt_start = 0.3\nt_end = 9.1",
+    "rule = list\ntimes = 0.0, 0.005, 2.5, 7.25, 9.999, 10.0",
+], ids=["span", "span-one", "list"])
+def test_point_rule_windows_are_the_cells_holding_their_times(sensors):
+    config = parse_config(ODE_TILE.replace("rule = tile\ncount = 100\nheldout_count = 20", sensors))
+    grid = make_grid(config)
+    for build in (build_windows, build_heldout):
+        windows, specs = build(config, grid)
+        assert windows == [cell_box(grid, spec.lo, spec.hi) for spec in specs]
+        assert all(spec.label == "point" and spec.lo == spec.hi for spec in specs)
 
 
 def test_rule_windows_raise_as_the_first_empty_window_does():
