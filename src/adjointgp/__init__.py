@@ -70,6 +70,7 @@ from .experiments import (
     SimulatedData,
     InferenceOutcome,
     McmcOutcome,
+    ScanOutcome,
     build_heldout,
     build_windows,
     derive_seed,

@@ -150,9 +150,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_scan(args) -> int:
     data = load_bundle(args.bundle)
-    results = scan_hyper(data)
-    out = save_scan(results, args.out)
-    best_theta, best_nll = results[0]
+    outcome = scan_hyper(data)
+    out = save_scan(outcome, args.out)
+    best_theta, best_nll = outcome.results[0]
     print(f"best lengthscale={best_theta['lengthscale']:.6g} "
           f"variance={best_theta['variance']:.6g} nll={best_nll:.6g}")
     print(f"outputs -> {out}")

@@ -3,12 +3,13 @@
 This module owns the reproducibility contract.  Every random draw flows from
 the three seeds in the [seeds] config section through `derive_seed`, which
 mixes integers and context strings through numpy's SeedSequence, so rerunning
-any command with the same config reproduces every byte of its output.  Data
-bundles are directories with a canonical config, truth fields in the binary
-field format, readings as CSV, and a manifest of content hashes (and the
-config's seeds); loading a bundle re-verifies the hashes.  Every CSV row is
-Python scalars joined by one formatter, so a float is written as its repr,
-the shortest text that reads back to the same bits.
+any command with the same config reproduces every byte of its output.  Each
+command's run keeps one `Clock` and writes its directory through one writer,
+which ends with a manifest of content hashes; a data bundle holds a
+canonical config, truth fields in the binary field format and readings as
+CSV, and loading it re-verifies the hashes.  Every CSV row is Python scalars
+joined by one formatter, so a float is written as its repr, the shortest
+text that reads back to the same bits.
 
 Observation synthesis has two modes.  `synth = forward` (the default) draws
 the truth forcing from a dense feature basis, runs the forward solver, and
@@ -27,9 +28,8 @@ import io
 import json
 import math
 import resource
-import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ from .fields import (
 )
 from .inference import (
     SIGMA_MIN,
+    Clock,
     ObservationSet,
     PipelineResult,
     assemble_phi,
@@ -90,6 +91,7 @@ __all__ = [
     "run_mcmc",
     "save_mcmc",
     "run_sweep",
+    "ScanOutcome",
     "scan_hyper",
     "shift_demo_config",
     "run_shift_demo",
@@ -270,6 +272,8 @@ class SimulatedData:
     truth_forcing: Field
     truth_solution: Field | None
     qstar: np.ndarray | None
+    # simulate's stage seconds; a loaded bundle's clock records nothing
+    timings: Clock = field(default_factory=Clock, compare=False, repr=False)
 
     @property
     def sigma(self) -> float:
@@ -293,39 +297,44 @@ def _read_windows(windows, solution: Field) -> np.ndarray:
     return np.array([inner_product(w, solution) for w in windows])
 
 
+def _truth_weights(config: Config) -> np.ndarray | None:
+    """The truth weights of a linear-synth config, [features] count normals
+    from the data seed; None under forward synthesis."""
+    if config["inference"]["synth"] != "linear":
+        return None
+    rng = np.random.default_rng(derive_seed(config["seeds"]["data"], "qstar"))
+    return rng.standard_normal(config["features"]["count"])
+
+
 def simulate_data(config: Config) -> SimulatedData:
-    grid, system, kernel, windows, specs, heldout_windows, heldout_specs = _setup(config)
-    seeds = config["seeds"]
-    sigma = config["noise"]["sigma"]
-
-    if config["inference"]["synth"] == "linear":
-        basis = _inference_basis(config, grid, kernel)
-        rng = np.random.default_rng(derive_seed(seeds["data"], "qstar"))
-        qstar = rng.standard_normal(basis.size)
-        # training and held-out windows are solved as one bank and projected together
-        phi = assemble_phi(system.adjoint_march(windows + heldout_windows), basis)
-        clean = phi[:len(windows)] @ qstar
-        heldout_clean = phi[len(windows):] @ qstar
-        truth_forcing = forcing_from_weights(basis, qstar, grid)
-        truth_solution = None
-    else:
-        truth_basis = FeatureBasis.sample(
-            config["features"]["truth_count"], grid.ndim, kernel,
-            derive_seed(seeds["data"], "truth-basis"),
-        )
-        _, truth_forcing = sample_prior_forcing(
-            truth_basis, grid, derive_seed(seeds["data"], "truth-weights"))
-        truth_solution = system.forward(truth_forcing)
-        clean = _read_windows(windows, truth_solution)
-        heldout_clean = (_read_windows(heldout_windows, truth_solution)
-                         if heldout_windows else np.zeros(0))
-        qstar = None
-
-    # noise is drawn even at sigma = 0 so the stream layout never depends on it
-    train_rng = np.random.default_rng(derive_seed(seeds["noise"], "train"))
-    z = clean + sigma * train_rng.standard_normal(clean.size)
-    heldout_rng = np.random.default_rng(derive_seed(seeds["noise"], "heldout"))
-    heldout_z = heldout_clean + sigma * heldout_rng.standard_normal(heldout_clean.size)
+    clock, seeds, sigma = Clock(), config["seeds"], config["noise"]["sigma"]
+    with clock.stage("setup"):
+        grid, system, kernel, windows, specs, heldout_windows, heldout_specs = _setup(config)
+    qstar = _truth_weights(config)
+    with clock.stage("truth_draw"):
+        if qstar is not None:
+            basis = _inference_basis(config, grid, kernel)
+            truth_forcing = forcing_from_weights(basis, qstar, grid)
+        else:
+            truth_basis = FeatureBasis.sample(config["features"]["truth_count"], grid.ndim,
+                                              kernel, derive_seed(seeds["data"], "truth-basis"))
+            _, truth_forcing = sample_prior_forcing(
+                truth_basis, grid, derive_seed(seeds["data"], "truth-weights"))
+    with clock.stage("readings"):
+        if qstar is not None:
+            # training and held-out windows are solved as one bank and projected together
+            phi = assemble_phi(system.adjoint_march(windows + heldout_windows), basis)
+            clean, heldout_clean = phi[:len(windows)] @ qstar, phi[len(windows):] @ qstar
+            truth_solution = None
+        else:
+            truth_solution = system.forward(truth_forcing)
+            clean = _read_windows(windows, truth_solution)
+            heldout_clean = _read_windows(heldout_windows, truth_solution)
+        # noise is drawn even at sigma = 0 so the stream layout never depends on it
+        train_rng = np.random.default_rng(derive_seed(seeds["noise"], "train"))
+        z = clean + sigma * train_rng.standard_normal(clean.size)
+        heldout_rng = np.random.default_rng(derive_seed(seeds["noise"], "heldout"))
+        heldout_z = heldout_clean + sigma * heldout_rng.standard_normal(heldout_clean.size)
 
     return SimulatedData(
         config=config, grid=grid, system=system, kernel=kernel,
@@ -333,6 +342,7 @@ def simulate_data(config: Config) -> SimulatedData:
         heldout_windows=heldout_windows, heldout_specs=heldout_specs,
         heldout_z=heldout_z,
         truth_forcing=truth_forcing, truth_solution=truth_solution, qstar=qstar,
+        timings=clock,
     )
 
 
@@ -340,16 +350,12 @@ def simulate_data(config: Config) -> SimulatedData:
 # bundle files
 
 
-def _axis_names(ndim: int):
-    return ("t",) if ndim == 1 else ("t", "y", "x")
-
-
 def _csv_line(row) -> str:
     """One CSV line of Python scalars (`str` of a float is its repr)."""
     return ",".join(map(str, row)) + "\n"
 
 
-def _write_csv(path: Path, header, rows) -> str:
+def _write_csv(header, rows, path: Path) -> str:
     return write_hashed(path, [_csv_line(header), *map(_csv_line, rows)])
 
 
@@ -358,55 +364,65 @@ def _readings_rows(specs, z):
             for i, (spec, value) in enumerate(zip(specs, z))]
 
 
-def _readings_header(ndim: int):
-    names = _axis_names(ndim)
-    return (["index", "label"] + [f"lo_{n}" for n in names]
-            + [f"hi_{n}" for n in names] + ["z"])
-
-
-def _write_json(path: Path, payload) -> str:
+def _write_json(payload, path: Path) -> str:
     return write_hashed(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
-def _write_manifest(out: Path, files: dict, **fields) -> None:
-    """manifest.json: `fields` plus `files`, the {name: SHA-256} of the
-    results in `out` as their writers returned them."""
-    _write_json(out / "manifest.json", dict(fields, files=files))
+def _write_chunk(chunk, path: Path) -> str:
+    return write_hashed(path, [chunk])
 
 
-def _solver_numerics(system) -> dict:
-    """The system's step margin, dt over its stability limit; a shift has none."""
-    return {"step_margin": system.step_margin} if hasattr(system, "step_margin") else {}
+def _write_npy(array, path: Path) -> str:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, version=(1, 0))
+    return write_hashed(path, [buffer.getvalue()])
+
+
+class _RunWriter:
+    """The one writer of a command's output directory.  Opening it removes
+    an earlier run's manifest before any file is written, so a directory
+    without manifest.json is an unfinished run.  `write` writes a result by
+    writer(*args, path), through write_hashed, timed into `stage`.  `close`
+    writes timings.json (the clock, `total`, `peak_rss_mb`) and, given
+    `system`, numerics.json (`numerics`, and the solver's step margin if it
+    has one), both kept out of the manifest, and then the manifest."""
+
+    def __init__(self, out_dir, clock: Clock):
+        self.path, self.clock, self.files = Path(out_dir), clock, {}
+        with clock.stage("write"):
+            self.path.mkdir(parents=True, exist_ok=True)
+            (self.path / "manifest.json").unlink(missing_ok=True)
+
+    def write(self, name: str, writer, *args, stage: str = "write") -> None:
+        with self.clock.stage(stage):
+            self.files[name] = writer(*args, self.path / name)
+
+    def close(self, system=None, numerics=(), **fields) -> Path:
+        _write_json(dict(self.clock, total=self.clock.elapsed(), peak_rss_mb=resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024), self.path / "timings.json")  # KiB to MiB
+        if system is not None:
+            margin = {"step_margin": system.step_margin} if hasattr(system, "step_margin") else {}
+            _write_json(dict(numerics, **margin), self.path / "numerics.json")
+        _write_json(dict(fields, files=self.files), self.path / "manifest.json")
+        return self.path
 
 
 def save_bundle(data: SimulatedData, out_dir) -> Path:
     """Write the simulated dataset as a self-describing directory."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = _readings_header(data.grid.ndim)
-
-    files = {
-        "config.txt": write_hashed(out / "config.txt", [canonical_text(data.config)]),
-        "truth_forcing.fld": field_to_binary(data.truth_forcing, out / "truth_forcing.fld"),
-        "readings.csv": _write_csv(out / "readings.csv", header,
-                                   _readings_rows(data.window_specs, data.z)),
-    }
+    out = _RunWriter(out_dir, data.timings)
+    axes = ("t",) if data.grid.ndim == 1 else ("t", "y", "x")
+    header = ["index", "label", *(f"lo_{n}" for n in axes), *(f"hi_{n}" for n in axes), "z"]
+    out.write("config.txt", _write_chunk, canonical_text(data.config))
+    out.write("truth_forcing.fld", field_to_binary, data.truth_forcing)
+    out.write("readings.csv", _write_csv, header, _readings_rows(data.window_specs, data.z))
     if data.truth_solution is not None:
-        files["truth_solution.fld"] = field_to_binary(data.truth_solution,
-                                                      out / "truth_solution.fld")
+        out.write("truth_solution.fld", field_to_binary, data.truth_solution)
     if data.heldout_windows:
-        files["heldout.csv"] = _write_csv(out / "heldout.csv", header,
-                                          _readings_rows(data.heldout_specs, data.heldout_z))
-    _write_json(out / "numerics.json", _solver_numerics(data.system))  # outside the manifest
-    _write_manifest(
-        out, files,
-        kind=data.config.kind,
-        config_sha256=config_hash(data.config),
-        seeds=data.config["seeds"],
-        synth=data.config["inference"]["synth"],
-        qstar=None if data.qstar is None else data.qstar.tolist(),
-    )
-    return out
+        out.write("heldout.csv", _write_csv, header,
+                  _readings_rows(data.heldout_specs, data.heldout_z))
+    return out.close(system=data.system, kind=data.config.kind,
+                     config_sha256=config_hash(data.config), seeds=data.config["seeds"],
+                     synth=data.config["inference"]["synth"])
 
 
 def _read_z_column(raw: bytes) -> np.ndarray:
@@ -464,14 +480,15 @@ def load_bundle(bundle_dir) -> SimulatedData:
     truth_solution = raw.get("truth_solution.fld")
     truth_solution = None if truth_solution is None else field_from_binary(truth_solution)
 
-    qstar = manifest.get("qstar")
+    # the truth weights are redrawn from the hashed config: a manifest's
+    # `qstar`, which older bundles carry, is never read
     return SimulatedData(
         config=config, grid=grid, system=system, kernel=kernel,
         windows=windows, window_specs=specs, z=z,
         heldout_windows=heldout_windows, heldout_specs=heldout_specs,
         heldout_z=heldout_z,
         truth_forcing=truth_forcing, truth_solution=truth_solution,
-        qstar=None if qstar is None else np.array(qstar),
+        qstar=_truth_weights(config),
     )
 
 
@@ -487,7 +504,7 @@ class InferenceOutcome:
     forcing_var: Field
     metrics: dict
     # pipeline stage, push-back and held-out scoring seconds, bank counts
-    timings: dict
+    timings: Clock
 
     @property
     def posterior(self):
@@ -498,19 +515,14 @@ class InferenceOutcome:
         return self.pipeline.phi
 
 
-def _forcing_mse(estimate: Field, truth: Field) -> float:
-    return float(np.mean((estimate.values_flat - truth.values_flat) ** 2))
-
-
 def run_inference(data: SimulatedData) -> InferenceOutcome:
     """Adjoint pipeline and exact posterior on simulated data."""
-    config = data.config
-    basis = _inference_basis(config, data.grid, data.kernel)
-    obs = data.observations()
-    result = run_pipeline(data.system, obs, basis, heldout=data.heldout_windows)
-    t0 = time.perf_counter()
-    mean_field, var_field = posterior_forcing(result.posterior, basis, data.grid)
-    t1 = time.perf_counter()
+    clock, config = Clock(), data.config
+    with clock.stage("setup"):
+        basis, obs = _inference_basis(config, data.grid, data.kernel), data.observations()
+    result = run_pipeline(data.system, obs, basis, heldout=data.heldout_windows, clock=clock)
+    with clock.stage("posterior_forcing"):
+        mean_field, var_field = posterior_forcing(result.posterior, basis, data.grid)
 
     metrics = {
         "n": int(len(data.windows)),
@@ -518,21 +530,19 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
         "sigma": float(obs.sigma),
         "train_rms_residual": float(np.sqrt(np.mean(
             (data.z - result.phi @ result.posterior.mean) ** 2))),
-        "forcing_mse": _forcing_mse(mean_field, data.truth_forcing),
+        "forcing_mse": float(np.mean((mean_field.values_flat
+                                      - data.truth_forcing.values_flat) ** 2)),
     }
     if data.qstar is not None:
         metrics["qstar_max_abs_error_bayes"] = float(
             np.max(np.abs(result.posterior.mean - data.qstar)))
     heldout = data.heldout_observations()
-    t2 = time.perf_counter()
-    if heldout is not None:
-        metrics["heldout_mse"] = predictive_mse(result.posterior, result.phi_heldout, heldout.z)
-        metrics["heldout_nll"] = predictive_nll(result.posterior, result.phi_heldout, heldout)
-    timings = dict(result.timings, posterior_forcing=t1 - t0,
-                   heldout_scoring=time.perf_counter() - t2,
-                   bank_rows_training=obs.n, bank_rows_heldout=len(data.heldout_windows),
-                   bank_solves=result.solves, bank_cell_steps=result.cell_steps)
-    return InferenceOutcome(basis, result, mean_field, var_field, metrics, timings)
+    with clock.stage("heldout_scoring"):
+        if heldout is not None:
+            metrics["heldout_mse"] = predictive_mse(result.posterior, result.phi_heldout,
+                                                    heldout.z)
+            metrics["heldout_nll"] = predictive_nll(result.posterior, result.phi_heldout, heldout)
+    return InferenceOutcome(basis, result, mean_field, var_field, metrics, clock)
 
 
 def _slice_index(grid, t_value: float) -> int:
@@ -550,39 +560,25 @@ def save_inference(outcome: InferenceOutcome, data: SimulatedData, out_dir,
                    slice_t: float | None = None) -> Path:
     """Write the inference results and their manifest; with `slice_t`, also
     the spatial slice of the forcing mean at that time, `slice_t<V>.csv`."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    root = io.BytesIO()
-    np.lib.format.write_array(root, outcome.posterior.root, version=(1, 0))
-    files = {
-        "weights.csv": _write_csv(out / "weights.csv", ["index", "mean", "sd"], (
-            [m, *row] for m, row in enumerate(zip(outcome.posterior.mean.tolist(),
-                                                  outcome.posterior.sd.tolist())))),
-        "phi.csv": _write_csv(out / "phi.csv", [f"m{j}" for j in range(outcome.phi.shape[1])],
-                              outcome.phi.tolist()),
-        "posterior_root.npy": write_hashed(out / "posterior_root.npy", [root.getvalue()]),
-        "forcing_mean.fld": field_to_binary(outcome.forcing_mean, out / "forcing_mean.fld"),
-        "forcing_var.fld": field_to_binary(outcome.forcing_var, out / "forcing_var.fld"),
-        "metrics.json": _write_json(out / "metrics.json", outcome.metrics),
-    }
+    out = _RunWriter(out_dir, outcome.timings)
+    out.write("weights.csv", _write_csv, ["index", "mean", "sd"], (
+        [m, *row] for m, row in enumerate(zip(outcome.posterior.mean.tolist(),
+                                              outcome.posterior.sd.tolist()))))
+    out.write("phi.csv", _write_csv, [f"m{j}" for j in range(outcome.phi.shape[1])],
+              (row.tolist() for row in outcome.phi))
+    out.write("posterior_root.npy", _write_npy, outcome.posterior.root)
+    out.write("forcing_mean.fld", field_to_binary, outcome.forcing_mean)
+    out.write("forcing_var.fld", field_to_binary, outcome.forcing_var)
+    out.write("metrics.json", _write_json, outcome.metrics)
     if slice_t is not None:
-        name, k = f"slice_t{slice_t:g}.csv", _slice_index(data.grid, slice_t)
+        k = _slice_index(data.grid, slice_t)
         ys, xs = data.grid.axis_centers(1).tolist(), data.grid.axis_centers(2).tolist()
-        files[name] = _write_csv(out / name, ["iy", "ix", "y", "x", "value"], (
+        out.write(f"slice_t{slice_t:g}.csv", _write_csv, ["iy", "ix", "y", "x", "value"], (
             [iy, ix, ys[iy], xs[ix], v]
             for iy, row in enumerate(outcome.forcing_mean.values[k].tolist())
             for ix, v in enumerate(row)))
-    # timings.json and numerics.json stay out of the manifest: they are
-    # diagnostics of the run (wall clocks differ run to run), and the
-    # manifest hashes only the results a rerun must reproduce.
-    _write_json(out / "timings.json", dict(outcome.timings, peak_rss_mb=resource.getrusage(
-        resource.RUSAGE_SELF).ru_maxrss / 1024))  # ru_maxrss counts KiB
-    _write_json(out / "numerics.json",
-                dict(outcome.posterior.numerics, **_solver_numerics(data.system)))
-    _write_manifest(out, files, config_sha256=config_hash(data.config),
-                    basis_seed=outcome.basis.seed)
-    return out
+    return out.close(system=data.system, numerics=outcome.posterior.numerics,
+                     config_sha256=config_hash(data.config), basis_seed=outcome.basis.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +596,7 @@ class McmcOutcome:
     rhat: np.ndarray
     # the run's summary, written as diagnostics.json
     diagnostics: dict
-    timings: dict
+    timings: Clock
 
 
 def _mcmc_settings(config: Config) -> dict:
@@ -617,29 +613,28 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
     route's stage seconds beside the sampler's tune, chain and chain
     statistics seconds and its minimum ESS per chain second.
     """
-    config = data.config
-    basis = _inference_basis(config, data.grid, data.kernel)
-    obs = data.observations()
+    clock, config = Clock(), data.config
+    with clock.stage("setup"):
+        basis, obs = _inference_basis(config, data.grid, data.kernel), data.observations()
     # infer's bank, held-out rows included: exact_mean equals its mean bit for bit
-    pipeline = run_pipeline(data.system, obs, basis, heldout=data.heldout_windows)
+    pipeline = run_pipeline(data.system, obs, basis, heldout=data.heldout_windows, clock=clock)
     target = gaussian_log_target(pipeline.phi, data.z, obs.sigma)
 
     settings = _mcmc_settings(config)
     start = pipeline.posterior.mean
     scale = settings["proposal_scale"]
-    t0 = time.perf_counter()
-    if scale == 0.0:
-        scale = tune_proposal_scale(target, start,
-                                    seed=derive_seed(settings["seed"], "tune"),
-                                    batch_size=settings["batch_size"])
-    t1 = time.perf_counter()
+    with clock.stage("tune"):
+        if scale == 0.0:
+            scale = tune_proposal_scale(target, start,
+                                        seed=derive_seed(settings["seed"], "tune"),
+                                        batch_size=settings["batch_size"])
     cfg = ChainConfig(steps=settings["steps"], burn_in=settings["burn_in"],
                       proposal_scale=scale, seed=settings["seed"],
                       batch_size=settings["batch_size"])
-    result = rw_mh(target, start, cfg)
-    t2 = time.perf_counter()
-    diag = chain_diagnostics(*result.runs(cfg.burn_in))
-    t3 = time.perf_counter()
+    with clock.stage("chain"):
+        result = rw_mh(target, start, cfg)
+    with clock.stage("chain_statistics"):
+        diag = chain_diagnostics(*result.runs(cfg.burn_in))
     diagnostics = {
         "acceptance_rate": result.acceptance_rate,
         "proposal_scale": scale,
@@ -652,37 +647,25 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
         "max_abs_mean_gap": float(np.max(np.abs(diag.mean - pipeline.posterior.mean))),
         "config_sha256": config_hash(config),
     }
-    timings = dict(pipeline.timings, tune=t1 - t0, chain=t2 - t1, chain_statistics=t3 - t2,
-                   ess_per_second=diagnostics["min_ess"] / (t2 - t1),
-                   max_c_drift=result.drift)
+    clock.update(ess_per_second=diagnostics["min_ess"] / clock["chain"],
+                 max_c_drift=result.drift)
     return McmcOutcome(result=result, chain_mean=diag.mean, chain_sd=np.sqrt(diag.var),
                        exact_mean=pipeline.posterior.mean,
                        exact_sd=pipeline.posterior.sd,
-                       ess=diag.ess, rhat=diag.rhat, diagnostics=diagnostics, timings=timings)
+                       ess=diag.ess, rhat=diag.rhat, diagnostics=diagnostics, timings=clock)
 
 
 def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _RunWriter(out_dir, outcome.timings)
     columns = (outcome.chain_mean, outcome.chain_sd, outcome.exact_mean, outcome.exact_sd,
                outcome.ess, outcome.rhat)
     rows = [[m, *values] for m, values in enumerate(zip(*(c.tolist() for c in columns)))]
-    t0 = time.perf_counter()
-    trace = chain_to_csv(outcome.result, out / "trace.csv")
-    trace_write = time.perf_counter() - t0
-    files = {
-        "chain_summary.csv": _write_csv(out / "chain_summary.csv",
-                                        ["index", "mcmc_mean", "mcmc_sd", "exact_mean",
-                                         "exact_sd", "ess", "rhat"], rows),
-        "trace.csv": trace,
-        "diagnostics.json": _write_json(out / "diagnostics.json", outcome.diagnostics),
-    }
-    # timings.json stays out of the manifest, as infer's does
-    _write_json(out / "timings.json", dict(
-        outcome.timings, trace_write=trace_write, trace_bytes=(out / "trace.csv").stat().st_size,
-        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
-    _write_manifest(out, files, config_sha256=config_hash(data.config))
-    return out
+    out.write("trace.csv", chain_to_csv, outcome.result, stage="trace_write")
+    outcome.timings["trace_bytes"] = (out.path / "trace.csv").stat().st_size
+    out.write("chain_summary.csv", _write_csv, ["index", "mcmc_mean", "mcmc_sd", "exact_mean",
+                                                "exact_sd", "ess", "rhat"], rows)
+    out.write("diagnostics.json", _write_json, outcome.diagnostics)
+    return out.close(config_sha256=config_hash(data.config))
 
 
 # ---------------------------------------------------------------------------
@@ -701,16 +684,16 @@ _SWEEP_HEADER = ["sensors", "features", "replicate", "heldout_mse",
 _SWEEP_TYPES = (int, int, int, float, float, int, int, int)
 
 
-def _resume_sweep(path: Path) -> list:
-    """The rows of an existing results.csv, parsed by _SWEEP_TYPES, after
-    cutting the file back to its last complete row.
+def _resume_sweep(path: Path) -> tuple[list, bytes]:
+    """The rows of an existing results.csv, parsed by _SWEEP_TYPES, and the
+    bytes the file keeps, after cutting it back to its last complete row.
 
     A kill partway through a write leaves a last line without its newline;
     that torn tail is dropped, so its cell runs again and the next append
     starts on a fresh line.  Every complete row must parse in full.
     """
     if not path.is_file():
-        return []
+        return [], b""
     raw = path.read_bytes()
     complete = raw[:raw.rfind(b"\n") + 1]
     lines = complete.split(b"\n")[:-1]
@@ -728,7 +711,7 @@ def _resume_sweep(path: Path) -> list:
     if len(complete) < len(raw):
         with open(path, "r+b") as handle:
             handle.truncate(len(complete))
-    return rows
+    return rows, complete
 
 
 def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
@@ -739,26 +722,31 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
     only on the replicate index so every lattice cell of the same replicate
     inverts the same ground truth.  Completed (sensors, features, replicate)
     rows found in an existing results.csv are skipped; a torn last row left
-    by a killed run is dropped and run again.  Returns
-    (rows_run, rows_skipped, summary).
+    by a killed run is dropped and run again; results.csv is hashed as it
+    is kept and appended.  Returns (rows_run, rows_skipped, summary).
     """
     if "sweep" not in config:
         raise ConfigError("missing [sweep] section for a sweep run")
     if config["sensors"].get("heldout_count", 0) < 1:
         raise ConfigError("a sweep needs 'heldout_count' in [sensors] for scoring")
-    sweep = config["sweep"]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    results_path = out / "results.csv"
-    rows = _resume_sweep(results_path)
+    sweep, clock = config["sweep"], Clock()
+    out = _RunWriter(out_dir, clock)
+    results_path = out.path / "results.csv"
+    with clock.stage("resume"):
+        rows, kept = _resume_sweep(results_path)
     done = {tuple(row[:3]) for row in rows}
-
-    seeds = config["seeds"]
+    digest, seeds = hashlib.sha256(kept), config["seeds"]
     ran = skipped = 0
-    with open(results_path, "a", encoding="utf-8", newline="\n") as handle:
-        if handle.tell() == 0:
-            handle.write(_csv_line(_SWEEP_HEADER))
+    with clock.stage("cells"), open(results_path, "a", encoding="utf-8",
+                                     newline="\n") as handle:
+        def append(row):  # each row flushed, so a kill loses at most the one it was writing
+            line = _csv_line(row)
+            handle.write(line)
             handle.flush()
+            digest.update(line.encode("utf-8"))
+
+        if handle.tell() == 0:
+            append(_SWEEP_HEADER)
         for replicate in range(sweep["replicates"]):
             seed_data = derive_seed(seeds["data"], "sweep-truth", replicate)
             seed_basis = derive_seed(seeds["basis"], "sweep-basis", replicate)
@@ -783,15 +771,17 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
                            float(outcome.metrics["heldout_mse"]),
                            float(outcome.metrics["forcing_mse"]),
                            seed_data, seed_basis, seed_noise]
-                    handle.write(_csv_line(row))
-                    handle.flush()
+                    append(row)
                     rows.append(row)
                     ran += 1
                     if progress is not None:
                         progress(key)
 
+    out.files["results.csv"] = digest.hexdigest()  # appended above, not by `write`
     summary = sweep_summary(rows)
-    _write_json(out / "summary.json", summary)
+    out.write("summary.json", _write_json, summary)
+    clock.update(cells_run=ran, cells_skipped=skipped)
+    out.close(config_sha256=config_hash(config))
     return ran, skipped, summary
 
 
@@ -813,7 +803,15 @@ def sweep_summary(rows) -> dict:
     return summary
 
 
-def scan_hyper(data: SimulatedData):
+@dataclass
+class ScanOutcome:
+    # [(theta, nll)] sorted ascending by score, as grid_scan returns them
+    results: list
+    config_sha256: str
+    timings: Clock
+
+
+def scan_hyper(data: SimulatedData) -> ScanOutcome:
     """Lattice scan of kernel hyperparameters scored by posterior predictive
     negative log likelihood on the training readings.
 
@@ -824,28 +822,31 @@ def scan_hyper(data: SimulatedData):
     config = data.config
     if "scan" not in config:
         raise ConfigError("missing [scan] section for a hyperparameter scan")
-    scan = config["scan"]
-    obs = data.observations()
-    bank = data.system.adjoint_march(data.windows).kept()
-    basis = _inference_basis(config, data.grid, data.kernel)
+    scan, clock = config["scan"], Clock()
+    with clock.stage("setup"):
+        basis, obs = _inference_basis(config, data.grid, data.kernel), data.observations()
+    with clock.stage("adjoint_solves"):
+        bank = data.system.adjoint_march(data.windows).kept()
     axes = ("lengthscale", "variance")
     projections = {}
-    return grid_scan(
-        {key: scan[key][:2] for key in axes},
-        {key: int(scan[key][2]) for key in axes},
-        lambda theta: nll_score(theta, obs, bank, basis, projections))
+    with clock.stage("lattice"):
+        results = grid_scan(
+            {key: scan[key][:2] for key in axes},
+            {key: int(scan[key][2]) for key in axes},
+            lambda theta: nll_score(theta, obs, bank, basis, projections))
+    clock.update(bank_solves=bank.solves, lattice_points=len(results))
+    return ScanOutcome(results, config_hash(config), clock)
 
 
-def save_scan(results, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def save_scan(outcome: ScanOutcome, out_dir) -> Path:
+    out = _RunWriter(out_dir, outcome.timings)
     rows = [[theta["lengthscale"], theta["variance"], nll]
-            for theta, nll in results]
-    _write_csv(out / "scan.csv", ["lengthscale", "variance", "nll"], rows)
-    best_theta, best_nll = results[0]
-    _write_json(out / "best.json", {"lengthscale": best_theta["lengthscale"],
-                                    "variance": best_theta["variance"], "nll": best_nll})
-    return out
+            for theta, nll in outcome.results]
+    out.write("scan.csv", _write_csv, ["lengthscale", "variance", "nll"], rows)
+    best_theta, best_nll = outcome.results[0]
+    out.write("best.json", _write_json, {"lengthscale": best_theta["lengthscale"],
+                                         "variance": best_theta["variance"], "nll": best_nll})
+    return out.close(config_sha256=outcome.config_sha256)
 
 
 # ---------------------------------------------------------------------------
@@ -856,31 +857,12 @@ def shift_demo_config(seed: int | None = None) -> Config:
     """Built-in shift scenario: offset 2 on a horizon of 10, 20 single-cell
     readings spanning [2, 8], noise sd 0.05, 200 grid cells."""
     base = 7 if seed is None else int(seed)
-    text = "\n".join([
-        "[system]",
-        "kind = shift",
-        "a = 2.0",
-        "T = 10.0",
-        "[grid]",
-        "cells = 200",
-        "[kernel]",
-        "lengthscale = 1.0",
-        "variance = 1.0",
-        "[features]",
-        "count = 200",
-        "truth_count = 1000",
-        "[sensors]",
-        "rule = span",
-        "count = 20",
-        "t_start = 2.0",
-        "t_end = 8.0",
-        "[noise]",
-        "sigma = 0.05",
-        "[seeds]",
-        f"data = {derive_seed(base, 'shift-demo-data')}",
-        f"basis = {derive_seed(base, 'shift-demo-basis')}",
-        f"noise = {derive_seed(base, 'shift-demo-noise')}",
-    ])
+    text = ("[system]\nkind = shift\na = 2.0\nT = 10.0\n[grid]\ncells = 200\n"
+            "[kernel]\nlengthscale = 1.0\nvariance = 1.0\n[features]\ncount = 200\n"
+            "truth_count = 1000\n[sensors]\nrule = span\ncount = 20\nt_start = 2.0\n"
+            "t_end = 8.0\n[noise]\nsigma = 0.05\n[seeds]\n" + "".join(
+                f"{name} = {derive_seed(base, f'shift-demo-{name}')}\n"
+                for name in ("data", "basis", "noise")))
     return parse_config(text)
 
 
@@ -890,9 +872,14 @@ def run_shift_demo(out_dir=None, seed: int | None = None) -> dict:
     the posterior mean forcing (its forward solution evaluated through the
     same observation windows).  The forcing-level error over the span the
     observations identify is reported alongside."""
-    config = shift_demo_config(seed)
+    config, out = shift_demo_config(seed), None if out_dir is None else Path(out_dir)
+    # each directory is written as its run ends, so its `total` times that run alone
     data = simulate_data(config)
+    if out is not None:
+        save_bundle(data, out / "bundle")
     outcome = run_inference(data)
+    if out is not None:
+        save_inference(outcome, data, out / "inference")
 
     u_mean = data.system.forward(outcome.forcing_mean)
     fitted = _read_windows(data.windows, u_mean)
@@ -915,9 +902,6 @@ def run_shift_demo(out_dir=None, seed: int | None = None) -> dict:
         "observations": int(len(data.windows)),
         "features": int(outcome.basis.size),
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        save_bundle(data, out / "bundle")
-        save_inference(outcome, data, out / "inference")
-        _write_json(out / "demo.json", report)
+    if out is not None:
+        _write_json(report, out / "demo.json")  # the demo's own report, outside both manifests
     return report

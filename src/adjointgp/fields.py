@@ -121,17 +121,11 @@ class Grid:
 
     @property
     def num_cells(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
     @property
     def cell_volume(self) -> float:
-        v = 1.0
-        for s in self.spacing:
-            v *= s
-        return v
+        return math.prod(self.spacing)
 
     def extent(self, axis: int) -> float:
         return self.dims[axis] * self.spacing[axis]
@@ -238,10 +232,7 @@ class Window:
 
     @property
     def value(self) -> float:
-        count = 1
-        for s in self.box:
-            count *= s.stop - s.start
-        return 1.0 / (count * self.grid.cell_volume)
+        return 1.0 / (math.prod(s.stop - s.start for s in self.box) * self.grid.cell_volume)
 
 
 def window_indicator(grid: Grid, lo, hi) -> Window:

@@ -39,6 +39,7 @@ import itertools
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,7 @@ __all__ = [
     "run_pipeline",
     "PipelineResult",
     "PIPELINE_STAGES",
+    "Clock",
 ]
 
 SIGMA_MIN = 1e-6
@@ -488,32 +490,51 @@ def grid_scan(bounds: dict, steps, score) -> list:
 PIPELINE_STAGES = ("adjoint_solves", "phi_assembly", "posterior_solve")
 
 
+class Clock(dict):
+    """The timings of one run: named counts, and named wall-clock seconds
+    (monotonic), each the sum of the blocks `stage(name)` timed."""
+
+    def __init__(self):
+        super().__init__()
+        self.start = time.perf_counter()
+
+    @contextmanager
+    def stage(self, name: str):
+        begun = time.perf_counter()
+        yield
+        self[name] = self.get(name, 0.0) + time.perf_counter() - begun
+
+    def elapsed(self) -> float:
+        """Seconds since the clock started."""
+        return time.perf_counter() - self.start
+
+
 @dataclass
 class PipelineResult:
     posterior: PosteriorQ
     phi: np.ndarray
     phi_heldout: np.ndarray
-    timings: dict
-    solves: int
-    cell_steps: int
+    timings: Clock
 
 
 def run_pipeline(system, observations: ObservationSet, basis: FeatureBasis,
-                 heldout=()) -> PipelineResult:
+                 heldout=(), clock: Clock | None = None) -> PipelineResult:
     """One adjoint solve per observation and per `heldout` functional,
     marched together and projected as the march yields them, the design
-    matrix, split into `phi` and `phi_heldout`, and the posterior.  One
-    wall-clock entry per stage (monotonic clock), the march and the
-    projection timed apart inside their loop; `solves` and `cell_steps`
-    count the right-hand sides the bank marched and the cells they stepped."""
-    n = observations.n
-    t0 = time.perf_counter()
-    bank = system.adjoint_march(observations.windows + tuple(heldout))
-    t1 = time.perf_counter()
-    phi = assemble_phi(bank, basis)
-    t2 = time.perf_counter()
-    post = posterior_q(phi[:n], observations.z, observations.sigma)
-    t3 = time.perf_counter()
-    timings = dict(zip(PIPELINE_STAGES, (t1 - t0 + bank.seconds, t2 - t1 - bank.seconds,
-                                         t3 - t2)))
-    return PipelineResult(post, phi[:n], phi[n:], timings, bank.solves, bank.cell_steps)
+    matrix, split into `phi` and `phi_heldout`, and the posterior, each
+    stage timed into `clock` (a new one when None), the result's `timings`.
+    The march runs inside the projection, so its seconds, `bank.seconds`,
+    move from that stage to the solves.  The clock also counts the bank's
+    rows, the right-hand sides it marched and the cells they stepped."""
+    n, clock = observations.n, Clock() if clock is None else clock
+    with clock.stage("adjoint_solves"):
+        bank = system.adjoint_march(observations.windows + tuple(heldout))
+    with clock.stage("phi_assembly"):
+        phi = assemble_phi(bank, basis)
+    with clock.stage("posterior_solve"):
+        post = posterior_q(phi[:n], observations.z, observations.sigma)
+    clock["adjoint_solves"] += bank.seconds
+    clock["phi_assembly"] -= bank.seconds
+    clock.update(bank_rows_training=n, bank_rows_heldout=len(heldout), bank_solves=bank.solves,
+                 bank_cell_steps=bank.cell_steps)
+    return PipelineResult(post, phi[:n], phi[n:], clock)

@@ -34,7 +34,7 @@ from adjointgp.cli import _build_parser, main
 from adjointgp.config import canonical_text, config_hash, parse_config
 from adjointgp import experiments, inference
 from adjointgp.experiments import (derive_seed, make_grid, make_system, run_inference,
-                                   run_mcmc, run_shift_demo, save_scan, scan_hyper,
+                                   run_mcmc, run_shift_demo, run_sweep, save_scan, scan_hyper,
                                    simulate_data)
 from oracles import row_bank
 
@@ -362,9 +362,12 @@ def test_simulate_is_deterministic(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
     names = sorted(p.name for p in a.iterdir())
     assert names == ["config.txt", "heldout.csv", "manifest.json", "numerics.json",
-                     "readings.csv", "truth_forcing.fld", "truth_solution.fld"]
+                     "readings.csv", "timings.json", "truth_forcing.fld", "truth_solution.fld"]
     for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        if name != "timings.json":  # wall clocks differ run to run
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    timings = json.loads((a / "timings.json").read_text())
+    assert {"setup", "truth_draw", "readings", "write", "total", "peak_rss_mb"} == set(timings)
 
 
 def test_derive_seed_refuses_no_parts_and_float_parts():
@@ -396,7 +399,7 @@ def test_array_rows_are_written_as_the_per_value_formatter_writes_them(tmp_path)
     phi = np.vstack([rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5)),
                      [0.0, -0.0, 1.0, np.inf, 5e-324]])
     header = [f"m{j}" for j in range(5)]
-    digest = experiments._write_csv(tmp_path / "phi.csv", header, phi.tolist())
+    digest = experiments._write_csv(header, phi.tolist(), tmp_path / "phi.csv")
     expected = "".join([",".join(header) + "\n"] + [
         ",".join(repr(float(v)) for v in row) + "\n" for row in phi]).encode()
     assert (tmp_path / "phi.csv").read_bytes() == expected
@@ -419,7 +422,7 @@ def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
                  "timings.json", "manifest.json"):
         assert (out / name).exists(), name
 
-    qstar = json.loads((bundle / "manifest.json").read_text())["qstar"]
+    qstar = experiments.load_bundle(bundle).qstar
     with open(out / "weights.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     mean = np.array([float(r["mean"]) for r in rows])
@@ -452,10 +455,12 @@ def test_infer_writes_numerics_and_stage_timings(tmp_path, capsys):
     assert numerics["jitter"] == 0.0
     assert (outs[0] / "numerics.json").read_bytes() == (outs[1] / "numerics.json").read_bytes()
     timings = json.loads((outs[0] / "timings.json").read_text())
-    assert set(timings) == {*PIPELINE_STAGES, "posterior_forcing", "heldout_scoring",
-                            "bank_rows_training", "bank_rows_heldout", "bank_solves",
-                            "bank_cell_steps", "peak_rss_mb"}
+    assert set(timings) == {*PIPELINE_STAGES, "setup", "posterior_forcing",
+                            "heldout_scoring", "write", "bank_rows_training",
+                            "bank_rows_heldout", "bank_solves", "bank_cell_steps", "total",
+                            "peak_rss_mb"}
     assert timings["peak_rss_mb"] > 0
+    assert 0 < timings["write"] < timings["total"]
     assert (timings["bank_rows_training"], timings["bank_rows_heldout"]) == (18, 8)
     # a PDE bank marches one impulse per sensor box: 9 training, 4 held out
     assert timings["bank_solves"] == 13
@@ -651,7 +656,7 @@ def test_mcmc_command_writes_chain_outputs(tmp_path, capsys):
     timings = json.loads((out / "timings.json").read_text())
     assert {"adjoint_solves", "phi_assembly", "posterior_solve", "tune", "chain",
             "chain_statistics", "ess_per_second", "max_c_drift", "trace_write", "trace_bytes",
-            "peak_rss_mb"} <= set(timings)
+            "write", "total", "peak_rss_mb"} <= set(timings)
     assert timings["chain_statistics"] > 0
     assert timings["trace_bytes"] == (out / "trace.csv").stat().st_size
     manifest = json.loads((out / "manifest.json").read_text())
@@ -722,7 +727,7 @@ def test_scan_marches_the_adjoint_once(text, system, monkeypatch):
         return march(self, *args, **kwargs)
 
     monkeypatch.setattr(system, "_march", counting)
-    assert len(scan_hyper(data)) == 4
+    assert len(scan_hyper(data).results) == 4
     assert len(calls) == 1
     if system is PdeSystem:
         boxes = {tuple((b.start, b.stop) for b in w.box[1:]) for w in data.windows}
@@ -744,7 +749,7 @@ def test_scan_projects_once_per_lengthscale(text, monkeypatch):
         return tables(*args)
 
     monkeypatch.setattr(inference, "_axis_tables", counting)
-    assert len(scan_hyper(data)) == 6
+    assert len(scan_hyper(data).results) == 6
     assert len(calls) == 2
 
 
@@ -803,18 +808,34 @@ MCMC_SECTION = "\n[mcmc]\nsteps = 1500\nburn_in = 100\nseed = 1\n"
     (ODE_TEXT + MCMC_SECTION, ["mcmc"], {"trace.csv", "diagnostics.json"}, {"timings.json"}),
     (PDE_TEXT, ["infer", "--slice", "t=5"], {"slice_t5.csv", "forcing_mean.fld"},
      {"timings.json"}),
-], ids=["forward-bundle", "linear-bundle", "infer-linear", "mcmc", "infer-slice"])
+    (ODE_TEXT + SCAN_2X3, ["scan-hyper"], {"scan.csv", "best.json"}, {"timings.json"}),
+    (ODE_TEXT + SWEEP_SECTION, ["sweep"], {"results.csv", "summary.json"}, {"timings.json"}),
+    (ODE_TEXT + SWEEP_SECTION.replace("replicates = 1", "replicates = 2"), ["sweep", "resumed"],
+     {"results.csv", "summary.json"}, {"timings.json"}),
+], ids=["forward-bundle", "linear-bundle", "infer-linear", "mcmc", "infer-slice", "scan-hyper",
+        "sweep", "sweep-resumed"])
 def test_manifest_hashes_the_bytes_on_disk(tmp_path, text, command, present, absent):
     # the manifest lists the digests its writers returned: they are those of
-    # the bytes on disk, for every file but the manifest and the diagnostics
+    # the bytes on disk, for every file but the manifest and the diagnostics;
+    # a resumed sweep hashes the rows it kept and the rows it appended
     out = bundle = _simulate(tmp_path, text)
     if command is not None:
         out = tmp_path / command[0]
-        assert main([command[0], str(bundle), "--out", str(out), *command[1:]]) == 0
+        if command[0] == "sweep":
+            argv = ["sweep", "--config", str(tmp_path / "exp.cfg"), "--out", str(out)]
+        else:
+            argv = [command[0], str(bundle), "--out", str(out), *command[1:]]
+        assert main(argv) == 0
+        if command[1:] == ["resumed"]:
+            raw = (out / "results.csv").read_bytes()
+            (out / "results.csv").write_bytes(raw[:raw.rindex(b"\n", 0, len(raw) - 1) + 4])
+            assert main(argv) == 0
+            assert (out / "results.csv").read_bytes() == raw
     files = json.loads((out / "manifest.json").read_text())["files"]
     assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
                      if p.name not in ("manifest.json", "timings.json", "numerics.json")}
     assert present <= set(files) and not absent & set(files)
+    assert {"total", "peak_rss_mb"} <= set(json.loads((out / "timings.json").read_text()))
 
 
 def test_posterior_root_and_weights_rebuild_the_posterior(tmp_path):
@@ -889,14 +910,47 @@ def test_saves_read_back_nothing_they_wrote(tmp_path, monkeypatch):
     save_scan(scanned, out / "scan")
     monkeypatch.undo()
     assert reads == []
-    assert {p.parent.name for p in out.glob("*/manifest.json")} == {"bundle", "infer", "mcmc"}
+    assert {p.parent.name for p in out.glob("*/manifest.json")} == {"bundle", "infer", "mcmc",
+                                                                    "scan"}
     assert (out / "scan" / "scan.csv").is_file()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(*args, **kwargs):
+    raise _Interrupted
+
+
+def test_an_interrupted_rewrite_leaves_no_manifest(tmp_path, monkeypatch):
+    # the writer removes an earlier run's manifest before its first file, so
+    # a rewrite cut short leaves a directory without one, not the old
+    # manifest beside half-rewritten files
+    data = simulate_data(parse_config(PDE_TEXT))
+    outcome, out = run_inference(data), tmp_path / "infer"
+    experiments.save_inference(outcome, data, out)
+    assert (out / "manifest.json").is_file()
+    monkeypatch.setattr(experiments, "field_to_binary", _interrupt)
+    with pytest.raises(_Interrupted):
+        experiments.save_inference(outcome, data, out)
+    assert (out / "weights.csv").is_file() and not (out / "manifest.json").exists()
+
+
+def test_a_sweep_interrupted_over_a_finished_one_leaves_no_manifest(tmp_path, monkeypatch):
+    config, out = parse_config(ODE_TEXT + SWEEP_SECTION), tmp_path / "sweep"
+    assert run_sweep(config, out)[:2] == (1, 0)
+    assert (out / "manifest.json").is_file()
+    monkeypatch.setattr(experiments, "sweep_summary", _interrupt)
+    with pytest.raises(_Interrupted):
+        run_sweep(config, out)
+    assert (out / "results.csv").is_file() and not (out / "manifest.json").exists()
 
 
 def test_load_bundle_reads_each_file_once(tmp_path, monkeypatch):
     # the bytes checked against the manifest are the bytes parsed: each
     # file the manifest lists is opened once, the manifest included, and the
-    # diagnostics outside it (numerics.json) are not read
+    # diagnostics outside it (numerics.json, timings.json) are not read
     bundle = _simulate(tmp_path, ODE_TEXT)
     opened = []
 
@@ -914,7 +968,7 @@ def test_load_bundle_reads_each_file_once(tmp_path, monkeypatch):
     listed = json.loads((bundle / "manifest.json").read_text())["files"]
     assert sorted(opened) == sorted([*listed, "manifest.json"])
     assert sorted(p.name for p in bundle.iterdir()) == sorted([*listed, "manifest.json",
-                                                               "numerics.json"])
+                                                               "numerics.json", "timings.json"])
     assert data.truth_solution is not None and data.heldout_z.size == 5
 
 
@@ -1241,12 +1295,30 @@ def test_bundle_manifest_holds_no_truth_weights_and_old_ones_still_load(tmp_path
     # read them, and a bundle that still carries them infers as one without
     bundle = _simulate(tmp_path, ODE_TEXT)
     manifest = json.loads((bundle / "manifest.json").read_text(encoding="utf-8"))
-    assert set(manifest) == {"config_sha256", "files", "kind", "qstar", "seeds", "synth"}
+    assert set(manifest) == {"config_sha256", "files", "kind", "seeds", "synth"}
     assert main(["infer", str(bundle), "--out", str(tmp_path / "new")]) == 0
     manifest["truth_weights"] = np.random.default_rng(0).standard_normal(1000).tolist()
     (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["infer", str(bundle), "--out", str(tmp_path / "old")]) == 0
     for name in ("weights.csv", "posterior_root.npy", "metrics.json", "manifest.json"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+
+@pytest.mark.parametrize("edit", [lambda q: q[:-1], lambda q: [0.0] * len(q)],
+                         ids=["truncated", "zeroed"])
+def test_linear_truth_weights_are_redrawn_not_read_from_the_manifest(tmp_path, edit):
+    # an older linear-synth manifest carries `qstar`; the weights are drawn
+    # again from the hashed config, so an edited key changes no output
+    bundle = _simulate(tmp_path, ODE_TEXT + LINEAR)
+    assert main(["infer", str(bundle), "--out", str(tmp_path / "new")]) == 0
+    manifest = json.loads((bundle / "manifest.json").read_text(encoding="utf-8"))
+    assert "qstar" not in manifest
+    manifest["qstar"] = edit(experiments.load_bundle(bundle).qstar.tolist())
+    (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["infer", str(bundle), "--out", str(tmp_path / "old")]) == 0
+    names = sorted(p.name for p in (tmp_path / "new").iterdir() if p.name != "timings.json")
+    assert "metrics.json" in names
+    for name in names:
         assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
 
