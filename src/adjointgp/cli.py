@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import load_config
 from .errors import (
@@ -91,6 +92,16 @@ def _parse_slice(spec: str) -> float:
         return float(raw)
     except ValueError:
         raise ConfigError(f"--slice value must be a number (got {raw!r})") from None
+
+
+def _check_out(args) -> None:
+    """Refuse, before any work, an --out that is or lies under an existing
+    file or other non-directory, or that is the bundle the command reads."""
+    out = Path(args.out or ".")  # shift-demo's --out is optional
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        raise ConfigError(f"--out {out} is or lies under an existing non-directory")
+    if "bundle" in args and out.resolve() == Path(args.bundle).resolve():
+        raise ConfigError(f"--out {out} is the bundle the command reads")
 
 
 def cmd_simulate(args) -> int:
@@ -182,6 +193,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args)
         return _COMMANDS[args.command](args)
     except (ConfigError, DomainError, GridMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -303,8 +303,11 @@ def _validate(sections: dict) -> dict:
         for key in ("sensors", "features", "replicates"):
             _require(sections, "sweep", key, "for a sweep run")
         for key in ("sensors", "features"):
-            if min(sections["sweep"][key]) < 1:
+            values = sections["sweep"][key]
+            if min(values) < 1:
                 raise ConfigError(f"'{key}' in [sweep] must be positive integers")
+            if len(set(values)) < len(values):  # one lattice point, one cell directory
+                raise ConfigError(f"'{key}' in [sweep] repeats a value")
         if kind == "pde" and any(math.isqrt(v) ** 2 != v for v in sections["sweep"]["sensors"]):
             raise ConfigError("'sensors' in [sweep] must be perfect squares for kind 'pde'")
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import resource
@@ -52,6 +53,7 @@ from .inference import (
     ObservationSet,
     PipelineResult,
     assemble_phi,
+    forcing_calibration,
     grid_scan,
     nll_score,
     posterior_forcing,
@@ -523,16 +525,19 @@ def run_inference(data: SimulatedData) -> InferenceOutcome:
     result = run_pipeline(data.system, obs, basis, heldout=data.heldout_windows, clock=clock)
     with clock.stage("posterior_forcing"):
         mean_field, var_field = posterior_forcing(result.posterior, basis, data.grid)
-
-    metrics = {
-        "n": int(len(data.windows)),
-        "features": int(basis.size),
-        "sigma": float(obs.sigma),
-        "train_rms_residual": float(np.sqrt(np.mean(
-            (data.z - result.phi @ result.posterior.mean) ** 2))),
-        "forcing_mse": float(np.mean((mean_field.values_flat
-                                      - data.truth_forcing.values_flat) ** 2)),
-    }
+    with clock.stage("forcing_scoring"):
+        truth, mean = data.truth_forcing.values_flat, mean_field.values_flat
+        coverage, z_median = forcing_calibration(mean, var_field.values_flat, truth)
+        metrics = {
+            "n": int(len(data.windows)),
+            "features": int(basis.size),
+            "sigma": float(obs.sigma),
+            "train_rms_residual": float(np.sqrt(np.mean(
+                (data.z - result.phi @ result.posterior.mean) ** 2))),
+            "forcing_mse": float(np.mean((mean - truth) ** 2)),
+            "forcing_coverage": coverage,
+            "forcing_z_median": z_median,
+        }
     if data.qstar is not None:
         metrics["qstar_max_abs_error_bayes"] = float(
             np.max(np.abs(result.posterior.mean - data.qstar)))
@@ -672,117 +677,80 @@ def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
 # sweeps and scans
 
 
-def _override(config: Config, updates: dict) -> Config:
-    data = {name: dict(body) for name, body in config.data.items()}
-    for (section, key), value in updates.items():
-        data.setdefault(section, {})[key] = value
-    return Config(data)
-
-
 _SWEEP_HEADER = ["sensors", "features", "replicate", "heldout_mse",
                  "forcing_mse", "seed_data", "seed_basis", "seed_noise"]
-_SWEEP_TYPES = (int, int, int, float, float, int, int, int)
 
 
-def _resume_sweep(path: Path) -> tuple[list, bytes]:
-    """The rows of an existing results.csv, parsed by _SWEEP_TYPES, and the
-    bytes the file keeps, after cutting it back to its last complete row.
+def _cell_config(config: Config, **updates) -> Config:
+    """What a sweep cell's simulate and infer read: `config` without the
+    sections they do not read, its other sections updated by `updates`."""
+    return Config({name: {**body, **updates.get(name, {})} for name, body in config.data.items()
+                   if name not in ("mcmc", "sweep", "scan")})
 
-    A kill partway through a write leaves a last line without its newline;
-    that torn tail is dropped, so its cell runs again and the next append
-    starts on a fresh line.  Every complete row must parse in full.
-    """
-    if not path.is_file():
-        return [], b""
-    raw = path.read_bytes()
-    complete = raw[:raw.rfind(b"\n") + 1]
-    lines = complete.split(b"\n")[:-1]
-    if lines and lines[0] != ",".join(_SWEEP_HEADER).encode():
-        raise ConfigError(f"{path} does not start with the sweep results header")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        fields = line.split(b",")
-        try:
-            if len(fields) != len(_SWEEP_TYPES):
-                raise ValueError(f"{len(fields)} fields")
-            rows.append([kind(value) for kind, value in zip(_SWEEP_TYPES, fields)])
-        except ValueError as exc:
-            raise ConfigError(f"{path} line {number} is not a sweep row: {exc}") from None
-    if len(complete) < len(raw):
-        with open(path, "r+b") as handle:
-            handle.truncate(len(complete))
-    return rows, complete
+
+def _finished_metrics(cell: Path, config_sha256: str) -> dict | None:
+    """A cell's metrics, parsed from the bytes checked against its manifest,
+    if that manifest names `config_sha256` and hashes them; else None."""
+    try:
+        manifest = json.loads((cell / "manifest.json").read_bytes())
+        raw = (cell / "metrics.json").read_bytes()
+        if (manifest["config_sha256"] == config_sha256
+                and manifest["files"]["metrics.json"] == hashlib.sha256(raw).hexdigest()):
+            return json.loads(raw)
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    return None
 
 
 def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
-    """Sensors-by-features replicate sweep with incremental, resumable output.
+    """Sensors-by-features replicate sweep; each lattice cell is a run.
 
     Each replicate redraws the truth (data seed), the feature basis (basis
-    seed), and the observation noise (noise seed); the truth draw depends
-    only on the replicate index so every lattice cell of the same replicate
-    inverts the same ground truth.  Completed (sensors, features, replicate)
-    rows found in an existing results.csv are skipped; a torn last row left
-    by a killed run is dropped and run again; results.csv is hashed as it
-    is kept and appended.  Returns (rows_run, rows_skipped, summary).
-    """
+    seed) and the noise (noise seed); the truth depends only on the
+    replicate, so every cell of a replicate inverts the same ground truth.
+    Cell (S, M, R) is written to cells/sS_mM_rR/ by the one writer, and is
+    finished while its manifest names its config hash and hashes its
+    metrics.json.  results.csv and summary.json are written whole from
+    every cell's metrics.  Returns (cells_run, cells_skipped, summary)."""
     if "sweep" not in config:
         raise ConfigError("missing [sweep] section for a sweep run")
     if config["sensors"].get("heldout_count", 0) < 1:
         raise ConfigError("a sweep needs 'heldout_count' in [sensors] for scoring")
-    sweep, clock = config["sweep"], Clock()
+    sweep, seeds, clock = config["sweep"], config["seeds"], Clock()
     out = _RunWriter(out_dir, clock)
-    results_path = out.path / "results.csv"
-    with clock.stage("resume"):
-        rows, kept = _resume_sweep(results_path)
-    done = {tuple(row[:3]) for row in rows}
-    digest, seeds = hashlib.sha256(kept), config["seeds"]
-    ran = skipped = 0
-    with clock.stage("cells"), open(results_path, "a", encoding="utf-8",
-                                     newline="\n") as handle:
-        def append(row):  # each row flushed, so a kill loses at most the one it was writing
-            line = _csv_line(row)
-            handle.write(line)
-            handle.flush()
-            digest.update(line.encode("utf-8"))
+    rows, ran = [], 0
+    with clock.stage("cells"):
+        for replicate, n_sensors, n_features in itertools.product(
+                range(sweep["replicates"]), sweep["sensors"], sweep["features"]):
+            cell_seeds = {"data": derive_seed(seeds["data"], "sweep-truth", replicate),
+                          "basis": derive_seed(seeds["basis"], "sweep-basis", replicate),
+                          "noise": derive_seed(seeds["noise"], "sweep-noise", replicate,
+                                               n_sensors)}
+            cfg = _cell_config(config, sensors={"count": n_sensors},
+                               features={"count": n_features}, seeds=cell_seeds)
+            cell = out.path / "cells" / f"s{n_sensors}_m{n_features}_r{replicate}"
+            cfg_hash = config_hash(cfg)
+            metrics = _finished_metrics(cell, cfg_hash)
+            if metrics is None:
+                data = simulate_data(cfg)
+                outcome = run_inference(data)
+                for name, value in outcome.timings.items():  # one clock for the cell
+                    data.timings[name] = data.timings.get(name, 0) + value
+                cell_out = _RunWriter(cell, data.timings)
+                cell_out.write("metrics.json", _write_json, outcome.metrics)
+                cell_out.close(config_sha256=cfg_hash)
+                metrics, ran = outcome.metrics, ran + 1
+                if progress is not None:
+                    progress((n_sensors, n_features, replicate))
+            rows.append([n_sensors, n_features, replicate, float(metrics["heldout_mse"]),
+                         float(metrics["forcing_mse"]), *cell_seeds.values()])
 
-        if handle.tell() == 0:
-            append(_SWEEP_HEADER)
-        for replicate in range(sweep["replicates"]):
-            seed_data = derive_seed(seeds["data"], "sweep-truth", replicate)
-            seed_basis = derive_seed(seeds["basis"], "sweep-basis", replicate)
-            for n_sensors in sweep["sensors"]:
-                seed_noise = derive_seed(seeds["noise"], "sweep-noise", replicate,
-                                         n_sensors)
-                for n_features in sweep["features"]:
-                    key = (n_sensors, n_features, replicate)
-                    if key in done:
-                        skipped += 1
-                        continue
-                    cfg = _override(config, {
-                        ("sensors", "count"): n_sensors,
-                        ("features", "count"): n_features,
-                        ("seeds", "data"): seed_data,
-                        ("seeds", "basis"): seed_basis,
-                        ("seeds", "noise"): seed_noise,
-                    })
-                    data = simulate_data(cfg)
-                    outcome = run_inference(data)
-                    row = [n_sensors, n_features, replicate,
-                           float(outcome.metrics["heldout_mse"]),
-                           float(outcome.metrics["forcing_mse"]),
-                           seed_data, seed_basis, seed_noise]
-                    append(row)
-                    rows.append(row)
-                    ran += 1
-                    if progress is not None:
-                        progress(key)
-
-    out.files["results.csv"] = digest.hexdigest()  # appended above, not by `write`
+    out.write("results.csv", _write_csv, _SWEEP_HEADER, rows)
     summary = sweep_summary(rows)
     out.write("summary.json", _write_json, summary)
-    clock.update(cells_run=ran, cells_skipped=skipped)
+    clock.update(cells_run=ran, cells_skipped=len(rows) - ran)
     out.close(config_sha256=config_hash(config))
-    return ran, skipped, summary
+    return ran, len(rows) - ran, summary
 
 
 def sweep_summary(rows) -> dict:

@@ -56,6 +56,7 @@ __all__ = [
     "posterior_forcing",
     "predictive_mse",
     "predictive_nll",
+    "forcing_calibration",
     "nll_score",
     "grid_scan",
     "run_pipeline",
@@ -434,6 +435,21 @@ def predictive_nll(post: PosteriorQ, phi, data: ObservationSet) -> float:
     mean, var = _predictive_moments(post, phi, data.z)
     var = var + data.sigma ** 2
     return float(np.sum(0.5 * np.log(2.0 * np.pi * var) + (data.z - mean) ** 2 / (2.0 * var)))
+
+
+def forcing_calibration(mean, var, truth) -> tuple[float, float]:
+    """The share of cells whose truth lies within 1.96 posterior sd of the
+    mean, and the median over cells of z = |truth - mean| / sd.  A cell of
+    zero variance takes the limit of z: 0 where the mean equals the truth,
+    inf elsewhere, so it is covered only where its mean is exact."""
+    z, sd = np.abs(np.subtract(truth, mean)), np.sqrt(var)
+    np.divide(z, sd, out=z, where=sd > 0)
+    z[(sd == 0) & (z > 0)] = np.inf
+    coverage = np.count_nonzero(z <= 1.96) / z.size
+    # np.median's value from one partition, without the numpy.ma it imports
+    half = z.size // 2
+    z.partition(half)  # the cells before `half` now hold the lower half
+    return coverage, float(z[half] if z.size % 2 else 0.5 * (z[:half].max() + z[half]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from adjointgp import (
     assemble_phi,
     cfl_limit,
     euler_stability_limit,
+    field_from_binary,
     inner_product,
     nll_score,
     posterior_q,
@@ -314,6 +315,10 @@ def test_sensor_rules(text, needle):
      "positive integers"),
     (PDE_TEXT + "\n[sweep]\nsensors = 2,4\nfeatures = 5\nreplicates = 2\n",
      "perfect squares"),
+    (ODE_TEXT + "\n[sweep]\nsensors = 5,10,5\nfeatures = 5\nreplicates = 1\n",
+     "'sensors' in \\[sweep\\] repeats a value"),
+    (ODE_TEXT + "\n[sweep]\nsensors = 5\nfeatures = 8,8\nreplicates = 1\n",
+     "'features' in \\[sweep\\] repeats a value"),
     (ODE_TEXT + "\n[scan]\nlengthscale = 1.0\nvariance = 1.0,2.0,2\n",
      "lo,hi,steps"),
     (ODE_TEXT + "\n[scan]\nlengthscale = 2.0,1.0,3\nvariance = 1.0,2.0,2\n",
@@ -410,6 +415,21 @@ def test_array_rows_are_written_as_the_per_value_formatter_writes_them(tmp_path)
 LINEAR = "\n[inference]\nsynth = linear\n"
 
 
+@pytest.mark.parametrize("text", [PDE_TEXT, ODE_TEXT + LINEAR], ids=["pde", "ode-linear"])
+def test_infer_scores_the_forcing_band_from_the_fields_it_writes(tmp_path, text):
+    # forcing_coverage and forcing_z_median follow from the written mean and
+    # variance fields and the bundle's truth field
+    bundle, out = _simulate(tmp_path, text), tmp_path / "inferred"
+    assert main(["infer", str(bundle), "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    mean, var, truth = (field_from_binary(path).values_flat for path in (
+        out / "forcing_mean.fld", out / "forcing_var.fld", bundle / "truth_forcing.fld"))
+    assert (var > 0).all()
+    z = np.abs(truth - mean) / np.sqrt(var)
+    assert metrics["forcing_coverage"] == np.mean(z <= 1.96)
+    assert metrics["forcing_z_median"] == pytest.approx(np.median(z), rel=1e-15)
+
+
 def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
     text = _edit(ODE_TEXT, sigma="1e-6") + LINEAR
     bundle = _simulate(tmp_path, text)
@@ -455,7 +475,7 @@ def test_infer_writes_numerics_and_stage_timings(tmp_path, capsys):
     assert numerics["jitter"] == 0.0
     assert (outs[0] / "numerics.json").read_bytes() == (outs[1] / "numerics.json").read_bytes()
     timings = json.loads((outs[0] / "timings.json").read_text())
-    assert set(timings) == {*PIPELINE_STAGES, "setup", "posterior_forcing",
+    assert set(timings) == {*PIPELINE_STAGES, "setup", "posterior_forcing", "forcing_scoring",
                             "heldout_scoring", "write", "bank_rows_training",
                             "bank_rows_heldout", "bank_solves", "bank_cell_steps", "total",
                             "peak_rss_mb"}
@@ -573,40 +593,99 @@ def test_sweep_command_is_resumable(tmp_path, capsys):
     assert "ran 0 replicates, skipped 2" in capsys.readouterr().out
 
 
-def test_sweep_resumes_over_a_torn_last_row(tmp_path, capsys):
-    """A kill partway through a row leaves a torn last line; resuming from
-    it must rebuild exactly the file of an uninterrupted run."""
-    text = ODE_TEXT + "\n[sweep]\nsensors = 10\nfeatures = 5\nreplicates = 2\n"
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    whole = tmp_path / "whole"
-    assert main(["sweep", "--config", str(cfg), "--out", str(whole)]) == 0
-    expected = (whole / "results.csv").read_bytes()
-    last = expected.rindex(b"\n", 0, len(expected) - 1) + 1
-    heldout_mse = last + len(b",".join(expected[last:].split(b",")[:3])) + 4
-    cuts = {"header": 5, "key fields": last + 3, "heldout_mse": heldout_mse,
-            "before newline": len(expected) - 1}
-    for name, offset in cuts.items():
-        out = tmp_path / name.replace(" ", "_")
-        out.mkdir()
-        (out / "results.csv").write_bytes(expected[:offset])
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0, name
-        assert (out / "results.csv").read_bytes() == expected, name
-        assert ((out / "summary.json").read_bytes()
-                == (whole / "summary.json").read_bytes()), name
-    capsys.readouterr()
+LATTICE = "\n[sweep]\nsensors = 10,20\nfeatures = 5\nreplicates = 2\n"
 
 
-def test_sweep_refuses_a_malformed_complete_row(tmp_path, capsys):
-    text = ODE_TEXT + "\n[sweep]\nsensors = 10\nfeatures = 5\nreplicates = 1\n"
+def _sweep_bytes(out):
+    return {name: (out / name).read_bytes() for name in ("results.csv", "summary.json")}
+
+
+@pytest.mark.parametrize("torn", ["metrics.json", "timings.json", "manifest.json"])
+def test_sweep_reruns_exactly_the_cells_an_interruption_left_unfinished(tmp_path, monkeypatch,
+                                                                        torn):
+    # a kill while the second cell writes `torn` leaves a half-written file
+    # and no cell manifest: the rerun runs that cell and the ones after it,
+    # and rebuilds the bytes of an uninterrupted run
+    config = parse_config(ODE_TEXT + LATTICE)
+    whole, out = tmp_path / "whole", tmp_path / "out"
+    assert run_sweep(config, whole)[:2] == (4, 0)
+    write_hashed = experiments.write_hashed
+
+    def tearing(path, chunks):
+        if Path(path).parent.name == "s20_m5_r0" and Path(path).name == torn:
+            Path(path).write_bytes(b'{"config_sha256"')
+            raise _Interrupted
+        return write_hashed(path, chunks)
+
+    monkeypatch.setattr(experiments, "write_hashed", tearing)
+    with pytest.raises(_Interrupted):
+        run_sweep(config, out)
+    monkeypatch.undo()
+    assert not (out / "manifest.json").exists()
+    ran = []
+    assert run_sweep(config, out, progress=ran.append)[:2] == (3, 1)
+    assert ran == [(20, 5, 0), (10, 5, 1), (20, 5, 1)]
+    assert _sweep_bytes(out) == _sweep_bytes(whole)
+
+
+def test_sweep_reruns_a_cell_whose_metrics_no_longer_match_its_manifest(tmp_path):
+    config, out = parse_config(ODE_TEXT + LATTICE), tmp_path / "sweep"
+    run_sweep(config, out)
+    expected, metrics = _sweep_bytes(out), out / "cells" / "s10_m5_r1" / "metrics.json"
+    kept = metrics.read_bytes()
+    metrics.write_bytes(kept.replace(b'"heldout_mse": ', b'"heldout_mse": 1'))
+    ran = []
+    assert run_sweep(config, out, progress=ran.append)[:2] == (1, 3)
+    assert ran == [(10, 5, 1)]
+    assert metrics.read_bytes() == kept and _sweep_bytes(out) == expected
+
+
+@pytest.mark.parametrize("edit, counts", [
+    (lambda text: _edit(text, sigma="0.5"), (4, 0)),
+    (lambda text: text.replace("features = 5", "features = 5,8"), (4, 4)),
+    (lambda text: text + "\n[mcmc]\nsteps = 500\n", (0, 4)),
+], ids=["sigma", "more-features", "mcmc-section"])
+def test_a_sweep_rerun_on_an_edited_config_equals_a_fresh_run(tmp_path, edit, counts):
+    # a cell is keyed by the config simulate and infer read: a new noise
+    # level reruns every cell, new feature counts run only their own cells,
+    # and a section neither reads runs none
+    out = tmp_path / "sweep"
+    run_sweep(parse_config(ODE_TEXT + LATTICE), out)
+    config = parse_config(edit(ODE_TEXT + LATTICE))
+    assert run_sweep(config, out)[:2] == counts
+    run_sweep(config, tmp_path / "fresh")
+    assert _sweep_bytes(out) == _sweep_bytes(tmp_path / "fresh")
+
+
+def test_sweep_replaces_a_results_file_of_another_program(tmp_path, capsys):
+    # results.csv is written whole from the cells, as every command writes
+    # its own files: a foreign or journal-format file is replaced
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    out = tmp_path / "sweep_out"
+    cfg.write_text(ODE_TEXT + LATTICE, encoding="utf-8")
+    out, fresh = tmp_path / "sweep_out", tmp_path / "fresh"
     out.mkdir()
-    header = "sensors,features,replicate,heldout_mse,forcing_mse,seed_data,seed_basis,seed_noise"
-    (out / "results.csv").write_text(header + "\n10,5,0,0.1\n", encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    (out / "results.csv").write_bytes(b"index,z\n0,0.5\n1,0.2")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "ran 4 replicates, skipped 0" in capsys.readouterr().out
+    run_sweep(parse_config(ODE_TEXT + LATTICE), fresh)
+    assert _sweep_bytes(out) == _sweep_bytes(fresh)
+
+
+def test_sweep_cells_time_simulate_and_infer_on_one_clock(tmp_path):
+    out = tmp_path / "sweep"
+    run_sweep(parse_config(ODE_TEXT + LATTICE), out)
+    sweep = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+    assert set(sweep) == {"cells", "write", "cells_run", "cells_skipped", "total",
+                          "peak_rss_mb"}
+    cells = sorted((out / "cells").iterdir())
+    assert [cell.name for cell in cells] == ["s10_m5_r0", "s10_m5_r1", "s20_m5_r0", "s20_m5_r1"]
+    for cell in cells:
+        timings = json.loads((cell / "timings.json").read_text(encoding="utf-8"))
+        assert {"setup", "truth_draw", "readings", "adjoint_solves", "posterior_forcing",
+                "heldout_scoring", "write", "total", "peak_rss_mb"} <= set(timings)
+        stages = sum(v for k, v in timings.items() if isinstance(v, float)
+                     and k not in ("total", "peak_rss_mb"))
+        assert 0 < stages <= timings["total"] < sweep["total"]
 
 
 SWEEP_SECTION = "\n[sweep]\nsensors = 10\nfeatures = 5\nreplicates = 1\n"
@@ -624,20 +703,6 @@ def test_sweep_refuses_a_config_it_cannot_score(tmp_path, capsys, text, needle):
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
     assert not out.exists()
-
-
-def test_sweep_refuses_a_results_file_of_another_header(tmp_path, capsys):
-    # the file is left as it was: no row is cut, appended or summarized
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(ODE_TEXT + SWEEP_SECTION, encoding="utf-8")
-    out = tmp_path / "sweep_out"
-    out.mkdir()
-    foreign = b"index,z\n0,0.5\n1,0.2"
-    (out / "results.csv").write_bytes(foreign)
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "does not start with the sweep results header" in capsys.readouterr().err
-    assert (out / "results.csv").read_bytes() == foreign
-    assert sorted(p.name for p in out.iterdir()) == ["results.csv"]
 
 
 def test_mcmc_command_writes_chain_outputs(tmp_path, capsys):
@@ -800,6 +865,15 @@ def test_shift_demo_command(tmp_path, capsys):
 MCMC_SECTION = "\n[mcmc]\nsteps = 1500\nburn_in = 100\nseed = 1\n"
 
 
+def _assert_manifest_hashes_its_files(out):
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+                     if p.is_file() and p.name not in ("manifest.json", "timings.json",
+                                                       "numerics.json")}
+    assert {"total", "peak_rss_mb"} <= set(json.loads((out / "timings.json").read_text()))
+    return files
+
+
 @pytest.mark.parametrize("text, command, present, absent", [
     (ODE_TEXT, None, {"heldout.csv", "truth_solution.fld"}, set()),
     (ODE_TEXT + LINEAR, None, {"heldout.csv"}, {"truth_solution.fld"}),
@@ -817,7 +891,8 @@ MCMC_SECTION = "\n[mcmc]\nsteps = 1500\nburn_in = 100\nseed = 1\n"
 def test_manifest_hashes_the_bytes_on_disk(tmp_path, text, command, present, absent):
     # the manifest lists the digests its writers returned: they are those of
     # the bytes on disk, for every file but the manifest and the diagnostics;
-    # a resumed sweep hashes the rows it kept and the rows it appended
+    # a sweep's cells are runs of their own, each with such a manifest, and a
+    # resumed sweep writes its results whole again
     out = bundle = _simulate(tmp_path, text)
     if command is not None:
         out = tmp_path / command[0]
@@ -829,13 +904,16 @@ def test_manifest_hashes_the_bytes_on_disk(tmp_path, text, command, present, abs
         if command[1:] == ["resumed"]:
             raw = (out / "results.csv").read_bytes()
             (out / "results.csv").write_bytes(raw[:raw.rindex(b"\n", 0, len(raw) - 1) + 4])
+            (out / "cells" / "s10_m5_r1" / "manifest.json").unlink()
             assert main(argv) == 0
             assert (out / "results.csv").read_bytes() == raw
-    files = json.loads((out / "manifest.json").read_text())["files"]
-    assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
-                     if p.name not in ("manifest.json", "timings.json", "numerics.json")}
+    files = _assert_manifest_hashes_its_files(out)
     assert present <= set(files) and not absent & set(files)
-    assert {"total", "peak_rss_mb"} <= set(json.loads((out / "timings.json").read_text()))
+    if command is not None and command[0] == "sweep":
+        cells = sorted((out / "cells").iterdir())
+        assert len(cells) == int(command[1:] == ["resumed"]) + 1
+        for cell in cells:
+            assert set(_assert_manifest_hashes_its_files(cell)) == {"metrics.json"}
 
 
 def test_posterior_root_and_weights_rebuild_the_posterior(tmp_path):
@@ -1288,6 +1366,32 @@ def test_commands_refuse_a_broken_bundle_and_write_nothing(tmp_path, capsys, cas
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err, (command, err)
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize("command, target", [
+    *((command, target) for command in ("simulate", "infer", "mcmc", "sweep", "scan-hyper",
+                                        "shift-demo") for target in ("file", "under-file")),
+    *((command, "bundle") for command in ("infer", "mcmc", "scan-hyper")),
+])
+def test_commands_refuse_an_out_they_cannot_write_and_write_nothing(tmp_path, capsys, command,
+                                                                    target):
+    # an --out that is or lies under an existing file, or that is the bundle
+    # the command reads, is refused with exit 2 before any work; the bundle
+    # still loads as it was
+    bundle = _simulate(tmp_path, ODE_TEXT + MCMC_SECTION + SCAN_2X3 + SWEEP_SECTION)
+    out = tmp_path / "taken"
+    out.write_bytes(b"not a directory")
+    out = {"file": out, "under-file": out / "sub", "bundle": tmp_path / "." / bundle.name}[target]
+    before = sorted((p, p.read_bytes()) for p in tmp_path.rglob("*") if p.is_file())
+    config = ["--config", str(tmp_path / "exp.cfg")]
+    args = {"simulate": config, "sweep": config, "shift-demo": []}.get(command, [str(bundle)])
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    needle = ("is the bundle the command reads" if target == "bundle"
+              else "lies under an existing non-directory")
+    assert err.startswith("error:") and needle in err, err
+    assert sorted((p, p.read_bytes()) for p in tmp_path.rglob("*") if p.is_file()) == before
+    experiments.load_bundle(bundle)
 
 
 def test_bundle_manifest_holds_no_truth_weights_and_old_ones_still_load(tmp_path):

@@ -827,6 +827,19 @@ def test_predictive_mse_sees_a_known_offset():
     np.testing.assert_allclose(mse, 0.04, rtol=1e-9)
 
 
+def test_forcing_calibration_on_hand_values():
+    # z = |truth - mean| / sd is 1.5, 2.5, 1.96 (covered: the band is closed),
+    # 0.98, and on the two zero-variance cells 0 (mean exact) and inf; no
+    # division by a zero sd is made, so nothing warns
+    mean = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
+    var = np.array([1.0, 4.0, 1.0, 0.25, 0.0, 0.0])
+    truth = [1.5, 5.0, -1.96, 0.49, 1.0, 3.0]
+    coverage, z_median = inference.forcing_calibration(mean, var, truth)
+    assert coverage == 4 / 6
+    assert z_median == pytest.approx((1.5 + 1.96) / 2, rel=1e-15)
+    assert inference.forcing_calibration(mean[4:], var[4:], truth[4:]) == (0.5, np.inf)
+
+
 def test_predictive_nll_finite_at_tiny_sigma():
     grid = _grid(100)
     system = OdeSystem(PARAMS, grid)
