@@ -150,7 +150,7 @@ def cmd_sweep(args) -> int:
         config, args.out,
         progress=lambda key: print(f"done sensors={key[0]} features={key[1]} "
                                    f"replicate={key[2]}"))
-    print(f"ran {ran} replicates, skipped {skipped} already complete")
+    print(f"ran {ran} cells, skipped {skipped} already complete")
     for cell in sorted(summary):
         stats = summary[cell]
         print(f"{cell}: median={stats['median']:.6g} "

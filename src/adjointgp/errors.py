@@ -32,9 +32,9 @@ def check_march(label: str, rows: np.ndarray, reverse: bool = False, order=None,
                 step: int = 0) -> None:
     """Raise SolverError unless a march wrote only finite values.
 
-    `rows` holds the solutions of the first len(rows) columns of a march,
-    time cells on axis 1, the first marched at `step`; column j solves the
-    caller's right-hand side `order[j]` (default j).  Once a state is
+    `rows` holds the solutions of the first len(rows) right-hand sides of a
+    march, time cells on axis 1, the first marched at `step`; row j solves
+    the caller's right-hand side `order[j]` (default j).  Once a state is
     non-finite every later one is too, so one check after the march, or of
     each slab, finds every divergence.  The error names the first time cell
     in march order (from the last cell with `reverse`) whose solution is

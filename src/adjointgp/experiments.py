@@ -23,6 +23,7 @@ discretization gap between the two routes.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -688,13 +689,23 @@ def _cell_config(config: Config, **updates) -> Config:
                    if name not in ("mcmc", "sweep", "scan")})
 
 
-def _finished_metrics(cell: Path, config_sha256: str) -> dict | None:
+@functools.cache
+def program_hash() -> str:
+    """SHA-256 of the package's *.py sources, read in name order, once per
+    process: a sweep cell written by other code is not finished."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _finished_metrics(cell: Path, hashes: dict) -> dict | None:
     """A cell's metrics, parsed from the bytes checked against its manifest,
-    if that manifest names `config_sha256` and hashes them; else None."""
+    if that manifest names every one of `hashes` and hashes them; else None."""
     try:
         manifest = json.loads((cell / "manifest.json").read_bytes())
         raw = (cell / "metrics.json").read_bytes()
-        if (manifest["config_sha256"] == config_sha256
+        if (all(manifest[key] == value for key, value in hashes.items())
                 and manifest["files"]["metrics.json"] == hashlib.sha256(raw).hexdigest()):
             return json.loads(raw)
     except (OSError, ValueError, KeyError, TypeError):
@@ -709,9 +720,10 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
     seed) and the noise (noise seed); the truth depends only on the
     replicate, so every cell of a replicate inverts the same ground truth.
     Cell (S, M, R) is written to cells/sS_mM_rR/ by the one writer, and is
-    finished while its manifest names its config hash and hashes its
-    metrics.json.  results.csv and summary.json are written whole from
-    every cell's metrics.  Returns (cells_run, cells_skipped, summary)."""
+    finished while its manifest names its config hash and the program's
+    (`program_hash`) and hashes its metrics.json.  results.csv and
+    summary.json are written whole from every cell's metrics.  Returns
+    (cells_run, cells_skipped, summary)."""
     if "sweep" not in config:
         raise ConfigError("missing [sweep] section for a sweep run")
     if config["sensors"].get("heldout_count", 0) < 1:
@@ -729,8 +741,8 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
             cfg = _cell_config(config, sensors={"count": n_sensors},
                                features={"count": n_features}, seeds=cell_seeds)
             cell = out.path / "cells" / f"s{n_sensors}_m{n_features}_r{replicate}"
-            cfg_hash = config_hash(cfg)
-            metrics = _finished_metrics(cell, cfg_hash)
+            hashes = dict(config_sha256=config_hash(cfg), program_sha256=program_hash())
+            metrics = _finished_metrics(cell, hashes)
             if metrics is None:
                 data = simulate_data(cfg)
                 outcome = run_inference(data)
@@ -738,7 +750,7 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
                     data.timings[name] = data.timings.get(name, 0) + value
                 cell_out = _RunWriter(cell, data.timings)
                 cell_out.write("metrics.json", _write_json, outcome.metrics)
-                cell_out.close(config_sha256=cfg_hash)
+                cell_out.close(**hashes)
                 metrics, ran = outcome.metrics, ran + 1
                 if progress is not None:
                     progress((n_sensors, n_features, replicate))

@@ -289,13 +289,13 @@ class AdjointBank:
     only the bases are solved.  `live[i]` counts the time cells (axis 0) up
     to functional i's last non-zero one, and `order` sorts the bases by it,
     longest first.  `march(order)` yields (cells, v): `cells` is a slice of
-    flat cell indices, and column j of the (cells, w) array `v` solves base
-    `order[j]` there; the other bases are zero there.  A 1-D system solves
-    at the call and yields its rows as one slab; a PDE bank marches each
-    time `slabs()` runs, adding the seconds spent marching to `seconds`, and
-    `kept()` marches once and keeps the slabs.  `solves`, the bases with
-    `live > 0`, and `cell_steps`, their `live` summed, are fixed here,
-    however often the bank is read.  `rows` collects the solutions, row i
+    flat cell indices, and row j of the C-contiguous (w, cells) array `v`
+    solves base `order[j]` there; the other bases are zero there.  A 1-D
+    system solves at the call and yields its rows as one slab; a PDE bank
+    marches each time `slabs()` runs, adding the seconds spent marching to
+    `seconds`, and `kept()` marches once and keeps the slabs.  `solves`,
+    the bases with `live > 0`, and `cell_steps`, their `live` summed, are
+    fixed here, however often the bank is read.  `rows` collects the solutions, row i
     solving functional i: its base's rows shifted over its run and summed."""
 
     def __init__(self, grid: Grid, live, march, groups=None):
@@ -324,7 +324,7 @@ class AdjointBank:
 
     @property
     def columns(self) -> np.ndarray:
-        """Column of the march that solves functional i's base."""
+        """Row of every slab that solves functional i's base."""
         column = np.empty(len(self.live), dtype=int)
         column[self.order] = np.arange(len(self.order))
         return column[self.base]
@@ -334,7 +334,7 @@ class AdjointBank:
         cells = self.grid.num_cells
         solved = np.zeros((len(self.order), cells))
         for part, v in self.slabs():
-            solved[:v.shape[1], part] = v.T
+            solved[:len(v), part] = v
         rows = np.zeros((len(self.live), cells))
         per_time = cells // self.grid.dims[0]
         for row, j, (d0, d1), scale in zip(rows, self.columns, self.runs.tolist(), self.scale):

@@ -195,14 +195,14 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = 
     The slabs (cells, V) the bank yields, one time cell on (time, space)
     grids, are cut into pieces, the outer runs of cells cut at the cells
     where functionals read, and each piece is projected once onto the
-    per-axis tables, V^T [cos b | sin b], and added with cos a and sin a of
-    its outer row into running cosine and sine sums C and S of its w base
-    columns.  Consecutive pieces that read all of the tables, every time
-    cell of a PDE bank and the uncut outer runs of a 1-D one, are copied
-    into a stack of at most _STACK_BYTES and projected by one product; a
-    PDE bank yields its slabs as it marches, so no solution outlives its
-    stack, and the time cells after the last window ends are never
-    evaluated.  Functional i adds cos(w d dt) C + sin(w d dt) S, w the time
+    per-axis tables, V [cos b | sin b] for its (w, cells) rows V, and added
+    with cos a and sin a of its outer row into running cosine and sine sums
+    C and S of its w bases.  Consecutive pieces that read all of the
+    tables, every time cell of a PDE bank and the uncut outer runs of a 1-D
+    one, are copied into a stack of at most _STACK_BYTES and projected by
+    one product; a PDE bank yields its slabs as it marches, so no solution
+    outlives its stack, and the time cells after the last window ends are
+    never evaluated.  Functional i adds cos(w d dt) C + sin(w d dt) S, w the time
     frequencies, for each shift d of its run runs[i] as the march passes
     cell d, and the sum is scaled by scale[i].  The amplitude scales Phi as the
     last step, so the variance never needs a new projection: `projections`,
@@ -280,10 +280,9 @@ def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
     # a batch: its pieces, consecutive and in march order (the last first),
     # their widths, and its products, each (first table row, table rows,
     # height, the piece's rows): whole pieces in a row share one product of
-    # their rows, which are copied, transposed, one after another into
-    # `stack`, and stand as None; a bank with no whole piece allocates no
-    # stack, whose 1 MiB alone made the ode-bundle projection up to a third
-    # slower
+    # their rows, which are copied one after another into `stack`, and
+    # stand as None; a bank with no whole piece allocates no stack, whose
+    # 1 MiB alone made the ode-bundle projection up to a third slower
     budget = _STACK_BYTES // 8
     stack = np.empty(max(budget, len(bank.order) * inner) if any(whole) else 0)
     ks, ws, products = [], [], []
@@ -321,7 +320,7 @@ def _project(bank: AdjointBank, basis: FeatureBasis) -> np.ndarray:
     for cells, v in bank.slabs():
         first, stop = np.searchsorted(edges, (cells.start, cells.stop)).tolist()
         for k in range(stop - 1, first - 1, -1):  # the last first
-            src = v[bounds[k] - cells.start:bounds[k + 1] - cells.start].T
+            src = v[:, bounds[k] - cells.start:bounds[k + 1] - cells.start]
             w = len(src)
             if ks and (used + src.size > budget or (height + w) * size > _PART_SIZE):
                 flush()

@@ -108,7 +108,7 @@ class OdeSystem:
         functionals = tuple(functionals)
         spans = time_spans(functionals, self._grid)
         bank = AdjointBank(self._grid, spans[:, 1], lambda order: [
-            (slice(0, self._grid.num_cells), rows.T)], shift_groups(functionals, spans))
+            (slice(0, self._grid.num_cells), rows)], shift_groups(functionals, spans))
         # the march solves here, at the call, the bases in the bank's order
         rows = self._march([functionals[i] for i in bank.order], spans[bank.order], bank.order)
         return bank

@@ -27,11 +27,12 @@ upwind, centered-diffusion step with walls reflected by one ghost layer;
 so the two observation routes are transposes of each other by
 construction.  Both solves run one march, x <- B x + dt * rhs, with B = A^T
 forward and B = A over reversed time for the adjoint.  It steps every
-right-hand side at once on a cell-major (S, w) state: a column joins when
-its first right-hand side comes up in march order, so an adjoint column
-starts at its window's last time cell and the zero slabs before it are
-never marched.  The march yields each time cell's (S, w) solution as it
-goes and checks it for non-finite values.  A is constant, so a window of
+right-hand side at once on a (w, S) state, one plane per column: a column
+joins, as a zero plane appended to the state, when its first right-hand
+side comes up in march order, so an adjoint column starts at its window's
+last time cell and the zero slabs before it are never marched.  The march
+yields each time cell's (w, S) solution as it goes, row j solving column
+j, and checks it for non-finite values.  A is constant, so a window of
 W time cells solves as the sum of W time shifts of its box's impulse, the
 box on one time cell: the adjoint marches one impulse per spatial box
 (`fields.shift_groups`), ending where the box's last window ends, and a
@@ -116,9 +117,10 @@ def cfl_limit(params: PdeParams, grid: Grid) -> float:
 
 
 class _Stencil:
-    """One step x <- A x of the five-point stencil over C-contiguous (ny, nx,
-    w) cell-major states: `diag`, (ny, nx), and one scalar per neighbour,
-    y-1, x-1, x+1, y+1.  `T` is the transposed step, its neighbours swapped."""
+    """One step x <- A x of the five-point stencil over C-contiguous (w, ny,
+    nx) states, one plane per right-hand side: `diag`, (ny, nx), and one
+    scalar per neighbour, y-1, x-1, x+1, y+1.  `T` is the transposed step,
+    its neighbours swapped."""
 
     def __init__(self, diag, ym, xm, xp, yp):
         self.diag, self.ym, self.xm, self.xp, self.yp = diag, ym, xm, xp, yp
@@ -131,25 +133,25 @@ class _Stencil:
         """out <- A x, `tmp` a scratch state.  Each cell adds its terms in the
         order y-1, x-1, self, x+1, y+1 from 0.0, the column order of its row
         of A, and a term across a wall adds nothing.  On the flat states an
-        x neighbour is w entries away and a y neighbour nx * w; the diagonal
-        takes its interior value, then the wall cells are redone."""
-        w = x.shape[2]
-        sy = x.shape[1] * w
+        x neighbour is 1 entry away and a y neighbour nx: a shifted term that
+        crosses a row or a plane lands on a wall cell, where it is zeroed.
+        The y+1 term adds that 0.0 to the y = ny-1 cells, which leaves their
+        bits as they are unless a cell holds -0.0."""
+        w, ny, nx = x.shape
         xf, of, tf = x.reshape(-1), out.reshape(-1), tmp.reshape(-1)
-        of[:sy] = 0.0
-        np.multiply(xf[:-sy], self.ym, out=of[sy:])
-        np.multiply(xf[:-w], self.xm, out=tf[w:])
-        tmp[:, 0] = 0.0
+        np.multiply(xf[:-nx], self.ym, out=of[nx:])
+        out[:, 0] = 0.0
+        np.multiply(xf[:-1], self.xm, out=tf[1:])
+        tmp[..., 0] = 0.0
         of += tf
-        np.multiply(xf, self.diag[1, 1], out=tf)
-        for wall in (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1]):
-            np.multiply(x[wall], self.diag[wall][..., None], out=tmp[wall])
+        np.multiply(x.reshape(w, -1), self.diag.reshape(-1), out=tmp.reshape(w, -1))
         of += tf
-        np.multiply(xf[w:], self.xp, out=tf[:-w])
+        np.multiply(xf[1:], self.xp, out=tf[:-1])
+        tmp[..., -1] = 0.0
+        of += tf
+        np.multiply(xf[nx:], self.yp, out=tf[:-nx])
         tmp[:, -1] = 0.0
         of += tf
-        np.multiply(xf[sy:], self.yp, out=tf[:-sy])
-        np.add(of[:-sy], tf[:-sy], out=of[:-sy])
 
 
 def _step_operator(params: PdeParams, grid: Grid) -> _Stencil:
@@ -206,12 +208,12 @@ class PdeSystem:
         values = np.zeros(self._grid.num_cells)
         spans = time_spans([forcing], self._grid)
         for cells, v in self._march([forcing], spans):
-            values[cells] = v[:, 0]
+            values[cells] = v[0]
         return Field(self._grid, values)
 
     def adjoint_march(self, functionals) -> AdjointBank:
         """Adjoint solves of every base at once by v <- A v + dt h, marched
-        in reversed time each time the bank's slabs are asked for: one (S, w)
+        in reversed time each time the bank's slabs are asked for: one (w, S)
         slab per time cell, from the last on.  A window's base is its box's
         impulse, on the time cell its base functional ends on."""
         functionals = tuple(functionals)
@@ -226,9 +228,9 @@ class PdeSystem:
 
     def _march(self, functionals, spans, order=None):
         """Step x <- B x + dt * rhs from rest and yield (cells, x), x the
-        (S, w) solution on a time cell: forward, B = A^T from the first cell
-        on, or, when `order`, the caller's index of each column, makes it an
-        adjoint march, B = A from the last.  Columns come sorted by the step
+        (w, S) solution on a time cell: forward, B = A^T from the first cell
+        on, or, when `order`, the caller's index of each row, makes it an
+        adjoint march, B = A from the last.  Rows come sorted by the step
         they join at, their first right-hand side.  A non-finite slab raises
         SolverError."""
         reverse = order is not None
@@ -237,44 +239,29 @@ class PdeSystem:
         dt = self._grid.spacing[0]
         # an all-zero adjoint column never joins; a forward march has one column
         joins = nt - spans[:, 1] if reverse else spans[:, 0]
-        flat = np.arange(ny * nx).reshape(ny, nx)
-        boxes = {j: (flat[f.box[1:]].ravel(), dt * f.value)
-                 for j, f in enumerate(functionals) if isinstance(f, Window)}
-        adds = {}
         # the state, the next state and the stencil's scratch, each laid out
-        # (ny, nx, w) at the head of a buffer as wide as every joining column
+        # (w, ny, nx) at the head of a buffer as wide as every joining
+        # column: a column joins as a plane past the head, never yet written
         width = int(np.searchsorted(joins, nt - 1, side="right"))
-        cur, spare, scratch = np.zeros((3, ny * nx * width))
-        cols = 0
+        cur, spare, scratch = np.zeros((3, width * ny * nx))
         for step, k in enumerate(range(nt - 1, -1, -1) if reverse else range(nt)):
             w = int(np.searchsorted(joins, step, side="right"))
             if w == 0:
                 continue
-            if w > cols:
-                grown = spare[:ny * nx * w].reshape(ny, nx, w)
-                grown[..., :cols] = cur[:ny * nx * cols].reshape(ny, nx, cols)
-                grown[..., cols:] = 0.0
-                cur, spare, cols = spare, cur, w
-            state, nxt, tmp = (b[:ny * nx * w].reshape(ny, nx, w) for b in (cur, spare, scratch))
-            # the columns with a right-hand side here; the flat state entries
-            # their windows add to are found once per run of such cells
-            on = np.flatnonzero((spans[:w, 0] <= k) & (k < spans[:w, 1]))
-            if (key := (w, on.tobytes())) not in adds:
-                wins = [j for j in on if j in boxes]
-                adds[key] = (np.concatenate([on[:0]] + [boxes[j][0] * w + j for j in wins]),
-                             np.concatenate([np.zeros(0)] + [np.full(boxes[j][0].size, boxes[j][1])
-                                                             for j in wins]))
+            state, nxt, tmp = (b[:w * ny * nx].reshape(w, ny, nx) for b in (cur, spare, scratch))
             # overflow is reported as SolverError below, not as a numpy warning
             with np.errstate(over="ignore", invalid="ignore"):
                 op.apply(state, nxt, tmp)
-                idx, values = adds[key]
-                nxt.reshape(-1)[idx] += values
-                for j in on:
-                    if j not in boxes:
-                        nxt[..., j] += dt * functionals[j].values[k]
-                out = (state + nxt).reshape(ny * nx, w)
+                # each column with a right-hand side here adds its box or its field
+                for j in np.flatnonzero((spans[:w, 0] <= k) & (k < spans[:w, 1])).tolist():
+                    f = functionals[j]
+                    if isinstance(f, Window):
+                        nxt[j][f.box[1:]] += dt * f.value
+                    else:
+                        nxt[j] += dt * f.values[k]
+                out = (state + nxt).reshape(w, ny * nx)
                 out *= 0.5
-            check_march("adjoint" if reverse else "forward", out.T[:, None], order=order,
+            check_march("adjoint" if reverse else "forward", out[:, None], order=order,
                         step=step)
             yield slice(k * ny * nx, (k + 1) * ny * nx), out
             cur, spare = spare, cur

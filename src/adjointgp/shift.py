@@ -86,10 +86,10 @@ class ShiftSystem:
 
     def adjoint_march(self, functionals) -> AdjointBank:
         """Adjoint solves v_i(t) = h_i(t + a) of every functional at once,
-        yielded as one slab, column i solving functional i; cells shifted in
+        yielded as one slab, row i solving functional i; cells shifted in
         from outside the domain hold 0.  Every row counts as live
         throughout, so the bank reports n solves and n * nt cell steps."""
         grid = self._grid
         rows = _shift_rows(bank_rows(functionals, grid), -self._cells)
         return AdjointBank(grid, np.full(len(rows), grid.dims[0]),
-                           lambda order: [(slice(0, grid.num_cells), rows.T)])
+                           lambda order: [(slice(0, grid.num_cells), rows)])

@@ -454,7 +454,7 @@ def row_bank(rows, grid: Grid) -> AdjointBank:
     """Bank yielding `rows`, one per functional on `grid`, as one slab."""
     rows = np.asarray(rows, dtype=float)
     return AdjointBank(grid, np.full(len(rows), grid.dims[0]),
-                       lambda order: [(slice(0, grid.num_cells), rows.T)])
+                       lambda order: [(slice(0, grid.num_cells), rows)])
 
 
 def exact_gram(bank, kernel: KernelParams) -> np.ndarray:

@@ -16,6 +16,9 @@ from adjointgp import (
     window_indicator,
 )
 from adjointgp.fields import bank_rows, window_boxes
+from adjointgp.ode import OdeParams, OdeSystem
+from adjointgp.pde import PdeParams, PdeSystem
+from adjointgp.shift import ShiftParams, ShiftSystem
 from oracles import cell_box, dense_field
 
 
@@ -225,6 +228,43 @@ def test_reversed_and_narrow_boxes_are_refused():
     # a span narrower than a cell that holds no center
     with pytest.raises(DomainError, match=r"^window \[0.36, 0.39\) contains no cell centers on axis 0$"):
         window_indicator(grid, (0.36, 0.5), (0.39, 0.5))
+
+
+LINE = Grid.regular(((0.0, 10.0),), (200,))
+LINE_WINDOWS = [window_indicator(LINE, [t], [t + 0.3 + 0.1 * (i % 3)])
+                for i, t in enumerate(np.linspace(0.5, 8.5, 9))]
+
+
+def _pde_bank():
+    grid = Grid.regular(((0.0, 10.0), (0.0, 9.0), (0.0, 13.0)), (20, 9, 13))
+    params = PdeParams((0.4, -0.3), 0.05, ((0.0, 9.0), (0.0, 13.0)), 10.0)
+    windows = [window_indicator(grid, (1.0 + k, 1.0 + k, 2.0), (3.0 + 2.0 * k, 4.0 + k, 7.0))
+               for k in range(4)]
+    return PdeSystem(params, grid).adjoint_march(windows + [Field.zeros(grid)])
+
+
+BANKS = {
+    "ode": lambda: OdeSystem(OdeParams(5.0, 1.0, 0.5, 10.0), LINE).adjoint_march(LINE_WINDOWS),
+    "pde": _pde_bank,
+    "pde-kept": lambda: _pde_bank().kept(),
+    "shift": lambda: ShiftSystem(ShiftParams(1.0, 10.0), LINE).adjoint_march(LINE_WINDOWS),
+}
+
+
+@pytest.mark.parametrize("kind", BANKS)
+def test_every_slab_holds_its_bases_as_contiguous_rows(kind):
+    # a slab (cells, v) is (w, cells), row j solving base order[j]: on a 1-D
+    # bank every base, on a PDE time cell the bases live there; `rows`, which
+    # the single-solve tests check, reads the slabs by that contract
+    bank = BANKS[kind]()
+    per_time = bank.grid.num_cells // bank.grid.dims[0]
+    live = bank.live[bank.order]
+    slabs = list(bank.slabs())
+    assert len(slabs) == (1 if bank.grid.ndim == 1 else live.max())
+    for cells, v in slabs:
+        w = len(live) if bank.grid.ndim == 1 else np.count_nonzero(live > cells.start // per_time)
+        assert v.flags.c_contiguous
+        assert v.shape == (w, cells.stop - cells.start)
 
 
 def test_binary_round_trip_bit_exact(tmp_path):

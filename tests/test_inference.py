@@ -290,7 +290,7 @@ def test_stacked_pieces_project_bit_for_bit_as_one_piece_per_product(monkeypatch
                                 (10.0 if b < 6 else 4.0 + 0.6 * b, y + 1.5, x + 1.5))
                for b, (y, x) in enumerate(boxes)]
     pde = system.adjoint_march(windows).kept()
-    assert sorted({v.shape[1] for _, v in pde.slabs()}) == [6, 7, 8, 9]
+    assert sorted({len(v) for _, v in pde.slabs()}) == [6, 7, 8, 9]
     line = Grid.regular(((0.0, 10.0),), (2000,))
     spans = [window_indicator(line, [t], [t + 0.2 + 0.1 * (i % 3)])
              for i, t in enumerate(np.linspace(0.5, 4.5, 24))]

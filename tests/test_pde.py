@@ -289,13 +289,13 @@ def test_step_operator_matches_hand_written_stencils(velocity):
     op = pde._step_operator(params, grid)
     rng = np.random.default_rng(870)
     for w in (1, 5):
-        v = rng.standard_normal((9 * 13, w))
+        v = rng.standard_normal((w, 9 * 13))
         v[rng.random(v.shape) < 0.3] = 0.0
         for stencil, m in ((op, matrix), (op.T, matrix.T)):
-            out, tmp = np.empty((2, 9, 13, w))
-            stencil.apply(v.reshape(9, 13, w), out, tmp)
-            np.testing.assert_array_equal(out.reshape(-1, w).view(np.int64),
-                                          row_order_product(m, v).view(np.int64))
+            out, tmp = np.empty((2, w, 9, 13))
+            stencil.apply(v.reshape(w, 9, 13), out, tmp)
+            np.testing.assert_array_equal(out.reshape(w, -1).view(np.int64),
+                                          row_order_product(m, v.T).T.view(np.int64))
 
 
 def test_forward_overflow_raises_without_a_warning():
