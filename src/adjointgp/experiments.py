@@ -641,6 +641,9 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
         result = rw_mh(target, start, cfg)
     with clock.stage("chain_statistics"):
         diag = chain_diagnostics(*result.runs(cfg.burn_in))
+    exact_mean, exact_sd = pipeline.posterior.mean, pipeline.posterior.sd
+    # e, the chain mean's error in exact sds: an i.i.d. mean of N draws has E[e^2] = 1/N
+    error, sd_ratio = (diag.mean - exact_mean) / exact_sd, np.sqrt(diag.var) / exact_sd
     diagnostics = {
         "acceptance_rate": result.acceptance_rate,
         "proposal_scale": scale,
@@ -650,15 +653,18 @@ def run_mcmc(data: SimulatedData) -> McmcOutcome:
         "max_rhat": float(diag.rhat.max()),
         "converged": diag.converged,
         "feature_count_warning": basis.size >= MCMC_FEATURE_WARN,
-        "max_abs_mean_gap": float(np.max(np.abs(diag.mean - pipeline.posterior.mean))),
+        "max_abs_mean_gap": float(np.max(np.abs(diag.mean - exact_mean))),
+        "max_abs_mean_error_sd": float(np.max(np.abs(error))),
+        "rms_mean_error_sd": float(np.sqrt(np.mean(error**2))),
+        "reference_ess": float(1.0 / np.mean(error**2)),
+        "sd_ratio_range": [float(sd_ratio.min()), float(sd_ratio.max())],
         "config_sha256": config_hash(config),
     }
     clock.update(ess_per_second=diagnostics["min_ess"] / clock["chain"],
                  max_c_drift=result.drift)
     return McmcOutcome(result=result, chain_mean=diag.mean, chain_sd=np.sqrt(diag.var),
-                       exact_mean=pipeline.posterior.mean,
-                       exact_sd=pipeline.posterior.sd,
-                       ess=diag.ess, rhat=diag.rhat, diagnostics=diagnostics, timings=clock)
+                       exact_mean=exact_mean, exact_sd=exact_sd, ess=diag.ess, rhat=diag.rhat,
+                       diagnostics=diagnostics, timings=clock)
 
 
 def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
@@ -678,8 +684,8 @@ def save_mcmc(outcome: McmcOutcome, data: SimulatedData, out_dir) -> Path:
 # sweeps and scans
 
 
-_SWEEP_HEADER = ["sensors", "features", "replicate", "heldout_mse",
-                 "forcing_mse", "seed_data", "seed_basis", "seed_noise"]
+_SWEEP_HEADER = ["sensors", "features", "replicate", "heldout_mse", "forcing_mse",
+                 "forcing_coverage", "seed_data", "seed_basis", "seed_noise"]
 
 
 def _cell_config(config: Config, **updates) -> Config:
@@ -755,7 +761,8 @@ def run_sweep(config: Config, out_dir, progress=None) -> tuple[int, int, dict]:
                 if progress is not None:
                     progress((n_sensors, n_features, replicate))
             rows.append([n_sensors, n_features, replicate, float(metrics["heldout_mse"]),
-                         float(metrics["forcing_mse"]), *cell_seeds.values()])
+                         float(metrics["forcing_mse"]), float(metrics["forcing_coverage"]),
+                         *cell_seeds.values()])
 
     out.write("results.csv", _write_csv, _SWEEP_HEADER, rows)
     summary = sweep_summary(rows)

@@ -25,10 +25,10 @@ spatial axes and a run of ceil(sqrt(G)) cells on 1-D grids, and the
 argument of cell o * inner + i splits into a[o] + b[i], so that by angle
 addition phi_m = amplitude * (cos a cos b - sin a sin b).  The tables carry
 no amplitude, and b's rows come in blocks joined within a fixed byte budget:
-a forcing is two products per block, Phi projects on the blocks stacked, the
-posterior fields read one (rows, M) feature block per block and outer row,
-and the amplitude scales the result last.  The dense reference, `eval_basis`,
-lives in the tests' oracles.
+a forcing is two products per block, the posterior mean among them, Phi
+projects on the blocks stacked, the posterior variance reads one (rows, M)
+feature block per block and outer row, and the amplitude scales each result
+last.  The dense reference, `eval_basis`, lives in the tests' oracles.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, Grid
+from .fields import Field, Grid, GridMismatchError
 
 __all__ = [
     "KernelParams",
@@ -189,7 +189,10 @@ def _axis_tables(basis: FeatureBasis, grid: Grid):
     sums the spatial arguments, or the offsets i * dx, joined axis by axis
     by products broadcast over the rows whose scratch fits _JOIN_BYTES / 8,
     at least one.  A block spans the most cells of the first spatial axis
-    that fit _JOIN_BYTES, at least one; a 1-D grid's b is one block."""
+    that fit _JOIN_BYTES, at least one; a 1-D grid's b is one block.  A basis
+    of another dimension than the grid raises GridMismatchError, first."""
+    if basis.dim != grid.ndim:
+        raise GridMismatchError(f"a {basis.dim}-D basis does not fit a {grid.ndim}-D grid")
     scaled = basis.frequencies.T / basis.kernel.lengthscale
     if grid.ndim == 1:
         inner = math.isqrt(grid.num_cells - 1) + 1
@@ -222,14 +225,12 @@ def _axis_tables(basis: FeatureBasis, grid: Grid):
 
 
 def forcing_from_weights(basis: FeatureBasis, weights, grid: Grid) -> Field:
-    """Field  f(x) = sum_m weights[m] * phi_m(x)  over the grid: with
-    c = amplitude * weights, (c cos a) cos b^T - (c sin a) sin b^T holds an
-    outer row of cells per row, built from _JOIN_BYTES blocks of b's rows."""
+    """Field  f(x) = sum_m weights[m] * phi_m(x), a truth or a posterior
+    mean: with c = amplitude * weights, (c cos a) cos b^T - (c sin a) sin b^T
+    holds an outer row of cells per row, from _JOIN_BYTES blocks of b's rows."""
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if weights.size != basis.size:
         raise ValueError(f"expected {basis.size} weights, got {weights.size}")
-    if basis.dim != grid.ndim:
-        raise ValueError("basis dim does not match grid")
     cos_a, sin_a, blocks = _axis_tables(basis, grid)
     coef = basis.amplitude * weights
     cos_a *= coef

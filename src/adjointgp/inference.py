@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MisspecificationWarning, NumericalError
-from .features import FeatureBasis, KernelParams, _axis_tables
+from .features import FeatureBasis, KernelParams, _axis_tables, forcing_from_weights
 from .fields import AdjointBank, Field, Grid, GridMismatchError, Window
 
 __all__ = [
@@ -209,13 +209,11 @@ def assemble_phi(bank: AdjointBank, basis: FeatureBasis, *, grid: Grid | None = 
     a dict the caller keeps across calls on one bank and one frequency draw,
     holds the unit-amplitude projection per lengthscale, bit for bit what a
     call without it makes.  Passing `grid` asserts the bank lives on that grid; a
-    mismatch raises GridMismatchError before any work is done.  Non-finite
-    entries raise NumericalError.
+    mismatch, or a basis of another dimension, raises GridMismatchError before
+    any work is done.  Non-finite entries raise NumericalError.
     """
     if grid is not None and bank.grid != grid:
         raise GridMismatchError("adjoint bank does not live on the expected grid")
-    if basis.dim != bank.grid.ndim:
-        raise GridMismatchError("basis dimension does not match the grid")
     projections = {} if projections is None else projections
     # an overflow is reported below as an error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -384,28 +382,24 @@ def posterior_q(phi, z, sigma: float) -> PosteriorQ:
 
 
 def posterior_forcing(post: PosteriorQ, basis: FeatureBasis, grid: Grid):
-    """Posterior mean field and pointwise variance field of the forcing, both
-    from one pass over the tables: each block of b's rows and each outer row
-    make one unit-amplitude feature block, cos b cos a - sin b sin a."""
+    """Posterior mean, the forcing of the mean weights, and pointwise variance
+    |R^T phi(x)|^2 of the forcing: per block of b's rows and outer row, the
+    unit-amplitude features cos b cos a - sin b sin a times R, amplitude^2 last."""
     if basis.size != post.dim:
         raise ValueError("posterior dimension does not match basis")
-    coef, root = basis.amplitude * post.mean, basis.amplitude * post.root
-    mean, var = np.empty(grid.num_cells), np.empty(grid.num_cells)
     cos_a, sin_a, blocks = _axis_tables(basis, grid)
-    inner, lo = -(-grid.num_cells // len(cos_a)), 0  # cells per outer row; a last 1-D run is short
+    var, lo = np.empty((len(cos_a), -(-grid.num_cells // len(cos_a)))), 0  # (outer, inner)
     for cos_b, sin_b in blocks:
         block, spread = np.empty_like(cos_b), np.empty_like(cos_b)
-        for o, start in enumerate(range(lo, grid.num_cells, inner)):
-            n = min(len(cos_b), grid.num_cells - start)
-            np.multiply(cos_b[:n], cos_a[o], out=block[:n])
-            block[:n] -= np.multiply(sin_b[:n], sin_a[o], out=spread[:n])
-            mean[start:start + n] = block[:n] @ coef
-            # pointwise variance phi(x)^T S phi(x) = |root^T phi(x)|^2
-            w = np.matmul(block[:n], root, out=spread[:n])
-            var[start:start + n] = np.einsum("ij,ij->i", w, w)
+        for cells, ca, sa in zip(var[:, lo:lo + len(cos_b)], cos_a, sin_a):
+            np.multiply(cos_b, ca, out=block)
+            block -= np.multiply(sin_b, sa, out=spread)
+            w = np.matmul(block, post.root, out=spread)
+            np.einsum("ij,ij->i", w, w, out=cells)
         lo += len(cos_b)
-    del cos_b, sin_b, block, spread, w  # freed before the fields copy mean and var
-    return Field(grid, mean), Field(grid, np.maximum(var, 0.0, out=var))
+    del cos_a, sin_a, blocks, cos_b, sin_b, block, spread, w  # freed before the mean's tables
+    var = var.reshape(-1)[:grid.num_cells] * basis.amplitude**2  # sums of squares: >= 0
+    return forcing_from_weights(basis, post.mean, grid), Field(grid, var)
 
 
 def _predictive_moments(post: PosteriorQ, phi, z) -> tuple[np.ndarray, np.ndarray]:

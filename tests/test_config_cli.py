@@ -430,6 +430,14 @@ def test_infer_scores_the_forcing_band_from_the_fields_it_writes(tmp_path, text)
     assert metrics["forcing_z_median"] == pytest.approx(np.median(z), rel=1e-15)
 
 
+def _linear_synth_coverage(text: str, seeds: int) -> float:
+    """Mean forcing_coverage of `text` plus synth = linear over seeds s <
+    `seeds`: data s, basis 1000 + s and noise 2000 + s."""
+    return np.mean([run_inference(simulate_data(parse_config(
+        text + f"\n[seeds]\ndata = {s}\nbasis = {1000 + s}\nnoise = {2000 + s}\n" + LINEAR)))
+        .metrics["forcing_coverage"] for s in range(seeds)])
+
+
 def test_the_forcing_band_covers_a_linear_synth_truth_drawn_from_its_prior():
     # a linear-synth truth is a draw from the basis's own prior, so the model
     # is exact and each cell's 95% band covers it with probability 0.95.
@@ -438,10 +446,18 @@ def test_the_forcing_band_covers_a_linear_synth_truth_drawn_from_its_prior():
     # 0.011: ten disjoint 40-seed means fell in 0.922-0.970.  The band is
     # about four standard errors; a variance field a quarter of the right
     # one covers 0.70 here
-    coverage = [run_inference(simulate_data(parse_config(_edit(
-        ODE_TEXT, data=str(s), basis=str(1000 + s), noise=str(2000 + s)) + LINEAR)))
-        .metrics["forcing_coverage"] for s in range(40)]
-    assert np.mean(coverage) == pytest.approx(0.95, abs=0.04)
+    without_seeds = ODE_TEXT[:ODE_TEXT.index("[seeds]")]
+    assert _linear_synth_coverage(without_seeds, 40) == pytest.approx(0.95, abs=0.04)
+
+
+def test_the_pde_forcing_band_covers_a_linear_synth_truth_drawn_from_its_prior():
+    # the same check on the (t, y, x) grid, whose variance is read one time
+    # cell and one block of y rows at a time.  Over seeds 0-999 the mean
+    # coverage was 0.948 with a per-seed sd of 0.099, 0.6 standard errors
+    # from 0.95; ten disjoint 100-seed means fell in 0.932-0.957, and the
+    # standard error of one is near 0.010, so the band is about four.  A
+    # variance field a quarter of the right one covers 0.68 here
+    assert _linear_synth_coverage(PDE_TEXT, 100) == pytest.approx(0.95, abs=0.04)
 
 
 def test_infer_command_recovers_linear_synth_weights(tmp_path, capsys):
@@ -614,6 +630,23 @@ def _sweep_bytes(out):
     return {name: (out / name).read_bytes() for name in ("results.csv", "summary.json")}
 
 
+def test_sweep_results_carry_each_cell_s_forcing_scores(tmp_path):
+    # the sweep reports calibration beside the errors: each row's scores are
+    # its cell's metrics.json values, read back to the same bits
+    out = tmp_path / "sweep"
+    run_sweep(parse_config(ODE_TEXT + LATTICE), out)
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["sensors", "features", "replicate", "heldout_mse", "forcing_mse",
+                             "forcing_coverage", "seed_data", "seed_basis", "seed_noise"]
+    assert len(rows) == 4
+    for row in rows:
+        cell = out / "cells" / f"s{row['sensors']}_m{row['features']}_r{row['replicate']}"
+        metrics = json.loads((cell / "metrics.json").read_bytes())
+        for name in ("heldout_mse", "forcing_mse", "forcing_coverage"):
+            assert float(row[name]) == metrics[name]
+
+
 @pytest.mark.parametrize("torn", ["metrics.json", "timings.json", "manifest.json"])
 def test_sweep_reruns_exactly_the_cells_an_interruption_left_unfinished(tmp_path, monkeypatch,
                                                                         torn):
@@ -761,6 +794,24 @@ def test_mcmc_command_writes_chain_outputs(tmp_path, capsys):
     assert main(["mcmc", str(bundle), "--out", str(again)]) == 0
     for name in ("trace.csv", "chain_summary.csv", "diagnostics.json", "manifest.json"):
         assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_mcmc_reports_the_chain_s_error_against_the_exact_answer(tmp_path):
+    # e = (chain mean - exact mean) / exact sd per coordinate, recomputed
+    # from the repr floats of chain_summary.csv
+    text = ODE_TEXT.replace("count = 8", "count = 5") + "\n[mcmc]\nsteps = 3000\nburn_in = 500\n"
+    bundle, out = _simulate(tmp_path, text), tmp_path / "chain"
+    assert main(["mcmc", str(bundle), "--out", str(out)]) == 0
+    with open(out / "chain_summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    mean, sd, exact_mean, exact_sd = (np.array([float(row[name]) for row in rows]) for name in
+                                      ("mcmc_mean", "mcmc_sd", "exact_mean", "exact_sd"))
+    error, ratio = (mean - exact_mean) / exact_sd, sd / exact_sd
+    diag = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
+    assert diag["max_abs_mean_error_sd"] == np.max(np.abs(error))
+    assert diag["rms_mean_error_sd"] == np.sqrt(np.mean(error**2))
+    assert diag["reference_ess"] == 1.0 / np.mean(error**2)
+    assert diag["sd_ratio_range"] == [ratio.min(), ratio.max()]
 
 
 def test_mcmc_command_warns_on_large_bases(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adjointgp import (
+    AdjointBank,
     FeatureBasis,
     Field,
     Grid,
@@ -514,10 +515,7 @@ def test_posterior_fields_over_uneven_table_blocks_match_the_dense_basis():
                                    atol=1e-12 * np.abs(reference).max())
 
 
-def test_posterior_fields_hold_one_table_block_at_a_thousand_features():
-    # 1000 features on the pde-infer grid: the whole cos b and sin b tables
-    # and two feature buffers as tall would take 28.8 MB beside the 8 MB
-    # covariance root; blocks of 2 MiB keep the peak under 20 MiB
+def _push_back_peak_at_a_thousand_features():
     grid = Grid.regular(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), (50, 30, 30))
     basis = FeatureBasis.sample(1000, 3, KernelParams(lengthscale=2.0, variance=2.0), seed=13)
     rng = np.random.default_rng(14)
@@ -528,7 +526,60 @@ def test_posterior_fields_hold_one_table_block_at_a_thousand_features():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    return peak
+
+
+def test_posterior_fields_hold_one_table_block_at_a_thousand_features():
+    # 1000 features on the pde-infer grid: the whole cos b and sin b tables
+    # and two feature buffers as tall would take 28.8 MB beside the 8 MB
+    # covariance root; blocks of 2 MiB keep the peak under 20 MiB
+    assert _push_back_peak_at_a_thousand_features() < 20 * 2**20
+
+
+def test_push_back_reads_the_root_unscaled_and_frees_its_tables_before_the_mean():
+    # a copy of the (M, M) root scaled by the amplitude took 7.6 MiB of a
+    # 15.45 MiB peak; the variance reads the root itself, and the mean's
+    # tables are built after the variance's are freed, so the peak is
+    # one pass's tables and blocks, about 7.5 MiB
+    assert _push_back_peak_at_a_thousand_features() < 10 * 2**20
+
+
+@pytest.mark.parametrize("grid, count", [
+    (_grid(2000), 40),
+    (Grid.regular(((0.0, 6.0), (0.0, 10.0), (0.0, 8.0)), (24, 30, 40)), 300),
+    (Grid.regular(((0.0, 2.0), (0.0, 3.0), (-1.0, 1.0)), (6, 10, 30)), 1000),
+], ids=["1d-short-last-run", "t-y-x", "uneven-blocks-M1000"])
+def test_posterior_mean_is_the_forcing_of_the_mean_weights(grid, count):
+    # the push-back draws its mean with the synthesis that draws the truths,
+    # so the two agree bit for bit: on 2000 cells in runs of 45 the last run
+    # is short, and at M = 1000 the 10 rows of y come in blocks of 4, 4, 2
+    basis = FeatureBasis.sample(count, grid.ndim, KERNEL, seed=31)
+    rng = np.random.default_rng(32)
+    post = posterior_q(rng.standard_normal((20, count)), rng.standard_normal(20), 0.5)
+    mean, _ = posterior_forcing(post, basis, grid)
+    assert mean.values.tobytes() == forcing_from_weights(basis, post.mean, grid).values.tobytes()
+
+
+def test_a_basis_of_another_dimension_is_refused_before_any_table_or_march(monkeypatch):
+    # every table starts with a cosine and the bank marches when read: the
+    # push-back, the synthesis and the projection all stop at the one check
+    # of the basis against the grid before either
+    def refuse(*args):
+        raise AssertionError("built or marched before the check")
+
+    cases = []
+    for grid, dim in ((_grid(100), 3), (Grid.regular(((0.0, 1.0),) * 3, (4, 5, 6)), 1)):
+        basis = FeatureBasis.sample(5, dim, KERNEL, seed=1)
+        cases.append((grid, basis, AdjointBank(grid, np.ones(2), refuse)))
+    post = PosteriorQ(np.zeros(5), np.eye(5))
+    monkeypatch.setattr(np, "cos", refuse)
+    for grid, basis, bank in cases:
+        with pytest.raises(GridMismatchError):
+            posterior_forcing(post, basis, grid)
+        with pytest.raises(GridMismatchError):
+            forcing_from_weights(basis, np.zeros(5), grid)
+        with pytest.raises(GridMismatchError):
+            assemble_phi(bank, basis)
 
 
 def test_phi_grid_assertion():
